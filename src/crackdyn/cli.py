@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config as config_mod
-from . import diagnostics, fem, interface, meshing, timestepper, vtkio
+from . import diagnostics, exprlang, fem, interface, meshing, timestepper, vtkio
 
 __all__ = ["main"]
 
@@ -54,11 +54,7 @@ def _load_problem(config_path):
 # ---------------------------------------------------------------------------
 
 def cmd_run(args) -> int:
-    try:
-        cfg, problem = _load_problem(args.config)
-    except config_mod.ConfigError as exc:
-        _error(f"config error: {exc}")
-        return EXIT_CONFIG
+    cfg, problem = _load_problem(args.config)
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     mesh = problem.ops.mesh
@@ -77,14 +73,7 @@ def cmd_run(args) -> int:
                                    title=f"t = {_fmt(state.t)}")
             index += 1
 
-        try:
-            diagnostics.run_with_records(problem, on_record=on_record)
-        except (timestepper.StepFailure, fem.SolveError) as exc:
-            _error(f"solver failure: {exc}")
-            return EXIT_SOLVER
-        except interface.FrictionBoundError as exc:
-            _error(f"config error: {exc}")
-            return EXIT_CONFIG
+        diagnostics.run_with_records(problem, on_record=on_record)
     return EXIT_OK
 
 
@@ -107,19 +96,11 @@ def _write_sweep_csv(path, label, rows):
 
 
 def cmd_sweep_eps(args) -> int:
-    try:
-        cfg = config_mod.parse_config(args.config)
-    except config_mod.ConfigError as exc:
-        _error(f"config error: {exc}")
-        return EXIT_CONFIG
+    cfg = config_mod.parse_config(args.config)
     try:
         result = diagnostics.epsilon_sweep(cfg, args.eps)
     except ValueError as exc:
-        _error(f"config error: {exc}")
-        return EXIT_CONFIG
-    except (timestepper.StepFailure, fem.SolveError) as exc:
-        _error(f"solver failure: {exc}")
-        return EXIT_SOLVER
+        raise config_mod.ConfigError(str(exc)) from exc
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_sweep_csv(outdir / "sweep_eps.csv", "epsilon", result.rows)
@@ -128,19 +109,11 @@ def cmd_sweep_eps(args) -> int:
 
 
 def cmd_sweep_gamma(args) -> int:
-    try:
-        cfg = config_mod.parse_config(args.config)
-    except config_mod.ConfigError as exc:
-        _error(f"config error: {exc}")
-        return EXIT_CONFIG
+    cfg = config_mod.parse_config(args.config)
     try:
         rows = diagnostics.gamma_sweep(cfg, args.gamma)
     except ValueError as exc:
-        _error(f"config error: {exc}")
-        return EXIT_CONFIG
-    except (timestepper.StepFailure, fem.SolveError) as exc:
-        _error(f"solver failure: {exc}")
-        return EXIT_SOLVER
+        raise config_mod.ConfigError(str(exc)) from exc
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_sweep_csv(outdir / "sweep_gamma.csv", "gamma", rows)
@@ -264,11 +237,7 @@ def _check_trajectory(cfg, problem) -> list[tuple[str, bool, str]]:
 
 
 def cmd_verify(args) -> int:
-    try:
-        cfg, problem = _load_problem(args.config)
-    except config_mod.ConfigError as exc:
-        _error(f"config error: {exc}")
-        return EXIT_CONFIG
+    cfg, problem = _load_problem(args.config)
     rng = np.random.default_rng(_VERIFY_SEED)
     results = [
         ("regularization-monotone",) + _check_monotone(rng),
@@ -359,9 +328,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_CONFIG_ERRORS = (config_mod.ConfigError, meshing.MeshError, exprlang.ExprError,
+                  fem.AssemblyError, interface.FrictionBoundError)
+
+
 def main(argv=None) -> int:
+    """Run one subcommand; configuration errors exit 2 and solver
+    failures 3, each with a one-line message instead of a traceback."""
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _CONFIG_ERRORS as exc:
+        _error(f"config error: {exc}")
+        return EXIT_CONFIG
+    except (timestepper.StepFailure, fem.SolveError) as exc:
+        _error(f"solver failure: {exc}")
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

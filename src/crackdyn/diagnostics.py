@@ -222,6 +222,25 @@ def _run_metrics(cfg: config_mod.Config):
     return problem, states, records, infos, int_pen3, float(pen.max()), acc
 
 
+def _sweep(config: config_mod.Config, field: str, values):
+    """Re-run a configuration with ``field`` set to each value in turn;
+    distances are to the last run and to the previous one."""
+    runs = []
+    for value in values:
+        problem, states, records, infos, int3, sup_pen, acc = _run_metrics(
+            replace(config, **{field: value}))
+        runs.append((value, problem, states, int3, sup_pen, acc))
+    ops = runs[-1][1].ops
+    last_final = runs[-1][2][-1]
+    rows = []
+    for k, (value, problem, states, int3, sup_pen, acc) in enumerate(runs):
+        dist = _state_distance(ops, states[-1], last_final)
+        cauchy = (_state_distance(ops, states[-1], runs[k - 1][2][-1])
+                  if k else float("nan"))
+        rows.append(SweepRow(value, int3, sup_pen, acc, dist, cauchy))
+    return tuple(rows)
+
+
 def epsilon_sweep(config: config_mod.Config, eps_list) -> SweepResult:
     """Re-run a configuration over decreasing regularization scales.
 
@@ -234,19 +253,7 @@ def epsilon_sweep(config: config_mod.Config, eps_list) -> SweepResult:
         raise ValueError("need at least 3 epsilon values for a sweep")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("epsilon values must be strictly decreasing")
-    runs = []
-    for eps in eps_list:
-        cfg = replace(config, epsilon=eps)
-        problem, states, records, infos, int3, sup_pen, acc = _run_metrics(cfg)
-        runs.append((eps, problem, states, int3, sup_pen, acc))
-    ops = runs[-1][1].ops
-    finest_final = runs[-1][2][-1]
-    rows = []
-    for k, (eps, problem, states, int3, sup_pen, acc) in enumerate(runs):
-        dist = _state_distance(ops, states[-1], finest_final)
-        cauchy = (_state_distance(ops, states[-1], runs[k - 1][2][-1])
-                  if k else float("nan"))
-        rows.append(SweepRow(eps, int3, sup_pen, acc, dist, cauchy))
+    rows = _sweep(config, "epsilon", eps_list)
     logs = [(math.log(e), math.log(r.int_pen3_dt))
             for e, r in zip(eps_list, rows) if r.int_pen3_dt > 0.0]
     if len(logs) >= 2:
@@ -254,7 +261,7 @@ def epsilon_sweep(config: config_mod.Config, eps_list) -> SweepResult:
         order = float(np.polyfit(xs, ys, 1)[0])
     else:
         order = float("nan")
-    return SweepResult(rows=tuple(rows), fitted_order=order)
+    return SweepResult(rows=rows, fitted_order=order)
 
 
 def gamma_sweep(config: config_mod.Config, gamma_list) -> tuple[SweepRow, ...]:
@@ -264,20 +271,7 @@ def gamma_sweep(config: config_mod.Config, gamma_list) -> tuple[SweepRow, ...]:
         raise ValueError("need at least one gamma value")
     if any(g < 0 for g in gamma_list):
         raise ValueError("gamma values must be nonnegative")
-    runs = []
-    for gam in gamma_list:
-        cfg = replace(config, gamma=gam)
-        problem, states, records, infos, int3, sup_pen, acc = _run_metrics(cfg)
-        runs.append((gam, problem, states, int3, sup_pen, acc))
-    ops = runs[-1][1].ops
-    last_final = runs[-1][2][-1]
-    rows = []
-    for k, (gam, problem, states, int3, sup_pen, acc) in enumerate(runs):
-        dist = _state_distance(ops, states[-1], last_final)
-        cauchy = (_state_distance(ops, states[-1], runs[k - 1][2][-1])
-                  if k else float("nan"))
-        rows.append(SweepRow(gam, int3, sup_pen, acc, dist, cauchy))
-    return tuple(rows)
+    return _sweep(config, "gamma", gamma_list)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +435,7 @@ def one_dof_implicit(p: OneDofParams, t_end: float, dt: float,
                    + dbeta(s_w) * g * (p.gamma * du + dv)
                    + p.g * dalpha(v_w) * g * dv)
             a_new = a_new - r / jac
-        if depth >= _ONE_DOF_MAX_HALVINGS:
+        if depth >= timestepper._MAX_HALVINGS:
             raise timestepper.StepFailure(
                 f"scalar Newton stalled at t={t:.6g}", t, h, abs(r), it)
         um, vm, am = substep(t, u, v, a, 0.5 * h, depth + 1)
@@ -454,6 +448,3 @@ def one_dof_implicit(p: OneDofParams, t_end: float, dt: float,
         us.append(u)
         vs.append(v)
     return np.array(times), np.array(us), np.array(vs)
-
-
-_ONE_DOF_MAX_HALVINGS = 5

@@ -66,7 +66,9 @@ class Material:
 class DofMap:
     """Vertex-blocked degrees of freedom: dof = vertex*dim + component.
 
-    Dirichlet facet vertices contribute constrained dofs (all components).
+    Dirichlet facet vertices contribute constrained dofs (all components);
+    ``constrained`` is their mask and ``free`` the sorted index of the
+    others, on which linear systems are posed.
     """
 
     def __init__(self, mesh):
@@ -78,10 +80,7 @@ class DofMap:
         for c in range(self.dim):
             mask[constrained_vertices * self.dim + c] = True
         self.constrained = mask
-        self.free = ~mask
-
-    def vertex_dofs(self, v: int) -> np.ndarray:
-        return np.arange(v * self.dim, (v + 1) * self.dim)
+        self.free = np.flatnonzero(~mask)
 
     def zero_constrained(self, w: np.ndarray) -> np.ndarray:
         w = np.array(w, dtype=float, copy=True)
@@ -97,9 +96,6 @@ class State:
     u: np.ndarray
     v: np.ndarray
     a: np.ndarray
-
-    def copy(self) -> "State":
-        return State(self.t, self.u.copy(), self.v.copy(), self.a.copy())
 
 
 def check_state(state: State, dofmap: DofMap) -> None:
@@ -266,52 +262,55 @@ def interpolate(mesh, exprs, t=0.0) -> np.ndarray:
 # boundary conditions and linear solves
 # ---------------------------------------------------------------------------
 
-def apply_dirichlet(a: sp.csr_matrix, constrained: np.ndarray) -> sp.csr_matrix:
-    """Zero constrained rows and columns and pin their diagonal to one."""
-    keep = sp.diags((~constrained).astype(float))
-    pin = sp.diags(constrained.astype(float))
-    return (keep @ a @ keep + pin).tocsr()
+def apply_dirichlet(a: sp.csr_matrix, dofmap: DofMap) -> sp.csr_matrix:
+    """Restrict to the free dofs: drop constrained rows and columns."""
+    return a[dofmap.free][:, dofmap.free].tocsr()
 
 
 def solve_spd(a, rhs, tol=1e-12, maxit=None):
     """Conjugate gradients with Jacobi preconditioning.
 
-    Deterministic: fixed zero initial guess, no randomized components.
-    Returns x with ||a x - rhs|| <= tol * ||rhs||; raises SolveError with
-    the achieved residual if maxit iterations do not get there.
+    ``a`` needs only ``a @ x`` and ``a.diagonal()``.  Deterministic:
+    fixed zero initial guess, no randomized components.  Returns x with
+    ||a x - rhs|| <= tol * ||rhs||; raises SolveError with the achieved
+    residual if maxit iterations do not get there.
     """
     rhs = np.asarray(rhs, dtype=float)
     n = rhs.shape[0]
     if maxit is None:
         maxit = max(200, 20 * n)
-    norm_b = np.linalg.norm(rhs)
     x = np.zeros(n)
-    if norm_b == 0.0:
+    rr = float(rhs @ rhs)
+    if rr == 0.0:
         return x
     diag = np.asarray(a.diagonal())
     if np.any(diag <= 0):
         raise SolveError("matrix has a non-positive diagonal entry", np.inf)
+    inv_diag = 1.0 / diag
+    target = tol * np.sqrt(rr)
+    target_sq = target * target
     r = rhs.copy()
-    z = r / diag
+    z = r * inv_diag
     p = z.copy()
     rz = float(r @ z)
-    target = tol * norm_b
     for _ in range(maxit):
-        if np.linalg.norm(r) <= target:
+        if rr <= target_sq:
             return x
         q = a @ p
         pq = float(p @ q)
         if pq <= 0:
-            raise SolveError("matrix is not positive definite", float(np.linalg.norm(r)))
+            raise SolveError("matrix is not positive definite", float(np.sqrt(rr)))
         alpha = rz / pq
         x += alpha * p
         r -= alpha * q
-        z = r / diag
+        rr = float(r @ r)
+        np.multiply(r, inv_diag, out=z)
         rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz
+        p += z
         rz = rz_new
-    res = float(np.linalg.norm(r))
-    if res <= target:
+    res = float(np.sqrt(rr))
+    if rr <= target_sq:
         return x
     raise SolveError(
         f"CG did not converge in {maxit} iterations "

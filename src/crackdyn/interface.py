@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import exprlang
 from .exprlang import Expr
+from .fem import DofMap
 
 __all__ = [
     "neg_part",
@@ -130,9 +130,12 @@ class CrackQuadrature:
     normals : (npairs, dim)
     points : (npairs, nq, dim), weights : (npairs, nq)
     shapes : (nq, 2) P1 basis values at the quadrature points
+    crack_dofs : sorted unconstrained dofs of the crack-face vertices;
+        the tangents are dense blocks in this numbering
+    crack_free : position of each crack_dofs entry in dofmap.free
     """
 
-    def __init__(self, mesh):
+    def __init__(self, mesh, dofmap: DofMap):
         pairs = mesh.crack_pairs
         d = mesh.dim
         n = len(pairs)
@@ -159,13 +162,28 @@ class CrackQuadrature:
             self.weights[k] = np.linalg.norm(b - a)
         self.weights *= 0.5
 
+        verts = np.concatenate([self.plus_vertices, self.minus_vertices], axis=1)
+        dofs = verts[:, :, None] * d + np.arange(d)                    # (n, 4, d)
+        self.crack_dofs = np.unique(dofs[~dofmap.constrained[dofs]])
+        self.crack_free = np.searchsorted(dofmap.free, self.crack_dofs)
+        k = self.crack_dofs.size
+        slots = np.where(dofmap.constrained[dofs], k,
+                         np.searchsorted(self.crack_dofs, dofs))
+        # signed shape products (nq, 16) of the facet vertices, and the flat
+        # (k+1, k+1) index of every (pair, k, l, c, e) entry; slot k is dropped
+        shp = np.concatenate([self.shapes, -self.shapes], axis=1)
+        self._shape_pairs = np.einsum("qk,ql->qkl", shp, shp).reshape(2, 16)
+        self._block_index = (slots[:, :, None, :, None] * (k + 1)
+                             + slots[:, None, :, None, :]).ravel()
+
     @property
     def total_measure(self) -> float:
         return float(self.weights.sum())
 
 
-def build_crack_quadrature(mesh) -> CrackQuadrature:
-    return CrackQuadrature(mesh)
+def build_crack_quadrature(mesh, dofmap: DofMap | None = None):
+    """The crack quadrature; pass the problem's DofMap to share it."""
+    return CrackQuadrature(mesh, DofMap(mesh) if dofmap is None else dofmap)
 
 
 # ---------------------------------------------------------------------------
@@ -188,10 +206,7 @@ def split_jump(jumps: np.ndarray, quad: CrackQuadrature):
 
 
 def _normal_jump(w, quad):
-    return np.einsum("qi,pid,pd->pq", quad.shapes,
-                     w.reshape(quad.n_vertices, quad.dim)[quad.plus_vertices]
-                     - w.reshape(quad.n_vertices, quad.dim)[quad.minus_vertices],
-                     quad.normals)
+    return np.einsum("pqd,pd->pq", jump_eval(w, quad), quad.normals)
 
 
 def friction_bound_values(params: ContactParams, quad: CrackQuadrature,
@@ -257,47 +272,39 @@ def friction_residual(v, t, params: ContactParams, quad: CrackQuadrature):
 # tangents (derivatives with respect to the Newton unknown)
 # ---------------------------------------------------------------------------
 
-def _interface_matrix(quad, blocks):
-    """Assemble CSR from per-point dense blocks (npairs, nq, d, d).
-
-    The block at point q couples the four facet vertices with signs
-    (+, +, -, -) for (plus0, plus1, minus0, minus1).
-    """
-    n, d = quad.n_pairs, quad.dim
-    verts = np.concatenate([quad.plus_vertices, quad.minus_vertices], axis=1)  # (n, 4)
-    signs = np.array([1.0, 1.0, -1.0, -1.0])
-    shp = np.concatenate([quad.shapes, quad.shapes], axis=1) * signs           # (q, 4)
-    coef = np.einsum("qk,ql,pqce->pklce", shp, shp, blocks)
-    dofs = verts[:, :, None] * d + np.arange(d)[None, None, :]                 # (n, 4, d)
-    rows = np.repeat(dofs.reshape(n, 4 * d), 4 * d, axis=1).ravel()
-    cols = np.tile(dofs.reshape(n, 4 * d), (1, 4 * d)).ravel()
-    vals = coef.transpose(0, 1, 3, 2, 4).reshape(n, 4 * d, 4 * d).reshape(n, -1).ravel()
-    ndof = quad.n_vertices * d
-    return sp.coo_matrix((vals, (rows, cols)), shape=(ndof, ndof)).tocsr()
+def _crack_block(quad, blocks):
+    """Dense (k, k) matrix on ``quad.crack_dofs`` from per-point blocks
+    (npairs, nq, d, d), each coupling the four facet vertices with signs
+    (+, +, -, -); rows and columns of constrained dofs are dropped."""
+    n, d, k = quad.n_pairs, quad.dim, quad.crack_dofs.size
+    coef = np.einsum("qm,pqf->pmf", quad._shape_pairs,
+                     blocks.reshape(n, 2, d * d))
+    return np.bincount(quad._block_index, weights=coef.ravel(),
+                       minlength=(k + 1) ** 2).reshape(k + 1, k + 1)[:k, :k]
 
 
 def contact_tangent(u, v, params: ContactParams, quad: CrackQuadrature,
-                    coeff_u: float, coeff_v: float) -> sp.csr_matrix:
+                    coeff_u: float, coeff_v: float) -> np.ndarray:
     """Derivative of contact_residual along a direction z entering the
-    arguments as u + coeff_u*z, v + coeff_v*z.  Symmetric PSD."""
-    ndof = quad.n_vertices * quad.dim
+    arguments as u + coeff_u*z, v + coeff_v*z, as a dense block on
+    quad.crack_dofs.  Symmetric PSD."""
     if quad.n_pairs == 0:
-        return sp.csr_matrix((ndof, ndof))
+        return np.zeros((0, 0))     # no crack dofs
     s = params.gamma * _normal_jump(u, quad) + _normal_jump(v, quad)
     chain = params.gamma * coeff_u + coeff_v
     dvals = dbeta_eps(s, params.epsilon) * chain * quad.weights     # (n, q)
     nn = np.einsum("pc,pe->pce", quad.normals, quad.normals)
     blocks = dvals[:, :, None, None] * nn[:, None, :, :]
-    return _interface_matrix(quad, blocks)
+    return _crack_block(quad, blocks)
 
 
 def friction_tangent(v, t, params: ContactParams, quad: CrackQuadrature,
-                     coeff_v: float) -> sp.csr_matrix:
-    """Derivative of friction_residual along v + coeff_v*z.  Symmetric
-    PSD; at zero slip it is the tangential projector divided by eps."""
-    ndof = quad.n_vertices * quad.dim
+                     coeff_v: float) -> np.ndarray:
+    """Derivative of friction_residual along v + coeff_v*z, as a dense
+    block on quad.crack_dofs.  Symmetric PSD; at zero slip it is the
+    tangential projector divided by eps."""
     if quad.n_pairs == 0 or params.g is None:
-        return sp.csr_matrix((ndof, ndof))
+        return np.zeros((quad.crack_dofs.size,) * 2)
     g = friction_bound_values(params, quad, t)
     _, jt = split_jump(jump_eval(v, quad), quad)
     da = dalpha_eps(jt, params.epsilon)                              # (n, q, d, d)
@@ -305,7 +312,7 @@ def friction_tangent(v, t, params: ContactParams, quad: CrackQuadrature,
         "pc,pe->pce", quad.normals, quad.normals)                    # (n, d, d)
     pd = np.einsum("pcf,pqfh,phe->pqce", proj, da, proj)
     blocks = (coeff_v * g * quad.weights)[:, :, None, None] * pd
-    return _interface_matrix(quad, blocks)
+    return _crack_block(quad, blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ x_g = (1-g)*x + g*x+ and time t + g*dt.  For the default trapezoidal
 pair (b, g) = (1/4, 1/2) this is the midpoint evaluation, which makes
 the interface terms dissipate exactly (they are tested against their
 own arguments); g = 1 recovers the fully implicit end-of-step balance.
-The Newton unknown is the end-of-step acceleration; every Newton system
-is symmetric positive definite and solved by preconditioned CG.
+The Newton unknown is the end-of-step acceleration on the free dofs;
+each Newton matrix, the linear part g*(M + b*dt^2*K) cached per step
+size plus a dense PSD crack-dof block, is solved by Jacobi-PCG.
 """
 
 from __future__ import annotations
@@ -111,22 +112,38 @@ class Operators:
     quad: CrackQuadrature
     mass: sp.csr_matrix
     stiffness: sp.csr_matrix
-    mass_pinned: sp.csr_matrix
-    stiffness_pinned: sp.csr_matrix
     load: Callable[[float], np.ndarray]
     _jac_cache: dict = field(default_factory=dict, repr=False)
 
     def pin(self, a: sp.csr_matrix) -> sp.csr_matrix:
-        keep = sp.diags((~self.dofmap.constrained).astype(float))
-        return (keep @ a @ keep).tocsr()
+        """Impose the Dirichlet constraints: restrict to the free dofs."""
+        return fem.apply_dirichlet(a, self.dofmap)
 
-    def linear_jacobian(self, dt: float, b: float, g: float) -> sp.csr_matrix:
+    def linear_jacobian(self, dt: float, b: float, g: float):
+        """(g*(M + b*dt^2*K) on the free dofs, its diagonal), cached."""
         key = (dt, b, g)
         if key not in self._jac_cache:
-            self._jac_cache[key] = (
-                g * (self.mass_pinned + b * dt * dt * self.stiffness_pinned)
-            ).tocsr()
+            lin = self.pin(g * (self.mass + b * dt * dt * self.stiffness))
+            self._jac_cache[key] = (lin, lin.diagonal())
         return self._jac_cache[key]
+
+
+class _NewtonMatrix:
+    """Free-dof Newton matrix: the linear part plus a dense block on the
+    crack slots.  Provides what solve_spd uses: ``@`` and diagonal()."""
+
+    def __init__(self, lin, lin_diag, slots, block):
+        self.lin, self.slots, self.block = lin, slots, block
+        self._diag = lin_diag.copy()
+        self._diag[slots] += np.diagonal(block)
+
+    def diagonal(self) -> np.ndarray:
+        return self._diag
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        y = self.lin @ x
+        y[self.slots] += self.block @ x[self.slots]
+        return y
 
 
 def build_operators(mesh, material: Material, contact: ContactParams,
@@ -135,7 +152,7 @@ def build_operators(mesh, material: Material, contact: ContactParams,
     dofmap = DofMap(mesh)
     mass = fem.assemble_mass(mesh, material)
     stiffness = fem.assemble_stiffness(mesh, material)
-    quad = interface.build_crack_quadrature(mesh)
+    quad = interface.build_crack_quadrature(mesh, dofmap)
 
     if f is None and trac is None:
         zero = np.zeros(dofmap.ndof)
@@ -156,8 +173,6 @@ def build_operators(mesh, material: Material, contact: ContactParams,
         quad=quad,
         mass=mass,
         stiffness=stiffness,
-        mass_pinned=fem.apply_dirichlet(mass, dofmap.constrained),
-        stiffness_pinned=fem.apply_dirichlet(stiffness, dofmap.constrained),
         load=load,
     )
 
@@ -198,22 +213,23 @@ def initial_acceleration(ops: Operators, u0: np.ndarray, v0: np.ndarray,
            - ops.stiffness @ u0
            - interface.contact_residual(u0, v0, ops.contact, ops.quad)
            - interface.friction_residual(v0, t0, ops.contact, ops.quad))
-    rhs[ops.dofmap.constrained] = 0.0
-    return fem.solve_spd(ops.mass_pinned, rhs, tol=_CG_TOL)
+    free = ops.dofmap.free
+    a0 = np.zeros(ops.dofmap.ndof)
+    a0[free] = fem.solve_spd(ops.pin(ops.mass), rhs[free], tol=_CG_TOL)
+    return a0
 
 
 # ---------------------------------------------------------------------------
 # stepping
 # ---------------------------------------------------------------------------
 
-def _solve_substep(state: State, dt: float, ops: Operators,
-                   params: TimeParams):
-    """One Newmark interval; returns (new_state, iterations, residual,
-    tol_abs) or raises SolveError/StepFailure internally via caller."""
+def _interval(state: State, dt: float, ops: Operators, params: TimeParams):
+    """Newton problem of one Newmark interval in the end-of-step
+    acceleration a+: (residual, tangent, load_w).  residual(a+) gives the
+    force balance at the g-weighted state (zero on constrained dofs), u_w,
+    v_w and the end state; tangent(u_w, v_w) is its free-dof derivative."""
     b = params.newmark_b
     g = params.newmark_g
-    con = ops.dofmap.constrained
-    gamma = ops.contact.gamma
 
     u_pred = state.u + dt * state.v + dt * dt * (0.5 - b) * state.a
     v_pred = state.v + dt * (1.0 - g) * state.a
@@ -222,48 +238,50 @@ def _solve_substep(state: State, dt: float, ops: Operators,
 
     t_w = state.t + g * dt
     load_w = ops.load(t_w)
-    norm_load = float(np.linalg.norm(load_w))
-
-    a_new = state.a.copy()
-    jac_lin = ops.linear_jacobian(dt, b, g)
+    lin, lin_diag = ops.linear_jacobian(dt, b, g)
 
     def residual(a_plus):
-        u_w = (1.0 - g) * state.u + g * (u_pred + du * a_plus)
-        v_w = (1.0 - g) * state.v + g * (v_pred + dv * a_plus)
+        end = State(state.t + dt, u_pred + du * a_plus, v_pred + dv * a_plus,
+                    a_plus)
+        u_w = (1.0 - g) * state.u + g * end.u
+        v_w = (1.0 - g) * state.v + g * end.v
         a_w = (1.0 - g) * state.a + g * a_plus
         r = (ops.mass @ a_w + ops.stiffness @ u_w
              + interface.contact_residual(u_w, v_w, ops.contact, ops.quad)
              + interface.friction_residual(v_w, t_w, ops.contact, ops.quad)
              - load_w)
-        r[con] = 0.0
-        return r, u_w, v_w
+        r[ops.dofmap.constrained] = 0.0
+        return r, u_w, v_w, end
 
-    r, u_w, v_w = residual(a_new)
+    def tangent(u_w, v_w):
+        block = (interface.contact_tangent(u_w, v_w, ops.contact, ops.quad,
+                                           coeff_u=g * du, coeff_v=g * dv)
+                 + interface.friction_tangent(v_w, t_w, ops.contact, ops.quad,
+                                              coeff_v=g * dv))
+        return _NewtonMatrix(lin, lin_diag, ops.quad.crack_free, block)
+
+    return residual, tangent, load_w
+
+
+def _solve_substep(state: State, dt: float, ops: Operators,
+                   params: TimeParams):
+    """One Newmark interval; returns (new_state, iterations, residual,
+    tol_abs), with new_state None if Newton did not converge."""
+    residual, tangent, load_w = _interval(state, dt, ops, params)
+    free = ops.dofmap.free
+    a_new = state.a.copy()
+    r, u_w, v_w, end = residual(a_new)
     norm_r = float(np.linalg.norm(r))
-    tol_abs = params.newton_tol * max(norm_load, norm_r)
+    tol_abs = params.newton_tol * max(float(np.linalg.norm(load_w)), norm_r)
     iterations = 0
     while norm_r > tol_abs:
         if iterations >= params.newton_maxit:
             return None, iterations, norm_r, tol_abs
-        jac = (jac_lin
-               + ops.pin(interface.contact_tangent(
-                   u_w, v_w, ops.contact, ops.quad,
-                   coeff_u=g * du, coeff_v=g * dv))
-               + ops.pin(interface.friction_tangent(
-                   v_w, t_w, ops.contact, ops.quad, coeff_v=g * dv)))
-        delta = fem.solve_spd(jac, -r, tol=_CG_TOL)
-        a_new = a_new + delta
-        r, u_w, v_w = residual(a_new)
+        a_new[free] += fem.solve_spd(tangent(u_w, v_w), -r[free], tol=_CG_TOL)
+        r, u_w, v_w, end = residual(a_new)
         norm_r = float(np.linalg.norm(r))
         iterations += 1
-
-    new = State(
-        t=state.t + dt,
-        u=u_pred + du * a_new,
-        v=v_pred + dv * a_new,
-        a=a_new,
-    )
-    return new, iterations, norm_r, tol_abs
+    return end, iterations, norm_r, tol_abs
 
 
 def _advance(state: State, dt: float, ops, params, depth: int):
@@ -292,6 +310,8 @@ def step(state: State, t_next: float, ops: Operators,
     dt = t_next - state.t
     if dt <= 0:
         raise ValueError("t_next must exceed the state time")
+    if abs(dt - params.dt) <= 1e-9 * params.dt:
+        dt = params.dt      # k*dt - (k-1)*dt is dt only up to rounding
     new, info = _advance(state, dt, ops, params, depth=0)
     new.t = t_next
     return new, info

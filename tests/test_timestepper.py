@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from crackdyn import exprlang as ex
-from crackdyn import fem, interface
+from crackdyn import fem, interface, timestepper
 from crackdyn.fem import Material, State
 from crackdyn.interface import ContactParams
-from crackdyn.meshing import generate_rect_crack
+from crackdyn.meshing import generate_rect_crack, load_mesh, save_mesh
 from crackdyn.timestepper import (
     CompatibilityWarning,
     StepFailure,
@@ -91,7 +91,11 @@ def test_initial_acceleration_equilibrium():
     ops = make_ops(nx=6, ny=4, crack=None,
                    f=(ex.parse("0.3"), ex.parse("-0.5")))
     load = ops.load(0.0)
-    u0 = fem.solve_spd(ops.stiffness_pinned, load, tol=1e-14)
+    free = ops.dofmap.free
+    u0 = np.zeros_like(load)
+    u0[free] = fem.solve_spd(
+        fem.apply_dirichlet(ops.stiffness, ops.dofmap),
+        load[free], tol=1e-14)
     a0 = initial_acceleration(ops, u0, np.zeros_like(u0))
     scale = max(np.abs(u0).max(), 1.0)
     assert np.abs(a0).max() <= 1e-8 * scale
@@ -105,7 +109,9 @@ def test_initial_acceleration_constant_force():
     n = ops.dofmap.ndof
     a0 = initial_acceleration(ops, np.zeros(n), np.zeros(n))
     rhs = ops.load(0.0)
-    res = ops.mass_pinned @ a0 - rhs
+    free = ops.dofmap.free
+    assert not a0[ops.dofmap.constrained].any()
+    res = fem.apply_dirichlet(ops.mass, ops.dofmap) @ a0[free] - rhs[free]
     assert np.linalg.norm(res) <= 1e-9 * np.linalg.norm(rhs)
     interior = (np.abs(ops.mesh.vertices[:, 0] - 1.0) < 0.5)
     ax = a0.reshape(-1, 2)[interior, 0]
@@ -257,8 +263,97 @@ def test_linear_jacobian_is_cached():
     j1 = ops.linear_jacobian(0.1, 0.25, 0.5)
     j2 = ops.linear_jacobian(0.1, 0.25, 0.5)
     assert j1 is j2
+    lin, diag = j1
+    nfree = ops.dofmap.free.size
+    assert lin.shape == (nfree, nfree)
+    assert np.array_equal(diag, lin.diagonal())
     j3 = ops.linear_jacobian(0.05, 0.25, 0.5)
     assert j3 is not j1
+
+
+def test_linear_jacobian_one_key_per_step_size():
+    # k*dt - (k-1)*dt differs from dt in the last bits; full steps must
+    # still share one cached linear Jacobian, and halved steps use exact
+    # halves of dt
+    ops = make_ops(g="0.05")
+    u0 = bump_field(ops)
+    params = TimeParams(t_end=0.1, dt=2.5e-3)
+    _, infos = run(ops, params, u0, np.zeros_like(u0))
+    assert all(info.substeps == 1 for info in infos)
+    assert list(ops._jac_cache) == [(params.dt, params.newmark_b,
+                                      params.newmark_g)]
+
+    ops = make_ops(epsilon=1e-3, g="0.05")
+    v0 = crack_plus_velocity(ops, (0.0, -0.3))
+    params = TimeParams(t_end=0.04, dt=0.02, newton_maxit=6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CompatibilityWarning)
+        _, infos = run(ops, params, np.zeros_like(v0), v0)
+    assert infos[0].substeps >= 2
+    halves = {params.dt / 2 ** j for j in range(6)}
+    assert {dt for dt, _, _ in ops._jac_cache} <= halves
+
+
+def _penetrating_state(ops, rng, t=0.0):
+    """Random state whose crack faces interpenetrate and slip."""
+    plus = np.unique(ops.quad.plus_vertices)
+    u = 0.03 * rng.standard_normal((ops.mesh.n_vertices, 2))
+    v = 0.03 * rng.standard_normal(u.shape)
+    u[plus] += (0.0, -0.3)
+    v[plus] += (0.2, -0.3)
+    u, v = u.ravel(), v.ravel()
+    a = rng.standard_normal(u.size)
+    zc = ops.dofmap.zero_constrained
+    return State(t, zc(u), zc(v), zc(a))
+
+
+def _tip_on_dirichlet_mesh(tmp_path):
+    # the left crack tip is the shared vertex at x = 0, on the clamped edge
+    path = tmp_path / "edge_crack.mesh"
+    save_mesh(generate_rect_crack(2.0, 1.0, 8, 4, crack_span=(0.05, 0.75)),
+              path)
+    return load_mesh(path)
+
+
+@pytest.mark.parametrize("tip_on_dirichlet", [False, True])
+@pytest.mark.parametrize("g", [None, "0.05"])
+@pytest.mark.parametrize("gamma", [0.0, 1.0, 10.0])
+def test_newton_operator_is_residual_derivative(tmp_path, gamma, g,
+                                                tip_on_dirichlet):
+    # the free-dof Newton operator applied to z equals the central
+    # difference of the step residual along z, restricted to free dofs
+    if tip_on_dirichlet:
+        mesh = _tip_on_dirichlet_mesh(tmp_path)
+    else:
+        mesh = generate_rect_crack(2.0, 1.0, 8, 4, crack_span=(0.25, 0.75))
+    contact = ContactParams(gamma=gamma, epsilon=1e-2,
+                            g=None if g is None else ex.parse(g))
+    ops = build_operators(mesh, Material(lam=1.0, mu=1.0, rho=1.0), contact)
+    quad = ops.quad
+    face = np.unique(np.concatenate([quad.plus_vertices, quad.minus_vertices]))
+    face_dofs = (face[:, None] * 2 + np.arange(2)).ravel()
+    assert ops.dofmap.constrained[face_dofs].any() == tip_on_dirichlet
+    assert not ops.dofmap.constrained[quad.crack_dofs].any()
+
+    rng = np.random.default_rng(31)
+    state = _penetrating_state(ops, rng)
+    residual, tangent, _ = timestepper._interval(
+        state, 0.05, ops, TimeParams(t_end=1.0, dt=0.05))
+    free = ops.dofmap.free
+    a = ops.dofmap.zero_constrained(rng.standard_normal(state.a.size))
+    _, u_w, v_w, _ = residual(a)
+    op = tangent(u_w, v_w)
+    assert np.array_equal(op.diagonal(), np.diagonal(
+        op.lin.toarray()) + np.bincount(quad.crack_free,
+                                        np.diagonal(op.block), free.size))
+    h = 1e-5
+    for _ in range(3):
+        z = ops.dofmap.zero_constrained(rng.standard_normal(a.size))
+        fd = (residual(a + h * z)[0] - residual(a - h * z)[0])[free] / (2 * h)
+        ref = op @ z[free]
+        assert np.abs(fd - ref).max() <= 1e-6 * np.abs(ref).max()
+        # the crack block carries a visible share of the product
+        assert np.abs(fd - op.lin @ z[free]).max() >= 1e-3 * np.abs(ref).max()
 
 
 def test_gamma_zero_contact_ignores_displacement():
