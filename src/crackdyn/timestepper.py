@@ -13,6 +13,11 @@ own arguments); g = 1 recovers the fully implicit end-of-step balance.
 The Newton unknown is the end-of-step acceleration on the free dofs;
 each Newton matrix, the linear part g*(M + b*dt^2*K) cached per step
 size plus a dense PSD crack-dof block, is solved by Jacobi-PCG.
+
+The residual is the gradient of a convex potential of a+ and the Newton
+matrix its Hessian, so each Newton direction is followed by a line
+search on that potential (_line_search).  Bisecting the interval is the
+last resort: newton_maxit ran out or a value was not finite.
 """
 
 from __future__ import annotations
@@ -43,6 +48,9 @@ __all__ = [
 _CG_TOL = 1e-12
 _MAX_HALVINGS = 5
 _COMPAT_TOL = 1e-10
+_LS_ETA = 0.5           # line-search slope test, relative to |phi'(0)|
+_LS_MAX_EVALS = 20      # residual evaluations per line search
+_LS_CLAMP = 0.1         # trials stay this share of the bracket inside it
 
 
 class CompatibilityWarning(UserWarning):
@@ -93,12 +101,15 @@ class TimeParams:
 
 @dataclass
 class StepInfo:
-    """Newton bookkeeping for one accepted step."""
+    """Newton bookkeeping for one accepted step: Newton iterations,
+    final residual and tolerance, substeps, and line_search, the
+    residual evaluations beyond one per Newton iteration."""
 
     iterations: int
     residual: float
     tol_abs: float
     substeps: int = 1
+    line_search: int = 0
 
 
 @dataclass
@@ -238,6 +249,9 @@ def _interval(state: State, dt: float, ops: Operators, params: TimeParams):
 
     t_w = state.t + g * dt
     load_w = ops.load(t_w)
+    if not np.isfinite(load_w).all():
+        raise StepFailure(f"load is not finite at t={t_w:.6g}", t=state.t,
+                          dt=dt, residual=np.nan, iterations=0)
     lin, lin_diag = ops.linear_jacobian(dt, b, g)
 
     def residual(a_plus):
@@ -263,31 +277,90 @@ def _interval(state: State, dt: float, ops: Operators, params: TimeParams):
     return residual, tangent, load_w
 
 
+def _line_search(residual, a, free, d, r):
+    """Move a along the Newton direction d on the free dofs, in place.
+
+    The residual is the gradient of the step's convex potential Pi and
+    the Newton matrix its Hessian, so phi(s) = Pi(a + s*d) is convex and
+    phi'(s) = r(a + s*d)[free] @ d is nondecreasing, with phi'(0) < 0.
+    The full step is kept when phi'(1) <= eta*|phi'(0)|.  Otherwise
+    [0, 1] brackets the minimizer, and Illinois regula falsi on phi'
+    shrinks it until a trial has |phi'| <= eta*|phi'(0)| or
+    _LS_MAX_EVALS residuals have been evaluated; the last trial is kept.
+    r is the residual at a.  Returns (residual(a), evaluations beyond
+    the first), or None on a non-finite slope or a d that does not
+    descend.
+    """
+    slope0 = float(r[free] @ d)
+    if not slope0 < 0.0:
+        return None
+    bound = -_LS_ETA * slope0
+    a[free] += d
+    lo, s_lo, alpha = 0.0, slope0, 1.0
+    moved = 0       # end of the bracket replaced last: +1 hi, -1 lo
+    evals = 1
+    while True:
+        out = residual(a)
+        slope = float(out[0][free] @ d)
+        if not np.isfinite(slope):
+            return None
+        done = slope <= bound if evals == 1 else abs(slope) <= bound
+        if done or evals == _LS_MAX_EVALS:
+            return out, evals - 1
+        # Illinois: an end kept twice in a row has its slope halved
+        if slope > 0.0:
+            hi, s_hi = alpha, slope
+            if moved > 0:
+                s_lo *= 0.5
+            moved = 1
+        else:
+            lo, s_lo = alpha, slope
+            if moved < 0:
+                s_hi *= 0.5
+            moved = -1
+        margin = _LS_CLAMP * (hi - lo)
+        trial = (lo * s_hi - hi * s_lo) / (s_hi - s_lo)
+        trial = min(max(trial, lo + margin), hi - margin)
+        a[free] += (trial - alpha) * d
+        alpha = trial
+        evals += 1
+        del out     # free the rejected trial before evaluating the next
+
+
 def _solve_substep(state: State, dt: float, ops: Operators,
                    params: TimeParams):
-    """One Newmark interval; returns (new_state, iterations, residual,
-    tol_abs), with new_state None if Newton did not converge."""
+    """One Newmark interval by Newton with a line search on the step's
+    potential; returns (new_state, iterations, line_search, residual,
+    tol_abs), with new_state None if Newton did not converge within
+    newton_maxit iterations or met a non-finite value."""
     residual, tangent, load_w = _interval(state, dt, ops, params)
     free = ops.dofmap.free
     a_new = state.a.copy()
     r, u_w, v_w, end = residual(a_new)
     norm_r = float(np.linalg.norm(r))
     tol_abs = params.newton_tol * max(float(np.linalg.norm(load_w)), norm_r)
-    iterations = 0
-    while norm_r > tol_abs:
-        if iterations >= params.newton_maxit:
-            return None, iterations, norm_r, tol_abs
-        a_new[free] += fem.solve_spd(tangent(u_w, v_w), -r[free], tol=_CG_TOL)
-        r, u_w, v_w, end = residual(a_new)
-        norm_r = float(np.linalg.norm(r))
+    iterations = line_search = 0
+    while (norm_r > tol_abs and np.isfinite(norm_r)
+           and iterations < params.newton_maxit):
+        d = fem.solve_spd(tangent(u_w, v_w), -r[free], tol=_CG_TOL)
+        found = _line_search(residual, a_new, free, d, r)
         iterations += 1
-    return end, iterations, norm_r, tol_abs
+        if found is None:
+            break
+        (r, u_w, v_w, end), evals = found
+        line_search += evals
+        norm_r = float(np.linalg.norm(r))
+    if not norm_r <= tol_abs < np.inf:
+        end = None
+    return end, iterations, line_search, norm_r, tol_abs
 
 
 def _advance(state: State, dt: float, ops, params, depth: int):
-    new, iters, res, tol_abs = _solve_substep(state, dt, ops, params)
+    new, iters, line_search, res, tol_abs = _solve_substep(
+        state, dt, ops, params)
     if new is not None:
-        return new, StepInfo(iterations=iters, residual=res, tol_abs=tol_abs)
+        return new, StepInfo(iterations=iters, residual=res, tol_abs=tol_abs,
+                             line_search=line_search)
     if depth >= _MAX_HALVINGS:
         raise StepFailure(
             f"Newton stalled at t={state.t:.6g} with dt={dt:.3e} after "
@@ -300,13 +373,15 @@ def _advance(state: State, dt: float, ops, params, depth: int):
         iterations=info1.iterations + info2.iterations,
         residual=max(info1.residual, info2.residual),
         tol_abs=max(info1.tol_abs, info2.tol_abs),
-        substeps=info1.substeps + info2.substeps)
+        substeps=info1.substeps + info2.substeps,
+        line_search=info1.line_search + info2.line_search)
 
 
 def step(state: State, t_next: float, ops: Operators,
          params: TimeParams):
-    """Advance to t_next; on Newton trouble the interval is bisected up
-    to five times before StepFailure is raised with diagnostics."""
+    """Advance to t_next; if Newton fails the interval is bisected up
+    to five times before StepFailure is raised with diagnostics.  A
+    load that is not finite raises StepFailure at once."""
     dt = t_next - state.t
     if dt <= 0:
         raise ValueError("t_next must exceed the state time")

@@ -191,6 +191,19 @@ def test_criterion_06_vi_equivalence(impact_runs):
                   f"(100 trials x 20 steps)")
 
 
+def test_small_epsilon_vi_covers_every_step(impact_runs):
+    # at eps = 1e-4 Newton must converge on every full step, so the VI
+    # check sees all 200 balance points, not only the unbisected ones
+    for gamma in (0.0, 10.0):
+        problem, states, records, infos = impact_runs.get(gamma, 1e-4)
+        assert [info.substeps for info in infos] == [1] * len(infos)
+        assert sum(info.line_search for info in infos) > 0
+        pts = diagnostics.weighted_points(states, infos, problem.params)
+        assert len(pts) == len(infos) == 200
+        worst = vi_worst(problem, states, infos)
+        assert worst >= -10.0 * problem.params.newton_tol, (gamma, worst)
+
+
 def test_criterion_07_continuous_dependence():
     cfg = impact_config()
     sups = [diagnostics.stability_probe(cfg, eta).sup_distance

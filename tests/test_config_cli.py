@@ -1,5 +1,6 @@
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -222,6 +223,26 @@ def test_run_solver_failure_exits_3_with_partial_output(tmp_path, monkeypatch,
     assert "solver failure" in capsys.readouterr().err
     lines = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()
     assert len(lines) >= 2                   # header plus the initial record
+
+
+def test_run_overflowing_load_exits_3(tmp_path, monkeypatch, capsys):
+    # exp(800*t) overflows past t = 0.887: the last step's load is inf and
+    # must end the run with a solver failure, not an unsolved accepted step
+    monkeypatch.chdir(tmp_path)
+    text = (run_cfg_text(tmp_path / "out")
+            .replace("nx = 8", "nx = 4").replace("ny = 4", "ny = 2")
+            .replace("t_end = 0.12", "t_end = 1.0")
+            .replace("dt = 5e-3", "dt = 0.1")
+            .replace("[data]\n", "[data]\nf = (0, exp(800*t)*1e-300)\n"))
+    cfg = write_cfg(tmp_path, text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert cli.main(["run", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "solver failure" in err and "load is not finite" in err
+    assert "Traceback" not in err
+    rows = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()
+    assert float(rows[-1].split(",")[0]) == pytest.approx(0.9)
 
 
 def test_run_friction_bound_violation_midrun_exits_2(tmp_path, monkeypatch,

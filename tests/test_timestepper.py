@@ -356,6 +356,144 @@ def test_newton_operator_is_residual_derivative(tmp_path, gamma, g,
         assert np.abs(fd - op.lin @ z[free]).max() >= 1e-3 * np.abs(ref).max()
 
 
+def _step_potential(state, dt, ops, params, a):
+    """The convex potential Pi of one Newmark interval in a+, whose
+    gradient the step residual is:
+
+    Pi = (1/g)*a_w.M.a_w/2 + (1/(g*du))*(u_w.K.u_w/2 - load.u_w)
+         + (1/(g*(gamma*du + dv)))*int psi_eps(s)
+         + (1/(g*dv))*int g_T*phi_eps(v_t)
+
+    with du = b*dt^2 and dv = g*dt; for du = 0 the second term is
+    (K.u_w - load).a+, u_w no longer depending on a+."""
+    b, g = params.newmark_b, params.newmark_g
+    du, dv = b * dt * dt, g * dt
+    t_w = state.t + g * dt
+    u_end = state.u + dt * state.v + dt * dt * ((0.5 - b) * state.a + b * a)
+    v_end = state.v + dt * ((1.0 - g) * state.a + g * a)
+    u_w = (1.0 - g) * state.u + g * u_end
+    v_w = (1.0 - g) * state.v + g * v_end
+    a_w = (1.0 - g) * state.a + g * a
+    load = ops.load(t_w)
+    pi = 0.5 * a_w @ (ops.mass @ a_w) / g
+    if du > 0.0:
+        pi += (0.5 * u_w @ (ops.stiffness @ u_w) - load @ u_w) / (g * du)
+    else:
+        pi += (ops.stiffness @ u_w - load) @ a
+    quad, contact = ops.quad, ops.contact
+    jn, jt = interface.split_jump(interface.jump_eval(v_w, quad), quad)
+    un, _ = interface.split_jump(interface.jump_eval(u_w, quad), quad)
+    s = contact.gamma * un + jn
+    pi += (quad.weights * interface.psi_eps(s, contact.epsilon)).sum() / (
+        g * (contact.gamma * du + dv))
+    if contact.g is not None:
+        g_t = interface.friction_bound_values(contact, quad, t_w)
+        pi += (quad.weights * g_t * interface.phi_eps(jt, contact.epsilon)
+               ).sum() / (g * dv)
+    return pi
+
+
+@pytest.mark.parametrize("newmark_b", [0.25, 0.0])
+@pytest.mark.parametrize("g", [None, "0.05"])
+@pytest.mark.parametrize("gamma", [0.0, 1.0, 10.0])
+def test_step_residual_is_potential_gradient(gamma, g, newmark_b):
+    # the line search relies on r . d being the slope of Pi along d: check
+    # it on the Newton direction against a central difference of Pi
+    ops = make_ops(gamma=gamma, g=g, f=(ex.parse("0.3"), ex.parse("-0.5*t")))
+    rng = np.random.default_rng(47)
+    state = _penetrating_state(ops, rng, t=0.1)
+    dt = 0.05
+    params = TimeParams(t_end=1.0, dt=dt, newmark_b=newmark_b)
+    residual, tangent, _ = timestepper._interval(state, dt, ops, params)
+    free = ops.dofmap.free
+    a = ops.dofmap.zero_constrained(rng.standard_normal(state.a.size))
+    r, u_w, v_w, _ = residual(a)
+    d = np.zeros_like(a)
+    d[free] = fem.solve_spd(tangent(u_w, v_w), -r[free], tol=1e-12)
+    slope = r @ d
+    assert slope < 0.0
+    h = 1e-5
+    fd = (_step_potential(state, dt, ops, params, a + h * d)
+          - _step_potential(state, dt, ops, params, a - h * d)) / (2 * h)
+    assert fd == pytest.approx(slope, rel=1e-8)
+
+
+def _convex_gradient(eps):
+    """Residual of Pi(a) = |a - 1|^2/2 + sum psi_eps(a), in the
+    (r, ...) tuple shape the line search reads."""
+    def residual(a):
+        return (a - 1.0 + interface.beta_eps(a, eps),)
+    return residual
+
+
+def test_line_search_keeps_a_passing_full_step():
+    residual = _convex_gradient(1e-2)
+    free = np.arange(3)
+    a = np.array([2.0, 3.0, 1.5])
+    d = 1.0 - a                      # exact minimizer: the penalty is off
+    base = a.copy()
+    out, extra = timestepper._line_search(residual, a, free, d,
+                                          residual(a)[0])
+    assert extra == 0
+    assert np.array_equal(a, base + d)
+    assert not out[0].any()
+
+
+def test_line_search_brackets_an_overshoot():
+    # a unit step lands deep in the stiff penalty: regula falsi must come
+    # back to a point whose slope passes the two-sided test
+    residual = _convex_gradient(1e-4)
+    free = np.arange(2)
+    a = np.array([2.0, 2.0])
+    d = np.array([-3.0, -2.5])
+    slope0 = residual(a)[0] @ d
+    out, extra = timestepper._line_search(residual, a, free, d,
+                                          residual(a)[0])
+    assert 0 < extra < timestepper._LS_MAX_EVALS - 1
+    assert np.array_equal(out[0], residual(a)[0])
+    assert abs(out[0] @ d) <= timestepper._LS_ETA * abs(slope0)
+
+
+def test_line_search_rejects_ascent_and_nonfinite_slopes():
+    residual = _convex_gradient(1e-2)
+    free = np.arange(2)
+    a = np.array([0.5, 0.5])
+    r = residual(a)[0]
+    for d in (np.array([-1.0, -1.0]), np.array([0.0, 0.0])):
+        assert timestepper._line_search(residual, a.copy(), free, d,
+                                        r) is None
+    # descent at 0, but the unit step overflows the slope
+    d = np.array([1e300, 0.0])
+    with np.errstate(over="ignore"):
+        assert timestepper._line_search(residual, a.copy(), free, d,
+                                        r) is None
+
+
+def test_nonfinite_state_is_not_accepted():
+    # a residual that overflows makes the Newton tolerance inf; the step
+    # must fail rather than pass the convergence test with 0 iterations
+    ops = make_ops(nx=4, ny=2)
+    n = ops.dofmap.ndof
+    params = TimeParams(t_end=0.1, dt=0.1)
+    for bad in (1e308, np.nan):
+        u = ops.dofmap.zero_constrained(np.full(n, bad))
+        state = State(0.0, u, np.zeros(n), np.zeros(n))
+        with pytest.raises(StepFailure):
+            step(state, 0.1, ops, params)
+
+
+def test_nonfinite_load_fails_at_once():
+    ops = make_ops(nx=4, ny=2, f=(ex.parse("0"),
+                                  ex.parse("exp(800*t)*1e-300")))
+    n = ops.dofmap.ndof
+    state = State(0.9, np.zeros(n), np.zeros(n), np.zeros(n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(StepFailure, match="load is not finite") as err:
+            step(state, 1.0, ops, TimeParams(t_end=1.0, dt=0.1))
+    assert err.value.dt == 0.1 and err.value.iterations == 0
+
+
 def test_gamma_zero_contact_ignores_displacement():
     ops = make_ops(gamma=0.0)
     rng = np.random.default_rng(21)
