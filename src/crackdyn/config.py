@@ -8,7 +8,6 @@ Vector-valued data are parenthesized comma tuples of expressions, e.g.
 from __future__ import annotations
 
 import configparser
-import dataclasses
 import io
 from dataclasses import dataclass
 
@@ -272,7 +271,8 @@ def build_mesh(spec: MeshSpec) -> meshing.CrackedMesh:
 
 
 def build_problem(config: Config) -> Problem:
-    """Assemble everything a run needs; validates g >= 0 on samples."""
+    """Assemble everything a run needs; validates g >= 0 on samples and
+    finite initial data."""
     mesh = build_mesh(config.mesh)
     contact = interface.ContactParams(
         gamma=config.gamma, epsilon=config.epsilon, g=config.g)
@@ -284,14 +284,11 @@ def build_problem(config: Config) -> Problem:
                 interface.friction_bound_values(contact, ops.quad, float(t))
             except interface.FrictionBoundError as exc:
                 raise ConfigError(str(exc)) from exc
-    u0 = ops.dofmap.zero_constrained(fem.interpolate(mesh, config.u0))
-    v0 = ops.dofmap.zero_constrained(fem.interpolate(mesh, config.v0))
-    return Problem(config=config, ops=ops, params=config.time, u0=u0, v0=v0)
-
-
-def with_epsilon(config: Config, epsilon: float) -> Config:
-    return dataclasses.replace(config, epsilon=epsilon)
-
-
-def with_gamma(config: Config, gamma: float) -> Config:
-    return dataclasses.replace(config, gamma=gamma)
+    fields = {}
+    for name in ("u0", "v0"):
+        with np.errstate(all="ignore"):     # a non-finite field is rejected
+            w = fem.interpolate(mesh, getattr(config, name))
+        fields[name] = ops.dofmap.zero_constrained(w)
+        if not np.isfinite(fields[name]).all():
+            raise ConfigError(f"{name} is not finite at a free mesh vertex")
+    return Problem(config=config, ops=ops, params=config.time, **fields)

@@ -1,6 +1,10 @@
 """Run-time monitors: interface-condition residuals, energy bookkeeping,
 parameter sweeps and a one-degree-of-freedom reference problem.
 
+The scalar analog (OneDofParams) runs on the production stepper,
+timestepper.run; one_dof_oracle integrates it by brute-force RK4, so the
+two can be compared without a second copy of the implicit scheme.
+
 Quantities with an exact sign or decay property in the continuous model
 are exposed here so runs can be checked against them: the normal
 traction is never positive, the tangential traction never exceeds the
@@ -17,7 +21,6 @@ import numpy as np
 
 from . import config as config_mod
 from . import fem, interface, timestepper
-from .interface import ContactParams
 from .timestepper import Operators, TimeParams
 
 __all__ = [
@@ -37,7 +40,6 @@ __all__ = [
     "stability_probe",
     "OneDofParams",
     "one_dof_oracle",
-    "one_dof_implicit",
 ]
 
 CSV_COLUMNS = ("t", "kinetic", "strain", "penetration_L3", "comp_residual",
@@ -70,8 +72,7 @@ def record(state: fem.State, ops: Operators, newton_iters: int = 0) -> Diagnosti
     strain = 0.5 * float(state.u @ (ops.stiffness @ state.u))
     pen = comp = gap = ssr = 0.0
     if quad.n_pairs:
-        s = (ops.contact.gamma * interface._normal_jump(state.u, quad)
-             + interface._normal_jump(state.v, quad))
+        s = interface.contact_argument(state.u, state.v, ops.contact, quad)
         m = interface.neg_part(s)
         pen = float(np.sum(quad.weights * m ** 3)) ** (1.0 / 3.0)
         comp = float(np.sum(quad.weights * np.abs(
@@ -313,7 +314,12 @@ def stability_probe(config: config_mod.Config, eta: float) -> StabilityResult:
 @dataclass(frozen=True)
 class OneDofParams:
     """Scalar analog: rho*u'' + k*u + beta_eps(gamma*u + u') +
-    g*alpha_eps(u') = forcing(t)."""
+    g*alpha_eps(u') = forcing(t).
+
+    It is also a system for timestepper.run (a length-1 residual and a
+    1x1 Newton matrix), so the production stepper integrates it:
+    ``timestepper.run(p, TimeParams(t_end, dt), p.u0, p.v0)``.
+    """
 
     rho: float = 1.0
     k: float = 1.0
@@ -324,6 +330,8 @@ class OneDofParams:
     v0: float = 0.0
     forcing: object = None            # callable t -> float, or None
 
+    free = np.zeros(1, dtype=np.int64)    # the stepper's system: one unknown
+
     def __post_init__(self):
         if self.rho <= 0 or self.k <= 0:
             raise ValueError("rho and k must be positive")
@@ -333,6 +341,27 @@ class OneDofParams:
     @property
     def period(self) -> float:
         return 2.0 * math.pi * math.sqrt(self.rho / self.k)
+
+    def load(self, t: float) -> np.ndarray:
+        return np.full(1, 0.0 if self.forcing is None else self.forcing(t))
+
+    def residual(self, u_w, v_w, a_w, t_w, load_w) -> np.ndarray:
+        return (self.rho * a_w + self.k * u_w
+                + interface.beta_eps(self.gamma * u_w + v_w, self.epsilon)
+                + self.g * interface.alpha_eps(v_w, self.epsilon) - load_w)
+
+    def newton_matrix(self, u_w, v_w, t_w, dt, b, g) -> np.ndarray:
+        du, dv = b * dt * dt, g * dt
+        jac = (g * (self.rho + du * self.k)
+               + interface.dbeta_eps(self.gamma * u_w + v_w, self.epsilon)
+               * g * (self.gamma * du + dv)
+               + self.g * interface.dalpha_eps(v_w, self.epsilon)[0] * g * dv)
+        return jac.reshape(1, 1)
+
+    def initial_state(self, u0: float, v0: float) -> fem.State:
+        u, v = np.full(1, float(u0)), np.full(1, float(v0))
+        r = self.residual(u, v, np.zeros(1), 0.0, self.load(0.0))
+        return fem.State(0.0, u, v, -r / self.rho)
 
 
 def one_dof_oracle(p: OneDofParams, sample_times, dt_fine: float):
@@ -379,72 +408,3 @@ def one_dof_oracle(p: OneDofParams, sample_times, dt_fine: float):
         us.append(u)
         vs.append(v)
     return np.array(us), np.array(vs)
-
-
-def one_dof_implicit(p: OneDofParams, t_end: float, dt: float,
-                     params: TimeParams | None = None):
-    """The implicit stepper restricted to the scalar analog.
-
-    Mirrors the mesh stepper: Newmark kinematics, force balance at the
-    newmark_g-weighted state, Newton on the end-of-step acceleration
-    with step halving.  Returns (times, u, v) arrays.
-    """
-    if params is None:
-        params = TimeParams(t_end=t_end, dt=dt)
-    b, g = params.newmark_b, params.newmark_g
-    forcing = p.forcing if p.forcing is not None else (lambda t: 0.0)
-    eps = p.epsilon
-
-    def beta(x):
-        return float(interface.beta_eps(x, eps))
-
-    def dbeta(x):
-        return float(interface.dbeta_eps(x, eps))
-
-    def alpha(x):
-        return float(interface.alpha_eps(np.array([x]), eps)[0])
-
-    def dalpha(x):
-        return float(interface.dalpha_eps(np.array([x]), eps)[0, 0])
-
-    def force(t, u, v):
-        return p.k * u + beta(p.gamma * u + v) + p.g * alpha(v) - forcing(t)
-
-    u, v = p.u0, p.v0
-    a = -force(0.0, u, v) / p.rho
-    times, us, vs = [0.0], [u], [v]
-
-    def substep(t, u, v, a, h, depth):
-        u_pred = u + h * v + h * h * (0.5 - b) * a
-        v_pred = v + h * (1.0 - g) * a
-        du, dv = b * h * h, g * h
-        t_w = t + g * h
-        a_new = a
-        f_w = forcing(t_w)
-        for it in range(params.newton_maxit + 1):
-            u_w = (1.0 - g) * u + g * (u_pred + du * a_new)
-            v_w = (1.0 - g) * v + g * (v_pred + dv * a_new)
-            a_w = (1.0 - g) * a + g * a_new
-            r = p.rho * a_w + force(t_w, u_w, v_w)
-            if it == 0:
-                tol = params.newton_tol * max(abs(f_w), abs(r), 1e-300)
-            if abs(r) <= tol:
-                return u_pred + du * a_new, v_pred + dv * a_new, a_new
-            s_w = p.gamma * u_w + v_w
-            jac = (g * (p.rho + b * h * h * p.k)
-                   + dbeta(s_w) * g * (p.gamma * du + dv)
-                   + p.g * dalpha(v_w) * g * dv)
-            a_new = a_new - r / jac
-        if depth >= timestepper._MAX_HALVINGS:
-            raise timestepper.StepFailure(
-                f"scalar Newton stalled at t={t:.6g}", t, h, abs(r), it)
-        um, vm, am = substep(t, u, v, a, 0.5 * h, depth + 1)
-        return substep(t + 0.5 * h, um, vm, am, 0.5 * h, depth + 1)
-
-    n = max(1, int(round(t_end / dt)))
-    for kstep in range(1, n + 1):
-        u, v, a = substep(times[-1], u, v, a, dt, 0)
-        times.append(kstep * dt)
-        us.append(u)
-        vs.append(v)
-    return np.array(times), np.array(us), np.array(vs)

@@ -30,6 +30,7 @@ __all__ = [
     "build_crack_quadrature",
     "jump_eval",
     "split_jump",
+    "contact_argument",
     "friction_bound_values",
     "contact_residual",
     "friction_residual",
@@ -115,11 +116,6 @@ class ContactParams:
             raise ValueError("gamma must be nonnegative")
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
-
-    @property
-    def delta(self) -> float:
-        """Reciprocal of gamma, reported as the law's time constant."""
-        return np.inf if self.gamma == 0.0 else 1.0 / self.gamma
 
 
 class CrackQuadrature:
@@ -209,6 +205,12 @@ def _normal_jump(w, quad):
     return np.einsum("pqd,pd->pq", jump_eval(w, quad), quad.normals)
 
 
+def contact_argument(u, v, params: ContactParams, quad: CrackQuadrature):
+    """Normal jump of gamma*u + v at the quadrature points, the argument
+    of the contact law."""
+    return params.gamma * _normal_jump(u, quad) + _normal_jump(v, quad)
+
+
 def friction_bound_values(params: ContactParams, quad: CrackQuadrature,
                           t: float) -> np.ndarray:
     """g at every quadrature point; aborts if any sample is negative."""
@@ -248,7 +250,7 @@ def contact_residual(u, v, params: ContactParams, quad: CrackQuadrature):
     """
     if quad.n_pairs == 0:
         return np.zeros(quad.n_vertices * quad.dim)
-    s = params.gamma * _normal_jump(u, quad) + _normal_jump(v, quad)
+    s = contact_argument(u, v, params, quad)
     vals = beta_eps(s, params.epsilon) * quad.weights          # (n, q)
     coef = np.einsum("pq,qi->pi", vals, quad.shapes)           # (n, 2)
     vecs = coef[:, :, None] * quad.normals[:, None, :]
@@ -290,7 +292,7 @@ def contact_tangent(u, v, params: ContactParams, quad: CrackQuadrature,
     quad.crack_dofs.  Symmetric PSD."""
     if quad.n_pairs == 0:
         return np.zeros((0, 0))     # no crack dofs
-    s = params.gamma * _normal_jump(u, quad) + _normal_jump(v, quad)
+    s = contact_argument(u, v, params, quad)
     chain = params.gamma * coeff_u + coeff_v
     dvals = dbeta_eps(s, params.epsilon) * chain * quad.weights     # (n, q)
     nn = np.einsum("pc,pe->pce", quad.normals, quad.normals)
@@ -325,7 +327,7 @@ def recover_tractions(u, v, t, params: ContactParams, quad: CrackQuadrature):
     Returns (sigma_n, sigma_t): the normal traction (always <= 0) and the
     tangential traction vector (always |sigma_t| <= g).
     """
-    s = params.gamma * _normal_jump(u, quad) + _normal_jump(v, quad)
+    s = contact_argument(u, v, params, quad)
     sigma_n = beta_eps(s, params.epsilon)
     _, jt = split_jump(jump_eval(v, quad), quad)
     if params.g is None:

@@ -9,7 +9,7 @@ unit normal pointing from the minus side into the plus side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,6 @@ __all__ = [
     "generate_rect_crack",
     "save_mesh",
     "load_mesh",
-    "crack_trace_maps",
 ]
 
 SIDE_PLUS = 1
@@ -80,8 +79,6 @@ class CrackedMesh:
 
     def __init__(self, dim, vertices, cells, cell_sides, dirichlet_facets,
                  neumann_facets, crack_pairs, validate=True):
-        if dim == 3:
-            raise NotImplementedError("3D meshes are not supported yet")
         if dim != 2:
             raise MeshError(f"dim must be 2, got {dim}")
         self.dim = int(dim)
@@ -431,8 +428,8 @@ def load_mesh(path) -> CrackedMesh:
         dim = int(header[2])
     except ValueError:
         r.error(f"bad dimension {header[2]!r}")
-    if dim not in (2, 3):
-        r.error(f"dimension must be 2 or 3, got {dim}")
+    if dim != 2:
+        r.error(f"dimension must be 2, got {dim}")
 
     def section(name):
         toks = r.next_tokens()
@@ -500,13 +497,3 @@ def load_mesh(path) -> CrackedMesh:
         return CrackedMesh(dim, vertices, cells, sides, dirichlet, neumann, pairs)
     except MeshError as exc:
         raise MeshError(f"{path}: {exc}") from exc
-
-
-def crack_trace_maps(mesh: CrackedMesh):
-    """Aligned (plus, minus) vertex index arrays, one pair of arrays per
-    crack facet pair.  plus[i] and minus[i] are geometrically coincident."""
-    out = []
-    for pair in mesh.crack_pairs:
-        out.append((np.array(pair.plus, dtype=np.int64),
-                    np.array(pair.minus, dtype=np.int64)))
-    return out

@@ -11,13 +11,23 @@ pair (b, g) = (1/4, 1/2) this is the midpoint evaluation, which makes
 the interface terms dissipate exactly (they are tested against their
 own arguments); g = 1 recovers the fully implicit end-of-step balance.
 The Newton unknown is the end-of-step acceleration on the free dofs;
-each Newton matrix, the linear part g*(M + b*dt^2*K) cached per step
-size plus a dense PSD crack-dof block, is solved by Jacobi-PCG.
+each Newton system is solved by Jacobi-PCG.
 
 The residual is the gradient of a convex potential of a+ and the Newton
 matrix its Hessian, so each Newton direction is followed by a line
 search on that potential (_line_search).  Bisecting the interval is the
 last resort: newton_maxit ran out or a value was not finite.
+
+The stepper (step, run) holds only the Newmark kinematics, Newton, the
+line search and bisection.  The system it integrates has five members:
+``free``, the Newton unknowns; ``load(t)``; ``residual(u_w, v_w, a_w,
+t_w, load_w)``, the force balance, zero on constrained dofs;
+``newton_matrix(u_w, v_w, t_w, dt, b, g)``, its derivative in a+ on the
+free dofs as an operator with ``@`` and diagonal() for fem.solve_spd;
+and ``initial_state(u0, v0)``, the State at t = 0 with the constraints
+imposed, incompatible data warned about, the consistent acceleration
+and the state checked.  Operators (the mesh problem) and
+diagnostics.OneDofParams (the scalar analog) are the two systems.
 """
 
 from __future__ import annotations
@@ -39,7 +49,6 @@ __all__ = [
     "build_operators",
     "CompatibilityWarning",
     "StepFailure",
-    "initial_acceleration",
     "step",
     "run",
     "StepInfo",
@@ -114,7 +123,7 @@ class StepInfo:
 
 @dataclass
 class Operators:
-    """Assembled, mesh-bound operators shared by the stepping routines."""
+    """Assembled, mesh-bound operators: the mesh problem's system."""
 
     mesh: object
     material: Material
@@ -125,6 +134,10 @@ class Operators:
     stiffness: sp.csr_matrix
     load: Callable[[float], np.ndarray]
     _jac_cache: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def free(self) -> np.ndarray:
+        return self.dofmap.free
 
     def pin(self, a: sp.csr_matrix) -> sp.csr_matrix:
         """Impose the Dirichlet constraints: restrict to the free dofs."""
@@ -137,6 +150,65 @@ class Operators:
             lin = self.pin(g * (self.mass + b * dt * dt * self.stiffness))
             self._jac_cache[key] = (lin, lin.diagonal())
         return self._jac_cache[key]
+
+    def residual(self, u_w, v_w, a_w, t_w, load_w) -> np.ndarray:
+        """Force balance M a + K u + contact + friction - load, zero on
+        the constrained dofs."""
+        r = (self.mass @ a_w + self.stiffness @ u_w
+             + interface.contact_residual(u_w, v_w, self.contact, self.quad)
+             + interface.friction_residual(v_w, t_w, self.contact, self.quad)
+             - load_w)
+        r[self.dofmap.constrained] = 0.0
+        return r
+
+    def newton_matrix(self, u_w, v_w, t_w, dt, b, g) -> "_NewtonMatrix":
+        """Free-dof derivative of the residual in the end-of-step
+        acceleration: the linear part g*(M + b*dt^2*K), cached per step
+        size, plus a dense PSD crack-dof block."""
+        lin, lin_diag = self.linear_jacobian(dt, b, g)
+        du = b * dt * dt          # d(u+)/d(a+)
+        dv = g * dt               # d(v+)/d(a+)
+        block = (interface.contact_tangent(u_w, v_w, self.contact, self.quad,
+                                           coeff_u=g * du, coeff_v=g * dv)
+                 + interface.friction_tangent(v_w, t_w, self.contact,
+                                              self.quad, coeff_v=g * dv))
+        return _NewtonMatrix(lin, lin_diag, self.quad.crack_free, block)
+
+    def initial_state(self, u0: np.ndarray, v0: np.ndarray) -> State:
+        """State at t = 0: u0 and v0 zeroed on the constrained dofs and the
+        consistent acceleration from the force balance.
+
+        Emits CompatibilityWarning (never fatal) if the initial crack jumps
+        violate the conditions under which the model is well posed.
+        """
+        u0 = self.dofmap.zero_constrained(u0)
+        v0 = self.dofmap.zero_constrained(v0)
+        self._check_compatibility(u0, v0)
+        rhs = -self.residual(u0, v0, np.zeros_like(u0), 0.0, self.load(0.0))
+        a0 = np.zeros(self.dofmap.ndof)
+        a0[self.free] = fem.solve_spd(self.pin(self.mass), rhs[self.free],
+                                      tol=_CG_TOL)
+        state = State(0.0, u0, v0, a0)
+        fem.check_state(state, self.dofmap)
+        return state
+
+    def _check_compatibility(self, u0, v0) -> None:
+        quad = self.quad
+        if quad.n_pairs == 0:
+            return
+        s = interface.contact_argument(u0, v0, self.contact, quad)
+        worst = float(np.abs(s).max())
+        if worst > _COMPAT_TOL:
+            warnings.warn(
+                f"initial data violates the normal compatibility condition "
+                f"on the crack (|gamma*u_n + v_n| jump up to {worst:.3e})",
+                CompatibilityWarning, stacklevel=3)
+        _, jt = interface.split_jump(interface.jump_eval(v0, quad), quad)
+        worst_t = float(np.linalg.norm(jt, axis=-1).max())
+        if worst_t > _COMPAT_TOL:
+            warnings.warn(
+                f"initial velocity has a tangential jump across the crack "
+                f"(up to {worst_t:.3e})", CompatibilityWarning, stacklevel=3)
 
 
 class _NewtonMatrix:
@@ -189,52 +261,10 @@ def build_operators(mesh, material: Material, contact: ContactParams,
 
 
 # ---------------------------------------------------------------------------
-# initial data
-# ---------------------------------------------------------------------------
-
-def _check_compatibility(ops: Operators, u0, v0) -> None:
-    quad = ops.quad
-    if quad.n_pairs == 0:
-        return
-    s = (ops.contact.gamma * interface._normal_jump(u0, quad)
-         + interface._normal_jump(v0, quad))
-    worst = float(np.abs(s).max()) if s.size else 0.0
-    if worst > _COMPAT_TOL:
-        warnings.warn(
-            f"initial data violates the normal compatibility condition "
-            f"on the crack (|gamma*u_n + v_n| jump up to {worst:.3e})",
-            CompatibilityWarning, stacklevel=3)
-    _, jt = interface.split_jump(interface.jump_eval(v0, quad), quad)
-    worst_t = float(np.linalg.norm(jt, axis=-1).max()) if jt.size else 0.0
-    if worst_t > _COMPAT_TOL:
-        warnings.warn(
-            f"initial velocity has a tangential jump across the crack "
-            f"(up to {worst_t:.3e})", CompatibilityWarning, stacklevel=3)
-
-
-def initial_acceleration(ops: Operators, u0: np.ndarray, v0: np.ndarray,
-                         t0: float = 0.0) -> np.ndarray:
-    """Consistent initial acceleration from the force balance at t0.
-
-    Emits CompatibilityWarning (never fatal) if the initial crack jumps
-    violate the conditions under which the model is well posed.
-    """
-    _check_compatibility(ops, u0, v0)
-    rhs = (ops.load(t0)
-           - ops.stiffness @ u0
-           - interface.contact_residual(u0, v0, ops.contact, ops.quad)
-           - interface.friction_residual(v0, t0, ops.contact, ops.quad))
-    free = ops.dofmap.free
-    a0 = np.zeros(ops.dofmap.ndof)
-    a0[free] = fem.solve_spd(ops.pin(ops.mass), rhs[free], tol=_CG_TOL)
-    return a0
-
-
-# ---------------------------------------------------------------------------
 # stepping
 # ---------------------------------------------------------------------------
 
-def _interval(state: State, dt: float, ops: Operators, params: TimeParams):
+def _interval(state: State, dt: float, ops, params: TimeParams):
     """Newton problem of one Newmark interval in the end-of-step
     acceleration a+: (residual, tangent, load_w).  residual(a+) gives the
     force balance at the g-weighted state (zero on constrained dofs), u_w,
@@ -252,7 +282,6 @@ def _interval(state: State, dt: float, ops: Operators, params: TimeParams):
     if not np.isfinite(load_w).all():
         raise StepFailure(f"load is not finite at t={t_w:.6g}", t=state.t,
                           dt=dt, residual=np.nan, iterations=0)
-    lin, lin_diag = ops.linear_jacobian(dt, b, g)
 
     def residual(a_plus):
         end = State(state.t + dt, u_pred + du * a_plus, v_pred + dv * a_plus,
@@ -260,19 +289,10 @@ def _interval(state: State, dt: float, ops: Operators, params: TimeParams):
         u_w = (1.0 - g) * state.u + g * end.u
         v_w = (1.0 - g) * state.v + g * end.v
         a_w = (1.0 - g) * state.a + g * a_plus
-        r = (ops.mass @ a_w + ops.stiffness @ u_w
-             + interface.contact_residual(u_w, v_w, ops.contact, ops.quad)
-             + interface.friction_residual(v_w, t_w, ops.contact, ops.quad)
-             - load_w)
-        r[ops.dofmap.constrained] = 0.0
-        return r, u_w, v_w, end
+        return ops.residual(u_w, v_w, a_w, t_w, load_w), u_w, v_w, end
 
     def tangent(u_w, v_w):
-        block = (interface.contact_tangent(u_w, v_w, ops.contact, ops.quad,
-                                           coeff_u=g * du, coeff_v=g * dv)
-                 + interface.friction_tangent(v_w, t_w, ops.contact, ops.quad,
-                                              coeff_v=g * dv))
-        return _NewtonMatrix(lin, lin_diag, ops.quad.crack_free, block)
+        return ops.newton_matrix(u_w, v_w, t_w, dt, b, g)
 
     return residual, tangent, load_w
 
@@ -327,14 +347,13 @@ def _line_search(residual, a, free, d, r):
         del out     # free the rejected trial before evaluating the next
 
 
-def _solve_substep(state: State, dt: float, ops: Operators,
-                   params: TimeParams):
+def _solve_substep(state: State, dt: float, ops, params: TimeParams):
     """One Newmark interval by Newton with a line search on the step's
     potential; returns (new_state, iterations, line_search, residual,
     tol_abs), with new_state None if Newton did not converge within
     newton_maxit iterations or met a non-finite value."""
     residual, tangent, load_w = _interval(state, dt, ops, params)
-    free = ops.dofmap.free
+    free = ops.free
     a_new = state.a.copy()
     r, u_w, v_w, end = residual(a_new)
     norm_r = float(np.linalg.norm(r))
@@ -377,8 +396,7 @@ def _advance(state: State, dt: float, ops, params, depth: int):
         line_search=info1.line_search + info2.line_search)
 
 
-def step(state: State, t_next: float, ops: Operators,
-         params: TimeParams):
+def step(state: State, t_next: float, ops, params: TimeParams):
     """Advance to t_next; if Newton fails the interval is bisected up
     to five times before StepFailure is raised with diagnostics.  A
     load that is not finite raises StepFailure at once."""
@@ -392,8 +410,7 @@ def step(state: State, t_next: float, ops: Operators,
     return new, info
 
 
-def run(ops: Operators, params: TimeParams, u0: np.ndarray, v0: np.ndarray,
-        on_step=None):
+def run(ops, params: TimeParams, u0, v0, on_step=None):
     """Integrate from 0 to t_end on the uniform grid.
 
     Returns (states, infos): states include the initial one; infos[k]
@@ -401,11 +418,7 @@ def run(ops: Operators, params: TimeParams, u0: np.ndarray, v0: np.ndarray,
     is invoked for every accepted state (info is None at t = 0), which
     streaming consumers use to flush output before a possible failure.
     """
-    u0 = ops.dofmap.zero_constrained(u0)
-    v0 = ops.dofmap.zero_constrained(v0)
-    a0 = initial_acceleration(ops, u0, v0)
-    state = State(0.0, u0, v0, a0)
-    fem.check_state(state, ops.dofmap)
+    state = ops.initial_state(u0, v0)
     states = [state]
     infos = []
     if on_step is not None:

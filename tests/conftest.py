@@ -6,6 +6,8 @@ crack.  Several slow tests share trajectories through a session-scoped
 cache keyed by (gamma, epsilon).
 """
 
+import dataclasses
+
 import pytest
 
 from crackdyn import config as config_mod
@@ -42,7 +44,7 @@ u0 = (0, -0.1*exp(-((x-0.9)^2 + (y-0.75)^2)/0.02))
 
 def impact_config(gamma=0.0, epsilon=1e-2):
     cfg = config_mod.parse_config_text(IMPACT_TEXT)
-    return config_mod.with_gamma(config_mod.with_epsilon(cfg, epsilon), gamma)
+    return dataclasses.replace(cfg, epsilon=epsilon, gamma=gamma)
 
 
 class RunCache:

@@ -114,13 +114,6 @@ def test_build_problem_checks_friction_bound():
         config_mod.build_problem(cfg)
 
 
-def test_with_epsilon_gamma():
-    cfg = parse_config_text(BASE)
-    assert config_mod.with_epsilon(cfg, 1e-3).epsilon == 1e-3
-    assert config_mod.with_gamma(cfg, 2.0).gamma == 2.0
-    assert cfg.epsilon == 1e-2  # originals untouched
-
-
 # ---------------------------------------------------------------------------
 # run command
 # ---------------------------------------------------------------------------
@@ -257,6 +250,65 @@ def test_run_friction_bound_violation_midrun_exits_2(tmp_path, monkeypatch,
     assert "negative" in capsys.readouterr().err
     lines = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()
     assert len(lines) > 2
+
+
+TETRAHEDRON_MESH = """\
+crackmesh 1 3
+vertices 4
+0 0 0
+1 0 0
+0 1 0
+0 0 1
+cells 1
+0 1 2 3 plus
+dirichlet 1
+0 1 2
+neumann 0
+crackpairs 0
+"""
+
+
+def test_run_dim3_mesh_file_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    mesh_path = tmp_path / "tet.mesh"
+    mesh_path.write_text(TETRAHEDRON_MESH)
+    cfg = write_cfg(tmp_path, run_cfg_text(tmp_path / "out").replace(
+        "kind = rect", f"kind = file\npath = {mesh_path}"))
+    assert cli.main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "dimension must be 2" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["u0", "v0"])
+def test_run_nonfinite_initial_data_exits_2(tmp_path, monkeypatch, capsys,
+                                            key):
+    # exp(800) overflows: the field must be rejected before any solve
+    monkeypatch.chdir(tmp_path)
+    text = (run_cfg_text(tmp_path / "out")
+            .replace("nx = 8", "nx = 4").replace("ny = 4", "ny = 2")
+            .replace("[data]\nu0 = (0, -0.12*exp(-((x-0.9)^2 + (y-0.6)^2)/0.01))",
+                     f"[data]\n{key} = (0, exp(800)*x*(2-x))"))
+    cfg = write_cfg(tmp_path, text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {key} is not finite" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_build_problem_ignores_nonfinite_data_on_dirichlet_dofs():
+    # 0*exp(800*(1-x)) is nan only on the clamped edge x = 0, whose dofs
+    # the run zeroes anyway
+    text = BASE.replace("/0.01))", "/0.01) + 0*exp(800*(1-x)))")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        problem = config_mod.build_problem(parse_config_text(text))
+    plain = config_mod.build_problem(parse_config_text(BASE))
+    assert np.array_equal(problem.u0, plain.u0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from crackdyn import config as config_mod
-from crackdyn import diagnostics, exprlang as ex, fem, interface
+from crackdyn import diagnostics, exprlang as ex, fem, interface, timestepper
 from crackdyn.diagnostics import (
     CSV_COLUMNS,
     OneDofParams,
@@ -10,7 +10,6 @@ from crackdyn.diagnostics import (
     epsilon_sweep,
     first_estimate_monitor,
     gamma_sweep,
-    one_dof_implicit,
     one_dof_oracle,
     record,
     run_with_records,
@@ -21,7 +20,7 @@ from crackdyn.diagnostics import (
 from crackdyn.fem import Material, State
 from crackdyn.interface import ContactParams
 from crackdyn.meshing import generate_rect_crack
-from crackdyn.timestepper import build_operators
+from crackdyn.timestepper import TimeParams, build_operators, run
 
 SMALL_TEXT = """\
 [mesh]
@@ -297,7 +296,30 @@ def test_one_dof_oracle_dissipates_with_interface_active():
 def test_one_dof_implicit_tracks_oracle():
     p = OneDofParams(rho=1.0, k=1.0, gamma=0.5, epsilon=1e-2, g=0.3,
                      u0=1.0, v0=0.0)
-    times, us, vs = one_dof_implicit(p, 3.0, 5e-3)
+    states, _ = run(p, TimeParams(t_end=3.0, dt=5e-3), p.u0, p.v0)
+    times = [s.t for s in states]
+    us = np.array([s.u[0] for s in states])
     assert times[0] == 0.0 and times[-1] == pytest.approx(3.0)
     uo, vo = one_dof_oracle(p, times, dt_fine=5e-5)
     assert np.abs(us - uo).max() <= 3e-5
+
+
+@pytest.mark.parametrize("gamma, g", [(0.0, 0.0), (0.5, 0.3), (10.0, 0.3)])
+def test_one_dof_newton_matrix_is_residual_derivative(gamma, g):
+    # the scalar analog is a stepper system: its 1x1 Newton matrix is the
+    # derivative of the interval residual in the end-of-step acceleration
+    p = OneDofParams(gamma=gamma, epsilon=1e-2, g=g, u0=-0.2, v0=-0.4,
+                     forcing=lambda t: np.sin(t))
+    state = p.initial_state(p.u0, p.v0)
+    assert np.array_equal(state.a, -p.residual(
+        state.u, state.v, np.zeros(1), 0.0, p.load(0.0)) / p.rho)
+    params = TimeParams(t_end=1.0, dt=0.05)
+    residual, tangent, load_w = timestepper._interval(state, 0.05, p, params)
+    assert load_w[0] == pytest.approx(np.sin(0.025))
+    a = np.array([0.7])
+    _, u_w, v_w, _ = residual(a)
+    op = tangent(u_w, v_w)
+    assert op.shape == (1, 1) and op[0, 0] > 0.0
+    h = 1e-6
+    fd = (residual(a + h)[0] - residual(a - h)[0]) / (2 * h)
+    assert fd[0] == pytest.approx(op[0, 0], rel=1e-7)

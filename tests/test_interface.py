@@ -428,9 +428,6 @@ def test_friction_tangent_at_zero_slip():
 
 
 def test_contact_params():
-    p = ContactParams(gamma=0.0, epsilon=0.1)
-    assert p.delta == np.inf
-    assert ContactParams(gamma=4.0, epsilon=0.1).delta == 0.25
     with pytest.raises(ValueError):
         ContactParams(gamma=-1.0, epsilon=0.1)
     with pytest.raises(ValueError):

@@ -9,7 +9,6 @@ from crackdyn.meshing import (
     MeshFormatError,
     SIDE_MINUS,
     SIDE_PLUS,
-    crack_trace_maps,
     generate_rect_crack,
     load_mesh,
     save_mesh,
@@ -37,15 +36,16 @@ def test_three_pair_fixture():
     # duplicated, so all three midline edges become crack pairs.
     m = generate_rect_crack(3.0, 1.0, 3, 2, crack_span=(1 / 6, 5 / 6))
     assert len(m.crack_pairs) == 3
-    for plus, minus in crack_trace_maps(m):
-        assert plus.shape == minus.shape == (2,)
-        assert np.allclose(m.vertices[plus], m.vertices[minus])
+    for pair in m.crack_pairs:
+        assert len(pair.plus) == len(pair.minus) == 2
+        assert np.allclose(m.vertices[list(pair.plus)],
+                           m.vertices[list(pair.minus)])
 
 
 def test_glued_when_span_is_none():
     m = generate_rect_crack(1.0, 1.0, 4, 4)
     assert len(m.crack_pairs) == 0
-    assert crack_trace_maps(m) == []
+    assert m.crack_pairs == ()
     assert np.array_equal(m.merged_vertex_map(), np.arange(m.n_vertices))
 
 
@@ -88,10 +88,10 @@ def test_refinement_contains_coarse_vertices():
 
 def test_trace_maps_coincide():
     m = generate_rect_crack(2.0, 1.0, 6, 4, crack_span=(0.2, 0.8))
-    maps = crack_trace_maps(m)
-    assert len(maps) == len(m.crack_pairs) == 4
-    for plus, minus in maps:
-        assert np.allclose(m.vertices[plus], m.vertices[minus])
+    assert len(m.crack_pairs) == 4
+    for pair in m.crack_pairs:
+        assert np.allclose(m.vertices[list(pair.plus)],
+                           m.vertices[list(pair.minus)])
 
 
 def test_validate_rejects_moved_duplicate():
@@ -159,7 +159,7 @@ def test_validate_rejects_interior_tagged_facet():
 
 
 def test_dim3_unsupported():
-    with pytest.raises(NotImplementedError):
+    with pytest.raises(MeshError, match="dim must be 2"):
         CrackedMesh(3, np.zeros((4, 3)), np.zeros((1, 4), dtype=np.int64),
                     np.array([SIDE_PLUS]), np.zeros((1, 3), dtype=np.int64),
                     np.zeros((0, 3), dtype=np.int64), ())
@@ -227,8 +227,8 @@ def test_load_validates_invariants(tmp_path):
 def test_merged_vertex_map_glues_pairs():
     m = generate_rect_crack(2.0, 1.0, 4, 2, crack_span=(0.25, 0.75))
     ident = m.merged_vertex_map()
-    for plus, minus in crack_trace_maps(m):
-        assert np.array_equal(ident[minus], ident[plus])
+    for pair in m.crack_pairs:
+        assert np.array_equal(ident[list(pair.minus)], ident[list(pair.plus)])
     untouched = np.setdiff1d(np.arange(m.n_vertices),
-                             np.concatenate([mm for _, mm in crack_trace_maps(m)]))
+                             [v for pair in m.crack_pairs for v in pair.minus])
     assert np.array_equal(ident[untouched], untouched)

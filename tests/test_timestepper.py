@@ -13,7 +13,6 @@ from crackdyn.timestepper import (
     StepFailure,
     TimeParams,
     build_operators,
-    initial_acceleration,
     run,
     step,
 )
@@ -96,7 +95,7 @@ def test_initial_acceleration_equilibrium():
     u0[free] = fem.solve_spd(
         fem.apply_dirichlet(ops.stiffness, ops.dofmap),
         load[free], tol=1e-14)
-    a0 = initial_acceleration(ops, u0, np.zeros_like(u0))
+    a0 = ops.initial_state(u0, np.zeros_like(u0)).a
     scale = max(np.abs(u0).max(), 1.0)
     assert np.abs(a0).max() <= 1e-8 * scale
 
@@ -107,7 +106,7 @@ def test_initial_acceleration_constant_force():
     # sides
     ops = make_ops(nx=16, ny=8, crack=None, f=(ex.parse("0.7"), ex.parse("0")))
     n = ops.dofmap.ndof
-    a0 = initial_acceleration(ops, np.zeros(n), np.zeros(n))
+    a0 = ops.initial_state(np.zeros(n), np.zeros(n)).a
     rhs = ops.load(0.0)
     free = ops.dofmap.free
     assert not a0[ops.dofmap.constrained].any()
@@ -122,20 +121,18 @@ def test_compatibility_warnings():
     ops = make_ops()
     n = ops.dofmap.ndof
     with pytest.warns(CompatibilityWarning, match="normal compatibility"):
-        initial_acceleration(ops, np.zeros(n),
-                             crack_plus_velocity(ops, (0.0, -0.1)))
+        ops.initial_state(np.zeros(n), crack_plus_velocity(ops, (0.0, -0.1)))
     with pytest.warns(CompatibilityWarning, match="tangential"):
-        initial_acceleration(ops, np.zeros(n),
-                             crack_plus_velocity(ops, (0.1, 0.0)))
+        ops.initial_state(np.zeros(n), crack_plus_velocity(ops, (0.1, 0.0)))
     # gamma > 0 makes a displacement jump incompatible as well
     ops2 = make_ops(gamma=2.0)
     with pytest.warns(CompatibilityWarning, match="normal compatibility"):
-        initial_acceleration(ops2, crack_plus_velocity(ops2, (0.0, -0.1)),
-                             np.zeros(n))
+        ops2.initial_state(crack_plus_velocity(ops2, (0.0, -0.1)),
+                           np.zeros(n))
     # compatible data stays silent
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        initial_acceleration(ops, bump_field(ops), np.zeros(n))
+        ops.initial_state(bump_field(ops), np.zeros(n))
 
 
 def test_glued_linear_energy_conservation():
