@@ -286,8 +286,7 @@ def build_problem(config: Config) -> Problem:
                 raise ConfigError(str(exc)) from exc
     fields = {}
     for name in ("u0", "v0"):
-        with np.errstate(all="ignore"):     # a non-finite field is rejected
-            w = fem.interpolate(mesh, getattr(config, name))
+        w = fem.interpolate(mesh, getattr(config, name))
         fields[name] = ops.dofmap.zero_constrained(w)
         if not np.isfinite(fields[name]).all():
             raise ConfigError(f"{name} is not finite at a free mesh vertex")

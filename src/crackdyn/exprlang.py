@@ -8,11 +8,12 @@ Grammar, lowest to highest precedence:
     power   :=  atom ('^' unary)?                  right associative
     atom    :=  number | variable | func '(' args ')' | '(' sum ')'
 
-Variables are ``t, x, y, z``; functions are ``sin, cos, exp, sqrt, abs``
+Variables are ``t, x, y``; functions are ``sin, cos, exp, sqrt, abs``
 (one argument) and ``min, max`` (two arguments).  Evaluation is pure and
 accepts numpy arrays for any variable (results broadcast).  Division by
 zero and square roots of negative numbers raise ``ExprDomainError``
-instead of producing non-finite values.
+instead of producing non-finite values.  Overflow is not an error here:
+it gives inf silently, and the caller checks its values for finiteness.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ __all__ = [
     "variables_used",
 ]
 
-VARIABLES = ("t", "x", "y", "z")
+VARIABLES = ("t", "x", "y")
 FUNCTIONS = {"sin": 1, "cos": 1, "exp": 1, "sqrt": 1, "abs": 1, "min": 2, "max": 2}
 
 
@@ -259,14 +260,17 @@ def parse(src: str) -> Expr:
 def evaluate(expr: Expr, t, point=()):
     """Evaluate ``expr`` at time ``t`` and spatial coordinates ``point``.
 
-    ``point`` is a sequence holding x, y (and z in three dimensions);
-    entries may be scalars or broadcastable numpy arrays.  Missing
-    coordinates are treated as an error only if the expression uses them.
+    ``point`` is a sequence holding x and y; entries may be scalars or
+    broadcastable numpy arrays.  Missing coordinates are treated as an
+    error only if the expression uses them.  numpy's floating-point
+    warnings are silenced: the domain checks raise ExprDomainError, and
+    an overflow yields inf for the caller to reject.
     """
     env = {"t": t}
-    for name, value in zip(("x", "y", "z"), point):
+    for name, value in zip(("x", "y"), point):
         env[name] = value
-    return _eval(expr, env)
+    with np.errstate(all="ignore"):
+        return _eval(expr, env)
 
 
 def _eval(expr: Expr, env: dict):

@@ -11,7 +11,14 @@ pair (b, g) = (1/4, 1/2) this is the midpoint evaluation, which makes
 the interface terms dissipate exactly (they are tested against their
 own arguments); g = 1 recovers the fully implicit end-of-step balance.
 The Newton unknown is the end-of-step acceleration on the free dofs;
-each Newton system is solved by Jacobi-PCG.
+each Newton system is solved by Jacobi-PCG, only as accurately as the
+step needs (an inexact Newton method): to a relative tolerance of
+_CG_FORCING = 1e-6 when the crack terms make the system nonlinear,
+never below _CG_FLOOR*tol_abs/|r| (a tenth of the Newton tolerance over
+the current residual), and never below _CG_TOL.  A linear system (no
+crack, or no contact and no friction on the step) is solved down to the
+floor, so a linear step still takes one Newton iteration.  Acceptance
+always tests the true residual.
 
 The residual is the gradient of a convex potential of a+ and the Newton
 matrix its Hessian, so each Newton direction is followed by a line
@@ -23,7 +30,8 @@ line search and bisection.  The system it integrates has five members:
 ``free``, the Newton unknowns; ``load(t)``; ``residual(u_w, v_w, a_w,
 t_w, load_w)``, the force balance, zero on constrained dofs;
 ``newton_matrix(u_w, v_w, t_w, dt, b, g)``, its derivative in a+ on the
-free dofs as an operator with ``@`` and diagonal() for fem.solve_spd;
+free dofs as an operator with ``@`` and diagonal() for fem.solve_spd
+(and ``nonlinear`` false if it may be solved as a linear system);
 and ``initial_state(u0, v0)``, the State at t = 0 with the constraints
 imposed, incompatible data warned about, the consistent acceleration
 and the state checked.  Operators (the mesh problem) and
@@ -60,6 +68,8 @@ _COMPAT_TOL = 1e-10
 _LS_ETA = 0.5           # line-search slope test, relative to |phi'(0)|
 _LS_MAX_EVALS = 20      # residual evaluations per line search
 _LS_CLAMP = 0.1         # trials stay this share of the bracket inside it
+_CG_FORCING = 1e-6      # CG tolerance of a nonlinear Newton system
+_CG_FLOOR = 0.1         # no CG solve below this share of tol_abs
 
 
 class CompatibilityWarning(UserWarning):
@@ -217,6 +227,7 @@ class _NewtonMatrix:
 
     def __init__(self, lin, lin_diag, slots, block):
         self.lin, self.slots, self.block = lin, slots, block
+        self.nonlinear = bool(block.any())     # crack terms are active
         self._diag = lin_diag.copy()
         self._diag[slots] += np.diagonal(block)
 
@@ -361,7 +372,12 @@ def _solve_substep(state: State, dt: float, ops, params: TimeParams):
     iterations = line_search = 0
     while (norm_r > tol_abs and np.isfinite(norm_r)
            and iterations < params.newton_maxit):
-        d = fem.solve_spd(tangent(u_w, v_w), -r[free], tol=_CG_TOL)
+        jac = tangent(u_w, v_w)
+        # inexact Newton: a CG iterate from zero still descends (r.d < 0)
+        forcing = _CG_FORCING if getattr(jac, "nonlinear", True) else 0.0
+        cg_tol = max(_CG_TOL, forcing, _CG_FLOOR * tol_abs / norm_r)
+        d = fem.solve_spd(jac, -r[free], tol=cg_tol)
+        del jac     # free the crack block before the line search
         found = _line_search(residual, a_new, free, d, r)
         iterations += 1
         if found is None:

@@ -1,10 +1,14 @@
 import csv
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import crackdyn
 from crackdyn import cli
 from crackdyn import config as config_mod
 from crackdyn.config import ConfigError, parse_config_text
@@ -229,13 +233,50 @@ def test_run_overflowing_load_exits_3(tmp_path, monkeypatch, capsys):
             .replace("[data]\n", "[data]\nf = (0, exp(800*t)*1e-300)\n"))
     cfg = write_cfg(tmp_path, text)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error")
         assert cli.main(["run", cfg]) == 3
     err = capsys.readouterr().err
     assert "solver failure" in err and "load is not finite" in err
     assert "Traceback" not in err
     rows = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()
     assert float(rows[-1].split(",")[0]) == pytest.approx(0.9)
+
+
+def test_run_overflowing_load_prints_no_numpy_warning(tmp_path, capfd):
+    # run as a user would, in a fresh interpreter whose stderr is fd 2:
+    # the overflow must surface as the solver failure alone
+    text = (run_cfg_text(tmp_path / "out")
+            .replace("nx = 8", "nx = 4").replace("ny = 4", "ny = 2")
+            .replace("t_end = 0.12", "t_end = 1.0")
+            .replace("dt = 5e-3", "dt = 0.1")
+            .replace("[data]\n", "[data]\nf = (0, exp(800*t)*1e-300)\n"))
+    cfg = write_cfg(tmp_path, text)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(crackdyn.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys; from crackdyn import cli; "
+            "sys.exit(cli.main(sys.argv[1:]))")
+    done = subprocess.run([sys.executable, "-c", code, "run", cfg],
+                          cwd=tmp_path, env=env)
+    assert done.returncode == 3
+    err = capfd.readouterr().err
+    assert "load is not finite" in err
+    assert "Warning" not in err and "overflow" not in err
+
+
+def test_run_z_coordinate_exits_2_at_parse(tmp_path, monkeypatch, capsys):
+    # meshes are two-dimensional, so z is an unknown identifier
+    monkeypatch.chdir(tmp_path)
+    text = run_cfg_text(tmp_path / "out").replace(
+        "[data]\nu0 = (0, -0.12*exp(-((x-0.9)^2 + (y-0.6)^2)/0.01))",
+        "[data]\nu0 = (0, 0.01*z)")
+    with pytest.raises(ConfigError, match="u0: unknown identifier 'z'"):
+        parse_config_text(text)
+    cfg = write_cfg(tmp_path, text)
+    assert cli.main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "config error: u0: unknown identifier 'z'" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_friction_bound_violation_midrun_exits_2(tmp_path, monkeypatch,
