@@ -271,8 +271,8 @@ def build_mesh(spec: MeshSpec) -> meshing.CrackedMesh:
 
 
 def build_problem(config: Config) -> Problem:
-    """Assemble everything a run needs; validates g >= 0 on samples and
-    finite initial data."""
+    """Assemble everything a run needs; validates g >= 0 on samples,
+    finite loads at t = 0 and finite initial data."""
     mesh = build_mesh(config.mesh)
     contact = interface.ContactParams(
         gamma=config.gamma, epsilon=config.epsilon, g=config.g)
@@ -284,6 +284,12 @@ def build_problem(config: Config) -> Problem:
                 interface.friction_bound_values(contact, ops.quad, float(t))
             except interface.FrictionBoundError as exc:
                 raise ConfigError(str(exc)) from exc
+    for name, f, trac in (("f", config.f, None), ("F", None, config.trac)):
+        if f is not None or trac is not None:
+            load = fem.assemble_load(mesh, config.material, f, trac, 0.0)
+            if not np.isfinite(load[ops.free]).all():
+                raise ConfigError(
+                    f"{name} gives a load that is not finite at t = 0")
     fields = {}
     for name in ("u0", "v0"):
         w = fem.interpolate(mesh, getattr(config, name))

@@ -78,13 +78,15 @@ def record(state: fem.State, ops: Operators, newton_iters: int = 0) -> Diagnosti
         comp = float(np.sum(quad.weights * np.abs(
             interface.beta_eps(s, eps) * s)))
         _, jt = interface.split_jump(interface.jump_eval(state.v, quad), quad)
-        _, sigma_t = interface.recover_tractions(
-            state.u, state.v, state.t, ops.contact, quad)
-        st_norm = np.linalg.norm(sigma_t, axis=-1)
+        # sigma_t as interface.recover_tractions forms it, from the jumps
+        # and the g evaluated here once
         if ops.contact.g is not None:
             g = interface.friction_bound_values(ops.contact, quad, state.t)
+            sigma_t = g[..., None] * interface.alpha_eps(jt, eps)
         else:
-            g = np.zeros_like(st_norm)
+            g = np.zeros(jt.shape[:-1])
+            sigma_t = np.zeros_like(jt)
+        st_norm = np.linalg.norm(sigma_t, axis=-1)
         gap = float(np.maximum(st_norm - g, 0.0).max())
         slip = np.linalg.norm(jt, axis=-1)
         ssr = float(np.sum(quad.weights * np.abs(

@@ -9,6 +9,7 @@ divided by the density.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -273,7 +274,8 @@ def solve_spd(a, rhs, tol=1e-12, maxit=None):
     ``a`` needs only ``a @ x`` and ``a.diagonal()``.  Deterministic:
     fixed zero initial guess, no randomized components.  Returns x with
     ||a x - rhs|| <= tol * ||rhs||; raises SolveError with the achieved
-    residual if maxit iterations do not get there.
+    residual if maxit iterations do not get there, and at once if the
+    norm of rhs is not finite (an entry is not, or the norm overflows).
     """
     rhs = np.asarray(rhs, dtype=float)
     n = rhs.shape[0]
@@ -281,6 +283,8 @@ def solve_spd(a, rhs, tol=1e-12, maxit=None):
         maxit = max(200, 20 * n)
     x = np.zeros(n)
     rr = float(rhs @ rhs)
+    if not math.isfinite(rr):
+        raise SolveError("right-hand side norm is not finite", rr)
     if rr == 0.0:
         return x
     diag = np.asarray(a.diagonal())

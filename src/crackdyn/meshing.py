@@ -124,6 +124,7 @@ class CrackedMesh:
 
         scale = max(1.0, float(np.abs(self.vertices).max())) if nv else 1.0
         tol = COINCIDENCE_RTOL * scale
+        facet_cells = self._facet_cells()
         for k, pair in enumerate(self.crack_pairs):
             if len(pair.plus) != self.dim or len(pair.minus) != self.dim:
                 raise MeshError(f"crack pair {k}: facet must have {self.dim} vertices")
@@ -135,31 +136,33 @@ class CrackedMesh:
             if np.abs(pp - pm).max() > tol:
                 raise MeshError(
                     f"crack pair {k}: plus and minus facets are not coincident")
-            self._check_pair_normal(k, pair)
+            self._check_pair_normal(k, pair, facet_cells)
+        del facet_cells     # not held through the conforming check's peak
 
         self._check_crack_separation()
         self._check_merged_conforming()
 
-    def _check_pair_normal(self, k: int, pair: CrackPair) -> None:
+    def _check_pair_normal(self, k: int, pair: CrackPair, facet_cells) -> None:
         n = pair.normal
         if n.shape != (self.dim,):
             raise MeshError(f"crack pair {k}: normal must have {self.dim} components")
         if abs(np.linalg.norm(n) - 1.0) > 1e-12:
             raise MeshError(f"crack pair {k}: normal is not unit length")
-        geom = self._outward_normal_of_minus_facet(k, pair)
+        geom = self._outward_normal_of_minus_facet(k, pair, facet_cells)
         if np.linalg.norm(n - geom) > 1e-10:
             raise MeshError(
                 f"crack pair {k}: normal does not match the outward normal "
                 f"of the minus facet")
 
-    def _outward_normal_of_minus_facet(self, k: int, pair: CrackPair) -> np.ndarray:
+    def _outward_normal_of_minus_facet(self, k: int, pair: CrackPair,
+                                       facet_cells) -> np.ndarray:
         a, b = self.vertices[pair.minus[0]], self.vertices[pair.minus[1]]
         edge = b - a
         length = np.linalg.norm(edge)
         if length == 0.0:
             raise MeshError(f"crack pair {k}: degenerate minus facet")
         perp = np.array([edge[1], -edge[0]]) / length
-        cell = self._adjacent_cell(pair.minus, SIDE_MINUS)
+        cell = self._adjacent_cell(facet_cells, pair.minus, SIDE_MINUS)
         if cell is None:
             raise MeshError(f"crack pair {k}: minus facet borders no minus cell")
         centroid = self.vertices[self.cells[cell]].mean(axis=0)
@@ -168,12 +171,27 @@ class CrackedMesh:
             perp = -perp
         return perp
 
-    def _adjacent_cell(self, facet, side):
-        want = set(int(i) for i in facet)
-        for c in range(self.n_cells):
-            if self.cell_sides[c] == side and want <= set(self.cells[c].tolist()):
-                return c
-        return None
+    def _facet_key(self, lo, hi, plus):
+        """Integer key of facet (lo, hi), lo < hi, on the plus side or
+        not; elementwise on arrays."""
+        return (lo * self.n_vertices + hi) * 2 + plus
+
+    def _facet_cells(self):
+        """Every cell edge's facet key, sorted, with the lowest-numbered
+        cell of each key."""
+        edges = np.sort(self.cells[:, [[0, 1], [1, 2], [0, 2]]], axis=2)
+        plus = (self.cell_sides == SIDE_PLUS)[:, None]
+        keys = self._facet_key(edges[..., 0], edges[..., 1], plus)
+        uniq, first = np.unique(keys.ravel(), return_index=True)
+        return uniq, first // 3
+
+    def _adjacent_cell(self, facet_cells, facet, side):
+        """Lowest-numbered cell of ``side`` containing a two-vertex facet,
+        or None."""
+        keys, cells = facet_cells
+        key = self._facet_key(*sorted(int(i) for i in facet), side == SIDE_PLUS)
+        i = int(np.searchsorted(keys, key))
+        return int(cells[i]) if i < keys.size and keys[i] == key else None
 
     def _check_crack_separation(self) -> None:
         # A vertex strictly inside the crack (incident to >= 2 crack facets

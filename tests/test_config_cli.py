@@ -341,6 +341,29 @@ def test_run_nonfinite_initial_data_exits_2(tmp_path, monkeypatch, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key", ["f", "F"])
+def test_run_nonfinite_load_at_start_exits_2(tmp_path, monkeypatch, capsys,
+                                             key):
+    # exp(800*(t + 1)) is already inf at t = 0: the run must stop at set-up,
+    # before the initial acceleration's CG solve
+    monkeypatch.chdir(tmp_path)
+    solves = []
+    monkeypatch.setattr("crackdyn.fem.solve_spd",
+                        lambda *a, **k: solves.append(a))
+    text = (run_cfg_text(tmp_path / "out")
+            .replace("nx = 8", "nx = 4").replace("ny = 4", "ny = 2")
+            .replace("[data]\n", f"[data]\n{key} = (0, exp(800*(t + 1)))\n"))
+    cfg = write_cfg(tmp_path, text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {key} gives a load that is not finite at t = 0" in err
+    assert "Traceback" not in err
+    assert solves == []
+    assert not (tmp_path / "out").exists()
+
+
 def test_build_problem_ignores_nonfinite_data_on_dirichlet_dofs():
     # 0*exp(800*(1-x)) is nan only on the clamped edge x = 0, whose dofs
     # the run zeroes anyway

@@ -125,6 +125,38 @@ def test_record_stick_slip_oracle():
     assert rec.friction_gap == 0.0
 
 
+@pytest.mark.parametrize("g", ["0.3*(1 + x)", None])
+def test_record_matches_recovered_tractions(g, monkeypatch):
+    # reference: the friction columns formed from recover_tractions, whose
+    # values record builds from its own jumps and g, each evaluated once
+    ops = make_ops(gamma=1.0, epsilon=0.05, g=g)
+    rng = np.random.default_rng(12)
+    u = ops.dofmap.zero_constrained(0.05 * rng.standard_normal(ops.dofmap.ndof))
+    v = ops.dofmap.zero_constrained(0.05 * rng.standard_normal(ops.dofmap.ndof))
+    calls = []
+    with monkeypatch.context() as patch:
+        for name in ("contact_argument", "split_jump", "friction_bound_values"):
+            def spy(*args, _f=getattr(interface, name), _name=name):
+                calls.append(_name)
+                return _f(*args)
+            patch.setattr(interface, name, spy)
+        rec = record(State(0.3, u, v, np.zeros_like(v)), ops)
+    once = ["contact_argument", "split_jump"] + (["friction_bound_values"]
+                                                 if g else [])
+    assert sorted(calls) == sorted(once)
+    quad = ops.quad
+    _, sigma_t = interface.recover_tractions(u, v, 0.3, ops.contact, quad)
+    _, jt = interface.split_jump(interface.jump_eval(v, quad), quad)
+    gv = interface.friction_bound_values(ops.contact, quad, 0.3)
+    gap = float(np.maximum(np.linalg.norm(sigma_t, axis=-1) - gv, 0.0).max())
+    ssr = float(np.sum(quad.weights * np.abs(
+        gv * np.linalg.norm(jt, axis=-1)
+        - np.einsum("pqd,pqd->pq", sigma_t, jt))))
+    assert rec.friction_gap == gap
+    assert rec.stick_slip_residual == ssr
+    assert (ssr > 0.0) == (g is not None)
+
+
 def test_energy_and_monitor():
     ops = make_ops()
     rng = np.random.default_rng(3)

@@ -211,6 +211,28 @@ def test_solve_spd_reports_failure():
     assert np.isfinite(err.value.residual)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+def test_solve_spd_rejects_nonfinite_rhs_before_any_product(bad):
+    # 1e200 is finite, but the norm overflows: CG could not test its
+    # residual against an infinite target
+    class Counting:
+        products = 0
+
+        def diagonal(self):
+            return np.ones(4)
+
+        def __matmul__(self, x):
+            self.products += 1
+            return x
+
+    a = Counting()
+    rhs = np.array([1.0, bad, 0.0, 2.0])
+    with pytest.raises(fem.SolveError, match="right-hand side norm is not finite"):
+        with np.errstate(over="ignore"):
+            fem.solve_spd(a, rhs)
+    assert a.products == 0
+
+
 def test_assembly_is_deterministic():
     mesh = generate_rect_crack(2.0, 1.0, 8, 4, crack_span=(0.25, 0.75))
     mat = Material(lam=1.0, mu=1.0, rho=1.0)

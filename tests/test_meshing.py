@@ -158,6 +158,36 @@ def test_validate_rejects_interior_tagged_facet():
                     m.dirichlet_facets, neumann, m.crack_pairs)
 
 
+def test_validate_rejects_minus_facet_without_minus_cell():
+    m = generate_rect_crack(2.0, 1.0, 4, 2, crack_span=(0.25, 0.75))
+    sides = np.full(m.n_cells, SIDE_PLUS, dtype=np.int8)
+    with pytest.raises(MeshError,
+                       match="crack pair 0: minus facet borders no minus cell"):
+        CrackedMesh(2, m.vertices, m.cells, sides,
+                    m.dirichlet_facets, m.neumann_facets, m.crack_pairs)
+
+
+def test_facet_cells_match_a_scan_of_every_cell():
+    # reference: the first cell, by index, of the facet's side whose
+    # vertices include the facet's
+    m = generate_rect_crack(2.0, 1.0, 6, 4, crack_span=(0.25, 0.75))
+    facet_cells = m._facet_cells()
+
+    def scan(facet, side):
+        for c in range(m.n_cells):
+            if m.cell_sides[c] == side and set(facet) <= set(m.cells[c].tolist()):
+                return c
+        return None
+
+    nv = m.n_vertices
+    for a in range(nv):
+        for b in range(a + 1, nv):
+            for side in (SIDE_PLUS, SIDE_MINUS):
+                for facet in ((a, b), (b, a)):
+                    assert m._adjacent_cell(facet_cells, facet, side) == \
+                        scan(facet, side)
+
+
 def test_dim3_unsupported():
     with pytest.raises(MeshError, match="dim must be 2"):
         CrackedMesh(3, np.zeros((4, 3)), np.zeros((1, 4), dtype=np.int64),
