@@ -79,13 +79,9 @@ def record(state: fem.State, ops: Operators, newton_iters: int = 0) -> Diagnosti
             interface.beta_eps(s, eps) * s)))
         _, jt = interface.split_jump(interface.jump_eval(state.v, quad), quad)
         # sigma_t as interface.recover_tractions forms it, from the jumps
-        # and the g evaluated here once
-        if ops.contact.g is not None:
-            g = interface.friction_bound_values(ops.contact, quad, state.t)
-            sigma_t = g[..., None] * interface.alpha_eps(jt, eps)
-        else:
-            g = np.zeros(jt.shape[:-1])
-            sigma_t = np.zeros_like(jt)
+        # and the g evaluated here once (zero without friction)
+        g = interface.friction_bound_values(ops.contact, quad, state.t)
+        sigma_t = g[..., None] * interface.alpha_eps(jt, eps)
         st_norm = np.linalg.norm(sigma_t, axis=-1)
         gap = float(np.maximum(st_norm - g, 0.0).max())
         slip = np.linalg.norm(jt, axis=-1)
