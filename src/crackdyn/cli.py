@@ -3,7 +3,7 @@
 Subcommands: run (integrate, write diagnostics.csv plus optional VTK
 snapshots), sweep-eps, sweep-gamma, verify (invariant battery with one
 PASS/FAIL line per property), mesh-gen.  Exit status 0 on success, 2 on
-configuration errors, 3 on solver or property failures.
+configuration or file errors, 3 on solver or property failures.
 
 The environment variable CRACKDYN_DETERMINISTIC=1 requests sequential
 assembly; assembly in this build is sequential unconditionally, so all
@@ -201,7 +201,7 @@ def _check_trajectory(cfg, problem) -> list[tuple[str, bool, str]]:
     out.append(("friction-bound-respected", gap_max == 0.0,
                 f"max friction gap {gap_max:.3e}"))
 
-    energies = [diagnostics.energy(s, problem.ops) for s in states]
+    energies = [r.kinetic + r.strain for r in records]
     no_loads = cfg.f is None and cfg.trac is None
     if no_loads and cfg.gamma == 0.0:
         tol = 1e-8 * energies[0]
@@ -283,8 +283,7 @@ def cmd_mesh_gen(args) -> int:
         _error(f"config error: {exc}")
         return EXIT_CONFIG
     out = Path(args.output)
-    if out.parent and not out.parent.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
     meshing.save_mesh(mesh, out)
     print(f"wrote {out} ({mesh.n_vertices} vertices, {len(mesh.cells)} cells, "
           f"{len(mesh.crack_pairs)} crack pairs)")
@@ -333,7 +332,7 @@ _CONFIG_ERRORS = (config_mod.ConfigError, meshing.MeshError, exprlang.ExprError,
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; configuration errors exit 2 and solver
+    """Run one subcommand; configuration and file errors exit 2 and solver
     failures 3, each with a one-line message instead of a traceback."""
     args = _build_parser().parse_args(argv)
     try:
@@ -344,6 +343,9 @@ def main(argv=None) -> int:
     except (timestepper.StepFailure, fem.SolveError) as exc:
         _error(f"solver failure: {exc}")
         return EXIT_SOLVER
+    except OSError as exc:
+        _error(f"file error: {exc}")
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

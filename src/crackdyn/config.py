@@ -113,10 +113,10 @@ def _parse_expr(text: str, key: str) -> Expr:
         raise ConfigError(f"{key}: {exc}") from exc
 
 
-def _parse_vector(text: str, key: str, dim: int = 2):
+def _parse_vector(text: str, key: str):
     parts = _split_vector(text, key)
-    if len(parts) != dim:
-        raise ConfigError(f"{key}: expected {dim} components, got {len(parts)}")
+    if len(parts) != 2:
+        raise ConfigError(f"{key}: expected 2 components, got {len(parts)}")
     return tuple(_parse_expr(p.strip(), key) for p in parts)
 
 

@@ -27,8 +27,6 @@ __all__ = [
     "DiagnosticsRecord",
     "CSV_COLUMNS",
     "record",
-    "energy",
-    "first_estimate_monitor",
     "run_with_records",
     "vi_residual",
     "weighted_points",
@@ -91,18 +89,6 @@ def record(state: fem.State, ops: Operators, newton_iters: int = 0) -> Diagnosti
         t=state.t, kinetic=kinetic, strain=strain, penetration_L3=pen,
         comp_residual=comp, friction_gap=gap, stick_slip_residual=ssr,
         newton_iters=newton_iters)
-
-
-def energy(state: fem.State, ops: Operators) -> float:
-    """Kinetic plus strain energy of a state."""
-    return (0.5 * float(state.v @ (ops.mass @ state.v))
-            + 0.5 * float(state.u @ (ops.stiffness @ state.u)))
-
-
-def first_estimate_monitor(state: fem.State, ops: Operators) -> float:
-    """rho*|v|_H^2 + |u|_V^2/2, the functional the a priori bound controls."""
-    return (float(state.v @ (ops.mass @ state.v))
-            + 0.5 * float(state.u @ (ops.stiffness @ state.u)))
 
 
 def run_with_records(problem: config_mod.Problem, on_record=None):

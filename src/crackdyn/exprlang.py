@@ -1,4 +1,6 @@
-"""Closed-form scalar expressions for time- and space-dependent data.
+"""Closed-form scalar expressions for time- and space-dependent data:
+a parser to immutable trees and an evaluator.  Trees are not printed
+back to source text.
 
 Grammar, lowest to highest precedence:
 
@@ -34,8 +36,6 @@ __all__ = [
     "ExprDomainError",
     "parse",
     "evaluate",
-    "to_source",
-    "variables_used",
 ]
 
 VARIABLES = ("t", "x", "y")
@@ -60,9 +60,6 @@ class Expr:
     """Immutable expression node."""
 
     __slots__ = ()
-
-    def __str__(self) -> str:
-        return to_source(self)
 
 
 @dataclass(frozen=True)
@@ -322,74 +319,3 @@ def _eval(expr: Expr, env: dict):
             return np.maximum(args[0], args[1])
         raise AssertionError(expr.func)
     raise TypeError(f"not an expression node: {expr!r}")
-
-
-def variables_used(expr: Expr) -> set[str]:
-    """Names of the variables appearing in ``expr``."""
-    out: set[str] = set()
-    _collect_vars(expr, out)
-    return out
-
-
-def _collect_vars(expr: Expr, out: set[str]) -> None:
-    if isinstance(expr, Var):
-        out.add(expr.name)
-    elif isinstance(expr, Neg):
-        _collect_vars(expr.operand, out)
-    elif isinstance(expr, Bin):
-        _collect_vars(expr.left, out)
-        _collect_vars(expr.right, out)
-    elif isinstance(expr, Call):
-        for a in expr.args:
-            _collect_vars(a, out)
-
-
-# ---------------------------------------------------------------------------
-# printing
-# ---------------------------------------------------------------------------
-
-_PREC_SUM = 1
-_PREC_TERM = 2
-_PREC_NEG = 3
-_PREC_POW = 4
-_PREC_ATOM = 5
-
-_BIN_PREC = {"+": _PREC_SUM, "-": _PREC_SUM, "*": _PREC_TERM, "/": _PREC_TERM, "^": _PREC_POW}
-
-
-def _prec(expr: Expr) -> int:
-    if isinstance(expr, (Num, Var, Call)):
-        return _PREC_ATOM
-    if isinstance(expr, Neg):
-        return _PREC_NEG
-    return _BIN_PREC[expr.op]
-
-
-def to_source(expr: Expr) -> str:
-    """Render ``expr`` with minimal parentheses; reparsing reproduces it."""
-    if isinstance(expr, Num):
-        return repr(expr.value)
-    if isinstance(expr, Var):
-        return expr.name
-    if isinstance(expr, Call):
-        return f"{expr.func}({', '.join(to_source(a) for a in expr.args)})"
-    if isinstance(expr, Neg):
-        inner = to_source(expr.operand)
-        if _prec(expr.operand) < _PREC_NEG:
-            inner = f"({inner})"
-        return f"-{inner}"
-    p = _BIN_PREC[expr.op]
-    left = to_source(expr.left)
-    right = to_source(expr.right)
-    if expr.op == "^":
-        # right associative: parenthesize an operator-valued base
-        if _prec(expr.left) <= p:
-            left = f"({left})"
-        if _prec(expr.right) < p and not isinstance(expr.right, Neg):
-            right = f"({right})"
-    else:
-        if _prec(expr.left) < p:
-            left = f"({left})"
-        if _prec(expr.right) <= p:
-            right = f"({right})"
-    return f"{left} {expr.op} {right}"

@@ -31,10 +31,14 @@ __all__ = [
     "solve_spd",
     "interpolate",
     "h_norm_sq",
-    "v_norm_sq",
+    "facet_quadrature",
+    "FACET_SHAPES",
 ]
 
 _GAUSS2 = 1.0 / np.sqrt(3.0)
+# P1 basis values at a facet's two Gauss points, [point, vertex]; symmetric
+FACET_SHAPES = 0.5 * np.array([[1.0 + _GAUSS2, 1.0 - _GAUSS2],
+                               [1.0 - _GAUSS2, 1.0 + _GAUSS2]])
 
 
 class AssemblyError(ValueError):
@@ -56,12 +60,12 @@ class Material:
     rho: float
 
     def __post_init__(self):
-        if not self.mu > 0:
-            raise ValueError("mu must be positive")
-        if not 3.0 * self.lam + 2.0 * self.mu > 0:
-            raise ValueError("3*lam + 2*mu must be positive")
-        if not self.rho > 0:
-            raise ValueError("rho must be positive")
+        if not 0 < self.mu < math.inf:
+            raise ValueError("mu must be positive and finite")
+        if not 0 < 3.0 * self.lam + 2.0 * self.mu < math.inf:
+            raise ValueError("3*lam + 2*mu must be positive and finite")
+        if not 0 < self.rho < math.inf:
+            raise ValueError("rho must be positive and finite")
 
 
 class DofMap:
@@ -73,13 +77,12 @@ class DofMap:
     """
 
     def __init__(self, mesh):
-        self.dim = mesh.dim
-        self.n_vertices = mesh.n_vertices
-        self.ndof = mesh.n_vertices * mesh.dim
+        d = mesh.dim
+        self.ndof = mesh.n_vertices * d
         constrained_vertices = np.unique(mesh.dirichlet_facets.ravel())
         mask = np.zeros(self.ndof, dtype=bool)
-        for c in range(self.dim):
-            mask[constrained_vertices * self.dim + c] = True
+        for c in range(d):
+            mask[constrained_vertices * d + c] = True
         self.constrained = mask
         self.free = np.flatnonzero(~mask)
 
@@ -130,6 +133,18 @@ def _cell_geometry(mesh):
     grads[:, 2, 1] = e1[:, 0] / det
     grads[:, 0] = -grads[:, 1] - grads[:, 2]
     return coords, area, grads
+
+
+def facet_quadrature(vertices, facets):
+    """Two-point Gauss rule on two-vertex facets, exact for cubics: points
+    (n, 2, 2) in the row order of FACET_SHAPES, and weights (n, 2)."""
+    a = vertices[facets[:, 0]]
+    b = vertices[facets[:, 1]]
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    points = np.stack([mid - _GAUSS2 * half, mid + _GAUSS2 * half], axis=1)
+    weights = np.repeat(np.linalg.norm(half, axis=1)[:, None], 2, axis=1)
+    return points, weights
 
 
 # ---------------------------------------------------------------------------
@@ -210,15 +225,7 @@ def assemble_load(mesh, material: Material, f=None, trac=None, t=0.0) -> np.ndar
 
     if trac is not None and mesh.neumann_facets.shape[0]:
         facets = mesh.neumann_facets
-        pa = mesh.vertices[facets[:, 0]]
-        pb = mesh.vertices[facets[:, 1]]
-        mid = 0.5 * (pa + pb)
-        half = 0.5 * (pb - pa)
-        length = 2.0 * np.linalg.norm(half, axis=1)
-        pts = np.stack([mid - _GAUSS2 * half, mid + _GAUSS2 * half], axis=1)
-        shape = 0.5 * np.array([[1.0 + _GAUSS2, 1.0 - _GAUSS2],
-                                [1.0 - _GAUSS2, 1.0 + _GAUSS2]])   # [node, qp]
-        wq = 0.5 * length
+        pts, wq = facet_quadrature(mesh.vertices, facets)
         nodal = np.zeros((mesh.n_vertices, d))
         xq = pts[:, :, 0].ravel()
         yq = pts[:, :, 1].ravel()
@@ -226,7 +233,7 @@ def assemble_load(mesh, material: Material, f=None, trac=None, t=0.0) -> np.ndar
             fq = np.broadcast_to(
                 np.asarray(exprlang.evaluate(trac[c], t, (xq, yq)), dtype=float),
                 xq.shape).reshape(-1, 2)
-            contrib = np.einsum("n,iq,nq->ni", wq, shape, fq)
+            contrib = np.einsum("nq,qi,nq->ni", wq, FACET_SHAPES, fq)
             np.add.at(nodal[:, c], facets.ravel(), contrib.ravel())
         out += nodal.ravel()
 
@@ -324,8 +331,3 @@ def solve_spd(a, rhs, tol=1e-12, maxit=None):
 def h_norm_sq(mass: sp.csr_matrix, rho: float, w: np.ndarray) -> float:
     """Squared L2 norm: the mass matrix carries rho, so divide it out."""
     return float(w @ (mass @ w)) / rho
-
-
-def v_norm_sq(stiffness: sp.csr_matrix, w: np.ndarray) -> float:
-    """Squared energy (stiffness-induced) seminorm."""
-    return float(w @ (stiffness @ w))

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import exprlang
+from . import exprlang, fem
 from .exprlang import Expr
-from .fem import DofMap
 
 __all__ = [
     "neg_part",
@@ -39,8 +38,6 @@ __all__ = [
     "recover_tractions",
     "FrictionBoundError",
 ]
-
-_GAUSS2 = 1.0 / np.sqrt(3.0)
 
 
 class FrictionBoundError(ValueError):
@@ -112,10 +109,10 @@ class ContactParams:
     g: Expr | None = None
 
     def __post_init__(self):
-        if not self.gamma >= 0:
-            raise ValueError("gamma must be nonnegative")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 <= self.gamma < np.inf:
+            raise ValueError("gamma must be nonnegative and finite")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError("epsilon must be positive and finite")
 
 
 class CrackQuadrature:
@@ -131,32 +128,21 @@ class CrackQuadrature:
     crack_free : position of each crack_dofs entry in dofmap.free
     """
 
-    def __init__(self, mesh, dofmap: DofMap):
+    def __init__(self, mesh, dofmap: fem.DofMap):
         pairs = mesh.crack_pairs
         d = mesh.dim
         n = len(pairs)
         self.dim = d
         self.n_pairs = n
         self.n_vertices = mesh.n_vertices
-        self.plus_vertices = np.zeros((n, 2), dtype=np.int64)
-        self.minus_vertices = np.zeros((n, 2), dtype=np.int64)
-        self.normals = np.zeros((n, d))
-        self.points = np.zeros((n, 2, d))
-        self.weights = np.zeros((n, 2))
-        self.shapes = 0.5 * np.array([[1.0 + _GAUSS2, 1.0 - _GAUSS2],
-                                      [1.0 - _GAUSS2, 1.0 + _GAUSS2]]).T
-        for k, pair in enumerate(pairs):
-            self.plus_vertices[k] = pair.plus
-            self.minus_vertices[k] = pair.minus
-            self.normals[k] = pair.normal
-            a = mesh.vertices[pair.plus[0]]
-            b = mesh.vertices[pair.plus[1]]
-            mid = 0.5 * (a + b)
-            half = 0.5 * (b - a)
-            self.points[k, 0] = mid - _GAUSS2 * half
-            self.points[k, 1] = mid + _GAUSS2 * half
-            self.weights[k] = np.linalg.norm(b - a)
-        self.weights *= 0.5
+        self.plus_vertices = np.array([p.plus for p in pairs],
+                                      dtype=np.int64).reshape(n, 2)
+        self.minus_vertices = np.array([p.minus for p in pairs],
+                                       dtype=np.int64).reshape(n, 2)
+        self.normals = np.array([p.normal for p in pairs]).reshape(n, d)
+        self.points, self.weights = fem.facet_quadrature(
+            mesh.vertices, self.plus_vertices)
+        self.shapes = fem.FACET_SHAPES
 
         verts = np.concatenate([self.plus_vertices, self.minus_vertices], axis=1)
         dofs = verts[:, :, None] * d + np.arange(d)                    # (n, 4, d)
@@ -172,14 +158,10 @@ class CrackQuadrature:
         self._block_index = (slots[:, :, None, :, None] * (k + 1)
                              + slots[:, None, :, None, :]).ravel()
 
-    @property
-    def total_measure(self) -> float:
-        return float(self.weights.sum())
 
-
-def build_crack_quadrature(mesh, dofmap: DofMap | None = None):
+def build_crack_quadrature(mesh, dofmap: fem.DofMap | None = None):
     """The crack quadrature; pass the problem's DofMap to share it."""
-    return CrackQuadrature(mesh, DofMap(mesh) if dofmap is None else dofmap)
+    return CrackQuadrature(mesh, fem.DofMap(mesh) if dofmap is None else dofmap)
 
 
 # ---------------------------------------------------------------------------

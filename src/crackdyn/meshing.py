@@ -78,7 +78,7 @@ class CrackedMesh:
     """
 
     def __init__(self, dim, vertices, cells, cell_sides, dirichlet_facets,
-                 neumann_facets, crack_pairs, validate=True):
+                 neumann_facets, crack_pairs):
         if dim != 2:
             raise MeshError(f"dim must be 2, got {dim}")
         self.dim = int(dim)
@@ -90,8 +90,7 @@ class CrackedMesh:
         self.neumann_facets = np.ascontiguousarray(
             neumann_facets, dtype=np.int64).reshape(-1, dim)
         self.crack_pairs = tuple(crack_pairs)
-        if validate:
-            self.validate()
+        self.validate()
 
     @property
     def n_vertices(self) -> int:
@@ -290,8 +289,8 @@ def generate_rect_crack(width, height, nx, ny, crack_span=None) -> CrackedMesh:
 
     ``crack_span=None`` produces the glued (uncracked) variant.
     """
-    if width <= 0 or height <= 0:
-        raise MeshError("width and height must be positive")
+    if not (0 < width < np.inf and 0 < height < np.inf):
+        raise MeshError("width and height must be positive and finite")
     if nx < 2 or ny < 2:
         raise MeshError("nx and ny must be at least 2")
     if ny % 2 != 0:

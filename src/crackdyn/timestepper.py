@@ -106,14 +106,16 @@ class TimeParams:
     def __post_init__(self):
         if not self.t_end >= 0:
             raise ValueError("t_end must be nonnegative")
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.dt < np.inf:
+            raise ValueError("dt must be positive and finite")
+        if not self.t_end / self.dt < np.inf:
+            raise ValueError("t_end/dt must be finite")
         if not 0.0 <= self.newmark_b <= 0.5:
             raise ValueError("newmark_b must lie in [0, 1/2]")
         if not 0.5 <= self.newmark_g <= 1.0:
             raise ValueError("newmark_g must lie in [1/2, 1]")
-        if not self.newton_tol > 0:
-            raise ValueError("newton_tol must be positive")
+        if not 0 < self.newton_tol < np.inf:
+            raise ValueError("newton_tol must be positive and finite")
         if self.newton_maxit < 1:
             raise ValueError("newton_maxit must be at least 1")
 

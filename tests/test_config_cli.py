@@ -364,6 +364,54 @@ def test_run_nonfinite_load_at_start_exits_2(tmp_path, monkeypatch, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("old,new,needle", [
+    ("t_end = 0.12", "t_end = inf", "t_end"),
+    ("t_end = 0.12\ndt = 5e-3", "t_end = 1e10\ndt = 1e-300", "t_end/dt"),
+    ("dt = 5e-3", "dt = 5e-3\nnewton_tol = inf", "newton_tol"),
+    ("epsilon = 1e-2", "epsilon = inf", "epsilon"),
+    ("lambda = 1.0", "lambda = inf", "3*lam"),
+    ("gamma = 0.0", "gamma = inf", "gamma"),
+    ("width = 2.0", "width = inf", "width"),
+    ("height = 1.0", "height = inf", "height"),
+], ids=["t_end", "t_end-over-dt", "newton_tol", "epsilon", "lambda", "gamma",
+        "width", "height"])
+def test_run_nonfinite_number_exits_2(tmp_path, monkeypatch, capsys, old,
+                                      new, needle):
+    monkeypatch.chdir(tmp_path)
+    text = run_cfg_text(tmp_path / "out")
+    assert old in text
+    cfg = write_cfg(tmp_path, text.replace(old, new))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and needle in err
+    assert "Traceback" not in err and "Warning" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case", ["missing-mesh-file", "output-below-file",
+                                  "mesh-gen-below-file"])
+def test_unusable_path_exits_2(tmp_path, monkeypatch, capsys, case):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "plain").write_text("a regular file\n")
+    bad = tmp_path / "plain" / "sub"
+    if case == "missing-mesh-file":
+        bad = tmp_path / "missing.mesh"
+        argv = ["run", write_cfg(tmp_path, run_cfg_text(tmp_path / "out")
+                                 .replace("kind = rect", f"kind = file\npath = {bad}"))]
+    elif case == "output-below-file":
+        argv = ["run", write_cfg(tmp_path, run_cfg_text(bad))]
+    else:
+        argv = ["mesh-gen", "rect", "2", "1", "4", "2", "-o", str(bad / "m.txt")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("file error: ") and str(bad) in err
+    assert "Traceback" not in err and "Warning" not in err
+
+
 def test_build_problem_ignores_nonfinite_data_on_dirichlet_dofs():
     # 0*exp(800*(1-x)) is nan only on the clamped edge x = 0, whose dofs
     # the run zeroes anyway

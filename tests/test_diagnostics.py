@@ -6,9 +6,7 @@ from crackdyn import diagnostics, exprlang as ex, fem, interface, timestepper
 from crackdyn.diagnostics import (
     CSV_COLUMNS,
     OneDofParams,
-    energy,
     epsilon_sweep,
-    first_estimate_monitor,
     gamma_sweep,
     one_dof_oracle,
     record,
@@ -156,16 +154,14 @@ def test_record_matches_recovered_tractions(g, monkeypatch):
     assert (ssr > 0.0) == (g is not None)
 
 
-def test_energy_and_monitor():
+def test_record_energies():
     ops = make_ops()
     rng = np.random.default_rng(3)
     u = rng.standard_normal(ops.dofmap.ndof)
     v = rng.standard_normal(u.size)
-    st = State(0.0, u, v, np.zeros_like(u))
-    ke = 0.5 * v @ (ops.mass @ v)
-    se = 0.5 * u @ (ops.stiffness @ u)
-    assert energy(st, ops) == pytest.approx(ke + se)
-    assert first_estimate_monitor(st, ops) == pytest.approx(2 * ke + se)
+    rec = record(State(0.0, u, v, np.zeros_like(u)), ops)
+    assert rec.kinetic == pytest.approx(0.5 * v @ (ops.mass @ v))
+    assert rec.strain == pytest.approx(0.5 * u @ (ops.stiffness @ u))
 
 
 def test_run_with_records_hook():

@@ -126,34 +126,3 @@ def test_syntax_error_offset_points_at_problem():
     with pytest.raises(ex.ExprSyntaxError) as err:
         ex.parse("1 + @")
     assert err.value.offset == 4
-
-
-@pytest.mark.parametrize("src", [
-    "-(x*y) + 2^-3",
-    "x - -y",
-    "(x + y)*t",
-    "2^3^2",
-    "-2^2",
-    "(-2)^2",
-    "x/y/t",
-    "x - (y - t)",
-    "min(x, max(y, t))",
-    "sqrt(abs(x)) * exp(-t)",
-    "1.5e-3 + 2E2",
-])
-def test_print_parse_fixpoint(src):
-    tree = ex.parse(src)
-    printed = ex.to_source(tree)
-    again = ex.parse(printed)
-    assert again == tree
-    assert ex.to_source(again) == printed
-
-
-def test_printer_parenthesizes_only_when_needed():
-    assert ex.to_source(ex.parse("x + y*t")) == "x + y * t"
-    assert ex.to_source(ex.parse("(x + y)*t")) == "(x + y) * t"
-
-
-def test_variables_used():
-    assert ex.variables_used(ex.parse("x*sin(t)")) == {"x", "t"}
-    assert ex.variables_used(ex.parse("1 + 2")) == set()

@@ -257,9 +257,29 @@ def test_norms():
     mesh = generate_rect_crack(1.0, 1.0, 2, 2)
     mat = Material(lam=1.0, mu=1.0, rho=4.0)
     mass = fem.assemble_mass(mesh, mat)
-    stiff = fem.assemble_stiffness(mesh, mat)
     rng = np.random.default_rng(2)
     w = rng.standard_normal(mass.shape[0])
     assert np.isclose(fem.h_norm_sq(mass, mat.rho, w), (w @ (mass @ w)) / 4.0)
-    assert np.isclose(fem.v_norm_sq(stiff, w), w @ (stiff @ w))
     assert fem.h_norm_sq(mass, mat.rho, w) > 0
+
+
+def test_facet_quadrature_has_degree_three():
+    # on a slanted facet the rule matches five-point Gauss-Legendre (exact
+    # to degree 9) on a cubic to rounding, and misses it on a quartic
+    verts = np.array([[0.3, -0.2], [1.7, 0.9]])
+    pts, w = fem.facet_quadrature(verts, np.array([[0, 1]]))
+    assert pts.shape == (1, 2, 2) and w.shape == (1, 2)
+    assert np.allclose(fem.FACET_SHAPES @ verts, pts[0])
+    s, ws = np.polynomial.legendre.leggauss(5)
+    mid, half = 0.5 * (verts[0] + verts[1]), 0.5 * (verts[1] - verts[0])
+    ref_pts = mid + np.outer(s, half)
+
+    def rule_and_reference(p):
+        return (float(w[0] @ p(*pts[0].T)),
+                float(np.linalg.norm(half) * ws @ p(*ref_pts.T)))
+
+    got, ref = rule_and_reference(
+        lambda x, y: x**3 - 2.0 * x * x * y + 0.5 * y**3 + x * y - 1.0)
+    assert got == pytest.approx(ref, rel=1e-14)
+    got, ref = rule_and_reference(lambda x, y: x**4)
+    assert abs(got - ref) > 1e-3 * abs(ref)

@@ -243,13 +243,14 @@ def test_load_reports_line_numbers(tmp_path):
 
 
 def test_load_validates_invariants(tmp_path):
+    # move the crack-face duplicate (the last vertex line) off its partner
     m = generate_rect_crack(2.0, 1.0, 2, 2, crack_span=(0.25, 0.75))
-    verts = m.vertices.copy()
-    verts[-1] += [5e-3, 0.0]
     path = tmp_path / "bad.txt"
-    save_mesh(CrackedMesh(2, verts, m.cells, m.cell_sides, m.dirichlet_facets,
-                          m.neumann_facets, m.crack_pairs, validate=False),
-              path)
+    save_mesh(m, path)
+    lines = path.read_text().splitlines()
+    assert lines[1 + m.n_vertices] == "1.0 0.5"
+    lines[1 + m.n_vertices] = "1.005 0.5"
+    path.write_text("\n".join(lines) + "\n")
     with pytest.raises(MeshError, match="coincident"):
         load_mesh(path)
 
