@@ -271,7 +271,7 @@ def build_mesh(spec: MeshSpec) -> meshing.CrackedMesh:
 
 
 def build_problem(config: Config) -> Problem:
-    """Assemble everything a run needs; validates g >= 0 on samples,
+    """Assemble everything a run needs; validates a finite g >= 0 on samples,
     finite loads at t = 0 and finite initial data."""
     mesh = build_mesh(config.mesh)
     contact = interface.ContactParams(

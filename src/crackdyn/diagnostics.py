@@ -92,19 +92,27 @@ def record(state: fem.State, ops: Operators, newton_iters: int = 0) -> Diagnosti
 
 
 def run_with_records(problem: config_mod.Problem, on_record=None):
-    """Integrate a built problem, producing a DiagnosticsRecord per state."""
+    """Integrate a built problem, producing a DiagnosticsRecord per state.
+
+    Returns (states, records, infos).  Without ``on_record`` states holds
+    every state; with it, ``on_record(state, record, info)`` sees each
+    state as it is accepted and states holds the final state alone.
+    """
     records = []
+    states = []
 
     def hook(state, info):
         rec = record(state, problem.ops,
                      newton_iters=0 if info is None else info.iterations)
         records.append(rec)
-        if on_record is not None:
+        if on_record is None:
+            states.append(state)
+        else:
             on_record(state, rec, info)
 
-    states, infos = timestepper.run(
+    last, infos = timestepper.run(
         problem.ops, problem.params, problem.u0, problem.v0, on_step=hook)
-    return states, records, infos
+    return (states if on_record is None else last), records, infos
 
 
 # ---------------------------------------------------------------------------

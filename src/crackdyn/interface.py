@@ -195,7 +195,8 @@ def contact_argument(u, v, params: ContactParams, quad: CrackQuadrature):
 
 def friction_bound_values(params: ContactParams, quad: CrackQuadrature,
                           t: float) -> np.ndarray:
-    """g at every quadrature point; aborts if any sample is negative."""
+    """g at every quadrature point; aborts if any sample is negative or
+    not finite."""
     if params.g is None:
         return np.zeros((quad.n_pairs, 2))
     xq = quad.points[..., 0]
@@ -203,10 +204,16 @@ def friction_bound_values(params: ContactParams, quad: CrackQuadrature,
     vals = np.broadcast_to(
         np.asarray(exprlang.evaluate(params.g, t, (xq, yq)), dtype=float),
         xq.shape).copy()
-    if np.any(vals < 0.0):
-        bad = np.unravel_index(int(np.argmin(vals)), vals.shape)
+    if not (np.isfinite(vals) & (vals >= 0.0)).all():
+        finite = np.isfinite(vals)
+        if finite.all():
+            bad = np.unravel_index(int(np.argmin(vals)), vals.shape)
+            what = "negative"
+        else:
+            bad = np.unravel_index(int(np.argmin(finite)), vals.shape)
+            what = "not finite"
         raise FrictionBoundError(
-            f"friction bound g is negative ({vals[bad]:.6g}) at "
+            f"friction bound g is {what} ({vals[bad]:.6g}) at "
             f"t={t:.6g}, point {quad.points[bad]}")
     return vals
 

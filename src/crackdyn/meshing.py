@@ -5,6 +5,10 @@ the crack reference distinct vertex indices at geometrically coincident
 positions.  Each crack facet pair stores the plus-side facet, the
 minus-side facet (vertex lists aligned position by position) and the
 unit normal pointing from the minus side into the plus side.
+
+Generation and validation work on whole arrays of cells and facets; only
+the crack pairs are visited one at a time, so their cost grows with the
+number of cells through numpy alone.
 """
 
 from __future__ import annotations
@@ -103,7 +107,15 @@ class CrackedMesh:
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> None:
-        """Check all structural invariants, raising MeshError on failure."""
+        """Check all structural invariants, raising MeshError on failure.
+
+        Beyond shapes and index ranges: each crack pair is coincident and
+        carries the outward normal of its minus facet, the crack
+        separates its interior vertices (``_check_crack_separation``), and
+        gluing the crack shut leaves a conforming mesh on which tagged
+        facets are boundary facets and crack pairs interior ones
+        (``_check_merged_conforming``).
+        """
         nv = self.n_vertices
         if self.vertices.ndim != 2 or self.vertices.shape[1] != self.dim:
             raise MeshError("vertices must have shape (nv, dim)")
@@ -196,29 +208,23 @@ class CrackedMesh:
         # A vertex strictly inside the crack (incident to >= 2 crack facets
         # on its side) must belong to cells of that side only; otherwise the
         # faces were not actually separated.
-        plus_count: dict[int, int] = {}
-        minus_count: dict[int, int] = {}
-        for pair in self.crack_pairs:
-            for v in pair.plus:
-                plus_count[v] = plus_count.get(v, 0) + 1
-            for v in pair.minus:
-                minus_count[v] = minus_count.get(v, 0) + 1
-        interior_plus = {v for v, c in plus_count.items() if c >= 2}
-        interior_minus = {v for v, c in minus_count.items() if c >= 2}
-        if interior_plus & interior_minus:
+        faces = np.array([(p.plus, p.minus) for p in self.crack_pairs],
+                         dtype=np.int64).reshape(-1, 2, self.dim)
+        interior = []
+        for f in (faces[:, 0], faces[:, 1]):
+            verts, count = np.unique(f, return_counts=True)
+            interior.append(verts[count >= 2])
+        interior_plus, interior_minus = interior
+        if np.intersect1d(interior_plus, interior_minus).size:
             raise MeshError("crack interior vertex is shared between the sides")
-        plus_cells_verts: set[int] = set()
-        minus_cells_verts: set[int] = set()
-        for c in range(self.n_cells):
-            verts = set(self.cells[c].tolist())
-            if self.cell_sides[c] == SIDE_PLUS:
-                plus_cells_verts |= verts
-            else:
-                minus_cells_verts |= verts
-        bad = (interior_plus & minus_cells_verts) | (interior_minus & plus_cells_verts)
-        if bad:
+        plus = self.cell_sides == SIDE_PLUS
+        plus_cells_verts = np.unique(self.cells[plus])
+        minus_cells_verts = np.unique(self.cells[~plus])
+        bad = np.union1d(np.intersect1d(interior_plus, minus_cells_verts),
+                         np.intersect1d(interior_minus, plus_cells_verts))
+        if bad.size:
             raise MeshError(
-                f"vertices {sorted(bad)} lie strictly inside the crack but are "
+                f"vertices {bad.tolist()} lie strictly inside the crack but are "
                 f"shared between plus and minus cells")
 
     def merged_vertex_map(self) -> np.ndarray:
@@ -240,36 +246,57 @@ class CrackedMesh:
         return ident
 
     def _check_merged_conforming(self) -> None:
+        # Every facet of the glued mesh is keyed lo*nv + hi, lo < hi, in
+        # (cell, dropped vertex) order; where several items are bad, the
+        # lowest cell, the facet met first and the lowest pair are named.
+        nv = self.n_vertices
         ident = self.merged_vertex_map()
-        counts: dict[frozenset, int] = {}
-        for c in range(self.n_cells):
-            cell = ident[self.cells[c]]
-            if len(set(cell.tolist())) != self.dim + 1:
-                raise MeshError(f"cell {c} degenerates when the crack is glued")
-            for drop in range(self.dim + 1):
-                facet = frozenset(np.delete(cell, drop).tolist())
-                counts[facet] = counts.get(facet, 0) + 1
-        for facet, cnt in counts.items():
-            if cnt > 2:
-                raise MeshError(
-                    f"glued mesh is not conforming: facet {sorted(facet)} is "
-                    f"shared by {cnt} cells")
+        glued = ident[self.cells]
+        rows = np.sort(glued, axis=1)
+        degenerate = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
+        if degenerate.any():
+            c = int(np.argmax(degenerate))
+            raise MeshError(f"cell {c} degenerates when the crack is glued")
+        facets = glued[:, [[1, 2], [0, 2], [0, 1]]]      # drop vertex 0, 1, 2
+        keys = facets.min(axis=2) * nv + facets.max(axis=2)
+        uniq, first, counts = np.unique(keys.ravel(), return_index=True,
+                                        return_counts=True)
+        over = counts > 2
+        if over.any():
+            i = np.flatnonzero(over)[np.argmin(first[over])]
+            lo, hi = divmod(int(uniq[i]), nv)
+            raise MeshError(
+                f"glued mesh is not conforming: facet {[lo, hi]} is "
+                f"shared by {int(counts[i])} cells")
+        # nv*nv exceeds every key, so a lookup past the end finds count 0
+        uniq = np.append(uniq, nv * nv)
+        counts = np.append(counts, 0)
+
+        def glued_counts(facets):
+            """How many glued cells hold each (n, 2) facet once glued."""
+            g = ident[facets]
+            key = g.min(axis=1) * nv + g.max(axis=1)
+            i = np.searchsorted(uniq, key)
+            return np.where(uniq[i] == key, counts[i], 0)
+
         for name, facets in (("dirichlet", self.dirichlet_facets),
                              ("neumann", self.neumann_facets)):
-            for f in facets:
-                key = frozenset(ident[f].tolist())
-                if counts.get(key, 0) != 1:
-                    raise MeshError(
-                        f"{name} facet {f.tolist()} is not a boundary facet")
-        dir_set = {frozenset(f.tolist()) for f in self.dirichlet_facets}
-        neu_set = {frozenset(f.tolist()) for f in self.neumann_facets}
-        if dir_set & neu_set:
-            raise MeshError("a facet is tagged both Dirichlet and Neumann")
-        for k, pair in enumerate(self.crack_pairs):
-            key = frozenset(ident[list(pair.plus)].tolist())
-            if counts.get(key, 0) != 2:
+            bad = glued_counts(facets) != 1
+            if bad.any():
+                f = facets[np.argmax(bad)]
                 raise MeshError(
-                    f"crack pair {k} is not an interior facet of the glued mesh")
+                    f"{name} facet {f.tolist()} is not a boundary facet")
+        raw_keys = [np.unique(f.min(axis=1) * nv + f.max(axis=1))
+                    for f in (self.dirichlet_facets, self.neumann_facets)]
+        if np.intersect1d(*raw_keys).size:
+            raise MeshError("a facet is tagged both Dirichlet and Neumann")
+        plus = np.array([p.plus for p in self.crack_pairs],
+                        dtype=np.int64).reshape(-1, self.dim)
+        bad = glued_counts(plus) != 2
+        if bad.any():
+            raise MeshError(
+                f"crack pair {int(np.argmax(bad))} is not an interior facet "
+                f"of the glued mesh")
 
 
 # ---------------------------------------------------------------------------
@@ -304,71 +331,49 @@ def generate_rect_crack(width, height, nx, ny, crack_span=None) -> CrackedMesh:
 
     xs = np.linspace(0.0, width, nx + 1)
     ys = np.linspace(0.0, height, ny + 1)
-    vid = lambda i, j: j * (nx + 1) + i
-    verts = [(x, y) for y in ys for x in xs]
+    grid = np.arange((ny + 1) * (nx + 1), dtype=np.int64).reshape(ny + 1, nx + 1)
+    verts = np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)
 
+    # quad (i, j) splits into (v00, v10, v11) and (v00, v11, v01), row by row
+    v00, v10 = grid[:-1, :-1], grid[:-1, 1:]
+    v01, v11 = grid[1:, :-1], grid[1:, 1:]
+    cells = np.stack([np.stack([v00, v10, v11], axis=-1),
+                      np.stack([v00, v11, v01], axis=-1)], axis=2).reshape(-1, 3)
     jmid = ny // 2
-    cells = []
-    sides = []
-    for j in range(ny):
-        side = SIDE_MINUS if j < jmid else SIDE_PLUS
-        for i in range(nx):
-            v00 = vid(i, j)
-            v10 = vid(i + 1, j)
-            v01 = vid(i, j + 1)
-            v11 = vid(i + 1, j + 1)
-            cells.append((v00, v10, v11))
-            cells.append((v00, v11, v01))
-            sides.append(side)
-            sides.append(side)
+    sides = np.repeat(np.where(np.arange(ny) < jmid, SIDE_MINUS, SIDE_PLUS),
+                      2 * nx).astype(np.int8)
 
     # duplicate midline vertices strictly inside the span; minus cells are
     # rewired to the duplicates
-    dup: dict[int, int] = {}
+    midline = grid[jmid]
+    remap = np.arange(verts.shape[0], dtype=np.int64)
     if crack_span is not None:
         lo, hi = crack_span
-        for i in range(nx + 1):
-            rel = i / nx
-            if lo + 1e-12 < rel < hi - 1e-12:
-                orig = vid(i, jmid)
-                dup[orig] = len(verts)
-                verts.append(tuple(verts[orig]))
-    cells_arr = np.array(cells, dtype=np.int64)
-    sides_arr = np.array(sides, dtype=np.int8)
-    if dup:
-        remap = np.arange(len(verts), dtype=np.int64)
-        for orig, copy in dup.items():
-            remap[orig] = copy
-        minus_rows = sides_arr == SIDE_MINUS
-        cells_arr[minus_rows] = remap[cells_arr[minus_rows]]
+        rel = np.arange(nx + 1) / nx
+        orig = midline[(lo + 1e-12 < rel) & (rel < hi - 1e-12)]
+        remap[orig] = verts.shape[0] + np.arange(orig.size)
+        verts = np.vstack([verts, verts[orig]])
+        minus_rows = sides == SIDE_MINUS
+        cells[minus_rows] = remap[cells[minus_rows]]
 
-    pairs = []
     normal = np.array([0.0, 1.0])
-    for i in range(nx):
-        a, b = vid(i, jmid), vid(i + 1, jmid)
-        if a in dup or b in dup:
-            pairs.append(CrackPair(
-                plus=(a, b),
-                minus=(dup.get(a, a), dup.get(b, b)),
-                normal=normal,
-            ))
+    mid, mid_minus = midline.tolist(), remap[midline].tolist()
+    pairs = [CrackPair(plus=(a, b), minus=(ma, mb), normal=normal)
+             for a, b, ma, mb in zip(mid, mid[1:], mid_minus, mid_minus[1:])
+             if (ma, mb) != (a, b)]
 
-    dirichlet = []
-    neumann = []
-    for j in range(ny):
-        dirichlet.append((vid(0, j), vid(0, j + 1)))
-        dirichlet.append((vid(nx, j), vid(nx, j + 1)))
-    for i in range(nx):
-        neumann.append((vid(i, 0), vid(i + 1, 0)))
-        neumann.append((vid(i, ny), vid(i + 1, ny)))
+    dirichlet = np.stack([grid[:-1, [0, nx]], grid[1:, [0, nx]]],
+                         axis=-1).reshape(-1, 2)
+    neumann = np.stack([grid[[0, ny], :-1].T, grid[[0, ny], 1:].T],
+                       axis=-1).reshape(-1, 2)
 
     return CrackedMesh(
         dim=2,
-        vertices=np.array(verts, dtype=float),
-        cells=cells_arr,
-        cell_sides=sides_arr,
-        dirichlet_facets=np.array(dirichlet, dtype=np.int64),
-        neumann_facets=np.array(neumann, dtype=np.int64),
+        vertices=verts,
+        cells=cells,
+        cell_sides=sides,
+        dirichlet_facets=dirichlet,
+        neumann_facets=neumann,
         crack_pairs=pairs,
     )
 

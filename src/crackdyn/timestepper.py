@@ -431,10 +431,13 @@ def step(state: State, t_next: float, ops, params: TimeParams):
 def run(ops, params: TimeParams, u0, v0, on_step=None):
     """Integrate from 0 to t_end on the uniform grid.
 
-    Returns (states, infos): states include the initial one; infos[k]
-    belongs to the transition into states[k+1].  ``on_step(state, info)``
-    is invoked for every accepted state (info is None at t = 0), which
-    streaming consumers use to flush output before a possible failure.
+    Returns (states, infos), infos[k] belonging to step k + 1.  Without
+    ``on_step``, states holds every state, the initial one first, so
+    infos[k] belongs to the transition into states[k+1].  With it,
+    ``on_step(state, info)`` is invoked for every accepted state (info
+    is None at t = 0), which streaming consumers use to flush output
+    before a possible failure, and states holds the final state alone,
+    so memory does not grow with the number of steps.
     """
     state = ops.initial_state(u0, v0)
     states = [state]
@@ -445,8 +448,10 @@ def run(ops, params: TimeParams, u0, v0, on_step=None):
     for k in range(1, n_steps + 1):
         t_next = min(k * params.dt, params.t_end)
         state, info = step(state, t_next, ops, params)
-        states.append(state)
         infos.append(info)
-        if on_step is not None:
+        if on_step is None:
+            states.append(state)
+        else:
+            states[0] = state
             on_step(state, info)
     return states, infos

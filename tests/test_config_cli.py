@@ -293,6 +293,51 @@ def test_run_friction_bound_violation_midrun_exits_2(tmp_path, monkeypatch,
     assert len(lines) > 2
 
 
+@pytest.mark.parametrize("g,value,t", [
+    ("exp(800)", "inf", "0"),
+    ("0*exp(800)", "nan", "0"),
+    ("exp(800*t)", "inf", "0.9"),
+], ids=["inf", "nan", "inf-after-start"])
+def test_run_nonfinite_friction_bound_exits_2(tmp_path, monkeypatch, capsys,
+                                              g, value, t):
+    # exp(800*t) first overflows at t = 0.887, between the set-up samples
+    # at t = 0.8 and 0.9
+    monkeypatch.chdir(tmp_path)
+    text = (run_cfg_text(tmp_path / "out")
+            .replace("nx = 8", "nx = 4").replace("ny = 4", "ny = 2")
+            .replace("t_end = 0.12", "t_end = 1.0")
+            .replace("dt = 5e-3", "dt = 0.1")
+            .replace("g = 0.05", f"g = {g}"))
+    cfg = write_cfg(tmp_path, text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        f"config error: friction bound g is not finite ({value}) at t={t}, "
+        f"point [")
+    assert "Traceback" not in err and "Warning" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_friction_bound_overflow_midrun_exits_2(tmp_path, monkeypatch,
+                                                    capsys):
+    # g overflows only between the set-up samples at t = 0.036 and 0.048
+    monkeypatch.chdir(tmp_path)
+    text = run_cfg_text(tmp_path / "out").replace(
+        "g = 0.05", "g = 0.05 + exp(1e9*max(0, t - 0.038)*max(0, 0.046 - t))")
+    cfg = write_cfg(tmp_path, text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "config error: friction bound g is not finite (inf) at t=0.04, point [")
+    assert "Traceback" not in err and "Warning" not in err
+    lines = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()
+    assert len(lines) > 2
+
+
 TETRAHEDRON_MESH = """\
 crackmesh 1 3
 vertices 4

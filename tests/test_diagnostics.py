@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -169,13 +171,33 @@ def test_run_with_records_hook():
     seen = []
     states, records, infos = run_with_records(
         problem, on_record=lambda s, r, i: seen.append((s.t, r.t, i)))
-    assert len(states) == len(records) == len(infos) + 1
-    assert [r.t for r in records] == [s.t for s in states]
+    assert len(seen) == len(records) == len(infos) + 1
+    assert [r.t for r in records] == [t for t, _, _ in seen]
+    assert all(st == rt for st, rt, _ in seen)
+    assert [s.t for s in states] == [records[-1].t]
     assert seen[0][2] is None
     assert records[0].newton_iters == 0
     # the pulse closes the crack during this run
     assert max(r.penetration_L3 for r in records) > 0.0
     assert all(r.friction_gap == 0.0 for r in records)
+
+
+@pytest.mark.parametrize("driver", ["run", "run_with_records"])
+def test_streaming_run_keeps_no_old_state(driver):
+    # with a callback, every state but the last is freed once the run
+    # returns, even while its return value is held
+    problem = config_mod.build_problem(small_config())
+    refs = []
+    if driver == "run":
+        kept = run(problem.ops, problem.params, problem.u0, problem.v0,
+                   on_step=lambda s, info: refs.append(weakref.ref(s)))
+    else:
+        kept = run_with_records(
+            problem, on_record=lambda s, r, i: refs.append(weakref.ref(s)))
+    assert len(refs) > 3
+    assert [r() is None for r in refs] == [True] * (len(refs) - 1) + [False]
+    states = kept[0]
+    assert len(states) == 1 and states[0] is refs[-1]()
 
 
 def test_vi_residual_zero_at_argument():

@@ -1,3 +1,6 @@
+import hashlib
+import sys
+
 import numpy as np
 import pytest
 
@@ -263,3 +266,155 @@ def test_merged_vertex_map_glues_pairs():
     untouched = np.setdiff1d(np.arange(m.n_vertices),
                              [v for pair in m.crack_pairs for v in pair.minus])
     assert np.array_equal(ident[untouched], untouched)
+
+
+# -- every message of the separation and glued-mesh checks, in full; where
+# two items are bad the message names the lowest cell, the facet met first,
+# the first Dirichlet facet before the first Neumann one and the lowest pair
+
+def _rebuilt(m, **changes):
+    """``m`` with some constructor arguments replaced."""
+    args = dict(vertices=m.vertices, cells=m.cells, cell_sides=m.cell_sides,
+                dirichlet_facets=m.dirichlet_facets,
+                neumann_facets=m.neumann_facets, crack_pairs=m.crack_pairs)
+    args.update(changes)
+    return CrackedMesh(2, **args)
+
+
+def _message(m, **changes):
+    with pytest.raises(MeshError) as exc:
+        _rebuilt(m, **changes)
+    return str(exc.value)
+
+
+UP = np.array([0.0, 1.0])
+DOWN = np.array([0.0, -1.0])
+
+
+def test_separation_rejects_vertex_interior_on_both_sides():
+    # uncracked 2 x 2: midline 3-4-5 listed as a crack with plus == minus
+    m = generate_rect_crack(2.0, 1.0, 2, 2)
+    pairs = [CrackPair((3, 4), (3, 4), UP), CrackPair((4, 5), (4, 5), UP)]
+    assert _message(m, crack_pairs=pairs) == \
+        "crack interior vertex is shared between the sides"
+
+
+def test_separation_names_every_shared_interior_vertex():
+    # duplicates 15, 16, 17 of midline vertices 6, 7, 8; the minus cells
+    # that touch the midline at one vertex only are wired back to 7 and 6
+    m = generate_rect_crack(2.0, 1.0, 4, 2, crack_span=(0.2, 0.8))
+    cells = m.cells.copy()
+    assert cells[0].tolist() == [0, 1, 15] and cells[2].tolist() == [1, 2, 16]
+    cells[2, 2] = 7
+    cells[0, 2] = 6
+    assert _message(m, cells=cells) == (
+        "vertices [6, 7] lie strictly inside the crack but are shared "
+        "between plus and minus cells")
+
+
+def test_glued_check_names_lowest_degenerate_cell():
+    # pair 0 alone glues 9 onto 4; cells 3 and 6 then hold both
+    m = generate_rect_crack(2.0, 1.0, 2, 2, crack_span=(0.25, 0.75))
+    cells = m.cells.copy()
+    assert cells[3].tolist() == [1, 5, 9] and cells[6].tolist() == [4, 5, 8]
+    cells[6] = [4, 9, 8]
+    cells[3] = [4, 5, 9]
+    assert _message(m, cells=cells, crack_pairs=m.crack_pairs[:1]) == \
+        "cell 3 degenerates when the crack is glued"
+
+
+def test_glued_check_names_first_overfull_facet():
+    # three extra cells put {0, 1}, {0, 4} and {1, 5} in three cells each;
+    # cell 0 = (0, 1, 4), dropping its vertices in turn, meets {1, 4},
+    # then {0, 4}, then {0, 1}
+    m = generate_rect_crack(2.0, 1.0, 2, 2)
+    assert m.cells[0].tolist() == [0, 1, 4]
+    cells = np.vstack([m.cells, [[0, 1, 5], [0, 1, 3], [0, 4, 2]]])
+    sides = np.append(m.cell_sides, [SIDE_MINUS] * 3)
+    assert _message(m, cells=cells, cell_sides=sides) == \
+        "glued mesh is not conforming: facet [0, 4] is shared by 3 cells"
+
+
+def test_glue_rejects_minus_vertex_with_two_plus_partners():
+    # vertex 10 sits on 4 and 9; pair 0 glues 9 onto 4, pair 1 onto 10
+    m = generate_rect_crack(2.0, 1.0, 2, 2, crack_span=(0.25, 0.75))
+    verts = np.vstack([m.vertices, [[1.0, 0.5]]])
+    pairs = [CrackPair((3, 4), (3, 9), UP), CrackPair((10, 5), (9, 5), UP)]
+    assert _message(m, vertices=verts, crack_pairs=pairs) == \
+        "crack pair 1: vertex 9 pairs with several plus vertices"
+
+
+def test_tagged_facet_must_be_a_boundary_facet():
+    m = generate_rect_crack(2.0, 1.0, 2, 2)
+    # {0, 4} is interior and {1, 3} no facet at all; raw order is printed
+    assert _message(m, dirichlet_facets=np.vstack([m.dirichlet_facets, [[4, 0]]]),
+                    neumann_facets=np.vstack([[[1, 3]], m.neumann_facets])) == \
+        "dirichlet facet [4, 0] is not a boundary facet"
+    assert _message(m, neumann_facets=np.vstack(
+        [m.neumann_facets, [[4, 1], [4, 0]]])) == \
+        "neumann facet [4, 1] is not a boundary facet"
+    # a crack face glues onto an interior facet
+    c = generate_rect_crack(2.0, 1.0, 2, 2, crack_span=(0.25, 0.75))
+    assert _message(c, dirichlet_facets=np.vstack(
+        [c.dirichlet_facets, [[3, 9]]])) == \
+        "dirichlet facet [3, 9] is not a boundary facet"
+
+
+def test_crack_pair_must_be_interior_once_glued():
+    # uncracked 3 x 2: pair 0 is the interior facet (4, 5); pairs 1 and 2
+    # are the bottom boundary facets (2, 3) and (0, 1)
+    m = generate_rect_crack(3.0, 1.0, 3, 2)
+    pairs = [CrackPair((4, 5), (4, 5), UP), CrackPair((2, 3), (2, 3), DOWN),
+             CrackPair((0, 1), (0, 1), DOWN)]
+    assert _message(m, crack_pairs=pairs) == \
+        "crack pair 1 is not an interior facet of the glued mesh"
+
+
+def test_facet_tagged_twice_in_either_orientation():
+    m = generate_rect_crack(2.0, 1.0, 2, 2)
+    a, b = m.dirichlet_facets[1].tolist()
+    assert _message(m, neumann_facets=np.vstack([m.neumann_facets, [[b, a]]])) \
+        == "a facet is tagged both Dirichlet and Neumann"
+
+
+# sha256 of the save_mesh text of generate_rect_crack(2.0, 1.0, nx, ny, span),
+# recorded from the per-cell Python generator this one replaced
+GOLDEN_MESHES = [
+    ((6, 4, (0.25, 0.75)),
+     "804e4bb7ee75f3332cc68f63cf48e7e4b65adebe57a3d2df4e642056e1918551"),
+    ((8, 4, None),
+     "9fd9c100e958750bd91f0c09e20560f6a55f3603feafb3fc98e5ebeae058c484"),
+    ((128, 64, (0.25, 0.75)),
+     "770d143ad4afce72b4efa5db2798ca4c3c31c863353e0e623e1b876de144b15d"),
+]
+
+
+@pytest.mark.parametrize("args,digest", GOLDEN_MESHES,
+                         ids=[str(a) for a, _ in GOLDEN_MESHES])
+def test_generator_output_is_unchanged(tmp_path, args, digest):
+    path = tmp_path / "mesh.txt"
+    save_mesh(generate_rect_crack(2.0, 1.0, *args), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def _calls_to_generate(nx):
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event in ("call", "c_call"):
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        generate_rect_crack(2.0, 1.0, nx, nx // 2, (0.25, 0.75))
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_generate_and_validate_scale_with_the_pairs_not_the_cells():
+    # doubling nx quadruples the cells but only doubles the crack pairs,
+    # the one thing still handled one at a time in Python
+    ratio = _calls_to_generate(128) / _calls_to_generate(64)
+    assert ratio < 2.5
