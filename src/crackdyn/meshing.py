@@ -331,14 +331,15 @@ def generate_rect_crack(width, height, nx, ny, crack_span=None) -> CrackedMesh:
 
     xs = np.linspace(0.0, width, nx + 1)
     ys = np.linspace(0.0, height, ny + 1)
-    grid = np.arange((ny + 1) * (nx + 1), dtype=np.int64).reshape(ny + 1, nx + 1)
+    grid = np.arange((ny + 1) * (nx + 1), dtype=np.int64).reshape(ny + 1, -1)
     verts = np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)
 
     # quad (i, j) splits into (v00, v10, v11) and (v00, v11, v01), row by row
     v00, v10 = grid[:-1, :-1], grid[:-1, 1:]
     v01, v11 = grid[1:, :-1], grid[1:, 1:]
     cells = np.stack([np.stack([v00, v10, v11], axis=-1),
-                      np.stack([v00, v11, v01], axis=-1)], axis=2).reshape(-1, 3)
+                      np.stack([v00, v11, v01], axis=-1)],
+                     axis=2).reshape(-1, 3)
     jmid = ny // 2
     sides = np.repeat(np.where(np.arange(ny) < jmid, SIDE_MINUS, SIDE_PLUS),
                       2 * nx).astype(np.int8)

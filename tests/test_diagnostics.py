@@ -182,13 +182,13 @@ def test_run_with_records_hook():
     assert all(r.friction_gap == 0.0 for r in records)
 
 
-@pytest.mark.parametrize("driver", ["run", "run_with_records"])
-def test_streaming_run_keeps_no_old_state(driver):
+@pytest.mark.parametrize("entry", ["run", "run_with_records"])
+def test_streaming_run_keeps_no_old_state(entry):
     # with a callback, every state but the last is freed once the run
     # returns, even while its return value is held
     problem = config_mod.build_problem(small_config())
     refs = []
-    if driver == "run":
+    if entry == "run":
         kept = run(problem.ops, problem.params, problem.u0, problem.v0,
                    on_step=lambda s, info: refs.append(weakref.ref(s)))
     else:

@@ -272,18 +272,14 @@ def test_merged_vertex_map_glues_pairs():
 # two items are bad the message names the lowest cell, the facet met first,
 # the first Dirichlet facet before the first Neumann one and the lowest pair
 
-def _rebuilt(m, **changes):
-    """``m`` with some constructor arguments replaced."""
+def _message(m, **changes):
+    """The MeshError text of ``m`` with some constructor arguments replaced."""
     args = dict(vertices=m.vertices, cells=m.cells, cell_sides=m.cell_sides,
                 dirichlet_facets=m.dirichlet_facets,
                 neumann_facets=m.neumann_facets, crack_pairs=m.crack_pairs)
     args.update(changes)
-    return CrackedMesh(2, **args)
-
-
-def _message(m, **changes):
     with pytest.raises(MeshError) as exc:
-        _rebuilt(m, **changes)
+        CrackedMesh(2, **args)
     return str(exc.value)
 
 
@@ -347,9 +343,10 @@ def test_glue_rejects_minus_vertex_with_two_plus_partners():
 def test_tagged_facet_must_be_a_boundary_facet():
     m = generate_rect_crack(2.0, 1.0, 2, 2)
     # {0, 4} is interior and {1, 3} no facet at all; raw order is printed
-    assert _message(m, dirichlet_facets=np.vstack([m.dirichlet_facets, [[4, 0]]]),
-                    neumann_facets=np.vstack([[[1, 3]], m.neumann_facets])) == \
-        "dirichlet facet [4, 0] is not a boundary facet"
+    dirichlet = np.vstack([m.dirichlet_facets, [[4, 0]]])
+    neumann = np.vstack([[[1, 3]], m.neumann_facets])
+    assert _message(m, dirichlet_facets=dirichlet, neumann_facets=neumann) \
+        == "dirichlet facet [4, 0] is not a boundary facet"
     assert _message(m, neumann_facets=np.vstack(
         [m.neumann_facets, [[4, 1], [4, 0]]])) == \
         "neumann facet [4, 1] is not a boundary facet"
@@ -373,8 +370,9 @@ def test_crack_pair_must_be_interior_once_glued():
 def test_facet_tagged_twice_in_either_orientation():
     m = generate_rect_crack(2.0, 1.0, 2, 2)
     a, b = m.dirichlet_facets[1].tolist()
-    assert _message(m, neumann_facets=np.vstack([m.neumann_facets, [[b, a]]])) \
-        == "a facet is tagged both Dirichlet and Neumann"
+    neumann = np.vstack([m.neumann_facets, [[b, a]]])
+    assert _message(m, neumann_facets=neumann) == \
+        "a facet is tagged both Dirichlet and Neumann"
 
 
 # sha256 of the save_mesh text of generate_rect_crack(2.0, 1.0, nx, ny, span),
@@ -405,11 +403,12 @@ def _calls_to_generate(nx):
         if event in ("call", "c_call"):
             calls += 1
 
+    previous = sys.getprofile()
     sys.setprofile(count)
     try:
         generate_rect_crack(2.0, 1.0, nx, nx // 2, (0.25, 0.75))
     finally:
-        sys.setprofile(None)
+        sys.setprofile(previous)
     return calls
 
 
