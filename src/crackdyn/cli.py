@@ -187,12 +187,12 @@ def _check_trajectory(cfg, problem) -> list[tuple[str, bool, str]]:
 
     sig_max = -np.inf
     gap_max = 0.0
-    if problem.ops.quad.n_pairs:
+    contact, quad = problem.ops.contact, problem.ops.quad
+    if quad.n_pairs:
         for s in states:
             sn, _ = interface.recover_tractions(
-                s.u, s.v, s.t, problem.ops.contact, problem.ops.quad)
-            if sn.size:
-                sig_max = max(sig_max, float(sn.max()))
+                interface.crack_state(s.u, s.v, s.t, contact, quad), contact)
+            sig_max = max(sig_max, float(sn.max()))
         gap_max = max(r.friction_gap for r in records)
     else:
         sig_max = 0.0

@@ -258,13 +258,10 @@ def parse_config(path) -> Config:
 
 
 def build_mesh(spec: MeshSpec) -> meshing.CrackedMesh:
-    if spec.kind == "rect":
-        try:
+    try:
+        if spec.kind == "rect":
             return meshing.generate_rect_crack(
                 spec.width, spec.height, spec.nx, spec.ny, spec.crack)
-        except meshing.MeshError as exc:
-            raise ConfigError(f"mesh: {exc}") from exc
-    try:
         return meshing.load_mesh(spec.path)
     except meshing.MeshError as exc:
         raise ConfigError(f"mesh: {exc}") from exc

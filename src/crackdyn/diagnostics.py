@@ -65,26 +65,19 @@ class DiagnosticsRecord:
 
 def record(state: fem.State, ops: Operators, newton_iters: int = 0) -> DiagnosticsRecord:
     quad = ops.quad
-    eps = ops.contact.epsilon
     kinetic = 0.5 * float(state.v @ (ops.mass @ state.v))
     strain = 0.5 * float(state.u @ (ops.stiffness @ state.u))
-    pen = comp = gap = ssr = 0.0
-    if quad.n_pairs:
-        s = interface.contact_argument(state.u, state.v, ops.contact, quad)
-        m = interface.neg_part(s)
-        pen = float(np.sum(quad.weights * m ** 3)) ** (1.0 / 3.0)
-        comp = float(np.sum(quad.weights * np.abs(
-            interface.beta_eps(s, eps) * s)))
-        _, jt = interface.split_jump(interface.jump_eval(state.v, quad), quad)
-        # sigma_t as interface.recover_tractions forms it, from the jumps
-        # and the g evaluated here once (zero without friction)
-        g = interface.friction_bound_values(ops.contact, quad, state.t)
-        sigma_t = g[..., None] * interface.alpha_eps(jt, eps)
-        st_norm = np.linalg.norm(sigma_t, axis=-1)
-        gap = float(np.maximum(st_norm - g, 0.0).max())
-        slip = np.linalg.norm(jt, axis=-1)
-        ssr = float(np.sum(quad.weights * np.abs(
-            g * slip - np.einsum("pqd,pqd->pq", sigma_t, jt))))
+    crack = interface.crack_state(state.u, state.v, state.t, ops.contact, quad)
+    s, jt, g = crack
+    sigma_n, sigma_t = interface.recover_tractions(crack, ops.contact)
+    m = interface.neg_part(s)
+    pen = float(np.sum(quad.weights * m ** 3)) ** (1.0 / 3.0)
+    comp = float(np.sum(quad.weights * np.abs(sigma_n * s)))
+    st_norm = np.linalg.norm(sigma_t, axis=-1)
+    gap = float(np.maximum(st_norm - g, 0.0).max(initial=0.0))
+    slip = np.linalg.norm(jt, axis=-1)
+    ssr = float(np.sum(quad.weights * np.abs(
+        g * slip - np.einsum("pqd,pqd->pq", sigma_t, jt))))
     return DiagnosticsRecord(
         t=state.t, kinetic=kinetic, strain=strain, penetration_L3=pen,
         comp_residual=comp, friction_gap=gap, stick_slip_residual=ssr,
@@ -137,19 +130,16 @@ def vi_residual(u, v, a, t, trial, ops: Operators) -> float:
     val = float(a @ (ops.mass @ dz)) + float(u @ (ops.stiffness @ dz))
     val -= float(ops.load(t) @ dz)
     quad = ops.quad
-    if quad.n_pairs:
-        jn_trial = interface._normal_jump(trial, quad)
-        jn_z = interface._normal_jump(z, quad)
-        val += float(np.sum(quad.weights * (
-            interface.psi_eps(jn_trial, eps) - interface.psi_eps(jn_z, eps))))
-        if ops.contact.g is not None:
-            g = interface.friction_bound_values(ops.contact, quad, t)
-            _, jt_u = interface.split_jump(interface.jump_eval(u, quad), quad)
-            _, jt_v = interface.split_jump(interface.jump_eval(v, quad), quad)
-            _, jt_trial = interface.split_jump(interface.jump_eval(trial, quad), quad)
-            val += float(np.sum(quad.weights * g * (
-                interface.phi_eps(jt_trial - gamma * jt_u, eps)
-                - interface.phi_eps(jt_v, eps))))
+    _, jt_v, g = interface.crack_state(u, v, t, ops.contact, quad)
+    jn_trial, jt_trial = interface.split_jump(
+        interface.jump_eval(trial, quad), quad)
+    jn_z, _ = interface.split_jump(interface.jump_eval(z, quad), quad)
+    val += float(np.sum(quad.weights * (
+        interface.psi_eps(jn_trial, eps) - interface.psi_eps(jn_z, eps))))
+    _, jt_u = interface.split_jump(interface.jump_eval(u, quad), quad)
+    val += float(np.sum(quad.weights * g * (     # g = 0 without friction
+        interface.phi_eps(jt_trial - gamma * jt_u, eps)
+        - interface.phi_eps(jt_v, eps))))
     return val
 
 
@@ -308,8 +298,9 @@ class OneDofParams:
     """Scalar analog: rho*u'' + k*u + beta_eps(gamma*u + u') +
     g*alpha_eps(u') = forcing(t).
 
-    It is also a system for timestepper.run (a length-1 residual and a
-    1x1 Newton matrix), so the production stepper integrates it:
+    It is also a system for timestepper.run (a length-1 residual, whose
+    point is (u_w, v_w), and a 1x1 Newton matrix), so the production
+    stepper integrates it:
     ``timestepper.run(p, TimeParams(t_end, dt), p.u0, p.v0)``.
     """
 
@@ -337,12 +328,14 @@ class OneDofParams:
     def load(self, t: float) -> np.ndarray:
         return np.full(1, 0.0 if self.forcing is None else self.forcing(t))
 
-    def residual(self, u_w, v_w, a_w, t_w, load_w) -> np.ndarray:
-        return (self.rho * a_w + self.k * u_w
-                + interface.beta_eps(self.gamma * u_w + v_w, self.epsilon)
-                + self.g * interface.alpha_eps(v_w, self.epsilon) - load_w)
+    def residual(self, u_w, v_w, a_w, t_w, load_w):
+        r = (self.rho * a_w + self.k * u_w
+             + interface.beta_eps(self.gamma * u_w + v_w, self.epsilon)
+             + self.g * interface.alpha_eps(v_w, self.epsilon) - load_w)
+        return r, (u_w, v_w)
 
-    def newton_matrix(self, u_w, v_w, t_w, dt, b, g) -> np.ndarray:
+    def newton_matrix(self, point, dt, b, g) -> np.ndarray:
+        u_w, v_w = point
         du, dv = b * dt * dt, g * dt
         jac = (g * (self.rho + du * self.k)
                + interface.dbeta_eps(self.gamma * u_w + v_w, self.epsilon)
@@ -352,7 +345,7 @@ class OneDofParams:
 
     def initial_state(self, u0: float, v0: float) -> fem.State:
         u, v = np.full(1, float(u0)), np.full(1, float(v0))
-        r = self.residual(u, v, np.zeros(1), 0.0, self.load(0.0))
+        r, _ = self.residual(u, v, np.zeros(1), 0.0, self.load(0.0))
         return fem.State(0.0, u, v, -r / self.rho)
 
 

@@ -36,6 +36,7 @@ __all__ = [
     "ExprDomainError",
     "parse",
     "evaluate",
+    "sample",
 ]
 
 VARIABLES = ("t", "x", "y")
@@ -268,6 +269,13 @@ def evaluate(expr: Expr, t, point=()):
         env[name] = value
     with np.errstate(all="ignore"):
         return _eval(expr, env)
+
+
+def sample(expr: Expr, t, point):
+    """evaluate() as a read-only float array shaped like the x array of
+    ``point`` (a constant expression is broadcast)."""
+    return np.broadcast_to(np.asarray(evaluate(expr, t, point), dtype=float),
+                           np.shape(point[0]))
 
 
 def _eval(expr: Expr, env: dict):

@@ -216,9 +216,7 @@ def assemble_load(mesh, material: Material, f=None, trac=None, t=0.0) -> np.ndar
                               [1.0, 1.0, 0.0],
                               [0.0, 1.0, 1.0]])
         for c in range(d):
-            fq = np.broadcast_to(
-                np.asarray(exprlang.evaluate(f[c], t, (xq, yq)), dtype=float),
-                xq.shape).reshape(mesh.n_cells, 3)
+            fq = exprlang.sample(f[c], t, (xq, yq)).reshape(mesh.n_cells, 3)
             contrib = np.einsum("n,iq,nq->ni", w, phi, fq) * material.rho
             np.add.at(nodal[:, c], mesh.cells.ravel(), contrib.ravel())
         out += nodal.ravel()
@@ -230,9 +228,7 @@ def assemble_load(mesh, material: Material, f=None, trac=None, t=0.0) -> np.ndar
         xq = pts[:, :, 0].ravel()
         yq = pts[:, :, 1].ravel()
         for c in range(d):
-            fq = np.broadcast_to(
-                np.asarray(exprlang.evaluate(trac[c], t, (xq, yq)), dtype=float),
-                xq.shape).reshape(-1, 2)
+            fq = exprlang.sample(trac[c], t, (xq, yq)).reshape(-1, 2)
             contrib = np.einsum("nq,qi,nq->ni", wq, FACET_SHAPES, fq)
             np.add.at(nodal[:, c], facets.ravel(), contrib.ravel())
         out += nodal.ravel()
@@ -260,9 +256,7 @@ def interpolate(mesh, exprs, t=0.0) -> np.ndarray:
     out = np.zeros((mesh.n_vertices, d))
     for c in range(d):
         if exprs is not None and exprs[c] is not None:
-            out[:, c] = np.broadcast_to(
-                np.asarray(exprlang.evaluate(exprs[c], t, (xs, ys)), dtype=float),
-                xs.shape)
+            out[:, c] = exprlang.sample(exprs[c], t, (xs, ys))
     return out.ravel()
 
 

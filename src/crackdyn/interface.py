@@ -5,6 +5,10 @@ Contact penalizes the negative part of the jump of gamma*u_n + v_n
 is a Tresca law with bound g, smoothed so the slip direction is
 well-defined at zero slip rate.  All laws are monotone with symmetric
 positive semidefinite derivatives, which keeps Newton systems SPD.
+
+crack_state is the single evaluation of the crack at a state (its jumps
+and g at every quadrature point); the residuals, tangents and tractions
+below are functions of what it returns.
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ __all__ = [
     "build_crack_quadrature",
     "jump_eval",
     "split_jump",
-    "contact_argument",
     "friction_bound_values",
+    "crack_state",
     "contact_residual",
     "friction_residual",
     "contact_tangent",
@@ -183,16 +187,6 @@ def split_jump(jumps: np.ndarray, quad: CrackQuadrature):
     return jn, jt
 
 
-def _normal_jump(w, quad):
-    return np.einsum("pqd,pd->pq", jump_eval(w, quad), quad.normals)
-
-
-def contact_argument(u, v, params: ContactParams, quad: CrackQuadrature):
-    """Normal jump of gamma*u + v at the quadrature points, the argument
-    of the contact law."""
-    return params.gamma * _normal_jump(u, quad) + _normal_jump(v, quad)
-
-
 def friction_bound_values(params: ContactParams, quad: CrackQuadrature,
                           t: float) -> np.ndarray:
     """g at every quadrature point; aborts if any sample is negative or
@@ -201,9 +195,7 @@ def friction_bound_values(params: ContactParams, quad: CrackQuadrature,
         return np.zeros((quad.n_pairs, 2))
     xq = quad.points[..., 0]
     yq = quad.points[..., 1]
-    vals = np.broadcast_to(
-        np.asarray(exprlang.evaluate(params.g, t, (xq, yq)), dtype=float),
-        xq.shape).copy()
+    vals = exprlang.sample(params.g, t, (xq, yq)).copy()
     if not (np.isfinite(vals) & (vals >= 0.0)).all():
         finite = np.isfinite(vals)
         if finite.all():
@@ -216,6 +208,16 @@ def friction_bound_values(params: ContactParams, quad: CrackQuadrature,
             f"friction bound g is {what} ({vals[bad]:.6g}) at "
             f"t={t:.6g}, point {quad.points[bad]}")
     return vals
+
+
+def crack_state(u, v, t, params: ContactParams, quad: CrackQuadrature):
+    """(s, jt, g) at the quadrature points: the contact argument, the
+    normal jump of gamma*u + v, shape (npairs, nq); the tangential jump
+    of v, (npairs, nq, dim); and the friction bound, zero without
+    friction."""
+    un, _ = split_jump(jump_eval(u, quad), quad)
+    vn, jt = split_jump(jump_eval(v, quad), quad)
+    return params.gamma * un + vn, jt, friction_bound_values(params, quad, t)
 
 
 # ---------------------------------------------------------------------------
@@ -231,28 +233,25 @@ def _scatter_interface(quad, vecs):
     return out.ravel()
 
 
-def contact_residual(u, v, params: ContactParams, quad: CrackQuadrature):
-    """Nodal forces of the contact term.
+def contact_residual(crack, params: ContactParams, quad: CrackQuadrature):
+    """Nodal forces of the contact term at a crack_state.
 
     Tested against w, the result equals the crack integral of
     beta_eps(jump(gamma*u_n + v_n)) * jump(w_n).
     """
-    if quad.n_pairs == 0:
-        return np.zeros(quad.n_vertices * quad.dim)
-    s = contact_argument(u, v, params, quad)
-    vals = beta_eps(s, params.epsilon) * quad.weights          # (n, q)
+    vals = beta_eps(crack[0], params.epsilon) * quad.weights   # (n, q)
     coef = np.einsum("pq,qi->pi", vals, quad.shapes)           # (n, 2)
     vecs = coef[:, :, None] * quad.normals[:, None, :]
     return _scatter_interface(quad, vecs)
 
 
-def friction_residual(v, t, params: ContactParams, quad: CrackQuadrature):
-    """Nodal forces of the smoothed Tresca term: g * alpha_eps of the
-    tangential velocity jump, tested against tangential jumps."""
-    if quad.n_pairs == 0 or params.g is None:
+def friction_residual(crack, params: ContactParams, quad: CrackQuadrature):
+    """Nodal forces of the smoothed Tresca term at a crack_state: g *
+    alpha_eps of the tangential velocity jump, tested against tangential
+    jumps."""
+    if params.g is None:
         return np.zeros(quad.n_vertices * quad.dim)
-    g = friction_bound_values(params, quad, t)
-    _, jt = split_jump(jump_eval(v, quad), quad)
+    _, jt, g = crack
     a = alpha_eps(jt, params.epsilon)
     vals = g * quad.weights
     vecs = np.einsum("pq,qi,pqd->pid", vals, quad.shapes, a)
@@ -274,30 +273,26 @@ def _crack_block(quad, blocks):
                        minlength=(k + 1) ** 2).reshape(k + 1, k + 1)[:k, :k]
 
 
-def contact_tangent(u, v, params: ContactParams, quad: CrackQuadrature,
+def contact_tangent(crack, params: ContactParams, quad: CrackQuadrature,
                     coeff_u: float, coeff_v: float) -> np.ndarray:
-    """Derivative of contact_residual along a direction z entering the
-    arguments as u + coeff_u*z, v + coeff_v*z, as a dense block on
-    quad.crack_dofs.  Symmetric PSD."""
-    if quad.n_pairs == 0:
-        return np.zeros((0, 0))     # no crack dofs
-    s = contact_argument(u, v, params, quad)
+    """Derivative of contact_residual at the crack_state of (u, v) along
+    a direction z entering as u + coeff_u*z, v + coeff_v*z, as a dense
+    block on quad.crack_dofs.  Symmetric PSD."""
     chain = params.gamma * coeff_u + coeff_v
-    dvals = dbeta_eps(s, params.epsilon) * chain * quad.weights     # (n, q)
+    dvals = dbeta_eps(crack[0], params.epsilon) * chain * quad.weights
     nn = np.einsum("pc,pe->pce", quad.normals, quad.normals)
     blocks = dvals[:, :, None, None] * nn[:, None, :, :]
     return _crack_block(quad, blocks)
 
 
-def friction_tangent(v, t, params: ContactParams, quad: CrackQuadrature,
+def friction_tangent(crack, params: ContactParams, quad: CrackQuadrature,
                      coeff_v: float) -> np.ndarray:
-    """Derivative of friction_residual along v + coeff_v*z, as a dense
-    block on quad.crack_dofs.  Symmetric PSD; at zero slip it is the
-    tangential projector divided by eps."""
-    if quad.n_pairs == 0 or params.g is None:
+    """Derivative of friction_residual at a crack_state along v +
+    coeff_v*z, as a dense block on quad.crack_dofs.  Symmetric PSD; at
+    zero slip it is the tangential projector divided by eps."""
+    if params.g is None:
         return np.zeros((quad.crack_dofs.size,) * 2)
-    g = friction_bound_values(params, quad, t)
-    _, jt = split_jump(jump_eval(v, quad), quad)
+    _, jt, g = crack
     da = dalpha_eps(jt, params.epsilon)                              # (n, q, d, d)
     proj = np.eye(quad.dim)[None] - np.einsum(
         "pc,pe->pce", quad.normals, quad.normals)                    # (n, d, d)
@@ -310,18 +305,12 @@ def friction_tangent(v, t, params: ContactParams, quad: CrackQuadrature,
 # traction recovery
 # ---------------------------------------------------------------------------
 
-def recover_tractions(u, v, t, params: ContactParams, quad: CrackQuadrature):
-    """Interface tractions at the quadrature points.
+def recover_tractions(crack, params: ContactParams):
+    """Interface tractions at a crack_state's quadrature points.
 
     Returns (sigma_n, sigma_t): the normal traction (always <= 0) and the
     tangential traction vector (always |sigma_t| <= g).
     """
-    s = contact_argument(u, v, params, quad)
-    sigma_n = beta_eps(s, params.epsilon)
-    _, jt = split_jump(jump_eval(v, quad), quad)
-    if params.g is None:
-        sigma_t = np.zeros_like(jt)
-    else:
-        g = friction_bound_values(params, quad, t)
-        sigma_t = g[..., None] * alpha_eps(jt, params.epsilon)
-    return sigma_n, sigma_t
+    s, jt, g = crack
+    return (beta_eps(s, params.epsilon),
+            g[..., None] * alpha_eps(jt, params.epsilon))

@@ -28,14 +28,17 @@ last resort: newton_maxit ran out or a value was not finite.
 The stepper (step, run) holds only the Newmark kinematics, Newton, the
 line search and bisection.  The system it integrates has five members:
 ``free``, the Newton unknowns; ``load(t)``; ``residual(u_w, v_w, a_w,
-t_w, load_w)``, the force balance, zero on constrained dofs;
-``newton_matrix(u_w, v_w, t_w, dt, b, g)``, its derivative in a+ on the
-free dofs as an operator with ``@`` and diagonal() for fem.solve_spd
-(and ``nonlinear`` false if it may be solved as a linear system);
-and ``initial_state(u0, v0)``, the State at t = 0 with the constraints
-imposed, incompatible data warned about, the consistent acceleration
-and the state checked.  Operators (the mesh problem) and
-diagnostics.OneDofParams (the scalar analog) are the two systems.
+t_w, load_w)``, which returns (r, point): the force balance, zero on
+constrained dofs, and what the system evaluated at the weighted state
+for its Newton matrix to reuse; ``newton_matrix(point, dt, b, g)``, the
+derivative of r in a+ on the free dofs, as an operator with ``@`` and
+diagonal() for fem.solve_spd (and ``nonlinear`` false if it may be
+solved as a linear system); and ``initial_state(u0, v0)``, the State at
+t = 0 with the constraints imposed, incompatible data warned about, the
+consistent acceleration and the state checked.  The two systems are
+Operators (the mesh problem; its point is the interface.crack_state)
+and diagnostics.OneDofParams (the scalar analog; its point is (u_w,
+v_w)).
 """
 
 from __future__ import annotations
@@ -163,27 +166,29 @@ class Operators:
             self._jac_cache[key] = (lin, lin.diagonal())
         return self._jac_cache[key]
 
-    def residual(self, u_w, v_w, a_w, t_w, load_w) -> np.ndarray:
-        """Force balance M a + K u + contact + friction - load, zero on
-        the constrained dofs."""
+    def residual(self, u_w, v_w, a_w, t_w, load_w):
+        """(r, crack): the force balance r = M a + K u + contact +
+        friction - load, zero on the constrained dofs, and the
+        interface.crack_state it was formed from."""
+        crack = interface.crack_state(u_w, v_w, t_w, self.contact, self.quad)
         r = (self.mass @ a_w + self.stiffness @ u_w
-             + interface.contact_residual(u_w, v_w, self.contact, self.quad)
-             + interface.friction_residual(v_w, t_w, self.contact, self.quad)
+             + interface.contact_residual(crack, self.contact, self.quad)
+             + interface.friction_residual(crack, self.contact, self.quad)
              - load_w)
         r[self.dofmap.constrained] = 0.0
-        return r
+        return r, crack
 
-    def newton_matrix(self, u_w, v_w, t_w, dt, b, g) -> "_NewtonMatrix":
+    def newton_matrix(self, crack, dt, b, g) -> "_NewtonMatrix":
         """Free-dof derivative of the residual in the end-of-step
-        acceleration: the linear part g*(M + b*dt^2*K), cached per step
-        size, plus a dense PSD crack-dof block."""
+        acceleration at its crack state: the linear part g*(M +
+        b*dt^2*K), cached per step size, plus a dense PSD crack-dof block."""
         lin, lin_diag = self.linear_jacobian(dt, b, g)
         du = b * dt * dt          # d(u+)/d(a+)
         dv = g * dt               # d(v+)/d(a+)
-        block = (interface.contact_tangent(u_w, v_w, self.contact, self.quad,
+        block = (interface.contact_tangent(crack, self.contact, self.quad,
                                            coeff_u=g * du, coeff_v=g * dv)
-                 + interface.friction_tangent(v_w, t_w, self.contact,
-                                              self.quad, coeff_v=g * dv))
+                 + interface.friction_tangent(crack, self.contact, self.quad,
+                                              coeff_v=g * dv))
         return _NewtonMatrix(lin, lin_diag, self.quad.crack_free, block)
 
     def initial_state(self, u0: np.ndarray, v0: np.ndarray) -> State:
@@ -195,28 +200,25 @@ class Operators:
         """
         u0 = self.dofmap.zero_constrained(u0)
         v0 = self.dofmap.zero_constrained(v0)
-        self._check_compatibility(u0, v0)
-        rhs = -self.residual(u0, v0, np.zeros_like(u0), 0.0, self.load(0.0))
+        r, crack = self.residual(u0, v0, np.zeros_like(u0), 0.0,
+                                 self.load(0.0))
+        self._check_compatibility(crack)
         a0 = np.zeros(self.dofmap.ndof)
-        a0[self.free] = fem.solve_spd(self.pin(self.mass), rhs[self.free],
+        a0[self.free] = fem.solve_spd(self.pin(self.mass), -r[self.free],
                                       tol=_CG_TOL)
         state = State(0.0, u0, v0, a0)
         fem.check_state(state, self.dofmap)
         return state
 
-    def _check_compatibility(self, u0, v0) -> None:
-        quad = self.quad
-        if quad.n_pairs == 0:
-            return
-        s = interface.contact_argument(u0, v0, self.contact, quad)
-        worst = float(np.abs(s).max())
+    def _check_compatibility(self, crack) -> None:
+        s, jt, _ = crack
+        worst = float(np.abs(s).max(initial=0.0))
         if worst > _COMPAT_TOL:
             warnings.warn(
                 f"initial data violates the normal compatibility condition "
                 f"on the crack (|gamma*u_n + v_n| jump up to {worst:.3e})",
                 CompatibilityWarning, stacklevel=3)
-        _, jt = interface.split_jump(interface.jump_eval(v0, quad), quad)
-        worst_t = float(np.linalg.norm(jt, axis=-1).max())
+        worst_t = float(np.linalg.norm(jt, axis=-1).max(initial=0.0))
         if worst_t > _COMPAT_TOL:
             warnings.warn(
                 f"initial velocity has a tangential jump across the crack "
@@ -280,8 +282,9 @@ def build_operators(mesh, material: Material, contact: ContactParams,
 def _interval(state: State, dt: float, ops, params: TimeParams):
     """Newton problem of one Newmark interval in the end-of-step
     acceleration a+: (residual, tangent, load_w).  residual(a+) gives the
-    force balance at the g-weighted state (zero on constrained dofs), u_w,
-    v_w and the end state; tangent(u_w, v_w) is its free-dof derivative."""
+    force balance at the g-weighted state (zero on constrained dofs), the
+    system's point there and the end state; tangent(point) is its
+    free-dof derivative."""
     b = params.newmark_b
     g = params.newmark_g
 
@@ -302,10 +305,10 @@ def _interval(state: State, dt: float, ops, params: TimeParams):
         u_w = (1.0 - g) * state.u + g * end.u
         v_w = (1.0 - g) * state.v + g * end.v
         a_w = (1.0 - g) * state.a + g * a_plus
-        return ops.residual(u_w, v_w, a_w, t_w, load_w), u_w, v_w, end
+        return (*ops.residual(u_w, v_w, a_w, t_w, load_w), end)
 
-    def tangent(u_w, v_w):
-        return ops.newton_matrix(u_w, v_w, t_w, dt, b, g)
+    def tangent(point):
+        return ops.newton_matrix(point, dt, b, g)
 
     return residual, tangent, load_w
 
@@ -368,13 +371,13 @@ def _solve_substep(state: State, dt: float, ops, params: TimeParams):
     residual, tangent, load_w = _interval(state, dt, ops, params)
     free = ops.free
     a_new = state.a.copy()
-    r, u_w, v_w, end = residual(a_new)
+    r, point, end = residual(a_new)
     norm_r = float(np.linalg.norm(r))
     tol_abs = params.newton_tol * max(float(np.linalg.norm(load_w)), norm_r)
     iterations = line_search = 0
     while (norm_r > tol_abs and np.isfinite(norm_r)
            and iterations < params.newton_maxit):
-        jac = tangent(u_w, v_w)
+        jac = tangent(point)
         # inexact Newton: a CG iterate from zero still descends (r.d < 0)
         forcing = _CG_FORCING if getattr(jac, "nonlinear", True) else 0.0
         cg_tol = max(_CG_TOL, forcing, _CG_FLOOR * tol_abs / norm_r)
@@ -384,7 +387,7 @@ def _solve_substep(state: State, dt: float, ops, params: TimeParams):
         iterations += 1
         if found is None:
             break
-        (r, u_w, v_w, end), evals = found
+        (r, point, end), evals = found
         line_search += evals
         norm_r = float(np.linalg.norm(r))
     if not norm_r <= tol_abs < np.inf:

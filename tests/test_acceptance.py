@@ -41,9 +41,10 @@ def energy_rise(records):
 def interface_extremes(problem, states, records):
     """(max sigma_n, max friction gap, max stick-slip residual) over a run."""
     worst_sn = -math.inf
+    contact, quad = problem.ops.contact, problem.ops.quad
     for s in states:
         sn, _ = interface.recover_tractions(
-            s.u, s.v, s.t, problem.ops.contact, problem.ops.quad)
+            interface.crack_state(s.u, s.v, s.t, contact, quad), contact)
         worst_sn = max(worst_sn, float(sn.max()))
     gap = max(r.friction_gap for r in records)
     ss = max(r.stick_slip_residual for r in records)

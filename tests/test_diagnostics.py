@@ -127,24 +127,23 @@ def test_record_stick_slip_oracle():
 
 @pytest.mark.parametrize("g", ["0.3*(1 + x)", None])
 def test_record_matches_recovered_tractions(g, monkeypatch):
-    # reference: the friction columns formed from recover_tractions, whose
-    # values record builds from its own jumps and g, each evaluated once
+    # reference: the friction columns formed from recover_tractions; record
+    # evaluates the crack state (the jumps and g) once
     ops = make_ops(gamma=1.0, epsilon=0.05, g=g)
     rng = np.random.default_rng(12)
     u = ops.dofmap.zero_constrained(0.05 * rng.standard_normal(ops.dofmap.ndof))
     v = ops.dofmap.zero_constrained(0.05 * rng.standard_normal(ops.dofmap.ndof))
     calls = []
     with monkeypatch.context() as patch:
-        for name in ("contact_argument", "split_jump", "friction_bound_values"):
-            def spy(*args, _f=getattr(interface, name), _name=name):
-                calls.append(_name)
-                return _f(*args)
-            patch.setattr(interface, name, spy)
+        def spy(*args, _f=interface.crack_state):
+            calls.append(args)
+            return _f(*args)
+        patch.setattr(interface, "crack_state", spy)
         rec = record(State(0.3, u, v, np.zeros_like(v)), ops)
-    assert sorted(calls) == ["contact_argument", "friction_bound_values",
-                             "split_jump"]
+    assert len(calls) == 1
     quad = ops.quad
-    _, sigma_t = interface.recover_tractions(u, v, 0.3, ops.contact, quad)
+    _, sigma_t = interface.recover_tractions(
+        interface.crack_state(u, v, 0.3, ops.contact, quad), ops.contact)
     _, jt = interface.split_jump(interface.jump_eval(v, quad), quad)
     gv = interface.friction_bound_values(ops.contact, quad, 0.3)
     gap = float(np.maximum(np.linalg.norm(sigma_t, axis=-1) - gv, 0.0).max())
@@ -361,13 +360,13 @@ def test_one_dof_newton_matrix_is_residual_derivative(gamma, g):
                      forcing=lambda t: np.sin(t))
     state = p.initial_state(p.u0, p.v0)
     assert np.array_equal(state.a, -p.residual(
-        state.u, state.v, np.zeros(1), 0.0, p.load(0.0)) / p.rho)
+        state.u, state.v, np.zeros(1), 0.0, p.load(0.0))[0] / p.rho)
     params = TimeParams(t_end=1.0, dt=0.05)
     residual, tangent, load_w = timestepper._interval(state, 0.05, p, params)
     assert load_w[0] == pytest.approx(np.sin(0.025))
     a = np.array([0.7])
-    _, u_w, v_w, _ = residual(a)
-    op = tangent(u_w, v_w)
+    _, point, _ = residual(a)
+    op = tangent(point)
     assert op.shape == (1, 1) and op[0, 0] > 0.0
     h = 1e-6
     fd = (residual(a + h)[0] - residual(a - h)[0]) / (2 * h)

@@ -11,6 +11,7 @@ from crackdyn.interface import (
     build_crack_quadrature,
     contact_residual,
     contact_tangent,
+    crack_state,
     dalpha_eps,
     dbeta_eps,
     friction_bound_values,
@@ -177,10 +178,11 @@ def test_empty_crack_quadrature():
     assert quad.weights.shape == (0, 2)
     params = ContactParams(gamma=0.0, epsilon=0.1, g=ex.parse("1"))
     z = np.zeros(quad.n_vertices * 2)
-    assert not contact_residual(z, z, params, quad).any()
-    assert not friction_residual(z, 0.0, params, quad).any()
+    crack = crack_state(z, z, 0.0, params, quad)
+    assert not contact_residual(crack, params, quad).any()
+    assert not friction_residual(crack, params, quad).any()
     assert quad.crack_dofs.size == 0
-    assert contact_tangent(z, z, params, quad, 1.0, 1.0).size == 0
+    assert contact_tangent(crack, params, quad, 1.0, 1.0).size == 0
 
 
 def test_jump_of_plus_side_fields():
@@ -222,7 +224,8 @@ def test_contact_residual_uniform_penetration():
     params = ContactParams(gamma=0.0, epsilon=0.05)
     c = 0.2
     v = plus_side_field(mesh, quad, (0.0, -c))
-    r = contact_residual(np.zeros_like(v), v, params, quad)
+    r = contact_residual(crack_state(np.zeros_like(v), v, 0.0, params, quad),
+                         params, quad)
     w = plus_side_field(mesh, quad, (0.0, 1.0))
     # r . w = integral of beta(-c ramp) * ramp: the interior facets
     # contribute -c^2/eps * ell each, each tip facet the ramp^3 integral
@@ -236,7 +239,8 @@ def test_contact_residual_zero_when_opening():
     quad = build_crack_quadrature(mesh)
     params = ContactParams(gamma=0.0, epsilon=0.05)
     v = plus_side_field(mesh, quad, (0.0, 0.3))
-    assert not contact_residual(np.zeros_like(v), v, params, quad).any()
+    crack = crack_state(np.zeros_like(v), v, 0.0, params, quad)
+    assert not contact_residual(crack, params, quad).any()
 
 
 def test_contact_residual_gamma_blend():
@@ -246,12 +250,15 @@ def test_contact_residual_gamma_blend():
     zero = np.zeros_like(u)
     # gamma = 2 with displacement jump -0.1 equals gamma = 0 with velocity
     # jump -0.2
-    r_blend = contact_residual(u, zero, ContactParams(2.0, 0.05), quad)
-    r_vel = contact_residual(zero, 2.0 * u, ContactParams(0.0, 0.05), quad)
+    def residual(u, v, params):
+        return contact_residual(crack_state(u, v, 0.0, params, quad),
+                                params, quad)
+    r_blend = residual(u, zero, ContactParams(2.0, 0.05))
+    r_vel = residual(zero, 2.0 * u, ContactParams(0.0, 0.05))
     assert np.allclose(r_blend, r_vel, rtol=0, atol=1e-15)
     # gamma = 0 ignores u entirely
-    r1 = contact_residual(u, 2.0 * u, ContactParams(0.0, 0.05), quad)
-    r2 = contact_residual(5.0 * u, 2.0 * u, ContactParams(0.0, 0.05), quad)
+    r1 = residual(u, 2.0 * u, ContactParams(0.0, 0.05))
+    r2 = residual(5.0 * u, 2.0 * u, ContactParams(0.0, 0.05))
     assert np.array_equal(r1, r2)
 
 
@@ -262,7 +269,8 @@ def test_contact_residual_sign():
     rng = np.random.default_rng(8)
     v = plus_side_field(mesh, quad, (0.0, -0.2))
     v += 0.05 * rng.standard_normal(v.size)
-    r = contact_residual(np.zeros_like(v), v, params, quad)
+    r = contact_residual(crack_state(np.zeros_like(v), v, 0.0, params, quad),
+                         params, quad)
     # tested against any opening-direction field the force is nonpositive
     plus = np.unique(quad.plus_vertices)
     w = np.zeros((mesh.n_vertices, 2))
@@ -275,10 +283,12 @@ def test_friction_residual_zero_cases():
     quad = build_crack_quadrature(mesh)
     v = plus_side_field(mesh, quad, (0.0, -0.2))  # normal jump only
     params = ContactParams(gamma=0.0, epsilon=0.05, g=ex.parse("0.3"))
-    assert not friction_residual(v, 0.0, params, quad).any()
+    assert not friction_residual(crack_state(v, v, 0.0, params, quad),
+                                 params, quad).any()
     no_bound = ContactParams(gamma=0.0, epsilon=0.05, g=None)
     slip = plus_side_field(mesh, quad, (0.5, 0.0))
-    assert not friction_residual(slip, 0.0, no_bound, quad).any()
+    assert not friction_residual(crack_state(slip, slip, 0.0, no_bound, quad),
+                                 no_bound, quad).any()
 
 
 def test_friction_residual_dissipative_and_bounded():
@@ -288,9 +298,10 @@ def test_friction_residual_dissipative_and_bounded():
     rng = np.random.default_rng(9)
     v = plus_side_field(mesh, quad, (0.2, 0.0))
     v += 0.05 * rng.standard_normal(v.size)
-    r = friction_residual(v, 0.0, params, quad)
+    r = friction_residual(crack_state(v, v, 0.0, params, quad), params, quad)
     assert r @ v >= 0.0
-    sigma_n, sigma_t = recover_tractions(np.zeros_like(v), v, 0.0, params, quad)
+    sigma_n, sigma_t = recover_tractions(
+        crack_state(np.zeros_like(v), v, 0.0, params, quad), params)
     assert np.all(np.linalg.norm(sigma_t, axis=-1) < 0.3)
 
 
@@ -300,7 +311,8 @@ def test_recovered_tractions_frozen_values():
     eps, g, p, s = 0.05, 0.3, 0.15, 0.1
     params = ContactParams(gamma=0.0, epsilon=eps, g=ex.parse(repr(g)))
     v = plus_side_field(mesh, quad, (s, -p))
-    sigma_n, sigma_t = recover_tractions(np.zeros_like(v), v, 0.0, params, quad)
+    sigma_n, sigma_t = recover_tractions(
+        crack_state(np.zeros_like(v), v, 0.0, params, quad), params)
     # away from the tapering tip facets the jump is exactly (s, -p)
     assert np.allclose(sigma_n[1:-1], -(p ** 2) / eps)
     expected = g * s / np.sqrt(s ** 2 + eps ** 2)
@@ -322,7 +334,7 @@ def test_friction_bound_validation():
         friction_bound_values(bad, quad, 1.0)
     slip = plus_side_field(mesh, quad, (0.1, 0.0))
     with pytest.raises(FrictionBoundError):
-        friction_residual(slip, 1.0, bad, quad)
+        friction_residual(crack_state(slip, slip, 1.0, bad, quad), bad, quad)
 
 
 def test_residual_monotonicity():
@@ -334,10 +346,12 @@ def test_residual_monotonicity():
     for _ in range(10):
         v1 = 0.3 * rng.standard_normal(u.size)
         v2 = 0.3 * rng.standard_normal(u.size)
-        dc = (contact_residual(u, v1, params, quad)
-              - contact_residual(u, v2, params, quad)) @ (v1 - v2)
-        df = (friction_residual(v1, 0.0, params, quad)
-              - friction_residual(v2, 0.0, params, quad)) @ (v1 - v2)
+        c1 = crack_state(u, v1, 0.0, params, quad)
+        c2 = crack_state(u, v2, 0.0, params, quad)
+        dc = (contact_residual(c1, params, quad)
+              - contact_residual(c2, params, quad)) @ (v1 - v2)
+        df = (friction_residual(c1, params, quad)
+              - friction_residual(c2, params, quad)) @ (v1 - v2)
         assert dc >= -1e-12
         assert df >= -1e-12
 
@@ -361,15 +375,18 @@ def test_contact_tangent_directional_derivative():
     params = ContactParams(gamma=1.2, epsilon=0.1)
     u, v = penetrating_pair(mesh, quad)
     cu, cv = 0.4, 0.9
-    tan = lift(contact_tangent(u, v, params, quad, coeff_u=cu, coeff_v=cv),
-               quad)
+    def residual(u, v):
+        return contact_residual(crack_state(u, v, 0.0, params, quad),
+                                params, quad)
+    tan = lift(contact_tangent(crack_state(u, v, 0.0, params, quad), params,
+                               quad, coeff_u=cu, coeff_v=cv), quad)
     rng = np.random.default_rng(13)
     z = rng.standard_normal(u.size)
     h = 1e-4
     # beta is quadratic where the contact is active, so the centered
     # difference is exact up to roundoff
-    fd = (contact_residual(u + cu * h * z, v + cv * h * z, params, quad)
-          - contact_residual(u - cu * h * z, v - cv * h * z, params, quad)) / (2 * h)
+    fd = (residual(u + cu * h * z, v + cv * h * z)
+          - residual(u - cu * h * z, v - cv * h * z)) / (2 * h)
     ref = tan @ z
     assert np.abs(fd - ref).max() <= 1e-7 * max(np.abs(ref).max(), 1.0)
 
@@ -380,13 +397,16 @@ def test_friction_tangent_directional_derivative():
     params = ContactParams(gamma=0.0, epsilon=0.1, g=ex.parse("0.3"))
     _, v = penetrating_pair(mesh, quad)
     cv = 0.7
-    tan = lift(friction_tangent(v, 0.0, params, quad, coeff_v=cv), quad)
+    def residual(v):
+        return friction_residual(crack_state(v, v, 0.0, params, quad),
+                                 params, quad)
+    tan = lift(friction_tangent(crack_state(v, v, 0.0, params, quad), params,
+                                quad, coeff_v=cv), quad)
     rng = np.random.default_rng(14)
     z = rng.standard_normal(v.size)
     errs = []
     for h in (1e-3, 5e-4):
-        fd = (friction_residual(v + cv * h * z, 0.0, params, quad)
-              - friction_residual(v - cv * h * z, 0.0, params, quad)) / (2 * h)
+        fd = (residual(v + cv * h * z) - residual(v - cv * h * z)) / (2 * h)
         errs.append(np.abs(fd - tan @ z).max())
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.3)
 
@@ -396,9 +416,10 @@ def test_tangents_symmetric_positive_semidefinite():
     quad = build_crack_quadrature(mesh)
     params = ContactParams(gamma=1.0, epsilon=0.05, g=ex.parse("0.3"))
     u, v = penetrating_pair(mesh, quad, seed=15)
-    tc = lift(contact_tangent(u, v, params, quad, coeff_u=0.5, coeff_v=1.0),
+    crack = crack_state(u, v, 0.0, params, quad)
+    tc = lift(contact_tangent(crack, params, quad, coeff_u=0.5, coeff_v=1.0),
               quad)
-    tf = lift(friction_tangent(v, 0.0, params, quad, coeff_v=1.0), quad)
+    tf = lift(friction_tangent(crack, params, quad, coeff_v=1.0), quad)
     for dense in (tc, tf):
         scale = max(np.abs(dense).max(), 1.0)
         assert np.abs(dense - dense.T).max() <= 1e-13 * scale
@@ -417,8 +438,9 @@ def test_friction_tangent_at_zero_slip():
     quad = build_crack_quadrature(mesh)
     coeff, g, eps, tau = 0.7, 0.3, 0.05, 2.0
     params = ContactParams(gamma=0.0, epsilon=eps, g=ex.parse(repr(g)))
-    tan = lift(friction_tangent(np.zeros(mesh.n_vertices * 2), 0.0, params,
-                                quad, coeff_v=coeff), quad)
+    zero = np.zeros(mesh.n_vertices * 2)
+    tan = lift(friction_tangent(crack_state(zero, zero, 0.0, params, quad),
+                                params, quad, coeff_v=coeff), quad)
     w = plus_side_field(mesh, quad, (tau, 0.0))
     ell, m, _, i2, _ = ramp_measures(quad)
     expected = coeff * g / eps * tau ** 2 * (m * ell + 2 * i2)

@@ -115,16 +115,20 @@ def test_validate_rejects_flipped_normal():
 
 
 def test_validate_rejects_shared_interior_vertex():
-    # rewire the minus cells back onto the plus-side duplicate partner:
-    # the interior crack vertex is then shared between the sides
+    # rewire the one minus cell that touches the duplicate 9 at a vertex
+    # only (no crack facet) back onto its plus-side partner 4: every crack
+    # facet still borders a cell of its side, but 4 is then shared
     m = generate_rect_crack(2.0, 1.0, 2, 2, crack_span=(0.25, 0.75))
     dup = m.n_vertices - 1
     orig = int(m.crack_pairs[0].plus[1])
     cells = m.cells.copy()
-    cells[cells == dup] = orig
-    with pytest.raises(MeshError, match="crack"):
+    assert (dup, orig) == (9, 4) and cells[0].tolist() == [0, 1, dup]
+    cells[0, 2] = orig
+    with pytest.raises(MeshError) as exc:
         CrackedMesh(2, m.vertices, cells, m.cell_sides,
                     m.dirichlet_facets, m.neumann_facets, m.crack_pairs)
+    assert str(exc.value) == ("vertices [4] lie strictly inside the crack "
+                              "but are shared between plus and minus cells")
 
 
 def test_validate_rejects_empty_dirichlet():

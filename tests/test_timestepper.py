@@ -2,7 +2,9 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import impact_config
 
+from crackdyn import config as config_mod
 from crackdyn import exprlang as ex
 from crackdyn import fem, interface, timestepper
 from crackdyn.fem import Material, State
@@ -338,8 +340,8 @@ def test_newton_operator_is_residual_derivative(tmp_path, gamma, g,
         state, 0.05, ops, TimeParams(t_end=1.0, dt=0.05))
     free = ops.dofmap.free
     a = ops.dofmap.zero_constrained(rng.standard_normal(state.a.size))
-    _, u_w, v_w, _ = residual(a)
-    op = tangent(u_w, v_w)
+    _, point, _ = residual(a)
+    op = tangent(point)
     assert np.array_equal(op.diagonal(), np.diagonal(
         op.lin.toarray()) + np.bincount(quad.crack_free,
                                         np.diagonal(op.block), free.size))
@@ -404,9 +406,9 @@ def test_step_residual_is_potential_gradient(gamma, g, newmark_b):
     residual, tangent, _ = timestepper._interval(state, dt, ops, params)
     free = ops.dofmap.free
     a = ops.dofmap.zero_constrained(rng.standard_normal(state.a.size))
-    r, u_w, v_w, _ = residual(a)
+    r, point, _ = residual(a)
     d = np.zeros_like(a)
-    d[free] = fem.solve_spd(tangent(u_w, v_w), -r[free], tol=1e-12)
+    d[free] = fem.solve_spd(tangent(point), -r[free], tol=1e-12)
     slope = r @ d
     assert slope < 0.0
     h = 1e-5
@@ -426,8 +428,8 @@ def test_loosely_solved_newton_direction_descends(tol):
         state, 0.05, ops, TimeParams(t_end=1.0, dt=0.05))
     free = ops.dofmap.free
     a = ops.dofmap.zero_constrained(rng.standard_normal(state.a.size))
-    r, u_w, v_w, _ = residual(a)
-    op = tangent(u_w, v_w)
+    r, point, _ = residual(a)
+    op = tangent(point)
     assert op.nonlinear
     d = fem.solve_spd(op, -r[free], tol=tol)
     assert np.linalg.norm(op @ d + r[free]) <= tol * np.linalg.norm(r[free])
@@ -569,6 +571,42 @@ def test_gamma_zero_contact_ignores_displacement():
     v = rng.standard_normal(ops.dofmap.ndof)
     ua = rng.standard_normal(v.size)
     ub = rng.standard_normal(v.size)
-    ra = interface.contact_residual(ua, v, ops.contact, ops.quad)
-    rb = interface.contact_residual(ub, v, ops.contact, ops.quad)
+    ra = interface.contact_residual(interface.crack_state(
+        ua, v, 0.0, ops.contact, ops.quad), ops.contact, ops.quad)
+    rb = interface.contact_residual(interface.crack_state(
+        ub, v, 0.0, ops.contact, ops.quad), ops.contact, ops.quad)
     assert np.array_equal(ra, rb)
+
+
+def test_newton_iteration_evaluates_the_crack_once(monkeypatch):
+    # one impact step: every residual evaluation forms the two jumps and g
+    # once, and the Newton matrix reuses them instead of forming its own
+    problem = config_mod.build_problem(impact_config())
+    ops = problem.ops
+    state = ops.initial_state(problem.u0, problem.v0)
+    counts = {"jump_eval": 0, "friction_bound_values": 0, "residual": 0}
+    for name in ("jump_eval", "friction_bound_values"):
+        def spy(*args, _f=getattr(interface, name), _name=name):
+            counts[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(interface, name, spy)
+    added = []
+
+    def residual(*args, _f=ops.residual):
+        counts["residual"] += 1
+        return _f(*args)
+
+    def newton_matrix(*args, _f=ops.newton_matrix):
+        before = counts["jump_eval"], counts["friction_bound_values"]
+        out = _f(*args)
+        added.append((counts["jump_eval"] - before[0],
+                      counts["friction_bound_values"] - before[1]))
+        return out
+
+    monkeypatch.setattr(ops, "residual", residual)
+    monkeypatch.setattr(ops, "newton_matrix", newton_matrix)
+    step(state, problem.params.dt, ops, problem.params)
+    assert counts["residual"] >= 2 and added
+    assert counts["jump_eval"] == 2 * counts["residual"]
+    assert counts["friction_bound_values"] == counts["residual"]
+    assert added == [(0, 0)] * len(added)
