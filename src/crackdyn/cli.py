@@ -286,7 +286,7 @@ def cmd_mesh_gen(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     meshing.save_mesh(mesh, out)
     print(f"wrote {out} ({mesh.n_vertices} vertices, {len(mesh.cells)} cells, "
-          f"{len(mesh.crack_pairs)} crack pairs)")
+          f"{mesh.n_pairs} crack pairs)")
     return EXIT_OK
 
 

@@ -117,7 +117,9 @@ def vi_residual(u, v, a, t, trial, ops: Operators) -> float:
 
     For a state satisfying the regularized force balance the returned
     value is nonnegative for every admissible trial field, up to the
-    Newton/CG solve tolerance; it is exactly zero for trial = gamma*u+v.
+    Newton/CG solve tolerance.  At trial = gamma*u + v it is zero: exactly
+    at gamma = 0 or without friction, otherwise up to rounding, because
+    the friction term compares jt(gamma*u + v) - gamma*jt(u) with jt(v).
     Trials must vanish on the Dirichlet dofs.
     """
     con = ops.dofmap.constrained

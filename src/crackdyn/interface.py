@@ -123,8 +123,8 @@ class CrackQuadrature:
     """Two-point Gauss rule on every crack facet pair.
 
     Attributes (npairs = number of pairs, nq = 2 points per facet):
-    plus_vertices, minus_vertices : (npairs, 2) aligned vertex indices
-    normals : (npairs, dim)
+    plus_vertices, minus_vertices, normals : (npairs, 2) aligned vertex
+        indices and (npairs, dim) normals, the mesh's crack arrays
     points : (npairs, nq, dim), weights : (npairs, nq)
     shapes : (nq, 2) P1 basis values at the quadrature points
     crack_dofs : sorted unconstrained dofs of the crack-face vertices;
@@ -133,17 +133,13 @@ class CrackQuadrature:
     """
 
     def __init__(self, mesh, dofmap: fem.DofMap):
-        pairs = mesh.crack_pairs
         d = mesh.dim
-        n = len(pairs)
         self.dim = d
-        self.n_pairs = n
+        self.n_pairs = mesh.n_pairs
         self.n_vertices = mesh.n_vertices
-        self.plus_vertices = np.array([p.plus for p in pairs],
-                                      dtype=np.int64).reshape(n, 2)
-        self.minus_vertices = np.array([p.minus for p in pairs],
-                                       dtype=np.int64).reshape(n, 2)
-        self.normals = np.array([p.normal for p in pairs]).reshape(n, d)
+        self.plus_vertices = mesh.crack_plus
+        self.minus_vertices = mesh.crack_minus
+        self.normals = mesh.crack_normals
         self.points, self.weights = fem.facet_quadrature(
             mesh.vertices, self.plus_vertices)
         self.shapes = fem.FACET_SHAPES

@@ -2,25 +2,21 @@
 
 A crack is represented by duplicated vertices: cells on the two sides of
 the crack reference distinct vertex indices at geometrically coincident
-positions.  Each crack facet pair stores the plus-side facet, the
-minus-side facet (vertex lists aligned position by position) and the
-unit normal pointing from the minus side into the plus side.
+positions.  The crack facet pairs are three aligned arrays: the plus-side
+facets, the minus-side facets (vertices aligned position by position)
+and the unit normals pointing from the minus side into the plus side.
 
-Generation and validation work on whole arrays of cells and facets; only
-the crack pairs are visited one at a time, so their cost grows with the
-number of cells through numpy alone.
+Generation and validation work on whole arrays of cells, facets and
+crack pairs, so the number of Python calls does not grow with the mesh.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "MeshError",
     "MeshFormatError",
-    "CrackPair",
     "CrackedMesh",
     "SIDE_PLUS",
     "SIDE_MINUS",
@@ -50,23 +46,6 @@ class MeshFormatError(MeshError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class CrackPair:
-    """Coincident facet pair across the crack.
-
-    ``plus`` and ``minus`` list vertex indices aligned so that
-    ``plus[i]`` and ``minus[i]`` occupy the same position.  ``normal``
-    is the unit outward normal of the minus side.
-    """
-
-    plus: tuple[int, ...]
-    minus: tuple[int, ...]
-    normal: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "normal", np.asarray(self.normal, dtype=float))
-
-
 class CrackedMesh:
     """Simplicial mesh of a cracked domain.
 
@@ -78,11 +57,13 @@ class CrackedMesh:
     cells : (nc, dim+1) int array
     cell_sides : (nc,) int array of SIDE_PLUS / SIDE_MINUS
     dirichlet_facets, neumann_facets : (nf, dim) int arrays
-    crack_pairs : sequence of CrackPair
+    crack_plus, crack_minus : (npairs, dim) int arrays, each pair's two
+        facets with coincident vertices aligned; empty input is (0, dim)
+    crack_normals : (npairs, dim) unit outward normals of the minus facets
     """
 
     def __init__(self, dim, vertices, cells, cell_sides, dirichlet_facets,
-                 neumann_facets, crack_pairs):
+                 neumann_facets, crack_plus, crack_minus, crack_normals):
         if dim != 2:
             raise MeshError(f"dim must be 2, got {dim}")
         self.dim = int(dim)
@@ -93,7 +74,11 @@ class CrackedMesh:
             dirichlet_facets, dtype=np.int64).reshape(-1, dim)
         self.neumann_facets = np.ascontiguousarray(
             neumann_facets, dtype=np.int64).reshape(-1, dim)
-        self.crack_pairs = tuple(crack_pairs)
+        self.crack_plus, self.crack_minus, self.crack_normals = (
+            a.reshape(0, dim) if a.size == 0 else a
+            for a in (np.ascontiguousarray(crack_plus, dtype=np.int64),
+                      np.ascontiguousarray(crack_minus, dtype=np.int64),
+                      np.ascontiguousarray(crack_normals, dtype=float)))
         self.validate()
 
     @property
@@ -103,6 +88,10 @@ class CrackedMesh:
     @property
     def n_cells(self) -> int:
         return self.cells.shape[0]
+
+    @property
+    def n_pairs(self) -> int:
+        return len(self.crack_plus)
 
     # -- validation ---------------------------------------------------------
 
@@ -114,7 +103,8 @@ class CrackedMesh:
         separates its interior vertices (``_check_crack_separation``), and
         gluing the crack shut leaves a conforming mesh on which tagged
         facets are boundary facets and crack pairs interior ones
-        (``_check_merged_conforming``).
+        (``_check_merged_conforming``).  Each check covers every item at
+        once; where several items fail it, the first is named.
         """
         nv = self.n_vertices
         if self.vertices.ndim != 2 or self.vertices.shape[1] != self.dim:
@@ -133,85 +123,57 @@ class CrackedMesh:
         if self.dirichlet_facets.shape[0] == 0:
             raise MeshError("Γ_D must be nonempty")
 
-        scale = max(1.0, float(np.abs(self.vertices).max())) if nv else 1.0
-        tol = COINCIDENCE_RTOL * scale
-        facet_cells = self._facet_cells()
-        for k, pair in enumerate(self.crack_pairs):
-            if len(pair.plus) != self.dim or len(pair.minus) != self.dim:
-                raise MeshError(f"crack pair {k}: facet must have {self.dim} vertices")
-            for idx in (*pair.plus, *pair.minus):
-                if not 0 <= idx < nv:
-                    raise MeshError(f"crack pair {k}: vertex index out of range")
-            pp = self.vertices[list(pair.plus)]
-            pm = self.vertices[list(pair.minus)]
-            if np.abs(pp - pm).max() > tol:
-                raise MeshError(
-                    f"crack pair {k}: plus and minus facets are not coincident")
-            self._check_pair_normal(k, pair, facet_cells)
-        del facet_cells     # not held through the conforming check's peak
+        plus, minus, normals = crack = (
+            self.crack_plus, self.crack_minus, self.crack_normals)
+        if any(a.shape != (self.n_pairs, self.dim) for a in crack):
+            raise MeshError(f"crack plus, minus and normal arrays must all "
+                            f"have shape (npairs, {self.dim})")
+        verts = self.vertices
+        _first_bad_pair(((plus < 0) | (plus >= nv)
+                         | (minus < 0) | (minus >= nv)).any(axis=1),
+                        "vertex index out of range")
+        scale = max(1.0, float(np.abs(verts).max())) if nv else 1.0
+        _first_bad_pair(np.abs(verts[plus] - verts[minus]).max(axis=(1, 2))
+                        > COINCIDENCE_RTOL * scale,
+                        "plus and minus facets are not coincident")
+        _first_bad_pair(np.abs(np.linalg.norm(normals, axis=1) - 1.0) > 1e-12,
+                        "normal is not unit length")
+        a, b = verts[minus[:, 0]], verts[minus[:, 1]]
+        edge = b - a
+        length = np.linalg.norm(edge, axis=1)
+        _first_bad_pair(length == 0.0, "degenerate minus facet")
+        cell = self._minus_cells(minus)
+        _first_bad_pair(cell < 0, "minus facet borders no minus cell")
+        # the edge's unit perpendicular, turned away from the minus cell
+        perp = np.stack([edge[:, 1], -edge[:, 0]], axis=1) / length[:, None]
+        outward = 0.5 * (a + b) - verts[self.cells[cell]].mean(axis=1)
+        perp[np.einsum("pd,pd->p", perp, outward) < 0] *= -1.0
+        _first_bad_pair(np.linalg.norm(normals - perp, axis=1) > 1e-10,
+                        "normal does not match the outward normal of the "
+                        "minus facet")
 
         self._check_crack_separation()
         self._check_merged_conforming()
 
-    def _check_pair_normal(self, k: int, pair: CrackPair, facet_cells) -> None:
-        n = pair.normal
-        if n.shape != (self.dim,):
-            raise MeshError(f"crack pair {k}: normal must have {self.dim} components")
-        if abs(np.linalg.norm(n) - 1.0) > 1e-12:
-            raise MeshError(f"crack pair {k}: normal is not unit length")
-        geom = self._outward_normal_of_minus_facet(k, pair, facet_cells)
-        if np.linalg.norm(n - geom) > 1e-10:
-            raise MeshError(
-                f"crack pair {k}: normal does not match the outward normal "
-                f"of the minus facet")
-
-    def _outward_normal_of_minus_facet(self, k: int, pair: CrackPair,
-                                       facet_cells) -> np.ndarray:
-        a, b = self.vertices[pair.minus[0]], self.vertices[pair.minus[1]]
-        edge = b - a
-        length = np.linalg.norm(edge)
-        if length == 0.0:
-            raise MeshError(f"crack pair {k}: degenerate minus facet")
-        perp = np.array([edge[1], -edge[0]]) / length
-        cell = self._adjacent_cell(facet_cells, pair.minus, SIDE_MINUS)
-        if cell is None:
-            raise MeshError(f"crack pair {k}: minus facet borders no minus cell")
-        centroid = self.vertices[self.cells[cell]].mean(axis=0)
-        outward = 0.5 * (a + b) - centroid
-        if np.dot(perp, outward) < 0:
-            perp = -perp
-        return perp
-
-    def _facet_key(self, lo, hi, plus):
-        """Integer key of facet (lo, hi), lo < hi, on the plus side or
-        not; elementwise on arrays."""
-        return (lo * self.n_vertices + hi) * 2 + plus
-
-    def _facet_cells(self):
-        """Every cell edge's facet key, sorted, with the lowest-numbered
-        cell of each key."""
-        edges = np.sort(self.cells[:, [[0, 1], [1, 2], [0, 2]]], axis=2)
-        plus = (self.cell_sides == SIDE_PLUS)[:, None]
-        keys = self._facet_key(edges[..., 0], edges[..., 1], plus)
-        uniq, first = np.unique(keys.ravel(), return_index=True)
-        return uniq, first // 3
-
-    def _adjacent_cell(self, facet_cells, facet, side):
-        """Lowest-numbered cell of ``side`` containing a two-vertex facet,
-        or None."""
-        keys, cells = facet_cells
-        key = self._facet_key(*sorted(int(i) for i in facet), side == SIDE_PLUS)
-        i = int(np.searchsorted(keys, key))
-        return int(cells[i]) if i < keys.size and keys[i] == key else None
+    def _minus_cells(self, facets) -> np.ndarray:
+        """Lowest-numbered minus cell holding each (n, 2) facet, or -1."""
+        nv = self.n_vertices
+        minus = np.flatnonzero(self.cell_sides == SIDE_MINUS)
+        edges = self.cells[minus][:, [[0, 1], [1, 2], [0, 2]]]
+        keys, first = np.unique(_facet_keys(edges, nv), return_index=True)
+        # nv*nv exceeds every key, so a lookup past the end finds no cell
+        keys = np.append(keys, nv * nv)
+        cells = np.append(minus[first // 3], -1)
+        want = _facet_keys(facets, nv)
+        i = np.searchsorted(keys, want)
+        return np.where(keys[i] == want, cells[i], -1)
 
     def _check_crack_separation(self) -> None:
         # A vertex strictly inside the crack (incident to >= 2 crack facets
         # on its side) must belong to cells of that side only; otherwise the
         # faces were not actually separated.
-        faces = np.array([(p.plus, p.minus) for p in self.crack_pairs],
-                         dtype=np.int64).reshape(-1, 2, self.dim)
         interior = []
-        for f in (faces[:, 0], faces[:, 1]):
+        for f in (self.crack_plus, self.crack_minus):
             verts, count = np.unique(f, return_counts=True)
             interior.append(verts[count >= 2])
         interior_plus, interior_minus = interior
@@ -234,15 +196,15 @@ class CrackedMesh:
         partners; everything else maps to itself.
         """
         ident = np.arange(self.n_vertices, dtype=np.int64)
-        for k, pair in enumerate(self.crack_pairs):
-            for vp, vm in zip(pair.plus, pair.minus):
-                if vm == vp:
-                    continue
-                if ident[vm] not in (vm, vp):
-                    raise MeshError(
-                        f"crack pair {k}: vertex {vm} pairs with several "
-                        f"plus vertices")
-                ident[vm] = vp
+        vp, vm = self.crack_plus.ravel(), self.crack_minus.ravel()
+        moved = np.flatnonzero(vp != vm)
+        verts, first = np.unique(vm[moved], return_index=True)
+        ident[verts] = vp[moved[first]]
+        clash = moved[ident[vm[moved]] != vp[moved]]
+        if clash.size:
+            j = int(clash[0])
+            raise MeshError(f"crack pair {j // self.dim}: vertex {vm[j]} "
+                            f"pairs with several plus vertices")
         return ident
 
     def _check_merged_conforming(self) -> None:
@@ -258,7 +220,7 @@ class CrackedMesh:
             c = int(np.argmax(degenerate))
             raise MeshError(f"cell {c} degenerates when the crack is glued")
         facets = glued[:, [[1, 2], [0, 2], [0, 1]]]      # drop vertex 0, 1, 2
-        keys = facets.min(axis=2) * nv + facets.max(axis=2)
+        keys = _facet_keys(facets, nv)
         uniq, first, counts = np.unique(keys.ravel(), return_index=True,
                                         return_counts=True)
         over = counts > 2
@@ -274,8 +236,7 @@ class CrackedMesh:
 
         def glued_counts(facets):
             """How many glued cells hold each (n, 2) facet once glued."""
-            g = ident[facets]
-            key = g.min(axis=1) * nv + g.max(axis=1)
+            key = _facet_keys(ident[facets], nv)
             i = np.searchsorted(uniq, key)
             return np.where(uniq[i] == key, counts[i], 0)
 
@@ -286,17 +247,24 @@ class CrackedMesh:
                 f = facets[np.argmax(bad)]
                 raise MeshError(
                     f"{name} facet {f.tolist()} is not a boundary facet")
-        raw_keys = [np.unique(f.min(axis=1) * nv + f.max(axis=1))
-                    for f in (self.dirichlet_facets, self.neumann_facets)]
-        if np.intersect1d(*raw_keys).size:
+        if np.intersect1d(_facet_keys(self.dirichlet_facets, nv),
+                          _facet_keys(self.neumann_facets, nv)).size:
             raise MeshError("a facet is tagged both Dirichlet and Neumann")
-        plus = np.array([p.plus for p in self.crack_pairs],
-                        dtype=np.int64).reshape(-1, self.dim)
-        bad = glued_counts(plus) != 2
+        bad = glued_counts(self.crack_plus) != 2
         if bad.any():
             raise MeshError(
                 f"crack pair {int(np.argmax(bad))} is not an interior facet "
                 f"of the glued mesh")
+
+
+def _facet_keys(facets, nv):
+    """Orientation-free key lo*nv + hi of each facet along the last axis."""
+    return facets.min(axis=-1) * nv + facets.max(axis=-1)
+
+
+def _first_bad_pair(bad, message):
+    if bad.any():
+        raise MeshError(f"crack pair {int(np.argmax(bad))}: {message}")
 
 
 # ---------------------------------------------------------------------------
@@ -357,11 +325,9 @@ def generate_rect_crack(width, height, nx, ny, crack_span=None) -> CrackedMesh:
         minus_rows = sides == SIDE_MINUS
         cells[minus_rows] = remap[cells[minus_rows]]
 
-    normal = np.array([0.0, 1.0])
-    mid, mid_minus = midline.tolist(), remap[midline].tolist()
-    pairs = [CrackPair(plus=(a, b), minus=(ma, mb), normal=normal)
-             for a, b, ma, mb in zip(mid, mid[1:], mid_minus, mid_minus[1:])
-             if (ma, mb) != (a, b)]
+    # every midline edge with a duplicated end is a crack pair
+    edges = np.stack([midline[:-1], midline[1:]], axis=1)
+    plus = edges[(remap[edges] != edges).any(axis=1)]
 
     dirichlet = np.stack([grid[:-1, [0, nx]], grid[1:, [0, nx]]],
                          axis=-1).reshape(-1, 2)
@@ -375,7 +341,9 @@ def generate_rect_crack(width, height, nx, ny, crack_span=None) -> CrackedMesh:
         cell_sides=sides,
         dirichlet_facets=dirichlet,
         neumann_facets=neumann,
-        crack_pairs=pairs,
+        crack_plus=plus,
+        crack_minus=remap[plus],
+        crack_normals=np.tile([0.0, 1.0], (plus.shape[0], 1)),
     )
 
 
@@ -409,11 +377,11 @@ def save_mesh(mesh: CrackedMesh, path) -> None:
         f.write(f"neumann {mesh.neumann_facets.shape[0]}\n")
         for facet in mesh.neumann_facets:
             f.write(" ".join(str(int(v)) for v in facet) + "\n")
-        f.write(f"crackpairs {len(mesh.crack_pairs)}\n")
-        for pair in mesh.crack_pairs:
-            parts = [str(int(v)) for v in pair.plus]
-            parts += [str(int(v)) for v in pair.minus]
-            parts += [repr(float(c)) for c in pair.normal]
+        f.write(f"crackpairs {mesh.n_pairs}\n")
+        for plus, minus, normal in zip(mesh.crack_plus, mesh.crack_minus,
+                                       mesh.crack_normals):
+            parts = [str(int(v)) for v in (*plus, *minus)]
+            parts += [repr(float(c)) for c in normal]
             f.write(" ".join(parts) + "\n")
 
 
@@ -478,8 +446,8 @@ def load_mesh(path) -> CrackedMesh:
         if len(toks) != n:
             r.error(f"expected {n} integers, got {len(toks)}")
         try:
-            return [int(tk) for tk in toks]
-        except ValueError:
+            return np.array([int(tk) for tk in toks], dtype=np.int64)
+        except (ValueError, OverflowError):     # not an int64 either
             r.error(f"bad integer in {toks!r}")
 
     nv = section("vertices")
@@ -505,18 +473,17 @@ def load_mesh(path) -> CrackedMesh:
     neumann = np.array([ints(r.next_tokens(), dim) for _ in range(nn)],
                        dtype=np.int64).reshape(nn, dim)
 
-    np_ = section("crackpairs")
-    pairs = []
-    for _ in range(np_):
+    crack = ([], [], [])
+    for _ in range(section("crackpairs")):
         toks = r.next_tokens()
         if len(toks) != 3 * dim:
             r.error(f"crack pair line needs {3 * dim} entries")
-        plus = ints(toks[:dim], dim)
-        minus = ints(toks[dim:2 * dim], dim)
-        normal = floats(toks[2 * dim:], dim)
-        pairs.append(CrackPair(tuple(plus), tuple(minus), np.array(normal)))
+        crack[0].append(ints(toks[:dim], dim))
+        crack[1].append(ints(toks[dim:2 * dim], dim))
+        crack[2].append(floats(toks[2 * dim:], dim))
 
     try:
-        return CrackedMesh(dim, vertices, cells, sides, dirichlet, neumann, pairs)
+        return CrackedMesh(dim, vertices, cells, sides, dirichlet, neumann,
+                           *crack)
     except MeshError as exc:
         raise MeshError(f"{path}: {exc}") from exc

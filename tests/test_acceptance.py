@@ -264,7 +264,7 @@ def _all_dirichlet(mesh):
     both = np.vstack([mesh.dirichlet_facets, mesh.neumann_facets])
     return meshing.CrackedMesh(
         mesh.dim, mesh.vertices, mesh.cells, mesh.cell_sides,
-        both, np.zeros((0, 2), dtype=np.int64), ())
+        both, np.zeros((0, 2), dtype=np.int64), (), (), ())
 
 
 def _smooth_case(n, lam=1.0, mu=1.0, rho=1.0, c=0.1, om=2.0, t_end=0.5):

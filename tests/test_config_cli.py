@@ -549,7 +549,7 @@ def test_mesh_gen_roundtrip(tmp_path, capsys):
     assert "16 vertices" in msg and "16 cells" in msg and "2 crack pairs" in msg
     mesh = load_mesh(out)
     assert mesh.n_vertices == 16
-    assert len(mesh.crack_pairs) == 2
+    assert mesh.n_pairs == 2
 
 
 def test_mesh_gen_single_token_spec(tmp_path):

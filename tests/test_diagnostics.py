@@ -208,6 +208,15 @@ def test_vi_residual_zero_at_argument():
     a = zc(rng.standard_normal(u.size))
     z = ops.contact.gamma * u + v
     assert vi_residual(u, v, a, 0.0, z, ops) == 0.0
+    # with gamma != 0 and friction the friction term compares
+    # phi(jt(gamma*u + v) - gamma*jt(u)) with phi(jt(v)): equal up to rounding
+    ops = make_ops(gamma=1.3, g="0.3")
+    z = ops.contact.gamma * u + v
+    _, jt, g = interface.crack_state(u, v, 0.0, ops.contact, ops.quad)
+    scale = float(np.sum(ops.quad.weights * g
+                         * interface.phi_eps(jt, ops.contact.epsilon)))
+    assert scale > 0.1
+    assert abs(vi_residual(u, v, a, 0.0, z, ops)) <= 1e-14 * scale
 
 
 def test_vi_residual_rejects_constrained_trials():

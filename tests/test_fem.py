@@ -11,7 +11,7 @@ from crackdyn.meshing import CrackedMesh, SIDE_PLUS, generate_rect_crack
 def single_triangle():
     return CrackedMesh(2, [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 1, 2)],
                        [SIDE_PLUS], [(0, 1)], np.zeros((0, 2), dtype=np.int64),
-                       ())
+                       (), (), ())
 
 
 def retag_top_neumann(mesh, height):
@@ -20,7 +20,8 @@ def retag_top_neumann(mesh, height):
     ys = mesh.vertices[:, 1]
     on_top = np.all(np.isclose(ys[facets], height), axis=1)
     return CrackedMesh(2, mesh.vertices, mesh.cells, mesh.cell_sides,
-                       facets[~on_top], facets[on_top], mesh.crack_pairs)
+                       facets[~on_top], facets[on_top], mesh.crack_plus,
+                       mesh.crack_minus, mesh.crack_normals)
 
 
 def test_material_validation():
@@ -248,7 +249,7 @@ def test_assembly_is_deterministic():
 def test_inverted_cell_rejected():
     mesh = CrackedMesh(2, [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 2, 1)],
                        [SIDE_PLUS], [(0, 1)], np.zeros((0, 2), dtype=np.int64),
-                       ())
+                       (), (), ())
     with pytest.raises(fem.AssemblyError, match="area"):
         fem.assemble_mass(mesh, Material(lam=1.0, mu=1.0, rho=1.0))
 

@@ -7,7 +7,6 @@ import pytest
 from crackdyn import meshing
 from crackdyn.meshing import (
     CrackedMesh,
-    CrackPair,
     MeshError,
     MeshFormatError,
     SIDE_MINUS,
@@ -24,11 +23,10 @@ def test_small_rect_counts():
     m = generate_rect_crack(2.0, 1.0, 2, 2, crack_span=(0.25, 0.75))
     assert m.n_vertices == 10
     assert m.n_cells == 8
-    assert len(m.crack_pairs) == 2
+    assert m.n_pairs == 2
     assert np.count_nonzero(m.cell_sides == SIDE_PLUS) == 4
     assert np.count_nonzero(m.cell_sides == SIDE_MINUS) == 4
-    for pair in m.crack_pairs:
-        assert np.allclose(pair.normal, [0.0, 1.0])
+    assert np.allclose(m.crack_normals, [0.0, 1.0])
     # the duplicate sits on top of its original
     dup = m.n_vertices - 1
     assert np.allclose(m.vertices[dup], [1.0, 0.5])
@@ -38,17 +36,16 @@ def test_three_pair_fixture():
     # nx = 3 on [0,3], span (1/6, 5/6): both interior midline vertices are
     # duplicated, so all three midline edges become crack pairs.
     m = generate_rect_crack(3.0, 1.0, 3, 2, crack_span=(1 / 6, 5 / 6))
-    assert len(m.crack_pairs) == 3
-    for pair in m.crack_pairs:
-        assert len(pair.plus) == len(pair.minus) == 2
-        assert np.allclose(m.vertices[list(pair.plus)],
-                           m.vertices[list(pair.minus)])
+    assert m.n_pairs == 3
+    assert m.crack_plus.shape == m.crack_minus.shape == (3, 2)
+    assert np.allclose(m.vertices[m.crack_plus], m.vertices[m.crack_minus])
 
 
 def test_glued_when_span_is_none():
     m = generate_rect_crack(1.0, 1.0, 4, 4)
-    assert len(m.crack_pairs) == 0
-    assert m.crack_pairs == ()
+    assert m.n_pairs == 0
+    assert m.crack_plus.shape == m.crack_minus.shape == (0, 2)
+    assert m.crack_normals.shape == (0, 2)
     assert np.array_equal(m.merged_vertex_map(), np.arange(m.n_vertices))
 
 
@@ -75,10 +72,11 @@ def test_normal_points_from_minus_to_plus():
                 return m.vertices[m.cells[c]].mean(axis=0)
         raise AssertionError("no adjacent cell found")
 
-    for pair in m.crack_pairs:
-        cp = centroid_of(pair.plus, SIDE_PLUS)
-        cm = centroid_of(pair.minus, SIDE_MINUS)
-        assert np.dot(pair.normal, cp - cm) > 0
+    for plus, minus, normal in zip(m.crack_plus, m.crack_minus,
+                                   m.crack_normals):
+        cp = centroid_of(plus, SIDE_PLUS)
+        cm = centroid_of(minus, SIDE_MINUS)
+        assert np.dot(normal, cp - cm) > 0
 
 
 def test_refinement_contains_coarse_vertices():
@@ -91,10 +89,12 @@ def test_refinement_contains_coarse_vertices():
 
 def test_trace_maps_coincide():
     m = generate_rect_crack(2.0, 1.0, 6, 4, crack_span=(0.2, 0.8))
-    assert len(m.crack_pairs) == 4
-    for pair in m.crack_pairs:
-        assert np.allclose(m.vertices[list(pair.plus)],
-                           m.vertices[list(pair.minus)])
+    assert m.n_pairs == 4
+    assert np.allclose(m.vertices[m.crack_plus], m.vertices[m.crack_minus])
+
+
+def _crack(m):
+    return m.crack_plus, m.crack_minus, m.crack_normals
 
 
 def test_validate_rejects_moved_duplicate():
@@ -103,15 +103,15 @@ def test_validate_rejects_moved_duplicate():
     verts[-1] += [1e-3, 0.0]
     with pytest.raises(MeshError, match="coincident"):
         CrackedMesh(2, verts, m.cells, m.cell_sides,
-                    m.dirichlet_facets, m.neumann_facets, m.crack_pairs)
+                    m.dirichlet_facets, m.neumann_facets, *_crack(m))
 
 
 def test_validate_rejects_flipped_normal():
     m = generate_rect_crack(2.0, 1.0, 2, 2, crack_span=(0.25, 0.75))
-    bad = [CrackPair(p.plus, p.minus, -p.normal) for p in m.crack_pairs]
     with pytest.raises(MeshError, match="outward normal"):
         CrackedMesh(2, m.vertices, m.cells, m.cell_sides,
-                    m.dirichlet_facets, m.neumann_facets, bad)
+                    m.dirichlet_facets, m.neumann_facets,
+                    m.crack_plus, m.crack_minus, -m.crack_normals)
 
 
 def test_validate_rejects_shared_interior_vertex():
@@ -120,13 +120,13 @@ def test_validate_rejects_shared_interior_vertex():
     # facet still borders a cell of its side, but 4 is then shared
     m = generate_rect_crack(2.0, 1.0, 2, 2, crack_span=(0.25, 0.75))
     dup = m.n_vertices - 1
-    orig = int(m.crack_pairs[0].plus[1])
+    orig = int(m.crack_plus[0, 1])
     cells = m.cells.copy()
     assert (dup, orig) == (9, 4) and cells[0].tolist() == [0, 1, dup]
     cells[0, 2] = orig
     with pytest.raises(MeshError) as exc:
         CrackedMesh(2, m.vertices, cells, m.cell_sides,
-                    m.dirichlet_facets, m.neumann_facets, m.crack_pairs)
+                    m.dirichlet_facets, m.neumann_facets, *_crack(m))
     assert str(exc.value) == ("vertices [4] lie strictly inside the crack "
                               "but are shared between plus and minus cells")
 
@@ -136,7 +136,7 @@ def test_validate_rejects_empty_dirichlet():
     with pytest.raises(MeshError, match="nonempty"):
         CrackedMesh(2, m.vertices, m.cells, m.cell_sides,
                     np.zeros((0, 2), dtype=np.int64), m.neumann_facets,
-                    m.crack_pairs)
+                    *_crack(m))
 
 
 def test_validate_rejects_double_tagged_facet():
@@ -144,7 +144,7 @@ def test_validate_rejects_double_tagged_facet():
     neumann = np.vstack([m.neumann_facets, m.dirichlet_facets[:1]])
     with pytest.raises(MeshError, match="both"):
         CrackedMesh(2, m.vertices, m.cells, m.cell_sides,
-                    m.dirichlet_facets, neumann, m.crack_pairs)
+                    m.dirichlet_facets, neumann, *_crack(m))
 
 
 def test_validate_rejects_interior_tagged_facet():
@@ -162,7 +162,7 @@ def test_validate_rejects_interior_tagged_facet():
     neumann = np.vstack([m.neumann_facets, [interior]])
     with pytest.raises(MeshError, match="boundary"):
         CrackedMesh(2, m.vertices, m.cells, m.cell_sides,
-                    m.dirichlet_facets, neumann, m.crack_pairs)
+                    m.dirichlet_facets, neumann, *_crack(m))
 
 
 def test_validate_rejects_minus_facet_without_minus_cell():
@@ -171,35 +171,33 @@ def test_validate_rejects_minus_facet_without_minus_cell():
     with pytest.raises(MeshError,
                        match="crack pair 0: minus facet borders no minus cell"):
         CrackedMesh(2, m.vertices, m.cells, sides,
-                    m.dirichlet_facets, m.neumann_facets, m.crack_pairs)
+                    m.dirichlet_facets, m.neumann_facets, *_crack(m))
 
 
 def test_facet_cells_match_a_scan_of_every_cell():
-    # reference: the first cell, by index, of the facet's side whose
-    # vertices include the facet's
+    # reference: the first minus cell, by index, whose vertices include
+    # the facet's, or -1
     m = generate_rect_crack(2.0, 1.0, 6, 4, crack_span=(0.25, 0.75))
-    facet_cells = m._facet_cells()
 
-    def scan(facet, side):
+    def scan(facet):
         for c in range(m.n_cells):
-            if m.cell_sides[c] == side and set(facet) <= set(m.cells[c].tolist()):
+            if m.cell_sides[c] == SIDE_MINUS and \
+                    set(facet) <= set(m.cells[c].tolist()):
                 return c
-        return None
+        return -1
 
     nv = m.n_vertices
-    for a in range(nv):
-        for b in range(a + 1, nv):
-            for side in (SIDE_PLUS, SIDE_MINUS):
-                for facet in ((a, b), (b, a)):
-                    assert m._adjacent_cell(facet_cells, facet, side) == \
-                        scan(facet, side)
+    facets = [f for a in range(nv) for b in range(a + 1, nv)
+              for f in ((a, b), (b, a))]
+    found = m._minus_cells(np.array(facets))
+    assert found.tolist() == [scan(f) for f in facets]
 
 
 def test_dim3_unsupported():
     with pytest.raises(MeshError, match="dim must be 2"):
         CrackedMesh(3, np.zeros((4, 3)), np.zeros((1, 4), dtype=np.int64),
                     np.array([SIDE_PLUS]), np.zeros((1, 3), dtype=np.int64),
-                    np.zeros((0, 3), dtype=np.int64), ())
+                    np.zeros((0, 3), dtype=np.int64), (), (), ())
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -212,10 +210,9 @@ def test_save_load_roundtrip(tmp_path):
     assert np.array_equal(back.cell_sides, m.cell_sides)
     assert np.array_equal(back.dirichlet_facets, m.dirichlet_facets)
     assert np.array_equal(back.neumann_facets, m.neumann_facets)
-    assert len(back.crack_pairs) == len(m.crack_pairs)
-    for a, b in zip(back.crack_pairs, m.crack_pairs):
-        assert a.plus == b.plus and a.minus == b.minus
-        assert np.array_equal(a.normal, b.normal)
+    assert np.array_equal(back.crack_plus, m.crack_plus)
+    assert np.array_equal(back.crack_minus, m.crack_minus)
+    assert np.array_equal(back.crack_normals, m.crack_normals)
     # saving the loaded mesh reproduces the file byte for byte
     path2 = tmp_path / "mesh2.txt"
     save_mesh(back, path2)
@@ -262,14 +259,95 @@ def test_load_validates_invariants(tmp_path):
         load_mesh(path)
 
 
+def _load_error(tmp_path, lineno, text):
+    """The full error text of loading the 2 x 2 cracked mesh's file with
+    line ``lineno`` (1-based) replaced by ``text``."""
+    path = tmp_path / "edited.txt"
+    save_mesh(generate_rect_crack(2.0, 1.0, 2, 2, crack_span=(0.25, 0.75)),
+              path)
+    lines = path.read_text().splitlines()
+    assert lines[31:] == ["crackpairs 2", "3 4 3 9 0.0 1.0",
+                          "4 5 9 5 0.0 1.0"]
+    lines[lineno - 1] = text
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MeshError) as exc:
+        load_mesh(path)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("lineno,text,message", [
+    (1, "crackmesh 2 2", "unsupported format version '2'"),
+    (1, "crackmesh 1 two", "bad dimension 'two'"),
+    (13, "cell 8", "expected section 'cells <count>'"),
+    (2, "vertices ten", "bad count 'ten'"),
+    (22, "dirichlet -1", "count must be non-negative"),
+    (5, "2.0", "expected 2 numbers, got 1"),
+    (5, "2.0 zero", "bad number in ['2.0', 'zero']"),
+    (24, "2 5 8", "expected 2 integers, got 3"),
+    (24, "2 five", "bad integer in ['2', 'five']"),
+    # past int64: the index arrays could not hold it
+    (16, "1 2 99999999999999999999 minus",
+     "bad integer in ['1', '2', '99999999999999999999']"),
+    (34, "4 5 9 99999999999999999999 0.0 1.0",
+     "bad integer in ['9', '99999999999999999999']"),
+    (16, "1 2 minus", "cell line needs 3 vertices and a side tag"),
+    (16, "1 2 5 below", "unknown side tag 'below'"),
+    (34, "4 5 9 5 0.0", "crack pair line needs 6 entries"),
+])
+def test_load_names_the_bad_line(tmp_path, lineno, text, message):
+    assert _load_error(tmp_path, lineno, text) == f"line {lineno}: {message}"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("4 5 9 10 0.0 1.0", "vertex index out of range"),
+    ("4 5 -1 5 0.0 1.0", "vertex index out of range"),
+    ("4 5 9 5 0.0 2.0", "normal is not unit length"),
+    ("4 4 9 9 0.0 1.0", "degenerate minus facet"),
+])
+def test_load_names_the_bad_crack_pair(tmp_path, text, message):
+    assert _load_error(tmp_path, 34, text) == \
+        f"{tmp_path / 'edited.txt'}: crack pair 1: {message}"
+
+
 def test_merged_vertex_map_glues_pairs():
     m = generate_rect_crack(2.0, 1.0, 4, 2, crack_span=(0.25, 0.75))
     ident = m.merged_vertex_map()
-    for pair in m.crack_pairs:
-        assert np.array_equal(ident[list(pair.minus)], ident[list(pair.plus)])
-    untouched = np.setdiff1d(np.arange(m.n_vertices),
-                             [v for pair in m.crack_pairs for v in pair.minus])
+    assert np.array_equal(ident[m.crack_minus], ident[m.crack_plus])
+    untouched = np.setdiff1d(np.arange(m.n_vertices), m.crack_minus)
     assert np.array_equal(ident[untouched], untouched)
+
+
+def test_merged_vertex_map_matches_a_loop_over_the_pairs():
+    m = generate_rect_crack(2.0, 1.0, 4, 2, crack_span=(0.25, 0.75))
+
+    # reference: visit the pairs in order and keep each minus vertex's
+    # first partner; a later, different partner is an error
+    def loop(plus, minus):
+        ident = list(range(m.n_vertices))
+        for k in range(len(plus)):
+            for vp, vm in zip(plus[k], minus[k]):
+                if vm == vp:
+                    continue
+                if ident[vm] not in (vm, vp):
+                    return (f"crack pair {k}: vertex {vm} pairs with several "
+                            f"plus vertices")
+                ident[vm] = vp
+        return ident
+
+    rng = np.random.default_rng(3)
+    outcomes = set()
+    for _ in range(300):
+        # few vertices, so that partners repeat and clash
+        shape = (2, rng.integers(7), 2)
+        m.crack_plus, m.crack_minus = rng.integers(0, 5, shape)
+        want = loop(m.crack_plus.tolist(), m.crack_minus.tolist())
+        try:
+            got = m.merged_vertex_map().tolist()
+        except MeshError as exc:
+            got = str(exc)
+        assert got == want
+        outcomes.add(type(want))
+    assert outcomes == {list, str}
 
 
 # -- every message of the separation and glued-mesh checks, in full; where
@@ -280,11 +358,18 @@ def _message(m, **changes):
     """The MeshError text of ``m`` with some constructor arguments replaced."""
     args = dict(vertices=m.vertices, cells=m.cells, cell_sides=m.cell_sides,
                 dirichlet_facets=m.dirichlet_facets,
-                neumann_facets=m.neumann_facets, crack_pairs=m.crack_pairs)
+                neumann_facets=m.neumann_facets, crack_plus=m.crack_plus,
+                crack_minus=m.crack_minus, crack_normals=m.crack_normals)
     args.update(changes)
     with pytest.raises(MeshError) as exc:
         CrackedMesh(2, **args)
     return str(exc.value)
+
+
+def _pairs(*pairs):
+    """Constructor arguments for crack pairs given as (plus, minus, normal)."""
+    plus, minus, normals = zip(*pairs)
+    return dict(crack_plus=plus, crack_minus=minus, crack_normals=normals)
 
 
 UP = np.array([0.0, 1.0])
@@ -294,8 +379,8 @@ DOWN = np.array([0.0, -1.0])
 def test_separation_rejects_vertex_interior_on_both_sides():
     # uncracked 2 x 2: midline 3-4-5 listed as a crack with plus == minus
     m = generate_rect_crack(2.0, 1.0, 2, 2)
-    pairs = [CrackPair((3, 4), (3, 4), UP), CrackPair((4, 5), (4, 5), UP)]
-    assert _message(m, crack_pairs=pairs) == \
+    pairs = _pairs(((3, 4), (3, 4), UP), ((4, 5), (4, 5), UP))
+    assert _message(m, **pairs) == \
         "crack interior vertex is shared between the sides"
 
 
@@ -319,7 +404,9 @@ def test_glued_check_names_lowest_degenerate_cell():
     assert cells[3].tolist() == [1, 5, 9] and cells[6].tolist() == [4, 5, 8]
     cells[6] = [4, 9, 8]
     cells[3] = [4, 5, 9]
-    assert _message(m, cells=cells, crack_pairs=m.crack_pairs[:1]) == \
+    assert _message(m, cells=cells, crack_plus=m.crack_plus[:1],
+                    crack_minus=m.crack_minus[:1],
+                    crack_normals=m.crack_normals[:1]) == \
         "cell 3 degenerates when the crack is glued"
 
 
@@ -339,8 +426,8 @@ def test_glue_rejects_minus_vertex_with_two_plus_partners():
     # vertex 10 sits on 4 and 9; pair 0 glues 9 onto 4, pair 1 onto 10
     m = generate_rect_crack(2.0, 1.0, 2, 2, crack_span=(0.25, 0.75))
     verts = np.vstack([m.vertices, [[1.0, 0.5]]])
-    pairs = [CrackPair((3, 4), (3, 9), UP), CrackPair((10, 5), (9, 5), UP)]
-    assert _message(m, vertices=verts, crack_pairs=pairs) == \
+    pairs = _pairs(((3, 4), (3, 9), UP), ((10, 5), (9, 5), UP))
+    assert _message(m, vertices=verts, **pairs) == \
         "crack pair 1: vertex 9 pairs with several plus vertices"
 
 
@@ -365,9 +452,9 @@ def test_crack_pair_must_be_interior_once_glued():
     # uncracked 3 x 2: pair 0 is the interior facet (4, 5); pairs 1 and 2
     # are the bottom boundary facets (2, 3) and (0, 1)
     m = generate_rect_crack(3.0, 1.0, 3, 2)
-    pairs = [CrackPair((4, 5), (4, 5), UP), CrackPair((2, 3), (2, 3), DOWN),
-             CrackPair((0, 1), (0, 1), DOWN)]
-    assert _message(m, crack_pairs=pairs) == \
+    pairs = _pairs(((4, 5), (4, 5), UP), ((2, 3), (2, 3), DOWN),
+                   ((0, 1), (0, 1), DOWN))
+    assert _message(m, **pairs) == \
         "crack pair 1 is not an interior facet of the glued mesh"
 
 
@@ -377,6 +464,40 @@ def test_facet_tagged_twice_in_either_orientation():
     neumann = np.vstack([m.neumann_facets, [[b, a]]])
     assert _message(m, neumann_facets=neumann) == \
         "a facet is tagged both Dirichlet and Neumann"
+
+
+def test_crack_arrays_must_all_be_npairs_by_2():
+    m = generate_rect_crack(2.0, 1.0, 2, 2, crack_span=(0.25, 0.75))
+    message = "crack plus, minus and normal arrays must all have shape " \
+        "(npairs, 2)"
+    for change in (dict(crack_plus=np.hstack([m.crack_plus, [[3], [4]]])),
+                   dict(crack_minus=m.crack_minus[:1]),
+                   dict(crack_normals=[0.0, 1.0]),
+                   dict(crack_normals=[[0.0, 1.0, 0.0]] * 2),
+                   # a flat list of four indices is not read as two pairs
+                   dict(crack_plus=m.crack_plus.ravel()),
+                   dict(crack_plus=(), crack_minus=(), crack_normals=UP)):
+        assert _message(m, **change) == message
+    # empty input of any shape is no pairs
+    empty = np.zeros((0, 3))
+    glued = generate_rect_crack(2.0, 1.0, 2, 2)
+    mesh = CrackedMesh(2, glued.vertices, glued.cells, glued.cell_sides,
+                       glued.dirichlet_facets, glued.neumann_facets,
+                       [], empty, ())
+    assert mesh.crack_plus.shape == mesh.crack_normals.shape == (0, 2)
+
+
+def test_each_pair_check_names_its_lowest_bad_pair():
+    # pair 0's normal is not unit length and pair 1 holds an index out of
+    # range: the range check runs first over every pair, so pair 1 is named
+    m = generate_rect_crack(2.0, 1.0, 2, 2, crack_span=(0.25, 0.75))
+    pairs = _pairs(((3, 4), (3, 9), 2 * UP), ((4, 5), (9, 10), UP))
+    assert _message(m, **pairs) == "crack pair 1: vertex index out of range"
+    pairs = _pairs(((3, 4), (3, 9), 2 * UP), ((4, 5), (9, 5), DOWN))
+    assert _message(m, **pairs) == "crack pair 0: normal is not unit length"
+    pairs = _pairs(((3, 4), (3, 9), UP), ((4, 5), (9, 5), DOWN))
+    assert _message(m, **pairs) == ("crack pair 1: normal does not match "
+                                    "the outward normal of the minus facet")
 
 
 # sha256 of the save_mesh text of generate_rect_crack(2.0, 1.0, nx, ny, span),
@@ -416,8 +537,8 @@ def _calls_to_generate(nx):
     return calls
 
 
-def test_generate_and_validate_scale_with_the_pairs_not_the_cells():
-    # doubling nx quadruples the cells but only doubles the crack pairs,
-    # the one thing still handled one at a time in Python
-    ratio = _calls_to_generate(128) / _calls_to_generate(64)
-    assert ratio < 2.5
+def test_generate_and_validate_make_the_same_calls_at_every_size():
+    # cells, facets and crack pairs are all handled as whole arrays, so no
+    # Python call is made per item: nx = 256 makes exactly the calls of 16
+    assert _calls_to_generate(16) == _calls_to_generate(64) == \
+        _calls_to_generate(256)

@@ -610,3 +610,27 @@ def test_newton_iteration_evaluates_the_crack_once(monkeypatch):
     assert counts["jump_eval"] == 2 * counts["residual"]
     assert counts["friction_bound_values"] == counts["residual"]
     assert added == [(0, 0)] * len(added)
+
+
+def test_line_search_give_up_ends_in_step_failure(monkeypatch):
+    # every Newton direction points uphill: each substep's line search
+    # gives up at once, and after five halvings step raises instead of
+    # returning a state
+    problem = config_mod.build_problem(impact_config())
+    ops, params = problem.ops, problem.params
+    state = ops.initial_state(problem.u0, problem.v0)
+    a0 = state.a.copy()
+    solves = []
+
+    def uphill(*args, _f=fem.solve_spd, **kwargs):
+        solves.append(1)
+        return -_f(*args, **kwargs)
+
+    monkeypatch.setattr(timestepper.fem, "solve_spd", uphill)
+    with pytest.raises(StepFailure) as err:
+        step(state, params.dt, ops, params)
+    assert len(solves) == 6
+    assert str(err.value).startswith(
+        "Newton stalled at t=0 with dt=7.813e-05 after 5 halvings")
+    assert err.value.iterations == 1
+    assert state.t == 0.0 and np.array_equal(state.a, a0)

@@ -41,7 +41,7 @@ VECTORS v double
 def two_triangles():
     return CrackedMesh(2, [(0.0, 0.0), (2.0, 0.0), (2.0, 1 / 3), (0.1, 1.0)],
                        [(0, 1, 2), (0, 2, 3)], [SIDE_PLUS, SIDE_PLUS],
-                       [(0, 3)], [(0, 1), (1, 2), (2, 3)], [])
+                       [(0, 3)], [(0, 1), (1, 2), (2, 3)], [], [], [])
 
 
 def read_snapshot(path):
