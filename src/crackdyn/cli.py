@@ -13,6 +13,7 @@ output files are bitwise reproducible with or without it.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -85,38 +86,27 @@ _SWEEP_COLUMNS = ("int_pen3_dt", "sup_penetration", "max_acc_h",
                   "dist_to_finest", "cauchy_dist")
 
 
-def _write_sweep_csv(path, label, rows):
-    with open(path, "w", encoding="ascii") as fh:
+def _write_sweep_csv(cfg, name, label, rows):
+    outdir = Path(cfg.output_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    with (outdir / name).open("w", encoding="ascii") as fh:
         fh.write(",".join((label,) + _SWEEP_COLUMNS) + "\n")
         for r in rows:
-            fh.write(",".join(_fmt(x) for x in
-                              (r.value, r.int_pen3_dt, r.sup_penetration,
-                               r.max_acc_h, r.dist_to_finest, r.cauchy_dist))
-                     + "\n")
+            fh.write(",".join(_fmt(x) for x in dataclasses.astuple(r)) + "\n")
 
 
 def cmd_sweep_eps(args) -> int:
     cfg = config_mod.parse_config(args.config)
-    try:
-        result = diagnostics.epsilon_sweep(cfg, args.eps)
-    except ValueError as exc:
-        raise config_mod.ConfigError(str(exc)) from exc
-    outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    _write_sweep_csv(outdir / "sweep_eps.csv", "epsilon", result.rows)
+    result = diagnostics.epsilon_sweep(cfg, args.eps)
+    _write_sweep_csv(cfg, "sweep_eps.csv", "epsilon", result.rows)
     print(f"fitted penetration order p = {_fmt(result.fitted_order)}")
     return EXIT_OK
 
 
 def cmd_sweep_gamma(args) -> int:
     cfg = config_mod.parse_config(args.config)
-    try:
-        rows = diagnostics.gamma_sweep(cfg, args.gamma)
-    except ValueError as exc:
-        raise config_mod.ConfigError(str(exc)) from exc
-    outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    _write_sweep_csv(outdir / "sweep_gamma.csv", "gamma", rows)
+    rows = diagnostics.gamma_sweep(cfg, args.gamma)
+    _write_sweep_csv(cfg, "sweep_gamma.csv", "gamma", rows)
     return EXIT_OK
 
 
@@ -124,143 +114,28 @@ def cmd_sweep_gamma(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _check_monotone(rng) -> tuple[bool, str]:
-    worst = np.inf
-    for eps in (1.0, 1e-2, 1e-4):
-        x, y = rng.uniform(-5.0, 5.0, (2, 10_000))
-        worst = min(worst, float(np.min(
-            (interface.beta_eps(x, eps) - interface.beta_eps(y, eps)) * (x - y))))
-        a, b = rng.uniform(-5.0, 5.0, (2, 10_000, 2))
-        da = interface.alpha_eps(a, eps) - interface.alpha_eps(b, eps)
-        worst = min(worst, float(np.min(np.einsum("nd,nd->n", da, a - b))))
-    return worst >= -1e-12, f"worst monotonicity product {worst:.3e}"
-
-
-def _check_gradients(rng) -> tuple[bool, str]:
-    detail = ""
-    for eps in (1.0, 1e-2, 1e-4):
-        # points kept away from zero so stencils never straddle the
-        # C^1 kink of beta or the curvature spike of alpha
-        x = rng.uniform(0.05, 3.0, 100) * rng.choice([-1.0, 1.0], 100)
-        scale = 1.0 + float(np.max(np.abs(interface.dbeta_eps(x, eps))))
-        for h in (1e-3, 5e-4):
-            fd = (interface.beta_eps(x + h, eps)
-                  - interface.beta_eps(x - h, eps)) / (2 * h)
-            err = float(np.max(np.abs(fd - interface.dbeta_eps(x, eps))))
-            if err > 1e-8 * scale:
-                return False, f"beta gradient error {err:.3e} at eps={eps}, h={h}"
-        r = rng.uniform(0.05, 2.0, 100)
-        th = rng.uniform(0.0, 2.0 * np.pi, 100)
-        pts = np.column_stack([r * np.cos(th), r * np.sin(th)])
-        d = rng.standard_normal((100, 2))
-        d /= np.linalg.norm(d, axis=1)[:, None]
-        errs = []
-        for h in (1e-3, 5e-4):
-            fd = (interface.alpha_eps(pts + h * d, eps)
-                  - interface.alpha_eps(pts - h * d, eps)) / (2 * h)
-            exact = np.einsum("nce,ne->nc", interface.dalpha_eps(pts, eps), d)
-            errs.append(float(np.max(np.abs(fd - exact))))
-        if errs[1] > max(0.35 * errs[0], 1e-9):
-            return False, f"alpha gradient not O(h^2): {errs} at eps={eps}"
-        detail = f"alpha FD errors {errs[0]:.2e} -> {errs[1]:.2e}"
-    return True, detail
-
-
-def _check_kernel(problem) -> tuple[bool, str]:
-    mesh = problem.ops.mesh
-    k = problem.ops.stiffness
-    xy = mesh.vertices
-    modes = [
-        np.tile([1.0, 0.0], mesh.n_vertices),
-        np.tile([0.0, 1.0], mesh.n_vertices),
-        np.column_stack([-xy[:, 1], xy[:, 0]]).ravel(),
-    ]
-    knorm = float(np.abs(k).max())
-    worst = max(float(np.abs(k @ m).max()) / (knorm * max(np.abs(m).max(), 1.0))
-                for m in modes)
-    return worst <= 1e-12, f"relative kernel residual {worst:.3e}"
-
-
-def _check_trajectory(cfg, problem) -> list[tuple[str, bool, str]]:
-    states, records, infos = diagnostics.run_with_records(problem)
-    out = []
-
-    sig_max = -np.inf
-    gap_max = 0.0
-    contact, quad = problem.ops.contact, problem.ops.quad
-    if quad.n_pairs:
-        for s in states:
-            sn, _ = interface.recover_tractions(
-                interface.crack_state(s.u, s.v, s.t, contact, quad), contact)
-            sig_max = max(sig_max, float(sn.max()))
-        gap_max = max(r.friction_gap for r in records)
-    else:
-        sig_max = 0.0
-    out.append(("normal-traction-nonpositive", sig_max <= 0.0,
-                f"max sigma_n {sig_max:.3e}"))
-    out.append(("friction-bound-respected", gap_max == 0.0,
-                f"max friction gap {gap_max:.3e}"))
-
-    energies = [r.kinetic + r.strain for r in records]
-    no_loads = cfg.f is None and cfg.trac is None
-    if no_loads and cfg.gamma == 0.0:
-        tol = 1e-8 * energies[0]
-        rises = max(b - a for a, b in zip(energies, energies[1:]))
-        out.append(("energy-decay", rises <= tol,
-                    f"worst per-step rise {rises:.3e} vs tol {tol:.3e}"))
-    elif no_loads:
-        bound = 10.0 * (cfg.gamma + 1.0) ** 2 * energies[0]
-        out.append(("energy-bounded", max(energies) <= bound,
-                    f"max energy {max(energies):.3e} vs bound {bound:.3e}"))
-    else:
-        finite = all(math.isfinite(e) for e in energies)
-        out.append(("energy-finite", finite, f"final energy {energies[-1]:.3e}"))
-
-    rng = np.random.default_rng(_VERIFY_SEED + 1)
-    pts = diagnostics.weighted_points(states, infos, problem.params)
-    stride = max(1, len(pts) // 10)
-    worst = np.inf
-    con = problem.ops.dofmap.constrained
-    for t_w, u_w, v_w, a_w, _tol in pts[::stride]:
-        z = cfg.gamma * u_w + v_w
-        for _ in range(20):
-            w = rng.standard_normal(z.shape)
-            w[con] = 0.0
-            w /= max(np.linalg.norm(w), 1e-30)
-            trial = z + w
-            worst = min(worst, diagnostics.vi_residual(
-                u_w, v_w, a_w, t_w, trial, problem.ops))
-    bound = -10.0 * problem.params.newton_tol
-    out.append(("vi-inequality", worst >= bound,
-                f"min residual {worst:.3e} vs {bound:.3e}"))
-    return out
-
-
 def cmd_verify(args) -> int:
     cfg, problem = _load_problem(args.config)
     rng = np.random.default_rng(_VERIFY_SEED)
-    results = [
-        ("regularization-monotone",) + _check_monotone(rng),
-        ("regularization-gradients",) + _check_gradients(rng),
-        ("rigid-body-kernel",) + _check_kernel(problem),
-    ]
+    results = [diagnostics.check_monotone(10_000, rng),
+               diagnostics.check_gradients(100, rng),
+               diagnostics.check_kernel(problem.ops.mesh,
+                                        problem.ops.stiffness)]
     try:
-        problem.ops.mesh.validate()
-        results.append(("mesh-conforming", True, ""))
-    except meshing.MeshError as exc:
-        results.append(("mesh-conforming", False, str(exc)))
-    try:
-        results.extend(_check_trajectory(cfg, problem))
+        states, records, infos = diagnostics.run_with_records(problem)
     except (timestepper.StepFailure, fem.SolveError) as exc:
-        results.append(("trajectory", False, f"solver failure: {exc}"))
-    ok = True
-    for name, passed, detail in results:
-        ok = ok and passed
-        line = f"PASS {name}" if passed else f"FAIL {name}"
-        if detail:
-            line += f" ({detail})"
-        print(line)
-    return EXIT_OK if ok else EXIT_SOLVER
+        results.append(diagnostics.Check(
+            "trajectory", False, f"solver failure: {exc}", math.nan))
+    else:
+        results += [diagnostics.check_normal_traction(problem, states),
+                    diagnostics.check_friction_bound(records),
+                    diagnostics.check_energy(cfg, records),
+                    diagnostics.check_vi(problem, states, infos, 10, 20,
+                                         _VERIFY_SEED + 1)]
+    for check in results:
+        detail = f" ({check.detail})" if check.detail else ""
+        print(f"{'PASS' if check.ok else 'FAIL'} {check.name}{detail}")
+    return EXIT_OK if all(check.ok for check in results) else EXIT_SOLVER
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Run-time monitors: interface-condition residuals, energy bookkeeping,
-parameter sweeps and a one-degree-of-freedom reference problem.
+the invariant checks that `crackdyn verify` and the acceptance tests
+share, parameter sweeps and a one-degree-of-freedom reference problem.
 
 The scalar analog (OneDofParams) runs on the production stepper,
 timestepper.run; one_dof_oracle integrates it by brute-force RK4, so the
@@ -16,11 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import config as config_mod
 from . import fem, interface, timestepper
+from .config import ConfigError
 from .timestepper import Operators, TimeParams
 
 __all__ = [
@@ -30,6 +33,16 @@ __all__ = [
     "run_with_records",
     "vi_residual",
     "weighted_points",
+    "Check",
+    "check_monotone",
+    "check_gradients",
+    "check_kernel",
+    "check_normal_traction",
+    "check_friction_bound",
+    "check_energy_decay",
+    "check_energy",
+    "check_vi",
+    "fresh_run",
     "SweepRow",
     "SweepResult",
     "epsilon_sweep",
@@ -169,6 +182,158 @@ def weighted_points(states, infos, params: TimeParams):
 
 
 # ---------------------------------------------------------------------------
+# invariant checks: `crackdyn verify` and the acceptance battery
+# ---------------------------------------------------------------------------
+
+class Check(NamedTuple):
+    """A named invariant: verdict, one-line detail and measured value."""
+
+    name: str
+    ok: bool
+    detail: str
+    value: float
+
+
+def check_monotone(n_pairs: int, seed) -> Check:
+    """Smallest monotonicity product of beta_eps and alpha_eps over
+    n_pairs random pairs in [-5, 5] per regularization scale.  ``seed``
+    may be a Generator, so that several checks share one stream."""
+    rng = np.random.default_rng(seed)
+    worst = math.inf
+    for eps in (1.0, 1e-2, 1e-4):
+        x, y = rng.uniform(-5.0, 5.0, (2, n_pairs))
+        worst = min(worst, float(np.min(
+            (interface.beta_eps(x, eps) - interface.beta_eps(y, eps)) * (x - y))))
+        a, b = rng.uniform(-5.0, 5.0, (2, n_pairs, 2))
+        da = interface.alpha_eps(a, eps) - interface.alpha_eps(b, eps)
+        worst = min(worst, float(np.min(np.einsum("nd,nd->n", da, a - b))))
+    return Check("regularization-monotone", worst >= -1e-12,
+                 f"worst monotonicity product {worst:.3e}", worst)
+
+
+def check_gradients(n_points: int, seed) -> Check:
+    """Central differences (h = 1e-3, 5e-4) against dbeta_eps and
+    dalpha_eps at n_points random points per regularization scale, away
+    from zero so no stencil straddles beta's kink or alpha's curvature
+    spike.  beta is branchwise quadratic, so its difference is exact up
+    to rounding (1e-8 of the derivative's scale); halving h must cut
+    alpha's error by about 4 (0.35 leaves slack for rounding).  The value
+    is the largest error over its allowance."""
+    rng = np.random.default_rng(seed)
+    name, worst, detail = "regularization-gradients", 0.0, ""
+    for eps in (1.0, 1e-2, 1e-4):
+        x = rng.uniform(0.05, 3.0, n_points)
+        x *= rng.choice([-1.0, 1.0], n_points)
+        allowed = 1e-8 * (1.0 + float(np.max(np.abs(
+            interface.dbeta_eps(x, eps)))))
+        for h in (1e-3, 5e-4):
+            fd = (interface.beta_eps(x + h, eps)
+                  - interface.beta_eps(x - h, eps)) / (2 * h)
+            err = float(np.max(np.abs(fd - interface.dbeta_eps(x, eps))))
+            worst = max(worst, err / allowed)
+            if err > allowed:
+                return Check(name, False, f"beta gradient error {err:.3e} "
+                                          f"at eps={eps}, h={h}", worst)
+        r = rng.uniform(0.05, 2.0, n_points)
+        th = rng.uniform(0.0, 2.0 * np.pi, n_points)
+        pts = np.column_stack([r * np.cos(th), r * np.sin(th)])
+        d = rng.standard_normal((n_points, 2))
+        d /= np.linalg.norm(d, axis=1)[:, None]
+        errs = []
+        for h in (1e-3, 5e-4):
+            fd = (interface.alpha_eps(pts + h * d, eps)
+                  - interface.alpha_eps(pts - h * d, eps)) / (2 * h)
+            exact = np.einsum("nce,ne->nc", interface.dalpha_eps(pts, eps), d)
+            errs.append(float(np.max(np.abs(fd - exact))))
+        allowed = max(0.35 * errs[0], 1e-9)
+        worst = max(worst, errs[1] / allowed)
+        if errs[1] > allowed:
+            return Check(name, False, f"alpha gradient not O(h^2): {errs} "
+                                      f"at eps={eps}", worst)
+        detail = f"alpha FD errors {errs[0]:.2e} -> {errs[1]:.2e}"
+    return Check(name, True, detail, worst)
+
+
+def check_kernel(mesh, stiffness) -> Check:
+    """Largest relative residual of K on the three rigid-body modes."""
+    xy = mesh.vertices
+    modes = (np.tile([1.0, 0.0], mesh.n_vertices),
+             np.tile([0.0, 1.0], mesh.n_vertices),
+             np.column_stack([-xy[:, 1], xy[:, 0]]).ravel())
+    knorm = float(np.abs(stiffness).max())
+    worst = max(float(np.abs(stiffness @ m).max())
+                / (knorm * max(np.abs(m).max(), 1.0)) for m in modes)
+    return Check("rigid-body-kernel", worst <= 1e-12,
+                 f"relative kernel residual {worst:.3e}", worst)
+
+
+def check_normal_traction(problem: config_mod.Problem, states) -> Check:
+    """Largest normal traction over the states (0 on a crack-free mesh);
+    the model requires sigma_n <= 0."""
+    contact, quad = problem.ops.contact, problem.ops.quad
+    worst = 0.0 if quad.n_pairs == 0 else max(
+        float(interface.recover_tractions(interface.crack_state(
+            s.u, s.v, s.t, contact, quad), contact)[0].max()) for s in states)
+    return Check("normal-traction-nonpositive", worst <= 0.0,
+                 f"max sigma_n {worst:.3e}", worst)
+
+
+def check_friction_bound(records) -> Check:
+    """Largest excess of |sigma_t| over g; the model allows none."""
+    gap = max(r.friction_gap for r in records)
+    return Check("friction-bound-respected", gap == 0.0,
+                 f"max friction gap {gap:.3e}", gap)
+
+
+def check_energy_decay(records) -> Check:
+    """Worst per-step rise of kinetic + strain energy, allowed up to 1e-8
+    of the initial energy: an unloaded run may only dissipate."""
+    e = [r.kinetic + r.strain for r in records]
+    rise = max(b - a for a, b in zip(e, e[1:]))
+    tol = 1e-8 * e[0]
+    return Check("energy-decay", rise <= tol,
+                 f"worst per-step rise {rise:.3e} vs tol {tol:.3e}", rise)
+
+
+def check_energy(config: config_mod.Config, records) -> Check:
+    """The energy check that applies to a configuration: decay without
+    loads at gamma = 0, at most 10*(gamma+1)^2 E(0) without loads at
+    gamma > 0, and finiteness with loads."""
+    e = [r.kinetic + r.strain for r in records]
+    if config.f is not None or config.trac is not None:
+        return Check("energy-finite", all(math.isfinite(x) for x in e),
+                     f"final energy {e[-1]:.3e}", e[-1])
+    if config.gamma == 0.0:
+        return check_energy_decay(records)
+    bound = 10.0 * (config.gamma + 1.0) ** 2 * e[0]
+    return Check("energy-bounded", max(e) <= bound,
+                 f"max energy {max(e):.3e} vs bound {bound:.3e}", max(e))
+
+
+def check_vi(problem: config_mod.Problem, states, infos, n_points: int,
+             n_trials: int, seed) -> Check:
+    """Smallest vi_residual over n_trials random unit perturbations of
+    z = gamma*u + v at up to n_points balance points spread evenly over
+    the run; the bound is -10 times the Newton tolerance."""
+    pts = weighted_points(states, infos, problem.params)
+    idx = np.linspace(0, len(pts) - 1, n_points).round().astype(int)
+    rng = np.random.default_rng(seed)
+    worst = math.inf
+    for i in np.unique(idx) if pts else ():
+        t_w, u_w, v_w, a_w, _ = pts[i]
+        z = problem.ops.contact.gamma * u_w + v_w
+        for _ in range(n_trials):
+            w = problem.ops.dofmap.zero_constrained(
+                rng.standard_normal(z.shape))
+            w /= np.linalg.norm(w)
+            worst = min(worst, vi_residual(u_w, v_w, a_w, t_w, z + w,
+                                           problem.ops))
+    bound = -10.0 * problem.params.newton_tol
+    return Check("vi-inequality", worst >= bound,
+                 f"min residual {worst:.3e} vs {bound:.3e}", worst)
+
+
+# ---------------------------------------------------------------------------
 # parameter sweeps
 # ---------------------------------------------------------------------------
 
@@ -188,75 +353,95 @@ class SweepResult:
     fitted_order: float
 
 
+def fresh_run(config: config_mod.Config, on_record) -> config_mod.Problem:
+    """The sweeps' and the stability probe's default run function: a run
+    function calls ``on_record(state, record, info)`` for every accepted
+    state of a configuration's run and returns the problem."""
+    problem = config_mod.build_problem(config)
+    run_with_records(problem, on_record=on_record)
+    return problem
+
+
 def _state_distance(ops: Operators, s1: fem.State, s2: fem.State) -> float:
     du = s1.u - s2.u
     dv = s1.v - s2.v
     return math.sqrt(float(dv @ (ops.mass @ dv)) + float(du @ (ops.stiffness @ du)))
 
 
-def _run_metrics(cfg: config_mod.Config):
-    problem = config_mod.build_problem(cfg)
-    states, records, infos = run_with_records(problem)
-    ts = np.array([r.t for r in records])
-    pen = np.array([r.penetration_L3 for r in records])
-    cubed = pen ** 3
+def _run_metrics(config: config_mod.Config, run, mass):
+    """(problem, final state, time integral of the cubed penetration norm,
+    its supremum, largest acceleration H-norm) of one run, taken from the
+    states as they arrive."""
+    ts, pens, acc, final = [], [], 0.0, None
+
+    def on_record(state, rec, info):
+        nonlocal acc, final
+        ts.append(rec.t)
+        pens.append(rec.penetration_L3)
+        acc = max(acc, math.sqrt(max(
+            fem.h_norm_sq(mass, config.material.rho, state.a), 0.0)))
+        final = state
+
+    problem = run(config, on_record)
+    cubed = np.array(pens) ** 3
     int_pen3 = float(np.sum(0.5 * (cubed[1:] + cubed[:-1]) * np.diff(ts)))
-    acc = max(math.sqrt(max(fem.h_norm_sq(problem.ops.mass,
-                                          problem.ops.material.rho, s.a), 0.0))
-              for s in states)
-    return problem, states, records, infos, int_pen3, float(pen.max()), acc
+    return problem, final, int_pen3, max(pens), acc
 
 
-def _sweep(config: config_mod.Config, field: str, values):
-    """Re-run a configuration with ``field`` set to each value in turn;
+def _sweep(config: config_mod.Config, field: str, values, run):
+    """Run a configuration with ``field`` (epsilon or gamma: the mass
+    matrix stays) set to each value in turn, keeping each final state;
     distances are to the last run and to the previous one."""
+    mass = fem.assemble_mass(config_mod.build_mesh(config.mesh),
+                             config.material)
     runs = []
     for value in values:
-        problem, states, records, infos, int3, sup_pen, acc = _run_metrics(
-            replace(config, **{field: value}))
-        runs.append((value, problem, states, int3, sup_pen, acc))
-    ops = runs[-1][1].ops
-    last_final = runs[-1][2][-1]
+        problem, final, int3, sup_pen, acc = _run_metrics(
+            replace(config, **{field: value}), run, mass)
+        runs.append((value, final, int3, sup_pen, acc))
+    ops, last = problem.ops, runs[-1][1]
     rows = []
-    for k, (value, problem, states, int3, sup_pen, acc) in enumerate(runs):
-        dist = _state_distance(ops, states[-1], last_final)
-        cauchy = (_state_distance(ops, states[-1], runs[k - 1][2][-1])
+    for k, (value, final, int3, sup_pen, acc) in enumerate(runs):
+        dist = _state_distance(ops, final, last)
+        cauchy = (_state_distance(ops, final, runs[k - 1][1])
                   if k else float("nan"))
         rows.append(SweepRow(value, int3, sup_pen, acc, dist, cauchy))
     return tuple(rows)
 
 
-def epsilon_sweep(config: config_mod.Config, eps_list) -> SweepResult:
+def epsilon_sweep(config: config_mod.Config, eps_list,
+                  run=fresh_run) -> SweepResult:
     """Re-run a configuration over decreasing regularization scales.
 
     Reports the time integral of the cubed penetration norm, its
     supremum, the largest acceleration H-norm, distances between runs,
     and the least-squares slope of log(integral) against log(epsilon).
-    """
+    Every value is checked before the first run."""
     eps_list = [float(e) for e in eps_list]
     if len(eps_list) < 3:
-        raise ValueError("need at least 3 epsilon values for a sweep")
+        raise ConfigError("need at least 3 epsilon values for a sweep")
+    if not all(0.0 < e < math.inf for e in eps_list):
+        raise ConfigError("epsilon values must be positive and finite")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise ValueError("epsilon values must be strictly decreasing")
-    rows = _sweep(config, "epsilon", eps_list)
+        raise ConfigError("epsilon values must be strictly decreasing")
+    rows = _sweep(config, "epsilon", eps_list, run)
     logs = [(math.log(e), math.log(r.int_pen3_dt))
             for e, r in zip(eps_list, rows) if r.int_pen3_dt > 0.0]
-    if len(logs) >= 2:
-        xs, ys = zip(*logs)
-        order = float(np.polyfit(xs, ys, 1)[0])
-    else:
-        order = float("nan")
+    order = (float(np.polyfit(*zip(*logs), 1)[0]) if len(logs) >= 2
+             else float("nan"))
     return SweepResult(rows=rows, fitted_order=order)
 
 
-def gamma_sweep(config: config_mod.Config, gamma_list) -> tuple[SweepRow, ...]:
-    """Re-run over a family of gamma values; no decay fit is implied."""
+def gamma_sweep(config: config_mod.Config, gamma_list,
+                run=fresh_run) -> tuple[SweepRow, ...]:
+    """Re-run over a family of gamma values; no decay fit is implied.
+    Every value is checked before the first run."""
     gamma_list = [float(g) for g in gamma_list]
     if not gamma_list:
-        raise ValueError("need at least one gamma value")
-    if any(g < 0 for g in gamma_list):
-        raise ValueError("gamma values must be nonnegative")
-    return _sweep(config, "gamma", gamma_list)
+        raise ConfigError("need at least one gamma value")
+    if not all(0.0 <= g < math.inf for g in gamma_list):
+        raise ConfigError("gamma values must be nonnegative and finite")
+    return _sweep(config, "gamma", gamma_list, run)
 
 
 # ---------------------------------------------------------------------------
@@ -272,17 +457,23 @@ class StabilityResult:
     distances: tuple[float, ...]
 
 
-def stability_probe(config: config_mod.Config, eta: float) -> StabilityResult:
+def stability_probe(config: config_mod.Config, eta: float,
+                    run=fresh_run) -> StabilityResult:
     """Distance between a run and one with initial displacement scaled by
-    1 + eta, measured in the combined energy norm at every step."""
+    1 + eta, measured in the combined energy norm at every step as the
+    perturbed run goes; only the base run's states are stored."""
     if not eta >= 0:
         raise ValueError("eta must be nonnegative")
-    problem = config_mod.build_problem(config)
-    base, _ = timestepper.run(problem.ops, problem.params, problem.u0, problem.v0)
-    pert, _ = timestepper.run(problem.ops, problem.params,
-                              (1.0 + eta) * problem.u0, problem.v0)
+    base = []
+    problem = run(config, lambda state, rec, info: base.append(state))
+    dists = []
+
+    def on_step(state, info):
+        dists.append(_state_distance(problem.ops, base[len(dists)], state))
+
+    timestepper.run(problem.ops, problem.params, (1.0 + eta) * problem.u0,
+                    problem.v0, on_step=on_step)
     ts = [s.t for s in base]
-    dists = [_state_distance(problem.ops, s1, s2) for s1, s2 in zip(base, pert)]
     floor = max(max(dists), 1.0) * 1e-300
     logs = np.log(np.maximum(dists, floor))
     rate = float(np.polyfit(ts, logs, 1)[0]) if len(ts) >= 2 else float("nan")

@@ -109,6 +109,8 @@ class CrackedMesh:
         nv = self.n_vertices
         if self.vertices.ndim != 2 or self.vertices.shape[1] != self.dim:
             raise MeshError("vertices must have shape (nv, dim)")
+        if not np.isfinite(self.vertices).all():
+            raise MeshError("vertex coordinates must be finite")
         if self.cells.ndim != 2 or self.cells.shape[1] != self.dim + 1:
             raise MeshError("cells must have shape (nc, dim+1)")
         if self.cell_sides.shape != (self.n_cells,):
@@ -136,8 +138,8 @@ class CrackedMesh:
         _first_bad_pair(np.abs(verts[plus] - verts[minus]).max(axis=(1, 2))
                         > COINCIDENCE_RTOL * scale,
                         "plus and minus facets are not coincident")
-        _first_bad_pair(np.abs(np.linalg.norm(normals, axis=1) - 1.0) > 1e-12,
-                        "normal is not unit length")
+        _first_bad_pair(~(np.abs(np.linalg.norm(normals, axis=1) - 1.0)
+                          <= 1e-12), "normal is not unit length")
         a, b = verts[minus[:, 0]], verts[minus[:, 1]]
         edge = b - a
         length = np.linalg.norm(edge, axis=1)

@@ -2,8 +2,8 @@
 
 The "impact" problem is the workhorse: a 2 x 1 plate with a horizontal
 crack at mid-height, hit by a Gaussian displacement pulse above the
-crack.  Several slow tests share trajectories through a session-scoped
-cache keyed by (gamma, epsilon).
+crack.  Slow tests share its runs through a session-scoped cache keyed by
+the Config, which the sweeps and stability probe replay.
 """
 
 import dataclasses
@@ -42,25 +42,67 @@ u0 = (0, -0.1*exp(-((x-0.9)^2 + (y-0.75)^2)/0.02))
 """
 
 
+# The small problem: an 8 x 4 cracked plate and a sharper pulse, 24 steps.
+SMALL_TEXT = """\
+[mesh]
+kind = rect
+width = 2.0
+height = 1.0
+nx = 8
+ny = 4
+crack_lo = 0.25
+crack_hi = 0.75
+
+[material]
+lambda = 1.0
+mu = 1.0
+rho = 1.0
+
+[contact]
+gamma = 0.0
+epsilon = 1e-2
+g = 0.05
+
+[time]
+t_end = 0.12
+dt = 5e-3
+
+[data]
+u0 = (0, -0.12*exp(-((x-0.9)^2 + (y-0.6)^2)/0.01))
+"""
+
+
+def small_config():
+    return config_mod.parse_config_text(SMALL_TEXT)
+
+
 def impact_config(gamma=0.0, epsilon=1e-2):
     cfg = config_mod.parse_config_text(IMPACT_TEXT)
     return dataclasses.replace(cfg, epsilon=epsilon, gamma=gamma)
 
 
 class RunCache:
-    """Memoized impact trajectories: (gamma, epsilon) -> (problem, states,
-    records, infos)."""
+    """Memoized trajectories: Config -> (problem, states, records, infos)."""
 
     def __init__(self):
         self._runs = {}
 
-    def get(self, gamma=0.0, epsilon=1e-2):
-        key = (float(gamma), float(epsilon))
-        if key not in self._runs:
-            problem = config_mod.build_problem(impact_config(*key))
+    def trajectory(self, config):
+        if config not in self._runs:
+            problem = config_mod.build_problem(config)
             states, records, infos = diagnostics.run_with_records(problem)
-            self._runs[key] = (problem, states, records, infos)
-        return self._runs[key]
+            self._runs[config] = (problem, states, records, infos)
+        return self._runs[config]
+
+    def get(self, gamma=0.0, epsilon=1e-2):
+        return self.trajectory(impact_config(gamma, epsilon))
+
+    def run(self, config, on_record):
+        """Replay the run of ``config``: a diagnostics run function."""
+        problem, states, records, infos = self.trajectory(config)
+        for state, rec, info in zip(states, records, [None] + infos):
+            on_record(state, rec, info)
+        return problem
 
 
 @pytest.fixture(scope="session")

@@ -2,8 +2,9 @@
 
 Ten end-to-end checks, one test per criterion.  Each test prints a
 single ``[criterion N] PASS/FAIL (detail)`` line before asserting, so a
-``pytest -v`` log doubles as the acceptance report.  The slow criteria
-share impact trajectories through the session-scoped run cache.
+``pytest -v`` log doubles as the acceptance report.  The checks are
+diagnostics' ``check_*``, as in ``crackdyn verify``.  The slow criteria,
+sweeps and probe included, share impact runs through the run cache.
 """
 
 import math
@@ -28,114 +29,41 @@ def report(num, ok, detail):
     assert ok, detail
 
 
-# ---------------------------------------------------------------------------
-# shared trajectory checks (criteria 3, 5, 6 and the gamma family)
-# ---------------------------------------------------------------------------
-
-def energy_rise(records):
-    """Worst per-step increase of kinetic + strain energy, and E(0)."""
-    e = [r.kinetic + r.strain for r in records]
-    return max(b - a for a, b in zip(e, e[1:])), e[0]
+# The VI check's sample: 20 balance points x 100 trials, seed 11.
+VI_SAMPLE = (20, 100, 11)
 
 
-def interface_extremes(problem, states, records):
-    """(max sigma_n, max friction gap, max stick-slip residual) over a run."""
-    worst_sn = -math.inf
-    contact, quad = problem.ops.contact, problem.ops.quad
-    for s in states:
-        sn, _ = interface.recover_tractions(
-            interface.crack_state(s.u, s.v, s.t, contact, quad), contact)
-        worst_sn = max(worst_sn, float(sn.max()))
-    gap = max(r.friction_gap for r in records)
-    ss = max(r.stick_slip_residual for r in records)
-    return worst_sn, gap, ss
-
-
-def vi_worst(problem, states, infos, n_points=20, n_trials=100, seed=11):
-    """Min vi residual over random unit perturbations of the weighted z."""
-    gamma = problem.ops.contact.gamma
-    pts = diagnostics.weighted_points(states, infos, problem.params)
-    idx = np.unique(np.linspace(0, len(pts) - 1, n_points).round().astype(int))
-    rng = np.random.default_rng(seed)
-    con = problem.ops.dofmap.constrained
-    worst = math.inf
-    for i in idx:
-        t_w, u_w, v_w, a_w, _ = pts[i]
-        z = gamma * u_w + v_w
-        for _ in range(n_trials):
-            w = rng.standard_normal(z.shape)
-            w[con] = 0.0
-            w /= np.linalg.norm(w)
-            worst = min(worst, diagnostics.vi_residual(
-                u_w, v_w, a_w, t_w, z + w, problem.ops))
-    return worst
+def interface_family(impact_runs, gamma):
+    """Traction and friction-bound checks of the runs at epsilon 1e-1, 1e-2
+    and 1e-4, and their largest stick-slip residuals by epsilon."""
+    checks, ss = [], {}
+    for eps in (1e-1, 1e-2, 1e-4):
+        problem, states, records, _ = impact_runs.get(gamma, eps)
+        checks += [diagnostics.check_normal_traction(problem, states),
+                   diagnostics.check_friction_bound(records)]
+        ss[eps] = max(r.stick_slip_residual for r in records)
+    return checks, ss
 
 
 # ---------------------------------------------------------------------------
 
 def test_criterion_01_regularization_calculus():
     rng = np.random.default_rng(42)
-    worst_beta_fd = 0.0
-    worst_alpha_pair = ""
-    mono = math.inf
-    for eps in (1.0, 1e-2, 1e-4):
-        # beta is branchwise quadratic, so away from the kink a central
-        # difference is exact and the error sits at rounding level for
-        # every h: the O(h^2) bound holds with constant ~0
-        x = rng.uniform(0.05, 3.0, 100) * rng.choice([-1.0, 1.0], 100)
-        scale = 1.0 + float(np.max(np.abs(interface.dbeta_eps(x, eps))))
-        for h in (1e-3, 5e-4):
-            fd = (interface.beta_eps(x + h, eps)
-                  - interface.beta_eps(x - h, eps)) / (2 * h)
-            err = float(np.max(np.abs(fd - interface.dbeta_eps(x, eps))))
-            worst_beta_fd = max(worst_beta_fd, err / (1e-8 * scale))
-        # alpha has a genuine cubic term; halving h must cut the error
-        # by ~4 (0.35 leaves slack for rounding)
-        r = rng.uniform(0.05, 2.0, 100)
-        th = rng.uniform(0.0, 2.0 * np.pi, 100)
-        pts = np.column_stack([r * np.cos(th), r * np.sin(th)])
-        d = rng.standard_normal((100, 2))
-        d /= np.linalg.norm(d, axis=1)[:, None]
-        errs = []
-        for h in (1e-3, 5e-4):
-            fd = (interface.alpha_eps(pts + h * d, eps)
-                  - interface.alpha_eps(pts - h * d, eps)) / (2 * h)
-            exact = np.einsum("nce,ne->nc", interface.dalpha_eps(pts, eps), d)
-            errs.append(float(np.max(np.abs(fd - exact))))
-        assert errs[1] <= max(0.35 * errs[0], 1e-9), (eps, errs)
-        worst_alpha_pair = f"{errs[0]:.1e}->{errs[1]:.1e}"
-        # monotonicity of both regularizations on 1e4 random pairs
-        xm, ym = rng.uniform(-5.0, 5.0, (2, 10_000))
-        mono = min(mono, float(np.min(
-            (interface.beta_eps(xm, eps) - interface.beta_eps(ym, eps))
-            * (xm - ym))))
-        am, bm = rng.uniform(-5.0, 5.0, (2, 10_000, 2))
-        da = interface.alpha_eps(am, eps) - interface.alpha_eps(bm, eps)
-        mono = min(mono, float(np.min(np.einsum("nd,nd->n", da, am - bm))))
-    ok = worst_beta_fd <= 1.0 and mono >= -1e-12
-    report(1, ok, f"beta FD within exactness floor (x{worst_beta_fd:.2f}), "
-                  f"alpha FD O(h^2) ({worst_alpha_pair} at eps=1e-4), "
-                  f"worst monotonicity product {mono:.1e}")
+    grad = diagnostics.check_gradients(100, rng)
+    mono = diagnostics.check_monotone(10_000, rng)
+    report(1, grad.ok and mono.ok,
+           f"FD errors at {grad.value:.2f} of their bounds ({grad.detail} "
+           f"at eps=1e-4), {mono.detail}")
 
 
 def test_criterion_02_kernel_and_patch_test():
-    worst_kernel = 0.0
-    for mesh in (generate_rect_crack(2.0, 1.0, 2, 2),
-                 generate_rect_crack(2.0, 1.0, 16, 8, crack_span=(0.25, 0.75))):
-        k = fem.assemble_stiffness(mesh, Material(lam=1.3, mu=0.9, rho=1.0))
-        xy = mesh.vertices
-        modes = [
-            np.tile([1.0, 0.0], mesh.n_vertices),
-            np.tile([0.0, 1.0], mesh.n_vertices),
-            np.column_stack([-xy[:, 1], xy[:, 0]]).ravel(),
-        ]
-        knorm = float(np.abs(k).max())
-        for m in modes:
-            res = float(np.abs(k @ m).max()) / (knorm * max(np.abs(m).max(), 1.0))
-            worst_kernel = max(worst_kernel, res)
+    mat = Material(lam=1.3, mu=0.9, rho=1.0)
+    kernel = [diagnostics.check_kernel(m, fem.assemble_stiffness(m, mat))
+              for m in (generate_rect_crack(2.0, 1.0, 2, 2),
+                        generate_rect_crack(2.0, 1.0, 16, 8,
+                                            crack_span=(0.25, 0.75)))]
 
     mesh = generate_rect_crack(2.0, 1.0, 2, 2)
-    mat = Material(lam=1.3, mu=0.9, rho=1.0)
     alpha = 0.01
     u = np.column_stack([alpha * mesh.vertices[:, 0],
                          np.zeros(mesh.n_vertices)]).ravel()
@@ -146,8 +74,8 @@ def test_criterion_02_kernel_and_patch_test():
         float(np.abs(sig[:, 1, 1] - mat.lam * alpha).max()) / s11,
         float(np.abs(sig[:, 0, 1]).max()) / s11,
     )
-    ok = worst_kernel <= 1e-12 and worst_patch <= 1e-10
-    report(2, ok, f"kernel residual {worst_kernel:.1e}, "
+    ok = all(k.ok for k in kernel) and worst_patch <= 1e-10
+    report(2, ok, f"kernel residual {max(k.value for k in kernel):.1e}, "
                   f"patch stress error {worst_patch:.1e}")
 
 
@@ -155,13 +83,13 @@ def test_criterion_03_energy_dissipativity(impact_runs):
     problem, states, records, infos = impact_runs.get(0.0, 1e-2)
     assert len(records) == 201
     assert max(r.penetration_L3 for r in records) > 0.0  # contact did occur
-    rise, e0 = energy_rise(records)
-    ok = rise <= 1e-8 * e0
-    report(3, ok, f"worst per-step energy rise {rise:.2e} vs tol {1e-8 * e0:.2e}")
+    decay = diagnostics.check_energy_decay(records)
+    report(3, decay.ok, decay.detail)
 
 
-def test_criterion_04_penetration_decay():
-    res = diagnostics.epsilon_sweep(impact_config(), [1e-1, 1e-2, 1e-3, 1e-4])
+def test_criterion_04_penetration_decay(impact_runs):
+    res = diagnostics.epsilon_sweep(impact_config(), [1e-1, 1e-2, 1e-3, 1e-4],
+                                    run=impact_runs.run)
     pens = [row.int_pen3_dt for row in res.rows]
     ok = res.fitted_order >= 0.8 and all(a > b for a, b in zip(pens, pens[1:]))
     report(4, ok, f"fitted penetration order {res.fitted_order:.3f} >= 0.8, "
@@ -169,27 +97,18 @@ def test_criterion_04_penetration_decay():
 
 
 def test_criterion_05_interface_conditions(impact_runs):
-    ss = {}
-    worst_sn, worst_gap = -math.inf, 0.0
-    for eps in (1e-1, 1e-2, 1e-4):
-        problem, states, records, infos = impact_runs.get(0.0, eps)
-        sn, gap, ss[eps] = interface_extremes(problem, states, records)
-        worst_sn = max(worst_sn, sn)
-        worst_gap = max(worst_gap, gap)
-    ok = (worst_sn <= 0.0 and worst_gap == 0.0
-          and ss[1e-4] <= 1e-2 * ss[1e-1])
-    report(5, ok, f"max sigma_n {worst_sn:.1e}, max friction gap {worst_gap!r}, "
+    checks, ss = interface_family(impact_runs, 0.0)
+    ok = all(c.ok for c in checks) and ss[1e-4] <= 1e-2 * ss[1e-1]
+    report(5, ok, f"max sigma_n {max(c.value for c in checks[::2]):.1e}, "
+                  f"max friction gap {max(c.value for c in checks[1::2])!r}, "
                   f"stick-slip {ss[1e-1]:.2e} -> {ss[1e-4]:.2e} "
                   f"(ratio {ss[1e-4] / ss[1e-1]:.1e})")
 
 
 def test_criterion_06_vi_equivalence(impact_runs):
     problem, states, records, infos = impact_runs.get(0.0, 1e-2)
-    worst = vi_worst(problem, states, infos)
-    bound = -10.0 * problem.params.newton_tol
-    ok = worst >= bound
-    report(6, ok, f"min vi residual {worst:.2e} vs {bound:.1e} "
-                  f"(100 trials x 20 steps)")
+    vi = diagnostics.check_vi(problem, states, infos, *VI_SAMPLE)
+    report(6, vi.ok, f"{vi.detail} (100 trials x 20 steps)")
 
 
 def test_small_epsilon_vi_covers_every_step(impact_runs):
@@ -201,14 +120,14 @@ def test_small_epsilon_vi_covers_every_step(impact_runs):
         assert sum(info.line_search for info in infos) > 0
         pts = diagnostics.weighted_points(states, infos, problem.params)
         assert len(pts) == len(infos) == 200
-        worst = vi_worst(problem, states, infos)
-        assert worst >= -10.0 * problem.params.newton_tol, (gamma, worst)
+        vi = diagnostics.check_vi(problem, states, infos, *VI_SAMPLE)
+        assert vi.ok, (gamma, vi.detail)
 
 
-def test_criterion_07_continuous_dependence():
+def test_criterion_07_continuous_dependence(impact_runs):
     cfg = impact_config()
-    sups = [diagnostics.stability_probe(cfg, eta).sup_distance
-            for eta in (1e-5, 5e-6, 2.5e-6)]
+    sups = [diagnostics.stability_probe(cfg, eta, run=impact_runs.run)
+            .sup_distance for eta in (1e-5, 5e-6, 2.5e-6)]
     ratios = [a / b for a, b in zip(sups, sups[1:])]
     ok = (all(a > b for a, b in zip(sups, sups[1:]))
           and all(1.5 <= r <= 2.5 for r in ratios))
@@ -306,23 +225,16 @@ def test_criterion_10_gamma_family(impact_runs):
     ok = True
     for gamma in (1.0, 10.0):
         problem, states, records, infos = impact_runs.get(gamma, 1e-2)
-        rise, e0 = energy_rise(records)
-        ok = ok and rise <= 1e-8 * e0
-
-        ss = {}
-        for eps in (1e-1, 1e-2, 1e-4):
-            p_eps, s_eps, r_eps, _ = impact_runs.get(gamma, eps)
-            sn, gap, ss[eps] = interface_extremes(p_eps, s_eps, r_eps)
-            ok = ok and sn <= 0.0 and gap == 0.0
-        ok = ok and ss[1e-4] <= 1e-2 * ss[1e-1]
-
-        worst_vi = vi_worst(problem, states, infos)
-        ok = ok and worst_vi >= -10.0 * problem.params.newton_tol
-
+        decay = diagnostics.check_energy_decay(records)
+        checks, ss = interface_family(impact_runs, gamma)
+        vi = diagnostics.check_vi(problem, states, infos, *VI_SAMPLE)
         res = diagnostics.epsilon_sweep(impact_config(gamma=gamma),
-                                        [1e-1, 1e-2, 1e-3, 1e-4])
-        ok = ok and res.fitted_order >= 0.8
-        details.append(f"gamma={gamma:g}: rise {rise:.1e}, "
+                                        [1e-1, 1e-2, 1e-3, 1e-4],
+                                        run=impact_runs.run)
+        ok = (ok and decay.ok and all(c.ok for c in checks)
+              and ss[1e-4] <= 1e-2 * ss[1e-1] and vi.ok
+              and res.fitted_order >= 0.8)
+        details.append(f"gamma={gamma:g}: rise {decay.value:.1e}, "
                        f"ss ratio {ss[1e-4] / ss[1e-1]:.1e}, "
-                       f"vi {worst_vi:.1e}, pen order {res.fitted_order:.2f}")
+                       f"vi {vi.value:.1e}, pen order {res.fitted_order:.2f}")
     report(10, ok, "; ".join(details))

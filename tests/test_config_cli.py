@@ -12,35 +12,9 @@ import crackdyn
 from crackdyn import cli
 from crackdyn import config as config_mod
 from crackdyn.config import ConfigError, parse_config_text
-from crackdyn.meshing import load_mesh
+from crackdyn.meshing import generate_rect_crack, load_mesh, save_mesh
 
-BASE = """\
-[mesh]
-kind = rect
-width = 2.0
-height = 1.0
-nx = 8
-ny = 4
-crack_lo = 0.25
-crack_hi = 0.75
-
-[material]
-lambda = 1.0
-mu = 1.0
-rho = 1.0
-
-[contact]
-gamma = 0.0
-epsilon = 1e-2
-g = 0.05
-
-[time]
-t_end = 0.12
-dt = 5e-3
-
-[data]
-u0 = (0, -0.12*exp(-((x-0.9)^2 + (y-0.6)^2)/0.01))
-"""
+from conftest import SMALL_TEXT as BASE
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -367,6 +341,26 @@ def test_run_dim3_mesh_file_exits_2(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("line,needle", [
+    (2, "vertex coordinates must be finite"),       # the first vertex
+    (-1, "normal is not unit length"),              # the last crack pair
+])
+def test_run_nonfinite_mesh_data_exits_2(tmp_path, monkeypatch, capsys,
+                                         line, needle):
+    monkeypatch.chdir(tmp_path)
+    mesh_path = tmp_path / "m.txt"
+    save_mesh(generate_rect_crack(2.0, 1.0, 8, 4, crack_span=(0.25, 0.75)),
+              mesh_path)
+    lines = mesh_path.read_text().splitlines()
+    lines[line] = " ".join(lines[line].split()[:-2] + ["nan", "nan"])
+    mesh_path.write_text("\n".join(lines) + "\n")
+    cfg = write_cfg(tmp_path, run_cfg_text(tmp_path / "out").replace(
+        "kind = rect", f"kind = file\npath = {mesh_path}"))
+    assert cli.main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and needle in err
+
+
 @pytest.mark.parametrize("key", ["u0", "v0"])
 def test_run_nonfinite_initial_data_exits_2(tmp_path, monkeypatch, capsys,
                                             key):
@@ -493,6 +487,21 @@ def test_sweep_eps_needs_three_values(tmp_path, monkeypatch, capsys):
     assert "at least 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep-eps", "1e-1", "1e-2", "-1"],
+    ["sweep-eps", "1e-1", "1e-2", "nan"],
+    ["sweep-gamma", "0", "1", "inf"],
+])
+def test_sweep_checks_every_value_before_running(tmp_path, monkeypatch,
+                                                 capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path, run_cfg_text(tmp_path / "out"))
+    monkeypatch.setattr(config_mod, "build_problem",
+                        lambda config: pytest.fail("a run was started"))
+    assert cli.main([argv[0], cfg] + argv[1:]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_sweep_gamma_cli(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = write_cfg(tmp_path, run_cfg_text(tmp_path / "out"))
@@ -508,15 +517,15 @@ def test_sweep_gamma_cli(tmp_path, monkeypatch):
 
 def test_verify_passes_on_sound_config(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    cfg = write_cfg(tmp_path, run_cfg_text(tmp_path / "out"))
-    assert cli.main(["verify", cfg]) == 0
-    out = capsys.readouterr().out
-    assert "FAIL" not in out
-    for name in ("regularization-monotone", "regularization-gradients",
-                 "rigid-body-kernel", "mesh-conforming",
-                 "normal-traction-nonpositive", "friction-bound-respected",
-                 "energy-decay", "vi-inequality"):
-        assert f"PASS {name}" in out
+    names = ("regularization-monotone", "regularization-gradients",
+             "rigid-body-kernel", "normal-traction-nonpositive",
+             "friction-bound-respected", "energy-decay", "vi-inequality")
+    glued = BASE.replace("crack_lo = 0.25\ncrack_hi = 0.75\n", "")
+    for text in (BASE, glued):
+        assert cli.main(["verify", write_cfg(tmp_path, text)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[:2] for line in lines] == [["PASS", n]
+                                                         for n in names]
 
 
 def test_verify_gamma_positive_config(tmp_path, monkeypatch, capsys):

@@ -22,38 +22,7 @@ from crackdyn.interface import ContactParams
 from crackdyn.meshing import generate_rect_crack
 from crackdyn.timestepper import TimeParams, build_operators, run
 
-SMALL_TEXT = """\
-[mesh]
-kind = rect
-width = 2.0
-height = 1.0
-nx = 8
-ny = 4
-crack_lo = 0.25
-crack_hi = 0.75
-
-[material]
-lambda = 1.0
-mu = 1.0
-rho = 1.0
-
-[contact]
-gamma = 0.0
-epsilon = 1e-2
-g = 0.05
-
-[time]
-t_end = 0.12
-dt = 5e-3
-
-[data]
-u0 = (0, -0.12*exp(-((x-0.9)^2 + (y-0.6)^2)/0.01))
-"""
-
-
-def small_config():
-    return config_mod.parse_config_text(SMALL_TEXT)
-
+from conftest import SMALL_TEXT, RunCache, small_config
 
 def make_ops(gamma=0.0, epsilon=0.05, g="0.3"):
     mesh = generate_rect_crack(2.0, 1.0, 16, 8, crack_span=(0.25, 0.75))
@@ -230,21 +199,9 @@ def test_vi_residual_rejects_constrained_trials():
 def test_vi_residual_nonnegative_on_solution():
     problem = config_mod.build_problem(small_config())
     states, records, infos = run_with_records(problem)
-    pts = weighted_points(states, infos, problem.params)
-    assert pts
-    rng = np.random.default_rng(6)
-    ops = problem.ops
-    worst = np.inf
-    for t_w, u_w, v_w, a_w, tol_abs in pts[::4]:
-        z = ops.contact.gamma * u_w + v_w
-        for _ in range(20):
-            trial = ops.dofmap.zero_constrained(
-                rng.standard_normal(u_w.size))
-            trial /= np.linalg.norm(trial)
-            val = vi_residual(u_w, v_w, a_w, t_w, z + trial, ops)
-            worst = min(worst, val)
-            assert val >= -10.0 * tol_abs
-    assert np.isfinite(worst)
+    vi = diagnostics.check_vi(problem, states, infos, 6, 20, 6)
+    # held to the smallest step tolerance, not the check's -10*newton_tol
+    assert -10.0 * min(info.tol_abs for info in infos) <= vi.value < np.inf
 
 
 def test_weighted_points_midpoint_and_skip():
@@ -313,6 +270,24 @@ def test_stability_probe_zero_eta_is_exact():
     assert abs(probe.growth_rate) <= 1e-10
     with pytest.raises(ValueError, match="nonnegative"):
         stability_probe(small_config(), -1e-3)
+
+
+def test_sweeps_and_probe_take_their_runs_from_a_run_function(monkeypatch):
+    cfg, eps, gammas = small_config(), [1e-1, 1e-2, 1e-3], [0.0, 1.0]
+    cache = RunCache()
+
+    def studies(run):
+        # repr is exact and reads the first row's nan cauchy_dist as equal
+        return repr((epsilon_sweep(cfg, eps, run=run),
+                     gamma_sweep(cfg, gammas, run=run),
+                     stability_probe(cfg, 1e-5, run=run)))
+
+    fresh = studies(diagnostics.fresh_run)
+    assert studies(cache.run) == fresh      # this fills the cache
+    monkeypatch.setattr(config_mod, "build_problem",
+                        lambda config: pytest.fail("a fresh run was made"))
+    # a replay calls on_record, so a study that passed none would fail
+    assert studies(cache.run) == fresh
 
 
 def test_one_dof_params_validation():
