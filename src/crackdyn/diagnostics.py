@@ -314,23 +314,30 @@ def check_vi(problem: config_mod.Problem, states, infos, n_points: int,
              n_trials: int, seed) -> Check:
     """Smallest vi_residual over n_trials random unit perturbations of
     z = gamma*u + v at up to n_points balance points spread evenly over
-    the run; the bound is -10 times the Newton tolerance."""
+    the run.  Each point is held to -10 times the absolute Newton
+    tolerance of its step; the detail names the point nearest its bound."""
     pts = weighted_points(states, infos, problem.params)
     idx = np.linspace(0, len(pts) - 1, n_points).round().astype(int)
     rng = np.random.default_rng(seed)
-    worst = math.inf
+    worst, ok, nearest = math.inf, True, (math.inf, 0.0)
     for i in np.unique(idx) if pts else ():
-        t_w, u_w, v_w, a_w, _ = pts[i]
+        t_w, u_w, v_w, a_w, tol_abs = pts[i]
         z = problem.ops.contact.gamma * u_w + v_w
+        low = math.inf
         for _ in range(n_trials):
             w = problem.ops.dofmap.zero_constrained(
                 rng.standard_normal(z.shape))
             w /= np.linalg.norm(w)
-            worst = min(worst, vi_residual(u_w, v_w, a_w, t_w, z + w,
-                                           problem.ops))
-    bound = -10.0 * problem.params.newton_tol
-    return Check("vi-inequality", worst >= bound,
-                 f"min residual {worst:.3e} vs {bound:.3e}", worst)
+            low = min(low, vi_residual(u_w, v_w, a_w, t_w, z + w,
+                                       problem.ops))
+        bound = -10.0 * tol_abs
+        ok = ok and low >= bound
+        worst = min(worst, low)
+        if low - bound < nearest[0] - nearest[1]:
+            nearest = (low, bound)
+    return Check("vi-inequality", ok,
+                 f"min residual {worst:.3e}; nearest its bound "
+                 f"{nearest[0]:.3e} vs {nearest[1]:.3e}", worst)
 
 
 # ---------------------------------------------------------------------------

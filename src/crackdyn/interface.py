@@ -206,14 +206,18 @@ def friction_bound_values(params: ContactParams, quad: CrackQuadrature,
     return vals
 
 
-def crack_state(u, v, t, params: ContactParams, quad: CrackQuadrature):
+def crack_state(u, v, t, params: ContactParams, quad: CrackQuadrature,
+                g=None):
     """(s, jt, g) at the quadrature points: the contact argument, the
     normal jump of gamma*u + v, shape (npairs, nq); the tangential jump
     of v, (npairs, nq, dim); and the friction bound, zero without
-    friction."""
+    friction.  A caller that already holds friction_bound_values at t
+    passes them as g, and they are used as given."""
     un, _ = split_jump(jump_eval(u, quad), quad)
     vn, jt = split_jump(jump_eval(v, quad), quad)
-    return params.gamma * un + vn, jt, friction_bound_values(params, quad, t)
+    if g is None:
+        g = friction_bound_values(params, quad, t)
+    return params.gamma * un + vn, jt, g
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,33 @@ the interface terms dissipate exactly (they are tested against their
 own arguments); g = 1 recovers the fully implicit end-of-step balance.
 The Newton unknown is the end-of-step acceleration on the free dofs;
 each Newton system is solved by Jacobi-PCG, only as accurately as the
-step needs (an inexact Newton method): to a relative tolerance of
-_CG_FORCING = 1e-6 when the crack terms make the system nonlinear,
-never below _CG_FLOOR*tol_abs/|r| (a tenth of the Newton tolerance over
-the current residual), and never below _CG_TOL.  A linear system (no
-crack, or no contact and no friction on the step) is solved down to the
-floor, so a linear step still takes one Newton iteration.  Acceptance
-always tests the true residual.
+step needs (an inexact Newton method).  When the crack terms make the
+system nonlinear, its relative tolerance is the forcing term eta_k of
+Eisenstat and Walker (choice 2 of "Choosing the forcing terms in an
+inexact Newton method", SIAM J. Sci. Comput. 17(1), 1996), set from
+the measured contraction of the residual:
+
+    eta_k = min(0.1, 0.9*(|r_k|/|r_(k-1)|)^2)             k >= 1
+    eta_0 = min(0.1, max(_CG_FORCING, 0.1*rho))           k = 0
+
+where rho = |r_1|/|r_0| of the previous accepted interval of the same
+run (StepInfo.contraction), and eta_0 = _CG_FORCING = 1e-6 on a run's
+first interval or after one that took no Newton iteration.  Solving
+more accurately than Newton's own progress allows is wasted work:
+Newton cannot gain more than the nonlinearity lets it.  Eisenstat and
+Walker's safeguard, eta_k >= 0.9*eta_(k-1)^2 once that exceeds 0.1,
+cannot act under the 0.1 cap and is left out.  The halves of a bisected
+interval are solved with eta_k = _CG_FORCING throughout: Newton failed
+on the whole interval, so its contractions do not describe them, and
+the lag of eta_k behind a sudden speed-up of Newton can cost the
+iteration a tight newton_maxit has no room for.  No CG tolerance falls
+below _CG_FLOOR*tol_abs/|r| (a tenth of the Newton tolerance over the
+current residual) or _CG_TOL.  A linear system (no crack, or no contact
+and no friction on the step) is solved down to the floor, so a linear
+step still takes one Newton iteration.  Acceptance always tests the
+true residual.  The forcing history travels with the run (step takes
+the previous StepInfo), never with the system, so a run's output
+depends only on its inputs.
 
 The residual is the gradient of a convex potential of a+ and the Newton
 matrix its Hessian, so each Newton direction is followed by a line
@@ -71,7 +91,8 @@ _COMPAT_TOL = 1e-10
 _LS_ETA = 0.5           # line-search slope test, relative to |phi'(0)|
 _LS_MAX_EVALS = 20      # residual evaluations per line search
 _LS_CLAMP = 0.1         # trials stay this share of the bracket inside it
-_CG_FORCING = 1e-6      # CG tolerance of a nonlinear Newton system
+_CG_FORCING = 1e-6      # forcing term without a measured contraction
+_CG_FORCING_MAX = 0.1   # loosest forcing term
 _CG_FLOOR = 0.1         # no CG solve below this share of tol_abs
 
 
@@ -126,14 +147,18 @@ class TimeParams:
 @dataclass
 class StepInfo:
     """Newton bookkeeping for one accepted step: Newton iterations,
-    final residual and tolerance, substeps, and line_search, the
-    residual evaluations beyond one per Newton iteration."""
+    final residual and tolerance, substeps, line_search, the residual
+    evaluations beyond one per Newton iteration, and contraction,
+    |r_1|/|r_0| of the first Newton iteration of the step's last
+    interval (None if it took none), from which the next step sets its
+    first forcing term."""
 
     iterations: int
     residual: float
     tol_abs: float
     substeps: int = 1
     line_search: int = 0
+    contraction: float | None = None
 
 
 @dataclass
@@ -149,6 +174,9 @@ class Operators:
     stiffness: sp.csr_matrix
     load: Callable[[float], np.ndarray]
     _jac_cache: dict = field(default_factory=dict, repr=False)
+    # (t, g) of the last friction_bound call; g depends on t alone
+    _bound: tuple = field(default=(None, None), init=False, repr=False,
+                          compare=False)
 
     @property
     def free(self) -> np.ndarray:
@@ -166,11 +194,21 @@ class Operators:
             self._jac_cache[key] = (lin, lin.diagonal())
         return self._jac_cache[key]
 
+    def friction_bound(self, t: float) -> np.ndarray:
+        """interface.friction_bound_values at t, sampled once per time:
+        every residual of a Newton interval is evaluated at one t_w."""
+        if self._bound[0] != t:
+            g = interface.friction_bound_values(self.contact, self.quad, t)
+            g.flags.writeable = False       # shared by every crack state
+            self._bound = (t, g)
+        return self._bound[1]
+
     def residual(self, u_w, v_w, a_w, t_w, load_w):
         """(r, crack): the force balance r = M a + K u + contact +
         friction - load, zero on the constrained dofs, and the
         interface.crack_state it was formed from."""
-        crack = interface.crack_state(u_w, v_w, t_w, self.contact, self.quad)
+        crack = interface.crack_state(u_w, v_w, t_w, self.contact, self.quad,
+                                      g=self.friction_bound(t_w))
         r = (self.mass @ a_w + self.stiffness @ u_w
              + interface.contact_residual(crack, self.contact, self.quad)
              + interface.friction_residual(crack, self.contact, self.quad)
@@ -363,10 +401,13 @@ def _line_search(residual, a, free, d, r):
         del out     # free the rejected trial before evaluating the next
 
 
-def _solve_substep(state: State, dt: float, ops, params: TimeParams):
+def _solve_substep(state: State, dt: float, ops, params: TimeParams,
+                   rho: float | None, adaptive: bool):
     """One Newmark interval by Newton with a line search on the step's
-    potential; returns (new_state, iterations, line_search, residual,
-    tol_abs), with new_state None if Newton did not converge within
+    potential.  Its forcing terms are adaptive, the first set from rho,
+    the previous accepted interval's contraction (None: there is none),
+    or, if not adaptive, all _CG_FORCING.  Returns (new_state,
+    StepInfo), with new_state None if Newton did not converge within
     newton_maxit iterations or met a non-finite value."""
     residual, tangent, load_w = _interval(state, dt, ops, params)
     free = ops.free
@@ -375,11 +416,14 @@ def _solve_substep(state: State, dt: float, ops, params: TimeParams):
     norm_r = float(np.linalg.norm(r))
     tol_abs = params.newton_tol * max(float(np.linalg.norm(load_w)), norm_r)
     iterations = line_search = 0
+    contraction = None
+    eta = (_CG_FORCING if rho is None or not adaptive
+           else min(_CG_FORCING_MAX, max(_CG_FORCING, 0.1 * rho)))
     while (norm_r > tol_abs and np.isfinite(norm_r)
            and iterations < params.newton_maxit):
         jac = tangent(point)
         # inexact Newton: a CG iterate from zero still descends (r.d < 0)
-        forcing = _CG_FORCING if getattr(jac, "nonlinear", True) else 0.0
+        forcing = eta if getattr(jac, "nonlinear", True) else 0.0
         cg_tol = max(_CG_TOL, forcing, _CG_FLOOR * tol_abs / norm_r)
         d = fem.solve_spd(jac, -r[free], tol=cg_tol)
         del jac     # free the crack block before the line search
@@ -389,44 +433,59 @@ def _solve_substep(state: State, dt: float, ops, params: TimeParams):
             break
         (r, point, end), evals = found
         line_search += evals
-        norm_r = float(np.linalg.norm(r))
+        norm_prev, norm_r = norm_r, float(np.linalg.norm(r))
+        ratio = norm_r / norm_prev
+        if iterations == 1:
+            contraction = ratio
+        if adaptive:
+            eta = min(_CG_FORCING_MAX, 0.9 * ratio * ratio)
     if not norm_r <= tol_abs < np.inf:
         end = None
-    return end, iterations, line_search, norm_r, tol_abs
+    return end, StepInfo(iterations=iterations, residual=norm_r,
+                         tol_abs=tol_abs, line_search=line_search,
+                         contraction=contraction)
 
 
-def _advance(state: State, dt: float, ops, params, depth: int):
-    new, iters, line_search, res, tol_abs = _solve_substep(
-        state, dt, ops, params)
+def _advance(state: State, dt: float, ops, params, rho, depth: int):
+    """Solve the interval, or else its halves, recursively.  Newton
+    failing is evidence that the contraction history does not describe
+    the interval, so the halves are solved with the fixed forcing term."""
+    new, info = _solve_substep(state, dt, ops, params, rho,
+                               adaptive=depth == 0)
     if new is not None:
-        return new, StepInfo(iterations=iters, residual=res, tol_abs=tol_abs,
-                             line_search=line_search)
+        return new, info
     if depth >= _MAX_HALVINGS:
         raise StepFailure(
             f"Newton stalled at t={state.t:.6g} with dt={dt:.3e} after "
-            f"{_MAX_HALVINGS} halvings (residual {res:.3e}, "
-            f"tolerance {tol_abs:.3e}, {iters} iterations)",
-            t=state.t, dt=dt, residual=res, iterations=iters)
-    first, info1 = _advance(state, 0.5 * dt, ops, params, depth + 1)
-    second, info2 = _advance(first, 0.5 * dt, ops, params, depth + 1)
+            f"{_MAX_HALVINGS} halvings (residual {info.residual:.3e}, "
+            f"tolerance {info.tol_abs:.3e}, {info.iterations} iterations)",
+            t=state.t, dt=dt, residual=info.residual,
+            iterations=info.iterations)
+    first, info1 = _advance(state, 0.5 * dt, ops, params, None, depth + 1)
+    second, info2 = _advance(first, 0.5 * dt, ops, params, None, depth + 1)
     return second, StepInfo(
         iterations=info1.iterations + info2.iterations,
         residual=max(info1.residual, info2.residual),
         tol_abs=max(info1.tol_abs, info2.tol_abs),
         substeps=info1.substeps + info2.substeps,
-        line_search=info1.line_search + info2.line_search)
+        line_search=info1.line_search + info2.line_search,
+        contraction=info2.contraction)
 
 
-def step(state: State, t_next: float, ops, params: TimeParams):
+def step(state: State, t_next: float, ops, params: TimeParams,
+         prev: StepInfo | None = None):
     """Advance to t_next; if Newton fails the interval is bisected up
     to five times before StepFailure is raised with diagnostics.  A
-    load that is not finite raises StepFailure at once."""
+    load that is not finite raises StepFailure at once.  prev is the
+    StepInfo of the run's previous step, whose contraction sets the
+    first forcing term; without it the step is solved as a run's first."""
     dt = t_next - state.t
     if dt <= 0:
         raise ValueError("t_next must exceed the state time")
     if abs(dt - params.dt) <= 1e-9 * params.dt:
         dt = params.dt      # k*dt - (k-1)*dt is dt only up to rounding
-    new, info = _advance(state, dt, ops, params, depth=0)
+    new, info = _advance(state, dt, ops, params,
+                         None if prev is None else prev.contraction, depth=0)
     new.t = t_next
     return new, info
 
@@ -448,9 +507,10 @@ def run(ops, params: TimeParams, u0, v0, on_step=None):
     if on_step is not None:
         on_step(state, None)
     n_steps = max(int(np.ceil(params.t_end / params.dt - 1e-12)), 0)
+    info = None
     for k in range(1, n_steps + 1):
         t_next = min(k * params.dt, params.t_end)
-        state, info = step(state, t_next, ops, params)
+        state, info = step(state, t_next, ops, params, info)
         infos.append(info)
         if on_step is None:
             states.append(state)

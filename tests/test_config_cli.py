@@ -145,6 +145,20 @@ def test_run_is_bitwise_deterministic(tmp_path, monkeypatch):
     assert a == b
 
 
+def test_runs_share_no_solver_history(tmp_path, monkeypatch):
+    # the inexact-Newton forcing history starts fresh in every run: A,
+    # then B at another gamma, then A again in one process repeat A's bytes
+    monkeypatch.chdir(tmp_path)
+    other = BASE.replace("gamma = 0.0", "gamma = 10.0")
+    for name, text in (("a1", BASE), ("b", other), ("a2", BASE)):
+        cfg = write_cfg(tmp_path, text + f"\n[output]\ndirectory = "
+                                         f"{tmp_path / name}\n", f"{name}.cfg")
+        assert cli.main(["run", cfg]) == 0
+    a1, b, a2 = ((tmp_path / name / "diagnostics.csv").read_bytes()
+                 for name in ("a1", "b", "a2"))
+    assert a1 == a2 != b
+
+
 def test_run_writes_vtk_snapshots(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = write_cfg(tmp_path, run_cfg_text(tmp_path / "out",

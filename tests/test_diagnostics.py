@@ -1,3 +1,4 @@
+import dataclasses
 import weakref
 
 import numpy as np
@@ -202,6 +203,35 @@ def test_vi_residual_nonnegative_on_solution():
     vi = diagnostics.check_vi(problem, states, infos, 6, 20, 6)
     # held to the smallest step tolerance, not the check's -10*newton_tol
     assert -10.0 * min(info.tol_abs for info in infos) <= vi.value < np.inf
+
+
+def test_check_vi_holds_each_point_to_its_step_tolerance():
+    # friction off and the crack held wide open: the VI residual is linear
+    # in the trial, (M a_w).w, so a_w sets it.  A residual of -1e-10 lies
+    # within the old -10*newton_tol = -1e-9 but not within -10*tol_abs
+    problem = config_mod.build_problem(
+        dataclasses.replace(small_config(), g=None))
+    ops = problem.ops
+    zero = np.zeros(ops.dofmap.ndof)
+    v = ops.dofmap.zero_constrained(plus_side_field(ops, (0.0, 10.0)))
+    jn, _ = interface.split_jump(interface.jump_eval(v, ops.quad), ops.quad)
+    assert jn.min() > 2.0
+    a = ops.dofmap.zero_constrained(np.ones(ops.dofmap.ndof))
+
+    def check(scale, tol_abs):
+        states = [State(t, zero, v, scale * a)
+                  for t in (0.0, problem.params.dt)]
+        infos = [timestepper.StepInfo(iterations=1, residual=0.0,
+                                      tol_abs=tol_abs)]
+        return diagnostics.check_vi(problem, states, infos, 1, 20, 3)
+
+    unit = check(1.0, 1.0)
+    assert unit.ok and unit.value < 0.0
+    scale = 1e-10 / -unit.value
+    tight = check(scale, 1e-12)
+    assert tight.value == pytest.approx(-1e-10, rel=1e-6)
+    assert not tight.ok
+    assert check(scale, 1e-10).ok
 
 
 def test_weighted_points_midpoint_and_skip():
