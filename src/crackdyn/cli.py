@@ -4,10 +4,6 @@ Subcommands: run (integrate, write diagnostics.csv plus optional VTK
 snapshots), sweep-eps, sweep-gamma, verify (invariant battery with one
 PASS/FAIL line per property), mesh-gen.  Exit status 0 on success, 2 on
 configuration or file errors, 3 on solver or property failures.
-
-The environment variable CRACKDYN_DETERMINISTIC=1 requests sequential
-assembly; assembly in this build is sequential unconditionally, so all
-output files are bitwise reproducible with or without it.
 """
 
 from __future__ import annotations
@@ -171,9 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crackdyn",
         description="Dynamic linear elasticity with regularized crack-face "
-                    "contact and Tresca friction.",
-        epilog="CRACKDYN_DETERMINISTIC=1 requests sequential assembly "
-               "(always the case in this build).")
+                    "contact and Tresca friction.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run", help="integrate a configuration")

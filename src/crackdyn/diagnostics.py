@@ -42,7 +42,6 @@ __all__ = [
     "check_energy_decay",
     "check_energy",
     "check_vi",
-    "fresh_run",
     "SweepRow",
     "SweepResult",
     "epsilon_sweep",
@@ -103,6 +102,10 @@ def run_with_records(problem: config_mod.Problem, on_record=None):
     Returns (states, records, infos).  Without ``on_record`` states holds
     every state; with it, ``on_record(state, record, info)`` sees each
     state as it is accepted and states holds the final state alone.
+    This is the sweeps' and the stability probe's run function; any
+    function of the same signature that calls on_record for every state
+    of the problem's run, such as one that replays stored runs, may take
+    its place.
     """
     records = []
     states = []
@@ -130,31 +133,29 @@ def vi_residual(u, v, a, t, trial, ops: Operators) -> float:
 
     For a state satisfying the regularized force balance the returned
     value is nonnegative for every admissible trial field, up to the
-    Newton/CG solve tolerance.  At trial = gamma*u + v it is zero: exactly
-    at gamma = 0 or without friction, otherwise up to rounding, because
-    the friction term compares jt(gamma*u + v) - gamma*jt(u) with jt(v).
-    Trials must vanish on the Dirichlet dofs.
+    Newton/CG solve tolerance.  The trial enters the crack terms as the
+    velocity trial - gamma*u at displacement u, whose crack_state gives
+    its contact argument and slip.  At trial = gamma*u + v the value is
+    zero: exactly at gamma = 0, otherwise up to rounding, because
+    (gamma*u + v) - gamma*u is v only up to rounding.  Trials must vanish
+    on the Dirichlet dofs.
     """
     con = ops.dofmap.constrained
     if np.any(trial[con] != 0.0):
         raise ValueError("trial field violates the Dirichlet constraints")
     gamma = ops.contact.gamma
     eps = ops.contact.epsilon
-    z = gamma * u + v
-    dz = trial - z
+    dz = trial - (gamma * u + v)
     val = float(a @ (ops.mass @ dz)) + float(u @ (ops.stiffness @ dz))
     val -= float(ops.load(t) @ dz)
     quad = ops.quad
-    _, jt_v, g = interface.crack_state(u, v, t, ops.contact, quad)
-    jn_trial, jt_trial = interface.split_jump(
-        interface.jump_eval(trial, quad), quad)
-    jn_z, _ = interface.split_jump(interface.jump_eval(z, quad), quad)
+    s, jt, g = interface.crack_state(u, v, t, ops.contact, quad)
+    s_trial, jt_trial, _ = interface.crack_state(
+        u, trial - gamma * u, t, ops.contact, quad, g=g)
     val += float(np.sum(quad.weights * (
-        interface.psi_eps(jn_trial, eps) - interface.psi_eps(jn_z, eps))))
-    _, jt_u = interface.split_jump(interface.jump_eval(u, quad), quad)
+        interface.psi_eps(s_trial, eps) - interface.psi_eps(s, eps))))
     val += float(np.sum(quad.weights * g * (     # g = 0 without friction
-        interface.phi_eps(jt_trial - gamma * jt_u, eps)
-        - interface.phi_eps(jt_v, eps))))
+        interface.phi_eps(jt_trial, eps) - interface.phi_eps(jt, eps))))
     return val
 
 
@@ -360,52 +361,40 @@ class SweepResult:
     fitted_order: float
 
 
-def fresh_run(config: config_mod.Config, on_record) -> config_mod.Problem:
-    """The sweeps' and the stability probe's default run function: a run
-    function calls ``on_record(state, record, info)`` for every accepted
-    state of a configuration's run and returns the problem."""
-    problem = config_mod.build_problem(config)
-    run_with_records(problem, on_record=on_record)
-    return problem
-
-
 def _state_distance(ops: Operators, s1: fem.State, s2: fem.State) -> float:
     du = s1.u - s2.u
     dv = s1.v - s2.v
     return math.sqrt(float(dv @ (ops.mass @ dv)) + float(du @ (ops.stiffness @ du)))
 
 
-def _run_metrics(config: config_mod.Config, run, mass):
-    """(problem, final state, time integral of the cubed penetration norm,
-    its supremum, largest acceleration H-norm) of one run, taken from the
+def _run_metrics(problem: config_mod.Problem, run):
+    """(final state, time integral of the cubed penetration norm, its
+    supremum, largest acceleration H-norm) of one run, taken from the
     states as they arrive."""
     ts, pens, acc, final = [], [], 0.0, None
+    mass, rho = problem.ops.mass, problem.config.material.rho
 
     def on_record(state, rec, info):
         nonlocal acc, final
         ts.append(rec.t)
         pens.append(rec.penetration_L3)
-        acc = max(acc, math.sqrt(max(
-            fem.h_norm_sq(mass, config.material.rho, state.a), 0.0)))
+        acc = max(acc, math.sqrt(max(fem.h_norm_sq(mass, rho, state.a), 0.0)))
         final = state
 
-    problem = run(config, on_record)
+    run(problem, on_record)
     cubed = np.array(pens) ** 3
     int_pen3 = float(np.sum(0.5 * (cubed[1:] + cubed[:-1]) * np.diff(ts)))
-    return problem, final, int_pen3, max(pens), acc
+    return final, int_pen3, max(pens), acc
 
 
 def _sweep(config: config_mod.Config, field: str, values, run):
-    """Run a configuration with ``field`` (epsilon or gamma: the mass
-    matrix stays) set to each value in turn, keeping each final state;
-    distances are to the last run and to the previous one."""
-    mass = fem.assemble_mass(config_mod.build_mesh(config.mesh),
-                             config.material)
+    """Run a configuration with ``field`` (epsilon or gamma: the mass and
+    stiffness matrices stay) set to each value in turn, keeping each
+    final state; distances are to the last run and to the previous one."""
     runs = []
     for value in values:
-        problem, final, int3, sup_pen, acc = _run_metrics(
-            replace(config, **{field: value}), run, mass)
-        runs.append((value, final, int3, sup_pen, acc))
+        problem = config_mod.build_problem(replace(config, **{field: value}))
+        runs.append((value, *_run_metrics(problem, run)))
     ops, last = problem.ops, runs[-1][1]
     rows = []
     for k, (value, final, int3, sup_pen, acc) in enumerate(runs):
@@ -417,7 +406,7 @@ def _sweep(config: config_mod.Config, field: str, values, run):
 
 
 def epsilon_sweep(config: config_mod.Config, eps_list,
-                  run=fresh_run) -> SweepResult:
+                  run=run_with_records) -> SweepResult:
     """Re-run a configuration over decreasing regularization scales.
 
     Reports the time integral of the cubed penetration norm, its
@@ -440,7 +429,7 @@ def epsilon_sweep(config: config_mod.Config, eps_list,
 
 
 def gamma_sweep(config: config_mod.Config, gamma_list,
-                run=fresh_run) -> tuple[SweepRow, ...]:
+                run=run_with_records) -> tuple[SweepRow, ...]:
     """Re-run over a family of gamma values; no decay fit is implied.
     Every value is checked before the first run."""
     gamma_list = [float(g) for g in gamma_list]
@@ -465,14 +454,15 @@ class StabilityResult:
 
 
 def stability_probe(config: config_mod.Config, eta: float,
-                    run=fresh_run) -> StabilityResult:
+                    run=run_with_records) -> StabilityResult:
     """Distance between a run and one with initial displacement scaled by
     1 + eta, measured in the combined energy norm at every step as the
     perturbed run goes; only the base run's states are stored."""
     if not eta >= 0:
         raise ValueError("eta must be nonnegative")
     base = []
-    problem = run(config, lambda state, rec, info: base.append(state))
+    problem = config_mod.build_problem(config)
+    run(problem, lambda state, rec, info: base.append(state))
     dists = []
 
     def on_step(state, info):
@@ -534,13 +524,12 @@ class OneDofParams:
              + self.g * interface.alpha_eps(v_w, self.epsilon) - load_w)
         return r, (u_w, v_w)
 
-    def newton_matrix(self, point, dt, b, g) -> np.ndarray:
+    def newton_matrix(self, point, ca, cu, cv) -> np.ndarray:
         u_w, v_w = point
-        du, dv = b * dt * dt, g * dt
-        jac = (g * (self.rho + du * self.k)
+        jac = (ca * self.rho + cu * self.k
                + interface.dbeta_eps(self.gamma * u_w + v_w, self.epsilon)
-               * g * (self.gamma * du + dv)
-               + self.g * interface.dalpha_eps(v_w, self.epsilon)[0] * g * dv)
+               * (self.gamma * cu + cv)
+               + self.g * interface.dalpha_eps(v_w, self.epsilon)[0] * cv)
         return jac.reshape(1, 1)
 
     def initial_state(self, u0: float, v0: float) -> fem.State:

@@ -27,7 +27,6 @@ __all__ = [
     "assemble_stiffness",
     "assemble_load",
     "cell_stresses",
-    "apply_dirichlet",
     "solve_spd",
     "interpolate",
     "h_norm_sq",
@@ -87,7 +86,11 @@ class DofMap:
         self.free = np.flatnonzero(~mask)
 
     def zero_constrained(self, w: np.ndarray) -> np.ndarray:
+        """A copy of the nodal field w with its constrained dofs zeroed."""
         w = np.array(w, dtype=float, copy=True)
+        if w.shape != (self.ndof,):
+            raise ValueError(f"field has shape {w.shape}, "
+                             f"expected ({self.ndof},)")
         w[self.constrained] = 0.0
         return w
 
@@ -100,16 +103,6 @@ class State:
     u: np.ndarray
     v: np.ndarray
     a: np.ndarray
-
-
-def check_state(state: State, dofmap: DofMap) -> None:
-    """Constrained dofs of u, v, a must be exactly zero."""
-    for name in ("u", "v", "a"):
-        w = getattr(state, name)
-        if w.shape != (dofmap.ndof,):
-            raise ValueError(f"state.{name} has wrong length")
-        if np.any(w[dofmap.constrained] != 0.0):
-            raise ValueError(f"state.{name} is nonzero on Dirichlet dofs")
 
 
 # ---------------------------------------------------------------------------
@@ -261,13 +254,8 @@ def interpolate(mesh, exprs, t=0.0) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# boundary conditions and linear solves
+# linear solves
 # ---------------------------------------------------------------------------
-
-def apply_dirichlet(a: sp.csr_matrix, dofmap: DofMap) -> sp.csr_matrix:
-    """Restrict to the free dofs: drop constrained rows and columns."""
-    return a[dofmap.free][:, dofmap.free].tocsr()
-
 
 def solve_spd(a, rhs, tol=1e-12, maxit=None):
     """Conjugate gradients with Jacobi preconditioning.

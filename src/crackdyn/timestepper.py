@@ -50,12 +50,14 @@ line search and bisection.  The system it integrates has five members:
 ``free``, the Newton unknowns; ``load(t)``; ``residual(u_w, v_w, a_w,
 t_w, load_w)``, which returns (r, point): the force balance, zero on
 constrained dofs, and what the system evaluated at the weighted state
-for its Newton matrix to reuse; ``newton_matrix(point, dt, b, g)``, the
-derivative of r in a+ on the free dofs, as an operator with ``@`` and
-diagonal() for fem.solve_spd (and ``nonlinear`` false if it may be
-solved as a linear system); and ``initial_state(u0, v0)``, the State at
-t = 0 with the constraints imposed, incompatible data warned about, the
-consistent acceleration and the state checked.  The two systems are
+for its Newton matrix to reuse; ``newton_matrix(point, ca, cu, cv)``,
+the derivative of r in a+ on the free dofs, where ca, cu and cv are the
+derivatives of a_w, u_w and v_w in a+ (the stepper alone knows the
+Newmark scheme), as an operator with ``@`` and diagonal() for
+fem.solve_spd (and ``nonlinear`` false if it may be solved as a linear
+system); and ``initial_state(u0, v0)``, the State at t = 0 with the
+constraints imposed, incompatible data warned about and the consistent
+acceleration.  The two systems are
 Operators (the mesh problem; its point is the interface.crack_state)
 and diagnostics.OneDofParams (the scalar analog; its point is (u_w,
 v_w)).
@@ -183,14 +185,14 @@ class Operators:
         return self.dofmap.free
 
     def pin(self, a: sp.csr_matrix) -> sp.csr_matrix:
-        """Impose the Dirichlet constraints: restrict to the free dofs."""
-        return fem.apply_dirichlet(a, self.dofmap)
+        """Impose the Dirichlet constraints: keep the free rows and columns."""
+        return a[self.free][:, self.free].tocsr()
 
-    def linear_jacobian(self, dt: float, b: float, g: float):
-        """(g*(M + b*dt^2*K) on the free dofs, its diagonal), cached."""
-        key = (dt, b, g)
+    def linear_jacobian(self, ca: float, cu: float):
+        """(ca*M + cu*K on the free dofs, its diagonal), cached."""
+        key = (ca, cu)
         if key not in self._jac_cache:
-            lin = self.pin(g * (self.mass + b * dt * dt * self.stiffness))
+            lin = self.pin(ca * self.mass + cu * self.stiffness)
             self._jac_cache[key] = (lin, lin.diagonal())
         return self._jac_cache[key]
 
@@ -216,17 +218,15 @@ class Operators:
         r[self.dofmap.constrained] = 0.0
         return r, crack
 
-    def newton_matrix(self, crack, dt, b, g) -> "_NewtonMatrix":
+    def newton_matrix(self, crack, ca, cu, cv) -> "_NewtonMatrix":
         """Free-dof derivative of the residual in the end-of-step
-        acceleration at its crack state: the linear part g*(M +
-        b*dt^2*K), cached per step size, plus a dense PSD crack-dof block."""
-        lin, lin_diag = self.linear_jacobian(dt, b, g)
-        du = b * dt * dt          # d(u+)/d(a+)
-        dv = g * dt               # d(v+)/d(a+)
+        acceleration at its crack state: the linear part ca*M + cu*K,
+        cached per step size, plus a dense PSD crack-dof block."""
+        lin, lin_diag = self.linear_jacobian(ca, cu)
         block = (interface.contact_tangent(crack, self.contact, self.quad,
-                                           coeff_u=g * du, coeff_v=g * dv)
+                                           coeff_u=cu, coeff_v=cv)
                  + interface.friction_tangent(crack, self.contact, self.quad,
-                                              coeff_v=g * dv))
+                                              coeff_v=cv))
         return _NewtonMatrix(lin, lin_diag, self.quad.crack_free, block)
 
     def initial_state(self, u0: np.ndarray, v0: np.ndarray) -> State:
@@ -244,9 +244,7 @@ class Operators:
         a0 = np.zeros(self.dofmap.ndof)
         a0[self.free] = fem.solve_spd(self.pin(self.mass), -r[self.free],
                                       tol=_CG_TOL)
-        state = State(0.0, u0, v0, a0)
-        fem.check_state(state, self.dofmap)
-        return state
+        return State(0.0, u0, v0, a0)
 
     def _check_compatibility(self, crack) -> None:
         s, jt, _ = crack
@@ -322,7 +320,7 @@ def _interval(state: State, dt: float, ops, params: TimeParams):
     acceleration a+: (residual, tangent, load_w).  residual(a+) gives the
     force balance at the g-weighted state (zero on constrained dofs), the
     system's point there and the end state; tangent(point) is its
-    free-dof derivative."""
+    free-dof derivative, from the weighted state's derivatives in a+."""
     b = params.newmark_b
     g = params.newmark_g
 
@@ -330,6 +328,7 @@ def _interval(state: State, dt: float, ops, params: TimeParams):
     v_pred = state.v + dt * (1.0 - g) * state.a
     du = b * dt * dt          # d(u+)/d(a+)
     dv = g * dt               # d(v+)/d(a+)
+    cu, cv = g * du, g * dv   # d(u_w)/d(a+), d(v_w)/d(a+); d(a_w)/d(a+) = g
 
     t_w = state.t + g * dt
     load_w = ops.load(t_w)
@@ -346,7 +345,7 @@ def _interval(state: State, dt: float, ops, params: TimeParams):
         return (*ops.residual(u_w, v_w, a_w, t_w, load_w), end)
 
     def tangent(point):
-        return ops.newton_matrix(point, dt, b, g)
+        return ops.newton_matrix(point, g, cu, cv)
 
     return residual, tangent, load_w
 

@@ -87,22 +87,25 @@ class RunCache:
     def __init__(self):
         self._runs = {}
 
-    def trajectory(self, config):
+    def trajectory(self, config, problem=None):
+        """The run of ``config``, made from ``problem`` (built if None)
+        when it is not cached."""
         if config not in self._runs:
-            problem = config_mod.build_problem(config)
-            states, records, infos = diagnostics.run_with_records(problem)
-            self._runs[config] = (problem, states, records, infos)
+            if problem is None:
+                problem = config_mod.build_problem(config)
+            self._runs[config] = (problem,
+                                  *diagnostics.run_with_records(problem))
         return self._runs[config]
 
     def get(self, gamma=0.0, epsilon=1e-2):
         return self.trajectory(impact_config(gamma, epsilon))
 
-    def run(self, config, on_record):
-        """Replay the run of ``config``: a diagnostics run function."""
-        problem, states, records, infos = self.trajectory(config)
+    def run(self, problem, on_record):
+        """A diagnostics run function: replay the run of problem.config."""
+        _, states, records, infos = self.trajectory(problem.config, problem)
         for state, rec, info in zip(states, records, [None] + infos):
             on_record(state, rec, info)
-        return problem
+        return states[-1], records, infos
 
 
 @pytest.fixture(scope="session")

@@ -66,6 +66,21 @@ def test_parse_defaults():
     (lambda t: t.replace("rho = 1.0\n", ""), "missing required key"),
     (lambda t: t.replace("nx = 8", "nx = eight"), "not an integer"),
     (lambda t: t.replace("u0 = (0", "u0 = (sin(0", ), "u0"),
+    (lambda t: t[t.index("[material]"):], r"missing \[mesh\] section"),
+    (lambda t: t.replace("[material]\nlambda = 1.0\nmu = 1.0\nrho = 1.0\n",
+                         ""), r"missing \[material\] section"),
+    (lambda t: t.replace("[time]\nt_end = 0.12\ndt = 5e-3\n", ""),
+     r"missing \[time\] section"),
+    (lambda t: t.replace("kind = rect", "kind = hex"),
+     "unknown mesh kind 'hex'"),
+    (lambda t: t + "\n[output]\ncadence = -1\n",
+     "cadence must be nonnegative"),
+    (lambda t: t.replace("width = 2.0", "width = wide"),
+     "width: not a number: 'wide'"),
+    (lambda t: t.replace("ny = 4\n", ""), "missing required key 'ny'"),
+    (lambda t: t.replace("nx = 8", "nx = 8\nnx = 9"), "option 'nx'.*already"),
+    (lambda t: t.replace("u0 = (0, -0.12*exp(-((x-0.9)^2 + (y-0.6)^2)/0.01))",
+                         "u0 = (0, 1))"), "u0: unbalanced parentheses"),
 ])
 def test_parse_rejects(mutate, needle):
     with pytest.raises(ConfigError, match=needle):
@@ -138,7 +153,6 @@ def test_run_is_bitwise_deterministic(tmp_path, monkeypatch):
     cfg_a = write_cfg(tmp_path, run_cfg_text(tmp_path / "a"), "a.cfg")
     cfg_b = write_cfg(tmp_path, run_cfg_text(tmp_path / "b"), "b.cfg")
     assert cli.main(["run", cfg_a]) == 0
-    monkeypatch.setenv("CRACKDYN_DETERMINISTIC", "1")
     assert cli.main(["run", cfg_b]) == 0
     a = (tmp_path / "a" / "diagnostics.csv").read_bytes()
     b = (tmp_path / "b" / "diagnostics.csv").read_bytes()
@@ -549,6 +563,31 @@ def test_verify_gamma_positive_config(tmp_path, monkeypatch, capsys):
     assert cli.main(["verify", cfg]) == 0
     out = capsys.readouterr().out
     assert "PASS energy-bounded" in out
+    assert "FAIL" not in out
+
+
+def test_verify_reports_a_solver_failure(tmp_path, monkeypatch, capsys):
+    # the load overflows at t = 0.925: the static checks still print, the
+    # trajectory fails in place of the run's checks, and verify exits 3
+    monkeypatch.chdir(tmp_path)
+    text = (BASE.replace("t_end = 0.12\ndt = 5e-3", "t_end = 1.0\ndt = 0.05")
+            .replace("[data]", "[data]\nf = (0, exp(800*t)*1e-300)"))
+    assert cli.main(["verify", write_cfg(tmp_path, text)]) == 3
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS regularization-monotone (worst monotonicity product 0.000e+00)",
+        "PASS regularization-gradients (alpha FD errors 1.30e-03 -> 3.24e-04)",
+        "PASS rigid-body-kernel (relative kernel residual 0.000e+00)",
+        "FAIL trajectory (solver failure: load is not finite at t=0.925)"]
+
+
+def test_verify_checks_a_loaded_energy_for_finiteness(tmp_path, monkeypatch,
+                                                      capsys):
+    monkeypatch.chdir(tmp_path)
+    text = BASE.replace("[data]", "[data]\nf = (0.1*sin(5*t), -0.2)\n"
+                                  "F = (0, 0.05*x)")
+    assert cli.main(["verify", write_cfg(tmp_path, text)]) == 0
+    out = capsys.readouterr().out
+    assert "PASS energy-finite (final energy " in out
     assert "FAIL" not in out
 
 

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from crackdyn import config as config_mod
-from crackdyn import diagnostics, exprlang as ex, fem, interface, timestepper
+from crackdyn import (diagnostics, exprlang as ex, fem, interface, meshing,
+                      timestepper)
 from crackdyn.diagnostics import (
     CSV_COLUMNS,
     OneDofParams,
@@ -189,6 +190,24 @@ def test_vi_residual_zero_at_argument():
     assert abs(vi_residual(u, v, a, 0.0, z, ops)) <= 1e-14 * scale
 
 
+def test_vi_residual_forms_its_jumps_through_crack_state(monkeypatch):
+    # one crack_state at (u, v) and one at the trial: every jump that
+    # vi_residual uses is formed inside crack_state
+    ops = make_ops(gamma=1.3)
+    rng = np.random.default_rng(7)
+    u, v, a, trial = (ops.dofmap.zero_constrained(
+        rng.standard_normal(ops.dofmap.ndof)) for _ in range(4))
+    counts = {"jump_eval": 0, "crack_state": 0}
+    for name in counts:
+        def spy(*args, _f=getattr(interface, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(interface, name, spy)
+    vi_residual(u, v, a, 0.0, trial, ops)
+    assert counts["crack_state"] == 2
+    assert counts["jump_eval"] == 2 * counts["crack_state"]
+
+
 def test_vi_residual_rejects_constrained_trials():
     ops = make_ops()
     trial = np.ones(ops.dofmap.ndof)
@@ -312,12 +331,25 @@ def test_sweeps_and_probe_take_their_runs_from_a_run_function(monkeypatch):
                      gamma_sweep(cfg, gammas, run=run),
                      stability_probe(cfg, 1e-5, run=run)))
 
-    fresh = studies(diagnostics.fresh_run)
+    fresh = studies(diagnostics.run_with_records)
     assert studies(cache.run) == fresh      # this fills the cache
-    monkeypatch.setattr(config_mod, "build_problem",
-                        lambda config: pytest.fail("a fresh run was made"))
+    monkeypatch.setattr(diagnostics, "run_with_records",
+                        lambda *args: pytest.fail("a fresh run was made"))
     # a replay calls on_record, so a study that passed none would fail
     assert studies(cache.run) == fresh
+
+
+def test_a_sweep_builds_each_mesh_once(monkeypatch):
+    # one problem per value, and no second mesh for the mass matrix
+    calls = []
+
+    def spy(*args, _f=meshing.generate_rect_crack):
+        calls.append(args)
+        return _f(*args)
+
+    monkeypatch.setattr(meshing, "generate_rect_crack", spy)
+    epsilon_sweep(small_config(), [1e-1, 1e-2, 1e-3])
+    assert len(calls) == 3
 
 
 def test_one_dof_params_validation():
@@ -375,13 +407,16 @@ def test_one_dof_newton_matrix_is_residual_derivative(gamma, g):
     state = p.initial_state(p.u0, p.v0)
     assert np.array_equal(state.a, -p.residual(
         state.u, state.v, np.zeros(1), 0.0, p.load(0.0))[0] / p.rho)
-    params = TimeParams(t_end=1.0, dt=0.05)
-    residual, tangent, load_w = timestepper._interval(state, 0.05, p, params)
-    assert load_w[0] == pytest.approx(np.sin(0.025))
-    a = np.array([0.7])
-    _, point, _ = residual(a)
-    op = tangent(point)
-    assert op.shape == (1, 1) and op[0, 0] > 0.0
-    h = 1e-6
-    fd = (residual(a + h)[0] - residual(a - h)[0]) / (2 * h)
-    assert fd[0] == pytest.approx(op[0, 0], rel=1e-7)
+    # the default Newmark pair and a dissipative one
+    for b, gn in ((0.25, 0.5), (0.3025, 0.6)):
+        params = TimeParams(t_end=1.0, dt=0.05, newmark_b=b, newmark_g=gn)
+        residual, tangent, load_w = timestepper._interval(state, 0.05, p,
+                                                          params)
+        assert load_w[0] == pytest.approx(np.sin(gn * 0.05))
+        a = np.array([0.7])
+        _, point, _ = residual(a)
+        op = tangent(point)
+        assert op.shape == (1, 1) and op[0, 0] > 0.0
+        h = 1e-6
+        fd = (residual(a + h)[0] - residual(a - h)[0]) / (2 * h)
+        assert fd[0] == pytest.approx(op[0, 0], rel=1e-7)

@@ -3,8 +3,9 @@ import pytest
 import scipy.sparse as sp
 
 from crackdyn import exprlang as ex
-from crackdyn import diagnostics, fem
-from crackdyn.fem import DofMap, Material, State
+from crackdyn import diagnostics, fem, timestepper
+from crackdyn.fem import DofMap, Material
+from crackdyn.interface import ContactParams
 from crackdyn.meshing import CrackedMesh, SIDE_PLUS, generate_rect_crack
 
 
@@ -160,26 +161,33 @@ def test_dofmap_partition():
 
 
 def test_check_state():
-    mesh = generate_rect_crack(1.0, 1.0, 2, 2)
-    dofmap = DofMap(mesh)
-    zero = np.zeros(dofmap.ndof)
-    fem.check_state(State(0.0, zero, zero, zero), dofmap)
-    bad = zero.copy()
-    bad[np.nonzero(dofmap.constrained)[0][0]] = 1.0
-    with pytest.raises(ValueError, match="Dirichlet"):
-        fem.check_state(State(0.0, bad, zero, zero), dofmap)
-    with pytest.raises(ValueError, match="length"):
-        fem.check_state(State(0.0, zero[:-1], zero, zero), dofmap)
+    # a system's initial State is zero on the Dirichlet dofs, and a field
+    # of the wrong length is rejected, not indexed
+    ops = timestepper.build_operators(generate_rect_crack(1.0, 1.0, 2, 2),
+                                      Material(lam=1.0, mu=1.0, rho=1.0),
+                                      ContactParams(gamma=0.0, epsilon=1e-2))
+    ones = np.ones(ops.dofmap.ndof)
+    state = ops.initial_state(ones, ones)
+    for w in (state.u, state.v, state.a):
+        assert w.shape == ones.shape
+        assert not w[ops.dofmap.constrained].any()
+    with pytest.raises(ValueError, match="shape"):
+        ops.dofmap.zero_constrained(ones[:-1])
+    with pytest.raises(ValueError, match="shape"):
+        ops.initial_state(ones, ones[:-1])
 
 
 def test_apply_dirichlet_pins_rows():
-    # constrained rows and columns are eliminated, free ones kept as is
+    # Operators.pin eliminates constrained rows and columns and keeps the
+    # free ones as they are
     mesh = generate_rect_crack(1.0, 1.0, 2, 2)
-    dofmap = DofMap(mesh)
-    k = fem.assemble_stiffness(mesh, Material(lam=1.0, mu=1.0, rho=1.0))
-    kp = fem.apply_dirichlet(k, dofmap).toarray()
-    free = np.nonzero(~dofmap.constrained)[0]
-    assert 0 < free.size < dofmap.ndof
+    material = Material(lam=1.0, mu=1.0, rho=1.0)
+    ops = timestepper.build_operators(mesh, material,
+                                      ContactParams(gamma=0.0, epsilon=1e-2))
+    k = fem.assemble_stiffness(mesh, material)
+    kp = ops.pin(k).toarray()
+    free = np.nonzero(~ops.dofmap.constrained)[0]
+    assert 0 < free.size < ops.dofmap.ndof
     assert kp.shape == (free.size, free.size)
     assert np.array_equal(kp, k.toarray()[np.ix_(free, free)])
 

@@ -96,7 +96,7 @@ def test_initial_acceleration_equilibrium():
     free = ops.dofmap.free
     u0 = np.zeros_like(load)
     u0[free] = fem.solve_spd(
-        fem.apply_dirichlet(ops.stiffness, ops.dofmap),
+        ops.pin(ops.stiffness),
         load[free], tol=1e-14)
     a0 = ops.initial_state(u0, np.zeros_like(u0)).a
     scale = max(np.abs(u0).max(), 1.0)
@@ -113,7 +113,7 @@ def test_initial_acceleration_constant_force():
     rhs = ops.load(0.0)
     free = ops.dofmap.free
     assert not a0[ops.dofmap.constrained].any()
-    res = fem.apply_dirichlet(ops.mass, ops.dofmap) @ a0[free] - rhs[free]
+    res = ops.pin(ops.mass) @ a0[free] - rhs[free]
     assert np.linalg.norm(res) <= 1e-9 * np.linalg.norm(rhs)
     interior = (np.abs(ops.mesh.vertices[:, 0] - 1.0) < 0.5)
     ax = a0.reshape(-1, 2)[interior, 0]
@@ -258,16 +258,26 @@ def test_contact_dissipates_energy():
     assert total_energy(ops, states[-1]) < total_energy(ops, states[0])
 
 
+def _jac_key(params, dt):
+    """The linear Jacobian's cache key (ca, cu) of a step of size dt."""
+    b, g = params.newmark_b, params.newmark_g
+    return g, g * (b * dt * dt)
+
+
 def test_linear_jacobian_is_cached():
     ops = make_ops(nx=4, ny=2)
-    j1 = ops.linear_jacobian(0.1, 0.25, 0.5)
-    j2 = ops.linear_jacobian(0.1, 0.25, 0.5)
+    params = TimeParams(t_end=1.0, dt=0.1)
+    j1 = ops.linear_jacobian(*_jac_key(params, 0.1))
+    j2 = ops.linear_jacobian(*_jac_key(params, 0.1))
     assert j1 is j2
     lin, diag = j1
     nfree = ops.dofmap.free.size
     assert lin.shape == (nfree, nfree)
     assert np.array_equal(diag, lin.diagonal())
-    j3 = ops.linear_jacobian(0.05, 0.25, 0.5)
+    # at g = 1/2, ca*M + cu*K is g*(M + b*dt^2*K) bit for bit
+    assert np.array_equal(lin.toarray(), ops.pin(
+        0.5 * (ops.mass + (0.25 * 0.1 * 0.1) * ops.stiffness)).toarray())
+    j3 = ops.linear_jacobian(*_jac_key(params, 0.05))
     assert j3 is not j1
 
 
@@ -280,8 +290,7 @@ def test_linear_jacobian_one_key_per_step_size():
     params = TimeParams(t_end=0.1, dt=2.5e-3)
     _, infos = run(ops, params, u0, np.zeros_like(u0))
     assert all(info.substeps == 1 for info in infos)
-    assert list(ops._jac_cache) == [(params.dt, params.newmark_b,
-                                      params.newmark_g)]
+    assert list(ops._jac_cache) == [_jac_key(params, params.dt)]
 
     ops = make_ops(epsilon=1e-3, g="0.05")
     v0 = crack_plus_velocity(ops, (0.0, -0.3))
@@ -290,8 +299,8 @@ def test_linear_jacobian_one_key_per_step_size():
         warnings.simplefilter("ignore", CompatibilityWarning)
         _, infos = run(ops, params, np.zeros_like(v0), v0)
     assert infos[0].substeps >= 2
-    halves = {params.dt / 2 ** j for j in range(6)}
-    assert {dt for dt, _, _ in ops._jac_cache} <= halves
+    halves = {_jac_key(params, params.dt / 2 ** j) for j in range(6)}
+    assert set(ops._jac_cache) <= halves
 
 
 def _penetrating_state(ops, rng, t=0.0):
@@ -337,23 +346,28 @@ def test_newton_operator_is_residual_derivative(tmp_path, gamma, g,
 
     rng = np.random.default_rng(31)
     state = _penetrating_state(ops, rng)
-    residual, tangent, _ = timestepper._interval(
-        state, 0.05, ops, TimeParams(t_end=1.0, dt=0.05))
     free = ops.dofmap.free
-    a = ops.dofmap.zero_constrained(rng.standard_normal(state.a.size))
-    _, point, _ = residual(a)
-    op = tangent(point)
-    assert np.array_equal(op.diagonal(), np.diagonal(
-        op.lin.toarray()) + np.bincount(quad.crack_free,
-                                        np.diagonal(op.block), free.size))
-    h = 1e-5
-    for _ in range(3):
-        z = ops.dofmap.zero_constrained(rng.standard_normal(a.size))
-        fd = (residual(a + h * z)[0] - residual(a - h * z)[0])[free] / (2 * h)
-        ref = op @ z[free]
-        assert np.abs(fd - ref).max() <= 1e-6 * np.abs(ref).max()
-        # the crack block carries a visible share of the product
-        assert np.abs(fd - op.lin @ z[free]).max() >= 1e-3 * np.abs(ref).max()
+    # the default pair and a dissipative one, whose g is not a power of 2
+    for b, gn in ((0.25, 0.5), (0.3025, 0.6)):
+        residual, tangent, _ = timestepper._interval(
+            state, 0.05, ops, TimeParams(t_end=1.0, dt=0.05, newmark_b=b,
+                                         newmark_g=gn))
+        a = ops.dofmap.zero_constrained(rng.standard_normal(state.a.size))
+        _, point, _ = residual(a)
+        op = tangent(point)
+        assert np.array_equal(op.diagonal(), np.diagonal(
+            op.lin.toarray()) + np.bincount(quad.crack_free,
+                                            np.diagonal(op.block), free.size))
+        h = 1e-5
+        for _ in range(3):
+            z = ops.dofmap.zero_constrained(rng.standard_normal(a.size))
+            fd = (residual(a + h * z)[0]
+                  - residual(a - h * z)[0])[free] / (2 * h)
+            ref = op @ z[free]
+            assert np.abs(fd - ref).max() <= 1e-6 * np.abs(ref).max()
+            # the crack block carries a visible share of the product
+            assert (np.abs(fd - op.lin @ z[free]).max()
+                    >= 1e-3 * np.abs(ref).max())
 
 
 def _step_potential(state, dt, ops, params, a):
