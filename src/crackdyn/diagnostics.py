@@ -79,7 +79,9 @@ def record(state: fem.State, ops: Operators, newton_iters: int = 0) -> Diagnosti
     quad = ops.quad
     kinetic = 0.5 * float(state.v @ (ops.mass @ state.v))
     strain = 0.5 * float(state.u @ (ops.stiffness @ state.u))
-    crack = interface.crack_state(state.u, state.v, state.t, ops.contact, quad)
+    cd = quad.crack_dofs
+    crack = interface.crack_state(state.u[cd], state.v[cd], state.t,
+                                  ops.contact, quad)
     s, jt, g = crack
     sigma_n, sigma_t = interface.recover_tractions(crack, ops.contact)
     m = interface.neg_part(s)
@@ -149,9 +151,10 @@ def vi_residual(u, v, a, t, trial, ops: Operators) -> float:
     val = float(a @ (ops.mass @ dz)) + float(u @ (ops.stiffness @ dz))
     val -= float(ops.load(t) @ dz)
     quad = ops.quad
-    s, jt, g = interface.crack_state(u, v, t, ops.contact, quad)
+    u_c, v_c = u[quad.crack_dofs], v[quad.crack_dofs]
+    s, jt, g = interface.crack_state(u_c, v_c, t, ops.contact, quad)
     s_trial, jt_trial, _ = interface.crack_state(
-        u, trial - gamma * u, t, ops.contact, quad, g=g)
+        u_c, trial[quad.crack_dofs] - gamma * u_c, t, ops.contact, quad, g=g)
     val += float(np.sum(quad.weights * (
         interface.psi_eps(s_trial, eps) - interface.psi_eps(s, eps))))
     val += float(np.sum(quad.weights * g * (     # g = 0 without friction
@@ -274,7 +277,8 @@ def check_normal_traction(problem: config_mod.Problem, states) -> Check:
     contact, quad = problem.ops.contact, problem.ops.quad
     worst = 0.0 if quad.n_pairs == 0 else max(
         float(interface.recover_tractions(interface.crack_state(
-            s.u, s.v, s.t, contact, quad), contact)[0].max()) for s in states)
+            s.u[quad.crack_dofs], s.v[quad.crack_dofs], s.t, contact, quad),
+            contact)[0].max()) for s in states)
     return Check("normal-traction-nonpositive", worst <= 0.0,
                  f"max sigma_n {worst:.3e}", worst)
 
@@ -489,7 +493,7 @@ class OneDofParams:
     g*alpha_eps(u') = forcing(t).
 
     It is also a system for timestepper.run (a length-1 residual, whose
-    point is (u_w, v_w), and a 1x1 Newton matrix), so the production
+    point is the weighted (u, v), and a 1x1 Newton matrix), so the production
     stepper integrates it:
     ``timestepper.run(p, TimeParams(t_end, dt), p.u0, p.v0)``.
     """
@@ -518,24 +522,34 @@ class OneDofParams:
     def load(self, t: float) -> np.ndarray:
         return np.full(1, 0.0 if self.forcing is None else self.forcing(t))
 
-    def residual(self, u_w, v_w, a_w, t_w, load_w):
-        r = (self.rho * a_w + self.k * u_w
-             + interface.beta_eps(self.gamma * u_w + v_w, self.epsilon)
-             + self.g * interface.alpha_eps(v_w, self.epsilon) - load_w)
-        return r, (u_w, v_w)
+    def interval(self, u_w, v_w, a_w, ca, cu, cv, t_w, load_w):
+        """The stepper's Newton problem on the weighted state u_w +
+        cu*a, v_w + cv*a, a_w + ca*a: (residual, newton_matrix), with
+        the point (u, v) of the weighted state."""
+        lin = ca * self.rho + cu * self.k
+        const = self.rho * a_w + self.k * u_w - load_w
 
-    def newton_matrix(self, point, ca, cu, cv) -> np.ndarray:
-        u_w, v_w = point
-        jac = (ca * self.rho + cu * self.k
-               + interface.dbeta_eps(self.gamma * u_w + v_w, self.epsilon)
-               * (self.gamma * cu + cv)
-               + self.g * interface.dalpha_eps(v_w, self.epsilon)[0] * cv)
-        return jac.reshape(1, 1)
+        def residual(a):
+            u, v = u_w + cu * a, v_w + cv * a
+            r = (lin * a + const
+                 + interface.beta_eps(self.gamma * u + v, self.epsilon)
+                 + self.g * interface.alpha_eps(v, self.epsilon))
+            return r, (u, v)
+
+        def newton_matrix(point):
+            u, v = point
+            jac = (lin + interface.dbeta_eps(self.gamma * u + v, self.epsilon)
+                   * (self.gamma * cu + cv)
+                   + self.g * interface.dalpha_eps(v, self.epsilon)[0] * cv)
+            return jac.reshape(1, 1)
+
+        return residual, newton_matrix
 
     def initial_state(self, u0: float, v0: float) -> fem.State:
         u, v = np.full(1, float(u0)), np.full(1, float(v0))
-        r, _ = self.residual(u, v, np.zeros(1), 0.0, self.load(0.0))
-        return fem.State(0.0, u, v, -r / self.rho)
+        residual, _ = self.interval(u, v, np.zeros(1), 1.0, 0.0, 0.0, 0.0,
+                                    self.load(0.0))
+        return fem.State(0.0, u, v, -residual(np.zeros(1))[0] / self.rho)
 
 
 def one_dof_oracle(p: OneDofParams, sample_times, dt_fine: float):

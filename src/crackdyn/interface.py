@@ -8,7 +8,10 @@ positive semidefinite derivatives, which keeps Newton systems SPD.
 
 crack_state is the single evaluation of the crack at a state (its jumps
 and g at every quadrature point); the residuals, tangents and tractions
-below are functions of what it returns.
+below are functions of what it returns.  The crack layer reads and
+writes crack vectors only, the values on CrackQuadrature.crack_dofs:
+the jumps come from the quadrature's precomputed jump operators, and
+the residuals through their transposes.
 """
 
 from __future__ import annotations
@@ -31,8 +34,6 @@ __all__ = [
     "ContactParams",
     "CrackQuadrature",
     "build_crack_quadrature",
-    "jump_eval",
-    "split_jump",
     "friction_bound_values",
     "crack_state",
     "contact_residual",
@@ -120,22 +121,34 @@ class ContactParams:
 
 
 class CrackQuadrature:
-    """Two-point Gauss rule on every crack facet pair.
+    """Two-point Gauss rule on every crack facet pair, and the jump
+    operators on the crack dofs.
 
     Attributes (npairs = number of pairs, nq = 2 points per facet):
     plus_vertices, minus_vertices, normals : (npairs, 2) aligned vertex
         indices and (npairs, dim) normals, the mesh's crack arrays
     points : (npairs, nq, dim), weights : (npairs, nq)
     shapes : (nq, 2) P1 basis values at the quadrature points
-    crack_dofs : sorted unconstrained dofs of the crack-face vertices;
-        the tangents are dense blocks in this numbering
+    crack_dofs : sorted unconstrained dofs of the crack-face vertices.
+        Crack vectors, the arguments of crack_state and the results of
+        the residuals, hold one value per entry (a nodal vector w gives
+        w[crack_dofs]), and the tangents are dense blocks in this
+        numbering
     crack_free : position of each crack_dofs entry in dofmap.free
+    jump_slots : (npairs, 8) crack-vector position of each pair's facet
+        vertex dofs, plus vertices first, each vertex's components in
+        turn; a constrained dof has slot 0 and zero coefficients below
+    normal_jump : (npairs, nq, 8) the normal jump at each point, as
+        coefficients of the pair's jump_slots entries
+    tangent_jump : (npairs, nq, dim, 8) the tangential part of the jump
+        at each point, likewise
     """
 
     def __init__(self, mesh, dofmap: fem.DofMap):
         d = mesh.dim
+        n = mesh.n_pairs
         self.dim = d
-        self.n_pairs = mesh.n_pairs
+        self.n_pairs = n
         self.n_vertices = mesh.n_vertices
         self.plus_vertices = mesh.crack_plus
         self.minus_vertices = mesh.crack_minus
@@ -146,17 +159,31 @@ class CrackQuadrature:
 
         verts = np.concatenate([self.plus_vertices, self.minus_vertices], axis=1)
         dofs = verts[:, :, None] * d + np.arange(d)                    # (n, 4, d)
-        self.crack_dofs = np.unique(dofs[~dofmap.constrained[dofs]])
+        constrained = dofmap.constrained[dofs]
+        self.crack_dofs = np.unique(dofs[~constrained])
         self.crack_free = np.searchsorted(dofmap.free, self.crack_dofs)
         k = self.crack_dofs.size
-        slots = np.where(dofmap.constrained[dofs], k,
-                         np.searchsorted(self.crack_dofs, dofs))
+        slots = np.searchsorted(self.crack_dofs, dofs)
+        live = ~constrained
+        self.jump_slots = np.where(live, slots, 0).reshape(n, 4 * d)
+        # the jump at point q is sum_i shp[q, i]*w_i over the four vertices
+        shp = np.concatenate([self.shapes, -self.shapes], axis=1)     # (q, 4)
+        nrm = self.normals
+        self._nn = nrm[:, :, None] * nrm[:, None, :]                   # (n, d, d)
+        self._proj = np.eye(d) - self._nn
+        self.normal_jump = (shp[None, :, :, None] * nrm[:, None, None, :]
+                            * live[:, None]).reshape(n, 2, 4 * d)
+        self.tangent_jump = (shp[None, :, None, :, None]
+                             * self._proj[:, None, :, None, :]
+                             * live[:, None, None]).reshape(n, 2, d, 4 * d)
         # signed shape products (nq, 16) of the facet vertices, and the flat
-        # (k+1, k+1) index of every (pair, k, l, c, e) entry; slot k is dropped
-        shp = np.concatenate([self.shapes, -self.shapes], axis=1)
+        # (k, k) index of every (pair, k, l, c, e) entry; an entry in a
+        # constrained row or column goes to k*k, past the block
         self._shape_pairs = np.einsum("qk,ql->qkl", shp, shp).reshape(2, 16)
-        self._block_index = (slots[:, :, None, :, None] * (k + 1)
-                             + slots[:, None, :, None, :]).ravel()
+        self._block_index = np.where(
+            live[:, :, None, :, None] & live[:, None, :, None, :],
+            slots[:, :, None, :, None] * k + slots[:, None, :, None, :],
+            k * k).ravel()
 
 
 def build_crack_quadrature(mesh, dofmap: fem.DofMap | None = None):
@@ -165,23 +192,8 @@ def build_crack_quadrature(mesh, dofmap: fem.DofMap | None = None):
 
 
 # ---------------------------------------------------------------------------
-# jumps
+# the crack state
 # ---------------------------------------------------------------------------
-
-def jump_eval(w: np.ndarray, quad: CrackQuadrature) -> np.ndarray:
-    """Jump (plus trace minus minus trace) of a nodal field at the
-    quadrature points, shape (npairs, nq, dim)."""
-    wn = w.reshape(quad.n_vertices, quad.dim)
-    diff = wn[quad.plus_vertices] - wn[quad.minus_vertices]   # (n, 2, d)
-    return np.einsum("qi,pid->pqd", quad.shapes, diff)
-
-
-def split_jump(jumps: np.ndarray, quad: CrackQuadrature):
-    """Normal component and tangential part of per-point jump values."""
-    jn = np.einsum("pqd,pd->pq", jumps, quad.normals)
-    jt = jumps - jn[:, :, None] * quad.normals[:, None, :]
-    return jn, jt
-
 
 def friction_bound_values(params: ContactParams, quad: CrackQuadrature,
                           t: float) -> np.ndarray:
@@ -208,54 +220,55 @@ def friction_bound_values(params: ContactParams, quad: CrackQuadrature,
 
 def crack_state(u, v, t, params: ContactParams, quad: CrackQuadrature,
                 g=None):
-    """(s, jt, g) at the quadrature points: the contact argument, the
-    normal jump of gamma*u + v, shape (npairs, nq); the tangential jump
-    of v, (npairs, nq, dim); and the friction bound, zero without
-    friction.  A caller that already holds friction_bound_values at t
-    passes them as g, and they are used as given."""
-    un, _ = split_jump(jump_eval(u, quad), quad)
-    vn, jt = split_jump(jump_eval(v, quad), quad)
+    """(s, jt, g) at the quadrature points, from the crack vectors (on
+    quad.crack_dofs) of u and v: the contact argument, the normal jump
+    of gamma*u + v, shape (npairs, nq); the tangential jump of v,
+    (npairs, nq, dim); and the friction bound, zero without friction.
+    A caller that already holds friction_bound_values at t passes them
+    as g, and they are used as given."""
+    if not np.shape(u) == np.shape(v) == quad.crack_dofs.shape:
+        raise ValueError("u and v must be crack vectors, one value per "
+                         "quad.crack_dofs entry")
+    slots = quad.jump_slots
+    s = np.einsum("pqm,pm->pq", quad.normal_jump,
+                  (params.gamma * u + v)[slots])
+    jt = np.einsum("pqcm,pm->pqc", quad.tangent_jump, v[slots])
     if g is None:
         g = friction_bound_values(params, quad, t)
-    return params.gamma * un + vn, jt, g
+    return s, jt, g
 
 
 # ---------------------------------------------------------------------------
-# residual contributions (assembled nodal force vectors)
+# residual contributions (crack vectors of nodal forces)
 # ---------------------------------------------------------------------------
 
-def _scatter_interface(quad, vecs):
-    """Accumulate per-pair nodal vectors (npairs, 2, d) with opposite
-    signs on the two crack faces; returns a flat dof vector."""
-    out = np.zeros((quad.n_vertices, quad.dim))
-    np.add.at(out, quad.plus_vertices, vecs)
-    np.subtract.at(out, quad.minus_vertices, vecs)
-    return out.ravel()
+def _scatter(quad, local):
+    """Crack vector of per-pair values (npairs, 8) on the jump_slots."""
+    # without pairs, bincount returns integers
+    return np.bincount(quad.jump_slots.ravel(), weights=local.ravel(),
+                       minlength=quad.crack_dofs.size).astype(float,
+                                                              copy=False)
 
 
 def contact_residual(crack, params: ContactParams, quad: CrackQuadrature):
-    """Nodal forces of the contact term at a crack_state.
+    """Crack vector of the contact term's nodal forces at a crack_state.
 
     Tested against w, the result equals the crack integral of
     beta_eps(jump(gamma*u_n + v_n)) * jump(w_n).
     """
     vals = beta_eps(crack[0], params.epsilon) * quad.weights   # (n, q)
-    coef = np.einsum("pq,qi->pi", vals, quad.shapes)           # (n, 2)
-    vecs = coef[:, :, None] * quad.normals[:, None, :]
-    return _scatter_interface(quad, vecs)
+    return _scatter(quad, np.einsum("pq,pqm->pm", vals, quad.normal_jump))
 
 
 def friction_residual(crack, params: ContactParams, quad: CrackQuadrature):
-    """Nodal forces of the smoothed Tresca term at a crack_state: g *
-    alpha_eps of the tangential velocity jump, tested against tangential
-    jumps."""
+    """Crack vector of the smoothed Tresca term's nodal forces at a
+    crack_state: g * alpha_eps of the tangential velocity jump, tested
+    against tangential jumps."""
     if params.g is None:
-        return np.zeros(quad.n_vertices * quad.dim)
+        return np.zeros(quad.crack_dofs.size)
     _, jt, g = crack
-    a = alpha_eps(jt, params.epsilon)
-    vals = g * quad.weights
-    vecs = np.einsum("pq,qi,pqd->pid", vals, quad.shapes, a)
-    return _scatter_interface(quad, vecs)
+    vals = (g * quad.weights)[..., None] * alpha_eps(jt, params.epsilon)
+    return _scatter(quad, np.einsum("pqc,pqcm->pm", vals, quad.tangent_jump))
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +282,10 @@ def _crack_block(quad, blocks):
     n, d, k = quad.n_pairs, quad.dim, quad.crack_dofs.size
     coef = np.einsum("qm,pqf->pmf", quad._shape_pairs,
                      blocks.reshape(n, 2, d * d))
+    # without pairs, bincount returns integers
     return np.bincount(quad._block_index, weights=coef.ravel(),
-                       minlength=(k + 1) ** 2).reshape(k + 1, k + 1)[:k, :k]
+                       minlength=k * k + 1)[:k * k].reshape(k, k).astype(
+                           float, copy=False)
 
 
 def contact_tangent(crack, params: ContactParams, quad: CrackQuadrature,
@@ -280,25 +295,26 @@ def contact_tangent(crack, params: ContactParams, quad: CrackQuadrature,
     block on quad.crack_dofs.  Symmetric PSD."""
     chain = params.gamma * coeff_u + coeff_v
     dvals = dbeta_eps(crack[0], params.epsilon) * chain * quad.weights
-    nn = np.einsum("pc,pe->pce", quad.normals, quad.normals)
-    blocks = dvals[:, :, None, None] * nn[:, None, :, :]
-    return _crack_block(quad, blocks)
+    return _crack_block(quad, dvals[:, :, None, None] * quad._nn[:, None])
 
 
 def friction_tangent(crack, params: ContactParams, quad: CrackQuadrature,
                      coeff_v: float) -> np.ndarray:
     """Derivative of friction_residual at a crack_state along v +
     coeff_v*z, as a dense block on quad.crack_dofs.  Symmetric PSD; at
-    zero slip it is the tangential projector divided by eps."""
+    zero slip it is the tangential projector divided by eps.
+
+    Per point the block is P (I - a a^T)/phi P, the Jacobian of
+    alpha_eps between tangential projectors P, with a = alpha_eps(jt);
+    a is tangential, so the block is (P - a a^T)/phi."""
     if params.g is None:
         return np.zeros((quad.crack_dofs.size,) * 2)
     _, jt, g = crack
-    da = dalpha_eps(jt, params.epsilon)                              # (n, q, d, d)
-    proj = np.eye(quad.dim)[None] - np.einsum(
-        "pc,pe->pce", quad.normals, quad.normals)                    # (n, d, d)
-    pd = np.einsum("pcf,pqfh,phe->pqce", proj, da, proj)
-    blocks = (coeff_v * g * quad.weights)[:, :, None, None] * pd
-    return _crack_block(quad, blocks)
+    phi = phi_eps(jt, params.epsilon)
+    a = jt / phi[..., None]
+    blocks = quad._proj[:, None] - a[..., :, None] * a[..., None, :]
+    scale = coeff_v * g * quad.weights / phi
+    return _crack_block(quad, scale[:, :, None, None] * blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -46,21 +46,24 @@ search on that potential (_line_search).  Bisecting the interval is the
 last resort: newton_maxit ran out or a value was not finite.
 
 The stepper (step, run) holds only the Newmark kinematics, Newton, the
-line search and bisection.  The system it integrates has five members:
-``free``, the Newton unknowns; ``load(t)``; ``residual(u_w, v_w, a_w,
-t_w, load_w)``, which returns (r, point): the force balance, zero on
-constrained dofs, and what the system evaluated at the weighted state
-for its Newton matrix to reuse; ``newton_matrix(point, ca, cu, cv)``,
-the derivative of r in a+ on the free dofs, where ca, cu and cv are the
-derivatives of a_w, u_w and v_w in a+ (the stepper alone knows the
-Newmark scheme), as an operator with ``@`` and diagonal() for
-fem.solve_spd (and ``nonlinear`` false if it may be solved as a linear
-system); and ``initial_state(u0, v0)``, the State at t = 0 with the
-constraints imposed, incompatible data warned about and the consistent
-acceleration.  The two systems are
-Operators (the mesh problem; its point is the interface.crack_state)
-and diagnostics.OneDofParams (the scalar analog; its point is (u_w,
-v_w)).
+line search and bisection.  The system it integrates has four members:
+``free``, the Newton unknowns; ``load(t)``; ``interval(u_w, v_w, a_w,
+ca, cu, cv, t_w, load_w)``; and ``initial_state(u0, v0)``, the State at
+t = 0 with the constraints imposed, incompatible data warned about and
+the consistent acceleration.  Once per Newmark interval the stepper
+hands ``interval`` the g-weighted state at a+ = 0, its derivatives ca,
+cu and cv in a+ (the stepper alone knows the Newmark scheme), t_w and
+load_w.  It returns (residual, newton_matrix) on free-dof vectors:
+residual(a) gives (r, point), the force balance on the free dofs at the
+weighted state of a+ = a and what the system evaluated there;
+newton_matrix(point) is the derivative of r in a at that point, as an
+operator with ``@`` and diagonal() for fem.solve_spd (and ``nonlinear``
+false if it may be solved as a linear system).  The end-of-step State
+is built once, for the accepted a+.  The two systems are Operators (the
+mesh problem; its point is the interface.crack_state) and
+diagnostics.OneDofParams (the scalar analog; its point is the weighted
+(u, v)); both take their initial acceleration from their interval at
+ca = 1, cu = cv = 0.
 """
 
 from __future__ import annotations
@@ -176,9 +179,6 @@ class Operators:
     stiffness: sp.csr_matrix
     load: Callable[[float], np.ndarray]
     _jac_cache: dict = field(default_factory=dict, repr=False)
-    # (t, g) of the last friction_bound call; g depends on t alone
-    _bound: tuple = field(default=(None, None), init=False, repr=False,
-                          compare=False)
 
     @property
     def free(self) -> np.ndarray:
@@ -196,54 +196,64 @@ class Operators:
             self._jac_cache[key] = (lin, lin.diagonal())
         return self._jac_cache[key]
 
-    def friction_bound(self, t: float) -> np.ndarray:
-        """interface.friction_bound_values at t, sampled once per time:
-        every residual of a Newton interval is evaluated at one t_w."""
-        if self._bound[0] != t:
-            g = interface.friction_bound_values(self.contact, self.quad, t)
-            g.flags.writeable = False       # shared by every crack state
-            self._bound = (t, g)
-        return self._bound[1]
+    def interval(self, u_w, v_w, a_w, ca, cu, cv, t_w, load_w):
+        """(residual, newton_matrix) of a Newton problem whose weighted
+        state is u_w + cu*a, v_w + cv*a, a_w + ca*a at time t_w, for a
+        free-dof vector a.
 
-    def residual(self, u_w, v_w, a_w, t_w, load_w):
-        """(r, crack): the force balance r = M a + K u + contact +
-        friction - load, zero on the constrained dofs, and the
-        interface.crack_state it was formed from."""
-        crack = interface.crack_state(u_w, v_w, t_w, self.contact, self.quad,
-                                      g=self.friction_bound(t_w))
-        r = (self.mass @ a_w + self.stiffness @ u_w
-             + interface.contact_residual(crack, self.contact, self.quad)
-             + interface.friction_residual(crack, self.contact, self.quad)
-             - load_w)
-        r[self.dofmap.constrained] = 0.0
-        return r, crack
-
-    def newton_matrix(self, crack, ca, cu, cv) -> "_NewtonMatrix":
-        """Free-dof derivative of the residual in the end-of-step
-        acceleration at its crack state: the linear part ca*M + cu*K,
-        cached per step size, plus a dense PSD crack-dof block."""
+        residual(a) returns (r, crack): the force balance M a_w + K u_w
+        + contact + friction - load_w on the free dofs, and the
+        interface.crack_state it was formed from.  Its linear part is
+        the cached free-dof matrix ca*M + cu*K times a, plus a constant
+        formed here once, so an evaluation makes one product with it and
+        otherwise touches the crack dofs alone.  newton_matrix(crack) is
+        the derivative of r in a at that crack state: the same matrix
+        plus a dense PSD crack-dof block.  g is sampled once, at t_w.
+        """
         lin, lin_diag = self.linear_jacobian(ca, cu)
-        block = (interface.contact_tangent(crack, self.contact, self.quad,
-                                           coeff_u=cu, coeff_v=cv)
-                 + interface.friction_tangent(crack, self.contact, self.quad,
-                                              coeff_v=cv))
-        return _NewtonMatrix(lin, lin_diag, self.quad.crack_free, block)
+        contact, quad = self.contact, self.quad
+        slots = quad.crack_free
+        const = (self.mass @ a_w + self.stiffness @ u_w - load_w)[self.free]
+        u_c, v_c = u_w[quad.crack_dofs], v_w[quad.crack_dofs]
+        g = interface.friction_bound_values(contact, quad, t_w)
+
+        def residual(a):
+            a_c = a[slots]
+            crack = interface.crack_state(u_c + cu * a_c, v_c + cv * a_c,
+                                          t_w, contact, quad, g=g)
+            r = lin @ a
+            r += const
+            r[slots] += (interface.contact_residual(crack, contact, quad)
+                         + interface.friction_residual(crack, contact, quad))
+            return r, crack
+
+        def newton_matrix(crack):
+            block = interface.contact_tangent(crack, contact, quad,
+                                              coeff_u=cu, coeff_v=cv)
+            block += interface.friction_tangent(crack, contact, quad,
+                                                coeff_v=cv)
+            return _NewtonMatrix(lin, lin_diag, slots, block)
+
+        return residual, newton_matrix
 
     def initial_state(self, u0: np.ndarray, v0: np.ndarray) -> State:
         """State at t = 0: u0 and v0 zeroed on the constrained dofs and the
-        consistent acceleration from the force balance.
+        consistent acceleration.  The interval at ca = 1, cu = cv = 0
+        gives the force balance r at a = 0, and the acceleration solves
+        M a = -r with its linear part, M on the free dofs.
 
         Emits CompatibilityWarning (never fatal) if the initial crack jumps
         violate the conditions under which the model is well posed.
         """
         u0 = self.dofmap.zero_constrained(u0)
         v0 = self.dofmap.zero_constrained(v0)
-        r, crack = self.residual(u0, v0, np.zeros_like(u0), 0.0,
-                                 self.load(0.0))
-        self._check_compatibility(crack)
         a0 = np.zeros(self.dofmap.ndof)
-        a0[self.free] = fem.solve_spd(self.pin(self.mass), -r[self.free],
-                                      tol=_CG_TOL)
+        residual, _ = self.interval(u0, v0, a0, 1.0, 0.0, 0.0, 0.0,
+                                    self.load(0.0))
+        r, crack = residual(a0[self.free])
+        self._check_compatibility(crack)
+        mass, _ = self._jac_cache.pop((1.0, 0.0))   # needed at t = 0 alone
+        a0[self.free] = fem.solve_spd(mass, -r, tol=_CG_TOL)
         return State(0.0, u0, v0, a0)
 
     def _check_compatibility(self, crack) -> None:
@@ -317,10 +327,10 @@ def build_operators(mesh, material: Material, contact: ContactParams,
 
 def _interval(state: State, dt: float, ops, params: TimeParams):
     """Newton problem of one Newmark interval in the end-of-step
-    acceleration a+: (residual, tangent, load_w).  residual(a+) gives the
-    force balance at the g-weighted state (zero on constrained dofs), the
-    system's point there and the end state; tangent(point) is its
-    free-dof derivative, from the weighted state's derivatives in a+."""
+    acceleration a+ on the free dofs: (residual, newton_matrix, load_w,
+    end).  residual and newton_matrix are the system's, set up from the
+    g-weighted state at a+ = 0 and its derivatives in a+; end(a+) is the
+    end-of-step State, built once, for the accepted a+."""
     b = params.newmark_b
     g = params.newmark_g
 
@@ -335,27 +345,25 @@ def _interval(state: State, dt: float, ops, params: TimeParams):
     if not np.isfinite(load_w).all():
         raise StepFailure(f"load is not finite at t={t_w:.6g}", t=state.t,
                           dt=dt, residual=np.nan, iterations=0)
+    residual, newton_matrix = ops.interval(
+        (1.0 - g) * state.u + g * u_pred, (1.0 - g) * state.v + g * v_pred,
+        (1.0 - g) * state.a, g, cu, cv, t_w, load_w)
 
-    def residual(a_plus):
-        end = State(state.t + dt, u_pred + du * a_plus, v_pred + dv * a_plus,
-                    a_plus)
-        u_w = (1.0 - g) * state.u + g * end.u
-        v_w = (1.0 - g) * state.v + g * end.v
-        a_w = (1.0 - g) * state.a + g * a_plus
-        return (*ops.residual(u_w, v_w, a_w, t_w, load_w), end)
+    def end(a_free):
+        a_plus = np.zeros_like(state.a)
+        a_plus[ops.free] = a_free
+        return State(state.t + dt, u_pred + du * a_plus, v_pred + dv * a_plus,
+                     a_plus)
 
-    def tangent(point):
-        return ops.newton_matrix(point, g, cu, cv)
-
-    return residual, tangent, load_w
+    return residual, newton_matrix, load_w, end
 
 
-def _line_search(residual, a, free, d, r):
-    """Move a along the Newton direction d on the free dofs, in place.
+def _line_search(residual, a, d, r):
+    """Move a along the Newton direction d, in place.
 
     The residual is the gradient of the step's convex potential Pi and
     the Newton matrix its Hessian, so phi(s) = Pi(a + s*d) is convex and
-    phi'(s) = r(a + s*d)[free] @ d is nondecreasing, with phi'(0) < 0.
+    phi'(s) = r(a + s*d) @ d is nondecreasing, with phi'(0) < 0.
     The full step is kept when phi'(1) <= eta*|phi'(0)|.  Otherwise
     [0, 1] brackets the minimizer, and Illinois regula falsi on phi'
     shrinks it until a trial has |phi'| <= eta*|phi'(0)| or
@@ -364,17 +372,17 @@ def _line_search(residual, a, free, d, r):
     the first), or None on a non-finite slope or a d that does not
     descend.
     """
-    slope0 = float(r[free] @ d)
+    slope0 = float(r @ d)
     if not slope0 < 0.0:
         return None
     bound = -_LS_ETA * slope0
-    a[free] += d
+    a += d
     lo, s_lo, alpha = 0.0, slope0, 1.0
     moved = 0       # end of the bracket replaced last: +1 hi, -1 lo
     evals = 1
     while True:
         out = residual(a)
-        slope = float(out[0][free] @ d)
+        slope = float(out[0] @ d)
         if not np.isfinite(slope):
             return None
         done = slope <= bound if evals == 1 else abs(slope) <= bound
@@ -394,7 +402,7 @@ def _line_search(residual, a, free, d, r):
         margin = _LS_CLAMP * (hi - lo)
         trial = (lo * s_hi - hi * s_lo) / (s_hi - s_lo)
         trial = min(max(trial, lo + margin), hi - margin)
-        a[free] += (trial - alpha) * d
+        a += (trial - alpha) * d
         alpha = trial
         evals += 1
         del out     # free the rejected trial before evaluating the next
@@ -408,10 +416,9 @@ def _solve_substep(state: State, dt: float, ops, params: TimeParams,
     or, if not adaptive, all _CG_FORCING.  Returns (new_state,
     StepInfo), with new_state None if Newton did not converge within
     newton_maxit iterations or met a non-finite value."""
-    residual, tangent, load_w = _interval(state, dt, ops, params)
-    free = ops.free
-    a_new = state.a.copy()
-    r, point, end = residual(a_new)
+    residual, newton_matrix, load_w, end = _interval(state, dt, ops, params)
+    a = state.a[ops.free]
+    r, point = residual(a)
     norm_r = float(np.linalg.norm(r))
     tol_abs = params.newton_tol * max(float(np.linalg.norm(load_w)), norm_r)
     iterations = line_search = 0
@@ -420,17 +427,17 @@ def _solve_substep(state: State, dt: float, ops, params: TimeParams,
            else min(_CG_FORCING_MAX, max(_CG_FORCING, 0.1 * rho)))
     while (norm_r > tol_abs and np.isfinite(norm_r)
            and iterations < params.newton_maxit):
-        jac = tangent(point)
+        jac = newton_matrix(point)
         # inexact Newton: a CG iterate from zero still descends (r.d < 0)
         forcing = eta if getattr(jac, "nonlinear", True) else 0.0
         cg_tol = max(_CG_TOL, forcing, _CG_FLOOR * tol_abs / norm_r)
-        d = fem.solve_spd(jac, -r[free], tol=cg_tol)
+        d = fem.solve_spd(jac, -r, tol=cg_tol)
         del jac     # free the crack block before the line search
-        found = _line_search(residual, a_new, free, d, r)
+        found = _line_search(residual, a, d, r)
         iterations += 1
         if found is None:
             break
-        (r, point, end), evals = found
+        (r, point), evals = found
         line_search += evals
         norm_prev, norm_r = norm_r, float(np.linalg.norm(r))
         ratio = norm_r / norm_prev
@@ -438,9 +445,8 @@ def _solve_substep(state: State, dt: float, ops, params: TimeParams,
             contraction = ratio
         if adaptive:
             eta = min(_CG_FORCING_MAX, 0.9 * ratio * ratio)
-    if not norm_r <= tol_abs < np.inf:
-        end = None
-    return end, StepInfo(iterations=iterations, residual=norm_r,
+    new = end(a) if norm_r <= tol_abs < np.inf else None
+    return new, StepInfo(iterations=iterations, residual=norm_r,
                          tol_abs=tol_abs, line_search=line_search,
                          contraction=contraction)
 

@@ -7,11 +7,13 @@ the Config, which the sweeps and stability probe replay.
 """
 
 import dataclasses
+import math
 
+import numpy as np
 import pytest
 
 from crackdyn import config as config_mod
-from crackdyn import diagnostics
+from crackdyn import diagnostics, meshing
 
 IMPACT_TEXT = """\
 [mesh]
@@ -111,3 +113,29 @@ class RunCache:
 @pytest.fixture(scope="session")
 def impact_runs():
     return RunCache()
+
+
+def turned(mesh, theta, swap=False):
+    """mesh rotated by theta about the origin; with swap, its crack
+    faces relabelled (plus for minus) and the normals flipped."""
+    c, s = math.cos(theta), math.sin(theta)
+    rot = np.array([[c, -s], [s, c]])
+    plus, minus, normals = mesh.crack_plus, mesh.crack_minus, mesh.crack_normals
+    sides = mesh.cell_sides
+    if swap:
+        plus, minus, normals = minus, plus, -normals
+        sides = meshing.SIDE_PLUS + meshing.SIDE_MINUS - sides
+    return meshing.CrackedMesh(2, mesh.vertices @ rot.T, mesh.cells, sides,
+                               mesh.dirichlet_facets, mesh.neumann_facets,
+                               plus, minus, normals @ rot.T)
+
+
+def reference_jumps(w, quad):
+    """(normal jump, tangential part) of a nodal vector w at the crack
+    quadrature points, formed point by point from the two face traces:
+    the reference for the crack quadrature's jump operators."""
+    wn = w.reshape(quad.n_vertices, quad.dim)
+    diff = wn[quad.plus_vertices] - wn[quad.minus_vertices]     # (n, 2, d)
+    jump = np.einsum("qi,pid->pqd", quad.shapes, diff)
+    jn = np.einsum("pqd,pd->pq", jump, quad.normals)
+    return jn, jump - jn[:, :, None] * quad.normals[:, None, :]

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import crackdyn
 from crackdyn import exprlang as ex
 from crackdyn import interface
 from crackdyn.interface import (
@@ -17,14 +22,14 @@ from crackdyn.interface import (
     friction_bound_values,
     friction_residual,
     friction_tangent,
-    jump_eval,
     neg_part,
     phi_eps,
     psi_eps,
     recover_tractions,
-    split_jump,
 )
 from crackdyn.meshing import generate_rect_crack
+from crackdyn.fem import DofMap
+from conftest import reference_jumps, turned
 
 
 def cracked_mesh(nx=16, ny=8):
@@ -33,8 +38,9 @@ def cracked_mesh(nx=16, ny=8):
 
 
 def plus_side_field(mesh, quad, value):
-    """Nodal field equal to ``value`` on the plus-side crack vertices and
-    zero elsewhere.
+    """Crack vector (on quad.crack_dofs, as the crack layer takes and
+    gives them) of the nodal field equal to ``value`` on the plus-side
+    crack vertices and zero elsewhere.
 
     Its jump is ``value`` on the facets strictly inside the crack.  The
     two crack tips are glued (one vertex serves both faces), so on the
@@ -42,15 +48,7 @@ def plus_side_field(mesh, quad, value):
     """
     w = np.zeros((mesh.n_vertices, 2))
     w[np.unique(quad.plus_vertices)] = value
-    return w.ravel()
-
-
-def lift(block, quad):
-    """Full-size dense matrix of a tangent block given on quad.crack_dofs."""
-    n = quad.n_vertices * quad.dim
-    full = np.zeros((n, n))
-    full[np.ix_(quad.crack_dofs, quad.crack_dofs)] = block
-    return full
+    return w.ravel()[quad.crack_dofs]
 
 
 def ramp_measures(quad):
@@ -177,19 +175,41 @@ def test_empty_crack_quadrature():
     assert quad.n_pairs == 0
     assert quad.weights.shape == (0, 2)
     params = ContactParams(gamma=0.0, epsilon=0.1, g=ex.parse("1"))
-    z = np.zeros(quad.n_vertices * 2)
+    z = np.zeros(quad.crack_dofs.size)
     crack = crack_state(z, z, 0.0, params, quad)
     assert not contact_residual(crack, params, quad).any()
     assert not friction_residual(crack, params, quad).any()
     assert quad.crack_dofs.size == 0
     assert contact_tangent(crack, params, quad, 1.0, 1.0).size == 0
+    # empty, but floating point: a caller adds floats to them in place
+    assert contact_residual(crack, params, quad).dtype == float
+    assert contact_tangent(crack, params, quad, 1.0, 1.0).dtype == float
+
+
+def jumps_of(w, quad):
+    """(normal jump, tangential part) of a crack vector w, from
+    crack_state at gamma = 0."""
+    return crack_state(np.zeros_like(w), w, 0.0,
+                       ContactParams(gamma=0.0, epsilon=0.05), quad)[:2]
+
+
+def test_crack_state_rejects_nodal_vectors():
+    # a nodal vector indexed by crack-vector slots would read the wrong
+    # entries without an error
+    mesh = cracked_mesh()
+    quad = build_crack_quadrature(mesh)
+    params = ContactParams(gamma=1.0, epsilon=0.05)
+    w = np.zeros(mesh.n_vertices * 2)
+    for u, v in ((w, w), (w[quad.crack_dofs], w)):
+        with pytest.raises(ValueError, match="crack vectors"):
+            crack_state(u, v, 0.0, params, quad)
 
 
 def test_jump_of_plus_side_fields():
     mesh = cracked_mesh()
     quad = build_crack_quadrature(mesh)
     w = plus_side_field(mesh, quad, (0.0, 1.0))
-    jn, jt = split_jump(jump_eval(w, quad), quad)
+    jn, jt = jumps_of(w, quad)
     # facets 1..-2 lie strictly inside the crack: uniform unit jump
     assert np.allclose(jn[1:-1], 1.0)
     assert np.allclose(jt[1:-1], 0.0)
@@ -199,7 +219,7 @@ def test_jump_of_plus_side_fields():
     assert jn[-1, 1] < jn[-1, 0] < 1.0
 
     w2 = plus_side_field(mesh, quad, (1.0, 1.0))
-    jn2, jt2 = split_jump(jump_eval(w2, quad), quad)
+    jn2, jt2 = jumps_of(w2, quad)
     assert np.allclose(jn2[1:-1], 1.0)
     assert np.allclose(jt2[1:-1, :, 0], 1.0)
     assert np.allclose(jt2[..., 1], 0.0)
@@ -211,7 +231,42 @@ def test_jump_zero_for_continuous_field():
     # continuous nodal field (same expression on both faces)
     w = np.column_stack([mesh.vertices[:, 0] ** 2,
                          np.sin(mesh.vertices[:, 1])]).ravel()
-    assert np.abs(jump_eval(w, quad)).max() <= 1e-14
+    for j in jumps_of(w[quad.crack_dofs], quad):
+        assert np.abs(j).max() <= 1e-14
+
+
+@pytest.mark.parametrize("span", [(0.25, 0.75), (0.05, 0.75)],
+                         ids=["interior", "tip-on-dirichlet"])
+@pytest.mark.parametrize("theta, swap", [(0.0, False), (0.5, False),
+                                         (2.0, True)])
+def test_jump_operators_match_the_pointwise_reference(span, theta, swap):
+    # the quadrature's jump operators and their transposes (the
+    # residuals) against jumps formed point by point from the face
+    # traces, on cracks turned off the axes; the left tip of the second
+    # crack is a constrained vertex
+    mesh = turned(generate_rect_crack(2.0, 1.0, 8, 4, crack_span=span),
+                  theta, swap)
+    dofmap = DofMap(mesh)
+    quad = build_crack_quadrature(mesh, dofmap)
+    rng = np.random.default_rng(17)
+    u, v, w = (dofmap.zero_constrained(rng.standard_normal(dofmap.ndof))
+               for _ in range(3))
+    cd = quad.crack_dofs
+    params = ContactParams(gamma=1.7, epsilon=0.5, g=ex.parse("0.3"))
+    crack = crack_state(u[cd], v[cd], 0.0, params, quad)
+    s, jt, g = crack
+    (un, _), (vn, vt), (wn, wt) = (reference_jumps(x, quad)
+                                   for x in (u, v, w))
+    # rounding of sums of eight O(1) terms
+    assert np.abs(s - (1.7 * un + vn)).max() <= 1e-14 * np.abs(s).max()
+    assert np.abs(jt - vt).max() <= 1e-14 * np.abs(jt).max()
+    assert (beta_eps(s, 0.5) < 0.0).any()
+    work = contact_residual(crack, params, quad) @ w[cd]
+    assert work == pytest.approx(
+        np.sum(quad.weights * beta_eps(s, 0.5) * wn), rel=1e-12)
+    work = friction_residual(crack, params, quad) @ w[cd]
+    assert work == pytest.approx(np.sum(
+        (quad.weights * g)[..., None] * alpha_eps(jt, 0.5) * wt), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +330,7 @@ def test_contact_residual_sign():
     plus = np.unique(quad.plus_vertices)
     w = np.zeros((mesh.n_vertices, 2))
     w[plus, 1] = rng.uniform(0.0, 1.0, size=plus.size)
-    assert r @ w.ravel() <= 1e-14
+    assert r @ w.ravel()[quad.crack_dofs] <= 1e-14
 
 
 def test_friction_residual_zero_cases():
@@ -342,7 +397,7 @@ def test_residual_monotonicity():
     quad = build_crack_quadrature(mesh)
     params = ContactParams(gamma=1.5, epsilon=0.05, g=ex.parse("0.3"))
     rng = np.random.default_rng(10)
-    u = 0.1 * rng.standard_normal(mesh.n_vertices * 2)
+    u = 0.1 * rng.standard_normal(quad.crack_dofs.size)
     for _ in range(10):
         v1 = 0.3 * rng.standard_normal(u.size)
         v2 = 0.3 * rng.standard_normal(u.size)
@@ -378,8 +433,8 @@ def test_contact_tangent_directional_derivative():
     def residual(u, v):
         return contact_residual(crack_state(u, v, 0.0, params, quad),
                                 params, quad)
-    tan = lift(contact_tangent(crack_state(u, v, 0.0, params, quad), params,
-                               quad, coeff_u=cu, coeff_v=cv), quad)
+    tan = contact_tangent(crack_state(u, v, 0.0, params, quad), params,
+                          quad, coeff_u=cu, coeff_v=cv)
     rng = np.random.default_rng(13)
     z = rng.standard_normal(u.size)
     h = 1e-4
@@ -400,8 +455,8 @@ def test_friction_tangent_directional_derivative():
     def residual(v):
         return friction_residual(crack_state(v, v, 0.0, params, quad),
                                  params, quad)
-    tan = lift(friction_tangent(crack_state(v, v, 0.0, params, quad), params,
-                                quad, coeff_v=cv), quad)
+    tan = friction_tangent(crack_state(v, v, 0.0, params, quad), params,
+                           quad, coeff_v=cv)
     rng = np.random.default_rng(14)
     z = rng.standard_normal(v.size)
     errs = []
@@ -417,9 +472,8 @@ def test_tangents_symmetric_positive_semidefinite():
     params = ContactParams(gamma=1.0, epsilon=0.05, g=ex.parse("0.3"))
     u, v = penetrating_pair(mesh, quad, seed=15)
     crack = crack_state(u, v, 0.0, params, quad)
-    tc = lift(contact_tangent(crack, params, quad, coeff_u=0.5, coeff_v=1.0),
-              quad)
-    tf = lift(friction_tangent(crack, params, quad, coeff_v=1.0), quad)
+    tc = contact_tangent(crack, params, quad, coeff_u=0.5, coeff_v=1.0)
+    tf = friction_tangent(crack, params, quad, coeff_v=1.0)
     for dense in (tc, tf):
         scale = max(np.abs(dense).max(), 1.0)
         assert np.abs(dense - dense.T).max() <= 1e-13 * scale
@@ -438,9 +492,9 @@ def test_friction_tangent_at_zero_slip():
     quad = build_crack_quadrature(mesh)
     coeff, g, eps, tau = 0.7, 0.3, 0.05, 2.0
     params = ContactParams(gamma=0.0, epsilon=eps, g=ex.parse(repr(g)))
-    zero = np.zeros(mesh.n_vertices * 2)
-    tan = lift(friction_tangent(crack_state(zero, zero, 0.0, params, quad),
-                                params, quad, coeff_v=coeff), quad)
+    zero = np.zeros(quad.crack_dofs.size)
+    tan = friction_tangent(crack_state(zero, zero, 0.0, params, quad),
+                           params, quad, coeff_v=coeff)
     w = plus_side_field(mesh, quad, (tau, 0.0))
     ell, m, _, i2, _ = ramp_measures(quad)
     expected = coeff * g / eps * tau ** 2 * (m * ell + 2 * i2)
@@ -454,3 +508,44 @@ def test_contact_params():
         ContactParams(gamma=-1.0, epsilon=0.1)
     with pytest.raises(ValueError):
         ContactParams(gamma=0.0, epsilon=0.0)
+
+
+# The crack layer on the nx = 128 mesh (the benchmark's fine problem,
+# 256 crack dofs): every result's bytes, hashed.
+_CRACK_LAYER_DIGEST = """\
+import hashlib
+import numpy as np
+from crackdyn import exprlang, fem, interface
+from crackdyn.meshing import generate_rect_crack
+mesh = generate_rect_crack(2.0, 1.0, 128, 64, crack_span=(0.25, 0.75))
+quad = interface.build_crack_quadrature(mesh, fem.DofMap(mesh))
+params = interface.ContactParams(1.0, 1e-2, exprlang.parse("0.05"))
+rng = np.random.default_rng(23)
+u, v = 0.05 * rng.standard_normal((2, quad.crack_dofs.size))
+crack = interface.crack_state(u, v, 0.0, params, quad)
+out = [*crack, interface.contact_residual(crack, params, quad),
+       interface.friction_residual(crack, params, quad),
+       interface.contact_tangent(crack, params, quad, 0.3, 0.7),
+       interface.friction_tangent(crack, params, quad, 0.7)]
+assert (crack[0] < 0.0).any() and out[5].any()
+print(hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes()
+                              for a in out)).hexdigest())
+"""
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="needs 2 CPUs: OpenBLAS runs one thread on one")
+def test_crack_layer_is_independent_of_blas_threads():
+    # OpenBLAS splits large products across threads, which changes their
+    # rounding; the crack layer must give the same bytes at 1 and 2
+    src = os.path.dirname(os.path.dirname(os.path.abspath(crackdyn.__file__)))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", _CRACK_LAYER_DIGEST],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout)
+    assert digests[0] == digests[1]
