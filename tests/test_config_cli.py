@@ -1,5 +1,6 @@
 import csv
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 import crackdyn
 from crackdyn import cli
 from crackdyn import config as config_mod
+from crackdyn import diagnostics, timestepper, vtkio
 from crackdyn.config import ConfigError, parse_config_text
 from crackdyn.meshing import generate_rect_crack, load_mesh, save_mesh
 
@@ -193,6 +195,99 @@ def test_run_writes_vtk_snapshots(tmp_path, monkeypatch):
     # 2D points are zero-padded to three components
     pk = head.index([l for l in head if l.startswith("POINTS")][0])
     assert head[pk + 1].split()[2] == "0.0"
+
+
+def direct_snapshots(text, outdir):
+    """{file name: bytes} of every state of the run of ``text`` that is
+    accepted before the run ends or fails, each written by
+    ``vtkio.write_fields`` in this process: a cadence-1 run's snapshots."""
+    problem = config_mod.build_problem(parse_config_text(text))
+    outdir.mkdir()
+    states = []
+    try:
+        diagnostics.run_with_records(
+            problem, on_record=lambda state, rec, info: states.append(state))
+    except timestepper.StepFailure:
+        pass
+    out = {}
+    for k, state in enumerate(states):
+        path = outdir / f"fields_{k:06d}.vtk"
+        vtkio.write_fields(path, problem.ops.mesh, state.u, state.v,
+                           title=f"t = {float(state.t)!r}")
+        out[path.name] = path.read_bytes()
+    return out
+
+
+def snapshots_in(outdir):
+    return {p.name: p.read_bytes() for p in sorted(outdir.glob("*.vtk"))
+            if p.is_file()}
+
+
+def test_run_snapshots_match_direct_writes_in_order(tmp_path, monkeypatch,
+                                                     capfd):
+    monkeypatch.chdir(tmp_path)
+    log = tmp_path / "order.log"
+    write_fields = vtkio.write_fields
+
+    def logged(path, *args, **kwargs):     # runs in the writer process
+        with open(log, "a") as fh:
+            fh.write(os.path.basename(path) + "\n")
+        write_fields(path, *args, **kwargs)
+
+    monkeypatch.setattr(vtkio, "write_fields", logged)
+    cfg = write_cfg(tmp_path, run_cfg_text(tmp_path / "out") + "cadence = 3\n")
+    assert cli.main(["run", cfg]) == 0
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(vtkio, "write_fields", write_fields)
+    want = {name: data for name, data in
+            direct_snapshots(BASE, tmp_path / "direct").items()
+            if int(name[7:13]) % 3 == 0}
+    assert len(want) == 9                    # records 0, 3, ..., 24
+    assert snapshots_in(tmp_path / "out") == want
+    assert log.read_text().split() == sorted(want)
+    assert capfd.readouterr().err == ""
+
+
+def test_run_without_cadence_starts_no_writer(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(vtkio, "SnapshotWriter",
+                        lambda mesh: pytest.fail("a writer was started"))
+    cfg = write_cfg(tmp_path, run_cfg_text(tmp_path / "out") + "cadence = 0\n")
+    assert cli.main(["run", cfg]) == 0
+    assert snapshots_in(tmp_path / "out") == {}
+
+
+def test_run_unwritable_snapshot_exits_2(tmp_path, monkeypatch, capfd):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out" / "fields_000010.vtk").mkdir(parents=True)
+    cfg = write_cfg(tmp_path, run_cfg_text(tmp_path / "out") + "cadence = 1\n")
+    assert cli.main(["run", cfg]) == 2
+    assert multiprocessing.active_children() == []
+    err = capfd.readouterr().err
+    assert err.startswith("file error: ") and err.count("\n") == 1
+    assert str(tmp_path / "out" / "fields_000010.vtk") in err
+    assert "Traceback" not in err
+    # the snapshots before it are complete, and none after it is written
+    want = direct_snapshots(BASE, tmp_path / "direct")
+    got = snapshots_in(tmp_path / "out")
+    assert got == {name: want[name] for name in sorted(want)[:10]}
+
+
+def test_run_solver_failure_leaves_every_snapshot(tmp_path, monkeypatch,
+                                                  capfd):
+    # the load overflows at t = 0.925: every state up to t = 0.9 is kept
+    monkeypatch.chdir(tmp_path)
+    text = (BASE.replace("t_end = 0.12\ndt = 5e-3", "t_end = 1.0\ndt = 0.05")
+            .replace("[data]", "[data]\nf = (0, exp(800*t)*1e-300)"))
+    cfg = write_cfg(tmp_path, text + f"\n[output]\ndirectory = "
+                                     f"{tmp_path / 'out'}\ncadence = 1\n")
+    assert cli.main(["run", cfg]) == 3
+    assert multiprocessing.active_children() == []
+    assert capfd.readouterr().err == (
+        "solver failure: load is not finite at t=0.925\n")
+    want = direct_snapshots(text, tmp_path / "direct")
+    assert len(want) == 19                   # t = 0, 0.05, ..., 0.9
+    assert snapshots_in(tmp_path / "out") == want
 
 
 def test_run_malformed_config_exits_2(tmp_path, monkeypatch, capsys):

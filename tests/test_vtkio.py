@@ -1,8 +1,17 @@
 import gc
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import crackdyn
 from crackdyn import vtkio
 from crackdyn.meshing import SIDE_PLUS, CrackedMesh, generate_rect_crack
 
@@ -144,3 +153,73 @@ def test_round_trip_is_exact(tmp_path):
         got = np.array([float(x) for r in rows for x in r[:2]])
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_writer_writes_in_order_and_drops_what_follows_an_error(tmp_path):
+    mesh = two_triangles()
+    u = np.arange(8.0) / 3
+    v = -u
+    vtkio.write_fields(tmp_path / "direct.vtk", mesh, u, v, title="t = 1")
+    (tmp_path / "b.vtk").mkdir()
+    with pytest.raises(IsADirectoryError, match="b.vtk"):
+        with vtkio.SnapshotWriter(mesh) as writer:
+            for name in ("a", "b", "c"):
+                writer.write(tmp_path / f"{name}.vtk", u, v, "t = 1")
+    assert multiprocessing.active_children() == []
+    assert ((tmp_path / "a.vtk").read_bytes()
+            == (tmp_path / "direct.vtk").read_bytes())
+    assert not (tmp_path / "c.vtk").exists()
+
+
+def test_writer_death_is_a_file_error(tmp_path):
+    mesh = two_triangles()
+    zero = np.zeros(8)
+    with pytest.raises(OSError, match="snapshot writer exited with code -9"):
+        with vtkio.SnapshotWriter(mesh) as writer:
+            (child,) = multiprocessing.active_children()
+            os.kill(child.pid, signal.SIGKILL)
+            child.join(timeout=5.0)
+            writer.write(tmp_path / "a.vtk", zero, zero, "t = 0")
+    assert not (tmp_path / "a.vtk").exists()
+
+
+def running(pid):
+    """Whether process pid exists and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                    reason="reads process states from /proc")
+def test_writer_exits_when_its_parent_is_killed():
+    # the writer holds no copy of the pipe's write end, so it reads EOF
+    # as soon as the killed parent's end is closed
+    script = textwrap.dedent("""\
+        import multiprocessing, time
+        from crackdyn import vtkio
+        from crackdyn.meshing import generate_rect_crack
+        mesh = generate_rect_crack(2.0, 1.0, 4, 2, crack_span=(0.25, 0.75))
+        with vtkio.SnapshotWriter(mesh):
+            print(multiprocessing.active_children()[0].pid, flush=True)
+            time.sleep(60)
+        """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(crackdyn.__file__)))
+    proc = subprocess.Popen([sys.executable, "-c", script],
+                            stdout=subprocess.PIPE,
+                            env=dict(os.environ, PYTHONPATH=src))
+    try:
+        pid = int(proc.stdout.readline())
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+    deadline = time.monotonic() + 5.0
+    while running(pid) and time.monotonic() < deadline:
+        time.sleep(0.02)
+    left = running(pid)
+    if left:
+        os.kill(pid, signal.SIGKILL)
+    assert not left
