@@ -204,10 +204,13 @@ _CONFIG_ERRORS = (config_mod.ConfigError, meshing.MeshError, exprlang.ExprError,
 
 def main(argv=None) -> int:
     """Run one subcommand; configuration and file errors exit 2 and solver
-    failures 3, each with a one-line message instead of a traceback."""
+    failures 3, each with a one-line message instead of a traceback.
+    numpy's floating-point warnings are off: a value that overflows is
+    caught by an explicit finiteness check, which names it."""
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except _CONFIG_ERRORS as exc:
         _error(f"config error: {exc}")
         return EXIT_CONFIG

@@ -1,10 +1,8 @@
 """Run-time monitors: interface-condition residuals, energy bookkeeping,
 the invariant checks that `crackdyn verify` and the acceptance tests
-share, parameter sweeps and a one-degree-of-freedom reference problem.
-
-The scalar analog (OneDofParams) runs on the production stepper,
-timestepper.run; one_dof_oracle integrates it by brute-force RK4, so the
-two can be compared without a second copy of the implicit scheme.
+share, and parameter sweeps.  The points at which a run enforced its
+force balance come from the stepper (timestepper.weighted_points), the
+only code that knows the Newmark scheme.
 
 Quantities with an exact sign or decay property in the continuous model
 are exposed here so runs can be checked against them: the normal
@@ -24,7 +22,7 @@ import numpy as np
 from . import config as config_mod
 from . import fem, interface, timestepper
 from .config import ConfigError
-from .timestepper import Operators, TimeParams
+from .timestepper import Operators
 
 __all__ = [
     "DiagnosticsRecord",
@@ -32,7 +30,6 @@ __all__ = [
     "record",
     "run_with_records",
     "vi_residual",
-    "weighted_points",
     "Check",
     "check_monotone",
     "check_gradients",
@@ -46,10 +43,6 @@ __all__ = [
     "SweepResult",
     "epsilon_sweep",
     "gamma_sweep",
-    "StabilityResult",
-    "stability_probe",
-    "OneDofParams",
-    "one_dof_oracle",
 ]
 
 CSV_COLUMNS = ("t", "kinetic", "strain", "penetration_L3", "comp_residual",
@@ -104,10 +97,9 @@ def run_with_records(problem: config_mod.Problem, on_record=None):
     Returns (states, records, infos).  Without ``on_record`` states holds
     every state; with it, ``on_record(state, record, info)`` sees each
     state as it is accepted and states holds the final state alone.
-    This is the sweeps' and the stability probe's run function; any
-    function of the same signature that calls on_record for every state
-    of the problem's run, such as one that replays stored runs, may take
-    its place.
+    This is the sweeps' run function; any function of the same signature
+    that calls on_record for every state of the problem's run, such as
+    one that replays stored runs, may take its place.
     """
     records = []
     states = []
@@ -160,29 +152,6 @@ def vi_residual(u, v, a, t, trial, ops: Operators) -> float:
     val += float(np.sum(quad.weights * g * (     # g = 0 without friction
         interface.phi_eps(jt_trial, eps) - interface.phi_eps(jt, eps))))
     return val
-
-
-def weighted_points(states, infos, params: TimeParams):
-    """(t, u, v, a, tol_abs) at the points where the force balance was
-    enforced, reconstructed from consecutive trajectory states.
-
-    Intervals that were internally bisected are skipped: their balance
-    points do not lie on the stored grid.
-    """
-    g = params.newmark_g
-    out = []
-    for k, info in enumerate(infos):
-        if info.substeps != 1:
-            continue
-        s0, s1 = states[k], states[k + 1]
-        out.append((
-            (1.0 - g) * s0.t + g * s1.t,
-            (1.0 - g) * s0.u + g * s1.u,
-            (1.0 - g) * s0.v + g * s1.v,
-            (1.0 - g) * s0.a + g * s1.a,
-            info.tol_abs,
-        ))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +290,7 @@ def check_vi(problem: config_mod.Problem, states, infos, n_points: int,
     z = gamma*u + v at up to n_points balance points spread evenly over
     the run.  Each point is held to -10 times the absolute Newton
     tolerance of its step; the detail names the point nearest its bound."""
-    pts = weighted_points(states, infos, problem.params)
+    pts = timestepper.weighted_points(states, infos, problem.params)
     idx = np.linspace(0, len(pts) - 1, n_points).round().astype(int)
     rng = np.random.default_rng(seed)
     worst, ok, nearest = math.inf, True, (math.inf, 0.0)
@@ -442,157 +411,3 @@ def gamma_sweep(config: config_mod.Config, gamma_list,
     if not all(0.0 <= g < math.inf for g in gamma_list):
         raise ConfigError("gamma values must be nonnegative and finite")
     return _sweep(config, "gamma", gamma_list, run)
-
-
-# ---------------------------------------------------------------------------
-# continuous dependence probe
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class StabilityResult:
-    eta: float
-    sup_distance: float
-    growth_rate: float
-    times: tuple[float, ...]
-    distances: tuple[float, ...]
-
-
-def stability_probe(config: config_mod.Config, eta: float,
-                    run=run_with_records) -> StabilityResult:
-    """Distance between a run and one with initial displacement scaled by
-    1 + eta, measured in the combined energy norm at every step as the
-    perturbed run goes; only the base run's states are stored."""
-    if not eta >= 0:
-        raise ValueError("eta must be nonnegative")
-    base = []
-    problem = config_mod.build_problem(config)
-    run(problem, lambda state, rec, info: base.append(state))
-    dists = []
-
-    def on_step(state, info):
-        dists.append(_state_distance(problem.ops, base[len(dists)], state))
-
-    timestepper.run(problem.ops, problem.params, (1.0 + eta) * problem.u0,
-                    problem.v0, on_step=on_step)
-    ts = [s.t for s in base]
-    floor = max(max(dists), 1.0) * 1e-300
-    logs = np.log(np.maximum(dists, floor))
-    rate = float(np.polyfit(ts, logs, 1)[0]) if len(ts) >= 2 else float("nan")
-    return StabilityResult(
-        eta=eta, sup_distance=float(max(dists)), growth_rate=rate,
-        times=tuple(ts), distances=tuple(dists))
-
-
-# ---------------------------------------------------------------------------
-# one-degree-of-freedom reference problem
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class OneDofParams:
-    """Scalar analog: rho*u'' + k*u + beta_eps(gamma*u + u') +
-    g*alpha_eps(u') = forcing(t).
-
-    It is also a system for timestepper.run (a length-1 residual, whose
-    point is the weighted (u, v), and a 1x1 Newton matrix), so the production
-    stepper integrates it:
-    ``timestepper.run(p, TimeParams(t_end, dt), p.u0, p.v0)``.
-    """
-
-    rho: float = 1.0
-    k: float = 1.0
-    gamma: float = 0.0
-    epsilon: float = 1e-2
-    g: float = 0.0
-    u0: float = 0.0
-    v0: float = 0.0
-    forcing: object = None            # callable t -> float, or None
-
-    free = np.zeros(1, dtype=np.int64)    # the stepper's system: one unknown
-
-    def __post_init__(self):
-        if self.rho <= 0 or self.k <= 0:
-            raise ValueError("rho and k must be positive")
-        if self.epsilon <= 0 or self.gamma < 0 or self.g < 0:
-            raise ValueError("invalid regularization or friction parameters")
-
-    @property
-    def period(self) -> float:
-        return 2.0 * math.pi * math.sqrt(self.rho / self.k)
-
-    def load(self, t: float) -> np.ndarray:
-        return np.full(1, 0.0 if self.forcing is None else self.forcing(t))
-
-    def interval(self, u_w, v_w, a_w, ca, cu, cv, t_w, load_w):
-        """The stepper's Newton problem on the weighted state u_w +
-        cu*a, v_w + cv*a, a_w + ca*a: (residual, newton_matrix), with
-        the point (u, v) of the weighted state."""
-        lin = ca * self.rho + cu * self.k
-        const = self.rho * a_w + self.k * u_w - load_w
-
-        def residual(a):
-            u, v = u_w + cu * a, v_w + cv * a
-            r = (lin * a + const
-                 + interface.beta_eps(self.gamma * u + v, self.epsilon)
-                 + self.g * interface.alpha_eps(v, self.epsilon))
-            return r, (u, v)
-
-        def newton_matrix(point):
-            u, v = point
-            jac = (lin + interface.dbeta_eps(self.gamma * u + v, self.epsilon)
-                   * (self.gamma * cu + cv)
-                   + self.g * interface.dalpha_eps(v, self.epsilon)[0] * cv)
-            return jac.reshape(1, 1)
-
-        return residual, newton_matrix
-
-    def initial_state(self, u0: float, v0: float) -> fem.State:
-        u, v = np.full(1, float(u0)), np.full(1, float(v0))
-        residual, _ = self.interval(u, v, np.zeros(1), 1.0, 0.0, 0.0, 0.0,
-                                    self.load(0.0))
-        return fem.State(0.0, u, v, -residual(np.zeros(1))[0] / self.rho)
-
-
-def one_dof_oracle(p: OneDofParams, sample_times, dt_fine: float):
-    """Brute-force explicit RK4 reference trajectory.
-
-    dt_fine must not exceed 1e-5 of the linear period; each interval
-    between requested samples is subdivided evenly so the samples are
-    hit exactly.  Returns (u, v) arrays aligned with sample_times.
-    """
-    if dt_fine > 1e-5 * p.period:
-        raise ValueError("dt_fine too coarse for an oracle "
-                         f"(need <= {1e-5 * p.period:.3e})")
-    forcing = p.forcing if p.forcing is not None else (lambda t: 0.0)
-    inv_rho = 1.0 / p.rho
-
-    def acc(t, u, v):
-        s = p.gamma * u + v
-        m = -s if s < 0.0 else 0.0
-        contact = -(m * m) / p.epsilon
-        friction = p.g * v / math.sqrt(v * v + p.epsilon * p.epsilon)
-        return (forcing(t) - p.k * u - contact - friction) * inv_rho
-
-    sample_times = [float(t) for t in sample_times]
-    t = sample_times[0]
-    u, v = p.u0, p.v0
-    us, vs = [u], [v]
-    for t_next in sample_times[1:]:
-        span = t_next - t
-        n = max(1, int(math.ceil(span / dt_fine - 1e-12)))
-        h = span / n
-        for i in range(n):
-            ti = t + i * h
-            k1u = v
-            k1v = acc(ti, u, v)
-            k2u = v + 0.5 * h * k1v
-            k2v = acc(ti + 0.5 * h, u + 0.5 * h * k1u, v + 0.5 * h * k1v)
-            k3u = v + 0.5 * h * k2v
-            k3v = acc(ti + 0.5 * h, u + 0.5 * h * k2u, v + 0.5 * h * k2v)
-            k4u = v + h * k3v
-            k4v = acc(ti + h, u + h * k3u, v + h * k3v)
-            u = u + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-            v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        t = t_next
-        us.append(u)
-        vs.append(v)
-    return np.array(us), np.array(vs)

@@ -26,7 +26,6 @@ __all__ = [
     "assemble_mass",
     "assemble_stiffness",
     "assemble_load",
-    "cell_stresses",
     "solve_spd",
     "interpolate",
     "h_norm_sq",
@@ -227,18 +226,6 @@ def assemble_load(mesh, material: Material, f=None, trac=None, t=0.0) -> np.ndar
         out += nodal.ravel()
 
     return out
-
-
-def cell_stresses(mesh, material: Material, u: np.ndarray) -> np.ndarray:
-    """Per-cell constant stress tensors, shape (nc, dim, dim)."""
-    _, _, grads = _cell_geometry(mesh)
-    d = mesh.dim
-    un = u.reshape(mesh.n_vertices, d)[mesh.cells]       # (nc, 3, d)
-    h = np.einsum("nia,nib->nab", un, grads)             # grad u
-    eps = 0.5 * (h + h.transpose(0, 2, 1))
-    tr = np.trace(eps, axis1=1, axis2=2)
-    return (material.lam * tr[:, None, None] * np.eye(d)[None]
-            + 2.0 * material.mu * eps)
 
 
 def interpolate(mesh, exprs, t=0.0) -> np.ndarray:

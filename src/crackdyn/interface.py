@@ -33,7 +33,6 @@ __all__ = [
     "dalpha_eps",
     "ContactParams",
     "CrackQuadrature",
-    "build_crack_quadrature",
     "friction_bound_values",
     "crack_state",
     "contact_residual",
@@ -184,11 +183,6 @@ class CrackQuadrature:
             live[:, :, None, :, None] & live[:, None, :, None, :],
             slots[:, :, None, :, None] * k + slots[:, None, :, None, :],
             k * k).ravel()
-
-
-def build_crack_quadrature(mesh, dofmap: fem.DofMap | None = None):
-    """The crack quadrature; pass the problem's DofMap to share it."""
-    return CrackQuadrature(mesh, fem.DofMap(mesh) if dofmap is None else dofmap)
 
 
 # ---------------------------------------------------------------------------

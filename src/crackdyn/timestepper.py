@@ -59,11 +59,12 @@ weighted state of a+ = a and what the system evaluated there;
 newton_matrix(point) is the derivative of r in a at that point, as an
 operator with ``@`` and diagonal() for fem.solve_spd (and ``nonlinear``
 false if it may be solved as a linear system).  The end-of-step State
-is built once, for the accepted a+.  The two systems are Operators (the
-mesh problem; its point is the interface.crack_state) and
-diagnostics.OneDofParams (the scalar analog; its point is the weighted
-(u, v)); both take their initial acceleration from their interval at
-ca = 1, cu = cv = 0.
+is built once, for the accepted a+.  The mesh problem's system is
+Operators, whose point is the interface.crack_state; the test suite's
+scalar analog (tests/oracles.py), whose point is the weighted (u, v),
+is a second.  Both take their initial acceleration from their interval
+at ca = 1, cu = cv = 0.  weighted_points recovers from a run's states
+the points at which it enforced the force balance.
 """
 
 from __future__ import annotations
@@ -88,6 +89,7 @@ __all__ = [
     "step",
     "run",
     "StepInfo",
+    "weighted_points",
 ]
 
 _CG_TOL = 1e-12
@@ -296,7 +298,7 @@ def build_operators(mesh, material: Material, contact: ContactParams,
     dofmap = DofMap(mesh)
     mass = fem.assemble_mass(mesh, material)
     stiffness = fem.assemble_stiffness(mesh, material)
-    quad = interface.build_crack_quadrature(mesh, dofmap)
+    quad = CrackQuadrature(mesh, dofmap)
 
     if f is None and trac is None:
         zero = np.zeros(dofmap.ndof)
@@ -460,12 +462,17 @@ def _advance(state: State, dt: float, ops, params, rho, depth: int):
     if new is not None:
         return new, info
     if depth >= _MAX_HALVINGS:
-        raise StepFailure(
-            f"Newton stalled at t={state.t:.6g} with dt={dt:.3e} after "
-            f"{_MAX_HALVINGS} halvings (residual {info.residual:.3e}, "
-            f"tolerance {info.tol_abs:.3e}, {info.iterations} iterations)",
-            t=state.t, dt=dt, residual=info.residual,
-            iterations=info.iterations)
+        where = (f"at t={state.t:.6g} with dt={dt:.3e} after "
+                 f"{_MAX_HALVINGS} halvings")
+        if np.isfinite(info.residual):
+            message = (f"Newton stalled {where} (residual "
+                       f"{info.residual:.3e}, tolerance {info.tol_abs:.3e}, "
+                       f"{info.iterations} iterations)")
+        else:
+            message = (f"Newton residual is not finite {where} "
+                       f"({info.iterations} iterations)")
+        raise StepFailure(message, t=state.t, dt=dt, residual=info.residual,
+                          iterations=info.iterations)
     first, info1 = _advance(state, 0.5 * dt, ops, params, None, depth + 1)
     second, info2 = _advance(first, 0.5 * dt, ops, params, None, depth + 1)
     return second, StepInfo(
@@ -523,3 +530,27 @@ def run(ops, params: TimeParams, u0, v0, on_step=None):
             states[0] = state
             on_step(state, info)
     return states, infos
+
+
+def weighted_points(states, infos, params: TimeParams):
+    """(t, u, v, a, tol_abs) at each step's balance point, the g-weighted
+    state (1-g)*x + g*x+ at time t + g*dt, reconstructed from the states
+    and infos that run returns without on_step.
+
+    Intervals that were internally bisected are skipped: their balance
+    points do not lie on the stored grid.
+    """
+    g = params.newmark_g
+    out = []
+    for k, info in enumerate(infos):
+        if info.substeps != 1:
+            continue
+        s0, s1 = states[k], states[k + 1]
+        out.append((
+            (1.0 - g) * s0.t + g * s1.t,
+            (1.0 - g) * s0.u + g * s1.u,
+            (1.0 - g) * s0.v + g * s1.v,
+            (1.0 - g) * s0.a + g * s1.a,
+            info.tol_abs,
+        ))
+    return out

@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from conftest import impact_config
+from oracles import OneDofParams, cell_stresses, one_dof_oracle, stability_probe
 from crackdyn import diagnostics, exprlang, fem, interface, meshing, timestepper
 from crackdyn.fem import Material
 from crackdyn.meshing import generate_rect_crack
@@ -67,7 +68,7 @@ def test_criterion_02_kernel_and_patch_test():
     alpha = 0.01
     u = np.column_stack([alpha * mesh.vertices[:, 0],
                          np.zeros(mesh.n_vertices)]).ravel()
-    sig = fem.cell_stresses(mesh, mat, u)
+    sig = cell_stresses(mesh, mat, u)
     s11 = (mat.lam + 2 * mat.mu) * alpha
     worst_patch = max(
         float(np.abs(sig[:, 0, 0] - s11).max()) / s11,
@@ -118,7 +119,7 @@ def test_small_epsilon_vi_covers_every_step(impact_runs):
         problem, states, records, infos = impact_runs.get(gamma, 1e-4)
         assert [info.substeps for info in infos] == [1] * len(infos)
         assert sum(info.line_search for info in infos) > 0
-        pts = diagnostics.weighted_points(states, infos, problem.params)
+        pts = timestepper.weighted_points(states, infos, problem.params)
         assert len(pts) == len(infos) == 200
         vi = diagnostics.check_vi(problem, states, infos, *VI_SAMPLE)
         assert vi.ok, (gamma, vi.detail)
@@ -126,7 +127,7 @@ def test_small_epsilon_vi_covers_every_step(impact_runs):
 
 def test_criterion_07_continuous_dependence(impact_runs):
     cfg = impact_config()
-    sups = [diagnostics.stability_probe(cfg, eta, run=impact_runs.run)
+    sups = [stability_probe(cfg, eta, run=impact_runs.run)
             .sup_distance for eta in (1e-5, 5e-6, 2.5e-6)]
     ratios = [a / b for a, b in zip(sups, sups[1:])]
     ok = (all(a > b for a, b in zip(sups, sups[1:]))
@@ -136,8 +137,7 @@ def test_criterion_07_continuous_dependence(impact_runs):
 
 
 def test_criterion_08_one_dof_oracle():
-    p = diagnostics.OneDofParams(gamma=0.5, epsilon=1e-2, g=0.3,
-                                 u0=1.0, v0=0.0)
+    p = OneDofParams(gamma=0.5, epsilon=1e-2, g=0.3, u0=1.0, v0=0.0)
     errs = []
     for dt in (1e-2, 5e-3, 2.5e-3):
         states, _ = timestepper.run(
@@ -145,7 +145,7 @@ def test_criterion_08_one_dof_oracle():
         times = [s.t for s in states]
         us = np.array([s.u[0] for s in states])
         vs = np.array([s.v[0] for s in states])
-        uo, vo = diagnostics.one_dof_oracle(p, times, 5e-5)
+        uo, vo = one_dof_oracle(p, times, 5e-5)
         errs.append(max(float(np.abs(us - uo).max()),
                         float(np.abs(vs - vo).max())))
     orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]

@@ -9,22 +9,20 @@ from crackdyn import (diagnostics, exprlang as ex, fem, interface, meshing,
                       timestepper)
 from crackdyn.diagnostics import (
     CSV_COLUMNS,
-    OneDofParams,
     epsilon_sweep,
     gamma_sweep,
-    one_dof_oracle,
     record,
     run_with_records,
-    stability_probe,
     vi_residual,
-    weighted_points,
 )
 from crackdyn.fem import Material, State
 from crackdyn.interface import ContactParams
 from crackdyn.meshing import generate_rect_crack
-from crackdyn.timestepper import TimeParams, build_operators, run
+from crackdyn.timestepper import (TimeParams, build_operators, run,
+                                  weighted_points)
 
 from conftest import SMALL_TEXT, RunCache, reference_jumps, small_config
+from oracles import OneDofParams, one_dof_oracle, stability_probe
 
 def make_ops(gamma=0.0, epsilon=0.05, g="0.3"):
     mesh = generate_rect_crack(2.0, 1.0, 16, 8, crack_span=(0.25, 0.75))

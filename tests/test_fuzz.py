@@ -19,6 +19,8 @@ from crackdyn import cli
 
 N_CASES = 50
 MESSAGES = ("config error: ", "file error: ", "solver failure: ")
+# The case whose v0, near 1e300, makes the Newton residual overflow.
+NONFINITE_CASE = 28
 
 ATOMS = ["x", "y", "t", "0", "1", "0.5", "2", "1e-300", "1e300", "800"]
 FUNCTIONS = ["sin", "cos", "exp", "sqrt", "abs"]
@@ -137,9 +139,16 @@ def test_generated_configs_end_cleanly(tmp_path, monkeypatch, capfd):
         assert "Traceback" not in err, context
         assert multiprocessing.active_children() == [], context
         seen.add(code)
+        last = err.splitlines()[-1] if err else ""
         if code != 0:
-            last = err.splitlines()[-1] if err else ""
             assert last.startswith(MESSAGES), context
+            # a stall is reported with a finite residual, or not at all
+            assert "residual inf" not in last, context
+            assert "residual nan" not in last, context
+        if k == NONFINITE_CASE:
+            assert last == ("solver failure: Newton residual is not finite "
+                            "at t=0 with dt=3.125e-04 after 5 halvings "
+                            "(0 iterations)"), context
         csv_path = outdir / "diagnostics.csv"
         if not csv_path.exists():
             assert code != 0, context

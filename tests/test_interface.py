@@ -10,10 +10,10 @@ from crackdyn import exprlang as ex
 from crackdyn import interface
 from crackdyn.interface import (
     ContactParams,
+    CrackQuadrature,
     FrictionBoundError,
     alpha_eps,
     beta_eps,
-    build_crack_quadrature,
     contact_residual,
     contact_tangent,
     crack_state,
@@ -159,7 +159,7 @@ def test_convexity_subgradient_inequalities():
 
 def test_quadrature_geometry():
     mesh = cracked_mesh()
-    quad = build_crack_quadrature(mesh)
+    quad = CrackQuadrature(mesh, DofMap(mesh))
     assert quad.n_pairs == 8
     assert np.allclose(quad.weights.sum(axis=1), 2.0 / 16)
     assert quad.weights.sum() == pytest.approx(1.0)
@@ -171,7 +171,8 @@ def test_quadrature_geometry():
 
 
 def test_empty_crack_quadrature():
-    quad = build_crack_quadrature(generate_rect_crack(1.0, 1.0, 4, 4))
+    mesh = generate_rect_crack(1.0, 1.0, 4, 4)
+    quad = CrackQuadrature(mesh, DofMap(mesh))
     assert quad.n_pairs == 0
     assert quad.weights.shape == (0, 2)
     params = ContactParams(gamma=0.0, epsilon=0.1, g=ex.parse("1"))
@@ -197,7 +198,7 @@ def test_crack_state_rejects_nodal_vectors():
     # a nodal vector indexed by crack-vector slots would read the wrong
     # entries without an error
     mesh = cracked_mesh()
-    quad = build_crack_quadrature(mesh)
+    quad = CrackQuadrature(mesh, DofMap(mesh))
     params = ContactParams(gamma=1.0, epsilon=0.05)
     w = np.zeros(mesh.n_vertices * 2)
     for u, v in ((w, w), (w[quad.crack_dofs], w)):
@@ -207,7 +208,7 @@ def test_crack_state_rejects_nodal_vectors():
 
 def test_jump_of_plus_side_fields():
     mesh = cracked_mesh()
-    quad = build_crack_quadrature(mesh)
+    quad = CrackQuadrature(mesh, DofMap(mesh))
     w = plus_side_field(mesh, quad, (0.0, 1.0))
     jn, jt = jumps_of(w, quad)
     # facets 1..-2 lie strictly inside the crack: uniform unit jump
@@ -227,7 +228,7 @@ def test_jump_of_plus_side_fields():
 
 def test_jump_zero_for_continuous_field():
     mesh = cracked_mesh()
-    quad = build_crack_quadrature(mesh)
+    quad = CrackQuadrature(mesh, DofMap(mesh))
     # continuous nodal field (same expression on both faces)
     w = np.column_stack([mesh.vertices[:, 0] ** 2,
                          np.sin(mesh.vertices[:, 1])]).ravel()
@@ -247,7 +248,7 @@ def test_jump_operators_match_the_pointwise_reference(span, theta, swap):
     mesh = turned(generate_rect_crack(2.0, 1.0, 8, 4, crack_span=span),
                   theta, swap)
     dofmap = DofMap(mesh)
-    quad = build_crack_quadrature(mesh, dofmap)
+    quad = CrackQuadrature(mesh, dofmap)
     rng = np.random.default_rng(17)
     u, v, w = (dofmap.zero_constrained(rng.standard_normal(dofmap.ndof))
                for _ in range(3))
@@ -275,7 +276,7 @@ def test_jump_operators_match_the_pointwise_reference(span, theta, swap):
 
 def test_contact_residual_uniform_penetration():
     mesh = cracked_mesh()
-    quad = build_crack_quadrature(mesh)
+    quad = CrackQuadrature(mesh, DofMap(mesh))
     params = ContactParams(gamma=0.0, epsilon=0.05)
     c = 0.2
     v = plus_side_field(mesh, quad, (0.0, -c))
@@ -291,7 +292,7 @@ def test_contact_residual_uniform_penetration():
 
 def test_contact_residual_zero_when_opening():
     mesh = cracked_mesh()
-    quad = build_crack_quadrature(mesh)
+    quad = CrackQuadrature(mesh, DofMap(mesh))
     params = ContactParams(gamma=0.0, epsilon=0.05)
     v = plus_side_field(mesh, quad, (0.0, 0.3))
     crack = crack_state(np.zeros_like(v), v, 0.0, params, quad)
@@ -300,7 +301,7 @@ def test_contact_residual_zero_when_opening():
 
 def test_contact_residual_gamma_blend():
     mesh = cracked_mesh()
-    quad = build_crack_quadrature(mesh)
+    quad = CrackQuadrature(mesh, DofMap(mesh))
     u = plus_side_field(mesh, quad, (0.0, -0.1))
     zero = np.zeros_like(u)
     # gamma = 2 with displacement jump -0.1 equals gamma = 0 with velocity
@@ -319,7 +320,7 @@ def test_contact_residual_gamma_blend():
 
 def test_contact_residual_sign():
     mesh = cracked_mesh()
-    quad = build_crack_quadrature(mesh)
+    quad = CrackQuadrature(mesh, DofMap(mesh))
     params = ContactParams(gamma=0.0, epsilon=0.05)
     rng = np.random.default_rng(8)
     v = plus_side_field(mesh, quad, (0.0, -0.2))
@@ -335,7 +336,7 @@ def test_contact_residual_sign():
 
 def test_friction_residual_zero_cases():
     mesh = cracked_mesh()
-    quad = build_crack_quadrature(mesh)
+    quad = CrackQuadrature(mesh, DofMap(mesh))
     v = plus_side_field(mesh, quad, (0.0, -0.2))  # normal jump only
     params = ContactParams(gamma=0.0, epsilon=0.05, g=ex.parse("0.3"))
     assert not friction_residual(crack_state(v, v, 0.0, params, quad),
@@ -348,7 +349,7 @@ def test_friction_residual_zero_cases():
 
 def test_friction_residual_dissipative_and_bounded():
     mesh = cracked_mesh()
-    quad = build_crack_quadrature(mesh)
+    quad = CrackQuadrature(mesh, DofMap(mesh))
     params = ContactParams(gamma=0.0, epsilon=0.05, g=ex.parse("0.3"))
     rng = np.random.default_rng(9)
     v = plus_side_field(mesh, quad, (0.2, 0.0))
@@ -362,7 +363,7 @@ def test_friction_residual_dissipative_and_bounded():
 
 def test_recovered_tractions_frozen_values():
     mesh = cracked_mesh()
-    quad = build_crack_quadrature(mesh)
+    quad = CrackQuadrature(mesh, DofMap(mesh))
     eps, g, p, s = 0.05, 0.3, 0.15, 0.1
     params = ContactParams(gamma=0.0, epsilon=eps, g=ex.parse(repr(g)))
     v = plus_side_field(mesh, quad, (s, -p))
@@ -379,7 +380,7 @@ def test_recovered_tractions_frozen_values():
 
 def test_friction_bound_validation():
     mesh = cracked_mesh()
-    quad = build_crack_quadrature(mesh)
+    quad = CrackQuadrature(mesh, DofMap(mesh))
     good = ContactParams(gamma=0.0, epsilon=0.05, g=ex.parse("x - 0.4"))
     vals = friction_bound_values(good, quad, 0.0)   # crack lies in x > 0.5
     assert np.all(vals > 0)
@@ -394,7 +395,7 @@ def test_friction_bound_validation():
 
 def test_residual_monotonicity():
     mesh = cracked_mesh()
-    quad = build_crack_quadrature(mesh)
+    quad = CrackQuadrature(mesh, DofMap(mesh))
     params = ContactParams(gamma=1.5, epsilon=0.05, g=ex.parse("0.3"))
     rng = np.random.default_rng(10)
     u = 0.1 * rng.standard_normal(quad.crack_dofs.size)
@@ -426,7 +427,7 @@ def penetrating_pair(mesh, quad, seed=12):
 
 def test_contact_tangent_directional_derivative():
     mesh = cracked_mesh()
-    quad = build_crack_quadrature(mesh)
+    quad = CrackQuadrature(mesh, DofMap(mesh))
     params = ContactParams(gamma=1.2, epsilon=0.1)
     u, v = penetrating_pair(mesh, quad)
     cu, cv = 0.4, 0.9
@@ -448,7 +449,7 @@ def test_contact_tangent_directional_derivative():
 
 def test_friction_tangent_directional_derivative():
     mesh = cracked_mesh()
-    quad = build_crack_quadrature(mesh)
+    quad = CrackQuadrature(mesh, DofMap(mesh))
     params = ContactParams(gamma=0.0, epsilon=0.1, g=ex.parse("0.3"))
     _, v = penetrating_pair(mesh, quad)
     cv = 0.7
@@ -468,7 +469,7 @@ def test_friction_tangent_directional_derivative():
 
 def test_tangents_symmetric_positive_semidefinite():
     mesh = cracked_mesh()
-    quad = build_crack_quadrature(mesh)
+    quad = CrackQuadrature(mesh, DofMap(mesh))
     params = ContactParams(gamma=1.0, epsilon=0.05, g=ex.parse("0.3"))
     u, v = penetrating_pair(mesh, quad, seed=15)
     crack = crack_state(u, v, 0.0, params, quad)
@@ -489,7 +490,7 @@ def test_friction_tangent_at_zero_slip():
     # tangential interface mass: w^T T w = coeff * g/eps times the crack
     # integral of the squared tangential jump of w
     mesh = cracked_mesh()
-    quad = build_crack_quadrature(mesh)
+    quad = CrackQuadrature(mesh, DofMap(mesh))
     coeff, g, eps, tau = 0.7, 0.3, 0.05, 2.0
     params = ContactParams(gamma=0.0, epsilon=eps, g=ex.parse(repr(g)))
     zero = np.zeros(quad.crack_dofs.size)
@@ -518,7 +519,7 @@ import numpy as np
 from crackdyn import exprlang, fem, interface
 from crackdyn.meshing import generate_rect_crack
 mesh = generate_rect_crack(2.0, 1.0, 128, 64, crack_span=(0.25, 0.75))
-quad = interface.build_crack_quadrature(mesh, fem.DofMap(mesh))
+quad = interface.CrackQuadrature(mesh, fem.DofMap(mesh))
 params = interface.ContactParams(1.0, 1e-2, exprlang.parse("0.05"))
 rng = np.random.default_rng(23)
 u, v = 0.05 * rng.standard_normal((2, quad.crack_dofs.size))

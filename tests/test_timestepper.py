@@ -766,13 +766,14 @@ def test_newton_iteration_evaluates_the_crack_once(monkeypatch):
 BALANCE_RTOL = 1e-14
 
 
-@pytest.mark.parametrize("g", [None, "0.05"])
+@pytest.mark.parametrize("g", [None, "0.05", "0.05*(1 + t)*(1 + 0.2*x)"])
 @pytest.mark.parametrize("gamma", [0.0, 10.0])
 def test_interval_residual_is_the_force_balance(gamma, g):
     # at random a+, the interval's residual (a constant, one free-dof
     # product and the crack forces) is M a_w + K u_w + contact + friction
     # - load on the free dofs, with the weighted state formed in full
-    # from the Newmark end state
+    # from the Newmark end state; a g that varies in t must be sampled
+    # at t_w
     ops = make_ops(gamma=gamma, g=g, f=(ex.parse("0.3"), ex.parse("-0.5*t")))
     rng = np.random.default_rng(59)
     state = _penetrating_state(ops, rng, t=0.1)
