@@ -269,7 +269,7 @@ def build_mesh(spec: MeshSpec) -> meshing.CrackedMesh:
 
 def build_problem(config: Config) -> Problem:
     """Assemble everything a run needs; validates a finite g >= 0 on samples,
-    finite loads at t = 0 and finite initial data."""
+    finite loads at t = 0 and finite initial data and energy."""
     mesh = build_mesh(config.mesh)
     contact = interface.ContactParams(
         gamma=config.gamma, epsilon=config.epsilon, g=config.g)
@@ -281,16 +281,22 @@ def build_problem(config: Config) -> Problem:
                 interface.friction_bound_values(contact, ops.quad, float(t))
             except interface.FrictionBoundError as exc:
                 raise ConfigError(str(exc)) from exc
-    for name, f, trac in (("f", config.f, None), ("F", None, config.trac)):
-        if f is not None or trac is not None:
-            load = fem.assemble_load(mesh, config.material, f, trac, 0.0)
-            if not np.isfinite(load[ops.free]).all():
-                raise ConfigError(
-                    f"{name} gives a load that is not finite at t = 0")
+    for name, part in (("f", ops.load_form.body),
+                       ("F", ops.load_form.traction)):
+        if part is not None and not np.isfinite(part(0.0)[ops.free]).all():
+            raise ConfigError(
+                f"{name} gives a load that is not finite at t = 0")
     fields = {}
     for name in ("u0", "v0"):
         w = fem.interpolate(mesh, getattr(config, name))
         fields[name] = ops.dofmap.zero_constrained(w)
         if not np.isfinite(fields[name]).all():
             raise ConfigError(f"{name} is not finite at a free mesh vertex")
+    u0, v0 = fields["u0"], fields["v0"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        kinetic = 0.5 * float(v0 @ (ops.mass @ v0))
+        strain = 0.5 * float(u0 @ (ops.stiffness @ u0))
+    if not np.isfinite(kinetic + strain):
+        raise ConfigError(f"initial energy is not finite (kinetic "
+                          f"{kinetic:.6g}, strain {strain:.6g})")
     return Problem(config=config, ops=ops, params=config.time, **fields)

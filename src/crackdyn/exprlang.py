@@ -16,6 +16,10 @@ accepts numpy arrays for any variable (results broadcast).  Division by
 zero and square roots of negative numbers raise ``ExprDomainError``
 instead of producing non-finite values.  Overflow is not an error here:
 it gives inf silently, and the caller checks its values for finiteness.
+
+Data evaluated on the same points at many times are bound to them once:
+``bind`` evaluates every t-free subtree on the points, with its domain
+checks, and returns a function of t that evaluates the rest.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ __all__ = [
     "parse",
     "evaluate",
     "sample",
+    "bind",
 ]
 
 VARIABLES = ("t", "x", "y")
@@ -89,6 +94,14 @@ class Bin(Expr):
 class Call(Expr):
     func: str
     args: tuple[Expr, ...]
+
+
+@dataclass(frozen=True, eq=False)
+class _Value(Expr):
+    """A t-free subtree's value on the points it was bound to; only
+    bind's trees hold one."""
+
+    value: object
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +291,53 @@ def sample(expr: Expr, t, point):
                            np.shape(point[0]))
 
 
+def bind(expr: Expr, point):
+    """``expr`` bound to the fixed points ``point`` (x and y arrays): a
+    function of t equal to ``sample(expr, t, point)`` bit for bit.
+
+    Every t-free subtree is evaluated here, once, and its domain checks
+    run here, so such an error is raised by bind itself; the first in
+    evaluation order is reported.  The function evaluates the rest, with
+    its checks, through evaluate.
+    """
+    env = dict(zip(("x", "y"), point))
+    shape = np.shape(point[0])
+    with np.errstate(all="ignore"):
+        tree = _bind(expr, env)
+
+    def at(t):
+        return np.broadcast_to(np.asarray(evaluate(tree, t), dtype=float),
+                               shape)
+    return at
+
+
+def _bind(expr: Expr, env: dict) -> Expr:
+    """expr with each maximal t-free subtree replaced by its value."""
+    if not _uses_t(expr):
+        return _Value(_eval(expr, env))
+    if isinstance(expr, Neg):
+        return Neg(_bind(expr.operand, env))
+    if isinstance(expr, Bin):
+        return Bin(expr.op, _bind(expr.left, env), _bind(expr.right, env))
+    if isinstance(expr, Call):
+        return Call(expr.func, tuple(_bind(a, env) for a in expr.args))
+    return expr                                     # t itself
+
+
+def _uses_t(expr: Expr) -> bool:
+    if isinstance(expr, Var):
+        return expr.name == "t"
+    if isinstance(expr, Neg):
+        return _uses_t(expr.operand)
+    if isinstance(expr, Bin):
+        return _uses_t(expr.left) or _uses_t(expr.right)
+    if isinstance(expr, Call):
+        return any(_uses_t(a) for a in expr.args)
+    return False
+
+
 def _eval(expr: Expr, env: dict):
-    if isinstance(expr, Num):
+    if isinstance(expr, (Num, _Value)):
         return expr.value
     if isinstance(expr, Var):
         if expr.name not in env:

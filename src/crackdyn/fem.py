@@ -25,6 +25,7 @@ __all__ = [
     "State",
     "assemble_mass",
     "assemble_stiffness",
+    "LoadForm",
     "assemble_load",
     "solve_spd",
     "interpolate",
@@ -185,46 +186,77 @@ def assemble_stiffness(mesh, material: Material) -> sp.csr_matrix:
     return k.tocsr()
 
 
-def assemble_load(mesh, material: Material, f=None, trac=None, t=0.0) -> np.ndarray:
-    """Load vector: rho-weighted body force plus Neumann traction.
+# P1 basis values at a cell's edge midpoints m01, m12, m20, [vertex, point]:
+# 1/2 on the two midpoints next to the vertex
+_MIDPOINT_SHAPES = 0.5 * np.array([[1.0, 0.0, 1.0],
+                                   [1.0, 1.0, 0.0],
+                                   [0.0, 1.0, 1.0]])
+
+
+class _LoadPart:
+    """One integral of the load: expressions bound to the quadrature
+    points (n, nq, 2) of n elements, the weights times the shape values
+    (n, nv, nq) of their nv vertices, a factor applied to the element
+    vectors, and the dof of every (component, element, vertex) entry, the
+    np.bincount index."""
+
+    def __init__(self, exprs, points, weighted_shapes, vertices, ndof,
+                 scale=1.0):
+        d = points.shape[-1]
+        xy = (points[..., 0].ravel(), points[..., 1].ravel())
+        self.components = [exprlang.bind(e, xy) for e in exprs]
+        self.shape = points.shape[:2]
+        self.weighted_shapes = weighted_shapes
+        self.scale = scale
+        self.dofs = (vertices.ravel() * d + np.arange(d)[:, None]).ravel()
+        self.ndof = ndof
+
+    def __call__(self, t) -> np.ndarray:
+        """The nodal vector of this integral at t, on every dof."""
+        contrib = []
+        for value in self.components:
+            c = np.einsum("niq,nq->ni", self.weighted_shapes,
+                          value(t).reshape(self.shape))
+            c *= self.scale
+            contrib.append(c.ravel())
+        return np.bincount(self.dofs, weights=np.concatenate(contrib),
+                           minlength=self.ndof)
+
+
+class LoadForm:
+    """The load's quadrature, built once per problem: rho-weighted body
+    force plus Neumann traction.
 
     ``f`` and ``trac`` are tuples of one expression per component (or
-    None for zero).  Cell integrals use the three edge-midpoint points
-    (exact for quadratics), facet integrals two-point Gauss.
+    None for zero), bound to the quadrature points here.  Cell integrals
+    use the three edge-midpoint points (exact for quadratics), facet
+    integrals two-point Gauss.  ``body`` and ``traction`` are the two
+    integrals, functions of t giving a nodal vector, or None where there
+    is nothing to integrate; assemble_load sums them.
     """
-    d = mesh.dim
-    ndof = mesh.n_vertices * d
-    out = np.zeros(ndof)
 
-    if f is not None:
-        coords, area, _ = _cell_geometry(mesh)
-        mids = 0.5 * (coords + np.roll(coords, -1, axis=1))   # (nc, 3, 2): m01, m12, m20
-        w = area / 3.0
-        xq = mids[:, :, 0].ravel()
-        yq = mids[:, :, 1].ravel()
-        nodal = np.zeros((mesh.n_vertices, d))
-        # basis value at the midpoints: 1/2 on the two adjacent ones
-        phi = 0.5 * np.array([[1.0, 0.0, 1.0],
-                              [1.0, 1.0, 0.0],
-                              [0.0, 1.0, 1.0]])
-        for c in range(d):
-            fq = exprlang.sample(f[c], t, (xq, yq)).reshape(mesh.n_cells, 3)
-            contrib = np.einsum("n,iq,nq->ni", w, phi, fq) * material.rho
-            np.add.at(nodal[:, c], mesh.cells.ravel(), contrib.ravel())
-        out += nodal.ravel()
+    def __init__(self, mesh, material: Material, f=None, trac=None):
+        self.ndof = mesh.n_vertices * mesh.dim
+        self.body = self.traction = None
+        if f is not None:
+            coords, area, _ = _cell_geometry(mesh)
+            mids = 0.5 * (coords + np.roll(coords, -1, axis=1))
+            shapes = (area / 3.0)[:, None, None] * _MIDPOINT_SHAPES
+            self.body = _LoadPart(f, mids, shapes, mesh.cells, self.ndof,
+                                  scale=material.rho)
+        if trac is not None and mesh.neumann_facets.shape[0]:
+            facets = mesh.neumann_facets
+            pts, wq = facet_quadrature(mesh.vertices, facets)
+            shapes = wq[:, None, :] * FACET_SHAPES.T
+            self.traction = _LoadPart(trac, pts, shapes, facets, self.ndof)
 
-    if trac is not None and mesh.neumann_facets.shape[0]:
-        facets = mesh.neumann_facets
-        pts, wq = facet_quadrature(mesh.vertices, facets)
-        nodal = np.zeros((mesh.n_vertices, d))
-        xq = pts[:, :, 0].ravel()
-        yq = pts[:, :, 1].ravel()
-        for c in range(d):
-            fq = exprlang.sample(trac[c], t, (xq, yq)).reshape(-1, 2)
-            contrib = np.einsum("nq,qi,nq->ni", wq, FACET_SHAPES, fq)
-            np.add.at(nodal[:, c], facets.ravel(), contrib.ravel())
-        out += nodal.ravel()
 
+def assemble_load(form: LoadForm, t=0.0) -> np.ndarray:
+    """Load vector of ``form`` at time t, on every dof."""
+    out = np.zeros(form.ndof)
+    for part in (form.body, form.traction):
+        if part is not None:
+            out += part(t)
     return out
 
 

@@ -155,6 +155,7 @@ class CrackQuadrature:
         self.points, self.weights = fem.facet_quadrature(
             mesh.vertices, self.plus_vertices)
         self.shapes = fem.FACET_SHAPES
+        self._bound_g = (None, None)
 
         verts = np.concatenate([self.plus_vertices, self.minus_vertices], axis=1)
         dofs = verts[:, :, None] * d + np.arange(d)                    # (n, 4, d)
@@ -184,6 +185,14 @@ class CrackQuadrature:
             slots[:, :, None, :, None] * k + slots[:, None, :, None, :],
             k * k).ravel()
 
+    def friction_bound(self, g: Expr):
+        """exprlang.bind of g on the quadrature points, a function of t;
+        bound once per expression (the last one bound is kept)."""
+        if self._bound_g[0] is not g:
+            xy = (self.points[..., 0], self.points[..., 1])
+            self._bound_g = (g, exprlang.bind(g, xy))
+        return self._bound_g[1]
+
 
 # ---------------------------------------------------------------------------
 # the crack state
@@ -195,9 +204,7 @@ def friction_bound_values(params: ContactParams, quad: CrackQuadrature,
     not finite."""
     if params.g is None:
         return np.zeros((quad.n_pairs, 2))
-    xq = quad.points[..., 0]
-    yq = quad.points[..., 1]
-    vals = exprlang.sample(params.g, t, (xq, yq)).copy()
+    vals = quad.friction_bound(params.g)(t).copy()
     if not (np.isfinite(vals) & (vals >= 0.0)).all():
         finite = np.isfinite(vals)
         if finite.all():

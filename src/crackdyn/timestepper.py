@@ -179,6 +179,7 @@ class Operators:
     quad: CrackQuadrature
     mass: sp.csr_matrix
     stiffness: sp.csr_matrix
+    load_form: fem.LoadForm
     load: Callable[[float], np.ndarray]
     _jac_cache: dict = field(default_factory=dict, repr=False)
 
@@ -294,20 +295,25 @@ class _NewtonMatrix:
 
 def build_operators(mesh, material: Material, contact: ContactParams,
                     f=None, trac=None) -> Operators:
-    """Assemble mass, stiffness and the load callback for a problem."""
+    """Assemble mass and stiffness, and bind g and the loads to their
+    quadrature points, once; the load callback evaluates what depends on
+    t."""
     dofmap = DofMap(mesh)
     mass = fem.assemble_mass(mesh, material)
     stiffness = fem.assemble_stiffness(mesh, material)
     quad = CrackQuadrature(mesh, dofmap)
+    if contact.g is not None:
+        quad.friction_bound(contact.g)
+    load_form = fem.LoadForm(mesh, material, f, trac)
 
-    if f is None and trac is None:
+    if load_form.body is None and load_form.traction is None:
         zero = np.zeros(dofmap.ndof)
 
         def load(t: float) -> np.ndarray:
             return zero
     else:
         def load(t: float) -> np.ndarray:
-            vec = fem.assemble_load(mesh, material, f, trac, t)
+            vec = fem.assemble_load(load_form, t)
             vec[dofmap.constrained] = 0.0
             return vec
 
@@ -319,6 +325,7 @@ def build_operators(mesh, material: Material, contact: ContactParams,
         quad=quad,
         mass=mass,
         stiffness=stiffness,
+        load_form=load_form,
         load=load,
     )
 

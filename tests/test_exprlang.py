@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from test_fuzz import expression
 
 from crackdyn import exprlang as ex
 
@@ -126,3 +127,94 @@ def test_syntax_error_offset_points_at_problem():
     with pytest.raises(ex.ExprSyntaxError) as err:
         ex.parse("1 + @")
     assert err.value.offset == 4
+
+
+# ---------------------------------------------------------------------------
+# bind
+# ---------------------------------------------------------------------------
+
+# x = 0, 1, 2 and y = 0 meet the generator's atoms, so divisions by zero
+# and negative roots happen on some points
+BIND_POINTS = (np.array([0.0, 0.5, 1.0, 2.0, -0.75]),
+               np.array([0.0, 0.25, 1.0, 0.0, 3.0]))
+BIND_TIMES = (0.0, 0.25, 1.0, 2.0, 3.5)
+
+
+def uses_t(e):
+    if isinstance(e, ex.Var):
+        return e.name == "t"
+    return any(uses_t(c) for c in children(e))
+
+
+def children(e):
+    if isinstance(e, ex.Neg):
+        return (e.operand,)
+    if isinstance(e, ex.Bin):
+        return (e.left, e.right)
+    if isinstance(e, ex.Call):
+        return e.args
+    return ()
+
+
+def t_free_parts(e):
+    """The maximal t-free subtrees of e, in evaluation order."""
+    if not uses_t(e):
+        return [e]
+    return [p for c in children(e) for p in t_free_parts(c)]
+
+
+def domain_error(e, point):
+    """The message of the first domain error of e on point, or None."""
+    try:
+        ex.sample(e, 0.0, point)
+    except ex.ExprError as exc:
+        return str(exc)
+    return None
+
+
+def test_bind_matches_sample_bit_for_bit():
+    rng = np.random.default_rng(1717)
+    raised_at_bind = raised_later = 0
+    for _ in range(400):
+        e = ex.parse(expression(rng, depth=4))
+        errors = [domain_error(p, BIND_POINTS) for p in t_free_parts(e)]
+        first = next((m for m in errors if m is not None), None)
+        try:
+            bound = ex.bind(e, BIND_POINTS)
+        except ex.ExprError as exc:
+            # a t-free part left its domain: bind reports the first one,
+            # and no time can evaluate the expression either
+            assert str(exc) == first, e
+            for t in BIND_TIMES:
+                with pytest.raises(ex.ExprError):
+                    ex.sample(e, t, BIND_POINTS)
+            raised_at_bind += 1
+            continue
+        assert first is None, e
+        for t in BIND_TIMES:
+            try:
+                want = ex.sample(e, t, BIND_POINTS)
+            except ex.ExprError as exc:
+                with pytest.raises(type(exc)) as err:
+                    bound(t)
+                assert str(err.value) == str(exc), e
+                raised_later += 1
+                continue
+            got = bound(t)
+            assert got.shape == want.shape, e
+            assert got.tobytes() == want.tobytes(), e
+    # the generator reaches both kinds of domain error
+    assert raised_at_bind and raised_later
+
+
+def test_bind_checks_t_free_parts_once_and_the_rest_at_each_t():
+    xs = (np.array([0.0, 1.0]),)
+    with pytest.raises(ex.ExprDomainError, match="division by zero"):
+        ex.bind(ex.parse("t + 1/(x - 1)"), xs)
+    bound = ex.bind(ex.parse("x/(t - 1)"), xs)
+    assert bound(0.0).tolist() == [-0.0, -1.0]
+    with pytest.raises(ex.ExprDomainError, match="division by zero"):
+        bound(1.0)
+    # a constant is broadcast to the points, read-only
+    const = ex.bind(ex.parse("2*3"), xs)(7.0)
+    assert const.tolist() == [6.0, 6.0] and not const.flags.writeable

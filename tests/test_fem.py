@@ -103,7 +103,7 @@ def test_load_constant_body_force():
     mat = Material(lam=1.0, mu=1.0, rho=2.5)
     c = (0.7, -1.2)
     f = (ex.parse("0.7"), ex.parse("-1.2"))
-    load = fem.assemble_load(mesh, mat, f=f)
+    load = fem.assemble_load(fem.LoadForm(mesh, mat, f=f))
     const = np.tile(c, mesh.n_vertices)
     mass = fem.assemble_mass(mesh, mat)
     # for a constant integrand both quadratures are exact: load = M c
@@ -115,7 +115,8 @@ def test_load_top_edge_traction():
     mesh = retag_top_neumann(generate_rect_crack(2.0, 1.0, 4, 2), 1.0)
     mat = Material(lam=1.0, mu=1.0, rho=1.0)
     p = 0.3
-    load = fem.assemble_load(mesh, mat, trac=(ex.parse("0"), ex.parse("-0.3")))
+    load = fem.assemble_load(
+        fem.LoadForm(mesh, mat, trac=(ex.parse("0"), ex.parse("-0.3"))))
     totals = load.reshape(-1, 2).sum(axis=0)
     assert np.isclose(totals[0], 0.0, atol=1e-15)
     assert np.isclose(totals[1], -p * 2.0)  # -p times the top edge length
@@ -126,7 +127,8 @@ def test_load_top_edge_traction():
 
 def test_load_zero_when_no_data():
     mesh = generate_rect_crack(1.0, 1.0, 2, 2)
-    load = fem.assemble_load(mesh, Material(lam=1.0, mu=1.0, rho=1.0))
+    load = fem.assemble_load(
+        fem.LoadForm(mesh, Material(lam=1.0, mu=1.0, rho=1.0)))
     assert not load.any()
 
 
@@ -134,8 +136,9 @@ def test_load_time_dependent():
     mesh = generate_rect_crack(1.0, 1.0, 2, 2)
     mat = Material(lam=1.0, mu=1.0, rho=1.0)
     f = (ex.parse("t*x"), ex.parse("0"))
-    l1 = fem.assemble_load(mesh, mat, f=f, t=1.0)
-    l2 = fem.assemble_load(mesh, mat, f=f, t=2.0)
+    form = fem.LoadForm(mesh, mat, f=f)
+    l1 = fem.assemble_load(form, t=1.0)
+    l2 = fem.assemble_load(form, t=2.0)
     assert np.allclose(l2, 2.0 * l1)
 
 

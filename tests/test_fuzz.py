@@ -19,8 +19,11 @@ from crackdyn import cli
 
 N_CASES = 50
 MESSAGES = ("config error: ", "file error: ", "solver failure: ")
-# The case whose v0, near 1e300, makes the Newton residual overflow.
+# The case whose v0, near 1e300, gives an initial energy that is not
+# finite, and the case whose huge body force makes the Newton residual
+# overflow.
 NONFINITE_CASE = 28
+OVERFLOW_CASE = 39
 
 ATOMS = ["x", "y", "t", "0", "1", "0.5", "2", "1e-300", "1e300", "800"]
 FUNCTIONS = ["sin", "cos", "exp", "sqrt", "abs"]
@@ -146,8 +149,11 @@ def test_generated_configs_end_cleanly(tmp_path, monkeypatch, capfd):
             assert "residual inf" not in last, context
             assert "residual nan" not in last, context
         if k == NONFINITE_CASE:
+            assert last == ("config error: initial energy is not finite "
+                            "(kinetic inf, strain 0)"), context
+        if k == OVERFLOW_CASE:
             assert last == ("solver failure: Newton residual is not finite "
-                            "at t=0 with dt=3.125e-04 after 5 halvings "
+                            "at t=0.2 with dt=1.563e-03 after 5 halvings "
                             "(0 iterations)"), context
         csv_path = outdir / "diagnostics.csv"
         if not csv_path.exists():

@@ -25,3 +25,8 @@ def test_every_benchmark_probe_target_resolves(monkeypatch):
     missing = [(module, path) for _, module, path, _ in probes.LAYER_TARGETS
                if probes.resolve(module, path) is None]
     assert missing == []
+    # the end-to-end probes (set-up and solve timestamps) install too
+    notes = []
+    with probes.e2e_probes(probes.RunClock(), notes):
+        pass
+    assert notes == []

@@ -760,6 +760,63 @@ def test_newton_iteration_evaluates_the_crack_once(monkeypatch):
     assert counts["contact_tangent"] == info.iterations
 
 
+LOADED_TEXT = """\
+[mesh]
+kind = rect
+width = 2.0
+height = 1.0
+nx = 8
+ny = 4
+crack_lo = 0.25
+crack_hi = 0.75
+
+[material]
+lambda = 1.0
+mu = 1.0
+rho = 2.0
+
+[contact]
+gamma = 1.0
+g = 0.05*(1 + 0.5*sin(6*t))*(1 + 0.2*cos(3*x))
+
+[time]
+t_end = 0.05
+dt = 1e-2
+
+[data]
+f = (0.2*sin(9*t)*exp(-((x-0.7)^2 + (y-0.3)^2)/0.05), -0.5*sin(12*t))
+F = (0.05*cos(7*t)*x*(2-x), -0.3*(1 - cos(10*t))*sin(1.5707963*x))
+"""
+
+
+def test_loads_and_g_are_bound_once_per_problem(monkeypatch):
+    # set-up binds f, F and g to their quadrature points; a run then
+    # binds and samples nothing, recomputes no cell geometry, and
+    # evaluates each load component and g once per time it needs them
+    problem = config_mod.build_problem(
+        config_mod.parse_config_text(LOADED_TEXT))
+    ops, params = problem.ops, problem.params
+    counts = collections.Counter()
+    for module, name in ((fem, "_cell_geometry"), (ex, "evaluate"),
+                         (ex, "bind"), (ex, "sample"),
+                         (interface, "friction_bound_values")):
+        def spy(*args, _f=getattr(module, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(module, name, spy)
+
+    def load(t, _f=ops.load):
+        counts["load"] += 1
+        return _f(t)
+    monkeypatch.setattr(ops, "load", load)
+    _, infos = run(ops, params, problem.u0, problem.v0)
+    assert [info.substeps for info in infos] == [1] * 5
+    assert counts["_cell_geometry"] == counts["bind"] == counts["sample"] == 0
+    assert counts["load"] == counts["friction_bound_values"] == 1 + 5
+    assert counts["evaluate"] == 4 * counts["load"] + counts[
+        "friction_bound_values"]
+
+
 # Largest |r - force balance| over the largest |force balance| entry,
 # measured over the cases below: 4.4e-16.  The bound leaves a factor of
 # about 20 for other platforms' rounding.
