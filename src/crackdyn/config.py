@@ -8,6 +8,7 @@ Vector-valued data are parenthesized comma tuples of expressions, e.g.
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import io
 from dataclasses import dataclass
 
@@ -51,10 +52,10 @@ class Config:
     epsilon: float
     g: Expr | None
     time: timestepper.TimeParams
-    f: tuple[Expr, Expr] | None
-    trac: tuple[Expr, Expr] | None
-    u0: tuple[Expr, Expr] | None
-    v0: tuple[Expr, Expr] | None
+    f: tuple[Expr, Expr] | None = None
+    trac: tuple[Expr, Expr] | None = None
+    u0: tuple[Expr, Expr] | None = None
+    v0: tuple[Expr, Expr] | None = None
     output_dir: str = "out"
     cadence: int = 0
 
@@ -68,16 +69,6 @@ class Problem:
     params: timestepper.TimeParams
     u0: np.ndarray
     v0: np.ndarray
-
-
-_SCHEMA = {
-    "mesh": {"kind", "width", "height", "nx", "ny", "crack_lo", "crack_hi", "path"},
-    "material": {"lambda", "mu", "rho"},
-    "contact": {"gamma", "epsilon", "g"},
-    "time": {"t_end", "dt", "newmark_b", "newmark_g", "newton_tol", "newton_maxit"},
-    "data": {"f", "F", "u0", "v0"},
-    "output": {"directory", "cadence"},
-}
 
 
 def _split_vector(text: str, key: str) -> list[str]:
@@ -108,7 +99,7 @@ def _split_vector(text: str, key: str) -> list[str]:
 
 def _parse_expr(text: str, key: str) -> Expr:
     try:
-        return exprlang.parse(text)
+        return exprlang.parse(text.strip())
     except exprlang.ExprError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
 
@@ -117,29 +108,62 @@ def _parse_vector(text: str, key: str):
     parts = _split_vector(text, key)
     if len(parts) != 2:
         raise ConfigError(f"{key}: expected 2 components, got {len(parts)}")
-    return tuple(_parse_expr(p.strip(), key) for p in parts)
+    return tuple(_parse_expr(p, key) for p in parts)
 
 
-def _get_float(sec, key, default=None):
+# Each key of each section: the field it sets and its reader.
+_SCHEMA = {
+    "mesh": {"kind": ("kind", str), "width": ("width", float),
+             "height": ("height", float), "nx": ("nx", int),
+             "ny": ("ny", int), "crack_lo": ("crack", float),
+             "crack_hi": ("crack", float), "path": ("path", str)},
+    "material": {"lambda": ("lam", float), "mu": ("mu", float),
+                 "rho": ("rho", float)},
+    "contact": {"gamma": ("gamma", float), "epsilon": ("epsilon", float),
+                "g": ("g", _parse_expr)},
+    "time": {"t_end": ("t_end", float), "dt": ("dt", float),
+             "newmark_b": ("newmark_b", float),
+             "newmark_g": ("newmark_g", float),
+             "newton_tol": ("newton_tol", float),
+             "newton_maxit": ("newton_maxit", int)},
+    "data": {"f": ("f", _parse_vector), "F": ("trac", _parse_vector),
+             "u0": ("u0", _parse_vector), "v0": ("v0", _parse_vector)},
+    "output": {"directory": ("output_dir", str), "cadence": ("cadence", int)},
+}
+
+
+def _value(sec, section, key):
+    """The value of a required key, read by its _SCHEMA reader."""
     if key not in sec:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-    try:
-        return float(sec[key])
-    except ValueError:
-        raise ConfigError(f"{key}: not a number: {sec[key]!r}") from None
+        raise ConfigError(f"missing required key {key!r}")
+    text, read = sec[key], _SCHEMA[section][key][1]
+    if read in (float, int, str):
+        try:
+            return read(text)
+        except ValueError:
+            what = "a number" if read is float else "an integer"
+            raise ConfigError(f"{key}: not {what}: {text!r}") from None
+    return read(text, key)
 
 
-def _get_int(sec, key, default=None):
-    if key not in sec:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
+def _fields(cp, section, cls):
+    """Keyword arguments of cls from the keys present in [section]: an
+    absent key keeps its field's default, or is required if it has none."""
+    sec = cp[section] if section in cp else {}
+    required = {f.name for f in dataclasses.fields(cls)
+                if f.default is dataclasses.MISSING}
+    return {name: _value(sec, section, key)
+            for key, (name, _) in _SCHEMA[section].items()
+            if key in sec or name in required}
+
+
+def _build(cp, section, cls):
+    """cls from the keys of [section]; its ValueError names the section."""
+    fields = _fields(cp, section, cls)   # a reader's ConfigError is one too
     try:
-        return int(sec[key])
-    except ValueError:
-        raise ConfigError(f"{key}: not an integer: {sec[key]!r}") from None
+        return cls(**fields)
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
 def parse_config_text(text: str, origin: str = "<config>") -> Config:
@@ -164,88 +188,35 @@ def parse_config_text(text: str, origin: str = "<config>") -> Config:
     msec = cp["mesh"]
     kind = msec.get("kind", "rect").strip()
     if kind == "rect":
-        crack = None
         if ("crack_lo" in msec) != ("crack_hi" in msec):
             raise ConfigError("crack_lo and crack_hi must be given together")
-        if "crack_lo" in msec:
-            crack = (_get_float(msec, "crack_lo"), _get_float(msec, "crack_hi"))
-        mesh_spec = MeshSpec(
-            kind="rect",
-            width=_get_float(msec, "width"),
-            height=_get_float(msec, "height"),
-            nx=_get_int(msec, "nx"),
-            ny=_get_int(msec, "ny"),
-            crack=crack,
-        )
+        crack = tuple(_value(msec, "mesh", key) for key in
+                      ("crack_lo", "crack_hi") if key in msec) or None
+        mesh_spec = MeshSpec(kind="rect", crack=crack, **{
+            key: _value(msec, "mesh", key)
+            for key in ("width", "height", "nx", "ny")})
     elif kind == "file":
         if "path" not in msec:
             raise ConfigError("mesh kind 'file' needs a path")
-        mesh_spec = MeshSpec(kind="file", path=msec["path"].strip())
+        mesh_spec = MeshSpec(kind="file", path=_value(msec, "mesh", "path"))
     else:
         raise ConfigError(f"unknown mesh kind {kind!r}")
 
     if "material" not in cp:
         raise ConfigError("missing [material] section")
-    sec = cp["material"]
-    try:
-        material = fem.Material(
-            lam=_get_float(sec, "lambda"),
-            mu=_get_float(sec, "mu"),
-            rho=_get_float(sec, "rho"))
-    except ValueError as exc:
-        raise ConfigError(f"material: {exc}") from exc
-
-    gamma, epsilon, g = 0.0, 1e-2, None
-    if "contact" in cp:
-        sec = cp["contact"]
-        gamma = _get_float(sec, "gamma", 0.0)
-        epsilon = _get_float(sec, "epsilon", 1e-2)
-        if "g" in sec:
-            g = _parse_expr(sec["g"].strip(), "g")
-    try:
-        interface.ContactParams(gamma=gamma, epsilon=epsilon, g=g)
-    except ValueError as exc:
-        raise ConfigError(f"contact: {exc}") from exc
-
+    material = _build(cp, "material", fem.Material)
+    contact = _build(cp, "contact", interface.ContactParams)
     if "time" not in cp:
         raise ConfigError("missing [time] section")
-    sec = cp["time"]
-    try:
-        time_params = timestepper.TimeParams(
-            t_end=_get_float(sec, "t_end"),
-            dt=_get_float(sec, "dt"),
-            newmark_b=_get_float(sec, "newmark_b", 0.25),
-            newmark_g=_get_float(sec, "newmark_g", 0.5),
-            newton_tol=_get_float(sec, "newton_tol", 1e-10),
-            newton_maxit=_get_int(sec, "newton_maxit", 30))
-    except ValueError as exc:
-        raise ConfigError(f"time: {exc}") from exc
+    time_params = _build(cp, "time", timestepper.TimeParams)
 
-    f = trac = u0 = v0 = None
-    if "data" in cp:
-        sec = cp["data"]
-        if "f" in sec:
-            f = _parse_vector(sec["f"], "f")
-        if "F" in sec:
-            trac = _parse_vector(sec["F"], "F")
-        if "u0" in sec:
-            u0 = _parse_vector(sec["u0"], "u0")
-        if "v0" in sec:
-            v0 = _parse_vector(sec["v0"], "v0")
-
-    output_dir, cadence = "out", 0
-    if "output" in cp:
-        sec = cp["output"]
-        output_dir = sec.get("directory", "out").strip()
-        cadence = _get_int(sec, "cadence", 0)
-        if cadence < 0:
-            raise ConfigError("cadence must be nonnegative")
-
-    return Config(
-        mesh=mesh_spec, material=material,
-        gamma=gamma, epsilon=epsilon, g=g,
-        time=time_params, f=f, trac=trac, u0=u0, v0=v0,
-        output_dir=output_dir, cadence=cadence)
+    config = Config(
+        mesh=mesh_spec, material=material, gamma=contact.gamma,
+        epsilon=contact.epsilon, g=contact.g, time=time_params,
+        **_fields(cp, "data", Config), **_fields(cp, "output", Config))
+    if config.cadence < 0:
+        raise ConfigError("cadence must be nonnegative")
+    return config
 
 
 def parse_config(path) -> Config:
@@ -269,7 +240,7 @@ def build_mesh(spec: MeshSpec) -> meshing.CrackedMesh:
 
 def build_problem(config: Config) -> Problem:
     """Assemble everything a run needs; validates a finite g >= 0 on samples,
-    finite loads at t = 0 and finite initial data and energy."""
+    loads of finite norm at t = 0 and finite initial data and energy."""
     mesh = build_mesh(config.mesh)
     contact = interface.ContactParams(
         gamma=config.gamma, epsilon=config.epsilon, g=config.g)
@@ -283,9 +254,13 @@ def build_problem(config: Config) -> Problem:
                 raise ConfigError(str(exc)) from exc
     for name, part in (("f", ops.load_form.body),
                        ("F", ops.load_form.traction)):
-        if part is not None and not np.isfinite(part(0.0)[ops.free]).all():
-            raise ConfigError(
-                f"{name} gives a load that is not finite at t = 0")
+        load = np.zeros(0) if part is None else part(0.0)[ops.free]
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(load)     # not finite if an entry is not
+        if not np.isfinite(norm):
+            what = "whose norm" if np.isfinite(load).all() else "that"
+            raise ConfigError(f"{name} gives a load {what} is not finite at "
+                              f"t = 0")
     fields = {}
     for name in ("u0", "v0"):
         w = fem.interpolate(mesh, getattr(config, name))

@@ -8,10 +8,12 @@ positive semidefinite derivatives, which keeps Newton systems SPD.
 
 crack_state is the single evaluation of the crack at a state (its jumps
 and g at every quadrature point); the residuals, tangents and tractions
-below are functions of what it returns.  The crack layer reads and
-writes crack vectors only, the values on CrackQuadrature.crack_dofs:
-the jumps come from the quadrature's precomputed jump operators, and
-the residuals through their transposes.
+below are functions of what it returns; without friction g = 0.  The
+crack layer reads and writes crack vectors only, the values on
+CrackQuadrature.crack_dofs, through the quadrature's precomputed jump
+operators J, its one discretization of the crack: the jumps are J times
+a crack vector, the residuals J^T times the pointwise tractions, and the
+tangents J^T D J with D the pointwise derivatives.
 """
 
 from __future__ import annotations
@@ -108,8 +110,8 @@ class ContactParams:
     the crack coordinates, required nonnegative wherever evaluated.
     """
 
-    gamma: float
-    epsilon: float
+    gamma: float = 0.0
+    epsilon: float = 1e-2
     g: Expr | None = None
 
     def __post_init__(self):
@@ -162,28 +164,18 @@ class CrackQuadrature:
         constrained = dofmap.constrained[dofs]
         self.crack_dofs = np.unique(dofs[~constrained])
         self.crack_free = np.searchsorted(dofmap.free, self.crack_dofs)
-        k = self.crack_dofs.size
         slots = np.searchsorted(self.crack_dofs, dofs)
         live = ~constrained
         self.jump_slots = np.where(live, slots, 0).reshape(n, 4 * d)
         # the jump at point q is sum_i shp[q, i]*w_i over the four vertices
         shp = np.concatenate([self.shapes, -self.shapes], axis=1)     # (q, 4)
         nrm = self.normals
-        self._nn = nrm[:, :, None] * nrm[:, None, :]                   # (n, d, d)
-        self._proj = np.eye(d) - self._nn
+        proj = np.eye(d) - nrm[:, :, None] * nrm[:, None, :]           # (n, d, d)
         self.normal_jump = (shp[None, :, :, None] * nrm[:, None, None, :]
                             * live[:, None]).reshape(n, 2, 4 * d)
         self.tangent_jump = (shp[None, :, None, :, None]
-                             * self._proj[:, None, :, None, :]
+                             * proj[:, None, :, None, :]
                              * live[:, None, None]).reshape(n, 2, d, 4 * d)
-        # signed shape products (nq, 16) of the facet vertices, and the flat
-        # (k, k) index of every (pair, k, l, c, e) entry; an entry in a
-        # constrained row or column goes to k*k, past the block
-        self._shape_pairs = np.einsum("qk,ql->qkl", shp, shp).reshape(2, 16)
-        self._block_index = np.where(
-            live[:, :, None, :, None] & live[:, None, :, None, :],
-            slots[:, :, None, :, None] * k + slots[:, None, :, None, :],
-            k * k).ravel()
 
     def friction_bound(self, g: Expr):
         """exprlang.bind of g on the quadrature points, a function of t;
@@ -264,9 +256,7 @@ def contact_residual(crack, params: ContactParams, quad: CrackQuadrature):
 def friction_residual(crack, params: ContactParams, quad: CrackQuadrature):
     """Crack vector of the smoothed Tresca term's nodal forces at a
     crack_state: g * alpha_eps of the tangential velocity jump, tested
-    against tangential jumps."""
-    if params.g is None:
-        return np.zeros(quad.crack_dofs.size)
+    against tangential jumps; zero without friction (g = 0)."""
     _, jt, g = crack
     vals = (g * quad.weights)[..., None] * alpha_eps(jt, params.epsilon)
     return _scatter(quad, np.einsum("pqc,pqcm->pm", vals, quad.tangent_jump))
@@ -276,46 +266,45 @@ def friction_residual(crack, params: ContactParams, quad: CrackQuadrature):
 # tangents (derivatives with respect to the Newton unknown)
 # ---------------------------------------------------------------------------
 
-def _crack_block(quad, blocks):
-    """Dense (k, k) matrix on ``quad.crack_dofs`` from per-point blocks
-    (npairs, nq, d, d), each coupling the four facet vertices with signs
-    (+, +, -, -); rows and columns of constrained dofs are dropped."""
-    n, d, k = quad.n_pairs, quad.dim, quad.crack_dofs.size
-    coef = np.einsum("qm,pqf->pmf", quad._shape_pairs,
-                     blocks.reshape(n, 2, d * d))
+def _jump_block(quad, jump, coef_jump):
+    """Dense (k, k) block J^T D J on quad.crack_dofs from a jump operator
+    J and D J, both (npairs, rows, 8), scattered on the jump_slots (a
+    constrained dof's slot 0 has zero coefficients, so it adds zeros)."""
+    k, slots = quad.crack_dofs.size, quad.jump_slots
+    index = slots[:, :, None] * k + slots[:, None, :]
+    local = jump.swapaxes(1, 2) @ coef_jump                       # (n, 8, 8)
     # without pairs, bincount returns integers
-    return np.bincount(quad._block_index, weights=coef.ravel(),
-                       minlength=k * k + 1)[:k * k].reshape(k, k).astype(
-                           float, copy=False)
+    return np.bincount(index.ravel(), weights=local.ravel(), minlength=k * k
+                       ).reshape(k, k).astype(float, copy=False)
 
 
 def contact_tangent(crack, params: ContactParams, quad: CrackQuadrature,
                     coeff_u: float, coeff_v: float) -> np.ndarray:
     """Derivative of contact_residual at the crack_state of (u, v) along
     a direction z entering as u + coeff_u*z, v + coeff_v*z, as a dense
-    block on quad.crack_dofs.  Symmetric PSD."""
+    block on quad.crack_dofs: J^T D J with J the normal jump and D =
+    dbeta_eps*chain*weight at each point.  Symmetric PSD."""
     chain = params.gamma * coeff_u + coeff_v
-    dvals = dbeta_eps(crack[0], params.epsilon) * chain * quad.weights
-    return _crack_block(quad, dvals[:, :, None, None] * quad._nn[:, None])
+    coef = dbeta_eps(crack[0], params.epsilon) * chain * quad.weights
+    jump = quad.normal_jump
+    return _jump_block(quad, jump, coef[..., None] * jump)
 
 
 def friction_tangent(crack, params: ContactParams, quad: CrackQuadrature,
                      coeff_v: float) -> np.ndarray:
     """Derivative of friction_residual at a crack_state along v +
-    coeff_v*z, as a dense block on quad.crack_dofs.  Symmetric PSD; at
-    zero slip it is the tangential projector divided by eps.
-
-    Per point the block is P (I - a a^T)/phi P, the Jacobian of
-    alpha_eps between tangential projectors P, with a = alpha_eps(jt);
-    a is tangential, so the block is (P - a a^T)/phi."""
-    if params.g is None:
-        return np.zeros((quad.crack_dofs.size,) * 2)
+    coeff_v*z, as a dense block on quad.crack_dofs: J^T D J with J the
+    tangential jump and D = coeff_v*g*weight/phi * (I - a a^T) at each
+    point, a = alpha_eps(jt), phi = phi_eps(jt).  Symmetric PSD; at zero
+    slip it is coeff_v*g/eps times the tangential interface mass."""
     _, jt, g = crack
     phi = phi_eps(jt, params.epsilon)
     a = jt / phi[..., None]
-    blocks = quad._proj[:, None] - a[..., :, None] * a[..., None, :]
-    scale = coeff_v * g * quad.weights / phi
-    return _crack_block(quad, scale[:, :, None, None] * blocks)
+    jump = quad.tangent_jump
+    coef_jump = ((coeff_v * g * quad.weights / phi)[..., None, None]
+                 * (jump - a[..., :, None] * (a[..., None, :] @ jump)))
+    rows = (quad.n_pairs, 2 * quad.dim, jump.shape[-1])     # a row per (q, c)
+    return _jump_block(quad, jump.reshape(rows), coef_jump.reshape(rows))
 
 
 # ---------------------------------------------------------------------------

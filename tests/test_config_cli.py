@@ -161,6 +161,20 @@ def test_run_is_bitwise_deterministic(tmp_path, monkeypatch):
     assert a == b
 
 
+def test_run_without_g_is_the_run_with_g_zero(tmp_path, monkeypatch):
+    # a frictionless crack is the crack with friction bound g = 0
+    monkeypatch.chdir(tmp_path)
+    out = {}
+    for name, line in (("none", ""), ("zero", "g = 0\n")):
+        text = run_cfg_text(tmp_path / name)
+        assert "g = 0.05\n" in text
+        cfg = write_cfg(tmp_path, text.replace("g = 0.05\n", line),
+                        f"{name}.cfg")
+        assert cli.main(["run", cfg]) == 0
+        out[name] = (tmp_path / name / "diagnostics.csv").read_bytes()
+    assert out["none"] == out["zero"]
+
+
 def test_runs_share_no_solver_history(tmp_path, monkeypatch):
     # the inexact-Newton forcing history starts fresh in every run: A,
     # then B at another gamma, then A again in one process repeat A's bytes
@@ -524,6 +538,19 @@ def test_run_nonfinite_load_at_start_exits_2(tmp_path, monkeypatch, capsys,
     assert "Traceback" not in err
     assert solves == []
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["f", "F"])
+def test_build_problem_rejects_a_load_of_overflowing_norm(key):
+    # every entry is finite but the norm overflows: bad data, reported at
+    # set-up without a numpy warning, not a solver failure in the first solve
+    text = BASE.replace("[data]\n", f"[data]\n{key} = (0, 1e300)\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError) as err:
+            config_mod.build_problem(parse_config_text(text))
+    assert str(err.value) == (f"{key} gives a load whose norm is not "
+                              "finite at t = 0")
 
 
 @pytest.mark.parametrize("old,new,needle", [

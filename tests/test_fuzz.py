@@ -20,9 +20,11 @@ from crackdyn import cli
 N_CASES = 50
 MESSAGES = ("config error: ", "file error: ", "solver failure: ")
 # The case whose v0, near 1e300, gives an initial energy that is not
-# finite, and the case whose huge body force makes the Newton residual
-# overflow.
+# finite, and the cases whose huge but finite body force has a norm that
+# overflows: at t = 0, which is bad data, and first at a step's t_w,
+# which fails that step at once, without halving it.
 NONFINITE_CASE = 28
+NORM_CASE = 14
 OVERFLOW_CASE = 39
 
 ATOMS = ["x", "y", "t", "0", "1", "0.5", "2", "1e-300", "1e300", "800"]
@@ -151,10 +153,12 @@ def test_generated_configs_end_cleanly(tmp_path, monkeypatch, capfd):
         if k == NONFINITE_CASE:
             assert last == ("config error: initial energy is not finite "
                             "(kinetic inf, strain 0)"), context
+        if k == NORM_CASE:
+            assert last == ("config error: f gives a load whose norm is not "
+                            "finite at t = 0"), context
         if k == OVERFLOW_CASE:
-            assert last == ("solver failure: Newton residual is not finite "
-                            "at t=0.2 with dt=1.563e-03 after 5 halvings "
-                            "(0 iterations)"), context
+            assert last == ("solver failure: load norm is not finite at "
+                            "t=0.225"), context
         csv_path = outdir / "diagnostics.csv"
         if not csv_path.exists():
             assert code != 0, context

@@ -347,6 +347,22 @@ def test_friction_residual_zero_cases():
                                  no_bound, quad).any()
 
 
+def test_frictionless_terms_are_exact_zeros():
+    # without g the friction bound is 0, and the friction terms are exact
+    # zeros of the crack-vector and crack-block shapes
+    mesh = cracked_mesh()
+    quad = CrackQuadrature(mesh, DofMap(mesh))
+    params = ContactParams(gamma=0.5, epsilon=0.05)
+    u, v = penetrating_pair(mesh, quad)
+    crack = crack_state(u, v, 0.0, params, quad)
+    assert crack[1].any() and not crack[2].any()
+    k = quad.crack_dofs.size
+    r = friction_residual(crack, params, quad)
+    tan = friction_tangent(crack, params, quad, coeff_v=0.7)
+    assert r.shape == (k,) and tan.shape == (k, k)
+    assert not r.any() and not tan.any()
+
+
 def test_friction_residual_dissipative_and_bounded():
     mesh = cracked_mesh()
     quad = CrackQuadrature(mesh, DofMap(mesh))

@@ -688,6 +688,20 @@ def test_nonfinite_load_fails_at_once():
     assert err.value.dt == 0.1 and err.value.iterations == 0
 
 
+def test_load_of_overflowing_norm_fails_at_once():
+    # finite entries whose norm overflows: no halving of the step can help
+    ops = make_ops(nx=4, ny=2, f=(ex.parse("0"), ex.parse("1e300")))
+    assert np.isfinite(ops.load(0.05)).all()
+    n = ops.dofmap.ndof
+    state = State(0.0, np.zeros(n), np.zeros(n), np.zeros(n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StepFailure,
+                           match="load norm is not finite at t=0.05") as err:
+            step(state, 0.1, ops, TimeParams(t_end=1.0, dt=0.1))
+    assert err.value.dt == 0.1 and err.value.iterations == 0
+
+
 def test_gamma_zero_contact_ignores_displacement():
     ops = make_ops(gamma=0.0)
     rng = np.random.default_rng(21)
