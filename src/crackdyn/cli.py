@@ -38,7 +38,7 @@ def _error(msg: str) -> None:
 
 
 def _csv_row(rec: diagnostics.DiagnosticsRecord) -> str:
-    vals = rec.row()
+    vals = dataclasses.astuple(rec)
     return ",".join([_fmt(v) for v in vals[:-1]] + [str(int(vals[-1]))])
 
 

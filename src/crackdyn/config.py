@@ -48,9 +48,7 @@ class MeshSpec:
 class Config:
     mesh: MeshSpec
     material: fem.Material
-    gamma: float
-    epsilon: float
-    g: Expr | None
+    contact: interface.ContactParams
     time: timestepper.TimeParams
     f: tuple[Expr, Expr] | None = None
     trac: tuple[Expr, Expr] | None = None
@@ -66,7 +64,6 @@ class Problem:
 
     config: Config
     ops: timestepper.Operators
-    params: timestepper.TimeParams
     u0: np.ndarray
     v0: np.ndarray
 
@@ -211,8 +208,7 @@ def parse_config_text(text: str, origin: str = "<config>") -> Config:
     time_params = _build(cp, "time", timestepper.TimeParams)
 
     config = Config(
-        mesh=mesh_spec, material=material, gamma=contact.gamma,
-        epsilon=contact.epsilon, g=contact.g, time=time_params,
+        mesh=mesh_spec, material=material, contact=contact, time=time_params,
         **_fields(cp, "data", Config), **_fields(cp, "output", Config))
     if config.cadence < 0:
         raise ConfigError("cadence must be nonnegative")
@@ -242,14 +238,13 @@ def build_problem(config: Config) -> Problem:
     """Assemble everything a run needs; validates a finite g >= 0 on samples,
     loads of finite norm at t = 0 and finite initial data and energy."""
     mesh = build_mesh(config.mesh)
-    contact = interface.ContactParams(
-        gamma=config.gamma, epsilon=config.epsilon, g=config.g)
     ops = timestepper.build_operators(
-        mesh, config.material, contact, f=config.f, trac=config.trac)
-    if config.g is not None and ops.quad.n_pairs:
+        mesh, config.material, config.contact, f=config.f, trac=config.trac)
+    if ops.quad.n_pairs:
         for t in np.linspace(0.0, config.time.t_end, 11):
             try:
-                interface.friction_bound_values(contact, ops.quad, float(t))
+                interface.friction_bound_values(config.contact, ops.quad,
+                                                float(t))
             except interface.FrictionBoundError as exc:
                 raise ConfigError(str(exc)) from exc
     for name, part in (("f", ops.load_form.body),
@@ -269,9 +264,8 @@ def build_problem(config: Config) -> Problem:
             raise ConfigError(f"{name} is not finite at a free mesh vertex")
     u0, v0 = fields["u0"], fields["v0"]
     with np.errstate(over="ignore", invalid="ignore"):
-        kinetic = 0.5 * float(v0 @ (ops.mass @ v0))
-        strain = 0.5 * float(u0 @ (ops.stiffness @ u0))
+        kinetic, strain = ops.energy(u0, v0)
     if not np.isfinite(kinetic + strain):
         raise ConfigError(f"initial energy is not finite (kinetic "
                           f"{kinetic:.6g}, strain {strain:.6g})")
-    return Problem(config=config, ops=ops, params=config.time, **fields)
+    return Problem(config=config, ops=ops, **fields)

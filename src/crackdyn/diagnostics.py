@@ -14,7 +14,7 @@ the regularization scale goes to zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -45,13 +45,10 @@ __all__ = [
     "gamma_sweep",
 ]
 
-CSV_COLUMNS = ("t", "kinetic", "strain", "penetration_L3", "comp_residual",
-               "friction_gap", "stick_slip_residual", "newton_iters")
-
-
 @dataclass(frozen=True)
 class DiagnosticsRecord:
-    """Per-step monitor values (crack integrals use the step endpoint)."""
+    """Per-step monitor values (crack integrals use the step endpoint),
+    in the order of the diagnostics.csv columns."""
 
     t: float
     kinetic: float
@@ -62,16 +59,13 @@ class DiagnosticsRecord:
     stick_slip_residual: float
     newton_iters: int
 
-    def row(self):
-        return (self.t, self.kinetic, self.strain, self.penetration_L3,
-                self.comp_residual, self.friction_gap,
-                self.stick_slip_residual, self.newton_iters)
+
+CSV_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 
 def record(state: fem.State, ops: Operators, newton_iters: int = 0) -> DiagnosticsRecord:
     quad = ops.quad
-    kinetic = 0.5 * float(state.v @ (ops.mass @ state.v))
-    strain = 0.5 * float(state.u @ (ops.stiffness @ state.u))
+    kinetic, strain = ops.energy(state.u, state.v)
     cd = quad.crack_dofs
     crack = interface.crack_state(state.u[cd], state.v[cd], state.t,
                                   ops.contact, quad)
@@ -113,8 +107,8 @@ def run_with_records(problem: config_mod.Problem, on_record=None):
         else:
             on_record(state, rec, info)
 
-    last, infos = timestepper.run(
-        problem.ops, problem.params, problem.u0, problem.v0, on_step=hook)
+    last, infos = timestepper.run(problem.ops, problem.config.time,
+                                  problem.u0, problem.v0, on_step=hook)
     return (states if on_record is None else last), records, infos
 
 
@@ -263,7 +257,7 @@ def check_energy_decay(records) -> Check:
     """Worst per-step rise of kinetic + strain energy, allowed up to 1e-8
     of the initial energy: an unloaded run may only dissipate."""
     e = [r.kinetic + r.strain for r in records]
-    rise = max(b - a for a, b in zip(e, e[1:]))
+    rise = max((b - a for a, b in zip(e, e[1:])), default=0.0)
     tol = 1e-8 * e[0]
     return Check("energy-decay", rise <= tol,
                  f"worst per-step rise {rise:.3e} vs tol {tol:.3e}", rise)
@@ -277,9 +271,10 @@ def check_energy(config: config_mod.Config, records) -> Check:
     if config.f is not None or config.trac is not None:
         return Check("energy-finite", all(math.isfinite(x) for x in e),
                      f"final energy {e[-1]:.3e}", e[-1])
-    if config.gamma == 0.0:
+    gamma = config.contact.gamma
+    if gamma == 0.0:
         return check_energy_decay(records)
-    bound = 10.0 * (config.gamma + 1.0) ** 2 * e[0]
+    bound = 10.0 * (gamma + 1.0) ** 2 * e[0]
     return Check("energy-bounded", max(e) <= bound,
                  f"max energy {max(e):.3e} vs bound {bound:.3e}", max(e))
 
@@ -290,11 +285,13 @@ def check_vi(problem: config_mod.Problem, states, infos, n_points: int,
     z = gamma*u + v at up to n_points balance points spread evenly over
     the run.  Each point is held to -10 times the absolute Newton
     tolerance of its step; the detail names the point nearest its bound."""
-    pts = timestepper.weighted_points(states, infos, problem.params)
+    pts = timestepper.weighted_points(states, infos, problem.config.time)
+    if not pts:
+        return Check("vi-inequality", True, "no balance points", math.inf)
     idx = np.linspace(0, len(pts) - 1, n_points).round().astype(int)
     rng = np.random.default_rng(seed)
     worst, ok, nearest = math.inf, True, (math.inf, 0.0)
-    for i in np.unique(idx) if pts else ():
+    for i in np.unique(idx):
         t_w, u_w, v_w, a_w, tol_abs = pts[i]
         z = problem.ops.contact.gamma * u_w + v_w
         low = math.inf
@@ -335,9 +332,8 @@ class SweepResult:
 
 
 def _state_distance(ops: Operators, s1: fem.State, s2: fem.State) -> float:
-    du = s1.u - s2.u
-    dv = s1.v - s2.v
-    return math.sqrt(float(dv @ (ops.mass @ dv)) + float(du @ (ops.stiffness @ du)))
+    kinetic, strain = ops.energy(s1.u - s2.u, s1.v - s2.v)
+    return math.sqrt(2.0 * (kinetic + strain))
 
 
 def _run_metrics(problem: config_mod.Problem, run):
@@ -360,14 +356,26 @@ def _run_metrics(problem: config_mod.Problem, run):
     return final, int_pen3, max(pens), acc
 
 
-def _sweep(config: config_mod.Config, field: str, values, run):
-    """Run a configuration with ``field`` (epsilon or gamma: the mass and
-    stiffness matrices stay) set to each value in turn, keeping each
+def _configs(config: config_mod.Config, field: str, values):
+    """The configuration with its contact parameter ``field`` set to each
+    value in turn, every value checked by ContactParams."""
+    try:
+        return [replace(config, contact=replace(config.contact,
+                                                **{field: value}))
+                for value in values]
+    except ValueError as exc:
+        raise ConfigError(f"contact: {exc}") from exc
+
+
+def _sweep(configs, field: str, run):
+    """Run each configuration, which differ in the contact parameter
+    ``field`` alone (the mass and stiffness matrices stay), keeping each
     final state; distances are to the last run and to the previous one."""
     runs = []
-    for value in values:
-        problem = config_mod.build_problem(replace(config, **{field: value}))
-        runs.append((value, *_run_metrics(problem, run)))
+    for config in configs:
+        problem = config_mod.build_problem(config)
+        runs.append((getattr(config.contact, field),
+                     *_run_metrics(problem, run)))
     ops, last = problem.ops, runs[-1][1]
     rows = []
     for k, (value, final, int3, sup_pen, acc) in enumerate(runs):
@@ -387,13 +395,12 @@ def epsilon_sweep(config: config_mod.Config, eps_list,
     and the least-squares slope of log(integral) against log(epsilon).
     Every value is checked before the first run."""
     eps_list = [float(e) for e in eps_list]
+    configs = _configs(config, "epsilon", eps_list)
     if len(eps_list) < 3:
         raise ConfigError("need at least 3 epsilon values for a sweep")
-    if not all(0.0 < e < math.inf for e in eps_list):
-        raise ConfigError("epsilon values must be positive and finite")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ConfigError("epsilon values must be strictly decreasing")
-    rows = _sweep(config, "epsilon", eps_list, run)
+    rows = _sweep(configs, "epsilon", run)
     logs = [(math.log(e), math.log(r.int_pen3_dt))
             for e, r in zip(eps_list, rows) if r.int_pen3_dt > 0.0]
     order = (float(np.polyfit(*zip(*logs), 1)[0]) if len(logs) >= 2
@@ -405,9 +412,7 @@ def gamma_sweep(config: config_mod.Config, gamma_list,
                 run=run_with_records) -> tuple[SweepRow, ...]:
     """Re-run over a family of gamma values; no decay fit is implied.
     Every value is checked before the first run."""
-    gamma_list = [float(g) for g in gamma_list]
-    if not gamma_list:
+    configs = _configs(config, "gamma", [float(g) for g in gamma_list])
+    if not configs:
         raise ConfigError("need at least one gamma value")
-    if not all(0.0 <= g < math.inf for g in gamma_list):
-        raise ConfigError("gamma values must be nonnegative and finite")
-    return _sweep(config, "gamma", gamma_list, run)
+    return _sweep(configs, "gamma", run)

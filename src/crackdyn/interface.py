@@ -107,12 +107,13 @@ class ContactParams:
     gamma >= 0 blends normal displacement into the contact argument
     (gamma = 0: pure velocity condition); epsilon > 0 is the common
     regularization scale; g is the Tresca bound, an expression in t and
-    the crack coordinates, required nonnegative wherever evaluated.
+    the crack coordinates, required nonnegative wherever evaluated (0
+    without friction).
     """
 
     gamma: float = 0.0
     epsilon: float = 1e-2
-    g: Expr | None = None
+    g: Expr = exprlang.Num(0.0)
 
     def __post_init__(self):
         if not 0 <= self.gamma < np.inf:
@@ -194,8 +195,6 @@ def friction_bound_values(params: ContactParams, quad: CrackQuadrature,
                           t: float) -> np.ndarray:
     """g at every quadrature point; aborts if any sample is negative or
     not finite."""
-    if params.g is None:
-        return np.zeros((quad.n_pairs, 2))
     vals = quad.friction_bound(params.g)(t).copy()
     if not (np.isfinite(vals) & (vals >= 0.0)).all():
         finite = np.isfinite(vals)

@@ -47,15 +47,16 @@ last resort: newton_maxit ran out or a value was not finite.
 
 The stepper (step, run) holds only the Newmark kinematics, Newton, the
 line search and bisection.  The system it integrates has four members:
-``free``, the Newton unknowns; ``load(t)``; ``interval(u_w, v_w, a_w,
-ca, cu, cv, t_w, load_w)``; and ``initial_state(u0, v0)``, the State at
-t = 0 with the constraints imposed, incompatible data warned about and
-the consistent acceleration.  Once per Newmark interval the stepper
-hands ``interval`` the g-weighted state at a+ = 0, its derivatives ca,
-cu and cv in a+ (the stepper alone knows the Newmark scheme), t_w and
-load_w.  It returns (residual, newton_matrix) on free-dof vectors:
-residual(a) gives (r, point), the force balance on the free dofs at the
-weighted state of a+ = a and what the system evaluated there;
+``free``, the Newton unknowns; ``load(t)``, the load vector at t, zero
+on the constrained dofs; ``interval(u_w, v_w, a_w, ca, cu, cv, t_w,
+load_w)``; and ``initial_state(u0, v0)``, the State at t = 0 with the
+constraints imposed, incompatible data warned about and the consistent
+acceleration.  Once per Newmark interval the stepper hands ``interval``
+the g-weighted state at a+ = 0, its derivatives ca, cu and cv in a+
+(the stepper alone knows the Newmark scheme), t_w and load_w.  It
+returns (residual, newton_matrix) on free-dof vectors: residual(a)
+gives (r, point), the force balance on the free dofs at the weighted
+state of a+ = a and what the system evaluated there;
 newton_matrix(point) is the derivative of r in a at that point, as an
 operator with ``@`` and diagonal() for fem.solve_spd (and ``nonlinear``
 false if it may be solved as a linear system).  The end-of-step State
@@ -71,7 +72,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -179,12 +179,23 @@ class Operators:
     mass: sp.csr_matrix
     stiffness: sp.csr_matrix
     load_form: fem.LoadForm
-    load: Callable[[float], np.ndarray]
     _jac_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def free(self) -> np.ndarray:
         return self.dofmap.free
+
+    def load(self, t: float) -> np.ndarray:
+        """The load vector at t, zero on the constrained dofs."""
+        vec = fem.assemble_load(self.load_form, t)
+        vec[self.dofmap.constrained] = 0.0
+        return vec
+
+    def energy(self, u: np.ndarray, v: np.ndarray) -> tuple[float, float]:
+        """(kinetic, strain) energy of the nodal fields (u, v):
+        v.M.v/2 and u.K.u/2."""
+        return (0.5 * float(v @ (self.mass @ v)),
+                0.5 * float(u @ (self.stiffness @ u)))
 
     def pin(self, a: sp.csr_matrix) -> sp.csr_matrix:
         """Impose the Dirichlet constraints: keep the free rows and columns."""
@@ -295,34 +306,17 @@ class _NewtonMatrix:
 def build_operators(mesh, material: Material, contact: ContactParams,
                     f=None, trac=None) -> Operators:
     """Assemble mass and stiffness, and bind the loads to their quadrature
-    points, once (the crack quadrature binds g on first use); the load
-    callback evaluates what depends on t."""
+    points, once (the crack quadrature binds g on first use);
+    Operators.load evaluates what depends on t."""
     dofmap = DofMap(mesh)
-    mass = fem.assemble_mass(mesh, material)
-    stiffness = fem.assemble_stiffness(mesh, material)
-    quad = CrackQuadrature(mesh, dofmap)
-    load_form = fem.LoadForm(mesh, material, f, trac)
-
-    if load_form.body is None and load_form.traction is None:
-        zero = np.zeros(dofmap.ndof)
-
-        def load(t: float) -> np.ndarray:
-            return zero
-    else:
-        def load(t: float) -> np.ndarray:
-            vec = fem.assemble_load(load_form, t)
-            vec[dofmap.constrained] = 0.0
-            return vec
-
     return Operators(
         mesh=mesh,
         dofmap=dofmap,
         contact=contact,
-        quad=quad,
-        mass=mass,
-        stiffness=stiffness,
-        load_form=load_form,
-        load=load,
+        quad=CrackQuadrature(mesh, dofmap),
+        mass=fem.assemble_mass(mesh, material),
+        stiffness=fem.assemble_stiffness(mesh, material),
+        load_form=fem.LoadForm(mesh, material, f, trac),
     )
 
 

@@ -80,7 +80,8 @@ def small_config():
 
 def impact_config(gamma=0.0, epsilon=1e-2):
     cfg = config_mod.parse_config_text(IMPACT_TEXT)
-    return dataclasses.replace(cfg, epsilon=epsilon, gamma=gamma)
+    return dataclasses.replace(cfg, contact=dataclasses.replace(
+        cfg.contact, gamma=gamma, epsilon=epsilon))
 
 
 class RunCache:

@@ -15,7 +15,8 @@ a temporary directory, applies the mutant there, runs the tier-1 suite
 with -x (but for tests/test_mutants.py), and prints the test that
 killed the mutant, or SURVIVED.  A
 mutant that survives takes one full suite run, about 30 s.  The working
-tree is never modified.
+tree is never modified.  The exit status is 1 if any mutant survived,
+so the battery can serve as a gate.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ IGNORED = shutil.ignore_patterns("__pycache__", ".perfbench", ".pytest_cache")
 
 TS = "src/crackdyn/timestepper.py"
 IF = "src/crackdyn/interface.py"
+FEM = "src/crackdyn/fem.py"
 
 MUTANTS = [
     (TS, "load_w = ops.load(t_w)", "load_w = ops.load(state.t + dt)",
@@ -53,9 +55,22 @@ MUTANTS = [
      "the contact tangent drops the gamma*coeff_u of its chain rule"),
     (TS, "newmark_g: float = 0.5", "newmark_g: float = 0.6",
      "the TimeParams default of newmark_g is 0.6"),
-    (IF, "return np.zeros((quad.n_pairs, 2))",
-     "return np.full((quad.n_pairs, 2), 0.05)",
+    (IF, "g: Expr = exprlang.Num(0.0)", "g: Expr = exprlang.Num(0.05)",
      "a crack without g has friction bound 0.05, not 0"),
+    (TS, "cu, cv = g * du, g * dv", "cu, cv = g * du, dv",
+     "the weighted velocity's derivative in a+ drops the Newmark g"),
+    (TS, "done = slope <= bound if evals == 1",
+     "done = True if evals == 1",
+     "the line search always keeps the full Newton step"),
+    (TS, "new = end(a) if norm_r <= tol_abs < np.inf else None",
+     "new = end(a) if norm_r < np.inf else None",
+     "a step whose Newton iterations ran out is accepted, not bisected"),
+    (FEM, "weights = np.repeat(np.linalg.norm(half, axis=1)[:, None], 2,",
+     "weights = np.repeat(np.linalg.norm(b - a, axis=1)[:, None], 2,",
+     "each facet quadrature weight is the facet length, not half of it"),
+    (TS, "return (0.5 * float(v @ (self.mass @ v)),",
+     "return (float(v @ (self.mass @ v)),",
+     "the kinetic energy drops its 1/2"),
 ]
 
 
@@ -116,7 +131,7 @@ def main(argv) -> int:
         survivors += verdict == "SURVIVED"
         print(f"{name}: {verdict}  ({names[name][3]})", flush=True)
     print(f"{survivors} of {len(chosen)} mutants survived")
-    return 0
+    return 1 if survivors else 0
 
 
 if __name__ == "__main__":

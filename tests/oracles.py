@@ -67,8 +67,8 @@ def stability_probe(config: config_mod.Config, eta: float,
     def on_step(state, info):
         dists.append(_state_distance(problem.ops, base[len(dists)], state))
 
-    timestepper.run(problem.ops, problem.params, (1.0 + eta) * problem.u0,
-                    problem.v0, on_step=on_step)
+    timestepper.run(problem.ops, problem.config.time,
+                    (1.0 + eta) * problem.u0, problem.v0, on_step=on_step)
     ts = [s.t for s in base]
     floor = max(max(dists), 1.0) * 1e-300
     logs = np.log(np.maximum(dists, floor))

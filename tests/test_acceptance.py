@@ -119,7 +119,7 @@ def test_small_epsilon_vi_covers_every_step(impact_runs):
         problem, states, records, infos = impact_runs.get(gamma, 1e-4)
         assert [info.substeps for info in infos] == [1] * len(infos)
         assert sum(info.line_search for info in infos) > 0
-        pts = timestepper.weighted_points(states, infos, problem.params)
+        pts = timestepper.weighted_points(states, infos, problem.config.time)
         assert len(pts) == len(infos) == 200
         vi = diagnostics.check_vi(problem, states, infos, *VI_SAMPLE)
         assert vi.ok, (gamma, vi.detail)
@@ -191,7 +191,7 @@ def _smooth_case(n, lam=1.0, mu=1.0, rho=1.0, c=0.1, om=2.0, t_end=0.5):
     mesh = _all_dirichlet(generate_rect_crack(1.0, 1.0, n, n))
     ops = timestepper.build_operators(
         mesh, Material(lam=lam, mu=mu, rho=rho),
-        interface.ContactParams(gamma=0.0, epsilon=1e-2, g=None),
+        interface.ContactParams(gamma=0.0, epsilon=1e-2),
         f=(exprlang.parse(fx), exprlang.parse(fy)))
     pi = repr(math.pi)
     exact = exprlang.parse(f"{c!r}*sin({pi}*x)*sin({pi}*y)*cos({om!r}*t)")

@@ -12,8 +12,9 @@ import pytest
 import crackdyn
 from crackdyn import cli
 from crackdyn import config as config_mod
-from crackdyn import diagnostics, timestepper, vtkio
+from crackdyn import diagnostics, exprlang, timestepper, vtkio
 from crackdyn.config import ConfigError, parse_config_text
+from crackdyn.interface import ContactParams
 from crackdyn.meshing import generate_rect_crack, load_mesh, save_mesh
 
 from conftest import SMALL_TEXT as BASE
@@ -35,8 +36,7 @@ def test_parse_full_roundtrip():
     assert cfg.mesh.nx == 8 and cfg.mesh.ny == 4
     assert cfg.mesh.crack == (0.25, 0.75)
     assert cfg.material.lam == 1.0 and cfg.material.rho == 1.0
-    assert cfg.gamma == 0.0 and cfg.epsilon == 1e-2
-    assert cfg.g is not None
+    assert cfg.contact == ContactParams(0.0, 1e-2, exprlang.Num(0.05))
     assert cfg.time.t_end == 0.12 and cfg.time.dt == 5e-3
     assert cfg.u0 is not None and cfg.v0 is None
     assert cfg.output_dir == "results" and cfg.cadence == 4
@@ -48,9 +48,7 @@ def test_parse_defaults():
             "[time]\nt_end = 1\ndt = 0.5\n")
     cfg = parse_config_text(text)
     assert cfg.mesh.crack is None
-    assert cfg.gamma == 0.0
-    assert cfg.epsilon == 1e-2
-    assert cfg.g is None
+    assert cfg.contact == ContactParams(0.0, 1e-2, exprlang.Num(0.0))
     assert cfg.time.newmark_b == 0.25 and cfg.time.newmark_g == 0.5
     assert cfg.output_dir == "out" and cfg.cadence == 0
 
@@ -641,6 +639,8 @@ def test_sweep_eps_needs_three_values(tmp_path, monkeypatch, capsys):
     ["sweep-eps", "1e-1", "1e-2", "-1"],
     ["sweep-eps", "1e-1", "1e-2", "nan"],
     ["sweep-gamma", "0", "1", "inf"],
+    ["sweep-eps", "1e-1", "1e-2", "0"],
+    ["sweep-gamma", "0", "1", "-1"],
 ])
 def test_sweep_checks_every_value_before_running(tmp_path, monkeypatch,
                                                  capsys, argv):
@@ -676,6 +676,20 @@ def test_verify_passes_on_sound_config(tmp_path, monkeypatch, capsys):
         lines = capsys.readouterr().out.splitlines()
         assert [line.split()[:2] for line in lines] == [["PASS", n]
                                                          for n in names]
+
+
+def test_verify_on_a_zero_step_run(tmp_path, monkeypatch, capsys):
+    # t_end = 0 runs no step: the energy cannot have risen and there is
+    # no balance point to test, and the checks say so
+    monkeypatch.chdir(tmp_path)
+    text = BASE.replace("t_end = 0.12", "t_end = 0")
+    assert cli.main(["verify", write_cfg(tmp_path, text)]) == 0
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert [line.split()[0] for line in lines] == ["PASS"] * 7
+    assert "PASS energy-decay (worst per-step rise 0.000e+00" in out
+    assert lines[-1] == "PASS vi-inequality (no balance points)"
+    assert "Traceback" not in err
 
 
 def test_verify_gamma_positive_config(tmp_path, monkeypatch, capsys):

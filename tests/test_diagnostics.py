@@ -28,7 +28,7 @@ def make_ops(gamma=0.0, epsilon=0.05, g="0.3"):
     mesh = generate_rect_crack(2.0, 1.0, 16, 8, crack_span=(0.25, 0.75))
     return build_operators(mesh, Material(lam=1.0, mu=1.0, rho=1.0),
                            ContactParams(gamma=gamma, epsilon=epsilon,
-                                         g=ex.parse(g) if g else None))
+                                         g=ex.parse(g)))
 
 
 def plus_side_field(ops, value):
@@ -41,7 +41,7 @@ def test_record_of_rest_state_is_zero():
     ops = make_ops()
     zero = np.zeros(ops.dofmap.ndof)
     rec = record(State(0.0, zero, zero, zero), ops)
-    assert rec.row() == (0.0,) * 7 + (0,)
+    assert dataclasses.astuple(rec) == (0.0,) * 7 + (0,)
     assert CSV_COLUMNS == ("t", "kinetic", "strain", "penetration_L3",
                            "comp_residual", "friction_gap",
                            "stick_slip_residual", "newton_iters")
@@ -61,7 +61,7 @@ def test_record_ignores_opening():
 def test_record_uniform_penetration_values():
     # jump is -p inside the crack and ramps to zero on the two tip
     # facets; ell = facet length, m = interior facet count
-    ops = make_ops(epsilon=0.05, g=None)
+    ops = make_ops(epsilon=0.05, g="0")
     p = 0.2
     v = plus_side_field(ops, (0.0, -p))
     rec = record(State(0.0, np.zeros_like(v), v, np.zeros_like(v)), ops)
@@ -98,7 +98,7 @@ def test_record_stick_slip_oracle():
 def test_record_matches_recovered_tractions(g, monkeypatch):
     # reference: the friction columns formed from recover_tractions; record
     # evaluates the crack state (the jumps and g) once
-    ops = make_ops(gamma=1.0, epsilon=0.05, g=g)
+    ops = make_ops(gamma=1.0, epsilon=0.05, g=g or "0")
     rng = np.random.default_rng(12)
     u = ops.dofmap.zero_constrained(0.05 * rng.standard_normal(ops.dofmap.ndof))
     v = ops.dofmap.zero_constrained(0.05 * rng.standard_normal(ops.dofmap.ndof))
@@ -158,7 +158,7 @@ def test_streaming_run_keeps_no_old_state(entry):
     problem = config_mod.build_problem(small_config())
     refs = []
     if entry == "run":
-        kept = run(problem.ops, problem.params, problem.u0, problem.v0,
+        kept = run(problem.ops, problem.config.time, problem.u0, problem.v0,
                    on_step=lambda s, info: refs.append(weakref.ref(s)))
     else:
         kept = run_with_records(
@@ -227,8 +227,9 @@ def test_check_vi_holds_each_point_to_its_step_tolerance():
     # friction off and the crack held wide open: the VI residual is linear
     # in the trial, (M a_w).w, so a_w sets it.  A residual of -1e-10 lies
     # within the old -10*newton_tol = -1e-9 but not within -10*tol_abs
-    problem = config_mod.build_problem(
-        dataclasses.replace(small_config(), g=None))
+    cfg = small_config()
+    problem = config_mod.build_problem(dataclasses.replace(
+        cfg, contact=dataclasses.replace(cfg.contact, g=ex.Num(0.0))))
     ops = problem.ops
     zero = np.zeros(ops.dofmap.ndof)
     v = ops.dofmap.zero_constrained(plus_side_field(ops, (0.0, 10.0)))
@@ -238,7 +239,7 @@ def test_check_vi_holds_each_point_to_its_step_tolerance():
 
     def check(scale, tol_abs):
         states = [State(t, zero, v, scale * a)
-                  for t in (0.0, problem.params.dt)]
+                  for t in (0.0, problem.config.time.dt)]
         infos = [timestepper.StepInfo(iterations=1, residual=0.0,
                                       tol_abs=tol_abs)]
         return diagnostics.check_vi(problem, states, infos, 1, 20, 3)
@@ -255,12 +256,13 @@ def test_check_vi_holds_each_point_to_its_step_tolerance():
 def test_weighted_points_midpoint_and_skip():
     problem = config_mod.build_problem(small_config())
     states, records, infos = run_with_records(problem)
-    pts = weighted_points(states, infos, problem.params)
+    pts = weighted_points(states, infos, problem.config.time)
     assert len(pts) == len(infos)          # no halvings in this run
     t0, t1 = states[0].t, states[1].t
     assert pts[0][0] == pytest.approx(0.5 * (t0 + t1))
     infos[2].substeps = 2
-    assert len(weighted_points(states, infos, problem.params)) == len(infos) - 1
+    assert (len(weighted_points(states, infos, problem.config.time))
+            == len(infos) - 1)
 
 
 def test_epsilon_sweep_small_config():

@@ -341,7 +341,7 @@ def test_friction_residual_zero_cases():
     params = ContactParams(gamma=0.0, epsilon=0.05, g=ex.parse("0.3"))
     assert not friction_residual(crack_state(v, v, 0.0, params, quad),
                                  params, quad).any()
-    no_bound = ContactParams(gamma=0.0, epsilon=0.05, g=None)
+    no_bound = ContactParams(gamma=0.0, epsilon=0.05)
     slip = plus_side_field(mesh, quad, (0.5, 0.0))
     assert not friction_residual(crack_state(slip, slip, 0.0, no_bound, quad),
                                  no_bound, quad).any()

@@ -25,11 +25,10 @@ BUMP = "-0.1*exp(-((x-0.9)^2 + (y-0.75)^2)/0.02)"
 
 
 def make_ops(nx=8, ny=4, crack=(0.25, 0.75), gamma=0.0, epsilon=1e-2,
-             g=None, f=None, trac=None, rho=1.0):
+             g="0", f=None, trac=None, rho=1.0):
     mesh = generate_rect_crack(2.0, 1.0, nx, ny, crack_span=crack)
     material = Material(lam=1.0, mu=1.0, rho=rho)
-    contact = ContactParams(gamma=gamma, epsilon=epsilon,
-                            g=ex.parse(g) if isinstance(g, str) else g)
+    contact = ContactParams(gamma=gamma, epsilon=epsilon, g=ex.parse(g))
     return build_operators(mesh, material, contact, f=f, trac=trac)
 
 
@@ -221,7 +220,7 @@ def test_step_rejects_backward_target():
 def test_step_failure_carries_diagnostics():
     # nearly rigid contact plus a one-iteration Newton budget cannot
     # converge; the halving cascade must stop with a StepFailure
-    ops = make_ops(epsilon=1e-9, g=None)
+    ops = make_ops(epsilon=1e-9)
     u0 = np.zeros(ops.dofmap.ndof)
     v0 = crack_plus_velocity(ops, (0.0, -1.0))
     params = TimeParams(t_end=0.1, dt=0.05, newton_maxit=1)
@@ -336,8 +335,7 @@ def test_newton_operator_is_residual_derivative(tmp_path, gamma, g,
         mesh = _tip_on_dirichlet_mesh(tmp_path)
     else:
         mesh = generate_rect_crack(2.0, 1.0, 8, 4, crack_span=(0.25, 0.75))
-    contact = ContactParams(gamma=gamma, epsilon=1e-2,
-                            g=None if g is None else ex.parse(g))
+    contact = ContactParams(gamma=gamma, epsilon=1e-2, g=ex.parse(g or "0"))
     ops = build_operators(mesh, Material(lam=1.0, mu=1.0, rho=1.0), contact)
     quad = ops.quad
     face = np.unique(np.concatenate([quad.plus_vertices, quad.minus_vertices]))
@@ -400,10 +398,9 @@ def _step_potential(state, dt, ops, params, a):
     s = contact.gamma * un + jn
     pi += (quad.weights * interface.psi_eps(s, contact.epsilon)).sum() / (
         g * (contact.gamma * du + dv))
-    if contact.g is not None:
-        g_t = interface.friction_bound_values(contact, quad, t_w)
-        pi += (quad.weights * g_t * interface.phi_eps(jt, contact.epsilon)
-               ).sum() / (g * dv)
+    g_t = interface.friction_bound_values(contact, quad, t_w)
+    pi += (quad.weights * g_t * interface.phi_eps(jt, contact.epsilon)
+           ).sum() / (g * dv)
     return pi
 
 
@@ -413,7 +410,8 @@ def _step_potential(state, dt, ops, params, a):
 def test_step_residual_is_potential_gradient(gamma, g, newmark_b):
     # the line search relies on r . d being the slope of Pi along d: check
     # it on the Newton direction against a central difference of Pi
-    ops = make_ops(gamma=gamma, g=g, f=(ex.parse("0.3"), ex.parse("-0.5*t")))
+    ops = make_ops(gamma=gamma, g=g or "0",
+                   f=(ex.parse("0.3"), ex.parse("-0.5*t")))
     rng = np.random.default_rng(47)
     state = _penetrating_state(ops, rng, t=0.1)
     dt = 0.05
@@ -602,7 +600,7 @@ def test_small_epsilon_cg_work(monkeypatch):
 
     monkeypatch.setattr(fem, "solve_spd",
                         lambda a, *args, **kw: solve(Counting(a), *args, **kw))
-    _, infos = run(problem.ops, problem.params, problem.u0, problem.v0,
+    _, infos = run(problem.ops, problem.config.time, problem.u0, problem.v0,
                    on_step=lambda state, info: None)
     assert len(infos) == 100
     assert all(info.substeps == 1 for info in infos)
@@ -737,7 +735,7 @@ def test_newton_iteration_evaluates_the_crack_once(monkeypatch):
     # the step's one t_w, and each Newton iteration builds one contact
     # tangent from the crack state its residual formed
     problem = config_mod.build_problem(impact_config())
-    ops, params = problem.ops, problem.params
+    ops, params = problem.ops, problem.config.time
     state = ops.initial_state(problem.u0, problem.v0)
     counts = collections.Counter()
     key = _jac_key(params, params.dt)
@@ -809,7 +807,7 @@ def test_loads_and_g_are_bound_once_per_problem(monkeypatch):
     # evaluates each load component and g once per time it needs them
     problem = config_mod.build_problem(
         config_mod.parse_config_text(LOADED_TEXT))
-    ops, params = problem.ops, problem.params
+    ops, params = problem.ops, problem.config.time
     counts = collections.Counter()
     for module, name in ((fem, "_cell_geometry"), (ex, "evaluate"),
                          (ex, "bind"), (ex, "sample"),
@@ -845,7 +843,8 @@ def test_interval_residual_is_the_force_balance(gamma, g):
     # - load on the free dofs, with the weighted state formed in full
     # from the Newmark end state; a g that varies in t must be sampled
     # at t_w
-    ops = make_ops(gamma=gamma, g=g, f=(ex.parse("0.3"), ex.parse("-0.5*t")))
+    ops = make_ops(gamma=gamma, g=g or "0",
+                   f=(ex.parse("0.3"), ex.parse("-0.5*t")))
     rng = np.random.default_rng(59)
     state = _penetrating_state(ops, rng, t=0.1)
     free, cd = ops.dofmap.free, ops.quad.crack_dofs
@@ -879,7 +878,7 @@ def test_line_search_give_up_ends_in_step_failure(monkeypatch):
     # gives up at once, and after five halvings step raises instead of
     # returning a state
     problem = config_mod.build_problem(impact_config())
-    ops, params = problem.ops, problem.params
+    ops, params = problem.ops, problem.config.time
     state = ops.initial_state(problem.u0, problem.v0)
     a0 = state.a.copy()
     solves = []
