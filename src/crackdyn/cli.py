@@ -80,8 +80,9 @@ def cmd_run(args) -> int:
 # sweeps
 # ---------------------------------------------------------------------------
 
-_SWEEP_COLUMNS = ("int_pen3_dt", "sup_penetration", "max_acc_h",
-                  "dist_to_finest", "cauchy_dist")
+# SweepRow's columns after the swept value, whose header is a label
+_SWEEP_COLUMNS = tuple(
+    f.name for f in dataclasses.fields(diagnostics.SweepRow))[1:]
 
 
 def _write_sweep_csv(cfg, name, label, rows):

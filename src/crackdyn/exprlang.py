@@ -19,7 +19,9 @@ it gives inf silently, and the caller checks its values for finiteness.
 
 Data evaluated on the same points at many times are bound to them once:
 ``bind`` evaluates every t-free subtree on the points, with its domain
-checks, and returns a function of t that evaluates the rest.
+checks, and returns a function of t that evaluates the rest.  It is the
+one way onto a set of points: ``bind(expr, (x, y))(t)`` equals
+``evaluate(expr, t, (x, y))`` broadcast to the shape of x.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ __all__ = [
     "ExprDomainError",
     "parse",
     "evaluate",
-    "sample",
     "bind",
 ]
 
@@ -284,16 +285,11 @@ def evaluate(expr: Expr, t, point=()):
         return _eval(expr, env)
 
 
-def sample(expr: Expr, t, point):
-    """evaluate() as a read-only float array shaped like the x array of
-    ``point`` (a constant expression is broadcast)."""
-    return np.broadcast_to(np.asarray(evaluate(expr, t, point), dtype=float),
-                           np.shape(point[0]))
-
-
 def bind(expr: Expr, point):
     """``expr`` bound to the fixed points ``point`` (x and y arrays): a
-    function of t equal to ``sample(expr, t, point)`` bit for bit.
+    function of t whose value, a read-only float array shaped like x,
+    equals ``np.broadcast_to(evaluate(expr, t, point), x.shape)`` bit
+    for bit.
 
     Every t-free subtree is evaluated here, once, and its domain checks
     run here, so such an error is raised by bind itself; the first in
@@ -312,28 +308,25 @@ def bind(expr: Expr, point):
 
 
 def _bind(expr: Expr, env: dict) -> Expr:
-    """expr with each maximal t-free subtree replaced by its value."""
-    if not _uses_t(expr):
+    """expr with each maximal t-free subtree replaced by its value,
+    bottom up: a node whose children all became values is evaluated on
+    them, so the t-free parts are evaluated in evaluation order."""
+    if isinstance(expr, Neg):
+        expr = Neg(_bind(expr.operand, env))
+        children = (expr.operand,)
+    elif isinstance(expr, Bin):
+        expr = Bin(expr.op, _bind(expr.left, env), _bind(expr.right, env))
+        children = (expr.left, expr.right)
+    elif isinstance(expr, Call):
+        expr = Call(expr.func, tuple(_bind(a, env) for a in expr.args))
+        children = expr.args
+    elif expr == Var("t"):
+        return expr
+    else:
+        children = ()
+    if all(isinstance(c, _Value) for c in children):
         return _Value(_eval(expr, env))
-    if isinstance(expr, Neg):
-        return Neg(_bind(expr.operand, env))
-    if isinstance(expr, Bin):
-        return Bin(expr.op, _bind(expr.left, env), _bind(expr.right, env))
-    if isinstance(expr, Call):
-        return Call(expr.func, tuple(_bind(a, env) for a in expr.args))
-    return expr                                     # t itself
-
-
-def _uses_t(expr: Expr) -> bool:
-    if isinstance(expr, Var):
-        return expr.name == "t"
-    if isinstance(expr, Neg):
-        return _uses_t(expr.operand)
-    if isinstance(expr, Bin):
-        return _uses_t(expr.left) or _uses_t(expr.right)
-    if isinstance(expr, Call):
-        return any(_uses_t(a) for a in expr.args)
-    return False
+    return expr
 
 
 def _eval(expr: Expr, env: dict):

@@ -268,7 +268,7 @@ def interpolate(mesh, exprs, t=0.0) -> np.ndarray:
     out = np.zeros((mesh.n_vertices, d))
     for c in range(d):
         if exprs is not None and exprs[c] is not None:
-            out[:, c] = exprlang.sample(exprs[c], t, (xs, ys))
+            out[:, c] = exprlang.bind(exprs[c], (xs, ys))(t)
     return out.ravel()
 
 

@@ -126,11 +126,11 @@ class CrackQuadrature:
     """Two-point Gauss rule on every crack facet pair, and the jump
     operators on the crack dofs.
 
-    Attributes (npairs = number of pairs, nq = 2 points per facet):
-    plus_vertices, minus_vertices, normals : (npairs, 2) aligned vertex
-        indices and (npairs, dim) normals, the mesh's crack arrays
+    It is built from the mesh's crack arrays (``crack_plus``,
+    ``crack_minus``, ``crack_normals``) and fem.FACET_SHAPES, and keeps no
+    copy of them.  Attributes (npairs = number of pairs, nq = 2 points
+    per facet):
     points : (npairs, nq, dim), weights : (npairs, nq)
-    shapes : (nq, 2) P1 basis values at the quadrature points
     crack_dofs : sorted unconstrained dofs of the crack-face vertices.
         Crack vectors, the arguments of crack_state and the results of
         the residuals, hold one value per entry (a nodal vector w gives
@@ -140,6 +140,8 @@ class CrackQuadrature:
     jump_slots : (npairs, 8) crack-vector position of each pair's facet
         vertex dofs, plus vertices first, each vertex's components in
         turn; a constrained dof has slot 0 and zero coefficients below
+    block_slots : (npairs, 8, 8) flat position in a (k, k) block on
+        crack_dofs of each pair's jump_slots pairs, k = crack_dofs.size
     normal_jump : (npairs, nq, 8) the normal jump at each point, as
         coefficients of the pair's jump_slots entries
     tangent_jump : (npairs, nq, dim, 8) the tangential part of the jump
@@ -149,18 +151,12 @@ class CrackQuadrature:
     def __init__(self, mesh, dofmap: fem.DofMap):
         d = mesh.dim
         n = mesh.n_pairs
-        self.dim = d
         self.n_pairs = n
-        self.n_vertices = mesh.n_vertices
-        self.plus_vertices = mesh.crack_plus
-        self.minus_vertices = mesh.crack_minus
-        self.normals = mesh.crack_normals
         self.points, self.weights = fem.facet_quadrature(
-            mesh.vertices, self.plus_vertices)
-        self.shapes = fem.FACET_SHAPES
+            mesh.vertices, mesh.crack_plus)
         self._bound_g = (None, None)
 
-        verts = np.concatenate([self.plus_vertices, self.minus_vertices], axis=1)
+        verts = np.concatenate([mesh.crack_plus, mesh.crack_minus], axis=1)
         dofs = verts[:, :, None] * d + np.arange(d)                    # (n, 4, d)
         constrained = dofmap.constrained[dofs]
         self.crack_dofs = np.unique(dofs[~constrained])
@@ -168,9 +164,12 @@ class CrackQuadrature:
         slots = np.searchsorted(self.crack_dofs, dofs)
         live = ~constrained
         self.jump_slots = np.where(live, slots, 0).reshape(n, 4 * d)
+        k = self.crack_dofs.size
+        self.block_slots = (self.jump_slots[:, :, None] * k
+                            + self.jump_slots[:, None, :])
         # the jump at point q is sum_i shp[q, i]*w_i over the four vertices
-        shp = np.concatenate([self.shapes, -self.shapes], axis=1)     # (q, 4)
-        nrm = self.normals
+        shp = np.concatenate([fem.FACET_SHAPES, -fem.FACET_SHAPES], axis=1)
+        nrm = mesh.crack_normals
         proj = np.eye(d) - nrm[:, :, None] * nrm[:, None, :]           # (n, d, d)
         self.normal_jump = (shp[None, :, :, None] * nrm[:, None, None, :]
                             * live[:, None]).reshape(n, 2, 4 * d)
@@ -234,12 +233,12 @@ def crack_state(u, v, t, params: ContactParams, quad: CrackQuadrature,
 # residual contributions (crack vectors of nodal forces)
 # ---------------------------------------------------------------------------
 
-def _scatter(quad, local):
-    """Crack vector of per-pair values (npairs, 8) on the jump_slots."""
+def _scatter(slots, local, size):
+    """Sum of the per-pair values ``local`` at their ``slots`` (the same
+    shape) into a float vector of ``size`` entries."""
     # without pairs, bincount returns integers
-    return np.bincount(quad.jump_slots.ravel(), weights=local.ravel(),
-                       minlength=quad.crack_dofs.size).astype(float,
-                                                              copy=False)
+    return np.bincount(slots.ravel(), weights=local.ravel(),
+                       minlength=size).astype(float, copy=False)
 
 
 def contact_residual(crack, params: ContactParams, quad: CrackQuadrature):
@@ -249,7 +248,8 @@ def contact_residual(crack, params: ContactParams, quad: CrackQuadrature):
     beta_eps(jump(gamma*u_n + v_n)) * jump(w_n).
     """
     vals = beta_eps(crack[0], params.epsilon) * quad.weights   # (n, q)
-    return _scatter(quad, np.einsum("pq,pqm->pm", vals, quad.normal_jump))
+    local = np.einsum("pq,pqm->pm", vals, quad.normal_jump)
+    return _scatter(quad.jump_slots, local, quad.crack_dofs.size)
 
 
 def friction_residual(crack, params: ContactParams, quad: CrackQuadrature):
@@ -258,7 +258,8 @@ def friction_residual(crack, params: ContactParams, quad: CrackQuadrature):
     against tangential jumps; zero without friction (g = 0)."""
     _, jt, g = crack
     vals = (g * quad.weights)[..., None] * alpha_eps(jt, params.epsilon)
-    return _scatter(quad, np.einsum("pqc,pqcm->pm", vals, quad.tangent_jump))
+    local = np.einsum("pqc,pqcm->pm", vals, quad.tangent_jump)
+    return _scatter(quad.jump_slots, local, quad.crack_dofs.size)
 
 
 # ---------------------------------------------------------------------------
@@ -267,14 +268,11 @@ def friction_residual(crack, params: ContactParams, quad: CrackQuadrature):
 
 def _jump_block(quad, jump, coef_jump):
     """Dense (k, k) block J^T D J on quad.crack_dofs from a jump operator
-    J and D J, both (npairs, rows, 8), scattered on the jump_slots (a
+    J and D J, both (npairs, rows, 8), scattered on the block_slots (a
     constrained dof's slot 0 has zero coefficients, so it adds zeros)."""
-    k, slots = quad.crack_dofs.size, quad.jump_slots
-    index = slots[:, :, None] * k + slots[:, None, :]
+    k = quad.crack_dofs.size
     local = jump.swapaxes(1, 2) @ coef_jump                       # (n, 8, 8)
-    # without pairs, bincount returns integers
-    return np.bincount(index.ravel(), weights=local.ravel(), minlength=k * k
-                       ).reshape(k, k).astype(float, copy=False)
+    return _scatter(quad.block_slots, local, k * k).reshape(k, k)
 
 
 def contact_tangent(crack, params: ContactParams, quad: CrackQuadrature,
@@ -302,7 +300,8 @@ def friction_tangent(crack, params: ContactParams, quad: CrackQuadrature,
     jump = quad.tangent_jump
     coef_jump = ((coeff_v * g * quad.weights / phi)[..., None, None]
                  * (jump - a[..., :, None] * (a[..., None, :] @ jump)))
-    rows = (quad.n_pairs, 2 * quad.dim, jump.shape[-1])     # a row per (q, c)
+    n, q, d, m = jump.shape
+    rows = (n, q * d, m)                                    # a row per (q, c)
     return _jump_block(quad, jump.reshape(rows), coef_jump.reshape(rows))
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from crackdyn import config as config_mod
-from crackdyn import diagnostics, meshing
+from crackdyn import diagnostics, fem, meshing
 
 IMPACT_TEXT = """\
 [mesh]
@@ -131,12 +131,13 @@ def turned(mesh, theta, swap=False):
                                plus, minus, normals @ rot.T)
 
 
-def reference_jumps(w, quad):
+def reference_jumps(w, mesh):
     """(normal jump, tangential part) of a nodal vector w at the crack
-    quadrature points, formed point by point from the two face traces:
-    the reference for the crack quadrature's jump operators."""
-    wn = w.reshape(quad.n_vertices, quad.dim)
-    diff = wn[quad.plus_vertices] - wn[quad.minus_vertices]     # (n, 2, d)
-    jump = np.einsum("qi,pid->pqd", quad.shapes, diff)
-    jn = np.einsum("pqd,pd->pq", jump, quad.normals)
-    return jn, jump - jn[:, :, None] * quad.normals[:, None, :]
+    quadrature points, formed point by point from the two face traces of
+    the mesh's crack arrays: the reference for the crack quadrature's
+    jump operators."""
+    wn = w.reshape(mesh.n_vertices, mesh.dim)
+    diff = wn[mesh.crack_plus] - wn[mesh.crack_minus]           # (n, 2, d)
+    jump = np.einsum("qi,pid->pqd", fem.FACET_SHAPES, diff)
+    jn = np.einsum("pqd,pd->pq", jump, mesh.crack_normals)
+    return jn, jump - jn[:, :, None] * mesh.crack_normals[:, None, :]

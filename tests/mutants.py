@@ -36,6 +36,7 @@ IGNORED = shutil.ignore_patterns("__pycache__", ".perfbench", ".pytest_cache")
 TS = "src/crackdyn/timestepper.py"
 IF = "src/crackdyn/interface.py"
 FEM = "src/crackdyn/fem.py"
+DIAG = "src/crackdyn/diagnostics.py"
 
 MUTANTS = [
     (TS, "load_w = ops.load(t_w)", "load_w = ops.load(state.t + dt)",
@@ -71,6 +72,28 @@ MUTANTS = [
     (TS, "return (0.5 * float(v @ (self.mass @ v)),",
      "return (float(v @ (self.mass @ v)),",
      "the kinetic energy drops its 1/2"),
+    (TS, "cu, cv = g * du, g * dv", "cu, cv = du, g * dv",
+     "the weighted displacement's derivative in a+ drops the Newmark g"),
+    (FEM, "shapes = (area / 3.0)[:, None, None] * _MIDPOINT_SHAPES",
+     "shapes = (area / 2.0)[:, None, None] * _MIDPOINT_SHAPES",
+     "each cell midpoint load weight is area/2, not area/3"),
+    (FEM, "_MIDPOINT_SHAPES = 0.5 * np.array([[1.0, 0.0, 1.0],",
+     "_MIDPOINT_SHAPES = 0.5 * np.array([[1.0, 1.0, 0.0],",
+     "the body load of cell vertex 0 is read at vertex 1's edge midpoints"),
+    (DIAG, "pen = float(np.sum(quad.weights * m ** 3)) ** (1.0 / 3.0)",
+     "pen = float(np.sum(quad.weights * m ** 2)) ** (1.0 / 2.0)",
+     "the penetration_L3 column is the L2 norm of the penetration"),
+    (DIAG, "comp = float(np.sum(quad.weights * np.abs(sigma_n * s)))",
+     "comp = float(np.sum(np.abs(sigma_n * s)))",
+     "the comp_residual column drops the quadrature weights"),
+    (DIAG, "gap = float(np.maximum(st_norm - g, 0.0).max(initial=0.0))",
+     "gap = float(np.maximum(st_norm - 0.5 * g, 0.0).max(initial=0.0))",
+     "the friction_gap column holds |sigma_t| to g/2, not to g"),
+    (DIAG, "g * slip - np.einsum(\"pqd,pqd->pq\", sigma_t, jt))))",
+     "g * slip + np.einsum(\"pqd,pqd->pq\", sigma_t, jt))))",
+     "the stick_slip_residual column adds the traction's work"),
+    (IF, "+ self.jump_slots[:, None, :])", "+ self.jump_slots[:, :, None])",
+     "block_slots puts each row of a pair's tangent block on its diagonal"),
 ]
 
 

@@ -33,7 +33,7 @@ def make_ops(gamma=0.0, epsilon=0.05, g="0.3"):
 
 def plus_side_field(ops, value):
     w = np.zeros((ops.mesh.n_vertices, 2))
-    w[np.unique(ops.quad.plus_vertices)] = value
+    w[np.unique(ops.mesh.crack_plus)] = value
     return w.ravel()
 
 
@@ -233,7 +233,7 @@ def test_check_vi_holds_each_point_to_its_step_tolerance():
     ops = problem.ops
     zero = np.zeros(ops.dofmap.ndof)
     v = ops.dofmap.zero_constrained(plus_side_field(ops, (0.0, 10.0)))
-    jn, _ = reference_jumps(v, ops.quad)
+    jn, _ = reference_jumps(v, ops.mesh)
     assert jn.min() > 2.0
     a = ops.dofmap.zero_constrained(np.ones(ops.dofmap.ndof))
 

@@ -40,7 +40,7 @@ def bump_field(ops):
 def crack_plus_velocity(ops, value):
     """Velocity with a prescribed jump across the crack (plus side only)."""
     w = np.zeros((ops.mesh.n_vertices, 2))
-    w[np.unique(ops.quad.plus_vertices)] = value
+    w[np.unique(ops.mesh.crack_plus)] = value
     return ops.dofmap.zero_constrained(w.ravel())
 
 
@@ -305,7 +305,7 @@ def test_linear_jacobian_one_key_per_step_size():
 
 def _penetrating_state(ops, rng, t=0.0):
     """Random state whose crack faces interpenetrate and slip."""
-    plus = np.unique(ops.quad.plus_vertices)
+    plus = np.unique(ops.mesh.crack_plus)
     u = 0.03 * rng.standard_normal((ops.mesh.n_vertices, 2))
     v = 0.03 * rng.standard_normal(u.shape)
     u[plus] += (0.0, -0.3)
@@ -338,7 +338,7 @@ def test_newton_operator_is_residual_derivative(tmp_path, gamma, g,
     contact = ContactParams(gamma=gamma, epsilon=1e-2, g=ex.parse(g or "0"))
     ops = build_operators(mesh, Material(lam=1.0, mu=1.0, rho=1.0), contact)
     quad = ops.quad
-    face = np.unique(np.concatenate([quad.plus_vertices, quad.minus_vertices]))
+    face = np.unique(np.concatenate([mesh.crack_plus, mesh.crack_minus]))
     face_dofs = (face[:, None] * 2 + np.arange(2)).ravel()
     assert ops.dofmap.constrained[face_dofs].any() == tip_on_dirichlet
     assert not ops.dofmap.constrained[quad.crack_dofs].any()
@@ -393,8 +393,8 @@ def _step_potential(state, dt, ops, params, a):
     else:
         pi += (ops.stiffness @ u_w - load) @ a
     quad, contact = ops.quad, ops.contact
-    jn, jt = reference_jumps(v_w, quad)
-    un, _ = reference_jumps(u_w, quad)
+    jn, jt = reference_jumps(v_w, ops.mesh)
+    un, _ = reference_jumps(u_w, ops.mesh)
     s = contact.gamma * un + jn
     pi += (quad.weights * interface.psi_eps(s, contact.epsilon)).sum() / (
         g * (contact.gamma * du + dv))
@@ -803,15 +803,14 @@ F = (0.05*cos(7*t)*x*(2-x), -0.3*(1 - cos(10*t))*sin(1.5707963*x))
 
 def test_loads_and_g_are_bound_once_per_problem(monkeypatch):
     # set-up binds f, F and g to their quadrature points; a run then
-    # binds and samples nothing, recomputes no cell geometry, and
+    # binds nothing, recomputes no cell geometry, and
     # evaluates each load component and g once per time it needs them
     problem = config_mod.build_problem(
         config_mod.parse_config_text(LOADED_TEXT))
     ops, params = problem.ops, problem.config.time
     counts = collections.Counter()
     for module, name in ((fem, "_cell_geometry"), (ex, "evaluate"),
-                         (ex, "bind"), (ex, "sample"),
-                         (interface, "friction_bound_values")):
+                         (ex, "bind"), (interface, "friction_bound_values")):
         def spy(*args, _f=getattr(module, name), _name=name, **kwargs):
             counts[_name] += 1
             return _f(*args, **kwargs)
@@ -823,7 +822,7 @@ def test_loads_and_g_are_bound_once_per_problem(monkeypatch):
     monkeypatch.setattr(ops, "load", load)
     _, infos = run(ops, params, problem.u0, problem.v0)
     assert [info.substeps for info in infos] == [1] * 5
-    assert counts["_cell_geometry"] == counts["bind"] == counts["sample"] == 0
+    assert counts["_cell_geometry"] == counts["bind"] == 0
     assert counts["load"] == counts["friction_bound_values"] == 1 + 5
     assert counts["evaluate"] == 4 * counts["load"] + counts[
         "friction_bound_values"]
