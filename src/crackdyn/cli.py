@@ -9,7 +9,6 @@ configuration or file errors, 3 on solver or property failures.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import math
 import sys
@@ -56,20 +55,17 @@ def cmd_run(args) -> int:
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     index = 0
-    snapshots = (vtkio.SnapshotWriter(problem.ops.mesh) if cfg.cadence > 0
-                 else contextlib.nullcontext())
-
-    with snapshots as writer, \
-            (outdir / "diagnostics.csv").open("w", encoding="ascii") as fh:
+    with (outdir / "diagnostics.csv").open("w", encoding="ascii") as fh:
         fh.write(",".join(diagnostics.CSV_COLUMNS) + "\n")
 
         def on_record(state, rec, info):
             nonlocal index
             fh.write(_csv_row(rec) + "\n")
             fh.flush()
-            if writer and index % cfg.cadence == 0:
-                writer.write(outdir / f"fields_{index:06d}.vtk",
-                             state.u, state.v, title=f"t = {_fmt(state.t)}")
+            if cfg.cadence > 0 and index % cfg.cadence == 0:
+                vtkio.write_fields(outdir / f"fields_{index:06d}.vtk",
+                                   problem.ops.mesh, state.u, state.v,
+                                   title=f"t = {_fmt(state.t)}")
             index += 1
 
         diagnostics.run_with_records(problem, on_record=on_record)

@@ -141,3 +141,41 @@ def reference_jumps(w, mesh):
     jump = np.einsum("qi,pid->pqd", fem.FACET_SHAPES, diff)
     jn = np.einsum("pqd,pd->pq", jump, mesh.crack_normals)
     return jn, jump - jn[:, :, None] * mesh.crack_normals[:, None, :]
+
+
+def read_snapshot(path):
+    """A VTK snapshot read back with numpy: the four header lines and
+    {section name: (header words, data)}:
+    (n, 3) doubles for points and vectors, (n, 4) int32 rows for cells,
+    the int32 cell types, and None for POINT_DATA."""
+    data = path.read_bytes()
+    pos = 0
+
+    def line():
+        nonlocal pos
+        end = data.index(b"\n", pos)
+        text, pos = data[pos:end].decode("ascii"), end + 1
+        return text
+
+    head = [line() for _ in range(4)]
+    sections = {}
+    while pos < len(data):
+        words = line().split()
+        name = " ".join(words[:2]) if words[0] == "VECTORS" else words[0]
+        if name == "POINT_DATA":
+            sections[name] = (words, None)
+            continue
+        if name == "CELLS":
+            dtype, shape = ">i4", (int(words[1]), 4)
+        elif name == "CELL_TYPES":
+            dtype, shape = ">i4", (int(words[1]),)
+        else:               # POINTS, then each VECTORS on the points
+            n_points = int(words[1]) if name == "POINTS" else n_points
+            dtype, shape = ">f8", (n_points, 3)
+        block = np.frombuffer(data, dtype, count=int(np.prod(shape)),
+                              offset=pos).reshape(shape)
+        pos += block.nbytes
+        assert data[pos:pos + 1] == b"\n"
+        pos += 1
+        sections[name] = (words, block)
+    return head, sections

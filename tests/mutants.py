@@ -37,6 +37,7 @@ TS = "src/crackdyn/timestepper.py"
 IF = "src/crackdyn/interface.py"
 FEM = "src/crackdyn/fem.py"
 DIAG = "src/crackdyn/diagnostics.py"
+VTK = "src/crackdyn/vtkio.py"
 
 MUTANTS = [
     (TS, "load_w = ops.load(t_w)", "load_w = ops.load(state.t + dt)",
@@ -94,6 +95,14 @@ MUTANTS = [
      "the stick_slip_residual column adds the traction's work"),
     (IF, "+ self.jump_slots[:, None, :])", "+ self.jump_slots[:, :, None])",
      "block_slots puts each row of a pair's tangent block on its diagonal"),
+    (FEM, "lam, mu = material.lam, material.mu",
+     "mu, lam = material.lam, material.mu",
+     "the stiffness has lambda and mu swapped"),
+    (DIAG, "tol = 1e-8 * e[0]", "tol = 1e-2 * e[0]",
+     "check_energy_decay allows a rise of 1 % of E0 per step"),
+    (VTK, 'out = np.zeros((len(values), 3), ">f8")',
+     'out = np.zeros((len(values), 3), "<f8")',
+     "snapshot points and vectors are written little-endian"),
 ]
 
 

@@ -17,7 +17,7 @@ from crackdyn.config import ConfigError, parse_config_text
 from crackdyn.interface import ContactParams
 from crackdyn.meshing import generate_rect_crack, load_mesh, save_mesh
 
-from conftest import SMALL_TEXT as BASE
+from conftest import SMALL_TEXT as BASE, read_snapshot
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -195,18 +195,18 @@ def test_run_writes_vtk_snapshots(tmp_path, monkeypatch):
     files = sorted(p.name for p in (tmp_path / "out").glob("fields_*.vtk"))
     assert files == ["fields_000000.vtk", "fields_000010.vtk",
                      "fields_000020.vtk"]
-    head = (tmp_path / "out" / "fields_000000.vtk").read_text().splitlines()
+    head, sections = read_snapshot(tmp_path / "out" / "fields_000000.vtk")
     assert head[0] == "# vtk DataFile Version 3.0"
-    assert head[2] == "ASCII"
+    assert head[1] == "t = 0.0"
+    assert head[2] == "BINARY"
     assert head[3] == "DATASET UNSTRUCTURED_GRID"
-    assert any(line.startswith("POINTS ") and line.endswith(" double")
-               for line in head)
-    assert any(line.startswith("CELL_TYPES ") for line in head)
-    assert any(line == "VECTORS u double" for line in head)
-    assert any(line == "VECTORS v double" for line in head)
+    assert list(sections) == ["POINTS", "CELLS", "CELL_TYPES", "POINT_DATA",
+                              "VECTORS u", "VECTORS v"]
+    assert sections["POINTS"][0][2] == "double"
+    assert sections["VECTORS u"][0] == ["VECTORS", "u", "double"]
+    assert sections["VECTORS v"][0] == ["VECTORS", "v", "double"]
     # 2D points are zero-padded to three components
-    pk = head.index([l for l in head if l.startswith("POINTS")][0])
-    assert head[pk + 1].split()[2] == "0.0"
+    assert not sections["POINTS"][1][:, 2].any()
 
 
 def direct_snapshots(text, outdir):
@@ -238,12 +238,11 @@ def snapshots_in(outdir):
 def test_run_snapshots_match_direct_writes_in_order(tmp_path, monkeypatch,
                                                      capfd):
     monkeypatch.chdir(tmp_path)
-    log = tmp_path / "order.log"
+    written = []
     write_fields = vtkio.write_fields
 
-    def logged(path, *args, **kwargs):     # runs in the writer process
-        with open(log, "a") as fh:
-            fh.write(os.path.basename(path) + "\n")
+    def logged(path, *args, **kwargs):
+        written.append(path.name)
         write_fields(path, *args, **kwargs)
 
     monkeypatch.setattr(vtkio, "write_fields", logged)
@@ -256,16 +255,18 @@ def test_run_snapshots_match_direct_writes_in_order(tmp_path, monkeypatch,
             if int(name[7:13]) % 3 == 0}
     assert len(want) == 9                    # records 0, 3, ..., 24
     assert snapshots_in(tmp_path / "out") == want
-    assert log.read_text().split() == sorted(want)
+    assert written == sorted(want)
     assert capfd.readouterr().err == ""
 
 
 def test_run_without_cadence_starts_no_writer(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(vtkio, "SnapshotWriter",
-                        lambda mesh: pytest.fail("a writer was started"))
+    calls = []
+    monkeypatch.setattr(vtkio, "write_fields",
+                        lambda *args, **kwargs: calls.append(args))
     cfg = write_cfg(tmp_path, run_cfg_text(tmp_path / "out") + "cadence = 0\n")
     assert cli.main(["run", cfg]) == 0
+    assert calls == []
     assert snapshots_in(tmp_path / "out") == {}
 
 
@@ -279,10 +280,13 @@ def test_run_unwritable_snapshot_exits_2(tmp_path, monkeypatch, capfd):
     assert err.startswith("file error: ") and err.count("\n") == 1
     assert str(tmp_path / "out" / "fields_000010.vtk") in err
     assert "Traceback" not in err
-    # the snapshots before it are complete, and none after it is written
+    # the snapshots before it are complete, none after it is written, and
+    # the run stopped at the failed snapshot's record
     want = direct_snapshots(BASE, tmp_path / "direct")
     got = snapshots_in(tmp_path / "out")
     assert got == {name: want[name] for name in sorted(want)[:10]}
+    rows = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()
+    assert len(rows) == 1 + 11
 
 
 def test_run_solver_failure_leaves_every_snapshot(tmp_path, monkeypatch,

@@ -253,6 +253,18 @@ def test_check_vi_holds_each_point_to_its_step_tolerance():
     assert check(scale, 1e-10).ok
 
 
+@pytest.mark.parametrize("rise, ok", [(1e-6, False), (0.5e-8, True)])
+def test_check_energy_decay_allows_a_rise_of_1e_8_of_e0(rise, ok):
+    e0 = 3.0
+    energies = [e0, 0.9 * e0, (0.9 + rise) * e0, 0.8 * e0]
+    records = [diagnostics.DiagnosticsRecord(0.1 * k, e, 0.0, 0.0, 0.0, 0.0,
+                                             0.0, 0)
+               for k, e in enumerate(energies)]
+    check = diagnostics.check_energy_decay(records)
+    assert check.ok is ok
+    assert check.value == pytest.approx(rise * e0)
+
+
 def test_weighted_points_midpoint_and_skip():
     problem = config_mod.build_problem(small_config())
     states, records, infos = run_with_records(problem)

@@ -77,6 +77,22 @@ def test_uniaxial_patch_test():
     assert np.allclose(sig[:, 1, 0], sig[:, 0, 1])
 
 
+@pytest.mark.parametrize("field, modulus", [
+    ("x", lambda mat: mat.lam + 2 * mat.mu),    # uniaxial strain
+    ("y", lambda mat: mat.mu),                  # simple shear
+], ids=["uniaxial", "shear"])
+def test_stiffness_energy_of_linear_fields(field, modulus):
+    # u = (a*field, 0) has constant strain, so u.K.u/2 is the energy
+    # density times the area; lam and mu differ, so a swap shows
+    mesh = generate_rect_crack(2.0, 1.0, 6, 4, crack_span=(0.25, 0.75))
+    mat = Material(lam=1.3, mu=0.7, rho=1.0)
+    k = fem.assemble_stiffness(mesh, mat)
+    a = 0.3
+    u = fem.interpolate(mesh, (ex.parse(f"{a}*{field}"), ex.parse("0")))
+    assert 0.5 * u @ (k @ u) == pytest.approx(
+        modulus(mat) * a ** 2 * 2.0 / 2, rel=1e-13)
+
+
 def test_bilinear_form_symmetry():
     mesh = generate_rect_crack(2.0, 1.0, 6, 4, crack_span=(0.25, 0.75))
     k = fem.assemble_stiffness(mesh, Material(lam=2.0, mu=0.5, rho=1.0))
@@ -109,6 +125,18 @@ def test_load_constant_body_force():
     # for a constant integrand both quadratures are exact: load = M c
     assert np.allclose(load, mass @ const, rtol=1e-13, atol=1e-15)
     assert np.isclose(load.reshape(-1, 2)[:, 1].sum(), mat.rho * 2.0 * c[1])
+
+
+def test_load_linear_body_force():
+    # the edge midpoints are exact for the quadratic integrand, and the
+    # mass is consistent, so a linear f gives load = M f exactly
+    mesh = generate_rect_crack(2.0, 1.0, 4, 2, crack_span=(0.25, 0.75))
+    mat = Material(lam=1.0, mu=1.0, rho=2.5)
+    f = (ex.parse("1 + 2*x - y"), ex.parse("3*y"))
+    load = fem.assemble_load(fem.LoadForm(mesh, mat, f=f))
+    nodal = fem.interpolate(mesh, f)
+    mass = fem.assemble_mass(mesh, mat)
+    assert np.allclose(load, mass @ nodal, rtol=1e-13, atol=1e-15)
 
 
 def test_load_top_edge_traction():

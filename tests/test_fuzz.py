@@ -6,7 +6,7 @@ specs, edge-case numbers and snapshot cadences.  Whatever the input,
 ``crackdyn run`` must end with exit code 0, 2 or 3 and, unless it
 succeeds, a last line that says why; it must never raise past ``main``,
 print a traceback, succeed with a non-finite CSV row or a missing
-snapshot, or leave a snapshot writer behind.
+snapshot, or start a process.
 """
 
 import math

@@ -1,50 +1,37 @@
 import gc
-import multiprocessing
-import os
-import signal
-import subprocess
-import sys
-import textwrap
-import time
-from pathlib import Path
+import struct
 
 import numpy as np
 import pytest
 
-import crackdyn
 from crackdyn import vtkio
 from crackdyn.meshing import SIDE_PLUS, CrackedMesh, generate_rect_crack
 
-# Written by the per-vertex f-string writer that preceded the cached mesh
-# block; every byte of a snapshot is part of the output contract.
-GOLDEN = """\
-# vtk DataFile Version 3.0
-t = 0.1
-ASCII
-DATASET UNSTRUCTURED_GRID
-POINTS 4 double
-0.0 0.0 0.0
-2.0 0.0 0.0
-2.0 0.3333333333333333 0.0
-0.1 1.0 0.0
-CELLS 2 8
-3 0 1 2
-3 0 2 3
-CELL_TYPES 2
-5
-5
-POINT_DATA 4
-VECTORS u double
-0.0 -0.0 0.0
-0.1 1e+16 0.0
-1e-300 5e-324 0.0
--2.5 0.3333333333333333 0.0
-VECTORS v double
-5e-324 -1e-300 0.0
--1e+16 -0.1 0.0
-0.0 -0.0 0.0
-7.0 -0.6666666666666666 0.0
-"""
+from conftest import read_snapshot
+
+# The fields of the golden snapshot, as (x, y) rows: signed zeros, the
+# smallest subnormal and doubles that need all 17 digits
+U = [(0.0, -0.0), (0.1, 1e16), (1e-300, 5e-324), (-2.5, 1 / 3)]
+V = [(5e-324, -1e-300), (-1e16, -0.1), (0.0, -0.0), (7.0, -2 / 3)]
+
+
+def doubles(rows):
+    """Big-endian x y 0.0 triples and the newline that ends the block."""
+    return b"".join(struct.pack(">3d", x, y, 0.0) for x, y in rows) + b"\n"
+
+
+# Every byte of a snapshot is part of the output contract; the data are
+# packed by struct, independently of numpy's byte-order conversion.
+GOLDEN = b"".join((
+    b"# vtk DataFile Version 3.0\nt = 0.1\nBINARY\n"
+    b"DATASET UNSTRUCTURED_GRID\nPOINTS 4 double\n",
+    doubles([(0.0, 0.0), (2.0, 0.0), (2.0, 1 / 3), (0.1, 1.0)]),
+    b"CELLS 2 8\n", struct.pack(">8i", 3, 0, 1, 2, 3, 0, 2, 3), b"\n",
+    b"CELL_TYPES 2\n", struct.pack(">2i", 5, 5), b"\n",
+    b"POINT_DATA 4\n",
+    b"VECTORS u double\n", doubles(U),
+    b"VECTORS v double\n", doubles(V),
+))
 
 
 def two_triangles():
@@ -53,34 +40,13 @@ def two_triangles():
                        [(0, 3)], [(0, 1), (1, 2), (2, 3)], [], [], [])
 
 
-def read_snapshot(path):
-    """The four header lines and {section name: (header, data rows)}."""
-    lines = path.read_text(encoding="ascii").split("\n")
-    assert lines[-1] == ""
-    sections, k = {}, 4
-    while k < len(lines) - 1:
-        head = lines[k].split()
-        if head[0] == "VECTORS":
-            name, size = f"VECTORS {head[1]}", n_points
-        else:
-            name, size = head[0], int(head[1])
-        if name == "POINTS":
-            n_points = size
-        elif name == "POINT_DATA":
-            size = 0
-        sections[name] = (head, [r.split() for r in lines[k + 1:k + 1 + size]])
-        k += 1 + size
-    return lines[:4], sections
-
-
 def test_golden_text(tmp_path):
-    u = np.array([0.0, -0.0, 0.1, 1e16, 1e-300, 5e-324, -2.5, 1 / 3])
-    v = np.array([5e-324, -1e-300, -1e16, -0.1, 0.0, -0.0, 7.0, -2 / 3])
+    u, v = np.ravel(U), np.ravel(V)
     mesh = two_triangles()
     for k in range(2):      # the second write reuses the cached mesh block
         path = tmp_path / f"s{k}.vtk"
         vtkio.write_fields(path, mesh, u, v, title="t = 0.1")
-        assert path.read_bytes() == GOLDEN.encode("ascii")
+        assert path.read_bytes() == GOLDEN
 
 
 def test_title_is_truncated_or_defaulted(tmp_path):
@@ -88,8 +54,8 @@ def test_title_is_truncated_or_defaulted(tmp_path):
     zero = np.zeros(8)
     vtkio.write_fields(tmp_path / "a.vtk", mesh, zero, zero, title="x" * 300)
     vtkio.write_fields(tmp_path / "b.vtk", mesh, zero, zero, title="")
-    assert (tmp_path / "a.vtk").read_text().split("\n")[1] == "x" * 255
-    assert (tmp_path / "b.vtk").read_text().split("\n")[1] == "fields"
+    assert read_snapshot(tmp_path / "a.vtk")[0][1] == "x" * 255
+    assert read_snapshot(tmp_path / "b.vtk")[0][1] == "fields"
 
 
 def test_field_size_is_checked(tmp_path):
@@ -99,9 +65,7 @@ def test_field_size_is_checked(tmp_path):
 
 
 def points_of(path):
-    _, sections = read_snapshot(path)
-    return np.array([[float(x) for x in row[:2]]
-                     for row in sections["POINTS"][1]])
+    return read_snapshot(path)[1]["POINTS"][1][:, :2]
 
 
 def test_mesh_block_does_not_leak_between_meshes(tmp_path):
@@ -133,7 +97,7 @@ def test_round_trip_is_exact(tmp_path):
     path = tmp_path / "fields.vtk"
     vtkio.write_fields(path, mesh, u, v, title="t = 0.25")
     head, sections = read_snapshot(path)
-    assert head == ["# vtk DataFile Version 3.0", "t = 0.25", "ASCII",
+    assert head == ["# vtk DataFile Version 3.0", "t = 0.25", "BINARY",
                     "DATASET UNSTRUCTURED_GRID"]
     assert list(sections) == ["POINTS", "CELLS", "CELL_TYPES", "POINT_DATA",
                               "VECTORS u", "VECTORS v"]
@@ -141,85 +105,17 @@ def test_round_trip_is_exact(tmp_path):
     assert sections["CELLS"][0] == ["CELLS", str(nc), str(4 * nc)]
     assert sections["CELL_TYPES"][0] == ["CELL_TYPES", str(nc)]
     assert sections["POINT_DATA"][0] == ["POINT_DATA", str(n)]
-    cells = np.array(sections["CELLS"][1], dtype=np.int64)
+    assert sections["VECTORS u"][0] == ["VECTORS", "u", "double"]
+    cells = sections["CELLS"][1]
     assert np.array_equal(cells[:, 0], np.full(nc, 3))
     assert np.array_equal(cells[:, 1:], mesh.cells)
-    assert sections["CELL_TYPES"][1] == [["5"]] * nc
+    assert np.array_equal(sections["CELL_TYPES"][1], np.full(nc, 5))
     for key, want in (("POINTS", mesh.vertices.ravel()),
                       ("VECTORS u", u), ("VECTORS v", v)):
-        rows = sections[key][1]
-        assert len(rows) == n and all(len(r) == 3 and r[2] == "0.0"
-                                      for r in rows)
-        got = np.array([float(x) for r in rows for x in r[:2]])
-        assert np.array_equal(got, want)
+        rows = sections[key][1].astype(float)
+        assert rows.shape == (n, 3)
+        assert np.array_equal(rows[:, 2].view(np.int64), np.zeros(n, np.int64))
+        got = rows[:, :2].ravel()
+        # bit for bit: equal values, and the same signs of zero
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
         assert np.array_equal(np.signbit(got), np.signbit(want))
-
-
-def test_writer_writes_in_order_and_drops_what_follows_an_error(tmp_path):
-    mesh = two_triangles()
-    u = np.arange(8.0) / 3
-    v = -u
-    vtkio.write_fields(tmp_path / "direct.vtk", mesh, u, v, title="t = 1")
-    (tmp_path / "b.vtk").mkdir()
-    with pytest.raises(IsADirectoryError, match="b.vtk"):
-        with vtkio.SnapshotWriter(mesh) as writer:
-            for name in ("a", "b", "c"):
-                writer.write(tmp_path / f"{name}.vtk", u, v, "t = 1")
-    assert multiprocessing.active_children() == []
-    assert ((tmp_path / "a.vtk").read_bytes()
-            == (tmp_path / "direct.vtk").read_bytes())
-    assert not (tmp_path / "c.vtk").exists()
-
-
-def test_writer_death_is_a_file_error(tmp_path):
-    mesh = two_triangles()
-    zero = np.zeros(8)
-    with pytest.raises(OSError, match="snapshot writer exited with code -9"):
-        with vtkio.SnapshotWriter(mesh) as writer:
-            (child,) = multiprocessing.active_children()
-            os.kill(child.pid, signal.SIGKILL)
-            child.join(timeout=5.0)
-            writer.write(tmp_path / "a.vtk", zero, zero, "t = 0")
-    assert not (tmp_path / "a.vtk").exists()
-
-
-def running(pid):
-    """Whether process pid exists and is not a zombie."""
-    try:
-        stat = Path(f"/proc/{pid}/stat").read_text()
-    except FileNotFoundError:
-        return False
-    return stat.rsplit(")", 1)[1].split()[0] != "Z"
-
-
-@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
-                    reason="reads process states from /proc")
-def test_writer_exits_when_its_parent_is_killed():
-    # the writer holds no copy of the pipe's write end, so it reads EOF
-    # as soon as the killed parent's end is closed
-    script = textwrap.dedent("""\
-        import multiprocessing, time
-        from crackdyn import vtkio
-        from crackdyn.meshing import generate_rect_crack
-        mesh = generate_rect_crack(2.0, 1.0, 4, 2, crack_span=(0.25, 0.75))
-        with vtkio.SnapshotWriter(mesh):
-            print(multiprocessing.active_children()[0].pid, flush=True)
-            time.sleep(60)
-        """)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(crackdyn.__file__)))
-    proc = subprocess.Popen([sys.executable, "-c", script],
-                            stdout=subprocess.PIPE,
-                            env=dict(os.environ, PYTHONPATH=src))
-    try:
-        pid = int(proc.stdout.readline())
-    finally:
-        proc.kill()
-        proc.wait()
-        proc.stdout.close()
-    deadline = time.monotonic() + 5.0
-    while running(pid) and time.monotonic() < deadline:
-        time.sleep(0.02)
-    left = running(pid)
-    if left:
-        os.kill(pid, signal.SIGKILL)
-    assert not left
