@@ -116,16 +116,21 @@ def cmd_verify(args) -> int:
                diagnostics.check_gradients(100, rng),
                diagnostics.check_kernel(problem.ops.mesh,
                                         problem.ops.stiffness)]
+    rows = []
     try:
-        states, records, infos = diagnostics.run_with_records(problem)
+        diagnostics.run_with_records(
+            problem, on_record=lambda *row: rows.append(row))
     except (timestepper.StepFailure, fem.SolveError) as exc:
         results.append(diagnostics.Check(
             "trajectory", False, f"solver failure: {exc}", math.nan))
     else:
+        # check_vi takes infos[k] as the step into states[k + 1]: drop
+        # the initial state's None
+        states, records, infos = zip(*rows)
         results += [diagnostics.check_normal_traction(problem, states),
                     diagnostics.check_friction_bound(records),
                     diagnostics.check_energy(cfg, records),
-                    diagnostics.check_vi(problem, states, infos, 10, 20,
+                    diagnostics.check_vi(problem, states, infos[1:], 10, 20,
                                          _VERIFY_SEED + 1)]
     for check in results:
         detail = f" ({check.detail})" if check.detail else ""

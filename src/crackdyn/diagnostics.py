@@ -85,31 +85,18 @@ def record(state: fem.State, ops: Operators, newton_iters: int = 0) -> Diagnosti
         newton_iters=newton_iters)
 
 
-def run_with_records(problem: config_mod.Problem, on_record=None):
-    """Integrate a built problem, producing a DiagnosticsRecord per state.
-
-    Returns (states, records, infos).  Without ``on_record`` states holds
-    every state; with it, ``on_record(state, record, info)`` sees each
-    state as it is accepted and states holds the final state alone.
-    This is the sweeps' run function; any function of the same signature
-    that calls on_record for every state of the problem's run, such as
-    one that replays stored runs, may take its place.
+def run_with_records(problem: config_mod.Problem, on_record):
+    """Integrate a built problem, calling ``on_record(state, record,
+    info)`` for each state as it is accepted, the initial one (info
+    None) first.  This is the sweeps' run function; any function of the
+    same signature that calls on_record for every state of the problem's
+    run, such as one that replays stored runs, may take its place.
     """
-    records = []
-    states = []
-
-    def hook(state, info):
-        rec = record(state, problem.ops,
-                     newton_iters=0 if info is None else info.iterations)
-        records.append(rec)
-        if on_record is None:
-            states.append(state)
-        else:
-            on_record(state, rec, info)
-
-    last, infos = timestepper.run(problem.ops, problem.config.time,
-                                  problem.u0, problem.v0, on_step=hook)
-    return (states if on_record is None else last), records, infos
+    ops = problem.ops
+    for state, info in timestepper.run(ops, problem.config.time,
+                                       problem.u0, problem.v0):
+        iters = 0 if info is None else info.iterations
+        on_record(state, record(state, ops, newton_iters=iters), info)
 
 
 # ---------------------------------------------------------------------------

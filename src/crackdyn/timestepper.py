@@ -45,8 +45,10 @@ matrix its Hessian, so each Newton direction is followed by a line
 search on that potential (_line_search).  Bisecting the interval is the
 last resort: newton_maxit ran out or a value was not finite.
 
-The stepper (step, run) holds only the Newmark kinematics, Newton, the
-line search and bisection.  The system it integrates has four members:
+The stepper holds only the Newmark kinematics, Newton, the line search
+and bisection: step advances a state by one interval, and run is the
+one way through a run, a generator of each accepted state with its
+StepInfo.  The system it integrates has four members:
 ``free``, the Newton unknowns; ``load(t)``, the load vector at t, zero
 on the constrained dofs; ``interval(u_w, v_w, a_w, ca, cu, cv, t_w,
 load_w)``; and ``initial_state(u0, v0)``, the State at t = 0 with the
@@ -502,40 +504,27 @@ def step(state: State, t_next: float, ops, params: TimeParams,
     return new, info
 
 
-def run(ops, params: TimeParams, u0, v0, on_step=None):
-    """Integrate from 0 to t_end on the uniform grid.
-
-    Returns (states, infos), infos[k] belonging to step k + 1.  Without
-    ``on_step``, states holds every state, the initial one first, so
-    infos[k] belongs to the transition into states[k+1].  With it,
-    ``on_step(state, info)`` is invoked for every accepted state (info
-    is None at t = 0), which streaming consumers use to flush output
-    before a possible failure, and states holds the final state alone,
-    so memory does not grow with the number of steps.
+def run(ops, params: TimeParams, u0, v0):
+    """Integrate from 0 to t_end on the uniform grid, yielding (state,
+    info): the initial state with info None, then each accepted state
+    with its StepInfo.  Each pair is yielded before the next step is
+    solved, so a consumer can write it out before a possible failure,
+    and nothing is kept.  As a generator, run starts only when iterated.
     """
-    state = ops.initial_state(u0, v0)
-    states = [state]
-    infos = []
-    if on_step is not None:
-        on_step(state, None)
+    state, info = ops.initial_state(u0, v0), None
+    yield state, info
     n_steps = max(int(np.ceil(params.t_end / params.dt - 1e-12)), 0)
-    info = None
     for k in range(1, n_steps + 1):
         t_next = min(k * params.dt, params.t_end)
         state, info = step(state, t_next, ops, params, info)
-        infos.append(info)
-        if on_step is None:
-            states.append(state)
-        else:
-            states[0] = state
-            on_step(state, info)
-    return states, infos
+        yield state, info
 
 
 def weighted_points(states, infos, params: TimeParams):
     """(t, u, v, a, tol_abs) at each step's balance point, the g-weighted
-    state (1-g)*x + g*x+ at time t + g*dt, reconstructed from the states
-    and infos that run returns without on_step.
+    state (1-g)*x + g*x+ at time t + g*dt, reconstructed from a run's
+    states and the StepInfo of each step, infos[k] that of the step into
+    states[k + 1].
 
     Intervals that were internally bisected are skipped: their balance
     points do not lie on the stored grid.

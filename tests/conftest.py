@@ -84,6 +84,22 @@ def impact_config(gamma=0.0, epsilon=1e-2):
         cfg.contact, gamma=gamma, epsilon=epsilon))
 
 
+def unzip(pairs):
+    """(states, infos) of timestepper.run's (state, info) pairs, infos[k]
+    the StepInfo of the step into states[k + 1]."""
+    states, infos = zip(*pairs)
+    return list(states), list(infos[1:])
+
+
+def recorded(problem):
+    """(states, records, infos) of a problem's run, paired as by unzip."""
+    rows = []
+    diagnostics.run_with_records(problem,
+                                 on_record=lambda *row: rows.append(row))
+    states, records, infos = zip(*rows)
+    return list(states), list(records), list(infos[1:])
+
+
 class RunCache:
     """Memoized trajectories: Config -> (problem, states, records, infos)."""
 
@@ -96,8 +112,7 @@ class RunCache:
         if config not in self._runs:
             if problem is None:
                 problem = config_mod.build_problem(config)
-            self._runs[config] = (problem,
-                                  *diagnostics.run_with_records(problem))
+            self._runs[config] = (problem, *recorded(problem))
         return self._runs[config]
 
     def get(self, gamma=0.0, epsilon=1e-2):
@@ -108,7 +123,6 @@ class RunCache:
         _, states, records, infos = self.trajectory(problem.config, problem)
         for state, rec, info in zip(states, records, [None] + infos):
             on_record(state, rec, info)
-        return states[-1], records, infos
 
 
 @pytest.fixture(scope="session")

@@ -103,6 +103,12 @@ MUTANTS = [
     (VTK, 'out = np.zeros((len(values), 3), ">f8")',
      'out = np.zeros((len(values), 3), "<f8")',
      "snapshot points and vectors are written little-endian"),
+    (DIAG, "val -= float(ops.load(t) @ dz)",
+     "val -= float(ops.load(0.0) @ dz)",
+     "vi_residual takes the load at t = 0, not at its own t"),
+    (DIAG, "acc = max(acc, math.sqrt(",
+     "acc = max(0.0, math.sqrt(",
+     "max_acc_h is the last acceleration's H-norm, not the largest"),
 ]
 
 

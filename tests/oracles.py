@@ -1,10 +1,11 @@
 """Reference computations the tests hold the solver to.
 
 None of this is part of crackdyn: each oracle reaches into the package
-for the pieces it measures with (the energy-norm distance of the sweeps,
-the P1 basis gradients of assembly) instead of re-implementing them.
+for the pieces it measures with (the energy-norm distance of the sweeps)
+instead of re-implementing them.
 
-- cell_stresses: per-cell stress of a nodal field (the patch tests).
+- patch_forces: the boundary traction integrals that the assembled
+  stiffness must reproduce for a linear field (the patch tests).
 - stability_probe: distance between a run and one with its initial
   displacement scaled by 1 + eta (continuous dependence, criterion 7).
 - OneDofParams: a scalar analog of the model.  It is also a system for
@@ -23,19 +24,28 @@ import numpy as np
 from crackdyn import config as config_mod
 from crackdyn import fem, interface, timestepper
 from crackdyn.diagnostics import _state_distance, run_with_records
-from crackdyn.fem import Material, _cell_geometry
+from crackdyn.fem import Material
 
 
-def cell_stresses(mesh, material: Material, u: np.ndarray) -> np.ndarray:
-    """Per-cell constant stress tensors, shape (nc, dim, dim)."""
-    _, _, grads = _cell_geometry(mesh)
-    d = mesh.dim
-    un = u.reshape(mesh.n_vertices, d)[mesh.cells]       # (nc, 3, d)
-    h = np.einsum("nia,nib->nab", un, grads)             # grad u
-    eps = 0.5 * (h + h.transpose(0, 2, 1))
-    tr = np.trace(eps, axis1=1, axis2=2)
-    return (material.lam * tr[:, None, None] * np.eye(d)[None]
-            + 2.0 * material.mu * eps)
+def patch_forces(mesh, material: Material, a: float) -> np.ndarray:
+    """The nodal forces K @ u of u = (a*x, 0) on an uncracked rectangle.
+    Its stress is constant, sigma_xx = (lambda + 2 mu)*a, sigma_yy =
+    lambda*a, so the forces vanish at interior nodes and are the edge
+    integrals of the traction sigma.n on the boundary, each edge's shared
+    half and half between its end nodes."""
+    xy = mesh.vertices
+    lo, hi = xy.min(axis=0), xy.max(axis=0)
+    normal_stress = ((material.lam + 2.0 * material.mu) * a, material.lam * a)
+    force = np.zeros_like(xy)
+    for axis in (0, 1):
+        for at, sign in ((lo[axis], -1.0), (hi[axis], 1.0)):
+            side = np.flatnonzero(xy[:, axis] == at)
+            side = side[np.argsort(xy[side, 1 - axis])]
+            half = 0.5 * sign * normal_stress[axis] * np.diff(
+                xy[side, 1 - axis])
+            force[side[:-1], axis] += half
+            force[side[1:], axis] += half
+    return force.ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -62,13 +72,10 @@ def stability_probe(config: config_mod.Config, eta: float,
     base = []
     problem = config_mod.build_problem(config)
     run(problem, lambda state, rec, info: base.append(state))
-    dists = []
-
-    def on_step(state, info):
-        dists.append(_state_distance(problem.ops, base[len(dists)], state))
-
-    timestepper.run(problem.ops, problem.config.time,
-                    (1.0 + eta) * problem.u0, problem.v0, on_step=on_step)
+    dists = [_state_distance(problem.ops, b, state)
+             for b, (state, _) in zip(base, timestepper.run(
+                 problem.ops, problem.config.time, (1.0 + eta) * problem.u0,
+                 problem.v0), strict=True)]
     ts = [s.t for s in base]
     floor = max(max(dists), 1.0) * 1e-300
     logs = np.log(np.maximum(dists, floor))
@@ -90,7 +97,8 @@ class OneDofParams:
     It is also a system for timestepper.run (a length-1 residual, whose
     point is the weighted (u, v), and a 1x1 Newton matrix), so the production
     stepper integrates it:
-    ``timestepper.run(p, TimeParams(t_end, dt), p.u0, p.v0)``.
+    ``for state, info in timestepper.run(p, TimeParams(t_end, dt), p.u0,
+    p.v0)``.
     """
 
     rho: float = 1.0

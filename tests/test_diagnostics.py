@@ -3,6 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from crackdyn import config as config_mod
 from crackdyn import (diagnostics, exprlang as ex, fem, interface, meshing,
@@ -21,7 +22,8 @@ from crackdyn.meshing import generate_rect_crack
 from crackdyn.timestepper import (TimeParams, build_operators, run,
                                   weighted_points)
 
-from conftest import SMALL_TEXT, RunCache, reference_jumps, small_config
+from conftest import (SMALL_TEXT, RunCache, recorded, reference_jumps,
+                      small_config, unzip)
 from oracles import OneDofParams, one_dof_oracle, stability_probe
 
 def make_ops(gamma=0.0, epsilon=0.05, g="0.3"):
@@ -138,14 +140,17 @@ def test_record_energies():
 def test_run_with_records_hook():
     problem = config_mod.build_problem(small_config())
     seen = []
-    states, records, infos = run_with_records(
-        problem, on_record=lambda s, r, i: seen.append((s.t, r.t, i)))
-    assert len(seen) == len(records) == len(infos) + 1
-    assert [r.t for r in records] == [t for t, _, _ in seen]
-    assert all(st == rt for st, rt, _ in seen)
-    assert [s.t for s in states] == [records[-1].t]
+    assert run_with_records(
+        problem, on_record=lambda s, r, i: seen.append((s, r, i))) is None
+    records = [r for _, r, _ in seen]
+    assert [s.t for s, _, _ in seen] == [r.t for r in records]
+    assert [s.t for s, _, _ in seen] == [
+        s.t for s, _ in run(problem.ops, problem.config.time, problem.u0,
+                            problem.v0)]
     assert seen[0][2] is None
     assert records[0].newton_iters == 0
+    assert [r.newton_iters for r in records[1:]] == [
+        i.iterations for _, _, i in seen[1:]]
     # the pulse closes the crack during this run
     assert max(r.penetration_L3 for r in records) > 0.0
     assert all(r.friction_gap == 0.0 for r in records)
@@ -153,20 +158,23 @@ def test_run_with_records_hook():
 
 @pytest.mark.parametrize("entry", ["run", "run_with_records"])
 def test_streaming_run_keeps_no_old_state(entry):
-    # with a callback, every state but the last is freed once the run
-    # returns, even while its return value is held
+    # when a state is handed out, every earlier one is already freed
     problem = config_mod.build_problem(small_config())
     refs = []
+
+    def see(state):
+        assert [r() is None for r in refs] == [True] * len(refs)
+        refs.append(weakref.ref(state))
+
     if entry == "run":
-        kept = run(problem.ops, problem.config.time, problem.u0, problem.v0,
-                   on_step=lambda s, info: refs.append(weakref.ref(s)))
+        for state, _ in run(problem.ops, problem.config.time, problem.u0,
+                            problem.v0):
+            see(state)
+        del state
     else:
-        kept = run_with_records(
-            problem, on_record=lambda s, r, i: refs.append(weakref.ref(s)))
+        run_with_records(problem, on_record=lambda s, r, i: see(s))
     assert len(refs) > 3
-    assert [r() is None for r in refs] == [True] * (len(refs) - 1) + [False]
-    states = kept[0]
-    assert len(states) == 1 and states[0] is refs[-1]()
+    assert [r() is None for r in refs] == [True] * len(refs)
 
 
 def test_vi_residual_zero_at_argument():
@@ -217,7 +225,7 @@ def test_vi_residual_rejects_constrained_trials():
 
 def test_vi_residual_nonnegative_on_solution():
     problem = config_mod.build_problem(small_config())
-    states, records, infos = run_with_records(problem)
+    states, _, infos = recorded(problem)
     vi = diagnostics.check_vi(problem, states, infos, 6, 20, 6)
     # held to the smallest step tolerance, not the check's -10*newton_tol
     assert -10.0 * min(info.tol_abs for info in infos) <= vi.value < np.inf
@@ -253,6 +261,148 @@ def test_check_vi_holds_each_point_to_its_step_tolerance():
     assert check(scale, 1e-10).ok
 
 
+# perfbench's driven workload with zero phases on the impact mesh, 40 steps
+DRIVEN_TEXT = """\
+[mesh]
+kind = rect
+width = 2.0
+height = 1.0
+nx = 16
+ny = 8
+crack_lo = 0.25
+crack_hi = 0.75
+
+[material]
+lambda = 1.0
+mu = 1.0
+rho = 1.0
+
+[contact]
+gamma = 1.0
+epsilon = 1e-2
+g = 0.05*(1 + 0.5*sin(6*t))*(1 + 0.2*cos(3*x))
+
+[time]
+t_end = 0.1
+dt = 2.5e-3
+
+[data]
+f = (0.2*sin(9*t)*exp(-((x-0.7)^2 + (y-0.3)^2)/0.05), \
+-0.5*sin(12*t)*exp(-((x-1.2)^2 + (y-0.7)^2)/0.05))
+F = (0.05*cos(7*t)*x*(2-x), -0.3*(1 - cos(10*t))*sin(1.5707963*x))
+"""
+
+
+def test_check_vi_on_a_run_under_moving_loads():
+    # f, F and g vary in t and x: each balance point's VI residual must
+    # take the load at its own time.  Measured: min residual 9.9e-4; with
+    # the load taken at t = 0 it is -1.3e-3 against a bound of -3.5e-11
+    problem = config_mod.build_problem(
+        config_mod.parse_config_text(DRIVEN_TEXT))
+    states, infos = unzip(run(problem.ops, problem.config.time, problem.u0,
+                              problem.v0))
+    assert len(infos) == 40
+    vi = diagnostics.check_vi(problem, states, infos, 10, 20, 5)
+    assert vi.ok and vi.value > 0.0, vi.detail
+
+
+def test_check_kernel_fails_off_the_rigid_modes():
+    mesh = generate_rect_crack(2.0, 1.0, 4, 2, crack_span=(0.25, 0.75))
+    k = fem.assemble_stiffness(mesh, Material(lam=1.3, mu=0.9, rho=1.0))
+    assert diagnostics.check_kernel(mesh, k).ok
+    shifted = k + 1e-6 * sp.identity(k.shape[0], format="csr")
+    assert not diagnostics.check_kernel(mesh, shifted).ok
+
+
+def _energy_records(energies, friction_gap=0.0):
+    return [diagnostics.DiagnosticsRecord(0.1 * k, e, 0.0, 0.0, 0.0,
+                                          friction_gap, 0.0, 0)
+            for k, e in enumerate(energies)]
+
+
+def test_check_friction_bound_fails_on_any_excess():
+    assert diagnostics.check_friction_bound(_energy_records([1.0, 1.0])).ok
+    records = _energy_records([1.0]) + _energy_records([1.0], 1e-300)
+    assert not diagnostics.check_friction_bound(records).ok
+
+
+def test_check_energy_bounded_and_finite_fail_past_their_limits():
+    cfg = small_config()
+    bounded = dataclasses.replace(
+        cfg, contact=dataclasses.replace(cfg.contact, gamma=1.0))
+    bound = 10.0 * 2.0 ** 2 * 0.5
+    at, above = ([0.5, 1.0, x, 2.0] for x in (bound, np.nextafter(bound, 3e1)))
+    check = diagnostics.check_energy(bounded, _energy_records(at))
+    assert check.name == "energy-bounded" and check.ok
+    assert not diagnostics.check_energy(bounded, _energy_records(above)).ok
+    loaded = dataclasses.replace(cfg, f=(ex.Num(0.0), ex.Num(-1.0)))
+    check = diagnostics.check_energy(loaded, _energy_records([0.5, 1e300]))
+    assert check.name == "energy-finite" and check.ok
+    assert not diagnostics.check_energy(
+        loaded, _energy_records([0.5, np.nan, 1.0])).ok
+
+
+def test_check_normal_traction_fails_on_a_positive_traction(monkeypatch):
+    problem = config_mod.build_problem(small_config())
+    states = [problem.ops.initial_state(problem.u0, problem.v0)]
+    assert diagnostics.check_normal_traction(problem, states).ok
+    recover = interface.recover_tractions
+
+    def pulling(*args):
+        sigma_n, sigma_t = recover(*args)
+        return np.full_like(sigma_n, 1e-300), sigma_t
+
+    monkeypatch.setattr(interface, "recover_tractions", pulling)
+    assert not diagnostics.check_normal_traction(problem, states).ok
+
+
+def test_check_monotone_fails_on_a_decreasing_beta(monkeypatch):
+    assert diagnostics.check_monotone(1000, 4).ok
+    monkeypatch.setattr(interface, "beta_eps", lambda x, eps: -x)
+    assert not diagnostics.check_monotone(1000, 4).ok
+
+
+def test_check_gradients_fails_on_a_derivative_off_by_1_percent(monkeypatch):
+    assert diagnostics.check_gradients(100, 4).ok
+    dbeta = interface.dbeta_eps
+    monkeypatch.setattr(interface, "dbeta_eps",
+                        lambda x, eps: 1.01 * dbeta(x, eps))
+    check = diagnostics.check_gradients(100, 4)
+    assert not check.ok and "beta gradient" in check.detail
+
+
+def test_sweep_rows_come_from_every_state():
+    # a replayed run with known penetrations and accelerations, the
+    # largest of each in the middle: max_acc_h is the largest H-norm of
+    # the accelerations, sup_penetration the largest penetration, and
+    # int_pen3_dt the trapezoidal integral of its cube
+    scales = [0.0, 1.0, 3.0, 2.0, 0.5]
+    pens = [0.0, 0.1, 0.3, 0.2, 0.05]
+
+    def unit_acceleration(problem):
+        return problem.ops.dofmap.zero_constrained(
+            np.ones(problem.ops.dofmap.ndof))
+
+    def replay(problem, on_record):
+        a = unit_acceleration(problem)
+        zero = np.zeros_like(a)
+        for k, (c, pen) in enumerate(zip(scales, pens)):
+            rec = diagnostics.DiagnosticsRecord(0.1 * k, 0.0, 0.0, pen, 0.0,
+                                                0.0, 0.0, 0)
+            on_record(State(rec.t, zero, zero, c * a), rec, None)
+
+    cfg = small_config()
+    (row,) = gamma_sweep(cfg, [0.0], run=replay)
+    problem = config_mod.build_problem(cfg)
+    unit = np.sqrt(fem.h_norm_sq(problem.ops.mass, cfg.material.rho,
+                                 unit_acceleration(problem)))
+    assert row.max_acc_h == pytest.approx(3.0 * unit, rel=1e-14)
+    assert row.sup_penetration == 0.3
+    cubes = np.array(pens) ** 3
+    assert row.int_pen3_dt == pytest.approx(
+        0.05 * (cubes[:-1] + cubes[1:]).sum(), rel=1e-14)
+
+
 @pytest.mark.parametrize("rise, ok", [(1e-6, False), (0.5e-8, True)])
 def test_check_energy_decay_allows_a_rise_of_1e_8_of_e0(rise, ok):
     e0 = 3.0
@@ -267,7 +417,8 @@ def test_check_energy_decay_allows_a_rise_of_1e_8_of_e0(rise, ok):
 
 def test_weighted_points_midpoint_and_skip():
     problem = config_mod.build_problem(small_config())
-    states, records, infos = run_with_records(problem)
+    states, infos = unzip(run(problem.ops, problem.config.time, problem.u0,
+                              problem.v0))
     pts = weighted_points(states, infos, problem.config.time)
     assert len(pts) == len(infos)          # no halvings in this run
     t0, t1 = states[0].t, states[1].t
@@ -403,7 +554,7 @@ def test_one_dof_oracle_dissipates_with_interface_active():
 def test_one_dof_implicit_tracks_oracle():
     p = OneDofParams(rho=1.0, k=1.0, gamma=0.5, epsilon=1e-2, g=0.3,
                      u0=1.0, v0=0.0)
-    states, _ = run(p, TimeParams(t_end=3.0, dt=5e-3), p.u0, p.v0)
+    states, _ = unzip(run(p, TimeParams(t_end=3.0, dt=5e-3), p.u0, p.v0))
     times = [s.t for s in states]
     us = np.array([s.u[0] for s in states])
     assert times[0] == 0.0 and times[-1] == pytest.approx(3.0)

@@ -7,7 +7,7 @@ from crackdyn import diagnostics, fem, timestepper
 from crackdyn.fem import DofMap, Material
 from crackdyn.interface import ContactParams
 from crackdyn.meshing import CrackedMesh, SIDE_PLUS, generate_rect_crack
-from oracles import cell_stresses
+from oracles import patch_forces
 
 
 def single_triangle():
@@ -63,18 +63,21 @@ def test_stiffness_kills_rigid_modes():
 
 
 def test_uniaxial_patch_test():
-    # nodal u = (alpha*x, 0) must reproduce the constant plane-strain stress
-    # exactly on every cell
+    # nodal u = (alpha*x, 0) has constant plane-strain stress: K @ u is 0
+    # at interior nodes and the edge traction integrals on the boundary.
+    # Measured error 1.5e-15 of the largest force; with lambda and mu
+    # swapped in the stiffness, 0.13
     mesh = generate_rect_crack(2.0, 1.0, 4, 2)
     mat = Material(lam=1.3, mu=0.9, rho=1.0)
     alpha = 0.01
     u = np.column_stack([alpha * mesh.vertices[:, 0],
                          np.zeros(mesh.n_vertices)]).ravel()
-    sig = cell_stresses(mesh, mat, u)
-    assert np.allclose(sig[:, 0, 0], (mat.lam + 2 * mat.mu) * alpha, rtol=1e-10)
-    assert np.allclose(sig[:, 1, 1], mat.lam * alpha, rtol=1e-10)
-    assert np.abs(sig[:, 0, 1]).max() <= 1e-14
-    assert np.allclose(sig[:, 1, 0], sig[:, 0, 1])
+    expected = patch_forces(mesh, mat, alpha)
+    interior = ((mesh.vertices > 0.0) & (mesh.vertices < (2.0, 1.0))).all(1)
+    assert interior.any() and not expected.reshape(-1, 2)[interior].any()
+    force = fem.assemble_stiffness(mesh, mat) @ u
+    scale = np.abs(expected).max()
+    assert np.abs(force - expected).max() <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("field, modulus", [

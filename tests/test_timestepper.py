@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import impact_config, reference_jumps
+from conftest import impact_config, reference_jumps, unzip
 
 from crackdyn import config as config_mod
 from crackdyn import exprlang as ex
@@ -68,8 +68,8 @@ def test_timeparams_validation():
 def test_zero_data_stays_at_rest():
     ops = make_ops(g="0.05")
     n = ops.dofmap.ndof
-    states, infos = run(ops, TimeParams(t_end=0.05, dt=0.01),
-                        np.zeros(n), np.zeros(n))
+    states, infos = unzip(run(ops, TimeParams(t_end=0.05, dt=0.01),
+                              np.zeros(n), np.zeros(n)))
     assert len(states) == 6
     for s in states:
         assert not s.u.any() and not s.v.any() and not s.a.any()
@@ -80,10 +80,12 @@ def test_run_time_grid():
     ops = make_ops(nx=4, ny=2)
     n = ops.dofmap.ndof
     zero = np.zeros(n)
-    states, infos = run(ops, TimeParams(t_end=0.25, dt=0.1), zero, zero)
+    states, infos = unzip(run(ops, TimeParams(t_end=0.25, dt=0.1), zero,
+                              zero))
     assert [s.t for s in states] == [0.0, 0.1, 0.2, 0.25]
     # t_end = 0 still yields the initial state
-    states0, infos0 = run(ops, TimeParams(t_end=0.0, dt=0.1), zero, zero)
+    states0, infos0 = unzip(run(ops, TimeParams(t_end=0.0, dt=0.1), zero,
+                                zero))
     assert len(states0) == 1 and infos0 == []
     assert states0[0].t == 0.0
 
@@ -143,8 +145,8 @@ def test_glued_linear_energy_conservation():
     # discrete energy is conserved to solver tolerance on every step
     ops = make_ops(nx=8, ny=4, crack=None)
     u0 = bump_field(ops)
-    states, infos = run(ops, TimeParams(t_end=0.5, dt=0.01),
-                        u0, np.zeros_like(u0))
+    states, infos = unzip(run(ops, TimeParams(t_end=0.5, dt=0.01),
+                              u0, np.zeros_like(u0)))
     e0 = total_energy(ops, states[0])
     energies = [total_energy(ops, s) for s in states]
     drift = np.abs(np.diff(energies)).max()
@@ -159,9 +161,9 @@ def test_second_order_in_time():
     u0 = bump_field(ops)
     finals = []
     for dt in (0.02, 0.01, 0.005):
-        states, _ = run(ops, TimeParams(t_end=0.4, dt=dt),
-                        u0, np.zeros_like(u0))
-        finals.append(states[-1].u.copy())
+        *_, (final, _) = run(ops, TimeParams(t_end=0.4, dt=dt),
+                             u0, np.zeros_like(u0))
+        finals.append(final.u)
     d1 = np.linalg.norm(finals[0] - finals[1])
     d2 = np.linalg.norm(finals[1] - finals[2])
     assert d1 / d2 == pytest.approx(4.0, rel=0.25)
@@ -170,8 +172,8 @@ def test_second_order_in_time():
 def test_newton_meets_tolerance():
     ops = make_ops(g="0.05")
     u0 = bump_field(ops)
-    states, infos = run(ops, TimeParams(t_end=0.05, dt=5e-3),
-                        u0, np.zeros_like(u0))
+    _, infos = unzip(run(ops, TimeParams(t_end=0.05, dt=5e-3),
+                         u0, np.zeros_like(u0)))
     for info in infos:
         assert info.residual <= info.tol_abs
         assert info.iterations <= 30
@@ -181,9 +183,11 @@ def test_run_is_deterministic():
     ops = make_ops(g="0.05")
     u0 = bump_field(ops)
     params = TimeParams(t_end=0.05, dt=5e-3)
-    sa, _ = run(ops, params, u0, np.zeros_like(u0))
-    sb, _ = run(ops, params, u0, np.zeros_like(u0))
-    for x, y in zip(sa, sb):
+    # the two runs advance in turn on the same operators, which must
+    # carry no history from one run into the other
+    sa = run(ops, params, u0, np.zeros_like(u0))
+    sb = run(ops, params, u0, np.zeros_like(u0))
+    for (x, _), (y, _) in zip(sa, sb, strict=True):
         assert np.array_equal(x.u, y.u)
         assert np.array_equal(x.v, y.v)
         assert np.array_equal(x.a, y.a)
@@ -193,20 +197,32 @@ def test_run_zeroes_constrained_initial_data():
     ops = make_ops(nx=4, ny=2)
     n = ops.dofmap.ndof
     ones = np.ones(n)
-    states, _ = run(ops, TimeParams(t_end=0.01, dt=0.01), ones, ones)
-    assert not states[0].u[ops.dofmap.constrained].any()
-    assert not states[0].v[ops.dofmap.constrained].any()
+    state, _ = next(run(ops, TimeParams(t_end=0.01, dt=0.01), ones, ones))
+    assert not state.u[ops.dofmap.constrained].any()
+    assert not state.v[ops.dofmap.constrained].any()
 
 
-def test_on_step_streaming():
+def test_run_yields_each_state_before_the_next_step(monkeypatch):
+    # the initial state comes with info None and before any step; each
+    # accepted state comes with its StepInfo before the next step starts
     ops = make_ops(nx=4, ny=2)
     n = ops.dofmap.ndof
-    seen = []
-    run(ops, TimeParams(t_end=0.03, dt=0.01), np.zeros(n), np.zeros(n),
-        on_step=lambda s, info: seen.append((s.t, info)))
-    assert [t for t, _ in seen] == [0.0, 0.01, 0.02, 0.03]
+    steps = []
+
+    def spy(*args, _f=step):
+        steps.append(args[1])
+        return _f(*args)
+
+    monkeypatch.setattr(timestepper, "step", spy)
+    pairs = run(ops, TimeParams(t_end=0.03, dt=0.01), np.zeros(n), np.zeros(n))
+    assert steps == []      # nothing runs before the first pair is asked for
+    seen = [(s.t, info, list(steps)) for s, info in pairs]
+    assert [t for t, _, _ in seen] == [0.0, 0.01, 0.02, 0.03]
+    assert [done for _, _, done in seen] == [
+        [], [0.01], [0.01, 0.02], [0.01, 0.02, 0.03]]
     assert seen[0][1] is None
-    assert all(info is not None for _, info in seen[1:])
+    assert all(isinstance(info, timestepper.StepInfo)
+               for _, info, _ in seen[1:])
 
 
 def test_step_rejects_backward_target():
@@ -227,7 +243,7 @@ def test_step_failure_carries_diagnostics():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CompatibilityWarning)
         with pytest.raises(StepFailure) as err:
-            run(ops, params, u0, v0)
+            list(run(ops, params, u0, v0))
     exc = err.value
     assert exc.dt <= 0.05
     assert 0.0 <= exc.t < 0.1
@@ -243,7 +259,7 @@ def test_step_halving_recovers():
     params = TimeParams(t_end=0.02, dt=0.02, newton_maxit=6)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CompatibilityWarning)
-        states, infos = run(ops, params, u0, v0)
+        states, infos = unzip(run(ops, params, u0, v0))
     assert states[-1].t == pytest.approx(0.02)
     assert infos[0].substeps >= 2
 
@@ -251,8 +267,8 @@ def test_step_halving_recovers():
 def test_contact_dissipates_energy():
     ops = make_ops(g="0.05")
     u0 = bump_field(ops)
-    states, _ = run(ops, TimeParams(t_end=0.2, dt=5e-3),
-                    u0, np.zeros_like(u0))
+    states, _ = unzip(run(ops, TimeParams(t_end=0.2, dt=5e-3),
+                          u0, np.zeros_like(u0)))
     records = [diagnostics.record(s, ops) for s in states]
     assert diagnostics.check_energy_decay(records).ok
     assert total_energy(ops, states[-1]) < total_energy(ops, states[0])
@@ -288,7 +304,7 @@ def test_linear_jacobian_one_key_per_step_size():
     ops = make_ops(g="0.05")
     u0 = bump_field(ops)
     params = TimeParams(t_end=0.1, dt=2.5e-3)
-    _, infos = run(ops, params, u0, np.zeros_like(u0))
+    _, infos = unzip(run(ops, params, u0, np.zeros_like(u0)))
     assert all(info.substeps == 1 for info in infos)
     assert list(ops._jac_cache) == [_jac_key(params, params.dt)]
 
@@ -297,7 +313,7 @@ def test_linear_jacobian_one_key_per_step_size():
     params = TimeParams(t_end=0.04, dt=0.02, newton_maxit=6)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CompatibilityWarning)
-        _, infos = run(ops, params, np.zeros_like(v0), v0)
+        _, infos = unzip(run(ops, params, np.zeros_like(v0), v0))
     assert infos[0].substeps >= 2
     halves = {_jac_key(params, params.dt / 2 ** j) for j in range(6)}
     assert set(ops._jac_cache) <= halves
@@ -539,7 +555,7 @@ def test_bisected_halves_use_the_fixed_forcing(monkeypatch):
     monkeypatch.setattr(timestepper, "_solve_substep", spy_substep)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CompatibilityWarning)
-        _, infos = run(ops, params, np.zeros_like(v0), v0)
+        _, infos = unzip(run(ops, params, np.zeros_like(v0), v0))
     assert len(substeps) > infos[0].substeps >= 2
     assert substeps[0][0] == 0.02
     assert max(tol for tol, _ in substeps[0][1]) > 1e-3
@@ -556,7 +572,7 @@ def test_a_bare_step_has_no_forcing_history(monkeypatch):
     ops = make_ops(g="0.05")
     u0 = bump_field(ops)
     params = TimeParams(t_end=0.03, dt=5e-3)
-    states, infos = run(ops, params, u0, np.zeros_like(u0))
+    states, infos = unzip(run(ops, params, u0, np.zeros_like(u0)))
     rho = infos[-2].contraction
     assert 0.1 * rho > 1e-6
     tols = []
@@ -600,8 +616,8 @@ def test_small_epsilon_cg_work(monkeypatch):
 
     monkeypatch.setattr(fem, "solve_spd",
                         lambda a, *args, **kw: solve(Counting(a), *args, **kw))
-    _, infos = run(problem.ops, problem.config.time, problem.u0, problem.v0,
-                   on_step=lambda state, info: None)
+    _, infos = unzip(run(problem.ops, problem.config.time, problem.u0,
+                         problem.v0))
     assert len(infos) == 100
     assert all(info.substeps == 1 for info in infos)
     assert sum(info.iterations for info in infos) <= int(639 * 1.02)
@@ -820,7 +836,7 @@ def test_loads_and_g_are_bound_once_per_problem(monkeypatch):
         counts["load"] += 1
         return _f(t)
     monkeypatch.setattr(ops, "load", load)
-    _, infos = run(ops, params, problem.u0, problem.v0)
+    _, infos = unzip(run(ops, params, problem.u0, problem.v0))
     assert [info.substeps for info in infos] == [1] * 5
     assert counts["_cell_geometry"] == counts["bind"] == 0
     assert counts["load"] == counts["friction_bound_values"] == 1 + 5
