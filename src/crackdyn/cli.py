@@ -37,8 +37,9 @@ def _error(msg: str) -> None:
 
 
 def _csv_row(rec: diagnostics.DiagnosticsRecord) -> str:
-    vals = dataclasses.astuple(rec)
-    return ",".join([_fmt(v) for v in vals[:-1]] + [str(int(vals[-1]))])
+    return ",".join([_fmt(getattr(rec, name))
+                     for name in diagnostics.CSV_COLUMNS[:-1]]
+                    + [str(int(rec.newton_iters))])
 
 
 def _load_problem(config_path):
@@ -76,18 +77,18 @@ def cmd_run(args) -> int:
 # sweeps
 # ---------------------------------------------------------------------------
 
-# SweepRow's columns after the swept value, whose header is a label
-_SWEEP_COLUMNS = tuple(
-    f.name for f in dataclasses.fields(diagnostics.SweepRow))[1:]
+# SweepRow's fields; the first, the swept value, has a label as header
+_SWEEP_FIELDS = tuple(f.name for f in dataclasses.fields(diagnostics.SweepRow))
 
 
 def _write_sweep_csv(cfg, name, label, rows):
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     with (outdir / name).open("w", encoding="ascii") as fh:
-        fh.write(",".join((label,) + _SWEEP_COLUMNS) + "\n")
+        fh.write(",".join((label,) + _SWEEP_FIELDS[1:]) + "\n")
         for r in rows:
-            fh.write(",".join(_fmt(x) for x in dataclasses.astuple(r)) + "\n")
+            fh.write(",".join(_fmt(getattr(r, f)) for f in _SWEEP_FIELDS)
+                     + "\n")
 
 
 def cmd_sweep_eps(args) -> int:

@@ -144,46 +144,83 @@ def facet_quadrature(vertices, facets):
 # assembly
 # ---------------------------------------------------------------------------
 
-def assemble_mass(mesh, material: Material) -> sp.csr_matrix:
-    """Consistent mass matrix scaled by the density (SPD)."""
-    _, area, _ = _cell_geometry(mesh)
-    nc = mesh.n_cells
+_MASS_BLOCK = np.array([[2.0, 1.0, 1.0],
+                        [1.0, 2.0, 1.0],
+                        [1.0, 1.0, 2.0]]) / 12.0
+
+
+def _on_graph(mesh, blocks) -> np.ndarray:
+    """Sum of the element blocks (nc, 3, 3) at each pair of
+    mesh.vertex_graph, in cell order."""
+    _, indices, slots = mesh.vertex_graph
+    return np.bincount(slots.ravel(), weights=blocks.ravel(),
+                       minlength=indices.size)
+
+
+def _dof_matrix(mesh, blocks) -> sp.csr_matrix:
+    """The CSR matrix on dofs vertex*d + component whose (c, e) component
+    block holds blocks[c][e], values at the pairs of mesh.vertex_graph,
+    and has no entries where blocks[c][e] is None.  Every row component
+    has the same number of blocks.  The data are written straight into
+    place: row (i, c) lists, for each vertex j paired with i in
+    increasing order, its components e in increasing order."""
+    indptr, indices, _ = mesh.vertex_graph
     d = mesh.dim
-    s = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
-    block = material.rho * area[:, None, None] * s          # (nc, 3, 3)
-    rows = []
-    cols = []
-    vals = []
+    ndof = d * mesh.n_vertices
+    width = sum(b is not None for b in blocks[0])
+    count = np.diff(indptr)
+    row_count = np.repeat(count, count)
+    base = (d - 1) * np.repeat(indptr[:-1], count) + np.arange(indices.size)
+    data = np.empty(d * width * indices.size)
+    index_dtype = sp.get_index_dtype(maxval=max(data.size, ndof))
+    cols = np.empty(data.size, dtype=index_dtype)
     for c in range(d):
-        dofs = mesh.cells * d + c                            # (nc, 3)
-        rows.append(np.repeat(dofs, 3, axis=1).ravel())
-        cols.append(np.tile(dofs, (1, 3)).ravel())
-        vals.append(block.transpose(0, 2, 1).reshape(nc, 9).ravel())
-    ndof = mesh.n_vertices * d
-    m = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(ndof, ndof))
-    return m.tocsr()
+        slot = width * (base + c * row_count)
+        for e in range(d):
+            if blocks[c][e] is not None:
+                data[slot] = blocks[c][e]
+                cols[slot] = indices * d + e
+                slot += 1
+    dof_ptr = np.zeros(ndof + 1, dtype=index_dtype)
+    np.cumsum(np.repeat(width * count, d), out=dof_ptr[1:])
+    return sp.csr_matrix((data, cols, dof_ptr), shape=(ndof, ndof))
+
+
+def assemble_mass(mesh, material: Material) -> sp.csr_matrix:
+    """Consistent mass matrix scaled by the density (SPD); it couples
+    equal components only, and stores no other entry."""
+    area = _cell_geometry(mesh)[1]
+    m = _on_graph(mesh, material.rho * area[:, None, None] * _MASS_BLOCK)
+    d = mesh.dim
+    return _dof_matrix(mesh, [[m if e == c else None for e in range(d)]
+                              for c in range(d)])
 
 
 def assemble_stiffness(mesh, material: Material) -> sp.csr_matrix:
-    """Stiffness of a(u,v) = lam*(div u, div v) + 2*mu*(E(u), E(v))."""
+    """Stiffness of a(u,v) = lam*(div u, div v) + 2*mu*(E(u), E(v)).
+    Its pattern holds every component pair of each vertex pair, the
+    mass matrix's entries among them."""
+    return _dof_matrix(mesh, _stiffness_blocks(mesh, material))
+
+
+def _stiffness_blocks(mesh, material: Material):
+    """The stiffness's (c, e) component blocks on mesh.vertex_graph; a
+    function of its own, so that the cell arrays are freed before the
+    matrix is laid out."""
     _, area, grads = _cell_geometry(mesh)
-    nc = mesh.n_cells
     d = mesh.dim
     lam, mu = material.lam, material.mu
+    weighted = area[:, None, None] * grads
     gdot = np.einsum("nid,njd->nij", grads, grads)
-    ke = (lam * np.einsum("n,nic,nje->nicje", area, grads, grads)
-          + mu * np.einsum("n,nie,njc->nicje", area, grads, grads))
-    ke += mu * area[:, None, None, None, None] * (
-        gdot[:, :, None, :, None] * np.eye(d)[None, None, :, None, :])
-    dofs = (mesh.cells[:, :, None] * d + np.arange(d)[None, None, :]).reshape(nc, 3 * d)
-    rows = np.repeat(dofs, 3 * d, axis=1).ravel()
-    cols = np.tile(dofs, (1, 3 * d)).ravel()
-    vals = ke.reshape(nc, 3 * d, 3 * d).reshape(nc, -1).ravel()
-    ndof = mesh.n_vertices * d
-    k = sp.coo_matrix((vals, (rows, cols)), shape=(ndof, ndof))
-    return k.tocsr()
+    blocks = [[None] * d for _ in range(d)]
+    for c in range(d):
+        for e in range(d):
+            ke = (lam * (weighted[:, :, None, c] * grads[:, None, :, e])
+                  + mu * (weighted[:, :, None, e] * grads[:, None, :, c]))
+            if e == c:
+                ke += (mu * area)[:, None, None] * gdot
+            blocks[c][e] = _on_graph(mesh, ke)
+    return blocks
 
 
 # P1 basis values at a cell's edge midpoints m01, m12, m20, [vertex, point]:
@@ -198,7 +235,8 @@ class _LoadPart:
     points (n, nq, 2) of n elements, the weights times the shape values
     (n, nv, nq) of their nv vertices, a factor applied to the element
     vectors, and the dof of every (component, element, vertex) entry, the
-    np.bincount index."""
+    np.bincount index.  If no expression depends on t, the nodal vector
+    is assembled here, once, and ``fixed`` holds it read-only."""
 
     def __init__(self, exprs, points, weighted_shapes, vertices, ndof,
                  scale=1.0):
@@ -210,9 +248,15 @@ class _LoadPart:
         self.scale = scale
         self.dofs = (vertices.ravel() * d + np.arange(d)[:, None]).ravel()
         self.ndof = ndof
+        self.fixed = None
+        if not any(exprlang.depends_on_t(e) for e in exprs):
+            self.fixed = self(0.0)
+            self.fixed.flags.writeable = False
 
     def __call__(self, t) -> np.ndarray:
         """The nodal vector of this integral at t, on every dof."""
+        if self.fixed is not None:
+            return self.fixed
         contrib = []
         for value in self.components:
             c = np.einsum("niq,nq->ni", self.weighted_shapes,

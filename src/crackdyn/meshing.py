@@ -12,6 +12,8 @@ crack pairs, so the number of Python calls does not grow with the mesh.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = [
@@ -92,6 +94,22 @@ class CrackedMesh:
     @property
     def n_pairs(self) -> int:
         return len(self.crack_plus)
+
+    @functools.cached_property
+    def vertex_graph(self):
+        """The pairs of vertices that share a cell, each vertex paired
+        with itself too, built on first use: (indptr, indices, slots).
+        Row i of the CSR arrays (indptr, indices) lists the vertices
+        paired with i in increasing order, and slots (nc, dim+1, dim+1)
+        holds the position in indices of each cell's pair (cells[c, a],
+        cells[c, b])."""
+        nv = self.n_vertices
+        keys = self.cells[:, :, None] * nv + self.cells[:, None, :]
+        pairs, slots = np.unique(keys.ravel(), return_inverse=True)
+        rows, indices = np.divmod(pairs, nv)
+        indptr = np.zeros(nv + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=nv), out=indptr[1:])
+        return indptr, indices, slots.reshape(keys.shape)
 
     # -- validation ---------------------------------------------------------
 

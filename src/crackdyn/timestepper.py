@@ -182,6 +182,14 @@ class Operators:
     stiffness: sp.csr_matrix
     load_form: fem.LoadForm
     _jac_cache: dict = field(default_factory=dict, repr=False)
+    _mass_slots: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # the mass matrix's entries are the stiffness's entries that
+        # couple equal components, in the same order
+        k, d = self.stiffness, self.mesh.dim
+        row_component = np.repeat(np.arange(k.shape[0]) % d, np.diff(k.indptr))
+        self._mass_slots = np.flatnonzero(k.indices % d == row_component)
 
     @property
     def free(self) -> np.ndarray:
@@ -204,10 +212,15 @@ class Operators:
         return a[self.free][:, self.free].tocsr()
 
     def linear_jacobian(self, ca: float, cu: float):
-        """(ca*M + cu*K on the free dofs, its diagonal), cached."""
+        """(ca*M + cu*K on the free dofs, its diagonal), cached: one
+        combination of their data on K's pattern, then pinned."""
         key = (ca, cu)
         if key not in self._jac_cache:
-            lin = self.pin(ca * self.mass + cu * self.stiffness)
+            k = self.stiffness
+            data = cu * k.data
+            data[self._mass_slots] += ca * self.mass.data
+            lin = self.pin(sp.csr_matrix((data, k.indices, k.indptr),
+                                         shape=k.shape))
             self._jac_cache[key] = (lin, lin.diagonal())
         return self._jac_cache[key]
 

@@ -109,6 +109,10 @@ MUTANTS = [
     (DIAG, "acc = max(acc, math.sqrt(",
      "acc = max(0.0, math.sqrt(",
      "max_acc_h is the last acceleration's H-norm, not the largest"),
+    (FEM, "slot = width * (base + c * row_count)",
+     "slot = width * (base + (d - 1 - c) * row_count)",
+     "the assembly writes each row component's blocks into the rows of "
+     "the other component"),
 ]
 
 

@@ -6,6 +6,9 @@ instead of re-implementing them.
 
 - patch_forces: the boundary traction integrals that the assembled
   stiffness must reproduce for a linear field (the patch tests).
+- dense_mass_stiffness: M and K summed cell by cell into dense arrays
+  from the textbook element matrices, the reference for the sparse
+  assembly.
 - stability_probe: distance between a run and one with its initial
   displacement scaled by 1 + eta (continuous dependence, criterion 7).
 - OneDofParams: a scalar analog of the model.  It is also a system for
@@ -46,6 +49,36 @@ def patch_forces(mesh, material: Material, a: float) -> np.ndarray:
             force[side[:-1], axis] += half
             force[side[1:], axis] += half
     return force.ravel()
+
+
+def dense_mass_stiffness(mesh, material: Material):
+    """(M, K) as dense arrays, summed in a plain loop over the cells.
+    Each cell's basis gradients come from inverting its 3x3 matrix of
+    rows (1, x, y); its mass is rho*area/12 times 2 on the diagonal and
+    1 off it, per component; its stiffness is area * B^T D B, with B the
+    strain (e_xx, e_yy, 2 e_xy) of the six basis fields and D the
+    plane-strain elasticity matrix."""
+    lam, mu = material.lam, material.mu
+    elasticity = np.array([[lam + 2.0 * mu, lam, 0.0],
+                           [lam, lam + 2.0 * mu, 0.0],
+                           [0.0, 0.0, mu]])
+    n = 2 * mesh.n_vertices
+    mass, stiffness = np.zeros((n, n)), np.zeros((n, n))
+    for cell in mesh.cells:
+        corners = np.column_stack([np.ones(3), mesh.vertices[cell]])
+        area = 0.5 * np.linalg.det(corners)
+        grads = np.linalg.inv(corners)[1:].T          # (vertex, axis)
+        strain = np.zeros((3, 6))
+        for a, (gx, gy) in enumerate(grads):
+            strain[:, 2 * a:2 * a + 2] = [[gx, 0.0], [0.0, gy], [gy, gx]]
+        dofs = np.stack([2 * cell, 2 * cell + 1], axis=1).ravel()
+        stiffness[np.ix_(dofs, dofs)] += area * strain.T @ elasticity @ strain
+        for a in range(3):
+            for b in range(3):
+                for c in range(2):
+                    mass[2 * cell[a] + c, 2 * cell[b] + c] += (
+                        material.rho * area * (2.0 if a == b else 1.0) / 12.0)
+    return mass, stiffness
 
 
 # ---------------------------------------------------------------------------

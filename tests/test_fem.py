@@ -1,13 +1,18 @@
+import collections
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from conftest import turned
 
 from crackdyn import exprlang as ex
 from crackdyn import diagnostics, fem, timestepper
 from crackdyn.fem import DofMap, Material
 from crackdyn.interface import ContactParams
-from crackdyn.meshing import CrackedMesh, SIDE_PLUS, generate_rect_crack
-from oracles import patch_forces
+from crackdyn.meshing import (CrackedMesh, SIDE_PLUS, generate_rect_crack,
+                              load_mesh, save_mesh)
+from oracles import dense_mass_stiffness, patch_forces
 
 
 def single_triangle():
@@ -115,6 +120,32 @@ def test_stiffness_coercive_on_free_dofs():
     free = ~dofmap.constrained
     kff = k.toarray()[np.ix_(free, free)]
     assert np.linalg.eigvalsh(kff).min() > 0.0
+
+
+def test_t_free_load_is_assembled_once(monkeypatch):
+    # gravity on the impact mesh: the LoadForm assembles it when built,
+    # and each later evaluation returns that read-only vector with no
+    # quadrature work; its bytes are those of the same load written with
+    # a t in it, which is assembled at every evaluation
+    mesh = generate_rect_crack(2.0, 1.0, 16, 8, crack_span=(0.25, 0.75))
+    mat = Material(lam=1.0, mu=1.0, rho=1.0)
+    fixed = fem.LoadForm(mesh, mat, f=(ex.parse("0"), ex.parse("-9.8")))
+    moving = fem.LoadForm(mesh, mat,
+                          f=(ex.parse("0*t"), ex.parse("-9.8 + 0*t")))
+    calls = collections.Counter()
+    for name in ("einsum", "bincount"):
+        def spy(*args, _f=getattr(np, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(fem.np, name, spy)
+    times = (0.0, 0.1, 0.25)
+    expected = [fem.assemble_load(moving, t) for t in times]
+    assert calls == {"einsum": 2 * len(times), "bincount": len(times)}
+    calls.clear()
+    for t, load in zip(times, expected):
+        assert fem.assemble_load(fixed, t).tobytes() == load.tobytes()
+        assert not fixed.body(t).flags.writeable
+    assert not calls
 
 
 def test_load_constant_body_force():
@@ -267,6 +298,68 @@ def test_solve_spd_rejects_nonfinite_rhs_before_any_product(bad):
         with np.errstate(over="ignore"):
             fem.solve_spd(a, rhs)
     assert a.products == 0
+
+
+def _assembly_mesh(case, tmp_path):
+    plate = generate_rect_crack(2.0, 1.0, 6, 4, crack_span=(0.25, 0.75))
+    if case == "plate":
+        return plate
+    if case == "clamped_tip":
+        # the left crack tip is the shared vertex at x = 0, on the
+        # clamped edge
+        mesh = generate_rect_crack(2.0, 1.0, 8, 4, crack_span=(0.05, 0.75))
+        assert DofMap(mesh).constrained[2 * mesh.crack_plus[0, 0]]
+        return mesh
+    save_mesh(turned(plate, 0.7), tmp_path / "turned.mesh")
+    return load_mesh(tmp_path / "turned.mesh")
+
+
+def _stored(a):
+    """Where a CSR matrix stores an entry, as a dense boolean array."""
+    return sp.csr_matrix((np.ones(a.nnz, dtype=bool), a.indices, a.indptr),
+                         shape=a.shape).toarray()
+
+
+@pytest.mark.parametrize("case", ["plate", "clamped_tip", "turned_file"])
+def test_assembly_matches_a_dense_cell_loop(case, tmp_path):
+    # every entry of M and K against the textbook element matrices
+    # summed cell by cell (lambda != mu, so a swap shows), and the
+    # layout the linear Jacobian relies on: canonical CSR with int32
+    # indices, K storing every component pair of each pair of vertices
+    # that share a cell, M the equal-component ones alone
+    mesh = _assembly_mesh(case, tmp_path)
+    mat = Material(lam=1.7, mu=0.6, rho=2.5)
+    mass, stiffness = dense_mass_stiffness(mesh, mat)
+    m, k = fem.assemble_mass(mesh, mat), fem.assemble_stiffness(mesh, mat)
+    for a, ref in ((m, mass), (k, stiffness)):
+        assert np.abs(a.toarray() - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert a.indices.dtype == a.indptr.dtype == np.int32
+        rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+        assert (np.diff(a.indices)[np.diff(rows) == 0] > 0).all()
+    shared = np.zeros((mesh.n_vertices, mesh.n_vertices), dtype=bool)
+    for cell in mesh.cells:
+        shared[np.ix_(cell, cell)] = True
+    assert np.array_equal(_stored(k), np.kron(shared, np.ones((2, 2), bool)))
+    assert np.array_equal(_stored(m), np.kron(shared, np.eye(2, dtype=bool)))
+
+
+def test_build_operators_peak_memory():
+    # the transient memory of assembly stays a small multiple of what it
+    # builds: 3.3 times the bytes of M and K here, where summing COO
+    # triplets takes 7.8
+    mesh = generate_rect_crack(2.0, 1.0, 32, 16, crack_span=(0.25, 0.75))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ops = timestepper.build_operators(
+            mesh, Material(lam=1.0, mu=1.0, rho=1.0),
+            ContactParams(gamma=0.0, epsilon=1e-2))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    held = sum(a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
+               for a in (ops.mass, ops.stiffness))
+    assert peak <= 4 * held
 
 
 def test_assembly_is_deterministic():
