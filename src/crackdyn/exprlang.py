@@ -43,7 +43,6 @@ __all__ = [
     "parse",
     "evaluate",
     "bind",
-    "depends_on_t",
 ]
 
 VARIABLES = ("t", "x", "y")
@@ -306,17 +305,6 @@ def bind(expr: Expr, point):
         return np.broadcast_to(np.asarray(evaluate(tree, t), dtype=float),
                                shape)
     return at
-
-
-def depends_on_t(expr: Expr) -> bool:
-    """Whether t occurs in expr."""
-    if isinstance(expr, Neg):
-        return depends_on_t(expr.operand)
-    if isinstance(expr, Bin):
-        return depends_on_t(expr.left) or depends_on_t(expr.right)
-    if isinstance(expr, Call):
-        return any(depends_on_t(a) for a in expr.args)
-    return expr == Var("t")
 
 
 def _bind(expr: Expr, env: dict) -> Expr:

@@ -25,6 +25,7 @@ __all__ = [
     "State",
     "assemble_mass",
     "assemble_stiffness",
+    "combine",
     "LoadForm",
     "assemble_load",
     "solve_spd",
@@ -203,6 +204,27 @@ def assemble_stiffness(mesh, material: Material) -> sp.csr_matrix:
     return _dof_matrix(mesh, _stiffness_blocks(mesh, material))
 
 
+def combine(mass, stiffness, ca: float, cu: float) -> sp.csr_matrix:
+    """ca*mass + cu*stiffness, for the matrices assemble_mass and
+    assemble_stiffness build on one mesh, as one combination of their
+    data: on the mass's own pattern if cu is 0, so that the t = 0 mass
+    solve stores none of the stiffness's other entries, else on the
+    stiffness's.  It relies on the layout _dof_matrix writes: row r of
+    both lists the same vertices in the same order, the stiffness with
+    all d components of each and the mass with r's component alone."""
+    if cu == 0.0:
+        return ca * mass
+    d = stiffness.nnz // mass.nnz
+    start = (stiffness.indptr[:-1] - d * mass.indptr[:-1]
+             + np.arange(mass.shape[0]) % d)
+    slots = (np.repeat(start, np.diff(mass.indptr))
+             + d * np.arange(mass.nnz))
+    data = cu * stiffness.data
+    data[slots] += ca * mass.data
+    return sp.csr_matrix((data, stiffness.indices, stiffness.indptr),
+                         shape=stiffness.shape)
+
+
 def _stiffness_blocks(mesh, material: Material):
     """The stiffness's (c, e) component blocks on mesh.vertex_graph; a
     function of its own, so that the cell arrays are freed before the
@@ -235,8 +257,7 @@ class _LoadPart:
     points (n, nq, 2) of n elements, the weights times the shape values
     (n, nv, nq) of their nv vertices, a factor applied to the element
     vectors, and the dof of every (component, element, vertex) entry, the
-    np.bincount index.  If no expression depends on t, the nodal vector
-    is assembled here, once, and ``fixed`` holds it read-only."""
+    np.bincount index."""
 
     def __init__(self, exprs, points, weighted_shapes, vertices, ndof,
                  scale=1.0):
@@ -248,15 +269,9 @@ class _LoadPart:
         self.scale = scale
         self.dofs = (vertices.ravel() * d + np.arange(d)[:, None]).ravel()
         self.ndof = ndof
-        self.fixed = None
-        if not any(exprlang.depends_on_t(e) for e in exprs):
-            self.fixed = self(0.0)
-            self.fixed.flags.writeable = False
 
     def __call__(self, t) -> np.ndarray:
         """The nodal vector of this integral at t, on every dof."""
-        if self.fixed is not None:
-            return self.fixed
         contrib = []
         for value in self.components:
             c = np.einsum("niq,nq->ni", self.weighted_shapes,

@@ -98,8 +98,9 @@ class CrackedMesh:
     @functools.cached_property
     def vertex_graph(self):
         """The pairs of vertices that share a cell, each vertex paired
-        with itself too, built on first use: (indptr, indices, slots).
-        Row i of the CSR arrays (indptr, indices) lists the vertices
+        with itself too, as (indptr, indices, slots); built on first use
+        and held until deleted, which build_operators does once M and K
+        are assembled.  Row i of the CSR arrays (indptr, indices) lists the vertices
         paired with i in increasing order, and slots (nc, dim+1, dim+1)
         holds the position in indices of each cell's pair (cells[c, a],
         cells[c, b])."""

@@ -182,14 +182,6 @@ class Operators:
     stiffness: sp.csr_matrix
     load_form: fem.LoadForm
     _jac_cache: dict = field(default_factory=dict, repr=False)
-    _mass_slots: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        # the mass matrix's entries are the stiffness's entries that
-        # couple equal components, in the same order
-        k, d = self.stiffness, self.mesh.dim
-        row_component = np.repeat(np.arange(k.shape[0]) % d, np.diff(k.indptr))
-        self._mass_slots = np.flatnonzero(k.indices % d == row_component)
 
     @property
     def free(self) -> np.ndarray:
@@ -213,14 +205,10 @@ class Operators:
 
     def linear_jacobian(self, ca: float, cu: float):
         """(ca*M + cu*K on the free dofs, its diagonal), cached: one
-        combination of their data on K's pattern, then pinned."""
+        combination of their data (fem.combine), then pinned."""
         key = (ca, cu)
         if key not in self._jac_cache:
-            k = self.stiffness
-            data = cu * k.data
-            data[self._mass_slots] += ca * self.mass.data
-            lin = self.pin(sp.csr_matrix((data, k.indices, k.indptr),
-                                         shape=k.shape))
+            lin = self.pin(fem.combine(self.mass, self.stiffness, ca, cu))
             self._jac_cache[key] = (lin, lin.diagonal())
         return self._jac_cache[key]
 
@@ -324,13 +312,17 @@ def build_operators(mesh, material: Material, contact: ContactParams,
     points, once (the crack quadrature binds g on first use);
     Operators.load evaluates what depends on t."""
     dofmap = DofMap(mesh)
+    quad = CrackQuadrature(mesh, dofmap)
+    mass = fem.assemble_mass(mesh, material)
+    stiffness = fem.assemble_stiffness(mesh, material)
+    del mesh.vertex_graph           # read by the assembly alone
     return Operators(
         mesh=mesh,
         dofmap=dofmap,
         contact=contact,
-        quad=CrackQuadrature(mesh, dofmap),
-        mass=fem.assemble_mass(mesh, material),
-        stiffness=fem.assemble_stiffness(mesh, material),
+        quad=quad,
+        mass=mass,
+        stiffness=stiffness,
         load_form=fem.LoadForm(mesh, material, f, trac),
     )
 

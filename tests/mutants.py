@@ -113,6 +113,10 @@ MUTANTS = [
      "slot = width * (base + (d - 1 - c) * row_count)",
      "the assembly writes each row component's blocks into the rows of "
      "the other component"),
+    (FEM, "+ np.arange(mass.shape[0]) % d)",
+     "+ np.arange(mass.shape[0]) % 1)",
+     "the linear Jacobian adds every mass entry to the first component's "
+     "column"),
 ]
 
 

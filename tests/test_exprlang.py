@@ -172,13 +172,6 @@ def domain_error(e, point):
     return None
 
 
-@pytest.mark.parametrize("src, expected", [
-    ("sin(x)*y - 2", False), ("max(x, t)", True), ("-t", True),
-    ("2^(y*t)", True), ("exp(-x^2)", False)])
-def test_depends_on_t(src, expected):
-    assert ex.depends_on_t(ex.parse(src)) == expected
-
-
 def test_bind_matches_evaluate_bit_for_bit():
     rng = np.random.default_rng(1717)
     raised_at_bind = raised_later = 0

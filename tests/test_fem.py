@@ -1,4 +1,3 @@
-import collections
 import tracemalloc
 
 import numpy as np
@@ -120,32 +119,6 @@ def test_stiffness_coercive_on_free_dofs():
     free = ~dofmap.constrained
     kff = k.toarray()[np.ix_(free, free)]
     assert np.linalg.eigvalsh(kff).min() > 0.0
-
-
-def test_t_free_load_is_assembled_once(monkeypatch):
-    # gravity on the impact mesh: the LoadForm assembles it when built,
-    # and each later evaluation returns that read-only vector with no
-    # quadrature work; its bytes are those of the same load written with
-    # a t in it, which is assembled at every evaluation
-    mesh = generate_rect_crack(2.0, 1.0, 16, 8, crack_span=(0.25, 0.75))
-    mat = Material(lam=1.0, mu=1.0, rho=1.0)
-    fixed = fem.LoadForm(mesh, mat, f=(ex.parse("0"), ex.parse("-9.8")))
-    moving = fem.LoadForm(mesh, mat,
-                          f=(ex.parse("0*t"), ex.parse("-9.8 + 0*t")))
-    calls = collections.Counter()
-    for name in ("einsum", "bincount"):
-        def spy(*args, _f=getattr(np, name), _name=name, **kwargs):
-            calls[_name] += 1
-            return _f(*args, **kwargs)
-        monkeypatch.setattr(fem.np, name, spy)
-    times = (0.0, 0.1, 0.25)
-    expected = [fem.assemble_load(moving, t) for t in times]
-    assert calls == {"einsum": 2 * len(times), "bincount": len(times)}
-    calls.clear()
-    for t, load in zip(times, expected):
-        assert fem.assemble_load(fixed, t).tobytes() == load.tobytes()
-        assert not fixed.body(t).flags.writeable
-    assert not calls
 
 
 def test_load_constant_body_force():
@@ -341,6 +314,19 @@ def test_assembly_matches_a_dense_cell_loop(case, tmp_path):
         shared[np.ix_(cell, cell)] = True
     assert np.array_equal(_stored(k), np.kron(shared, np.ones((2, 2), bool)))
     assert np.array_equal(_stored(m), np.kron(shared, np.eye(2, dtype=bool)))
+
+
+def test_combine_matches_the_sparse_sum():
+    # one combination of the data equals scipy's ca*M + cu*K entry for
+    # entry; at cu = 0 it keeps M's own pattern, without K's
+    # off-component entries as stored zeros
+    mesh = generate_rect_crack(2.0, 1.0, 6, 4, crack_span=(0.25, 0.75))
+    mat = Material(lam=1.7, mu=0.6, rho=2.5)
+    m, k = fem.assemble_mass(mesh, mat), fem.assemble_stiffness(mesh, mat)
+    for ca, cu in ((0.5, 3e-3), (1.0, 0.0)):
+        combined = fem.combine(m, k, ca, cu)
+        assert np.array_equal(combined.toarray(), (ca * m + cu * k).toarray())
+    assert np.array_equal(_stored(fem.combine(m, k, 1.0, 0.0)), _stored(m))
 
 
 def test_build_operators_peak_memory():
