@@ -7,13 +7,15 @@ well-defined at zero slip rate.  All laws are monotone with symmetric
 positive semidefinite derivatives, which keeps Newton systems SPD.
 
 crack_state is the single evaluation of the crack at a state (its jumps
-and g at every quadrature point); the residuals, tangents and tractions
-below are functions of what it returns; without friction g = 0.  The
-crack layer reads and writes crack vectors only, the values on
-CrackQuadrature.crack_dofs, through the quadrature's precomputed jump
-operators J, its one discretization of the crack: the jumps are J times
-a crack vector, the residuals J^T times the pointwise tractions, and the
-tangents J^T D J with D the pointwise derivatives.
+and g at every quadrature point); without friction g = 0.
+recover_tractions is the one evaluation of the laws there, dbeta_eps and
+dalpha_eps their only derivatives.  The crack layer reads and writes
+crack vectors only, the values on CrackQuadrature.crack_dofs, through
+the quadrature's precomputed jump operators J, its one discretization of
+the crack: the jumps are J times a crack vector, each pair's residuals
+J^T W times its tractions and its tangents J^T D J (W the weights, D the
+pointwise derivatives); a caller sums them, and CrackQuadrature.scatter
+alone puts them on the crack dofs.
 """
 
 from __future__ import annotations
@@ -132,10 +134,10 @@ class CrackQuadrature:
     per facet):
     points : (npairs, nq, dim), weights : (npairs, nq)
     crack_dofs : sorted unconstrained dofs of the crack-face vertices.
-        Crack vectors, the arguments of crack_state and the results of
-        the residuals, hold one value per entry (a nodal vector w gives
-        w[crack_dofs]), and the tangents are dense blocks in this
-        numbering
+        Crack vectors, the arguments of crack_state and the scattered
+        residuals, hold one value per entry (a nodal vector w gives
+        w[crack_dofs]), and the scattered tangents are dense blocks in
+        this numbering
     crack_free : position of each crack_dofs entry in dofmap.free
     jump_slots : (npairs, 8) crack-vector position of each pair's facet
         vertex dofs, plus vertices first, each vertex's components in
@@ -176,6 +178,20 @@ class CrackQuadrature:
         self.tangent_jump = (shp[None, :, None, :, None]
                              * proj[:, None, :, None, :]
                              * live[:, None, None]).reshape(n, 2, d, 4 * d)
+
+    def scatter(self, local: np.ndarray) -> np.ndarray:
+        """The sum of per-pair terms onto the crack dofs: (npairs, 8)
+        vectors on their jump_slots into a crack vector, or (npairs, 8, 8)
+        blocks on their block_slots into a dense (k, k) block, k =
+        crack_dofs.size.  A constrained dof's slot 0 has zero
+        coefficients, so it adds zeros."""
+        rank = local.ndim - 1
+        slots = self.jump_slots if rank == 1 else self.block_slots
+        k = self.crack_dofs.size
+        # without pairs, bincount returns integers
+        out = np.bincount(slots.ravel(), weights=local.ravel(),
+                          minlength=k ** rank)
+        return out.astype(float, copy=False).reshape((k,) * rank)
 
     def friction_bound(self, g: Expr):
         """exprlang.bind of g on the quadrature points, a function of t;
@@ -230,91 +246,66 @@ def crack_state(u, v, t, params: ContactParams, quad: CrackQuadrature,
 
 
 # ---------------------------------------------------------------------------
-# residual contributions (crack vectors of nodal forces)
+# the laws, and each pair's nodal forces (on its jump_slots)
 # ---------------------------------------------------------------------------
 
-def _scatter(slots, local, size):
-    """Sum of the per-pair values ``local`` at their ``slots`` (the same
-    shape) into a float vector of ``size`` entries."""
-    # without pairs, bincount returns integers
-    return np.bincount(slots.ravel(), weights=local.ravel(),
-                       minlength=size).astype(float, copy=False)
+def recover_tractions(crack, params: ContactParams):
+    """Interface tractions at a crack_state's quadrature points.
 
-
-def contact_residual(crack, params: ContactParams, quad: CrackQuadrature):
-    """Crack vector of the contact term's nodal forces at a crack_state.
-
-    Tested against w, the result equals the crack integral of
-    beta_eps(jump(gamma*u_n + v_n)) * jump(w_n).
+    Returns (sigma_n, sigma_t): the normal traction beta_eps(s) (always
+    <= 0) and the tangential traction vector g*alpha_eps(jt) (always
+    |sigma_t| <= g).
     """
-    vals = beta_eps(crack[0], params.epsilon) * quad.weights   # (n, q)
-    local = np.einsum("pq,pqm->pm", vals, quad.normal_jump)
-    return _scatter(quad.jump_slots, local, quad.crack_dofs.size)
+    s, jt, g = crack
+    return (beta_eps(s, params.epsilon),
+            g[..., None] * alpha_eps(jt, params.epsilon))
 
 
-def friction_residual(crack, params: ContactParams, quad: CrackQuadrature):
-    """Crack vector of the smoothed Tresca term's nodal forces at a
-    crack_state: g * alpha_eps of the tangential velocity jump, tested
-    against tangential jumps; zero without friction (g = 0)."""
-    _, jt, g = crack
-    vals = (g * quad.weights)[..., None] * alpha_eps(jt, params.epsilon)
-    local = np.einsum("pqc,pqcm->pm", vals, quad.tangent_jump)
-    return _scatter(quad.jump_slots, local, quad.crack_dofs.size)
+def contact_residual(sigma_n, quad: CrackQuadrature):
+    """Each pair's contact forces from the normal tractions, (npairs, 8):
+    J^T W sigma_n with J the normal jump.
+
+    Scattered and tested against w, they give the crack integral of
+    sigma_n * jump(w_n).
+    """
+    return np.einsum("pq,pqm->pm", sigma_n * quad.weights, quad.normal_jump)
+
+
+def friction_residual(sigma_t, quad: CrackQuadrature):
+    """Each pair's friction forces from the tangential tractions,
+    (npairs, 8): J^T W sigma_t with J the tangential jump; zero without
+    friction (g = 0)."""
+    return np.einsum("pqc,pqcm->pm", sigma_t * quad.weights[..., None],
+                     quad.tangent_jump)
 
 
 # ---------------------------------------------------------------------------
 # tangents (derivatives with respect to the Newton unknown)
 # ---------------------------------------------------------------------------
 
-def _jump_block(quad, jump, coef_jump):
-    """Dense (k, k) block J^T D J on quad.crack_dofs from a jump operator
-    J and D J, both (npairs, rows, 8), scattered on the block_slots (a
-    constrained dof's slot 0 has zero coefficients, so it adds zeros)."""
-    k = quad.crack_dofs.size
-    local = jump.swapaxes(1, 2) @ coef_jump                       # (n, 8, 8)
-    return _scatter(quad.block_slots, local, k * k).reshape(k, k)
-
-
 def contact_tangent(crack, params: ContactParams, quad: CrackQuadrature,
                     coeff_u: float, coeff_v: float) -> np.ndarray:
-    """Derivative of contact_residual at the crack_state of (u, v) along
-    a direction z entering as u + coeff_u*z, v + coeff_v*z, as a dense
-    block on quad.crack_dofs: J^T D J with J the normal jump and D =
-    dbeta_eps*chain*weight at each point.  Symmetric PSD."""
+    """Each pair's block of the derivative of the contact forces at the
+    crack_state of (u, v) along a direction z entering as u + coeff_u*z,
+    v + coeff_v*z, (npairs, 8, 8): J^T D J with J the normal jump and
+    D = dbeta_eps*chain*weight at each point.  Symmetric PSD."""
     chain = params.gamma * coeff_u + coeff_v
     coef = dbeta_eps(crack[0], params.epsilon) * chain * quad.weights
     jump = quad.normal_jump
-    return _jump_block(quad, jump, coef[..., None] * jump)
+    return jump.swapaxes(1, 2) @ (coef[..., None] * jump)
 
 
 def friction_tangent(crack, params: ContactParams, quad: CrackQuadrature,
                      coeff_v: float) -> np.ndarray:
-    """Derivative of friction_residual at a crack_state along v +
-    coeff_v*z, as a dense block on quad.crack_dofs: J^T D J with J the
-    tangential jump and D = coeff_v*g*weight/phi * (I - a a^T) at each
-    point, a = alpha_eps(jt), phi = phi_eps(jt).  Symmetric PSD; at zero
-    slip it is coeff_v*g/eps times the tangential interface mass."""
+    """Each pair's block of the derivative of the friction forces at a
+    crack_state along v + coeff_v*z, (npairs, 8, 8): J^T D J with J the
+    tangential jump and D = coeff_v*g*weight*dalpha_eps(jt) at each
+    point.  Symmetric PSD; at zero slip it is coeff_v*g/eps times the
+    tangential interface mass."""
     _, jt, g = crack
-    phi = phi_eps(jt, params.epsilon)
-    a = jt / phi[..., None]
+    coef = ((coeff_v * g * quad.weights)[..., None, None]
+            * dalpha_eps(jt, params.epsilon))                 # (n, q, d, d)
     jump = quad.tangent_jump
-    coef_jump = ((coeff_v * g * quad.weights / phi)[..., None, None]
-                 * (jump - a[..., :, None] * (a[..., None, :] @ jump)))
     n, q, d, m = jump.shape
     rows = (n, q * d, m)                                    # a row per (q, c)
-    return _jump_block(quad, jump.reshape(rows), coef_jump.reshape(rows))
-
-
-# ---------------------------------------------------------------------------
-# traction recovery
-# ---------------------------------------------------------------------------
-
-def recover_tractions(crack, params: ContactParams):
-    """Interface tractions at a crack_state's quadrature points.
-
-    Returns (sigma_n, sigma_t): the normal traction (always <= 0) and the
-    tangential traction vector (always |sigma_t| <= g).
-    """
-    s, jt, g = crack
-    return (beta_eps(s, params.epsilon),
-            g[..., None] * alpha_eps(jt, params.epsilon))
+    return jump.reshape(rows).swapaxes(1, 2) @ (coef @ jump).reshape(rows)

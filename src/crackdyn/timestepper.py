@@ -222,9 +222,11 @@ class Operators:
         interface.crack_state it was formed from.  Its linear part is
         the cached free-dof matrix ca*M + cu*K times a, plus a constant
         formed here once, so an evaluation makes one product with it and
-        otherwise touches the crack dofs alone.  newton_matrix(crack) is
-        the derivative of r in a at that crack state: the same matrix
-        plus a dense PSD crack-dof block.  g is sampled once, at t_w.
+        otherwise touches the crack dofs alone, recovering the tractions
+        and scattering the pairs' summed forces once.  newton_matrix(crack)
+        is the derivative of r in a at that crack state: the same matrix
+        plus a dense PSD crack-dof block, the pairs' summed tangents
+        scattered once.  g is sampled once, at t_w.
         """
         lin, lin_diag = self.linear_jacobian(ca, cu)
         contact, quad = self.contact, self.quad
@@ -237,17 +239,20 @@ class Operators:
             a_c = a[slots]
             crack = interface.crack_state(u_c + cu * a_c, v_c + cv * a_c,
                                           t_w, contact, quad, g=g)
+            sigma_n, sigma_t = interface.recover_tractions(crack, contact)
             r = lin @ a
             r += const
-            r[slots] += (interface.contact_residual(crack, contact, quad)
-                         + interface.friction_residual(crack, contact, quad))
+            r[slots] += quad.scatter(
+                interface.contact_residual(sigma_n, quad)
+                + interface.friction_residual(sigma_t, quad))
             return r, crack
 
         def newton_matrix(crack):
-            block = interface.contact_tangent(crack, contact, quad,
-                                              coeff_u=cu, coeff_v=cv)
-            block += interface.friction_tangent(crack, contact, quad,
-                                                coeff_v=cv)
+            block = quad.scatter(
+                interface.contact_tangent(crack, contact, quad,
+                                          coeff_u=cu, coeff_v=cv)
+                + interface.friction_tangent(crack, contact, quad,
+                                             coeff_v=cv))
             return _NewtonMatrix(lin, lin_diag, slots, block)
 
         return residual, newton_matrix

@@ -13,9 +13,9 @@ script's job:
 For each mutant it copies src/, tests/, perfbench/ and pyproject.toml to
 a temporary directory, applies the mutant there, runs the tier-1 suite
 with -x (but for tests/test_mutants.py), and prints the test that
-killed the mutant, or SURVIVED.  A
-mutant that survives takes one full suite run, about 30 s.  The working
-tree is never modified.  The exit status is 1 if any mutant survived,
+killed the mutant, or SURVIVED; last come the battery's wall time and
+the survivor count.  A mutant that survives takes one full suite run,
+about 30 s.  The working tree is never modified.  The exit status is 1 if any mutant survived,
 so the battery can serve as a gate.
 """
 
@@ -27,6 +27,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -51,7 +52,7 @@ MUTANTS = [
     (TS, "g = interface.friction_bound_values(contact, quad, t_w)",
      "g = interface.friction_bound_values(contact, quad, 0.0)",
      "Operators.interval samples g at t = 0, not at t_w"),
-    (IF, "(jump - a[..., :, None] * (a[..., None, :] @ jump))", "jump",
+    (IF, '(eye - np.einsum("...c,...e->...ce", a, a))', "eye",
      "the friction tangent's pointwise coefficient I - a a^T is I"),
     (IF, "chain = params.gamma * coeff_u + coeff_v", "chain = coeff_v",
      "the contact tangent drops the gamma*coeff_u of its chain rule"),
@@ -117,6 +118,29 @@ MUTANTS = [
      "+ np.arange(mass.shape[0]) % 1)",
      "the linear Jacobian adds every mass entry to the first component's "
      "column"),
+    (IF, "g[..., None] * alpha_eps(jt, params.epsilon))",
+     "alpha_eps(jt, params.epsilon))",
+     "the recovered tangential traction drops the friction bound g"),
+    (FEM, "_GAUSS2 = 1.0 / np.sqrt(3.0)", "_GAUSS2 = 0.5",
+     "the facet Gauss points sit at +-1/2, not +-1/sqrt(3)"),
+    (IF, "return m * m * m / (3.0 * eps)", "return m * m * m / (2.0 * eps)",
+     "psi_eps is not the antiderivative of beta_eps"),
+    (IF, 'np.einsum("...d,...d->...", x, x) + eps * eps)',
+     'np.einsum("...d,...d->...", x, x) + eps)',
+     "phi_eps smooths with epsilon, not epsilon^2"),
+    (TS, "eta = min(_CG_FORCING_MAX, 0.9 * ratio * ratio)",
+     "eta = min(_CG_FORCING_MAX, 0.9 * ratio)",
+     "the Eisenstat-Walker forcing term is linear in the contraction"),
+    (DIAG, "cauchy = (_state_distance(ops, final, runs[k - 1][1])",
+     "cauchy = (_state_distance(ops, final, runs[k][1])",
+     "cauchy_dist measures each run's distance to itself"),
+    (DIAG, "bound = -10.0 * tol_abs", "bound = -1000.0 * tol_abs",
+     "the check_vi bound is 100 times looser"),
+    (TS, "a0[self.free] = fem.solve_spd(mass, -r, tol=_CG_TOL)",
+     "a0[self.free] = fem.solve_spd(mass, -r, tol=1e-4)",
+     "the initial acceleration is solved only to 1e-4"),
+    (TS, "_LS_ETA = 0.5 ", "_LS_ETA = 0.95 ",
+     "the line search's slope test is 0.95, not 0.5"),
 ]
 
 
@@ -172,10 +196,12 @@ def main(argv) -> int:
               file=sys.stderr)
         return 2
     survivors = 0
+    start = time.perf_counter()
     for name in chosen:
         verdict = run_one(names[name])
         survivors += verdict == "SURVIVED"
         print(f"{name}: {verdict}  ({names[name][3]})", flush=True)
+    print(f"battery wall time {time.perf_counter() - start:.0f} s")
     print(f"{survivors} of {len(chosen)} mutants survived")
     return 1 if survivors else 0
 

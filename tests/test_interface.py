@@ -59,6 +59,37 @@ def ramp_measures(quad):
     return ell, m, ell / 2, ell / 3, ell / 4
 
 
+def forces(crack, params, quad):
+    """Crack vector of the crack's nodal forces at a crack_state, formed
+    as Operators.interval forms them: the tractions recovered once, each
+    pair's contact and friction forces summed, one scatter.  A
+    frictionless crack (g = 0) leaves exactly the contact forces, an
+    opening one (s >= 0) exactly the friction forces."""
+    sigma_n, sigma_t = recover_tractions(crack, params)
+    return quad.scatter(contact_residual(sigma_n, quad)
+                        + friction_residual(sigma_t, quad))
+
+
+def tangent(crack, params, quad, coeff_u, coeff_v):
+    """Dense crack-dof block of the derivative of forces, formed as the
+    Newton matrix forms it."""
+    return quad.scatter(contact_tangent(crack, params, quad, coeff_u, coeff_v)
+                        + friction_tangent(crack, params, quad, coeff_v))
+
+
+def frictionless(crack):
+    """The crack_state at g = 0: its forces are the contact forces."""
+    s, jt, g = crack
+    return s, jt, np.zeros_like(g)
+
+
+def opening(crack):
+    """The crack_state with the contact argument made nonnegative: its
+    forces are the friction forces."""
+    s, jt, g = crack
+    return np.abs(s), jt, g
+
+
 # ---------------------------------------------------------------------------
 # scalar regularization
 # ---------------------------------------------------------------------------
@@ -180,11 +211,11 @@ def test_empty_crack_quadrature():
     crack = crack_state(z, z, 0.0, params, quad)
     assert quad.crack_dofs.size == 0
     # empty, but floating point: a caller adds floats to them in place
-    for residual in (contact_residual(crack, params, quad),
-                     friction_residual(crack, params, quad)):
+    for residual in (forces(frictionless(crack), params, quad),
+                     forces(opening(crack), params, quad)):
         assert residual.shape == (0,) and residual.dtype == float
-    for block in (contact_tangent(crack, params, quad, 1.0, 1.0),
-                  friction_tangent(crack, params, quad, 1.0)):
+    for block in (tangent(frictionless(crack), params, quad, 1.0, 1.0),
+                  tangent(opening(crack), params, quad, 0.0, 1.0)):
         assert block.shape == (0, 0) and block.dtype == float
 
 
@@ -263,10 +294,10 @@ def test_jump_operators_match_the_pointwise_reference(span, theta, swap):
     assert np.abs(s - (1.7 * un + vn)).max() <= 1e-14 * np.abs(s).max()
     assert np.abs(jt - vt).max() <= 1e-14 * np.abs(jt).max()
     assert (beta_eps(s, 0.5) < 0.0).any()
-    work = contact_residual(crack, params, quad) @ w[cd]
+    work = forces(frictionless(crack), params, quad) @ w[cd]
     assert work == pytest.approx(
         np.sum(quad.weights * beta_eps(s, 0.5) * wn), rel=1e-12)
-    work = friction_residual(crack, params, quad) @ w[cd]
+    work = forces(opening(crack), params, quad) @ w[cd]
     assert work == pytest.approx(np.sum(
         (quad.weights * g)[..., None] * alpha_eps(jt, 0.5) * wt), rel=1e-12)
 
@@ -281,8 +312,8 @@ def test_contact_residual_uniform_penetration():
     params = ContactParams(gamma=0.0, epsilon=0.05)
     c = 0.2
     v = plus_side_field(mesh, quad, (0.0, -c))
-    r = contact_residual(crack_state(np.zeros_like(v), v, 0.0, params, quad),
-                         params, quad)
+    r = forces(crack_state(np.zeros_like(v), v, 0.0, params, quad),
+               params, quad)
     w = plus_side_field(mesh, quad, (0.0, 1.0))
     # r . w = integral of beta(-c ramp) * ramp: the interior facets
     # contribute -c^2/eps * ell each, each tip facet the ramp^3 integral
@@ -297,7 +328,7 @@ def test_contact_residual_zero_when_opening():
     params = ContactParams(gamma=0.0, epsilon=0.05)
     v = plus_side_field(mesh, quad, (0.0, 0.3))
     crack = crack_state(np.zeros_like(v), v, 0.0, params, quad)
-    assert not contact_residual(crack, params, quad).any()
+    assert not forces(crack, params, quad).any()
 
 
 def test_contact_residual_gamma_blend():
@@ -308,8 +339,7 @@ def test_contact_residual_gamma_blend():
     # gamma = 2 with displacement jump -0.1 equals gamma = 0 with velocity
     # jump -0.2
     def residual(u, v, params):
-        return contact_residual(crack_state(u, v, 0.0, params, quad),
-                                params, quad)
+        return forces(crack_state(u, v, 0.0, params, quad), params, quad)
     r_blend = residual(u, zero, ContactParams(2.0, 0.05))
     r_vel = residual(zero, 2.0 * u, ContactParams(0.0, 0.05))
     assert np.allclose(r_blend, r_vel, rtol=0, atol=1e-15)
@@ -326,8 +356,8 @@ def test_contact_residual_sign():
     rng = np.random.default_rng(8)
     v = plus_side_field(mesh, quad, (0.0, -0.2))
     v += 0.05 * rng.standard_normal(v.size)
-    r = contact_residual(crack_state(np.zeros_like(v), v, 0.0, params, quad),
-                         params, quad)
+    r = forces(crack_state(np.zeros_like(v), v, 0.0, params, quad),
+               params, quad)
     # tested against any opening-direction field the force is nonpositive
     plus = np.unique(mesh.crack_plus)
     w = np.zeros((mesh.n_vertices, 2))
@@ -340,12 +370,12 @@ def test_friction_residual_zero_cases():
     quad = CrackQuadrature(mesh, DofMap(mesh))
     v = plus_side_field(mesh, quad, (0.0, -0.2))  # normal jump only
     params = ContactParams(gamma=0.0, epsilon=0.05, g=ex.parse("0.3"))
-    assert not friction_residual(crack_state(v, v, 0.0, params, quad),
-                                 params, quad).any()
+    assert not forces(opening(crack_state(v, v, 0.0, params, quad)),
+                      params, quad).any()
     no_bound = ContactParams(gamma=0.0, epsilon=0.05)
     slip = plus_side_field(mesh, quad, (0.5, 0.0))
-    assert not friction_residual(crack_state(slip, slip, 0.0, no_bound, quad),
-                                 no_bound, quad).any()
+    assert not forces(crack_state(slip, slip, 0.0, no_bound, quad),
+                      no_bound, quad).any()
 
 
 def test_frictionless_terms_are_exact_zeros():
@@ -358,8 +388,9 @@ def test_frictionless_terms_are_exact_zeros():
     crack = crack_state(u, v, 0.0, params, quad)
     assert crack[1].any() and not crack[2].any()
     k = quad.crack_dofs.size
-    r = friction_residual(crack, params, quad)
-    tan = friction_tangent(crack, params, quad, coeff_v=0.7)
+    r = quad.scatter(friction_residual(recover_tractions(crack, params)[1],
+                                       quad))
+    tan = quad.scatter(friction_tangent(crack, params, quad, coeff_v=0.7))
     assert r.shape == (k,) and tan.shape == (k, k)
     assert not r.any() and not tan.any()
 
@@ -371,7 +402,7 @@ def test_friction_residual_dissipative_and_bounded():
     rng = np.random.default_rng(9)
     v = plus_side_field(mesh, quad, (0.2, 0.0))
     v += 0.05 * rng.standard_normal(v.size)
-    r = friction_residual(crack_state(v, v, 0.0, params, quad), params, quad)
+    r = forces(opening(crack_state(v, v, 0.0, params, quad)), params, quad)
     assert r @ v >= 0.0
     sigma_n, sigma_t = recover_tractions(
         crack_state(np.zeros_like(v), v, 0.0, params, quad), params)
@@ -407,7 +438,7 @@ def test_friction_bound_validation():
         friction_bound_values(bad, quad, 1.0)
     slip = plus_side_field(mesh, quad, (0.1, 0.0))
     with pytest.raises(FrictionBoundError):
-        friction_residual(crack_state(slip, slip, 1.0, bad, quad), bad, quad)
+        forces(crack_state(slip, slip, 1.0, bad, quad), bad, quad)
 
 
 def test_residual_monotonicity():
@@ -421,10 +452,10 @@ def test_residual_monotonicity():
         v2 = 0.3 * rng.standard_normal(u.size)
         c1 = crack_state(u, v1, 0.0, params, quad)
         c2 = crack_state(u, v2, 0.0, params, quad)
-        dc = (contact_residual(c1, params, quad)
-              - contact_residual(c2, params, quad)) @ (v1 - v2)
-        df = (friction_residual(c1, params, quad)
-              - friction_residual(c2, params, quad)) @ (v1 - v2)
+        dc = (forces(frictionless(c1), params, quad)
+              - forces(frictionless(c2), params, quad)) @ (v1 - v2)
+        df = (forces(opening(c1), params, quad)
+              - forces(opening(c2), params, quad)) @ (v1 - v2)
         assert dc >= -1e-12
         assert df >= -1e-12
 
@@ -449,10 +480,9 @@ def test_contact_tangent_directional_derivative():
     u, v = penetrating_pair(mesh, quad)
     cu, cv = 0.4, 0.9
     def residual(u, v):
-        return contact_residual(crack_state(u, v, 0.0, params, quad),
-                                params, quad)
-    tan = contact_tangent(crack_state(u, v, 0.0, params, quad), params,
-                          quad, coeff_u=cu, coeff_v=cv)
+        return forces(crack_state(u, v, 0.0, params, quad), params, quad)
+    tan = tangent(crack_state(u, v, 0.0, params, quad), params,
+                  quad, coeff_u=cu, coeff_v=cv)
     rng = np.random.default_rng(13)
     z = rng.standard_normal(u.size)
     h = 1e-4
@@ -471,10 +501,10 @@ def test_friction_tangent_directional_derivative():
     _, v = penetrating_pair(mesh, quad)
     cv = 0.7
     def residual(v):
-        return friction_residual(crack_state(v, v, 0.0, params, quad),
-                                 params, quad)
-    tan = friction_tangent(crack_state(v, v, 0.0, params, quad), params,
-                           quad, coeff_v=cv)
+        return forces(opening(crack_state(v, v, 0.0, params, quad)),
+                      params, quad)
+    tan = tangent(opening(crack_state(v, v, 0.0, params, quad)), params,
+                  quad, coeff_u=0.0, coeff_v=cv)
     rng = np.random.default_rng(14)
     z = rng.standard_normal(v.size)
     errs = []
@@ -490,8 +520,8 @@ def test_tangents_symmetric_positive_semidefinite():
     params = ContactParams(gamma=1.0, epsilon=0.05, g=ex.parse("0.3"))
     u, v = penetrating_pair(mesh, quad, seed=15)
     crack = crack_state(u, v, 0.0, params, quad)
-    tc = contact_tangent(crack, params, quad, coeff_u=0.5, coeff_v=1.0)
-    tf = friction_tangent(crack, params, quad, coeff_v=1.0)
+    tc = tangent(frictionless(crack), params, quad, coeff_u=0.5, coeff_v=1.0)
+    tf = tangent(opening(crack), params, quad, coeff_u=0.5, coeff_v=1.0)
     for dense in (tc, tf):
         scale = max(np.abs(dense).max(), 1.0)
         assert np.abs(dense - dense.T).max() <= 1e-13 * scale
@@ -511,8 +541,8 @@ def test_friction_tangent_at_zero_slip():
     coeff, g, eps, tau = 0.7, 0.3, 0.05, 2.0
     params = ContactParams(gamma=0.0, epsilon=eps, g=ex.parse(repr(g)))
     zero = np.zeros(quad.crack_dofs.size)
-    tan = friction_tangent(crack_state(zero, zero, 0.0, params, quad),
-                           params, quad, coeff_v=coeff)
+    tan = tangent(crack_state(zero, zero, 0.0, params, quad),
+                  params, quad, coeff_u=0.0, coeff_v=coeff)
     w = plus_side_field(mesh, quad, (tau, 0.0))
     ell, m, _, i2, _ = ramp_measures(quad)
     expected = coeff * g / eps * tau ** 2 * (m * ell + 2 * i2)
@@ -541,11 +571,15 @@ params = interface.ContactParams(1.0, 1e-2, exprlang.parse("0.05"))
 rng = np.random.default_rng(23)
 u, v = 0.05 * rng.standard_normal((2, quad.crack_dofs.size))
 crack = interface.crack_state(u, v, 0.0, params, quad)
-out = [*crack, interface.contact_residual(crack, params, quad),
-       interface.friction_residual(crack, params, quad),
-       interface.contact_tangent(crack, params, quad, 0.3, 0.7),
-       interface.friction_tangent(crack, params, quad, 0.7)]
-assert (crack[0] < 0.0).any() and out[5].any()
+sigma_n, sigma_t = interface.recover_tractions(crack, params)
+residual = (interface.contact_residual(sigma_n, quad),
+            interface.friction_residual(sigma_t, quad))
+tangent = (interface.contact_tangent(crack, params, quad, 0.3, 0.7),
+           interface.friction_tangent(crack, params, quad, 0.7))
+out = [*crack, sigma_n, sigma_t, *residual, *tangent,
+       quad.scatter(residual[0] + residual[1]),
+       quad.scatter(tangent[0] + tangent[1])]
+assert (crack[0] < 0.0).any() and out[6].any()
 print(hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes()
                               for a in out)).hexdigest())
 """

@@ -722,10 +722,12 @@ def test_gamma_zero_contact_ignores_displacement():
     v = rng.standard_normal(ops.quad.crack_dofs.size)
     ua = rng.standard_normal(v.size)
     ub = rng.standard_normal(v.size)
-    ra = interface.contact_residual(interface.crack_state(
-        ua, v, 0.0, ops.contact, ops.quad), ops.contact, ops.quad)
-    rb = interface.contact_residual(interface.crack_state(
-        ub, v, 0.0, ops.contact, ops.quad), ops.contact, ops.quad)
+    def contact_forces(u):
+        crack = interface.crack_state(u, v, 0.0, ops.contact, ops.quad)
+        sigma_n, _ = interface.recover_tractions(crack, ops.contact)
+        return ops.quad.scatter(interface.contact_residual(sigma_n, ops.quad))
+    ra = contact_forces(ua)
+    rb = contact_forces(ub)
     assert np.array_equal(ra, rb)
 
 
@@ -749,7 +751,9 @@ def test_newton_iteration_evaluates_the_crack_once(monkeypatch):
     # the cached free-dof matrix and forms the crack state once; M and K
     # are applied only in the interval's constant, g is sampled once for
     # the step's one t_w, and each Newton iteration builds one contact
-    # tangent from the crack state its residual formed
+    # tangent from the crack state its residual formed; the tractions
+    # are recovered once per residual, and the crack terms are scattered
+    # once per residual and once per Newton matrix
     problem = config_mod.build_problem(impact_config())
     ops, params = problem.ops, problem.config.time
     state = ops.initial_state(problem.u0, problem.v0)
@@ -760,11 +764,15 @@ def test_newton_iteration_evaluates_the_crack_once(monkeypatch):
     for name in ("mass", "stiffness"):
         monkeypatch.setattr(ops, name, _Counted(getattr(ops, name), counts,
                                                 name))
-    for name in ("crack_state", "friction_bound_values", "contact_tangent"):
-        def spy(*args, _f=getattr(interface, name), _name=name, **kwargs):
+    for owner, name in ((interface, "crack_state"),
+                        (interface, "friction_bound_values"),
+                        (interface, "contact_tangent"),
+                        (interface, "recover_tractions"),
+                        (interface.CrackQuadrature, "scatter")):
+        def spy(*args, _f=getattr(owner, name), _name=name, **kwargs):
             counts[_name] += 1
             return _f(*args, **kwargs)
-        monkeypatch.setattr(interface, name, spy)
+        monkeypatch.setattr(owner, name, spy)
 
     def interval(*args, _f=ops.interval):
         residual, newton_matrix = _f(*args)
@@ -786,6 +794,8 @@ def test_newton_iteration_evaluates_the_crack_once(monkeypatch):
     assert counts["friction_bound_values"] == 1      # one t_w per interval
     assert counts["crack_state"] == counts["residual"]
     assert counts["contact_tangent"] == info.iterations
+    assert counts["recover_tractions"] == counts["residual"]
+    assert counts["scatter"] == counts["residual"] + info.iterations
 
 
 LOADED_TEXT = """\
@@ -881,11 +891,67 @@ def test_interval_residual_is_the_force_balance(gamma, g):
             crack = interface.crack_state(u_w[cd], v_w[cd], t_w, ops.contact,
                                           ops.quad)
             balance = ops.mass @ a_w + ops.stiffness @ u_w - ops.load(t_w)
-            balance[cd] += (
-                interface.contact_residual(crack, ops.contact, ops.quad)
-                + interface.friction_residual(crack, ops.contact, ops.quad))
+            sigma_n, sigma_t = interface.recover_tractions(crack, ops.contact)
+            balance[cd] += ops.quad.scatter(
+                interface.contact_residual(sigma_n, ops.quad)
+                + interface.friction_residual(sigma_t, ops.quad))
             scale = np.abs(balance[free]).max()
             assert np.abs(r - balance[free]).max() <= BALANCE_RTOL * scale
+
+
+def _friction_interval(seed):
+    """An interval at a penetrating, slipping state under friction, and
+    the crack state of its residual at a random a+: (ops, residual,
+    newton_matrix, a, r, crack, cv)."""
+    ops = make_ops(gamma=1.0, g="0.05*(1 + x)")
+    rng = np.random.default_rng(seed)
+    state = _penetrating_state(ops, rng, t=0.1)
+    params = TimeParams(t_end=1.0, dt=0.05)
+    residual, newton_matrix, _, _ = timestepper._interval(
+        state, params.dt, ops, params)
+    a = rng.standard_normal(ops.free.size)
+    r, crack = residual(a)
+    cv = params.newmark_g ** 2 * params.dt
+    return ops, residual, newton_matrix, a, r, crack, cv
+
+
+def test_interval_residual_takes_friction_from_recover_tractions(
+        monkeypatch):
+    # the law is evaluated in one place: doubling the tangential traction
+    # recover_tractions gives moves the residual by exactly one more set
+    # of friction forces, to rounding
+    ops, residual, _, a, r, crack, _ = _friction_interval(61)
+    recover = interface.recover_tractions
+    _, sigma_t = recover(crack, ops.contact)
+    extra = np.zeros_like(r)
+    extra[ops.quad.crack_free] = ops.quad.scatter(
+        interface.friction_residual(sigma_t, ops.quad))
+    assert np.abs(extra).max() > 1e-3 * np.abs(r).max()
+
+    def doubled(*args):
+        sigma_n, sigma_t = recover(*args)
+        return sigma_n, 2.0 * sigma_t
+    monkeypatch.setattr(interface, "recover_tractions", doubled)
+    moved, _ = residual(a)
+    assert np.abs(moved - r - extra).max() <= BALANCE_RTOL * np.abs(r).max()
+
+
+def test_newton_matrix_takes_friction_derivative_from_dalpha_eps(
+        monkeypatch):
+    # the derivative verify's regularization-gradients check guards is
+    # the one Newton uses: dalpha_eps off by 1 % moves the crack block by
+    # 1 % of its friction part
+    ops, _, newton_matrix, _, _, crack, cv = _friction_interval(62)
+    block = newton_matrix(crack).block
+    friction = ops.quad.scatter(
+        interface.friction_tangent(crack, ops.contact, ops.quad, coeff_v=cv))
+    assert np.abs(friction).max() > 0.0
+    dalpha = interface.dalpha_eps
+    monkeypatch.setattr(interface, "dalpha_eps",
+                        lambda x, eps: 1.01 * dalpha(x, eps))
+    moved = newton_matrix(crack).block
+    assert (np.abs(moved - block - 0.01 * friction).max()
+            <= BALANCE_RTOL * np.abs(block).max())
 
 
 def test_line_search_give_up_ends_in_step_failure(monkeypatch):
