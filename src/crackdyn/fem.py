@@ -110,23 +110,36 @@ class State:
 # geometry
 # ---------------------------------------------------------------------------
 
-def _cell_geometry(mesh):
-    """Areas and P1 basis gradients; raises on non-positive cell area."""
-    coords = mesh.vertices[mesh.cells]            # (nc, 3, 2)
-    e1 = coords[:, 1] - coords[:, 0]
-    e2 = coords[:, 2] - coords[:, 0]
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+def _cell_edges(mesh):
+    """Each cell's edges from its vertex 0, e1 = p1 - p0 and e2 = p2 - p0
+    (2, nc), and det = e1 x e2 (nc,), twice its area; raises on a
+    non-positive area."""
+    corners = np.take(mesh.vertices.T, mesh.cells.T, axis=1)  # (2, 3, nc)
+    e1 = corners[:, 1] - corners[:, 0]
+    e2 = corners[:, 2] - corners[:, 0]
+    det = e1[0] * e2[1] - e1[1] * e2[0]
     bad = np.nonzero(det <= 0)[0]
     if bad.size:
         raise AssemblyError(f"cell {bad[0]} has non-positive area")
-    area = 0.5 * det
-    grads = np.empty((mesh.n_cells, 3, 2))
-    grads[:, 1, 0] = e2[:, 1] / det
-    grads[:, 1, 1] = -e2[:, 0] / det
-    grads[:, 2, 0] = -e1[:, 1] / det
-    grads[:, 2, 1] = e1[:, 0] / det
-    grads[:, 0] = -grads[:, 1] - grads[:, 2]
-    return coords, area, grads
+    return e1, e2, det
+
+
+def _cell_areas(mesh):
+    """Cell areas (nc,); raises on a non-positive one."""
+    return 0.5 * _cell_edges(mesh)[2]
+
+
+def _cell_geometry(mesh):
+    """Areas (nc,) and P1 basis gradients (3, 2, nc), [vertex, axis,
+    cell]; raises on a non-positive area."""
+    e1, e2, det = _cell_edges(mesh)
+    grads = np.empty((3, 2, det.size))
+    grads[1, 0] = e2[1] / det
+    grads[1, 1] = -e2[0] / det
+    grads[2, 0] = -e1[1] / det
+    grads[2, 1] = e1[0] / det
+    grads[0] = -grads[1] - grads[2]
+    return 0.5 * det, grads
 
 
 def facet_quadrature(vertices, facets):
@@ -151,8 +164,8 @@ _MASS_BLOCK = np.array([[2.0, 1.0, 1.0],
 
 
 def _on_graph(mesh, blocks) -> np.ndarray:
-    """Sum of the element blocks (nc, 3, 3) at each pair of
-    mesh.vertex_graph, in cell order."""
+    """Sum of the element blocks (3, 3, nc) at each pair of
+    mesh.vertex_graph."""
     _, indices, slots = mesh.vertex_graph
     return np.bincount(slots.ravel(), weights=blocks.ravel(),
                        minlength=indices.size)
@@ -190,8 +203,8 @@ def _dof_matrix(mesh, blocks) -> sp.csr_matrix:
 def assemble_mass(mesh, material: Material) -> sp.csr_matrix:
     """Consistent mass matrix scaled by the density (SPD); it couples
     equal components only, and stores no other entry."""
-    area = _cell_geometry(mesh)[1]
-    m = _on_graph(mesh, material.rho * area[:, None, None] * _MASS_BLOCK)
+    m = _on_graph(mesh, (material.rho * _cell_areas(mesh))
+                  * _MASS_BLOCK[:, :, None])
     d = mesh.dim
     return _dof_matrix(mesh, [[m if e == c else None for e in range(d)]
                               for c in range(d)])
@@ -229,18 +242,19 @@ def _stiffness_blocks(mesh, material: Material):
     """The stiffness's (c, e) component blocks on mesh.vertex_graph; a
     function of its own, so that the cell arrays are freed before the
     matrix is laid out."""
-    _, area, grads = _cell_geometry(mesh)
+    area, grads = _cell_geometry(mesh)
     d = mesh.dim
     lam, mu = material.lam, material.mu
-    weighted = area[:, None, None] * grads
-    gdot = np.einsum("nid,njd->nij", grads, grads)
+    weighted = area * grads
+    gdot = (grads[:, None, 0] * grads[None, :, 0]
+            + grads[:, None, 1] * grads[None, :, 1])
     blocks = [[None] * d for _ in range(d)]
     for c in range(d):
         for e in range(d):
-            ke = (lam * (weighted[:, :, None, c] * grads[:, None, :, e])
-                  + mu * (weighted[:, :, None, e] * grads[:, None, :, c]))
+            ke = (lam * (weighted[:, None, c] * grads[None, :, e])
+                  + mu * (weighted[:, None, e] * grads[None, :, c]))
             if e == c:
-                ke += (mu * area)[:, None, None] * gdot
+                ke += (mu * area) * gdot
             blocks[c][e] = _on_graph(mesh, ke)
     return blocks
 
@@ -298,7 +312,7 @@ class LoadForm:
         self.ndof = mesh.n_vertices * mesh.dim
         self.body = self.traction = None
         if f is not None:
-            coords, area, _ = _cell_geometry(mesh)
+            coords, area = mesh.vertices[mesh.cells], _cell_areas(mesh)
             mids = 0.5 * (coords + np.roll(coords, -1, axis=1))
             shapes = (area / 3.0)[:, None, None] * _MIDPOINT_SHAPES
             self.body = _LoadPart(f, mids, shapes, mesh.cells, self.ndof,

@@ -100,14 +100,22 @@ class CrackedMesh:
         """The pairs of vertices that share a cell, each vertex paired
         with itself too, as (indptr, indices, slots); built on first use
         and held until deleted, which build_operators does once M and K
-        are assembled.  Row i of the CSR arrays (indptr, indices) lists the vertices
-        paired with i in increasing order, and slots (nc, dim+1, dim+1)
-        holds the position in indices of each cell's pair (cells[c, a],
-        cells[c, b])."""
+        are assembled.  Row i of the CSR arrays (indptr, indices) lists
+        the vertices paired with i in increasing order, and slots
+        (dim+1, dim+1, nc) holds the position in indices of each cell's
+        pair (cells[c, a], cells[c, b]) at [a, b, c].  One sort of the
+        pair keys puts equal pairs next to each other; each pair's
+        position is the number of distinct keys sorted before it."""
         nv = self.n_vertices
-        keys = self.cells[:, :, None] * nv + self.cells[:, None, :]
-        pairs, slots = np.unique(keys.ravel(), return_inverse=True)
-        rows, indices = np.divmod(pairs, nv)
+        corners = np.ascontiguousarray(self.cells.T)
+        keys = corners[:, None, :] * nv + corners[None, :, :]
+        order = np.argsort(keys, axis=None, kind="stable")
+        ranked = keys.ravel()[order]
+        first = np.ones(keys.size, dtype=bool)
+        np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+        slots = np.empty(keys.size, dtype=np.int64)
+        slots[order] = np.cumsum(first) - 1
+        rows, indices = np.divmod(ranked[first], nv)
         indptr = np.zeros(nv + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=nv), out=indptr[1:])
         return indptr, indices, slots.reshape(keys.shape)
@@ -201,10 +209,12 @@ class CrackedMesh:
         if np.intersect1d(interior_plus, interior_minus).size:
             raise MeshError("crack interior vertex is shared between the sides")
         plus = self.cell_sides == SIDE_PLUS
-        plus_cells_verts = np.unique(self.cells[plus])
-        minus_cells_verts = np.unique(self.cells[~plus])
-        bad = np.union1d(np.intersect1d(interior_plus, minus_cells_verts),
-                         np.intersect1d(interior_minus, plus_cells_verts))
+        in_plus = np.zeros(self.n_vertices, dtype=bool)
+        in_minus = np.zeros(self.n_vertices, dtype=bool)
+        in_plus[self.cells[plus]] = True
+        in_minus[self.cells[~plus]] = True
+        bad = np.union1d(interior_plus[in_minus[interior_plus]],
+                         interior_minus[in_plus[interior_minus]])
         if bad.size:
             raise MeshError(
                 f"vertices {bad.tolist()} lie strictly inside the crack but are "

@@ -8,6 +8,7 @@ the Config, which the sweeps and stability probe replay.
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -143,6 +144,26 @@ def turned(mesh, theta, swap=False):
     return meshing.CrackedMesh(2, mesh.vertices @ rot.T, mesh.cells, sides,
                                mesh.dirichlet_facets, mesh.neumann_facets,
                                plus, minus, normals @ rot.T)
+
+
+def python_calls(fn, *args):
+    """How many Python and C function calls fn(*args) makes: equal at
+    every mesh size for code that handles whole arrays, with no call
+    per cell, facet or pair."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event in ("call", "c_call"):
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(previous)
+    return calls
 
 
 def reference_jumps(w, mesh):

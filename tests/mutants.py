@@ -37,6 +37,7 @@ IGNORED = shutil.ignore_patterns("__pycache__", ".perfbench", ".pytest_cache")
 TS = "src/crackdyn/timestepper.py"
 IF = "src/crackdyn/interface.py"
 FEM = "src/crackdyn/fem.py"
+MESH = "src/crackdyn/meshing.py"
 DIAG = "src/crackdyn/diagnostics.py"
 VTK = "src/crackdyn/vtkio.py"
 
@@ -141,6 +142,17 @@ MUTANTS = [
      "the initial acceleration is solved only to 1e-4"),
     (TS, "_LS_ETA = 0.5 ", "_LS_ETA = 0.95 ",
      "the line search's slope test is 0.95, not 0.5"),
+    (FEM, "grads[0] = -grads[1] - grads[2]",
+     "grads[0] = grads[1] + grads[2]",
+     "the gradient of each cell's basis function 0 has the wrong sign"),
+    (MESH, "keys = corners[:, None, :] * nv + corners[None, :, :]",
+     "keys = corners[None, :, :] * nv + corners[:, None, :]",
+     "each cell's (a, b) slot of the vertex graph holds the pair (b, a)"),
+    (MESH, "in_plus[self.cells[plus]] = True\n"
+     "        in_minus[self.cells[~plus]] = True",
+     "in_plus[self.cells[~plus]] = True\n"
+     "        in_minus[self.cells[plus]] = True",
+     "the crack separation check swaps the plus and minus vertex masks"),
 ]
 
 

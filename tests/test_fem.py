@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from conftest import turned
+from conftest import python_calls, turned
 
 from crackdyn import exprlang as ex
 from crackdyn import diagnostics, fem, timestepper
@@ -316,6 +316,26 @@ def test_assembly_matches_a_dense_cell_loop(case, tmp_path):
     assert np.array_equal(_stored(m), np.kron(shared, np.eye(2, dtype=bool)))
 
 
+@pytest.mark.parametrize("case", ["plate", "clamped_tip", "turned_file"])
+def test_vertex_graph_matches_the_cell_pairs(case, tmp_path):
+    # the CSR arrays against a set of every cell's vertex pairs, and each
+    # slot [a, b, c] at a position of row cells[c, a] that holds
+    # cells[c, b]; the turned mesh is read back from its file
+    mesh = _assembly_mesh(case, tmp_path)
+    indptr, indices, slots = mesh.vertex_graph
+    pairs = {(int(i), int(j)) for cell in mesh.cells
+             for i in cell for j in cell}
+    rows = np.repeat(np.arange(mesh.n_vertices), np.diff(indptr))
+    assert list(zip(rows.tolist(), indices.tolist())) == sorted(pairs)
+    assert slots.shape == (3, 3, mesh.n_cells)
+    for c, cell in enumerate(mesh.cells):
+        for a in range(3):
+            for b in range(3):
+                slot = slots[a, b, c]
+                assert indices[slot] == cell[b]
+                assert indptr[cell[a]] <= slot < indptr[cell[a] + 1]
+
+
 def test_combine_matches_the_sparse_sum():
     # one combination of the data equals scipy's ca*M + cu*K entry for
     # entry; at cu = 0 it keeps M's own pattern, without K's
@@ -331,7 +351,7 @@ def test_combine_matches_the_sparse_sum():
 
 def test_build_operators_peak_memory():
     # the transient memory of assembly stays a small multiple of what it
-    # builds: 3.3 times the bytes of M and K here, where summing COO
+    # builds: 3.0 times the bytes of M and K here, where summing COO
     # triplets takes 7.8
     mesh = generate_rect_crack(2.0, 1.0, 32, 16, crack_span=(0.25, 0.75))
     tracemalloc.start()
@@ -346,6 +366,25 @@ def test_build_operators_peak_memory():
     held = sum(a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
                for a in (ops.mass, ops.stiffness))
     assert peak <= 4 * held
+
+
+def _calls_to_build_operators(nx):
+    mesh = generate_rect_crack(2.0, 1.0, nx, nx // 2, (0.25, 0.75))
+    return python_calls(
+        timestepper.build_operators, mesh,
+        Material(lam=1.0, mu=1.0, rho=1.0),
+        ContactParams(gamma=0.0, epsilon=1e-2),
+        (ex.parse("x*y"), ex.parse("-1")), (ex.parse("t"), ex.parse("x")))
+
+
+def test_assembly_makes_the_same_calls_at_every_size():
+    # M, K and the load quadrature are formed on whole arrays of cells
+    # and facets, so no Python call is made per cell: nx = 256 makes
+    # exactly the calls of 16.  The first call also fills the isinstance
+    # caches of abstract base classes, so it is not counted
+    _calls_to_build_operators(16)
+    assert _calls_to_build_operators(16) == _calls_to_build_operators(64) \
+        == _calls_to_build_operators(256)
 
 
 def test_assembly_is_deterministic():

@@ -1,8 +1,8 @@
 import hashlib
-import sys
 
 import numpy as np
 import pytest
+from conftest import python_calls
 
 from crackdyn import meshing
 from crackdyn.meshing import (
@@ -397,6 +397,20 @@ def test_separation_names_every_shared_interior_vertex():
         "between plus and minus cells")
 
 
+def test_separation_names_minus_interior_vertices_in_plus_cells():
+    # the mesh above with its sides relabelled: 6 and 7 are then minus
+    # crack vertices that plus cells hold
+    m = generate_rect_crack(2.0, 1.0, 4, 2, crack_span=(0.2, 0.8))
+    cells = m.cells.copy()
+    cells[2, 2] = 7
+    cells[0, 2] = 6
+    assert _message(m, cells=cells, cell_sides=-m.cell_sides,
+                    crack_plus=m.crack_minus, crack_minus=m.crack_plus,
+                    crack_normals=-m.crack_normals) == (
+        "vertices [6, 7] lie strictly inside the crack but are shared "
+        "between plus and minus cells")
+
+
 def test_glued_check_names_lowest_degenerate_cell():
     # pair 0 alone glues 9 onto 4; cells 3 and 6 then hold both
     m = generate_rect_crack(2.0, 1.0, 2, 2, crack_span=(0.25, 0.75))
@@ -521,20 +535,8 @@ def test_generator_output_is_unchanged(tmp_path, args, digest):
 
 
 def _calls_to_generate(nx):
-    calls = 0
-
-    def count(frame, event, arg):
-        nonlocal calls
-        if event in ("call", "c_call"):
-            calls += 1
-
-    previous = sys.getprofile()
-    sys.setprofile(count)
-    try:
-        generate_rect_crack(2.0, 1.0, nx, nx // 2, (0.25, 0.75))
-    finally:
-        sys.setprofile(previous)
-    return calls
+    return python_calls(generate_rect_crack, 2.0, 1.0, nx, nx // 2,
+                        (0.25, 0.75))
 
 
 def test_generate_and_validate_make_the_same_calls_at_every_size():

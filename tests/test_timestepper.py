@@ -854,6 +854,22 @@ def test_loads_and_g_are_bound_once_per_problem(monkeypatch):
         "friction_bound_values"]
 
 
+def test_gradients_are_computed_once_per_problem(monkeypatch):
+    # the mass and the body load need the cell areas alone: the basis
+    # gradients are computed once, for the stiffness
+    calls = []
+
+    def spy(mesh, _f=fem._cell_geometry):
+        calls.append(mesh)
+        return _f(mesh)
+    monkeypatch.setattr(fem, "_cell_geometry", spy)
+    problem = config_mod.build_problem(
+        config_mod.parse_config_text(LOADED_TEXT))
+    form = problem.ops.load_form
+    assert form.body is not None and form.traction is not None
+    assert len(calls) == 1
+
+
 # Largest |r - force balance| over the largest |force balance| entry,
 # measured over the cases below: 4.4e-16.  The bound leaves a factor of
 # about 20 for other platforms' rounding.
