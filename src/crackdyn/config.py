@@ -68,44 +68,18 @@ class Problem:
     v0: np.ndarray
 
 
-def _split_vector(text: str, key: str) -> list[str]:
-    text = text.strip()
-    if not (text.startswith("(") and text.endswith(")")):
-        raise ConfigError(f"{key}: vector values are written (expr, expr)")
-    inner = text[1:-1]
-    parts = []
-    depth = 0
-    cur = []
-    for ch in inner:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ConfigError(f"{key}: unbalanced parentheses")
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    if depth != 0:
-        raise ConfigError(f"{key}: unbalanced parentheses")
-    parts.append("".join(cur))
-    return parts
-
-
-def _parse_expr(text: str, key: str) -> Expr:
+def _parse_expr(text: str, key: str, parse=exprlang.parse):
     try:
-        return exprlang.parse(text.strip())
+        return parse(text.strip())
     except exprlang.ExprError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
 
 
 def _parse_vector(text: str, key: str):
-    parts = _split_vector(text, key)
+    parts = _parse_expr(text, key, exprlang.parse_vector)
     if len(parts) != 2:
         raise ConfigError(f"{key}: expected 2 components, got {len(parts)}")
-    return tuple(_parse_expr(p, key) for p in parts)
+    return parts
 
 
 # Each key of each section: the field it sets and its reader.
@@ -127,6 +101,10 @@ _SCHEMA = {
              "u0": ("u0", _parse_vector), "v0": ("v0", _parse_vector)},
     "output": {"directory": ("output_dir", str), "cadence": ("cadence", int)},
 }
+# The [mesh] keys each mesh kind reads.
+_MESH_KEYS = {"rect": ("kind", "width", "height", "nx", "ny", "crack_lo",
+                       "crack_hi"),
+              "file": ("kind", "path")}
 
 
 def _value(sec, section, key):
@@ -184,6 +162,12 @@ def parse_config_text(text: str, origin: str = "<config>") -> Config:
         raise ConfigError("missing [mesh] section")
     msec = cp["mesh"]
     kind = msec.get("kind", "rect").strip()
+    if kind not in _MESH_KEYS:
+        raise ConfigError(f"unknown mesh kind {kind!r}")
+    for key in msec:
+        if key not in _MESH_KEYS[kind]:
+            raise ConfigError(f"[mesh] key {key!r} is not read by mesh kind "
+                              f"{kind!r}")
     if kind == "rect":
         if ("crack_lo" in msec) != ("crack_hi" in msec):
             raise ConfigError("crack_lo and crack_hi must be given together")
@@ -192,12 +176,10 @@ def parse_config_text(text: str, origin: str = "<config>") -> Config:
         mesh_spec = MeshSpec(kind="rect", crack=crack, **{
             key: _value(msec, "mesh", key)
             for key in ("width", "height", "nx", "ny")})
-    elif kind == "file":
+    else:
         if "path" not in msec:
             raise ConfigError("mesh kind 'file' needs a path")
         mesh_spec = MeshSpec(kind="file", path=_value(msec, "mesh", "path"))
-    else:
-        raise ConfigError(f"unknown mesh kind {kind!r}")
 
     if "material" not in cp:
         raise ConfigError("missing [material] section")

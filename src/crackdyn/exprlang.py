@@ -9,13 +9,18 @@ Grammar, lowest to highest precedence:
     unary   :=  '-' unary | power
     power   :=  atom ('^' unary)?                  right associative
     atom    :=  number | variable | func '(' args ')' | '(' sum ')'
+    args    :=  sum (',' sum)*
+    vector  :=  '(' args ')'                       parse_vector only
 
 Variables are ``t, x, y``; functions are ``sin, cos, exp, sqrt, abs``
-(one argument) and ``min, max`` (two arguments).  Evaluation is pure and
-accepts numpy arrays for any variable (results broadcast).  Division by
-zero and square roots of negative numbers raise ``ExprDomainError``
-instead of producing non-finite values.  Overflow is not an error here:
-it gives inf silently, and the caller checks its values for finiteness.
+(one argument) and ``min, max`` (two arguments).  Every operation, an
+operator or a function, is a ``Call`` of a name in ``OPERATIONS``, which
+holds its arity, its function and its domain check; unary minus is the
+name ``neg``.  Evaluation is pure and accepts numpy arrays for any
+variable (results broadcast).  Division by zero and square roots of
+negative numbers raise ``ExprDomainError`` instead of producing
+non-finite values.  Overflow is not an error here: it gives inf
+silently, and the caller checks its values for finiteness.
 
 Data evaluated on the same points at many times are bound to them once:
 ``bind`` evaluates every t-free subtree on the points, with its domain
@@ -26,6 +31,8 @@ one way onto a set of points: ``bind(expr, (x, y))(t)`` equals
 
 from __future__ import annotations
 
+import operator
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,19 +41,17 @@ __all__ = [
     "Expr",
     "Num",
     "Var",
-    "Neg",
-    "Bin",
     "Call",
     "ExprError",
     "ExprSyntaxError",
     "ExprDomainError",
     "parse",
+    "parse_vector",
     "evaluate",
     "bind",
 ]
 
 VARIABLES = ("t", "x", "y")
-FUNCTIONS = {"sin": 1, "cos": 1, "exp": 1, "sqrt": 1, "abs": 1, "min": 2, "max": 2}
 
 
 class ExprError(ValueError):
@@ -80,18 +85,6 @@ class Var(Expr):
 
 
 @dataclass(frozen=True)
-class Neg(Expr):
-    operand: Expr
-
-
-@dataclass(frozen=True)
-class Bin(Expr):
-    op: str
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
 class Call(Expr):
     func: str
     args: tuple[Expr, ...]
@@ -106,163 +99,171 @@ class _Value(Expr):
 
 
 # ---------------------------------------------------------------------------
+# operations
+# ---------------------------------------------------------------------------
+
+def _divide_check(a, b):
+    if np.any(np.equal(b, 0.0)):
+        raise ExprDomainError("division by zero")
+
+
+def _power_check(a, b):
+    if np.any(np.logical_and(np.less(a, 0.0), np.not_equal(b, np.floor(b)))):
+        raise ExprDomainError("fractional power of a negative base")
+    if np.any(np.logical_and(np.equal(a, 0.0), np.less(b, 0.0))):
+        raise ExprDomainError("zero raised to a negative power")
+
+
+def _sqrt_check(a):
+    if np.any(np.less(a, 0.0)):
+        raise ExprDomainError("square root of a negative number")
+
+
+# Each operation's arity, function and domain check (None: none).  The
+# operators keep Python's arithmetic, so scalars stay Python floats.
+OPERATIONS = {
+    "neg": (1, operator.neg, None),
+    "+": (2, operator.add, None),
+    "-": (2, operator.sub, None),
+    "*": (2, operator.mul, None),
+    "/": (2, operator.truediv, _divide_check),
+    "^": (2, np.power, _power_check),
+    "sin": (1, np.sin, None),
+    "cos": (1, np.cos, None),
+    "exp": (1, np.exp, None),
+    "sqrt": (1, np.sqrt, _sqrt_check),
+    "abs": (1, np.abs, None),
+    "min": (2, np.minimum, None),
+    "max": (2, np.maximum, None),
+}
+# The names a source text calls: the rest are operators, and unary minus
+# is written '-'.
+FUNCTIONS = {name: arity for name, (arity, _, _) in OPERATIONS.items()
+             if name.isalpha() and name != "neg"}
+# Precedence of the left-associative binary operators; '^' is parsed by
+# unary, which binds it tighter.
+_LEVELS = {"+": 1, "-": 1, "*": 2, "/": 2}
+
+
+# ---------------------------------------------------------------------------
 # tokenizer / parser
 # ---------------------------------------------------------------------------
 
-_TOK_NUM = "num"
-_TOK_IDENT = "ident"
-_TOK_OP = "op"
-_TOK_END = "end"
-
-_OP_CHARS = "+-*/^(),"
+_TOKEN = re.compile(r"(?P<num>[\d.]+(?:[eE][+-]?\d+)?)|(?P<name>[^\W\d]\w*)"
+                    r"|(?P<op>[-+*/^(),])|(?P<bad>\S)")
 
 
 def _tokenize(src: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) of each token, then ('end', '', len(src))."""
     toks = []
-    i, n = 0, len(src)
-    while i < n:
-        c = src[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _OP_CHARS:
-            toks.append((_TOK_OP, c, i))
-            i += 1
-            continue
-        if c.isdigit() or c == ".":
-            j = i
-            while j < n and (src[j].isdigit() or src[j] == "."):
-                j += 1
-            if j < n and src[j] in "eE":
-                k = j + 1
-                if k < n and src[k] in "+-":
-                    k += 1
-                if k < n and src[k].isdigit():
-                    while k < n and src[k].isdigit():
-                        k += 1
-                    j = k
-            text = src[i:j]
+    for m in _TOKEN.finditer(src):
+        kind, text, off = m.lastgroup, m.group(), m.start()
+        if kind == "bad":
+            raise ExprSyntaxError(f"unexpected character {text!r}", off)
+        if kind == "num":
             try:
                 float(text)
             except ValueError:
-                raise ExprSyntaxError(f"bad number literal {text!r}", i) from None
-            toks.append((_TOK_NUM, text, i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            toks.append((_TOK_IDENT, src[i:j], i))
-            i = j
-            continue
-        raise ExprSyntaxError(f"unexpected character {c!r}", i)
-    toks.append((_TOK_END, "", n))
+                raise ExprSyntaxError(f"bad number literal {text!r}",
+                                      off) from None
+        toks.append((kind, text, off))
+    toks.append(("end", "", len(src)))
     return toks
 
 
 class _Parser:
+    """Recursive descent over the tokens.  No two kinds of token share a
+    text, so the methods test a token by its text alone."""
+
     def __init__(self, src: str):
-        self.src = src
         self.toks = _tokenize(src)
         self.pos = 0
 
-    def peek(self):
-        return self.toks[self.pos]
-
-    def advance(self):
-        tok = self.toks[self.pos]
+    def expect(self, text: str):
+        _, found, off = self.toks[self.pos]
+        if found != text:
+            raise ExprSyntaxError(f"expected {text!r}", off)
         self.pos += 1
-        return tok
 
-    def expect_op(self, op: str):
-        kind, text, off = self.peek()
-        if kind != _TOK_OP or text != op:
-            raise ExprSyntaxError(f"expected {op!r}", off)
-        return self.advance()
-
-    def parse(self) -> Expr:
-        e = self.sum()
-        kind, text, off = self.peek()
-        if kind != _TOK_END:
+    def end(self, result):
+        kind, text, off = self.toks[self.pos]
+        if text == ")":
+            raise ExprSyntaxError("unbalanced parentheses", off)
+        if kind != "end":
             raise ExprSyntaxError(f"unexpected trailing {text!r}", off)
-        return e
+        return result
 
-    def sum(self) -> Expr:
-        e = self.term()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == _TOK_OP and text in "+-":
-                self.advance()
-                e = Bin(text, e, self.term())
-            else:
-                return e
-
-    def term(self) -> Expr:
+    def sum(self, level: int = 1) -> Expr:
+        """A sum (level 1) or a term (level 2)."""
         e = self.unary()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == _TOK_OP and text in "*/":
-                self.advance()
-                e = Bin(text, e, self.unary())
-            else:
-                return e
+        op = self.toks[self.pos][1]
+        while _LEVELS.get(op, 0) >= level:
+            self.pos += 1
+            e = Call(op, (e, self.sum(_LEVELS[op] + 1)))
+            op = self.toks[self.pos][1]
+        return e
 
     def unary(self) -> Expr:
-        kind, text, _ = self.peek()
-        if kind == _TOK_OP and text == "-":
-            self.advance()
-            return Neg(self.unary())
-        return self.power()
-
-    def power(self) -> Expr:
+        if self.toks[self.pos][1] == "-":
+            self.pos += 1
+            return Call("neg", (self.unary(),))
         e = self.atom()
-        kind, text, _ = self.peek()
-        if kind == _TOK_OP and text == "^":
-            self.advance()
+        if self.toks[self.pos][1] == "^":
+            self.pos += 1
             # unary on the right makes '^' right associative and lets a
             # leading minus appear in the exponent without parentheses
-            return Bin("^", e, self.unary())
+            return Call("^", (e, self.unary()))
         return e
 
+    def args(self) -> tuple[Expr, ...]:
+        """'(' args ')', the next token being '('."""
+        self.pos += 1
+        args = [self.sum()]
+        while self.toks[self.pos][1] == ",":
+            self.pos += 1
+            args.append(self.sum())
+        self.expect(")")
+        return tuple(args)
+
     def atom(self) -> Expr:
-        kind, text, off = self.advance()
-        if kind == _TOK_NUM:
+        kind, text, off = self.toks[self.pos]
+        self.pos += 1
+        if kind == "num":
             return Num(float(text))
-        if kind == _TOK_IDENT:
-            nkind, ntext, _ = self.peek()
-            if nkind == _TOK_OP and ntext == "(":
-                if text not in FUNCTIONS:
-                    raise ExprSyntaxError(f"unknown function {text!r}", off)
-                self.advance()
-                args = [self.sum()]
-                while True:
-                    k, t, o = self.peek()
-                    if k == _TOK_OP and t == ",":
-                        self.advance()
-                        args.append(self.sum())
-                    else:
-                        break
-                self.expect_op(")")
-                arity = FUNCTIONS[text]
-                if len(args) != arity:
-                    raise ExprSyntaxError(
-                        f"{text} takes {arity} argument(s), got {len(args)}", off
-                    )
-                return Call(text, tuple(args))
+        if kind == "name" and self.toks[self.pos][1] == "(":
+            if text not in FUNCTIONS:
+                raise ExprSyntaxError(f"unknown function {text!r}", off)
+            args = self.args()
+            if len(args) != FUNCTIONS[text]:
+                raise ExprSyntaxError(f"{text} takes {FUNCTIONS[text]} "
+                                      f"argument(s), got {len(args)}", off)
+            return Call(text, args)
+        if kind == "name":
             if text not in VARIABLES:
                 raise ExprSyntaxError(f"unknown identifier {text!r}", off)
             return Var(text)
-        if kind == _TOK_OP and text == "(":
+        if text == "(":
             e = self.sum()
-            self.expect_op(")")
+            self.expect(")")
             return e
-        raise ExprSyntaxError(f"unexpected {text!r}" if text else "unexpected end of input", off)
+        raise ExprSyntaxError(f"unexpected {text!r}" if text
+                              else "unexpected end of input", off)
 
 
 def parse(src: str) -> Expr:
     """Parse ``src`` into an expression tree."""
-    return _Parser(src).parse()
+    p = _Parser(src)
+    return p.end(p.sum())
+
+
+def parse_vector(src: str) -> tuple[Expr, ...]:
+    """Parse ``src``, a parenthesized comma list ``(e1, e2, ...)``, into
+    one tree per component."""
+    p = _Parser(src)
+    _, text, off = p.toks[0]
+    if text != "(":
+        raise ExprSyntaxError("a vector is written (expr, expr, ...)", off)
+    return p.end(p.args())
 
 
 # ---------------------------------------------------------------------------
@@ -309,24 +310,15 @@ def bind(expr: Expr, point):
 
 def _bind(expr: Expr, env: dict) -> Expr:
     """expr with each maximal t-free subtree replaced by its value,
-    bottom up: a node whose children all became values is evaluated on
+    bottom up: a call whose arguments all became values is evaluated on
     them, so the t-free parts are evaluated in evaluation order."""
-    if isinstance(expr, Neg):
-        expr = Neg(_bind(expr.operand, env))
-        children = (expr.operand,)
-    elif isinstance(expr, Bin):
-        expr = Bin(expr.op, _bind(expr.left, env), _bind(expr.right, env))
-        children = (expr.left, expr.right)
-    elif isinstance(expr, Call):
+    if isinstance(expr, Call):
         expr = Call(expr.func, tuple(_bind(a, env) for a in expr.args))
-        children = expr.args
+        if not all(isinstance(a, _Value) for a in expr.args):
+            return expr
     elif expr == Var("t"):
         return expr
-    else:
-        children = ()
-    if all(isinstance(c, _Value) for c in children):
-        return _Value(_eval(expr, env))
-    return expr
+    return _Value(_eval(expr, env))
 
 
 def _eval(expr: Expr, env: dict):
@@ -336,45 +328,10 @@ def _eval(expr: Expr, env: dict):
         if expr.name not in env:
             raise ExprDomainError(f"variable {expr.name!r} has no value here")
         return env[expr.name]
-    if isinstance(expr, Neg):
-        return -_eval(expr.operand, env)
-    if isinstance(expr, Bin):
-        a = _eval(expr.left, env)
-        b = _eval(expr.right, env)
-        if expr.op == "+":
-            return a + b
-        if expr.op == "-":
-            return a - b
-        if expr.op == "*":
-            return a * b
-        if expr.op == "/":
-            if np.any(np.equal(b, 0.0)):
-                raise ExprDomainError("division by zero")
-            return a / b
-        if expr.op == "^":
-            if np.any(np.logical_and(np.less(a, 0.0), np.not_equal(b, np.floor(b)))):
-                raise ExprDomainError("fractional power of a negative base")
-            if np.any(np.logical_and(np.equal(a, 0.0), np.less(b, 0.0))):
-                raise ExprDomainError("zero raised to a negative power")
-            return np.power(a, b)
-        raise AssertionError(expr.op)
     if isinstance(expr, Call):
+        _, func, check = OPERATIONS[expr.func]
         args = [_eval(a, env) for a in expr.args]
-        if expr.func == "sin":
-            return np.sin(args[0])
-        if expr.func == "cos":
-            return np.cos(args[0])
-        if expr.func == "exp":
-            return np.exp(args[0])
-        if expr.func == "sqrt":
-            if np.any(np.less(args[0], 0.0)):
-                raise ExprDomainError("square root of a negative number")
-            return np.sqrt(args[0])
-        if expr.func == "abs":
-            return np.abs(args[0])
-        if expr.func == "min":
-            return np.minimum(args[0], args[1])
-        if expr.func == "max":
-            return np.maximum(args[0], args[1])
-        raise AssertionError(expr.func)
+        if check is not None:
+            check(*args)
+        return func(*args)
     raise TypeError(f"not an expression node: {expr!r}")

@@ -40,6 +40,7 @@ FEM = "src/crackdyn/fem.py"
 MESH = "src/crackdyn/meshing.py"
 DIAG = "src/crackdyn/diagnostics.py"
 VTK = "src/crackdyn/vtkio.py"
+EXPR = "src/crackdyn/exprlang.py"
 
 MUTANTS = [
     (TS, "load_w = ops.load(t_w)", "load_w = ops.load(state.t + dt)",
@@ -153,6 +154,25 @@ MUTANTS = [
      "in_plus[self.cells[~plus]] = True\n"
      "        in_minus[self.cells[plus]] = True",
      "the crack separation check swaps the plus and minus vertex masks"),
+    (EXPR, """        if self.toks[self.pos][1] == "^":
+            self.pos += 1
+            # unary on the right makes '^' right associative and lets a
+            # leading minus appear in the exponent without parentheses
+            return Call("^", (e, self.unary()))
+        return e""",
+     """        while self.toks[self.pos][1] == "^":
+            self.pos += 1
+            e = Call("^", (e, self.atom()))
+        return e""",
+     "'^' is left associative, and its exponent is an atom"),
+    (EXPR, '"sqrt": (1, np.sqrt, _sqrt_check),', '"sqrt": (1, np.sqrt, None),',
+     "sqrt has no domain check: a negative argument gives nan"),
+    (EXPR, '"min": (2, np.minimum, None),\n    "max": (2, np.maximum, None),',
+     '"min": (2, np.maximum, None),\n    "max": (2, np.minimum, None),',
+     "min and max swap their functions in the operations table"),
+    (EXPR, "if not all(isinstance(a, _Value) for a in expr.args):",
+     "if not any(isinstance(a, _Value) for a in expr.args):",
+     "bind folds a call whose arguments are not all t-free"),
 ]
 
 

@@ -26,6 +26,16 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     return str(path)
 
 
+RECT_MESH = ("kind = rect\nwidth = 2.0\nheight = 1.0\nnx = 8\nny = 4\n"
+             "crack_lo = 0.25\ncrack_hi = 0.75\n")
+
+
+def file_mesh(text, path):
+    """text with BASE's rect mesh replaced by the mesh file at path."""
+    assert text.count(RECT_MESH) == 1
+    return text.replace(RECT_MESH, f"kind = file\npath = {path}\n")
+
+
 # ---------------------------------------------------------------------------
 # parsing
 # ---------------------------------------------------------------------------
@@ -81,6 +91,14 @@ def test_parse_defaults():
     (lambda t: t.replace("nx = 8", "nx = 8\nnx = 9"), "option 'nx'.*already"),
     (lambda t: t.replace("u0 = (0, -0.12*exp(-((x-0.9)^2 + (y-0.6)^2)/0.01))",
                          "u0 = (0, 1))"), "u0: unbalanced parentheses"),
+    (lambda t: t + "f = (-9.8)\n", r"f: expected 2 components, got 1"),
+    (lambda t: t + "F = (0, 1, 2)\n", r"F: expected 2 components, got 3"),
+    (lambda t: file_mesh(t, "m.txt").replace("path", "nx = 64\npath"),
+     "key 'nx' is not read by mesh kind 'file'"),
+    (lambda t: file_mesh(t, "m.txt").replace("path", "crack_lo = 0.25\npath"),
+     "key 'crack_lo' is not read by mesh kind 'file'"),
+    (lambda t: t.replace("nx = 8", "nx = 8\npath = m.txt"),
+     "key 'path' is not read by mesh kind 'rect'"),
 ])
 def test_parse_rejects(mutate, needle):
     with pytest.raises(ConfigError, match=needle):
@@ -471,8 +489,8 @@ def test_run_dim3_mesh_file_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     mesh_path = tmp_path / "tet.mesh"
     mesh_path.write_text(TETRAHEDRON_MESH)
-    cfg = write_cfg(tmp_path, run_cfg_text(tmp_path / "out").replace(
-        "kind = rect", f"kind = file\npath = {mesh_path}"))
+    cfg = write_cfg(tmp_path, file_mesh(run_cfg_text(tmp_path / "out"),
+                                        mesh_path))
     assert cli.main(["run", cfg]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "dimension must be 2" in err
@@ -493,8 +511,8 @@ def test_run_nonfinite_mesh_data_exits_2(tmp_path, monkeypatch, capsys,
     lines = mesh_path.read_text().splitlines()
     lines[line] = " ".join(lines[line].split()[:-2] + ["nan", "nan"])
     mesh_path.write_text("\n".join(lines) + "\n")
-    cfg = write_cfg(tmp_path, run_cfg_text(tmp_path / "out").replace(
-        "kind = rect", f"kind = file\npath = {mesh_path}"))
+    cfg = write_cfg(tmp_path, file_mesh(run_cfg_text(tmp_path / "out"),
+                                        mesh_path))
     assert cli.main(["run", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and needle in err
@@ -589,8 +607,8 @@ def test_unusable_path_exits_2(tmp_path, monkeypatch, capsys, case):
     bad = tmp_path / "plain" / "sub"
     if case == "missing-mesh-file":
         bad = tmp_path / "missing.mesh"
-        argv = ["run", write_cfg(tmp_path, run_cfg_text(tmp_path / "out")
-                                 .replace("kind = rect", f"kind = file\npath = {bad}"))]
+        argv = ["run", write_cfg(tmp_path, file_mesh(
+            run_cfg_text(tmp_path / "out"), bad))]
     elif case == "output-below-file":
         argv = ["run", write_cfg(tmp_path, run_cfg_text(bad))]
     else:

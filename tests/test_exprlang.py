@@ -1,9 +1,10 @@
+import ast
 import math
 import warnings
 
 import numpy as np
 import pytest
-from test_fuzz import expression
+from test_fuzz import OPERATORS, expression, pick
 
 from crackdyn import exprlang as ex
 
@@ -130,6 +131,106 @@ def test_syntax_error_offset_points_at_problem():
 
 
 # ---------------------------------------------------------------------------
+# precedence against Python's own grammar
+# ---------------------------------------------------------------------------
+
+# Python's '**' binds like '^': right associative, tighter than a unary
+# minus on its left, and it takes a unary minus in its exponent.
+PY_OPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/",
+          ast.Pow: "^"}
+ARITY = {"sin": 1, "cos": 1, "exp": 1, "sqrt": 1, "abs": 1, "min": 2,
+         "max": 2}
+
+
+def test_every_operation_the_parser_makes_is_in_the_table():
+    assert (set(ex._LEVELS) | {"^", "neg"} | set(ex.FUNCTIONS)
+            == set(ex.OPERATIONS))
+    assert ex.FUNCTIONS == ARITY
+    with pytest.raises(ex.ExprSyntaxError, match="unknown function 'neg'"):
+        ex.parse("neg(1)")
+
+
+def from_python(node):
+    """A node of Python's tree of an expression, as an exprlang tree."""
+    if isinstance(node, ast.Constant):
+        return ex.Num(float(node.value))
+    if isinstance(node, ast.Name):
+        return ex.Var(node.id)
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return ex.Call("neg", (from_python(node.operand),))
+    if isinstance(node, ast.BinOp):
+        return ex.Call(PY_OPS[type(node.op)],
+                       (from_python(node.left), from_python(node.right)))
+    if isinstance(node, ast.Call):
+        return ex.Call(node.func.id, tuple(map(from_python, node.args)))
+    raise TypeError(ast.dump(node))
+
+
+def operand(rng, depth):
+    """An atom, a call or a group, behind zero to two unary minuses."""
+    minus = "-" * int(rng.choice(3, p=[0.6, 0.25, 0.15]))
+    roll = rng.random()
+    if depth == 0 or roll < 0.6:
+        return minus + pick(rng, ["x", "y", "t", "2", "0.5", "3e2"])
+    if roll < 0.8:
+        func = pick(rng, sorted(ARITY))
+        args = ", ".join(chain(rng, depth - 1) for _ in range(ARITY[func]))
+        return f"{minus}{func}({args})"
+    return f"{minus}({chain(rng, depth - 1)})"
+
+
+def chain(rng, depth=2):
+    """Operands joined by one to five binary operators, unparenthesized."""
+    text = operand(rng, depth)
+    for _ in range(int(rng.integers(1, 6))):
+        text += f" {pick(rng, OPERATORS)} {operand(rng, depth)}"
+    return text
+
+
+def test_parse_agrees_with_python_on_operator_chains():
+    rng = np.random.default_rng(2026)
+    sources = ["--x ^ -2 ^ t * 3 - y / max(t, 2)"]
+    sources += [chain(rng) for _ in range(2000)]
+    mismatches = [src for src in sources
+                  if ex.parse(src) != from_python(
+                      ast.parse(src.replace("^", "**"), mode="eval").body)]
+    assert not mismatches, mismatches[:3]
+    # every operator meets every other one and a unary minus on its right
+    for a in OPERATORS:
+        assert any(f" {a} --" in src for src in sources), a
+        for b in OPERATORS:
+            assert any(f" {a} " in src and f" {b} " in src
+                       for src in sources), (a, b)
+
+
+# ---------------------------------------------------------------------------
+# vectors
+# ---------------------------------------------------------------------------
+
+def test_parse_vector():
+    assert ex.parse_vector("(x, -t^2)") == (ex.parse("x"), ex.parse("-t^2"))
+    assert ex.parse_vector(" (min(x, y)) ") == (ex.parse("min(x, y)"),)
+    assert len(ex.parse_vector("(1, (2), 3)")) == 3
+
+
+@pytest.mark.parametrize("src, offset, needle", [
+    ("0, 1", 0, "a vector is written"),            # a missing '('
+    ("x + (0, 1)", 0, "a vector is written"),
+    ("(0, 1))", 6, "unbalanced parentheses"),      # a stray ')'
+    ("(0, 1) * 2", 7, r"unexpected trailing '\*'"),
+    ("(0, sin(1)", 10, r"expected '\)'"),          # a missing ')'
+    ("(0, )", 4, r"unexpected '\)'"),              # an empty component
+    ("(, 1)", 1, "unexpected ','"),
+    ("()", 1, r"unexpected '\)'"),
+])
+def test_parse_vector_errors_carry_offsets(src, offset, needle):
+    with pytest.raises(ex.ExprSyntaxError, match=needle) as err:
+        ex.parse_vector(src)
+    assert err.value.offset == offset
+    assert str(err.value).endswith(f"(byte {offset})")
+
+
+# ---------------------------------------------------------------------------
 # bind
 # ---------------------------------------------------------------------------
 
@@ -147,13 +248,7 @@ def uses_t(e):
 
 
 def children(e):
-    if isinstance(e, ex.Neg):
-        return (e.operand,)
-    if isinstance(e, ex.Bin):
-        return (e.left, e.right)
-    if isinstance(e, ex.Call):
-        return e.args
-    return ()
+    return e.args if isinstance(e, ex.Call) else ()
 
 
 def t_free_parts(e):
