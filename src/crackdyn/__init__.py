@@ -4,8 +4,9 @@ and Tresca friction.
 
 The package is organized as: exprlang (boundary/load expressions),
 meshing (cracked rectangles, mesh I/O), fem (P1 assembly and a CG
-solver), interface (contact/friction laws on crack pairs), timestepper
-(implicit Newmark with Newton), config (text configurations),
+solver), interface (contact/friction laws on crack pairs), basis (the
+crack basis of the Newton unknowns), timestepper (implicit Newmark with
+Newton), config (text configurations),
 diagnostics (energy and interface-condition monitors, sweeps), vtkio and
 cli (output and command line).
 """

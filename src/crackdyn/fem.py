@@ -218,15 +218,13 @@ def assemble_stiffness(mesh, material: Material) -> sp.csr_matrix:
 
 
 def combine(mass, stiffness, ca: float, cu: float) -> sp.csr_matrix:
-    """ca*mass + cu*stiffness, for the matrices assemble_mass and
-    assemble_stiffness build on one mesh, as one combination of their
-    data: on the mass's own pattern if cu is 0, so that the t = 0 mass
-    solve stores none of the stiffness's other entries, else on the
-    stiffness's.  It relies on the layout _dof_matrix writes: row r of
-    both lists the same vertices in the same order, the stiffness with
-    all d components of each and the mass with r's component alone."""
-    if cu == 0.0:
-        return ca * mass
+    """ca*mass + cu*stiffness on the stiffness's pattern, for the
+    matrices assemble_mass and assemble_stiffness build on one mesh, as
+    one combination of their data; at cu = 0 too, so that every free-dof
+    system has the pattern the crack basis turns in place.  It relies on
+    the layout _dof_matrix writes: row r of both lists the same vertices
+    in the same order, the stiffness with all d components of each and
+    the mass with r's component alone."""
     d = stiffness.nnz // mass.nnz
     start = (stiffness.indptr[:-1] - d * mass.indptr[:-1]
              + np.arange(mass.shape[0]) % d)

@@ -14,8 +14,9 @@ crack vectors only, the values on CrackQuadrature.crack_dofs, through
 the quadrature's precomputed jump operators J, its one discretization of
 the crack: the jumps are J times a crack vector, each pair's residuals
 J^T W times its tractions and its tangents J^T D J (W the weights, D the
-pointwise derivatives); a caller sums them, and CrackQuadrature.scatter
-alone puts them on the crack dofs.
+pointwise derivatives); a caller sums them.  CrackQuadrature.scatter
+puts the residuals on the crack dofs, and basis.StepMatrix writes the
+tangents into the Newton matrix.
 """
 
 from __future__ import annotations
@@ -136,14 +137,11 @@ class CrackQuadrature:
     crack_dofs : sorted unconstrained dofs of the crack-face vertices.
         Crack vectors, the arguments of crack_state and the scattered
         residuals, hold one value per entry (a nodal vector w gives
-        w[crack_dofs]), and the scattered tangents are dense blocks in
-        this numbering
+        w[crack_dofs])
     crack_free : position of each crack_dofs entry in dofmap.free
     jump_slots : (npairs, 8) crack-vector position of each pair's facet
         vertex dofs, plus vertices first, each vertex's components in
         turn; a constrained dof has slot 0 and zero coefficients below
-    block_slots : (npairs, 8, 8) flat position in a (k, k) block on
-        crack_dofs of each pair's jump_slots pairs, k = crack_dofs.size
     normal_jump : (npairs, nq, 8) the normal jump at each point, as
         coefficients of the pair's jump_slots entries
     tangent_jump : (npairs, nq, dim, 8) the tangential part of the jump
@@ -166,9 +164,6 @@ class CrackQuadrature:
         slots = np.searchsorted(self.crack_dofs, dofs)
         live = ~constrained
         self.jump_slots = np.where(live, slots, 0).reshape(n, 4 * d)
-        k = self.crack_dofs.size
-        self.block_slots = (self.jump_slots[:, :, None] * k
-                            + self.jump_slots[:, None, :])
         # the jump at point q is sum_i shp[q, i]*w_i over the four vertices
         shp = np.concatenate([fem.FACET_SHAPES, -fem.FACET_SHAPES], axis=1)
         nrm = mesh.crack_normals
@@ -180,18 +175,13 @@ class CrackQuadrature:
                              * live[:, None, None]).reshape(n, 2, d, 4 * d)
 
     def scatter(self, local: np.ndarray) -> np.ndarray:
-        """The sum of per-pair terms onto the crack dofs: (npairs, 8)
-        vectors on their jump_slots into a crack vector, or (npairs, 8, 8)
-        blocks on their block_slots into a dense (k, k) block, k =
-        crack_dofs.size.  A constrained dof's slot 0 has zero
-        coefficients, so it adds zeros."""
-        rank = local.ndim - 1
-        slots = self.jump_slots if rank == 1 else self.block_slots
-        k = self.crack_dofs.size
+        """The sum of per-pair (npairs, 8) vectors on their jump_slots: a
+        crack vector.  A constrained dof's slot 0 has zero coefficients,
+        so it adds zeros."""
         # without pairs, bincount returns integers
-        out = np.bincount(slots.ravel(), weights=local.ravel(),
-                          minlength=k ** rank)
-        return out.astype(float, copy=False).reshape((k,) * rank)
+        return np.bincount(self.jump_slots.ravel(), weights=local.ravel(),
+                           minlength=self.crack_dofs.size
+                           ).astype(float, copy=False)
 
     def friction_bound(self, g: Expr):
         """exprlang.bind of g on the quadrature points, a function of t;

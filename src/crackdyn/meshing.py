@@ -25,6 +25,7 @@ __all__ = [
     "generate_rect_crack",
     "save_mesh",
     "load_mesh",
+    "unique_ranks",
 ]
 
 SIDE_PLUS = 1
@@ -97,28 +98,57 @@ class CrackedMesh:
 
     @functools.cached_property
     def vertex_graph(self):
-        """The pairs of vertices that share a cell, each vertex paired
-        with itself too, as (indptr, indices, slots); built on first use
-        and held until deleted, which build_operators does once M and K
-        are assembled.  Row i of the CSR arrays (indptr, indices) lists
-        the vertices paired with i in increasing order, and slots
-        (dim+1, dim+1, nc) holds the position in indices of each cell's
-        pair (cells[c, a], cells[c, b]) at [a, b, c].  One sort of the
-        pair keys puts equal pairs next to each other; each pair's
-        position is the number of distinct keys sorted before it."""
+        """The pairs of vertices that the assembled matrices store, each
+        vertex paired with itself too, as (indptr, indices, slots); built
+        on first use and held until deleted, which build_operators does
+        once M and K are assembled.  These are the pairs of vertices that
+        share a cell or a crack pair, with each vertex of a pair swapped
+        for its partner across the crack (crack_partners) too: the crack
+        terms couple a crack pair's four vertices, and the crack basis
+        turns each partner's rows and columns with the other's.  Row i
+        of the CSR arrays (indptr, indices) lists the vertices paired
+        with i in increasing order, and slots (dim+1, dim+1, nc) holds
+        the position in indices of each cell's pair (cells[c, a],
+        cells[c, b]) at [a, b, c].  One sort of the pair keys ranks them
+        (unique_ranks)."""
         nv = self.n_vertices
+        plus, minus = self.crack_partners
+        partner = np.arange(nv)
+        partner[plus], partner[minus] = minus, plus
+        # the pairs of each crack pair's four vertices and of each cell
+        # with a partnered vertex, with either vertex swapped for its
+        # partner
+        extra = []
+        for group in (self.cells[(partner[self.cells] != self.cells)
+                                 .any(axis=1)],
+                      np.concatenate([self.crack_plus, self.crack_minus],
+                                     axis=1)):
+            i = np.repeat(group, group.shape[1], axis=1).ravel()
+            j = np.tile(group, group.shape[1]).ravel()
+            extra += [a * nv + b for a in (i, partner[i])
+                      for b in (j, partner[j])]
         corners = np.ascontiguousarray(self.cells.T)
-        keys = corners[:, None, :] * nv + corners[None, :, :]
-        order = np.argsort(keys, axis=None, kind="stable")
-        ranked = keys.ravel()[order]
-        first = np.ones(keys.size, dtype=bool)
-        np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
-        slots = np.empty(keys.size, dtype=np.int64)
-        slots[order] = np.cumsum(first) - 1
-        rows, indices = np.divmod(ranked[first], nv)
+        n = corners.size * len(corners)
+        keys = np.empty(n + sum(e.size for e in extra), dtype=np.int64)
+        np.add(corners[:, None, :] * nv, corners[None, :, :],
+               out=keys[:n].reshape(len(corners), len(corners), -1))
+        np.concatenate(extra, out=keys[n:])
+        pairs, ranks = unique_ranks(keys)
+        rows, indices = np.divmod(pairs, nv)
         indptr = np.zeros(nv + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=nv), out=indptr[1:])
-        return indptr, indices, slots.reshape(keys.shape)
+        return indptr, indices, ranks[:n].reshape(len(corners),
+                                                  len(corners), -1)
+
+    @functools.cached_property
+    def crack_partners(self):
+        """(plus, minus): each plus-side crack vertex onto which
+        merged_vertex_map glues a minus-side copy, and that copy (the
+        highest numbered, if it has several); built on first use."""
+        ident = self.merged_vertex_map()
+        minus = np.flatnonzero(ident != np.arange(self.n_vertices))[::-1]
+        plus, first = np.unique(ident[minus], return_index=True)
+        return plus, minus[first]
 
     # -- validation ---------------------------------------------------------
 
@@ -245,18 +275,18 @@ class CrackedMesh:
         nv = self.n_vertices
         ident = self.merged_vertex_map()
         glued = ident[self.cells]
-        rows = np.sort(glued, axis=1)
-        degenerate = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
+        v0, v1, v2 = glued.T
+        degenerate = (v0 == v1) | (v1 == v2) | (v0 == v2)
         if degenerate.any():
             c = int(np.argmax(degenerate))
             raise MeshError(f"cell {c} degenerates when the crack is glued")
-        facets = glued[:, [[1, 2], [0, 2], [0, 1]]]      # drop vertex 0, 1, 2
-        keys = _facet_keys(facets, nv)
-        uniq, first, counts = np.unique(keys.ravel(), return_index=True,
-                                        return_counts=True)
+        ends = glued[:, [1, 0, 0]], glued[:, [2, 2, 1]]  # drop vertex 0, 1, 2
+        keys = (np.minimum(*ends) * nv + np.maximum(*ends)).ravel()
+        uniq, ranks = unique_ranks(keys)
+        counts = np.bincount(ranks)
         over = counts > 2
         if over.any():
-            i = np.flatnonzero(over)[np.argmin(first[over])]
+            i = ranks[np.argmax(over[ranks])]       # the one met first
             lo, hi = divmod(int(uniq[i]), nv)
             raise MeshError(
                 f"glued mesh is not conforming: facet {[lo, hi]} is "
@@ -286,6 +316,20 @@ class CrackedMesh:
             raise MeshError(
                 f"crack pair {int(np.argmax(bad))} is not an interior facet "
                 f"of the glued mesh")
+
+
+def unique_ranks(keys):
+    """(the distinct values of the 1-D array keys in increasing order,
+    the index among them of each key's value), from one stable sort:
+    equal keys end up next to each other, and each key's index is the
+    number of distinct keys sorted before it."""
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    ranks = np.empty(keys.size, dtype=np.int64)
+    ranks[order] = np.cumsum(first) - 1
+    return ranked[first], ranks
 
 
 def _facet_keys(facets, nv):

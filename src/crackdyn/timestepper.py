@@ -10,13 +10,18 @@ x_g = (1-g)*x + g*x+ and time t + g*dt.  For the default trapezoidal
 pair (b, g) = (1/4, 1/2) this is the midpoint evaluation, which makes
 the interface terms dissipate exactly (they are tested against their
 own arguments); g = 1 recovers the fully implicit end-of-step balance.
-The Newton unknown is the end-of-step acceleration on the free dofs;
-each Newton system is solved by Jacobi-PCG, only as accurately as the
-step needs (an inexact Newton method).  When the crack terms make the
-system nonlinear, its relative tolerance is the forcing term eta_k of
-Eisenstat and Walker (choice 2 of "Choosing the forcing terms in an
-inexact Newton method", SIAM J. Sci. Comput. 17(1), 1996), set from
-the measured contraction of the residual:
+The Newton unknowns are the end-of-step acceleration's free-dof
+components in the system's basis (for the mesh problem, the crack
+basis of basis.CrackBasis, in which Jacobi sees the crack terms'
+coupling of the two faces); Newton, CG and the line search run in that
+basis, and a step converts the state's acceleration into it once and
+the accepted one back once.  Each Newton system is solved by
+Jacobi-PCG, only as accurately as the step needs (an inexact Newton
+method).  When the crack terms make the system nonlinear, its relative
+tolerance is the forcing term eta_k of Eisenstat and Walker (choice 2
+of "Choosing the forcing terms in an inexact Newton method", SIAM J.
+Sci. Comput. 17(1), 1996), set from the measured contraction of the
+residual:
 
     eta_k = min(0.1, 0.9*(|r_k|/|r_(k-1)|)^2)             k >= 1
     eta_0 = min(0.1, max(_CG_FORCING, 0.1*rho))           k = 0
@@ -48,30 +53,34 @@ last resort: newton_maxit ran out or a value was not finite.
 The stepper holds only the Newmark kinematics, Newton, the line search
 and bisection: step advances a state by one interval, and run is the
 one way through a run, a generator of each accepted state with its
-StepInfo.  The system it integrates has four members:
-``free``, the Newton unknowns; ``load(t)``, the load vector at t, zero
-on the constrained dofs; ``interval(u_w, v_w, a_w, ca, cu, cv, t_w,
-load_w)``; and ``initial_state(u0, v0)``, the State at t = 0 with the
-constraints imposed, incompatible data warned about and the consistent
+StepInfo.  The system it integrates has five members:
+``unknowns(w)``, the Newton unknowns of a state vector w, and
+``nodal(x)``, the state vector of unknowns x, zero on the constrained
+dofs; ``load(t)``, the load vector at t, zero on the constrained dofs;
+``interval(u_w, v_w, a_w, ca, cu, cv, t_w, load_w)``; and
+``initial_state(u0, v0)``, the State at t = 0 with the constraints
+imposed, incompatible data warned about and the consistent
 acceleration.  Once per Newmark interval the stepper hands ``interval``
 the g-weighted state at a+ = 0, its derivatives ca, cu and cv in a+
 (the stepper alone knows the Newmark scheme), t_w and load_w.  It
-returns (residual, newton_matrix) on free-dof vectors: residual(a)
-gives (r, point), the force balance on the free dofs at the weighted
-state of a+ = a and what the system evaluated there;
-newton_matrix(point) is the derivative of r in a at that point, as an
-operator with ``@`` and diagonal() for fem.solve_spd (and ``nonlinear``
-false if it may be solved as a linear system).  The end-of-step State
-is built once, for the accepted a+.  The mesh problem's system is
-Operators, whose point is the interface.crack_state; the test suite's
-scalar analog (tests/oracles.py), whose point is the weighted (u, v),
-is a second.  Both take their initial acceleration from their interval
-at ca = 1, cu = cv = 0.  weighted_points recovers from a run's states
+returns (residual, newton_matrix) on vectors of unknowns: residual(a)
+gives (r, point), the force balance on the unknowns at the weighted
+state of the a+ whose unknowns are a, and what the system evaluated
+there; newton_matrix(point) is the derivative of r in a at that point,
+as an operator with ``@`` and diagonal() for fem.solve_spd (and
+``nonlinear`` false if it may be solved as a linear system), valid
+until the next call.  The end-of-step State is built once, for the
+accepted a+.  The mesh problem's system is Operators, whose point is
+the interface.crack_state; the test suite's scalar analog
+(tests/oracles.py), whose point is the weighted (u, v) and whose
+unknowns are its state vectors, is a second.  Both take their initial
+acceleration from their interval at ca = 1, cu = cv = 0.  weighted_points recovers from a run's states
 the points at which it enforced the force balance.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -79,6 +88,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import fem, interface
+from .basis import CrackBasis, StepMatrix
 from .fem import DofMap, Material, State
 from .interface import ContactParams, CrackQuadrature
 
@@ -172,7 +182,8 @@ class StepInfo:
 
 @dataclass
 class Operators:
-    """Assembled, mesh-bound operators: the mesh problem's system."""
+    """Assembled, mesh-bound operators: the mesh problem's system.  Its
+    Newton unknowns are the free dofs in the crack basis (CrackBasis)."""
 
     mesh: object
     dofmap: DofMap
@@ -187,6 +198,20 @@ class Operators:
     def free(self) -> np.ndarray:
         return self.dofmap.free
 
+    @functools.cached_property
+    def basis(self) -> CrackBasis:
+        """The crack basis of the Newton unknowns, built on first use."""
+        return CrackBasis(self.mesh, self.dofmap, self.quad)
+
+    def unknowns(self, w: np.ndarray) -> np.ndarray:
+        """The Newton unknowns of the nodal vector w."""
+        return self.basis.to_unknowns(w)
+
+    def nodal(self, x: np.ndarray) -> np.ndarray:
+        """The nodal vector of the unknowns x, zero on the constrained
+        dofs."""
+        return self.basis.to_nodal(x)
+
     def load(self, t: float) -> np.ndarray:
         """The load vector at t, zero on the constrained dofs."""
         vec = fem.assemble_load(self.load_form, t)
@@ -200,60 +225,72 @@ class Operators:
                 0.5 * float(u @ (self.stiffness @ u)))
 
     def pin(self, a: sp.csr_matrix) -> sp.csr_matrix:
-        """Impose the Dirichlet constraints: keep the free rows and columns."""
-        return a[self.free][:, self.free].tocsr()
+        """Impose the Dirichlet constraints and pose a nodal matrix in the
+        crack basis: R a R^T, the restriction to the free dofs in that
+        basis.  It keeps the free rows and columns and turns those of the
+        framed vertices in place (CrackBasis.turn), so a on the
+        assembled matrices' pattern keeps that pattern, with an entry at
+        every slot the crack tangents add to."""
+        rows = a[self.free]
+        del a           # the caller's matrix: free it before the next copy
+        return self.basis.turn(rows[:, self.free].tocsr())
 
-    def linear_jacobian(self, ca: float, cu: float):
-        """(ca*M + cu*K on the free dofs, its diagonal), cached: one
-        combination of their data (fem.combine), then pinned."""
+    def linear_jacobian(self, ca: float, cu: float) -> StepMatrix:
+        """The basis.StepMatrix of ca*M + cu*K, the free-dof matrices of
+        one step size, cached per (ca, cu): one combination of their
+        data (fem.combine), pinned."""
         key = (ca, cu)
         if key not in self._jac_cache:
             lin = self.pin(fem.combine(self.mass, self.stiffness, ca, cu))
-            self._jac_cache[key] = (lin, lin.diagonal())
+            self._jac_cache[key] = StepMatrix(lin, self.basis)
         return self._jac_cache[key]
 
     def interval(self, u_w, v_w, a_w, ca, cu, cv, t_w, load_w):
         """(residual, newton_matrix) of a Newton problem whose weighted
-        state is u_w + cu*a, v_w + cv*a, a_w + ca*a at time t_w, for a
-        free-dof vector a.
+        state is u_w + cu*a, v_w + cv*a, a_w + ca*a at time t_w, for the
+        nodal vector a of unknowns x (nodal(x)); both take and give
+        vectors of unknowns, in the crack basis.
 
-        residual(a) returns (r, crack): the force balance M a_w + K u_w
-        + contact + friction - load_w on the free dofs, and the
+        residual(x) returns (r, crack): the force balance M a_w + K u_w
+        + contact + friction - load_w on the unknowns, and the
         interface.crack_state it was formed from.  Its linear part is
-        the cached free-dof matrix ca*M + cu*K times a, plus a constant
-        formed here once, so an evaluation makes one product with it and
-        otherwise touches the crack dofs alone, recovering the tractions
-        and scattering the pairs' summed forces once.  newton_matrix(crack)
-        is the derivative of r in a at that crack state: the same matrix
-        plus a dense PSD crack-dof block, the pairs' summed tangents
-        scattered once.  g is sampled once, at t_w.
+        the cached matrix ca*M + cu*K in the basis times x, plus a
+        constant formed here once, so an evaluation makes one product
+        with it and otherwise touches the crack dofs alone: it turns x's
+        crack entries into nodal values, recovers the tractions and
+        scatters the pairs' summed forces once, then turns them into
+        the basis.
+        newton_matrix(crack) is the derivative of r in x at that crack
+        state: the same matrix plus the pairs' summed tangents, turned
+        into the basis and written into their slots of one CSR matrix
+        (StepMatrix.update, valid until its next call).  g is sampled
+        once, at t_w.
         """
-        lin, lin_diag = self.linear_jacobian(ca, cu)
-        contact, quad = self.contact, self.quad
+        step = self.linear_jacobian(ca, cu)
+        contact, quad, basis = self.contact, self.quad, self.basis
         slots = quad.crack_free
-        const = (self.mass @ a_w + self.stiffness @ u_w - load_w)[self.free]
+        const = self.unknowns(self.mass @ a_w + self.stiffness @ u_w - load_w)
         u_c, v_c = u_w[quad.crack_dofs], v_w[quad.crack_dofs]
         g = interface.friction_bound_values(contact, quad, t_w)
 
-        def residual(a):
-            a_c = a[slots]
+        def residual(x):
+            a_c = basis.crack_to_nodal(x[slots])
             crack = interface.crack_state(u_c + cu * a_c, v_c + cv * a_c,
                                           t_w, contact, quad, g=g)
             sigma_n, sigma_t = interface.recover_tractions(crack, contact)
-            r = lin @ a
+            r = step.linear() @ x
             r += const
-            r[slots] += quad.scatter(
+            r[slots] += basis.crack_to_unknowns(quad.scatter(
                 interface.contact_residual(sigma_n, quad)
-                + interface.friction_residual(sigma_t, quad))
+                + interface.friction_residual(sigma_t, quad)))
             return r, crack
 
         def newton_matrix(crack):
-            block = quad.scatter(
+            return step.update(
                 interface.contact_tangent(crack, contact, quad,
                                           coeff_u=cu, coeff_v=cv)
                 + interface.friction_tangent(crack, contact, quad,
                                              coeff_v=cv))
-            return _NewtonMatrix(lin, lin_diag, slots, block)
 
         return residual, newton_matrix
 
@@ -261,20 +298,20 @@ class Operators:
         """State at t = 0: u0 and v0 zeroed on the constrained dofs and the
         consistent acceleration.  The interval at ca = 1, cu = cv = 0
         gives the force balance r at a = 0, and the acceleration solves
-        M a = -r with its linear part, M on the free dofs.
+        M a = -r with its linear part, M in the crack basis on the
+        stiffness's pattern.
 
         Emits CompatibilityWarning (never fatal) if the initial crack jumps
         violate the conditions under which the model is well posed.
         """
         u0 = self.dofmap.zero_constrained(u0)
         v0 = self.dofmap.zero_constrained(v0)
-        a0 = np.zeros(self.dofmap.ndof)
-        residual, _ = self.interval(u0, v0, a0, 1.0, 0.0, 0.0, 0.0,
-                                    self.load(0.0))
-        r, crack = residual(a0[self.free])
+        residual, _ = self.interval(u0, v0, np.zeros_like(u0), 1.0, 0.0,
+                                    0.0, 0.0, self.load(0.0))
+        r, crack = residual(np.zeros(self.basis.nfree))
         self._check_compatibility(crack)
-        mass, _ = self._jac_cache.pop((1.0, 0.0))   # needed at t = 0 alone
-        a0[self.free] = fem.solve_spd(mass, -r, tol=_CG_TOL)
+        mass = self._jac_cache.pop((1.0, 0.0)).linear()  # at t = 0 alone
+        a0 = self.nodal(fem.solve_spd(mass, -r, tol=_CG_TOL))
         return State(0.0, u0, v0, a0)
 
     def _check_compatibility(self, crack) -> None:
@@ -290,25 +327,6 @@ class Operators:
             warnings.warn(
                 f"initial velocity has a tangential jump across the crack "
                 f"(up to {worst_t:.3e})", CompatibilityWarning, stacklevel=3)
-
-
-class _NewtonMatrix:
-    """Free-dof Newton matrix: the linear part plus a dense block on the
-    crack slots.  Provides what solve_spd uses: ``@`` and diagonal()."""
-
-    def __init__(self, lin, lin_diag, slots, block):
-        self.lin, self.slots, self.block = lin, slots, block
-        self.nonlinear = bool(block.any())     # crack terms are active
-        self._diag = lin_diag.copy()
-        self._diag[slots] += np.diagonal(block)
-
-    def diagonal(self) -> np.ndarray:
-        return self._diag
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        y = self.lin @ x
-        y[self.slots] += self.block @ x[self.slots]
-        return y
 
 
 def build_operators(mesh, material: Material, contact: ContactParams,
@@ -337,11 +355,11 @@ def build_operators(mesh, material: Material, contact: ContactParams,
 # ---------------------------------------------------------------------------
 
 def _interval(state: State, dt: float, ops, params: TimeParams):
-    """Newton problem of one Newmark interval in the end-of-step
-    acceleration a+ on the free dofs: (residual, newton_matrix, load_w,
-    end).  residual and newton_matrix are the system's, set up from the
-    g-weighted state at a+ = 0 and its derivatives in a+; end(a+) is the
-    end-of-step State, built once, for the accepted a+."""
+    """Newton problem of one Newmark interval in the unknowns of the
+    end-of-step acceleration a+: (residual, newton_matrix, load_w, end).
+    residual and newton_matrix are the system's, set up from the
+    g-weighted state at a+ = 0 and its derivatives in a+; end(x) is the
+    end-of-step State, built once, for the accepted unknowns x."""
     b = params.newmark_b
     g = params.newmark_g
 
@@ -363,9 +381,8 @@ def _interval(state: State, dt: float, ops, params: TimeParams):
         (1.0 - g) * state.u + g * u_pred, (1.0 - g) * state.v + g * v_pred,
         (1.0 - g) * state.a, g, cu, cv, t_w, load_w)
 
-    def end(a_free):
-        a_plus = np.zeros_like(state.a)
-        a_plus[ops.free] = a_free
+    def end(x):
+        a_plus = ops.nodal(x)
         return State(state.t + dt, u_pred + du * a_plus, v_pred + dv * a_plus,
                      a_plus)
 
@@ -431,7 +448,7 @@ def _solve_substep(state: State, dt: float, ops, params: TimeParams,
     StepInfo), with new_state None if Newton did not converge within
     newton_maxit iterations or met a non-finite value."""
     residual, newton_matrix, load_w, end = _interval(state, dt, ops, params)
-    a = state.a[ops.free]
+    a = ops.unknowns(state.a)
     r, point = residual(a)
     norm_r = float(np.linalg.norm(r))
     tol_abs = params.newton_tol * max(float(np.linalg.norm(load_w)), norm_r)
@@ -446,7 +463,6 @@ def _solve_substep(state: State, dt: float, ops, params: TimeParams,
         forcing = eta if getattr(jac, "nonlinear", True) else 0.0
         cg_tol = max(_CG_TOL, forcing, _CG_FLOOR * tol_abs / norm_r)
         d = fem.solve_spd(jac, -r, tol=cg_tol)
-        del jac     # free the crack block before the line search
         found = _line_search(residual, a, d, r)
         iterations += 1
         if found is None:

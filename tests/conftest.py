@@ -166,6 +166,17 @@ def python_calls(fn, *args):
     return calls
 
 
+def crack_block(local, quad):
+    """The pairs' (npairs, 8, 8) tangent blocks summed into a dense
+    (k, k) block on quad.crack_dofs, k = crack_dofs.size: the crack
+    terms' derivative on the crack dofs, for the checks."""
+    k = quad.crack_dofs.size
+    block = np.zeros((k, k))
+    slots = quad.jump_slots
+    np.add.at(block, (slots[:, :, None], slots[:, None, :]), local)
+    return block
+
+
 def reference_jumps(w, mesh):
     """(normal jump, tangential part) of a nodal vector w at the crack
     quadrature points, formed point by point from the two face traces of

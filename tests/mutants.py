@@ -4,23 +4,30 @@ Each MUTANTS entry is (file, old, new, why): ``old`` occurs exactly once
 in ``file`` (a path from the repository root), and the mutant replaces
 it by ``new``.  Mutant k (from 1) is named Mk.  tests/test_mutants.py,
 part of the tier-1 suite, checks only that every ``old`` text still
-occurs once, so the list cannot rot; running the battery is this
-script's job:
+occurs once and that the kill map names existing tests, so neither can
+rot; running the battery is this script's job:
 
-    python tests/mutants.py            # every mutant
-    python tests/mutants.py M2 M5      # some of them
+    python tests/mutants.py             # every mutant
+    python tests/mutants.py M2 M5       # some of them
+    python tests/mutants.py --refresh   # every mutant, whole suites
 
 For each mutant it copies src/, tests/, perfbench/ and pyproject.toml to
-a temporary directory, applies the mutant there, runs the tier-1 suite
-with -x (but for tests/test_mutants.py), and prints the test that
-killed the mutant, or SURVIVED; last come the battery's wall time and
-the survivor count.  A mutant that survives takes one full suite run,
-about 30 s.  The working tree is never modified.  The exit status is 1 if any mutant survived,
-so the battery can serve as a gate.
+a temporary directory, applies the mutant there and runs tests on it:
+first the test that killed it last, from the kill map
+tests/mutant_killers.json, alone; then, only if that test passes (or
+the map names none, or --refresh was given), the tier-1 suite with -x
+(but for tests/test_mutants.py).  It prints the test that killed the
+mutant, or SURVIVED, and records the killer in the map; last come the
+battery's wall time and the survivor count.  Two mutants run at a time.
+A mutant whose recorded killer still kills it takes one pytest start
+and that test; one that survives takes a full suite run, about 30 s.
+The working tree is never modified but for the map.  The exit status is
+1 if any mutant survived, so the battery can serve as a gate.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import shutil
@@ -28,9 +35,11 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+KILLERS = Path(__file__).with_name("mutant_killers.json")
 COPIED = ("src", "tests", "perfbench", "pyproject.toml")
 IGNORED = shutil.ignore_patterns("__pycache__", ".perfbench", ".pytest_cache")
 
@@ -41,6 +50,7 @@ MESH = "src/crackdyn/meshing.py"
 DIAG = "src/crackdyn/diagnostics.py"
 VTK = "src/crackdyn/vtkio.py"
 EXPR = "src/crackdyn/exprlang.py"
+BASIS = "src/crackdyn/basis.py"
 
 MUTANTS = [
     (TS, "load_w = ops.load(t_w)", "load_w = ops.load(state.t + dt)",
@@ -96,8 +106,9 @@ MUTANTS = [
     (DIAG, "g * slip - np.einsum(\"pqd,pqd->pq\", sigma_t, jt))))",
      "g * slip + np.einsum(\"pqd,pqd->pq\", sigma_t, jt))))",
      "the stick_slip_residual column adds the traction's work"),
-    (IF, "+ self.jump_slots[:, None, :])", "+ self.jump_slots[:, :, None])",
-     "block_slots puts each row of a pair's tangent block on its diagonal"),
+    (BASIS, "keys = (at[:, :, None] * n + at[:, None, :])",
+     "keys = (at[:, :, None] * n + at[:, :, None])",
+     "the tangent slots put each row of a pair's block on its diagonal"),
     (FEM, "lam, mu = material.lam, material.mu",
      "mu, lam = material.lam, material.mu",
      "the stiffness has lambda and mu swapped"),
@@ -138,16 +149,16 @@ MUTANTS = [
      "cauchy_dist measures each run's distance to itself"),
     (DIAG, "bound = -10.0 * tol_abs", "bound = -1000.0 * tol_abs",
      "the check_vi bound is 100 times looser"),
-    (TS, "a0[self.free] = fem.solve_spd(mass, -r, tol=_CG_TOL)",
-     "a0[self.free] = fem.solve_spd(mass, -r, tol=1e-4)",
+    (TS, "a0 = self.nodal(fem.solve_spd(mass, -r, tol=_CG_TOL))",
+     "a0 = self.nodal(fem.solve_spd(mass, -r, tol=1e-4))",
      "the initial acceleration is solved only to 1e-4"),
     (TS, "_LS_ETA = 0.5 ", "_LS_ETA = 0.95 ",
      "the line search's slope test is 0.95, not 0.5"),
     (FEM, "grads[0] = -grads[1] - grads[2]",
      "grads[0] = grads[1] + grads[2]",
      "the gradient of each cell's basis function 0 has the wrong sign"),
-    (MESH, "keys = corners[:, None, :] * nv + corners[None, :, :]",
-     "keys = corners[None, :, :] * nv + corners[:, None, :]",
+    (MESH, "np.add(corners[:, None, :] * nv, corners[None, :, :],",
+     "np.add(corners[None, :, :] * nv, corners[:, None, :],",
      "each cell's (a, b) slot of the vertex graph holds the pair (b, a)"),
     (MESH, "in_plus[self.cells[plus]] = True\n"
      "        in_minus[self.cells[~plus]] = True",
@@ -173,6 +184,23 @@ MUTANTS = [
     (EXPR, "if not all(isinstance(a, _Value) for a in expr.args):",
      "if not any(isinstance(a, _Value) for a in expr.args):",
      "bind folds a call whose arguments are not all t-free"),
+    (BASIS, "self._diag[basis.diagonal_rows] = self.newton_at[basis.diagonal]",
+     "self._diag[basis.diagonal_rows] = self.lin_at[basis.diagonal]",
+     "Jacobi is blind to the crack tangents: it takes lin's diagonal"),
+    (TS, "cg_tol = max(_CG_TOL, forcing, _CG_FLOOR * tol_abs / norm_r)",
+     "cg_tol = max(1e-3, forcing, _CG_FLOOR * tol_abs / norm_r)",
+     "no CG solve goes below a relative tolerance of 0.001"),
+    (TS, "max(_CG_FORCING, 0.1 * rho)", "max(_CG_FORCING, 0.1)",
+     "the first forcing term ignores the previous contraction"),
+    (TS, "_LS_CLAMP = 0.1 ", "_LS_CLAMP = 0.45 ",
+     "regula falsi keeps its trials 0.45 of the bracket inside it"),
+    (BASIS, """        w[self.dofs] = _turn_groups(x[self.free_at], slice(None), self.q,
+                                    transpose=True)""",
+     "        w[self.dofs] = x[self.free_at]",
+     "the basis is applied on the way in but not on the way out"),
+    (BASIS, "frame = np.stack([normal, normal[:, ::-1] * (-1.0, 1.0)], axis=1)",
+     "frame = np.tile(np.eye(2), (len(normal), 1, 1))",
+     "the mean and the jump are taken in (x, y), not in the crack's frame"),
 ]
 
 
@@ -186,9 +214,10 @@ def apply(tree: Path, mutant) -> None:
     path.write_text(text.replace(old, new))
 
 
-def run_one(mutant) -> str:
+def run_one(mutant, first=None) -> str:
     """The tier-1 verdict on one mutant: 'killed by <test>' or
-    'SURVIVED'."""
+    'SURVIVED'.  first, a test id, runs alone before the suite, which
+    runs only if first passes."""
     with tempfile.TemporaryDirectory(prefix="crackdyn-mutant-") as tmp:
         tree = Path(tmp)
         for name in COPIED:
@@ -206,33 +235,46 @@ def run_one(mutant) -> str:
             raise RuntimeError(f"the mutant copy is not the one imported: "
                                f"{where!r}")
         # the list's own check fails on every mutant: leave it out
-        done = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p",
-             "no:cacheprovider", "--continue-on-collection-errors",
-             "--ignore=tests/test_mutants.py"],
-            cwd=tree, env=env, capture_output=True, text=True)
+        runs = [[first]] if first else []
+        runs.append(["--ignore=tests/test_mutants.py"])
+        for args in runs:
+            done = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-x", "-p",
+                 "no:cacheprovider", "--continue-on-collection-errors",
+                 *args], cwd=tree, env=env, capture_output=True, text=True)
+            failed = re.findall(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$",
+                                done.stdout, re.M)
+            if done.returncode == 1 and failed:
+                return "killed by " + failed[0]
+    # pytest exits 1 when tests fail; any other failure is reported as is
     if done.returncode == 0:
         return "SURVIVED"
-    failed = re.findall(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", done.stdout,
-                        re.M)
-    return "killed by " + (failed[0] if failed
-                           else f"pytest exit {done.returncode}")
+    return f"killed by pytest exit {done.returncode}"
 
 
 def main(argv) -> int:
     names = {f"M{k + 1}": m for k, m in enumerate(MUTANTS)}
-    chosen = argv or list(names)
+    refresh = "--refresh" in argv
+    chosen = [a for a in argv if a != "--refresh"] or list(names)
     unknown = [n for n in chosen if n not in names]
     if unknown:
         print(f"unknown mutants {unknown}; known: {list(names)}",
               file=sys.stderr)
         return 2
-    survivors = 0
+    killers = {} if refresh else json.loads(KILLERS.read_text())
     start = time.perf_counter()
-    for name in chosen:
-        verdict = run_one(names[name])
-        survivors += verdict == "SURVIVED"
-        print(f"{name}: {verdict}  ({names[name][3]})", flush=True)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        verdicts = pool.map(lambda n: run_one(names[n], killers.get(n)),
+                            chosen)
+        survivors = 0
+        for name, verdict in zip(chosen, verdicts):
+            survivors += verdict == "SURVIVED"
+            killers.pop(name, None)
+            if verdict.startswith("killed by tests/"):
+                killers[name] = verdict.removeprefix("killed by ")
+            print(f"{name}: {verdict}  ({names[name][3]})", flush=True)
+    KILLERS.write_text(json.dumps(
+        {n: killers[n] for n in names if n in killers}, indent=1) + "\n")
     print(f"battery wall time {time.perf_counter() - start:.0f} s")
     print(f"{survivors} of {len(chosen)} mutants survived")
     return 1 if survivors else 0

@@ -143,8 +143,6 @@ class OneDofParams:
     v0: float = 0.0
     forcing: object = None            # callable t -> float, or None
 
-    free = np.zeros(1, dtype=np.int64)    # the stepper's system: one unknown
-
     def __post_init__(self):
         if self.rho <= 0 or self.k <= 0:
             raise ValueError("rho and k must be positive")
@@ -157,6 +155,14 @@ class OneDofParams:
 
     def load(self, t: float) -> np.ndarray:
         return np.full(1, 0.0 if self.forcing is None else self.forcing(t))
+
+    def unknowns(self, w: np.ndarray) -> np.ndarray:
+        """The Newton unknown of the state vector w: w itself, copied."""
+        return np.array(w, dtype=float)
+
+    def nodal(self, x: np.ndarray) -> np.ndarray:
+        """The state vector of the unknown x: x itself, copied."""
+        return np.array(x, dtype=float)
 
     def interval(self, u_w, v_w, a_w, ca, cu, cv, t_w, load_w):
         """The stepper's Newton problem on the weighted state u_w +

@@ -287,6 +287,27 @@ def _assembly_mesh(case, tmp_path):
     return load_mesh(tmp_path / "turned.mesh")
 
 
+def _graph_pairs(mesh):
+    """The vertex pairs the assembled matrices store: those of each cell
+    and of each crack pair's four vertices, with either vertex swapped
+    for its partner across the crack, the highest-numbered minus copy
+    of a plus vertex and that plus vertex; a loop over the items."""
+    partner = {}
+    for plus, minus in zip(mesh.crack_plus.tolist(),
+                           mesh.crack_minus.tolist()):
+        for vp, vm in zip(plus, minus):
+            if vp != vm:
+                partner[vp] = max(partner.get(vp, vm), vm)
+    partner.update({vm: vp for vp, vm in list(partner.items())})
+    pairs = set()
+    for group in [*mesh.cells.tolist(),
+                  *(p + m for p, m in zip(mesh.crack_plus.tolist(),
+                                          mesh.crack_minus.tolist()))]:
+        near = group + [partner.get(v, v) for v in group]
+        pairs |= {(i, j) for i in near for j in near}
+    return pairs
+
+
 def _stored(a):
     """Where a CSR matrix stores an entry, as a dense boolean array."""
     return sp.csr_matrix((np.ones(a.nnz, dtype=bool), a.indices, a.indptr),
@@ -298,8 +319,8 @@ def test_assembly_matches_a_dense_cell_loop(case, tmp_path):
     # every entry of M and K against the textbook element matrices
     # summed cell by cell (lambda != mu, so a swap shows), and the
     # layout the linear Jacobian relies on: canonical CSR with int32
-    # indices, K storing every component pair of each pair of vertices
-    # that share a cell, M the equal-component ones alone
+    # indices, K storing every component pair of each vertex pair of
+    # the graph (_graph_pairs), M the equal-component ones alone
     mesh = _assembly_mesh(case, tmp_path)
     mat = Material(lam=1.7, mu=0.6, rho=2.5)
     mass, stiffness = dense_mass_stiffness(mesh, mat)
@@ -310,21 +331,22 @@ def test_assembly_matches_a_dense_cell_loop(case, tmp_path):
         rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
         assert (np.diff(a.indices)[np.diff(rows) == 0] > 0).all()
     shared = np.zeros((mesh.n_vertices, mesh.n_vertices), dtype=bool)
-    for cell in mesh.cells:
-        shared[np.ix_(cell, cell)] = True
+    shared[tuple(np.array(sorted(_graph_pairs(mesh))).T)] = True
     assert np.array_equal(_stored(k), np.kron(shared, np.ones((2, 2), bool)))
     assert np.array_equal(_stored(m), np.kron(shared, np.eye(2, dtype=bool)))
 
 
 @pytest.mark.parametrize("case", ["plate", "clamped_tip", "turned_file"])
 def test_vertex_graph_matches_the_cell_pairs(case, tmp_path):
-    # the CSR arrays against a set of every cell's vertex pairs, and each
-    # slot [a, b, c] at a position of row cells[c, a] that holds
-    # cells[c, b]; the turned mesh is read back from its file
+    # the CSR arrays against the set of pairs the graph must hold, each
+    # cell's vertex pairs among them, and each slot [a, b, c] at a
+    # position of row cells[c, a] that holds cells[c, b]; the turned
+    # mesh is read back from its file
     mesh = _assembly_mesh(case, tmp_path)
     indptr, indices, slots = mesh.vertex_graph
-    pairs = {(int(i), int(j)) for cell in mesh.cells
-             for i in cell for j in cell}
+    pairs = _graph_pairs(mesh)
+    assert {(int(i), int(j)) for cell in mesh.cells
+            for i in cell for j in cell} < pairs
     rows = np.repeat(np.arange(mesh.n_vertices), np.diff(indptr))
     assert list(zip(rows.tolist(), indices.tolist())) == sorted(pairs)
     assert slots.shape == (3, 3, mesh.n_cells)
@@ -338,15 +360,14 @@ def test_vertex_graph_matches_the_cell_pairs(case, tmp_path):
 
 def test_combine_matches_the_sparse_sum():
     # one combination of the data equals scipy's ca*M + cu*K entry for
-    # entry; at cu = 0 it keeps M's own pattern, without K's
-    # off-component entries as stored zeros
+    # entry, on K's pattern, at cu = 0 too
     mesh = generate_rect_crack(2.0, 1.0, 6, 4, crack_span=(0.25, 0.75))
     mat = Material(lam=1.7, mu=0.6, rho=2.5)
     m, k = fem.assemble_mass(mesh, mat), fem.assemble_stiffness(mesh, mat)
     for ca, cu in ((0.5, 3e-3), (1.0, 0.0)):
         combined = fem.combine(m, k, ca, cu)
         assert np.array_equal(combined.toarray(), (ca * m + cu * k).toarray())
-    assert np.array_equal(_stored(fem.combine(m, k, 1.0, 0.0)), _stored(m))
+    assert np.array_equal(_stored(fem.combine(m, k, 1.0, 0.0)), _stored(k))
 
 
 def test_build_operators_peak_memory():

@@ -29,7 +29,7 @@ from crackdyn.interface import (
 )
 from crackdyn.meshing import generate_rect_crack
 from crackdyn.fem import DofMap
-from conftest import reference_jumps, turned
+from conftest import crack_block, reference_jumps, turned
 
 
 def cracked_mesh(nx=16, ny=8):
@@ -71,10 +71,10 @@ def forces(crack, params, quad):
 
 
 def tangent(crack, params, quad, coeff_u, coeff_v):
-    """Dense crack-dof block of the derivative of forces, formed as the
-    Newton matrix forms it."""
-    return quad.scatter(contact_tangent(crack, params, quad, coeff_u, coeff_v)
-                        + friction_tangent(crack, params, quad, coeff_v))
+    """Dense crack-dof block of the derivative of forces: the pairs'
+    summed tangents, as the Newton matrix sums them, in one block."""
+    return crack_block(contact_tangent(crack, params, quad, coeff_u, coeff_v)
+                       + friction_tangent(crack, params, quad, coeff_v), quad)
 
 
 def frictionless(crack):
@@ -390,7 +390,8 @@ def test_frictionless_terms_are_exact_zeros():
     k = quad.crack_dofs.size
     r = quad.scatter(friction_residual(recover_tractions(crack, params)[1],
                                        quad))
-    tan = quad.scatter(friction_tangent(crack, params, quad, coeff_v=0.7))
+    tan = crack_block(friction_tangent(crack, params, quad, coeff_v=0.7),
+                      quad)
     assert r.shape == (k,) and tan.shape == (k, k)
     assert not r.any() and not tan.any()
 
@@ -577,8 +578,7 @@ residual = (interface.contact_residual(sigma_n, quad),
 tangent = (interface.contact_tangent(crack, params, quad, 0.3, 0.7),
            interface.friction_tangent(crack, params, quad, 0.7))
 out = [*crack, sigma_n, sigma_t, *residual, *tangent,
-       quad.scatter(residual[0] + residual[1]),
-       quad.scatter(tangent[0] + tangent[1])]
+       quad.scatter(residual[0] + residual[1])]
 assert (crack[0] < 0.0).any() and out[6].any()
 print(hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes()
                               for a in out)).hexdigest())
