@@ -48,7 +48,9 @@ class CrackBasis:
         tangents add to; slot_of (npairs*64,) is each pair's tangent
         entry's index in slots, or slots.size where it pairs a
         constrained dof; diagonal indexes the diagonal keys in slots,
-        and diagonal_rows are their rows
+        and diagonal_rows are their rows; crack_rows and crack_cols are
+        the slots' rows and columns among the ncrack crack unknowns (on
+        quad.crack_free)
     """
 
     def __init__(self, mesh, dofmap, quad):
@@ -93,6 +95,9 @@ class CrackBasis:
         rows, cols = np.divmod(self.slots, max(n, 1))
         self.diagonal = np.flatnonzero(rows == cols)
         self.diagonal_rows = rows[self.diagonal]
+        self.ncrack = quad.crack_free.size
+        self.crack_rows = np.searchsorted(quad.crack_free, rows)
+        self.crack_cols = np.searchsorted(quad.crack_free, cols)
 
     def to_unknowns(self, w: np.ndarray) -> np.ndarray:
         """R w: the free-dof components of the nodal vector w in the
@@ -178,8 +183,9 @@ class StepMatrix:
     values or the Newton matrix's on those slots, whichever was asked
     for last; each switch rewrites the slots, a few entries per crack
     row.  linear() returns lin, and this object is the Newton matrix,
-    with what fem.solve_spd uses, ``@`` and diagonal(), and
-    ``nonlinear``, false if it may be solved as a linear system."""
+    with what fem.solve_spd uses, ``@`` and diagonal(), ``nonlinear``,
+    false if it may be solved as a linear system, and tangent_product,
+    the tangents' part of it on the crack unknowns."""
 
     def __init__(self, lin: sp.csr_matrix, basis: CrackBasis):
         self.matrix, self.basis = lin, basis
@@ -187,6 +193,7 @@ class StepMatrix:
         if not found.all():
             raise ValueError("the matrix stores no entry at a crack slot")
         self.lin_at = self.newton_at = self.held = lin.data[self.at]
+        self.tangent_at = np.zeros(self.at.size)
         self.nonlinear = False
         self._diag = None
 
@@ -207,9 +214,10 @@ class StepMatrix:
             self._diag = self.linear().diagonal()
         self.nonlinear = bool(tangents.any())    # crack terms are active
         turned = basis.pairs @ tangents @ basis.pairs.transpose(0, 2, 1)
-        self.newton_at = self.lin_at + np.bincount(
+        self.tangent_at = np.bincount(
             basis.slot_of, weights=turned.ravel(),
             minlength=basis.slots.size + 1)[:-1]
+        self.newton_at = self.lin_at + self.tangent_at
         self._diag[basis.diagonal_rows] = self.newton_at[basis.diagonal]
         self._hold(self.newton_at)
         return self
@@ -220,3 +228,13 @@ class StepMatrix:
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         self._hold(self.newton_at)
         return self.matrix @ x
+
+    def tangent_product(self, z: np.ndarray) -> np.ndarray:
+        """T z: the pairs' tangents, as the last update wrote them into
+        the slots, times z, both on the crack unknowns (the entries of a
+        vector of unknowns on quad.crack_free).  It makes no product
+        with the matrix."""
+        basis = self.basis
+        return np.bincount(basis.crack_rows,
+                           weights=self.tangent_at * z[basis.crack_cols],
+                           minlength=basis.ncrack)

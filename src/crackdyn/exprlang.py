@@ -322,16 +322,26 @@ def _bind(expr: Expr, env: dict) -> Expr:
 
 
 def _eval(expr: Expr, env: dict):
+    # every operation takes one or two arguments, so a call is evaluated
+    # without building an argument list; a hand-built call of another
+    # arity falls through to the TypeError
+    if isinstance(expr, Call):
+        _, func, check = OPERATIONS[expr.func]
+        args = expr.args
+        if len(args) == 1:
+            a = _eval(args[0], env)
+            if check is not None:
+                check(a)
+            return func(a)
+        if len(args) == 2:
+            a, b = _eval(args[0], env), _eval(args[1], env)
+            if check is not None:
+                check(a, b)
+            return func(a, b)
     if isinstance(expr, (Num, _Value)):
         return expr.value
     if isinstance(expr, Var):
         if expr.name not in env:
             raise ExprDomainError(f"variable {expr.name!r} has no value here")
         return env[expr.name]
-    if isinstance(expr, Call):
-        _, func, check = OPERATIONS[expr.func]
-        args = [_eval(a, env) for a in expr.args]
-        if check is not None:
-            check(*args)
-        return func(*args)
     raise TypeError(f"not an expression node: {expr!r}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,6 +30,7 @@ __all__ = [
     "LoadForm",
     "assemble_load",
     "solve_spd",
+    "CGSolution",
     "interpolate",
     "h_norm_sq",
     "facet_quadrature",
@@ -347,12 +349,23 @@ def interpolate(mesh, exprs, t=0.0) -> np.ndarray:
 # linear solves
 # ---------------------------------------------------------------------------
 
-def solve_spd(a, rhs, tol=1e-12, maxit=None):
+class CGSolution(NamedTuple):
+    """What solve_spd's full_output returns: the solution x, CG's own
+    residual rhs - a x as its recurrence carried it, and the products
+    with a that CG made (its iterations)."""
+
+    x: np.ndarray
+    residual: np.ndarray
+    iterations: int
+
+
+def solve_spd(a, rhs, tol=1e-12, maxit=None, full_output=False):
     """Conjugate gradients with Jacobi preconditioning.
 
     ``a`` needs only ``a @ x`` and ``a.diagonal()``.  Deterministic:
     fixed zero initial guess, no randomized components.  Returns x with
-    ||a x - rhs|| <= tol * ||rhs||; raises SolveError with the achieved
+    ||a x - rhs|| <= tol * ||rhs||, or with full_output the CGSolution
+    (x, residual, iterations); raises SolveError with the achieved
     residual if maxit iterations do not get there, and at once if the
     norm of rhs is not finite (an entry is not, or the norm overflows).
     """
@@ -361,24 +374,24 @@ def solve_spd(a, rhs, tol=1e-12, maxit=None):
     if maxit is None:
         maxit = max(200, 20 * n)
     x = np.zeros(n)
-    rr = float(rhs @ rhs)
+    r = rhs.copy()
+    rr = float(r @ r)
     if not math.isfinite(rr):
         raise SolveError("right-hand side norm is not finite", rr)
     if rr == 0.0:
-        return x
+        return CGSolution(x, r, 0) if full_output else x
     diag = np.asarray(a.diagonal())
     if np.any(diag <= 0):
         raise SolveError("matrix has a non-positive diagonal entry", np.inf)
     inv_diag = 1.0 / diag
     target = tol * np.sqrt(rr)
     target_sq = target * target
-    r = rhs.copy()
     z = r * inv_diag
     p = z.copy()
     rz = float(r @ z)
-    for _ in range(maxit):
+    for k in range(maxit):          # k products made so far
         if rr <= target_sq:
-            return x
+            break
         q = a @ p
         pq = float(p @ q)
         if pq <= 0:
@@ -392,12 +405,14 @@ def solve_spd(a, rhs, tol=1e-12, maxit=None):
         p *= rz_new / rz
         p += z
         rz = rz_new
-    res = float(np.sqrt(rr))
-    if rr <= target_sq:
-        return x
-    raise SolveError(
-        f"CG did not converge in {maxit} iterations "
-        f"(residual {res:.3e}, target {target:.3e})", res)
+    else:
+        k = maxit
+        if rr > target_sq:
+            res = float(np.sqrt(rr))
+            raise SolveError(
+                f"CG did not converge in {maxit} iterations "
+                f"(residual {res:.3e}, target {target:.3e})", res)
+    return CGSolution(x, r, k) if full_output else x
 
 
 def h_norm_sq(mass: sp.csr_matrix, rho: float, w: np.ndarray) -> float:

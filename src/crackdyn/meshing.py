@@ -116,17 +116,23 @@ class CrackedMesh:
         partner = np.arange(nv)
         partner[plus], partner[minus] = minus, plus
         # the pairs of each crack pair's four vertices and of each cell
-        # with a partnered vertex, with either vertex swapped for its
-        # partner
+        # with a partnered vertex (the cell's own pairs are the corners'
+        # below), with either vertex or both swapped for its partner
+        # where it has one
         extra = []
-        for group in (self.cells[(partner[self.cells] != self.cells)
-                                 .any(axis=1)],
-                      np.concatenate([self.crack_plus, self.crack_minus],
-                                     axis=1)):
+        for group, own in ((self.cells[(partner[self.cells] != self.cells)
+                                       .any(axis=1)], False),
+                           (np.concatenate([self.crack_plus,
+                                            self.crack_minus], axis=1), True)):
             i = np.repeat(group, group.shape[1], axis=1).ravel()
             j = np.tile(group, group.shape[1]).ravel()
-            extra += [a * nv + b for a in (i, partner[i])
-                      for b in (j, partner[j])]
+            if own:
+                extra.append(i * nv + j)
+            pi, pj = partner[i], partner[j]
+            si, sj = pi != i, pj != j
+            both = si & sj
+            extra += [pi[si] * nv + j[si], i[sj] * nv + pj[sj],
+                      pi[both] * nv + pj[both]]
         corners = np.ascontiguousarray(self.cells.T)
         n = corners.size * len(corners)
         keys = np.empty(n + sum(e.size for e in extra), dtype=np.int64)

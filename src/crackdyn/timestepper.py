@@ -40,15 +40,23 @@ iteration a tight newton_maxit has no room for.  No CG tolerance falls
 below _CG_FLOOR*tol_abs/|r| (a tenth of the Newton tolerance over the
 current residual) or _CG_TOL.  A linear system (no crack, or no contact
 and no friction on the step) is solved down to the floor, so a linear
-step still takes one Newton iteration.  Acceptance always tests the
-true residual.  The forcing history travels with the run (step takes
-the previous StepInfo), never with the system, so a run's output
-depends only on its inputs.
+step still takes one Newton iteration.  The forcing history travels
+with the run (step takes the previous StepInfo), never with the system,
+so a run's output depends only on its inputs.
 
 The residual is the gradient of a convex potential of a+ and the Newton
 matrix its Hessian, so each Newton direction is followed by a line
-search on that potential (_line_search).  Bisecting the interval is the
-last resort: newton_maxit ran out or a value was not finite.
+search on that potential (_line_search).  The model is linear but on
+the crack, so the residual is r(x) = L x + c + F(x) with F the crack
+force, and CG's own residual r_cg = -r - J d gives r along the Newton
+direction d exactly but for a remainder on the crack unknowns: the line
+search evaluates F alone, and Newton carries r from one iteration to
+the next without a product with L.  Acceptance always tests the true
+residual: once the carried |r| passes the tolerance, r is evaluated
+afresh at the unknowns (one product, with the F the line search left),
+and only that residual accepts the step; if it fails, Newton goes on
+from it.  Bisecting the interval is the last resort: newton_maxit ran
+out or a value was not finite.
 
 The stepper holds only the Newmark kinematics, Newton, the line search
 and bisection: step advances a state by one interval, and run is the
@@ -63,26 +71,32 @@ imposed, incompatible data warned about and the consistent
 acceleration.  Once per Newmark interval the stepper hands ``interval``
 the g-weighted state at a+ = 0, its derivatives ca, cu and cv in a+
 (the stepper alone knows the Newmark scheme), t_w and load_w.  It
-returns (residual, newton_matrix) on vectors of unknowns: residual(a)
-gives (r, point), the force balance on the unknowns at the weighted
-state of the a+ whose unknowns are a, and what the system evaluated
-there; newton_matrix(point) is the derivative of r in a at that point,
-as an operator with ``@`` and diagonal() for fem.solve_spd (and
-``nonlinear`` false if it may be solved as a linear system), valid
-until the next call.  The end-of-step State is built once, for the
-accepted a+.  The mesh problem's system is Operators, whose point is
-the interface.crack_state; the test suite's scalar analog
-(tests/oracles.py), whose point is the weighted (u, v) and whose
-unknowns are its state vectors, is a second.  Both take their initial
-acceleration from their interval at ca = 1, cu = cv = 0.  weighted_points recovers from a run's states
-the points at which it enforced the force balance.
+returns a NewtonProblem on vectors of unknowns, the force balance r on
+the unknowns at the weighted state of the a+ whose unknowns are x,
+split as r(x) = L x + c + F(x): its crack unknowns; linear(x), L x + c;
+force(x_c), F on the crack unknowns with the point it was evaluated
+at; and newton_matrix(point), J = L + T, the derivative of r at that
+point, as an operator with ``@`` and diagonal() for fem.solve_spd,
+``nonlinear`` (false if it may be solved as a linear system) and
+tangent_product(z), T z on the crack unknowns, valid until the next
+call.  The end-of-step State is built once, for the accepted a+.  The
+mesh problem's system is Operators, whose point is the
+interface.crack_state; the test suite's scalar analog
+(tests/oracles.py), whose point is the weighted (u, v), whose unknowns
+are its state vectors and whose one unknown is a crack unknown, is a
+second.  Both take their initial acceleration from their interval at
+ca = 1, cu = cv = 0.  weighted_points recovers from a run's states the
+points at which it enforced the force balance.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -101,6 +115,7 @@ __all__ = [
     "step",
     "run",
     "StepInfo",
+    "NewtonProblem",
     "weighted_points",
 ]
 
@@ -108,7 +123,7 @@ _CG_TOL = 1e-12
 _MAX_HALVINGS = 5
 _COMPAT_TOL = 1e-10
 _LS_ETA = 0.5           # line-search slope test, relative to |phi'(0)|
-_LS_MAX_EVALS = 20      # residual evaluations per line search
+_LS_MAX_EVALS = 20      # crack force evaluations per line search
 _LS_CLAMP = 0.1         # trials stay this share of the bracket inside it
 _CG_FORCING = 1e-6      # forcing term without a measured contraction
 _CG_FORCING_MAX = 0.1   # loosest forcing term
@@ -166,11 +181,13 @@ class TimeParams:
 @dataclass
 class StepInfo:
     """Newton bookkeeping for one accepted step: Newton iterations,
-    final residual and tolerance, substeps, line_search, the residual
-    evaluations beyond one per Newton iteration, and contraction,
-    |r_1|/|r_0| of the first Newton iteration of the step's last
-    interval (None if it took none), from which the next step sets its
-    first forcing term."""
+    final residual and tolerance, substeps, line_search, the crack force
+    evaluations beyond one per Newton iteration, contraction, |r_1|/|r_0|
+    of the first Newton iteration of the step's last interval (None if
+    it took none), from which the next step sets its first forcing term,
+    and cg_iterations, the CG iterations of its Newton systems.  A
+    bisected step sums iterations, line_search and cg_iterations over
+    the substeps it accepted."""
 
     iterations: int
     residual: float
@@ -178,6 +195,41 @@ class StepInfo:
     substeps: int = 1
     line_search: int = 0
     contraction: float | None = None
+    cg_iterations: int = 0
+
+
+class NewtonProblem(NamedTuple):
+    """One Newmark interval's Newton problem as a system poses it, on
+    vectors of unknowns.  Its residual is r(x) = L x + c + F(x): L x + c
+    is linear, and the crack force F acts on the crack unknowns alone.
+
+    crack: the indices of the crack unknowns.
+    linear(x): L x + c, a new vector, with one product with L.
+    force(x_c): (F, point), F on the crack unknowns at the unknowns whose
+        crack entries are x_c (it may overwrite x_c), and what the
+        system evaluated there.
+    newton_matrix(point): J = L + T, the derivative of r in x at that
+        point, valid until the next call: an operator with ``@`` and
+        diagonal() for fem.solve_spd, ``nonlinear`` (false if it may be
+        solved as a linear system; true if absent) and
+        tangent_product(z), T z on the crack unknowns for z on them.
+    """
+
+    crack: np.ndarray
+    linear: Callable
+    force: Callable
+    newton_matrix: Callable
+
+    def residual(self, x, f):
+        """r(x) from f = F(x): one product."""
+        r = self.linear(x)
+        r[self.crack] += f
+        return r
+
+    def evaluate(self, x):
+        """(r(x), F(x), point): the crack force at x, then r from it."""
+        f, point = self.force(x[self.crack])
+        return self.residual(x, f), f, point
 
 
 @dataclass
@@ -246,20 +298,18 @@ class Operators:
         return self._jac_cache[key]
 
     def interval(self, u_w, v_w, a_w, ca, cu, cv, t_w, load_w):
-        """(residual, newton_matrix) of a Newton problem whose weighted
-        state is u_w + cu*a, v_w + cv*a, a_w + ca*a at time t_w, for the
-        nodal vector a of unknowns x (nodal(x)); both take and give
-        vectors of unknowns, in the crack basis.
+        """The NewtonProblem whose weighted state is u_w + cu*a, v_w +
+        cv*a, a_w + ca*a at time t_w, for the nodal vector a of unknowns
+        x (nodal(x)), in the crack basis; its crack unknowns are those
+        on quad.crack_free.
 
-        residual(x) returns (r, crack): the force balance M a_w + K u_w
-        + contact + friction - load_w on the unknowns, and the
-        interface.crack_state it was formed from.  Its linear part is
-        the cached matrix ca*M + cu*K in the basis times x, plus a
-        constant formed here once, so an evaluation makes one product
-        with it and otherwise touches the crack dofs alone: it turns x's
-        crack entries into nodal values, recovers the tractions and
-        scatters the pairs' summed forces once, then turns them into
-        the basis.
+        Its residual is the force balance M a_w + K u_w + contact +
+        friction - load_w on the unknowns.  linear(x) is the cached
+        matrix ca*M + cu*K in the basis times x, plus a constant formed
+        here once.  force(x_c) touches the crack dofs alone: it turns
+        x_c into nodal values, forms the interface.crack_state (the
+        point), recovers the tractions and scatters the pairs' summed
+        forces once, then turns them into the basis.
         newton_matrix(crack) is the derivative of r in x at that crack
         state: the same matrix plus the pairs' summed tangents, turned
         into the basis and written into their slots of one CSR matrix
@@ -268,22 +318,23 @@ class Operators:
         """
         step = self.linear_jacobian(ca, cu)
         contact, quad, basis = self.contact, self.quad, self.basis
-        slots = quad.crack_free
         const = self.unknowns(self.mass @ a_w + self.stiffness @ u_w - load_w)
         u_c, v_c = u_w[quad.crack_dofs], v_w[quad.crack_dofs]
         g = interface.friction_bound_values(contact, quad, t_w)
 
-        def residual(x):
-            a_c = basis.crack_to_nodal(x[slots])
+        def linear(x):
+            r = step.linear() @ x
+            r += const
+            return r
+
+        def force(x_c):
+            a_c = basis.crack_to_nodal(x_c)
             crack = interface.crack_state(u_c + cu * a_c, v_c + cv * a_c,
                                           t_w, contact, quad, g=g)
             sigma_n, sigma_t = interface.recover_tractions(crack, contact)
-            r = step.linear() @ x
-            r += const
-            r[slots] += basis.crack_to_unknowns(quad.scatter(
+            return basis.crack_to_unknowns(quad.scatter(
                 interface.contact_residual(sigma_n, quad)
-                + interface.friction_residual(sigma_t, quad)))
-            return r, crack
+                + interface.friction_residual(sigma_t, quad))), crack
 
         def newton_matrix(crack):
             return step.update(
@@ -292,7 +343,7 @@ class Operators:
                 + interface.friction_tangent(crack, contact, quad,
                                              coeff_v=cv))
 
-        return residual, newton_matrix
+        return NewtonProblem(quad.crack_free, linear, force, newton_matrix)
 
     def initial_state(self, u0: np.ndarray, v0: np.ndarray) -> State:
         """State at t = 0: u0 and v0 zeroed on the constrained dofs and the
@@ -306,9 +357,9 @@ class Operators:
         """
         u0 = self.dofmap.zero_constrained(u0)
         v0 = self.dofmap.zero_constrained(v0)
-        residual, _ = self.interval(u0, v0, np.zeros_like(u0), 1.0, 0.0,
-                                    0.0, 0.0, self.load(0.0))
-        r, crack = residual(np.zeros(self.basis.nfree))
+        problem = self.interval(u0, v0, np.zeros_like(u0), 1.0, 0.0, 0.0,
+                                0.0, self.load(0.0))
+        r, _, crack = problem.evaluate(np.zeros(self.basis.nfree))
         self._check_compatibility(crack)
         mass = self._jac_cache.pop((1.0, 0.0)).linear()  # at t = 0 alone
         a0 = self.nodal(fem.solve_spd(mass, -r, tol=_CG_TOL))
@@ -356,10 +407,10 @@ def build_operators(mesh, material: Material, contact: ContactParams,
 
 def _interval(state: State, dt: float, ops, params: TimeParams):
     """Newton problem of one Newmark interval in the unknowns of the
-    end-of-step acceleration a+: (residual, newton_matrix, load_w, end).
-    residual and newton_matrix are the system's, set up from the
-    g-weighted state at a+ = 0 and its derivatives in a+; end(x) is the
-    end-of-step State, built once, for the accepted unknowns x."""
+    end-of-step acceleration a+: (problem, load_w, end).  problem is
+    the system's NewtonProblem, set up from the g-weighted state at
+    a+ = 0 and its derivatives in a+; end(x) is the end-of-step State,
+    built once, for the accepted unknowns x."""
     b = params.newmark_b
     g = params.newmark_g
 
@@ -377,7 +428,7 @@ def _interval(state: State, dt: float, ops, params: TimeParams):
         what = "load norm" if np.isfinite(load_w).all() else "load"
         raise StepFailure(f"{what} is not finite at t={t_w:.6g}", t=state.t,
                           dt=dt, residual=np.nan, iterations=0)
-    residual, newton_matrix = ops.interval(
+    problem = ops.interval(
         (1.0 - g) * state.u + g * u_pred, (1.0 - g) * state.v + g * v_pred,
         (1.0 - g) * state.a, g, cu, cv, t_w, load_w)
 
@@ -386,39 +437,56 @@ def _interval(state: State, dt: float, ops, params: TimeParams):
         return State(state.t + dt, u_pred + du * a_plus, v_pred + dv * a_plus,
                      a_plus)
 
-    return residual, newton_matrix, load_w, end
+    return problem, load_w, end
 
 
-def _line_search(residual, a, d, r):
-    """Move a along the Newton direction d, in place.
+def _line_search(problem, jac, a, d, r, r_cg, f):
+    """Move a along the Newton direction d, in place and once.
 
     The residual is the gradient of the step's convex potential Pi and
-    the Newton matrix its Hessian, so phi(s) = Pi(a + s*d) is convex and
-    phi'(s) = r(a + s*d) @ d is nondecreasing, with phi'(0) < 0.
+    the Newton matrix jac its Hessian, so phi(s) = Pi(a + s*d) is convex
+    and phi'(s) = r(a + s*d) @ d is nondecreasing, with phi'(0) < 0.
+    r and f are the residual and the crack force F at a, and CG left
+    r_cg = -r - jac @ d, so along d, exactly,
+
+        r(a + s*d) = (1 - s)*r - s*r_cg + e(s)
+        e(s) = F(a + s*d) - F(a) - s*T d
+
+    with T the crack tangent in jac: the remainder e lives on the crack
+    unknowns, so a trial evaluates the crack force alone and takes its
+    slope from r.d and r_cg.d, formed once, and e(s).d on the crack.
     The full step is kept when phi'(1) <= eta*|phi'(0)|.  Otherwise
     [0, 1] brackets the minimizer, and Illinois regula falsi on phi'
     shrinks it until a trial has |phi'| <= eta*|phi'(0)| or
-    _LS_MAX_EVALS residuals have been evaluated; the last trial is kept.
-    r is the residual at a.  Returns (residual(a), evaluations beyond
-    the first), or None on a non-finite slope or a d that does not
-    descend.
+    _LS_MAX_EVALS crack forces have been evaluated; the last trial s is
+    kept.  Returns ((r, F, point) at a + s*d, r from the identity above,
+    evaluations beyond the first), or None on a non-finite slope or a d
+    that does not descend.
     """
     slope0 = float(r @ d)
     if not slope0 < 0.0:
         return None
+    slope_cg = float(r_cg @ d)
+    crack = problem.crack
+    x_c, d_c = a[crack], d[crack]
+    td = jac.tangent_product(d_c)
     bound = -_LS_ETA * slope0
-    a += d
     lo, s_lo, alpha = 0.0, slope0, 1.0
     moved = 0       # end of the bracket replaced last: +1 hi, -1 lo
     evals = 1
     while True:
-        out = residual(a)
-        slope = float(out[0] @ d)
-        if not np.isfinite(slope):
+        f_s, point = problem.force(x_c + alpha * d_c)
+        rest = f_s - f - alpha * td
+        slope = ((1.0 - alpha) * slope0 - alpha * slope_cg
+                 + float(rest @ d_c))
+        if not math.isfinite(slope):
             return None
         done = slope <= bound if evals == 1 else abs(slope) <= bound
         if done or evals == _LS_MAX_EVALS:
-            return out, evals - 1
+            a += alpha * d
+            r = (1.0 - alpha) * r - alpha * r_cg
+            r[crack] += rest
+            return (r, f_s, point), evals - 1
         # Illinois: an end kept twice in a row has its slope halved
         if slope > 0.0:
             hi, s_hi = alpha, slope
@@ -432,11 +500,8 @@ def _line_search(residual, a, d, r):
             moved = -1
         margin = _LS_CLAMP * (hi - lo)
         trial = (lo * s_hi - hi * s_lo) / (s_hi - s_lo)
-        trial = min(max(trial, lo + margin), hi - margin)
-        a += (trial - alpha) * d
-        alpha = trial
+        alpha = min(max(trial, lo + margin), hi - margin)
         evals += 1
-        del out     # free the rejected trial before evaluating the next
 
 
 def _solve_substep(state: State, dt: float, ops, params: TimeParams,
@@ -447,29 +512,33 @@ def _solve_substep(state: State, dt: float, ops, params: TimeParams,
     or, if not adaptive, all _CG_FORCING.  Returns (new_state,
     StepInfo), with new_state None if Newton did not converge within
     newton_maxit iterations or met a non-finite value."""
-    residual, newton_matrix, load_w, end = _interval(state, dt, ops, params)
+    problem, load_w, end = _interval(state, dt, ops, params)
     a = ops.unknowns(state.a)
-    r, point = residual(a)
+    r, f, point = problem.evaluate(a)
     norm_r = float(np.linalg.norm(r))
     tol_abs = params.newton_tol * max(float(np.linalg.norm(load_w)), norm_r)
-    iterations = line_search = 0
+    iterations = line_search = cg_iterations = 0
     contraction = None
     eta = (_CG_FORCING if rho is None or not adaptive
            else min(_CG_FORCING_MAX, max(_CG_FORCING, 0.1 * rho)))
-    while (norm_r > tol_abs and np.isfinite(norm_r)
+    while (norm_r > tol_abs and math.isfinite(norm_r)
            and iterations < params.newton_maxit):
-        jac = newton_matrix(point)
+        jac = problem.newton_matrix(point)
         # inexact Newton: a CG iterate from zero still descends (r.d < 0)
         forcing = eta if getattr(jac, "nonlinear", True) else 0.0
         cg_tol = max(_CG_TOL, forcing, _CG_FLOOR * tol_abs / norm_r)
-        d = fem.solve_spd(jac, -r, tol=cg_tol)
-        found = _line_search(residual, a, d, r)
+        d, r_cg, cg = fem.solve_spd(jac, -r, tol=cg_tol, full_output=True)
+        cg_iterations += cg
+        found = _line_search(problem, jac, a, d, r, r_cg, f)
         iterations += 1
         if found is None:
             break
-        (r, point), evals = found
+        (r, f, point), evals = found
         line_search += evals
         norm_prev, norm_r = norm_r, float(np.linalg.norm(r))
+        if norm_r <= tol_abs:   # r was carried: accept on the true one
+            r = problem.residual(a, f)
+            norm_r = float(np.linalg.norm(r))
         ratio = norm_r / norm_prev
         if iterations == 1:
             contraction = ratio
@@ -478,7 +547,7 @@ def _solve_substep(state: State, dt: float, ops, params: TimeParams,
     new = end(a) if norm_r <= tol_abs < np.inf else None
     return new, StepInfo(iterations=iterations, residual=norm_r,
                          tol_abs=tol_abs, line_search=line_search,
-                         contraction=contraction)
+                         contraction=contraction, cg_iterations=cg_iterations)
 
 
 def _advance(state: State, dt: float, ops, params, rho, depth: int):
@@ -509,7 +578,8 @@ def _advance(state: State, dt: float, ops, params, rho, depth: int):
         tol_abs=max(info1.tol_abs, info2.tol_abs),
         substeps=info1.substeps + info2.substeps,
         line_search=info1.line_search + info2.line_search,
-        contraction=info2.contraction)
+        contraction=info2.contraction,
+        cg_iterations=info1.cg_iterations + info2.cg_iterations)
 
 
 def step(state: State, t_next: float, ops, params: TimeParams,

@@ -201,6 +201,13 @@ MUTANTS = [
     (BASIS, "frame = np.stack([normal, normal[:, ::-1] * (-1.0, 1.0)], axis=1)",
      "frame = np.tile(np.eye(2), (len(normal), 1, 1))",
      "the mean and the jump are taken in (x, y), not in the crack's frame"),
+    (TS, "rest = f_s - f - alpha * td", "rest = f_s - f",
+     "the carried residual's crack remainder drops s*T d"),
+    (TS, """        if norm_r <= tol_abs:   # r was carried: accept on the true one
+            r = problem.residual(a, f)
+            norm_r = float(np.linalg.norm(r))
+""", "",
+     "a step is accepted on the carried residual, without the true one"),
 ]
 
 

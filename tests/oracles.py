@@ -14,7 +14,8 @@ instead of re-implementing them.
 - OneDofParams: a scalar analog of the model.  It is also a system for
   the production stepper, timestepper.run; one_dof_oracle integrates it
   by brute-force RK4, so the two can be compared without a second copy
-  of the implicit scheme (criterion 8).
+  of the implicit scheme (criterion 8).  DiagonalJacobian is its Newton
+  matrix.
 """
 
 from __future__ import annotations
@@ -128,8 +129,9 @@ class OneDofParams:
     g*alpha_eps(u') = forcing(t).
 
     It is also a system for timestepper.run (a length-1 residual, whose
-    point is the weighted (u, v), and a 1x1 Newton matrix), so the production
-    stepper integrates it:
+    one unknown is a crack unknown and whose point is the weighted
+    (u, v), and a 1x1 Newton matrix), so the production stepper
+    integrates it:
     ``for state, info in timestepper.run(p, TimeParams(t_end, dt), p.u0,
     p.v0)``.
     """
@@ -165,33 +167,56 @@ class OneDofParams:
         return np.array(x, dtype=float)
 
     def interval(self, u_w, v_w, a_w, ca, cu, cv, t_w, load_w):
-        """The stepper's Newton problem on the weighted state u_w +
-        cu*a, v_w + cv*a, a_w + ca*a: (residual, newton_matrix), with
-        the point (u, v) of the weighted state."""
+        """The stepper's timestepper.NewtonProblem on the weighted state
+        u_w + cu*a, v_w + cv*a, a_w + ca*a: the crack force is the
+        contact and friction terms, with the point (u, v) of the
+        weighted state."""
         lin = ca * self.rho + cu * self.k
         const = self.rho * a_w + self.k * u_w - load_w
 
-        def residual(a):
+        def linear(a):
+            return lin * a + const
+
+        def force(a):
             u, v = u_w + cu * a, v_w + cv * a
-            r = (lin * a + const
-                 + interface.beta_eps(self.gamma * u + v, self.epsilon)
-                 + self.g * interface.alpha_eps(v, self.epsilon))
-            return r, (u, v)
+            return (interface.beta_eps(self.gamma * u + v, self.epsilon)
+                    + self.g * interface.alpha_eps(v, self.epsilon)), (u, v)
 
         def newton_matrix(point):
             u, v = point
-            jac = (lin + interface.dbeta_eps(self.gamma * u + v, self.epsilon)
-                   * (self.gamma * cu + cv)
-                   + self.g * interface.dalpha_eps(v, self.epsilon)[0] * cv)
-            return jac.reshape(1, 1)
+            tangent = (interface.dbeta_eps(self.gamma * u + v, self.epsilon)
+                       * (self.gamma * cu + cv)
+                       + self.g * interface.dalpha_eps(v, self.epsilon)[0]
+                       * cv)
+            return DiagonalJacobian(lin, tangent)
 
-        return residual, newton_matrix
+        return timestepper.NewtonProblem(np.arange(1), linear, force,
+                                         newton_matrix)
 
     def initial_state(self, u0: float, v0: float) -> fem.State:
         u, v = np.full(1, float(u0)), np.full(1, float(v0))
-        residual, _ = self.interval(u, v, np.zeros(1), 1.0, 0.0, 0.0, 0.0,
-                                    self.load(0.0))
-        return fem.State(0.0, u, v, -residual(np.zeros(1))[0] / self.rho)
+        problem = self.interval(u, v, np.zeros(1), 1.0, 0.0, 0.0, 0.0,
+                                self.load(0.0))
+        r, _, _ = problem.evaluate(np.zeros(1))
+        return fem.State(0.0, u, v, -r / self.rho)
+
+
+@dataclass(frozen=True)
+class DiagonalJacobian:
+    """A diagonal Newton matrix (OneDofParams's is 1x1) with lin +
+    tangent on its diagonal, tangent its crack part."""
+
+    lin: float
+    tangent: np.ndarray
+
+    def __matmul__(self, z):
+        return (self.lin + self.tangent) * z
+
+    def diagonal(self):
+        return self.lin + self.tangent
+
+    def tangent_product(self, z):
+        return self.tangent * z
 
 
 def one_dof_oracle(p: OneDofParams, sample_times, dt_fine: float):

@@ -578,14 +578,16 @@ def test_one_dof_newton_matrix_is_residual_derivative(gamma, g):
     # the default Newmark pair and a dissipative one
     for b, gn in ((0.25, 0.5), (0.3025, 0.6)):
         params = TimeParams(t_end=1.0, dt=0.05, newmark_b=b, newmark_g=gn)
-        residual, newton_matrix, load_w, end = timestepper._interval(
-            state, 0.05, p, params)
+        problem, load_w, end = timestepper._interval(state, 0.05, p, params)
         assert load_w[0] == pytest.approx(np.sin(gn * 0.05))
         a = np.array([0.7])
-        _, point = residual(a)
-        op = newton_matrix(point)
-        assert op.shape == (1, 1) and op[0, 0] > 0.0
+        _, _, point = problem.evaluate(a)
+        op = problem.newton_matrix(point)
+        jac = op @ np.ones(1)
+        assert jac.shape == (1,) and jac[0] > 0.0
+        assert np.array_equal(op.diagonal(), jac)
         h = 1e-6
-        fd = (residual(a + h)[0] - residual(a - h)[0]) / (2 * h)
-        assert fd[0] == pytest.approx(op[0, 0], rel=1e-7)
+        fd = (problem.evaluate(a + h)[0]
+              - problem.evaluate(a - h)[0]) / (2 * h)
+        assert fd[0] == pytest.approx(jac[0], rel=1e-7)
         assert end(a).a[0] == 0.7 and end(a).t == pytest.approx(0.05)

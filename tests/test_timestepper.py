@@ -8,6 +8,7 @@ import pytest
 import scipy.sparse as sp
 from conftest import (crack_block, impact_config, reference_jumps, turned,
                       unzip)
+from oracles import DiagonalJacobian
 
 from crackdyn import config as config_mod
 from crackdyn import exprlang as ex
@@ -358,8 +359,9 @@ def test_newton_operator_is_residual_derivative(tmp_path, gamma, g,
                                                 tip_on_dirichlet):
     # the Newton matrix applied to z equals the central difference of
     # the step residual along z, both in the crack basis; its diagonal
-    # is the one of its CSR matrix, and its crack terms carry a visible
-    # share of the product
+    # is the one of its CSR matrix, its crack terms carry a visible
+    # share of the product, and they are its tangent_product on the
+    # crack unknowns and zero off them
     if tip_on_dirichlet:
         mesh = _tip_on_dirichlet_mesh(tmp_path)
     else:
@@ -377,21 +379,27 @@ def test_newton_operator_is_residual_derivative(tmp_path, gamma, g,
     free = ops.dofmap.free
     # the default pair and a dissipative one, whose g is not a power of 2
     for b, gn in ((0.25, 0.5), (0.3025, 0.6)):
-        residual, newton_matrix, _, _ = timestepper._interval(
+        problem, _, _ = timestepper._interval(
             state, 0.05, ops, TimeParams(t_end=1.0, dt=0.05, newmark_b=b,
                                          newmark_g=gn))
         a = rng.standard_normal(free.size)
-        _, point = residual(a)
-        op = newton_matrix(point)
+        _, _, point = problem.evaluate(a)
+        op = problem.newton_matrix(point)
         h = 1e-5
         for _ in range(3):
             z = rng.standard_normal(a.size)
-            fd = (residual(a + h * z)[0] - residual(a - h * z)[0]) / (2 * h)
+            fd = (problem.evaluate(a + h * z)[0]
+                  - problem.evaluate(a - h * z)[0]) / (2 * h)
             ref = op @ z
             assert np.abs(fd - ref).max() <= 1e-6 * np.abs(ref).max()
             assert np.array_equal(op.diagonal(), op.matrix.diagonal())
+            crack_part = ref - op.linear() @ z
             assert (np.abs(fd - op.linear() @ z).max()
                     >= 1e-3 * np.abs(ref).max())
+            tz = np.zeros_like(ref)
+            tz[problem.crack] = op.tangent_product(z[problem.crack])
+            assert (np.abs(tz - crack_part).max()
+                    <= 1e-13 * np.abs(ref).max())
 
 
 @pytest.mark.parametrize("theta, swap", [(0.0, False), (0.5, False),
@@ -489,14 +497,14 @@ def test_crack_basis_saves_cg_products_on_stiff(monkeypatch):
     counts = collections.Counter()
     solve = fem.solve_spd
 
-    def both(a, rhs, tol=1e-12):
+    def both(a, rhs, tol=1e-12, **kw):
         if isinstance(a, StepMatrix):
             nodal = (r.T @ a.matrix @ r).tocsr()
             x = solve(_Counted(nodal, counts, "nodal"), r.T @ rhs, tol=tol)
             assert np.linalg.norm(nodal @ x - r.T @ rhs) <= (
                 tol * np.linalg.norm(rhs))
-            return solve(_Counted(a, counts, "basis"), rhs, tol=tol)
-        return solve(a, rhs, tol=tol)
+            return solve(_Counted(a, counts, "basis"), rhs, tol=tol, **kw)
+        return solve(a, rhs, tol=tol, **kw)
     monkeypatch.setattr(fem, "solve_spd", both)
     for _ in run(ops, cfg.time, problem.u0, problem.v0):
         pass
@@ -551,12 +559,11 @@ def test_step_residual_is_potential_gradient(gamma, g, newmark_b):
     state = _penetrating_state(ops, rng, t=0.1)
     dt = 0.05
     params = TimeParams(t_end=1.0, dt=dt, newmark_b=newmark_b)
-    residual, newton_matrix, _, _ = timestepper._interval(state, dt, ops,
-                                                          params)
+    problem, _, _ = timestepper._interval(state, dt, ops, params)
     free = ops.dofmap.free
     a = rng.standard_normal(free.size)
-    r, point = residual(a)
-    d = fem.solve_spd(newton_matrix(point), -r, tol=1e-12)
+    r, _, point = problem.evaluate(a)
+    d = fem.solve_spd(problem.newton_matrix(point), -r, tol=1e-12)
     slope = r @ d
     assert slope < 0.0
     h = 1e-5
@@ -572,16 +579,16 @@ def test_loosely_solved_newton_direction_descends(tol):
     ops = make_ops(gamma=1.0, g="0.05")
     rng = np.random.default_rng(53)
     state = _penetrating_state(ops, rng)
-    residual, newton_matrix, _, _ = timestepper._interval(
+    problem, _, _ = timestepper._interval(
         state, 0.05, ops, TimeParams(t_end=1.0, dt=0.05))
     a = rng.standard_normal(ops.dofmap.free.size)
-    r, point = residual(a)
-    op = newton_matrix(point)
+    r, f, point = problem.evaluate(a)
+    op = problem.newton_matrix(point)
     assert op.nonlinear
-    d = fem.solve_spd(op, -r, tol=tol)
+    d, r_cg, _ = fem.solve_spd(op, -r, tol=tol, full_output=True)
     assert np.linalg.norm(op @ d + r) <= tol * np.linalg.norm(r)
     assert r @ d < 0.0
-    out = timestepper._line_search(residual, a, d, r)
+    out = timestepper._line_search(problem, op, a, d, r, r_cg, f)
     assert out is not None
 
 
@@ -594,9 +601,9 @@ def _spy_newton_solves(monkeypatch, ops, params, u0):
     calls = []
     solve = fem.solve_spd
 
-    def spy(a, rhs, tol=1e-12, maxit=None):
+    def spy(a, rhs, tol=1e-12, **kw):
         calls.append([a.nonlinear, tol, float(np.linalg.norm(rhs))])
-        return solve(a, rhs, tol=tol, maxit=maxit)
+        return solve(a, rhs, tol=tol, **kw)
 
     monkeypatch.setattr(fem, "solve_spd", spy)
     info = None
@@ -656,10 +663,10 @@ def test_bisected_halves_use_the_fixed_forcing(monkeypatch):
     substeps = []       # per substep: [dt, [(tol, |rhs|)], tol_abs]
     solve, substep = fem.solve_spd, timestepper._solve_substep
 
-    def spy_solve(a, rhs, tol=1e-12, maxit=None):
+    def spy_solve(a, rhs, tol=1e-12, **kw):
         if substeps:        # not the initial acceleration's solve
             substeps[-1][1].append((tol, float(np.linalg.norm(rhs))))
-        return solve(a, rhs, tol=tol, maxit=maxit)
+        return solve(a, rhs, tol=tol, **kw)
 
     def spy_substep(state, dt, *args, **kwargs):
         substeps.append([dt, []])
@@ -694,9 +701,9 @@ def test_a_bare_step_has_no_forcing_history(monkeypatch):
     tols = []
     solve = fem.solve_spd
 
-    def spy(a, rhs, tol=1e-12, maxit=None):
+    def spy(a, rhs, tol=1e-12, **kw):
         tols.append(tol)
-        return solve(a, rhs, tol=tol, maxit=maxit)
+        return solve(a, rhs, tol=tol, **kw)
 
     monkeypatch.setattr(fem, "solve_spd", spy)
     step(states[-2], states[-1].t, ops, params)
@@ -749,20 +756,40 @@ def test_impact_run_converges_with_inexact_solves(impact_runs):
     assert sum(info.iterations for info in infos) <= 598
 
 
-def _convex_gradient(eps):
-    """Residual of Pi(a) = |a - 1|^2/2 + sum psi_eps(a), in the
-    (r, ...) tuple shape the line search reads."""
-    def residual(a):
-        return (a - 1.0 + interface.beta_eps(a, eps),)
-    return residual
+def _convex_gradient(eps, n):
+    """The NewtonProblem of Pi(a) = |a - 1|^2/2 + sum psi_eps(a) on n
+    unknowns, every one a crack unknown, with its crack force
+    psi_eps' = beta_eps, whose point is the unknowns."""
+    def force(x):
+        return interface.beta_eps(x, eps), x.copy()
+
+    def newton_matrix(x):
+        return DiagonalJacobian(1.0, interface.dbeta_eps(x, eps))
+    return timestepper.NewtonProblem(np.arange(n), lambda x: x - 1.0,
+                                     force, newton_matrix)
+
+
+def _line_search(problem, a, d):
+    """timestepper._line_search from a along d, as the stepper calls it:
+    with the residual and crack force at a, and CG's residual -r - J d
+    for d, J the Newton matrix at a."""
+    r, f, point = problem.evaluate(a)
+    jac = problem.newton_matrix(point)
+    return timestepper._line_search(problem, jac, a, d, r, -r - jac @ d, f)
+
+
+# Largest |carried - fresh| residual entry over the largest fresh one,
+# in the overshoot test below: 2.1e-16.  The bound leaves a factor of
+# about 50 for other platforms' rounding.
+CARRIED_RTOL = 1e-14
 
 
 def test_line_search_keeps_a_passing_full_step():
-    residual = _convex_gradient(1e-2)
+    problem = _convex_gradient(1e-2, 3)
     a = np.array([2.0, 3.0, 1.5])
     d = 1.0 - a                      # exact minimizer: the penalty is off
     base = a.copy()
-    out, extra = timestepper._line_search(residual, a, d, residual(a)[0])
+    out, extra = _line_search(problem, a, d)
     assert extra == 0
     assert np.array_equal(a, base + d)
     assert not out[0].any()
@@ -770,14 +797,18 @@ def test_line_search_keeps_a_passing_full_step():
 
 def test_line_search_brackets_an_overshoot():
     # a unit step lands deep in the stiff penalty: regula falsi must come
-    # back to a point whose slope passes the two-sided test
-    residual = _convex_gradient(1e-4)
+    # back to a point whose slope passes the two-sided test; the
+    # residual it carries there is the fresh residual at the moved a
+    problem = _convex_gradient(1e-4, 2)
     a = np.array([2.0, 2.0])
     d = np.array([-3.0, -2.5])
-    slope0 = residual(a)[0] @ d
-    out, extra = timestepper._line_search(residual, a, d, residual(a)[0])
+    slope0 = problem.evaluate(a)[0] @ d
+    out, extra = _line_search(problem, a, d)
     assert 0 < extra < timestepper._LS_MAX_EVALS - 1
-    assert np.array_equal(out[0], residual(a)[0])
+    fresh, f, _ = problem.evaluate(a)
+    assert np.array_equal(out[1], f)
+    assert (np.abs(out[0] - fresh).max()
+            <= CARRIED_RTOL * np.abs(fresh).max())
     assert abs(out[0] @ d) <= timestepper._LS_ETA * abs(slope0)
 
 
@@ -789,26 +820,27 @@ def test_line_search_keeps_trials_inside_the_bracket():
     # slope is 0
     trials = []
 
-    def residual(a):
-        trials.append(float(a[0]))
-        return (100.0 * a - 1.0,)
+    def force(x):
+        trials.append(float(x[0]))
+        return np.zeros(1), None
+    problem = timestepper.NewtonProblem(
+        np.arange(1), lambda x: 100.0 * x - 1.0, force,
+        lambda point: DiagonalJacobian(100.0, 0.0))
     a = np.zeros(1)
-    out, extra = timestepper._line_search(residual, a, np.ones(1),
-                                          residual(a)[0])
+    out, extra = _line_search(problem, a, np.ones(1))
     assert trials[1:] == pytest.approx([1.0, 0.1, 0.01], rel=1e-12)
     assert extra == 2 and abs(out[0][0]) <= 1e-12
 
 
 def test_line_search_rejects_ascent_and_nonfinite_slopes():
-    residual = _convex_gradient(1e-2)
+    problem = _convex_gradient(1e-2, 2)
     a = np.array([0.5, 0.5])
-    r = residual(a)[0]
     for d in (np.array([-1.0, -1.0]), np.array([0.0, 0.0])):
-        assert timestepper._line_search(residual, a.copy(), d, r) is None
+        assert _line_search(problem, a.copy(), d) is None
     # descent at 0, but the unit step overflows the slope
     d = np.array([1e300, 0.0])
     with np.errstate(over="ignore"):
-        assert timestepper._line_search(residual, a.copy(), d, r) is None
+        assert _line_search(problem, a.copy(), d) is None
 
 
 def test_nonfinite_state_is_not_accepted():
@@ -881,14 +913,16 @@ class _Counted:
 
 
 def test_newton_iteration_evaluates_the_crack_once(monkeypatch):
-    # one impact step: each residual evaluation and each CG iteration
-    # makes one product with the step size's one CSR matrix, and each
-    # residual forms the crack state once; M and K are applied only in
-    # the interval's constant, g is sampled once for the step's one
-    # t_w, and each Newton iteration builds one contact tangent from the
-    # crack state its residual formed and writes the tangents into the
-    # matrix once; the tractions are recovered and the crack forces
-    # scattered once per residual
+    # one impact step: the residual's linear part is evaluated twice, at
+    # the start and on the accepted unknowns, and each evaluation and each
+    # CG iteration makes one product with the step size's one CSR matrix;
+    # each crack force evaluation, one per line-search trial, forms the
+    # crack state once; M and K are applied only in the interval's
+    # constant, g is sampled once for the step's one t_w, and each Newton
+    # iteration builds one contact tangent from the crack state its last
+    # trial formed and writes the tangents into the matrix once; the
+    # tractions are recovered and the crack forces scattered once per
+    # crack force
     problem = config_mod.build_problem(impact_config())
     ops, params = problem.ops, problem.config.time
     state = ops.initial_state(problem.u0, problem.v0)
@@ -910,12 +944,16 @@ def test_newton_iteration_evaluates_the_crack_once(monkeypatch):
         monkeypatch.setattr(owner, name, spy)
 
     def interval(*args, _f=ops.interval):
-        residual, newton_matrix = _f(*args)
+        problem = _f(*args)
 
-        def counted(a):
-            counts["residual"] += 1
-            return residual(a)
-        return counted, newton_matrix
+        def force(x_c):
+            counts["force"] += 1
+            return problem.force(x_c)
+
+        def linear(x):
+            counts["linear"] += 1
+            return problem.linear(x)
+        return problem._replace(force=force, linear=linear)
 
     monkeypatch.setattr(ops, "interval", interval)
     solve = fem.solve_spd
@@ -923,15 +961,187 @@ def test_newton_iteration_evaluates_the_crack_once(monkeypatch):
         _Counted(a, counts, "cg"), *args, **kw))
     _, info = step(state, params.dt, ops, params)
     assert info.iterations >= 2 and info.substeps == 1
-    assert counts["residual"] == 1 + info.iterations + info.line_search
-    assert counts["lin"] == counts["residual"] + counts["cg"]
+    assert counts["force"] == 1 + info.iterations + info.line_search
+    assert counts["linear"] == 2
+    assert counts["lin"] == counts["linear"] + counts["cg"]
     assert counts["mass"] == counts["stiffness"] == 1
     assert counts["friction_bound_values"] == 1      # one t_w per interval
-    assert counts["crack_state"] == counts["residual"]
+    assert counts["crack_state"] == counts["force"]
     assert counts["contact_tangent"] == info.iterations
-    assert counts["recover_tractions"] == counts["residual"]
-    assert counts["scatter"] == counts["residual"]
+    assert counts["recover_tractions"] == counts["force"]
+    assert counts["scatter"] == counts["force"]
     assert counts["update"] == info.iterations
+
+
+def _impact_case(gamma, g, t_end=0.5):
+    """(ops, params, u0, v0) of the impact problem at gamma with friction
+    bound g."""
+    cfg = impact_config(gamma=gamma)
+    cfg = dataclasses.replace(
+        cfg, contact=dataclasses.replace(cfg.contact, g=ex.parse(g)),
+        time=dataclasses.replace(cfg.time, t_end=t_end))
+    problem = config_mod.build_problem(cfg)
+    return problem.ops, cfg.time, problem.u0, problem.v0
+
+
+def _bisected_case():
+    """(ops, params, u0, v0) of one step that Newton fails on whole and
+    solves in 31 substeps."""
+    ops = make_ops(epsilon=1e-3, g="0.05")
+    v0 = crack_plus_velocity(ops, (0.0, -0.3))
+    params = TimeParams(t_end=0.02, dt=0.02, newton_maxit=6)
+    return ops, params, np.zeros_like(v0), v0
+
+
+def _cases():
+    return {"impact-0-0": lambda: _impact_case(0.0, "0"),
+            "impact-0-0.05": lambda: _impact_case(0.0, "0.05"),
+            "impact-10-0": lambda: _impact_case(10.0, "0"),
+            "impact-10-0.05": lambda: _impact_case(10.0, "0.05"),
+            "bisected": _bisected_case}
+
+
+def _run_quietly(ops, params, u0, v0):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CompatibilityWarning)
+        return unzip(run(ops, params, u0, v0))
+
+
+# Largest |carried - fresh| residual entry over the largest entry of the
+# terms r sums (the constant, L a, the crack force and J d), measured
+# over the cases below: 1.0e-15 on the impacts and 1.3e-13 on the
+# bisected step, whose CG runs long on stiff tangents.  The bound
+# leaves a factor of about 8 above the largest.
+CARRIED_ROUNDING = 1e-12
+
+
+@pytest.mark.parametrize("case", list(_cases()))
+def test_carried_residual_is_the_fresh_residual(monkeypatch, case):
+    # at every Newton iteration the residual the line search carries from
+    # CG's own residual and the crack force equals, to rounding, the
+    # residual evaluated afresh at the moved unknowns; the crack force it
+    # hands on is the fresh one bit for bit
+    ops, params, u0, v0 = _cases()[case]()
+    gaps = []
+    line_search = timestepper._line_search
+
+    def spy(problem, jac, a, d, r, r_cg, f):
+        out = line_search(problem, jac, a, d, r, r_cg, f)
+        if out is not None:
+            (carried, force, _), _ = out
+            fresh, fresh_force, _ = problem.evaluate(a)
+            assert np.array_equal(force, fresh_force)
+            const = problem.linear(np.zeros_like(a))
+            terms = (const, problem.linear(a) - const, fresh_force, jac @ d)
+            gaps.append(np.abs(carried - fresh).max()
+                        / max(np.abs(x).max(initial=0.0) for x in terms))
+        return out
+    monkeypatch.setattr(timestepper, "_line_search", spy)
+    _, infos = _run_quietly(ops, params, u0, v0)
+    # a failed substep's iterations are checked too
+    assert len(gaps) >= sum(info.iterations for info in infos) > 0
+    assert max(gaps) <= CARRIED_ROUNDING
+
+
+@pytest.mark.parametrize("case", ["impact-10-0.05", "bisected"])
+def test_accepted_residual_is_fresh(monkeypatch, case):
+    # a step is accepted on a residual evaluated afresh at its accepted
+    # unknowns: StepInfo.residual is its norm bit for bit, the largest
+    # over a bisected step's substeps
+    ops, params, u0, v0 = _cases()[case]()
+    accepted = []       # per step, the fresh |r| of each accepted substep
+    interval, step_ = timestepper._interval, timestepper.step
+
+    def spy_interval(*args):
+        problem, load_w, end = interval(*args)
+
+        def checked(x):
+            accepted[-1].append(float(np.linalg.norm(problem.evaluate(x)[0])))
+            return end(x)
+        return problem, load_w, checked
+
+    def spy_step(*args):
+        accepted.append([])
+        return step_(*args)
+    monkeypatch.setattr(timestepper, "_interval", spy_interval)
+    monkeypatch.setattr(timestepper, "step", spy_step)
+    _, infos = _run_quietly(ops, params, u0, v0)
+    assert [len(a) for a in accepted] == [i.substeps for i in infos]
+    assert [max(a) for a in accepted] == [i.residual for i in infos]
+    assert any(i.iterations for i in infos)
+
+
+def test_products_outside_cg_are_constant_per_step(monkeypatch):
+    # on stiff (gamma 10, epsilon 1e-4), where Newton takes from one to
+    # many iterations and line searches, a step makes four sparse
+    # products outside CG however many iterations it takes: M and K once
+    # each in the interval's constant, and the linear part on the start
+    # and on the accepted unknowns
+    problem = config_mod.build_problem(dataclasses.replace(
+        impact_config(gamma=10.0, epsilon=1e-4),
+        time=TimeParams(t_end=0.1, dt=2.5e-3)))
+    ops = problem.ops
+    counts = collections.Counter()
+    for name in ("mass", "stiffness"):
+        monkeypatch.setattr(ops, name, _Counted(getattr(ops, name), counts,
+                                                "outside"))
+
+    def linear_jacobian(ca, cu, _f=ops.linear_jacobian):
+        matrices = _f(ca, cu)
+        if not isinstance(matrices.matrix, _Counted):
+            matrices.matrix = _Counted(matrices.matrix, counts, "outside")
+        return matrices
+    monkeypatch.setattr(ops, "linear_jacobian", linear_jacobian)
+    solve = fem.solve_spd
+
+    def counted(a, *args, **kw):
+        before = counts["outside"]
+        out = solve(a, *args, **kw)
+        counts["cg"] += counts["outside"] - before
+        counts["outside"] = before
+        return out
+    monkeypatch.setattr(fem, "solve_spd", counted)
+    per_step, infos = [], []
+    for _, info in run(ops, problem.config.time, problem.u0, problem.v0):
+        if info is not None:
+            infos.append(info)
+            per_step.append(counts["outside"])
+        counts.clear()
+    assert all(info.substeps == 1 for info in infos)
+    assert len({info.iterations for info in infos}) >= 3
+    assert sum(info.line_search for info in infos) > 0
+    assert per_step == [4] * len(infos)
+
+
+@pytest.mark.parametrize("case", ["impact-0-0.05", "bisected"])
+def test_step_info_counts_cg_iterations(monkeypatch, case):
+    # StepInfo.cg_iterations is the products CG made inside fem.solve_spd
+    # over the substeps the step accepted, like its iterations
+    ops, params, u0, v0 = _cases()[case]()
+    params = dataclasses.replace(params, t_end=min(params.t_end, 0.05))
+    counts = collections.Counter()
+    solve, substep = fem.solve_spd, timestepper._solve_substep
+    monkeypatch.setattr(fem, "solve_spd", lambda a, *args, **kw: solve(
+        _Counted(a, counts, "cg"), *args, **kw))
+
+    def spy_substep(*args, **kwargs):
+        before = counts["cg"]
+        new, info = substep(*args, **kwargs)
+        counts["attempted"] += counts["cg"] - before
+        if new is not None:
+            counts["accepted"] += counts["cg"] - before
+        return new, info
+    monkeypatch.setattr(timestepper, "_solve_substep", spy_substep)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CompatibilityWarning)
+        state = ops.initial_state(u0, v0)
+    info = None
+    for k in range(1, round(params.t_end / params.dt) + 1):
+        counts.clear()
+        state, info = step(state, k * params.dt, ops, params, info)
+        assert info.cg_iterations == counts["accepted"] > 0
+        assert (counts["attempted"] > counts["accepted"]) == (
+            info.substeps > 1)
 
 
 LOADED_TEXT = """\
@@ -1029,10 +1239,10 @@ def test_interval_residual_is_the_force_balance(gamma, g):
     dt = 0.05
     for b, gn in ((0.25, 0.5), (0.3025, 0.6)):
         params = TimeParams(t_end=1.0, dt=dt, newmark_b=b, newmark_g=gn)
-        residual, _, _, _ = timestepper._interval(state, dt, ops, params)
+        problem, _, _ = timestepper._interval(state, dt, ops, params)
         for _ in range(3):
             a = rng.standard_normal(free.size)
-            r, _ = residual(a)
+            r, _, _ = problem.evaluate(a)
             a_end = ops.nodal(a)
             u_end = state.u + dt * state.v + dt * dt * (
                 (0.5 - b) * state.a + b * a_end)
@@ -1054,18 +1264,17 @@ def test_interval_residual_is_the_force_balance(gamma, g):
 
 def _friction_interval(seed):
     """An interval at a penetrating, slipping state under friction, and
-    the crack state of its residual at a random a+: (ops, residual,
-    newton_matrix, a, r, crack, cv)."""
+    the crack state of its residual at a random a+: (ops, problem, a, r,
+    crack, cv)."""
     ops = make_ops(gamma=1.0, g="0.05*(1 + x)")
     rng = np.random.default_rng(seed)
     state = _penetrating_state(ops, rng, t=0.1)
     params = TimeParams(t_end=1.0, dt=0.05)
-    residual, newton_matrix, _, _ = timestepper._interval(
-        state, params.dt, ops, params)
+    problem, _, _ = timestepper._interval(state, params.dt, ops, params)
     a = rng.standard_normal(ops.free.size)
-    r, crack = residual(a)
+    r, _, crack = problem.evaluate(a)
     cv = params.newmark_g ** 2 * params.dt
-    return ops, residual, newton_matrix, a, r, crack, cv
+    return ops, problem, a, r, crack, cv
 
 
 def test_interval_residual_takes_friction_from_recover_tractions(
@@ -1073,7 +1282,7 @@ def test_interval_residual_takes_friction_from_recover_tractions(
     # the law is evaluated in one place: doubling the tangential traction
     # recover_tractions gives moves the residual by exactly one more set
     # of friction forces, to rounding
-    ops, residual, _, a, r, crack, _ = _friction_interval(61)
+    ops, problem, a, r, crack, _ = _friction_interval(61)
     recover = interface.recover_tractions
     _, sigma_t = recover(crack, ops.contact)
     extra = np.zeros(ops.dofmap.ndof)
@@ -1086,7 +1295,7 @@ def test_interval_residual_takes_friction_from_recover_tractions(
         sigma_n, sigma_t = recover(*args)
         return sigma_n, 2.0 * sigma_t
     monkeypatch.setattr(interface, "recover_tractions", doubled)
-    moved, _ = residual(a)
+    moved, _, _ = problem.evaluate(a)
     assert np.abs(moved - r - extra).max() <= BALANCE_RTOL * np.abs(r).max()
 
 
@@ -1096,9 +1305,9 @@ def test_newton_matrix_takes_friction_derivative_from_dalpha_eps(
     # the one Newton uses: dalpha_eps off by 1 % moves the Newton matrix
     # by 1 % of its friction part, R F R^T with F the friction tangent on
     # the crack dofs
-    ops, _, newton_matrix, _, _, crack, cv = _friction_interval(62)
+    ops, problem, _, _, crack, cv = _friction_interval(62)
     eye = np.eye(ops.free.size)
-    op = newton_matrix(crack)
+    op = problem.newton_matrix(crack)
     crack_part = op @ eye - op.linear() @ eye
     cd = ops.quad.crack_dofs
     nodal = np.zeros((ops.dofmap.ndof, ops.dofmap.ndof))
@@ -1110,7 +1319,7 @@ def test_newton_matrix_takes_friction_derivative_from_dalpha_eps(
     dalpha = interface.dalpha_eps
     monkeypatch.setattr(interface, "dalpha_eps",
                         lambda x, eps: 1.01 * dalpha(x, eps))
-    moved = newton_matrix(crack) @ eye - op.linear() @ eye
+    moved = problem.newton_matrix(crack) @ eye - op.linear() @ eye
     assert (np.abs(moved - crack_part - 0.01 * friction).max()
             <= BALANCE_RTOL * np.abs(crack_part).max())
 
@@ -1127,7 +1336,8 @@ def test_line_search_give_up_ends_in_step_failure(monkeypatch):
 
     def uphill(*args, _f=fem.solve_spd, **kwargs):
         solves.append(1)
-        return -_f(*args, **kwargs)
+        solution = _f(*args, **kwargs)
+        return solution._replace(x=-solution.x)
 
     monkeypatch.setattr(timestepper.fem, "solve_spd", uphill)
     with pytest.raises(StepFailure) as err:
