@@ -1,6 +1,7 @@
 """The crack basis: the orthogonal change of unknowns in which the
-stepper poses every free-dof linear system, and the one matrix per step
-size that holds a system's linear part and its Newton matrix.
+stepper poses every free-dof linear system, the crack's jump operator B
+and tangent-slot map S in it, and the one matrix per step size that
+holds a system's linear part and its Newton matrix.
 
 The crack terms act on the jump of the displacement and velocity across
 the crack alone, so their penalty couples each plus-side crack dof to its
@@ -21,7 +22,8 @@ __all__ = ["CrackBasis", "StepMatrix"]
 
 
 class CrackBasis:
-    """The orthogonal basis of the Newton unknowns.
+    """The orthogonal basis of the Newton unknowns, and the crack's
+    discretization in it.
 
     It is the identity but on each duplicated crack vertex whose two
     copies are free.  There the components of the copies x+ and x- in
@@ -32,25 +34,28 @@ class CrackBasis:
     frame's normal n is the normalized sum of the normals of the
     vertex's crack pairs and its tangent (-n_y, n_x), so the basis turns
     with the mesh.  Crack tips and copies on the Dirichlet boundary keep
-    their nodal dofs.  The basis is built when a run first needs it, not
-    with the problem.
+    their nodal dofs.  The basis, B and S are built when a run first
+    needs them, not with the problem.
 
-    Attributes (nfree = dofmap.free.size):
+    Attributes (nfree = dofmap.free.size; the crack unknowns are those
+    on quad.crack_free, in the order of quad.crack_dofs):
     dofs : (n, 4) the nodal dofs (x+, y+, x-, y-) of each of the n
         vertices with a frame; free_at their positions among the free
-        dofs, crack_at in a crack vector (on quad.crack_dofs)
+        dofs
     q : (n, 4, 4) each vertex's orthogonal block, from those dofs to
         (mean_n, mean_t, jump_n, jump_t)
-    pairs : (npairs, 8, 8) each crack pair's block of the basis on its
-        local dofs (those of quad.jump_slots), the identity where a
-        vertex keeps its nodal dofs
-    slots : sorted flat keys row*nfree + col of the entries the pairs'
-        tangents add to; slot_of (npairs*64,) is each pair's tangent
-        entry's index in slots, or slots.size where it pairs a
-        constrained dof; diagonal indexes the diagonal keys in slots,
-        and diagonal_rows are their rows; crack_rows and crack_cols are
-        the slots' rows and columns among the ncrack crack unknowns (on
-        quad.crack_free)
+    jumps : B = J Q^T, CSR, the jump operator J = quad.jumps on the
+        crack unknowns (Q the basis on the crack dofs); it holds no mean
+        unknown.  jumps_t is B^T, CSR
+    tangent_map : S, CSR: the crack tangent B^T D B on its slots is
+        S @ D for the pointwise law derivatives D, each point's
+        (1 + dim) x (1 + dim) block on its rows of B (the normal
+        derivative, then the tangential block; the laws do not couple
+        them, and S has no entry there).  Its rows are the row-wise
+        Khatri-Rao product of each point's rows of B with themselves
+    slots : sorted flat keys row*nfree + col of the entries the crack
+        tangent adds to; diagonal indexes the diagonal keys in slots,
+        and diagonal_rows are their rows
     """
 
     def __init__(self, mesh, dofmap, quad):
@@ -61,7 +66,6 @@ class CrackBasis:
         dofs = (copies[:, :, None] * d + np.arange(d)).reshape(-1, 2 * d)
         self.dofs = dofs = dofs[~dofmap.constrained[dofs].any(axis=1)]
         self.free_at = np.searchsorted(self.free, dofs)
-        self.crack_at = np.searchsorted(quad.crack_dofs, dofs)
         plus = dofs[:, 0] // d
         normal = np.stack([np.bincount(
             mesh.crack_plus.ravel(), minlength=nv,
@@ -73,31 +77,24 @@ class CrackBasis:
         sign = np.sqrt(0.5) * np.array([[1.0, 1.0], [1.0, -1.0]])
         self.q = (sign[:, None, :, None] * frame[:, None, :, None, :]
                   ).reshape(-1, 2 * d, 2 * d)
-        # a pair's local dofs: its plus vertices' components, then minus
-        group = np.full(nv, -1)
-        group[plus] = np.arange(plus.size)
-        v = group[mesh.crack_plus]
-        pair, i = np.nonzero(v >= 0)
-        local = (d * i[:, None, None] + [[0], [2 * d]]
-                 + np.arange(d)).reshape(-1, 2 * d)
-        self.pairs = np.tile(np.eye(4 * d), (mesh.n_pairs, 1, 1))
-        self.pairs[pair[:, None, None], local[:, :, None],
-                   local[:, None, :]] = self.q[v[pair, i]]
-        verts = np.concatenate([mesh.crack_plus, mesh.crack_minus], axis=1)
-        local = (verts[:, :, None] * d + np.arange(d)).reshape(-1, 4 * d)
-        at = np.searchsorted(self.free, local)
-        free = ~dofmap.constrained[local]
-        live = (free[:, :, None] & free[:, None, :]).ravel()
-        keys = (at[:, :, None] * n + at[:, None, :]).ravel()
-        self.slots, rank = unique_ranks(keys[live])
-        self.slot_of = np.full(live.size, self.slots.size)
-        self.slot_of[live] = rank
+        # B = J G.  J's coefficients on a framed vertex's copies are c and
+        # -c, so in the basis they are c E on its jump unknowns, E the
+        # difference of Q^T's rows on the copies (2 sqrt(1/2) frame^T; it
+        # is 0 on the mean): G maps the plus copy's positions there
+        k, at = quad.crack_dofs.size, np.searchsorted(quad.crack_dofs, dofs)
+        jump = (self.q[:, d:, :d] - self.q[:, d:, d:]).transpose(0, 2, 1)
+        own = np.setdiff1d(np.arange(k), at)
+        rows = np.concatenate([own, np.repeat(at[:, :d], d, axis=1).ravel()])
+        cols = np.concatenate([own, np.tile(at[:, d:], d).ravel()])
+        g = sp.csr_matrix((np.concatenate([np.ones(own.size), jump.ravel()]),
+                           (rows, cols)), shape=(k, k))
+        self.jumps = (quad.jumps @ g).tocsr()
+        self.jumps_t = self.jumps.T.tocsr()
+        self.slots, self.tangent_map = _tangent_map(
+            self.jumps, quad.crack_free, n, d)
         rows, cols = np.divmod(self.slots, max(n, 1))
         self.diagonal = np.flatnonzero(rows == cols)
         self.diagonal_rows = rows[self.diagonal]
-        self.ncrack = quad.crack_free.size
-        self.crack_rows = np.searchsorted(quad.crack_free, rows)
-        self.crack_cols = np.searchsorted(quad.crack_free, cols)
 
     def to_unknowns(self, w: np.ndarray) -> np.ndarray:
         """R w: the free-dof components of the nodal vector w in the
@@ -112,15 +109,6 @@ class CrackBasis:
         w[self.dofs] = _turn_groups(x[self.free_at], slice(None), self.q,
                                     transpose=True)
         return w
-
-    def crack_to_nodal(self, x: np.ndarray) -> np.ndarray:
-        """The crack vector (on quad.crack_dofs) of the unknowns' crack
-        entries x (on quad.crack_free), in place."""
-        return _turn_groups(x, self.crack_at, self.q, transpose=True)
-
-    def crack_to_unknowns(self, f: np.ndarray) -> np.ndarray:
-        """The unknowns' crack entries of the crack vector f, in place."""
-        return _turn_groups(f, self.crack_at, self.q)
 
     def turn(self, a: sp.csr_matrix) -> sp.csr_matrix:
         """R a R^T for a CSR matrix a on the free dofs, in place: the four
@@ -152,6 +140,32 @@ class CrackBasis:
         return a
 
 
+def _tangent_map(b, at, n, d):
+    """(slots, S) of the jump operator b on the crack unknowns at free-dof
+    positions at (n free dofs): for each point and entry (r, c) of its
+    derivative block, every product of an entry of its row r of b with
+    one of its row c, on their columns' slot; straight into CSR arrays."""
+    k = 1 + d
+    blocks = [(0, 0)] + [(1 + c, 1 + e) for c in range(d) for e in range(d)]
+    first, second = np.array(blocks).T
+    base = np.arange(b.shape[0] // k)[:, None] * k
+    ra, rb = (base + first).ravel(), (base + second).ravel()
+    length = np.diff(b.indptr)
+    count = length[ra] * length[rb]
+    entry = np.repeat(np.arange(count.size), count)     # its (ra, rb) pair
+    i, j = np.divmod(np.arange(count.sum()) - np.repeat(np.cumsum(count)
+                                                        - count, count),
+                     length[rb][entry])
+    pa, pb = b.indptr[ra][entry] + i, b.indptr[rb][entry] + j
+    slots, rank = unique_ranks(at[b.indices[pa]] * n + at[b.indices[pb]])
+    order = np.argsort(rank, kind="stable")
+    indptr = np.searchsorted(rank[order], np.arange(slots.size + 1))
+    column = (base * k + first * k + second).ravel()[entry[order]]
+    return slots, sp.csr_matrix(
+        ((b.data[pa] * b.data[pb])[order], column, indptr),
+        shape=(slots.size, base.size * k * k))
+
+
 def _turn_groups(x, at, q, transpose=False):
     """x with each group x[at[v]] replaced by q[v] @ x[at[v]], or by
     q[v]^T @ x[at[v]], in place.  einsum, like the crack layer, passes
@@ -178,14 +192,12 @@ def _positions(mat, keys, n):
 class StepMatrix:
     """One step size's free-dof matrices in the crack basis, on one CSR
     matrix: lin = ca*M + cu*K, pinned, the residual's linear part, and
-    the Newton matrix, lin plus the pairs' crack tangents, which differs
-    from lin on the basis's slots alone.  The matrix's data hold lin's
-    values or the Newton matrix's on those slots, whichever was asked
-    for last; each switch rewrites the slots, a few entries per crack
-    row.  linear() returns lin, and this object is the Newton matrix,
-    with what fem.solve_spd uses, ``@`` and diagonal(), ``nonlinear``,
-    false if it may be solved as a linear system, and tangent_product,
-    the tangents' part of it on the crack unknowns."""
+    the Newton matrix, lin plus the crack tangent B^T D B on the basis's
+    slots.  The data hold lin's values or the Newton matrix's on the
+    slots, whichever was asked for last.  linear() returns lin, and this
+    object is the Newton matrix, with ``@`` and diagonal() for
+    fem.solve_spd, ``nonlinear``, false if it may be solved as a linear
+    system, and ``derivatives``, the D it was built from."""
 
     def __init__(self, lin: sp.csr_matrix, basis: CrackBasis):
         self.matrix, self.basis = lin, basis
@@ -193,7 +205,7 @@ class StepMatrix:
         if not found.all():
             raise ValueError("the matrix stores no entry at a crack slot")
         self.lin_at = self.newton_at = self.held = lin.data[self.at]
-        self.tangent_at = np.zeros(self.at.size)
+        self.derivatives = None
         self.nonlinear = False
         self._diag = None
 
@@ -205,19 +217,16 @@ class StepMatrix:
         self._hold(self.lin_at)
         return self.matrix
 
-    def update(self, tangents: np.ndarray) -> StepMatrix:
-        """The Newton matrix of the pairs' summed tangents (npairs, 8, 8):
-        each turned into the basis, P T P^T, and summed onto its slots.
-        It holds until the next update."""
+    def update(self, derivatives: np.ndarray) -> StepMatrix:
+        """The Newton matrix of the pointwise law derivatives D (in
+        basis.tangent_map's columns): lin plus S @ D on the slots, until
+        the next update."""
         basis = self.basis
         if self._diag is None:
             self._diag = self.linear().diagonal()
-        self.nonlinear = bool(tangents.any())    # crack terms are active
-        turned = basis.pairs @ tangents @ basis.pairs.transpose(0, 2, 1)
-        self.tangent_at = np.bincount(
-            basis.slot_of, weights=turned.ravel(),
-            minlength=basis.slots.size + 1)[:-1]
-        self.newton_at = self.lin_at + self.tangent_at
+        self.derivatives = derivatives
+        self.nonlinear = bool(derivatives.any())    # crack terms are active
+        self.newton_at = self.lin_at + basis.tangent_map @ derivatives.ravel()
         self._diag[basis.diagonal_rows] = self.newton_at[basis.diagonal]
         self._hold(self.newton_at)
         return self
@@ -228,13 +237,3 @@ class StepMatrix:
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         self._hold(self.newton_at)
         return self.matrix @ x
-
-    def tangent_product(self, z: np.ndarray) -> np.ndarray:
-        """T z: the pairs' tangents, as the last update wrote them into
-        the slots, times z, both on the crack unknowns (the entries of a
-        vector of unknowns on quad.crack_free).  It makes no product
-        with the matrix."""
-        basis = self.basis
-        return np.bincount(basis.crack_rows,
-                           weights=self.tangent_at * z[basis.crack_cols],
-                           minlength=basis.ncrack)

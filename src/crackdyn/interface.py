@@ -6,24 +6,25 @@ is a Tresca law with bound g, smoothed so the slip direction is
 well-defined at zero slip rate.  All laws are monotone with symmetric
 positive semidefinite derivatives, which keeps Newton systems SPD.
 
-crack_state is the single evaluation of the crack at a state (its jumps
-and g at every quadrature point); without friction g = 0.
-recover_tractions is the one evaluation of the laws there, dbeta_eps and
-dalpha_eps their only derivatives.  The crack layer reads and writes
-crack vectors only, the values on CrackQuadrature.crack_dofs, through
-the quadrature's precomputed jump operators J, its one discretization of
-the crack: the jumps are J times a crack vector, each pair's residuals
-J^T W times its tractions and its tangents J^T D J (W the weights, D the
-pointwise derivatives); a caller sums them.  CrackQuadrature.scatter
-puts the residuals on the crack dofs, and basis.StepMatrix writes the
-tangents into the Newton matrix.
+The crack is discretized once, by the quadrature's sparse jump operator
+J from crack vectors (values on CrackQuadrature.crack_dofs) to each
+quadrature point's normal jump and tangential jump.  crack_state is the
+single evaluation of the crack at a state (its jumps and g at every
+point; g = 0 without friction), recover_tractions the one evaluation of
+the laws there, dbeta_eps and dalpha_eps their only derivatives.  The
+rest is pointwise: contact_residual and friction_residual weight the
+tractions, W sigma, whose J^T is the crack force, and contact_tangent
+and friction_tangent the derivatives D, J^T D J the force's derivative
+(the stepper uses B = basis.CrackBasis.jumps, J in the crack basis).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import exprlang, fem
 from .exprlang import Expr
@@ -127,25 +128,20 @@ class ContactParams:
 
 class CrackQuadrature:
     """Two-point Gauss rule on every crack facet pair, and the jump
-    operators on the crack dofs.
+    operator J on the crack dofs.
 
     It is built from the mesh's crack arrays (``crack_plus``,
     ``crack_minus``, ``crack_normals``) and fem.FACET_SHAPES, and keeps no
     copy of them.  Attributes (npairs = number of pairs, nq = 2 points
     per facet):
     points : (npairs, nq, dim), weights : (npairs, nq)
-    crack_dofs : sorted unconstrained dofs of the crack-face vertices.
-        Crack vectors, the arguments of crack_state and the scattered
-        residuals, hold one value per entry (a nodal vector w gives
-        w[crack_dofs])
+    crack_dofs : sorted unconstrained dofs of the crack-face vertices;
+        a crack vector holds one value per entry (w[crack_dofs])
     crack_free : position of each crack_dofs entry in dofmap.free
-    jump_slots : (npairs, 8) crack-vector position of each pair's facet
-        vertex dofs, plus vertices first, each vertex's components in
-        turn; a constrained dof has slot 0 and zero coefficients below
-    normal_jump : (npairs, nq, 8) the normal jump at each point, as
-        coefficients of the pair's jump_slots entries
-    tangent_jump : (npairs, nq, dim, 8) the tangential part of the jump
-        at each point, likewise
+    jumps : J, CSR, on first use: at each point the normal jump, then
+        the dim components of the tangential one, rows in the order
+        pair, point, component; a minus vertex's coefficients are its
+        plus vertex's negated
     """
 
     def __init__(self, mesh, dofmap: fem.DofMap):
@@ -163,25 +159,30 @@ class CrackQuadrature:
         self.crack_free = np.searchsorted(dofmap.free, self.crack_dofs)
         slots = np.searchsorted(self.crack_dofs, dofs)
         live = ~constrained
-        self.jump_slots = np.where(live, slots, 0).reshape(n, 4 * d)
-        # the jump at point q is sum_i shp[q, i]*w_i over the four vertices
+        # each pair's facet vertex dofs' crack-vector positions, plus
+        # vertices first; a constrained dof's is 0, with zero coefficients
+        self._slots = np.where(live, slots, 0).reshape(n, 4 * d)
+        # the jump at point q is sum_i shp[q, i]*w_i over the four
+        # vertices, along the normal or a row of the tangent projection
         shp = np.concatenate([fem.FACET_SHAPES, -fem.FACET_SHAPES], axis=1)
         nrm = mesh.crack_normals
         proj = np.eye(d) - nrm[:, :, None] * nrm[:, None, :]           # (n, d, d)
-        self.normal_jump = (shp[None, :, :, None] * nrm[:, None, None, :]
-                            * live[:, None]).reshape(n, 2, 4 * d)
-        self.tangent_jump = (shp[None, :, None, :, None]
-                             * proj[:, None, :, None, :]
-                             * live[:, None, None]).reshape(n, 2, d, 4 * d)
+        direction = np.concatenate([nrm[:, None, :], proj], axis=1)
+        self._rows = (shp[None, :, None, :, None]
+                      * direction[:, None, :, None, :] * live[:, None, None]
+                      ).reshape(n, len(shp) * (1 + d), 4 * d)
 
-    def scatter(self, local: np.ndarray) -> np.ndarray:
-        """The sum of per-pair (npairs, 8) vectors on their jump_slots: a
-        crack vector.  A constrained dof's slot 0 has zero coefficients,
-        so it adds zeros."""
-        # without pairs, bincount returns integers
-        return np.bincount(self.jump_slots.ravel(), weights=local.ravel(),
-                           minlength=self.crack_dofs.size
-                           ).astype(float, copy=False)
+    @functools.cached_property
+    def jumps(self) -> sp.csr_matrix:
+        # a pair's rows summed onto its slots (a glued crack tip's two
+        # copies, one vertex, cancel exactly), zeros dropped
+        n, r, _ = self._rows.shape
+        pair, row, col = np.nonzero(self._rows)
+        out = sp.csr_matrix((self._rows[pair, row, col],
+                             (pair * r + row, self._slots[pair, col])),
+                            shape=(n * r, self.crack_dofs.size))
+        out.eliminate_zeros()
+        return out
 
     def friction_bound(self, g: Expr):
         """exprlang.bind of g on the quadrature points, a function of t;
@@ -218,25 +219,24 @@ def friction_bound_values(params: ContactParams, quad: CrackQuadrature,
 def crack_state(u, v, t, params: ContactParams, quad: CrackQuadrature,
                 g=None):
     """(s, jt, g) at the quadrature points, from the crack vectors (on
-    quad.crack_dofs) of u and v: the contact argument, the normal jump
-    of gamma*u + v, shape (npairs, nq); the tangential jump of v,
-    (npairs, nq, dim); and the friction bound, zero without friction.
-    A caller that already holds friction_bound_values at t passes them
-    as g, and they are used as given."""
+    quad.crack_dofs) of u and v, by quad.jumps: the contact argument, the
+    normal jump of gamma*u + v, shape (npairs, nq); the tangential jump
+    of v, (npairs, nq, dim); and the friction bound, zero without
+    friction.  A caller that already holds friction_bound_values at t
+    passes them as g, and they are used as given."""
     if not np.shape(u) == np.shape(v) == quad.crack_dofs.shape:
         raise ValueError("u and v must be crack vectors, one value per "
                          "quad.crack_dofs entry")
-    slots = quad.jump_slots
-    s = np.einsum("pqm,pm->pq", quad.normal_jump,
-                  (params.gamma * u + v)[slots])
-    jt = np.einsum("pqcm,pm->pqc", quad.tangent_jump, v[slots])
+    shape = quad.points.shape[:-1] + (1 + quad.points.shape[-1],)
+    s = (quad.jumps @ (params.gamma * u + v)).reshape(shape)[..., 0]
+    jt = (quad.jumps @ v).reshape(shape)[..., 1:]
     if g is None:
         g = friction_bound_values(params, quad, t)
     return s, jt, g
 
 
 # ---------------------------------------------------------------------------
-# the laws, and each pair's nodal forces (on its jump_slots)
+# the laws, and the crack forces at the points
 # ---------------------------------------------------------------------------
 
 def recover_tractions(crack, params: ContactParams):
@@ -252,21 +252,14 @@ def recover_tractions(crack, params: ContactParams):
 
 
 def contact_residual(sigma_n, quad: CrackQuadrature):
-    """Each pair's contact forces from the normal tractions, (npairs, 8):
-    J^T W sigma_n with J the normal jump.
-
-    Scattered and tested against w, they give the crack integral of
-    sigma_n * jump(w_n).
-    """
-    return np.einsum("pq,pqm->pm", sigma_n * quad.weights, quad.normal_jump)
+    """W sigma_n, (npairs, nq), whose J^T is the contact force: tested
+    against w, the crack integral of sigma_n * jump(w_n)."""
+    return sigma_n * quad.weights
 
 
 def friction_residual(sigma_t, quad: CrackQuadrature):
-    """Each pair's friction forces from the tangential tractions,
-    (npairs, 8): J^T W sigma_t with J the tangential jump; zero without
-    friction (g = 0)."""
-    return np.einsum("pqc,pqcm->pm", sigma_t * quad.weights[..., None],
-                     quad.tangent_jump)
+    """W sigma_t, (npairs, nq, dim), whose J^T is the friction force."""
+    return sigma_t * quad.weights[..., None]
 
 
 # ---------------------------------------------------------------------------
@@ -275,27 +268,19 @@ def friction_residual(sigma_t, quad: CrackQuadrature):
 
 def contact_tangent(crack, params: ContactParams, quad: CrackQuadrature,
                     coeff_u: float, coeff_v: float) -> np.ndarray:
-    """Each pair's block of the derivative of the contact forces at the
-    crack_state of (u, v) along a direction z entering as u + coeff_u*z,
-    v + coeff_v*z, (npairs, 8, 8): J^T D J with J the normal jump and
-    D = dbeta_eps*chain*weight at each point.  Symmetric PSD."""
+    """D = dbeta_eps*chain*weight, (npairs, nq), at the crack_state of
+    (u, v), for a direction z entering as u + coeff_u*z, v + coeff_v*z:
+    J^T D J, J the normal jump, is the contact force's derivative."""
     chain = params.gamma * coeff_u + coeff_v
-    coef = dbeta_eps(crack[0], params.epsilon) * chain * quad.weights
-    jump = quad.normal_jump
-    return jump.swapaxes(1, 2) @ (coef[..., None] * jump)
+    return dbeta_eps(crack[0], params.epsilon) * chain * quad.weights
 
 
 def friction_tangent(crack, params: ContactParams, quad: CrackQuadrature,
                      coeff_v: float) -> np.ndarray:
-    """Each pair's block of the derivative of the friction forces at a
-    crack_state along v + coeff_v*z, (npairs, 8, 8): J^T D J with J the
-    tangential jump and D = coeff_v*g*weight*dalpha_eps(jt) at each
-    point.  Symmetric PSD; at zero slip it is coeff_v*g/eps times the
-    tangential interface mass."""
+    """D = coeff_v*g*weight*dalpha_eps(jt), (npairs, nq, dim, dim),
+    symmetric PSD, at a crack_state along v + coeff_v*z: J^T D J, J the
+    tangential jump, is the friction force's derivative, at zero slip
+    coeff_v*g/eps times the tangential interface mass."""
     _, jt, g = crack
-    coef = ((coeff_v * g * quad.weights)[..., None, None]
-            * dalpha_eps(jt, params.epsilon))                 # (n, q, d, d)
-    jump = quad.tangent_jump
-    n, q, d, m = jump.shape
-    rows = (n, q * d, m)                                    # a row per (q, c)
-    return jump.reshape(rows).swapaxes(1, 2) @ (coef @ jump).reshape(rows)
+    return ((coeff_v * g * quad.weights)[..., None, None]
+            * dalpha_eps(jt, params.epsilon))

@@ -49,14 +49,14 @@ matrix its Hessian, so each Newton direction is followed by a line
 search on that potential (_line_search).  The model is linear but on
 the crack, so the residual is r(x) = L x + c + F(x) with F the crack
 force, and CG's own residual r_cg = -r - J d gives r along the Newton
-direction d exactly but for a remainder on the crack unknowns: the line
-search evaluates F alone, and Newton carries r from one iteration to
+direction d exactly but for a remainder on the crack unknowns: a trial
+evaluates the crack alone, and Newton carries r from one iteration to
 the next without a product with L.  Acceptance always tests the true
-residual: once the carried |r| passes the tolerance, r is evaluated
-afresh at the unknowns (one product, with the F the line search left),
-and only that residual accepts the step; if it fails, Newton goes on
-from it.  Bisecting the interval is the last resort: newton_maxit ran
-out or a value was not finite.
+residual: once the carried |r| passes the tolerance, r and the crack's
+point are evaluated afresh at the unknowns, and only that residual
+accepts the step; if it fails, Newton goes on from it.  Bisecting the
+interval is the last resort: newton_maxit ran out or a value was not
+finite.
 
 The stepper holds only the Newmark kinematics, Newton, the line search
 and bisection: step advances a state by one interval, and run is the
@@ -73,17 +73,13 @@ the g-weighted state at a+ = 0, its derivatives ca, cu and cv in a+
 (the stepper alone knows the Newmark scheme), t_w and load_w.  It
 returns a NewtonProblem on vectors of unknowns, the force balance r on
 the unknowns at the weighted state of the a+ whose unknowns are x,
-split as r(x) = L x + c + F(x): its crack unknowns; linear(x), L x + c;
-force(x_c), F on the crack unknowns with the point it was evaluated
-at; and newton_matrix(point), J = L + T, the derivative of r at that
-point, as an operator with ``@`` and diagonal() for fem.solve_spd,
-``nonlinear`` (false if it may be solved as a linear system) and
-tangent_product(z), T z on the crack unknowns, valid until the next
-call.  The end-of-step State is built once, for the accepted a+.  The
-mesh problem's system is Operators, whose point is the
-interface.crack_state; the test suite's scalar analog
-(tests/oracles.py), whose point is the weighted (u, v), whose unknowns
-are its state vectors and whose one unknown is a crack unknown, is a
+split as r(x) = L x + c + F(x) with F on the crack unknowns (see
+NewtonProblem).  The end-of-step State is built once, for the accepted
+a+.  The mesh problem's system is Operators, whose point is the jumps
+and weighted tractions at the crack's quadrature points, affine in the
+crack unknowns through one sparse operator (basis.CrackBasis.jumps);
+the test suite's scalar analog (tests/oracles.py), whose unknowns are
+its state vectors and whose one unknown is a crack unknown, is a
 second.  Both take their initial acceleration from their interval at
 ca = 1, cu = cv = 0.  weighted_points recovers from a run's states the
 points at which it enforced the force balance.
@@ -123,7 +119,7 @@ _CG_TOL = 1e-12
 _MAX_HALVINGS = 5
 _COMPAT_TOL = 1e-10
 _LS_ETA = 0.5           # line-search slope test, relative to |phi'(0)|
-_LS_MAX_EVALS = 20      # crack force evaluations per line search
+_LS_MAX_EVALS = 20      # trials per line search
 _LS_CLAMP = 0.1         # trials stay this share of the bracket inside it
 _CG_FORCING = 1e-6      # forcing term without a measured contraction
 _CG_FORCING_MAX = 0.1   # loosest forcing term
@@ -181,8 +177,8 @@ class TimeParams:
 @dataclass
 class StepInfo:
     """Newton bookkeeping for one accepted step: Newton iterations,
-    final residual and tolerance, substeps, line_search, the crack force
-    evaluations beyond one per Newton iteration, contraction, |r_1|/|r_0|
+    final residual and tolerance, substeps, line_search, the line-search
+    trials beyond one per Newton iteration, contraction, |r_1|/|r_0|
     of the first Newton iteration of the step's last interval (None if
     it took none), from which the next step sets its first forcing term,
     and cg_iterations, the CG iterations of its Newton systems.  A
@@ -205,31 +201,29 @@ class NewtonProblem(NamedTuple):
 
     crack: the indices of the crack unknowns.
     linear(x): L x + c, a new vector, with one product with L.
-    force(x_c): (F, point), F on the crack unknowns at the unknowns whose
-        crack entries are x_c (it may overwrite x_c), and what the
-        system evaluated there.
-    newton_matrix(point): J = L + T, the derivative of r in x at that
-        point, valid until the next call: an operator with ``@`` and
-        diagonal() for fem.solve_spd, ``nonlinear`` (false if it may be
-        solved as a linear system; true if absent) and
-        tangent_product(z), T z on the crack unknowns for z on them.
+    force(x_c): (F, point) at the crack unknowns x_c: F on the crack
+        unknowns, and the point, what the system evaluated there.
+    newton_matrix(point): J = L + T, the derivative of r there, valid
+        until the next call: ``@`` and diagonal() for fem.solve_spd, and
+        ``nonlinear`` (false if it may be solved as a linear system).
+    line(point, jac, d_c): (trial, keep) along the direction with crack
+        entries d_c, jac the Newton matrix at point: trial(s) returns
+        (e(s).d_c, the trial), e(s) = F(x + s*d) - F(x) - s*T d, and
+        keep(trial) returns (e(s), the point there).
     """
 
     crack: np.ndarray
     linear: Callable
     force: Callable
     newton_matrix: Callable
-
-    def residual(self, x, f):
-        """r(x) from f = F(x): one product."""
-        r = self.linear(x)
-        r[self.crack] += f
-        return r
+    line: Callable
 
     def evaluate(self, x):
-        """(r(x), F(x), point): the crack force at x, then r from it."""
+        """(r(x), point), with one product with L."""
         f, point = self.force(x[self.crack])
-        return self.residual(x, f), f, point
+        r = self.linear(x)
+        r[self.crack] += f
+        return r, point
 
 
 @dataclass
@@ -299,51 +293,75 @@ class Operators:
 
     def interval(self, u_w, v_w, a_w, ca, cu, cv, t_w, load_w):
         """The NewtonProblem whose weighted state is u_w + cu*a, v_w +
-        cv*a, a_w + ca*a at time t_w, for the nodal vector a of unknowns
-        x (nodal(x)), in the crack basis; its crack unknowns are those
-        on quad.crack_free.
+        cv*a, a_w + ca*a at time t_w, a = nodal(x), in the crack basis;
+        its crack unknowns are those on quad.crack_free.
 
         Its residual is the force balance M a_w + K u_w + contact +
-        friction - load_w on the unknowns.  linear(x) is the cached
-        matrix ca*M + cu*K in the basis times x, plus a constant formed
-        here once.  force(x_c) touches the crack dofs alone: it turns
-        x_c into nodal values, forms the interface.crack_state (the
-        point), recovers the tractions and scatters the pairs' summed
-        forces once, then turns them into the basis.
-        newton_matrix(crack) is the derivative of r in x at that crack
-        state: the same matrix plus the pairs' summed tangents, turned
-        into the basis and written into their slots of one CSR matrix
-        (StepMatrix.update, valid until its next call).  g is sampled
-        once, at t_w.
+        friction - load_w: linear(x) is the cached ca*M + cu*K times x
+        plus a constant.  The laws' arguments at the points are
+        j = j_w + c*(B x_c), B = basis.jumps, j_w the crack_state at
+        a = 0 (g sampled at t_w), c the chain rule (gamma*cu + cv normal,
+        cv tangential); the point is (j, W sigma(j)), F = B^T W sigma,
+        and T = B^T D B (StepMatrix.update).  Along d a trial's jumps
+        are j + s*c*(B d): a line makes one product with B, a trial
+        evaluates the laws and its slope e(s).d = (W sigma(s) - W sigma
+        - s*T d).(B d) with T d = D (B d), and keep one product with B^T.
         """
         step = self.linear_jacobian(ca, cu)
         contact, quad, basis = self.contact, self.quad, self.basis
         const = self.unknowns(self.mass @ a_w + self.stiffness @ u_w - load_w)
-        u_c, v_c = u_w[quad.crack_dofs], v_w[quad.crack_dofs]
-        g = interface.friction_bound_values(contact, quad, t_w)
+        cd = quad.crack_dofs
+        s_w, jt_w, g = interface.crack_state(u_w[cd], v_w[cd], t_w, contact,
+                                             quad)
+        base = np.concatenate([s_w[..., None], jt_w], axis=-1)
+        dim = jt_w.shape[-1]
+        chain = np.array([contact.gamma * cu + cv] + [cv] * dim)
 
         def linear(x):
             r = step.linear() @ x
             r += const
             return r
 
+        def point_of(j):            # j and W sigma(j), on B's rows
+            sigma_n, sigma_t = interface.recover_tractions(
+                (j[..., 0], j[..., 1:], g), contact)
+            return j, np.concatenate([
+                interface.contact_residual(sigma_n, quad)[..., None],
+                interface.friction_residual(sigma_t, quad)], axis=-1)
+
         def force(x_c):
-            a_c = basis.crack_to_nodal(x_c)
-            crack = interface.crack_state(u_c + cu * a_c, v_c + cv * a_c,
-                                          t_w, contact, quad, g=g)
-            sigma_n, sigma_t = interface.recover_tractions(crack, contact)
-            return basis.crack_to_unknowns(quad.scatter(
-                interface.contact_residual(sigma_n, quad)
-                + interface.friction_residual(sigma_t, quad))), crack
+            point = point_of(
+                base + chain * (basis.jumps @ x_c).reshape(base.shape))
+            return basis.jumps_t @ point[1].ravel(), point
 
-        def newton_matrix(crack):
-            return step.update(
-                interface.contact_tangent(crack, contact, quad,
-                                          coeff_u=cu, coeff_v=cv)
-                + interface.friction_tangent(crack, contact, quad,
-                                             coeff_v=cv))
+        def newton_matrix(point):
+            j = point[0]
+            crack = (j[..., 0], j[..., 1:], g)
+            derivatives = np.zeros(j.shape + (1 + dim,))
+            derivatives[..., 0, 0] = interface.contact_tangent(
+                crack, contact, quad, coeff_u=cu, coeff_v=cv)
+            derivatives[..., 1:, 1:] = interface.friction_tangent(
+                crack, contact, quad, coeff_v=cv)
+            return step.update(derivatives)
 
-        return NewtonProblem(quad.crack_free, linear, force, newton_matrix)
+        def line(point, jac, d_c):
+            j, tau = point
+            bd = (basis.jumps @ d_c).reshape(j.shape)
+            rise = chain * bd
+            td = np.einsum("pqab,pqb->pqa", jac.derivatives, bd)   # T d
+
+            def trial(alpha):       # e(s) on B's rows, and its slope
+                at = point_of(j + alpha * rise)
+                rest = at[1] - tau - alpha * td
+                return float(np.vdot(rest, bd)), (rest, at)
+
+            def keep(kept):
+                return basis.jumps_t @ kept[0].ravel(), kept[1]
+
+            return trial, keep
+
+        return NewtonProblem(quad.crack_free, linear, force, newton_matrix,
+                             line)
 
     def initial_state(self, u0: np.ndarray, v0: np.ndarray) -> State:
         """State at t = 0: u0 and v0 zeroed on the constrained dofs and the
@@ -359,14 +377,13 @@ class Operators:
         v0 = self.dofmap.zero_constrained(v0)
         problem = self.interval(u0, v0, np.zeros_like(u0), 1.0, 0.0, 0.0,
                                 0.0, self.load(0.0))
-        r, _, crack = problem.evaluate(np.zeros(self.basis.nfree))
-        self._check_compatibility(crack)
+        r, (j, _) = problem.evaluate(np.zeros(self.basis.nfree))
+        self._check_compatibility(j[..., 0], j[..., 1:])
         mass = self._jac_cache.pop((1.0, 0.0)).linear()  # at t = 0 alone
         a0 = self.nodal(fem.solve_spd(mass, -r, tol=_CG_TOL))
         return State(0.0, u0, v0, a0)
 
-    def _check_compatibility(self, crack) -> None:
-        s, jt, _ = crack
+    def _check_compatibility(self, s, jt) -> None:
         worst = float(np.abs(s).max(initial=0.0))
         if worst > _COMPAT_TOL:
             warnings.warn(
@@ -390,15 +407,9 @@ def build_operators(mesh, material: Material, contact: ContactParams,
     mass = fem.assemble_mass(mesh, material)
     stiffness = fem.assemble_stiffness(mesh, material)
     del mesh.vertex_graph           # read by the assembly alone
-    return Operators(
-        mesh=mesh,
-        dofmap=dofmap,
-        contact=contact,
-        quad=quad,
-        mass=mass,
-        stiffness=stiffness,
-        load_form=fem.LoadForm(mesh, material, f, trac),
-    )
+    return Operators(mesh=mesh, dofmap=dofmap, contact=contact, quad=quad,
+                     mass=mass, stiffness=stiffness,
+                     load_form=fem.LoadForm(mesh, material, f, trac))
 
 
 # ---------------------------------------------------------------------------
@@ -440,53 +451,50 @@ def _interval(state: State, dt: float, ops, params: TimeParams):
     return problem, load_w, end
 
 
-def _line_search(problem, jac, a, d, r, r_cg, f):
+def _line_search(problem, jac, a, d, r, r_cg, point):
     """Move a along the Newton direction d, in place and once.
 
     The residual is the gradient of the step's convex potential Pi and
     the Newton matrix jac its Hessian, so phi(s) = Pi(a + s*d) is convex
     and phi'(s) = r(a + s*d) @ d is nondecreasing, with phi'(0) < 0.
-    r and f are the residual and the crack force F at a, and CG left
+    r is the residual at a, point the system's point there, and CG left
     r_cg = -r - jac @ d, so along d, exactly,
 
         r(a + s*d) = (1 - s)*r - s*r_cg + e(s)
         e(s) = F(a + s*d) - F(a) - s*T d
 
-    with T the crack tangent in jac: the remainder e lives on the crack
-    unknowns, so a trial evaluates the crack force alone and takes its
-    slope from r.d and r_cg.d, formed once, and e(s).d on the crack.
-    The full step is kept when phi'(1) <= eta*|phi'(0)|.  Otherwise
-    [0, 1] brackets the minimizer, and Illinois regula falsi on phi'
-    shrinks it until a trial has |phi'| <= eta*|phi'(0)| or
-    _LS_MAX_EVALS crack forces have been evaluated; the last trial s is
-    kept.  Returns ((r, F, point) at a + s*d, r from the identity above,
-    evaluations beyond the first), or None on a non-finite slope or a d
-    that does not descend.
+    with T the crack tangent in jac: e lives on the crack unknowns, so a
+    trial evaluates the crack alone (problem.line), its slope from r.d
+    and r_cg.d, formed once, and e(s).d.  The full step is kept when
+    phi'(1) <= eta*|phi'(0)|.  Otherwise [0, 1] brackets the minimizer,
+    and Illinois regula falsi on phi' shrinks it until a trial has
+    |phi'| <= eta*|phi'(0)| or _LS_MAX_EVALS trials were made (an
+    inexact line search); the last trial s is kept.  Returns ((r, point)
+    at a + s*d, r from the identity above, trials beyond the first), or
+    None on a non-finite slope or a d that does not descend.
     """
     slope0 = float(r @ d)
     if not slope0 < 0.0:
         return None
     slope_cg = float(r_cg @ d)
     crack = problem.crack
-    x_c, d_c = a[crack], d[crack]
-    td = jac.tangent_product(d_c)
+    trial, keep = problem.line(point, jac, d[crack])
     bound = -_LS_ETA * slope0
     lo, s_lo, alpha = 0.0, slope0, 1.0
     moved = 0       # end of the bracket replaced last: +1 hi, -1 lo
     evals = 1
     while True:
-        f_s, point = problem.force(x_c + alpha * d_c)
-        rest = f_s - f - alpha * td
-        slope = ((1.0 - alpha) * slope0 - alpha * slope_cg
-                 + float(rest @ d_c))
+        rest, at = trial(alpha)
+        slope = (1.0 - alpha) * slope0 - alpha * slope_cg + rest
         if not math.isfinite(slope):
             return None
         done = slope <= bound if evals == 1 else abs(slope) <= bound
         if done or evals == _LS_MAX_EVALS:
             a += alpha * d
             r = (1.0 - alpha) * r - alpha * r_cg
+            rest, point = keep(at)
             r[crack] += rest
-            return (r, f_s, point), evals - 1
+            return (r, point), evals - 1
         # Illinois: an end kept twice in a row has its slope halved
         if slope > 0.0:
             hi, s_hi = alpha, slope
@@ -499,8 +507,8 @@ def _line_search(problem, jac, a, d, r, r_cg, f):
                 s_hi *= 0.5
             moved = -1
         margin = _LS_CLAMP * (hi - lo)
-        trial = (lo * s_hi - hi * s_lo) / (s_hi - s_lo)
-        alpha = min(max(trial, lo + margin), hi - margin)
+        trial_s = (lo * s_hi - hi * s_lo) / (s_hi - s_lo)
+        alpha = min(max(trial_s, lo + margin), hi - margin)
         evals += 1
 
 
@@ -514,7 +522,7 @@ def _solve_substep(state: State, dt: float, ops, params: TimeParams,
     newton_maxit iterations or met a non-finite value."""
     problem, load_w, end = _interval(state, dt, ops, params)
     a = ops.unknowns(state.a)
-    r, f, point = problem.evaluate(a)
+    r, point = problem.evaluate(a)
     norm_r = float(np.linalg.norm(r))
     tol_abs = params.newton_tol * max(float(np.linalg.norm(load_w)), norm_r)
     iterations = line_search = cg_iterations = 0
@@ -529,15 +537,15 @@ def _solve_substep(state: State, dt: float, ops, params: TimeParams,
         cg_tol = max(_CG_TOL, forcing, _CG_FLOOR * tol_abs / norm_r)
         d, r_cg, cg = fem.solve_spd(jac, -r, tol=cg_tol, full_output=True)
         cg_iterations += cg
-        found = _line_search(problem, jac, a, d, r, r_cg, f)
+        found = _line_search(problem, jac, a, d, r, r_cg, point)
         iterations += 1
         if found is None:
             break
-        (r, f, point), evals = found
+        (r, point), evals = found
         line_search += evals
         norm_prev, norm_r = norm_r, float(np.linalg.norm(r))
         if norm_r <= tol_abs:   # r was carried: accept on the true one
-            r = problem.residual(a, f)
+            r, point = problem.evaluate(a)
             norm_r = float(np.linalg.norm(r))
         ratio = norm_r / norm_prev
         if iterations == 1:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from crackdyn import config as config_mod
-from crackdyn import diagnostics, fem, meshing
+from crackdyn import diagnostics, fem, interface, meshing
 
 IMPACT_TEXT = """\
 [mesh]
@@ -166,14 +166,41 @@ def python_calls(fn, *args):
     return calls
 
 
-def crack_block(local, quad):
-    """The pairs' (npairs, 8, 8) tangent blocks summed into a dense
-    (k, k) block on quad.crack_dofs, k = crack_dofs.size: the crack
-    terms' derivative on the crack dofs, for the checks."""
+def crack_rows(quad):
+    """J, quad.jumps, as a dense (npairs, nq, 1 + dim, k) array, k =
+    crack_dofs.size: each point's normal-jump row, then its tangential
+    rows."""
+    shape = quad.points.shape[:-1] + (1 + quad.points.shape[-1],
+                                      quad.crack_dofs.size)
+    return quad.jumps.toarray().reshape(shape)
+
+
+def crack_forces(sigma_n, sigma_t, quad):
+    """The crack vector J^T W sigma of the tractions at the points, the
+    crack's nodal forces, from interface.contact_residual and
+    friction_residual."""
+    return (np.einsum("pqi,pq->i", crack_rows(quad)[..., 0, :],
+                      interface.contact_residual(sigma_n, quad))
+            + np.einsum("pqci,pqc->i", crack_rows(quad)[..., 1:, :],
+                        interface.friction_residual(sigma_t, quad)))
+
+
+def crack_block(quad, contact=None, friction=None):
+    """The dense (k, k) block J^T D J on quad.crack_dofs, k =
+    crack_dofs.size, of pointwise derivatives D: contact (npairs, nq) on
+    the normal rows and friction (npairs, nq, dim, dim) on the
+    tangential ones, as interface.contact_tangent and friction_tangent
+    give them; the crack terms' derivative on the crack dofs, for the
+    checks."""
+    rows = crack_rows(quad)
     k = quad.crack_dofs.size
     block = np.zeros((k, k))
-    slots = quad.jump_slots
-    np.add.at(block, (slots[:, :, None], slots[:, None, :]), local)
+    if contact is not None:
+        block += np.einsum("pqi,pq,pqj->ij", rows[..., 0, :], contact,
+                           rows[..., 0, :])
+    if friction is not None:
+        block += np.einsum("pqci,pqce,pqej->ij", rows[..., 1:, :], friction,
+                           rows[..., 1:, :])
     return block
 
 

@@ -61,8 +61,8 @@ MUTANTS = [
     (TS, "tol_abs = params.newton_tol * max(",
      "tol_abs = 100 * params.newton_tol * max(",
      "the Newton tolerance is 100 times looser"),
-    (TS, "g = interface.friction_bound_values(contact, quad, t_w)",
-     "g = interface.friction_bound_values(contact, quad, 0.0)",
+    (TS, "interface.crack_state(u_w[cd], v_w[cd], t_w, contact,",
+     "interface.crack_state(u_w[cd], v_w[cd], 0.0, contact,",
      "Operators.interval samples g at t = 0, not at t_w"),
     (IF, '(eye - np.einsum("...c,...e->...ce", a, a))', "eye",
      "the friction tangent's pointwise coefficient I - a a^T is I"),
@@ -106,9 +106,9 @@ MUTANTS = [
     (DIAG, "g * slip - np.einsum(\"pqd,pqd->pq\", sigma_t, jt))))",
      "g * slip + np.einsum(\"pqd,pqd->pq\", sigma_t, jt))))",
      "the stick_slip_residual column adds the traction's work"),
-    (BASIS, "keys = (at[:, :, None] * n + at[:, None, :])",
-     "keys = (at[:, :, None] * n + at[:, :, None])",
-     "the tangent slots put each row of a pair's block on its diagonal"),
+    (BASIS, "unique_ranks(at[b.indices[pa]] * n + at[b.indices[pb]])",
+     "unique_ranks(at[b.indices[pa]] * n + at[b.indices[pa]])",
+     "the tangent slots put each row of the crack tangent on its diagonal"),
     (FEM, "lam, mu = material.lam, material.mu",
      "mu, lam = material.lam, material.mu",
      "the stiffness has lambda and mu swapped"),
@@ -201,13 +201,24 @@ MUTANTS = [
     (BASIS, "frame = np.stack([normal, normal[:, ::-1] * (-1.0, 1.0)], axis=1)",
      "frame = np.tile(np.eye(2), (len(normal), 1, 1))",
      "the mean and the jump are taken in (x, y), not in the crack's frame"),
-    (TS, "rest = f_s - f - alpha * td", "rest = f_s - f",
-     "the carried residual's crack remainder drops s*T d"),
+    (TS, "rest = at[1] - tau - alpha * td", "rest = at[1] - tau",
+     "a trial's crack remainder, its slope's and the carried residual's, "
+     "drops s*T d"),
     (TS, """        if norm_r <= tol_abs:   # r was carried: accept on the true one
-            r = problem.residual(a, f)
+            r, point = problem.evaluate(a)
             norm_r = float(np.linalg.norm(r))
 """, "",
      "a step is accepted on the carried residual, without the true one"),
+    (BASIS, "[(1 + c, 1 + e) for c in range(d) for e in range(d)]",
+     "[(1 + c, 1 + c) for c in range(d) for e in range(d)]",
+     "S pairs each tangential row with itself: every tangential block "
+     "drops its other row"),
+    (TS, "return float(np.vdot(rest, bd)), (rest, at)",
+     "return float(np.vdot(rest + alpha * td, bd)), (rest, at)",
+     "a line-search trial's slope drops s*d^T T d"),
+    (BASIS, "self.jumps = (quad.jumps @ g).tocsr()",
+     "self.jumps = quad.jumps",
+     "B is J: the crack unknowns are read as nodal values"),
 ]
 
 

@@ -15,7 +15,8 @@ instead of re-implementing them.
   the production stepper, timestepper.run; one_dof_oracle integrates it
   by brute-force RK4, so the two can be compared without a second copy
   of the implicit scheme (criterion 8).  DiagonalJacobian is its Newton
-  matrix.
+  matrix, and newton_problem poses a crack force given as a function of
+  the crack unknowns as the stepper's NewtonProblem.
 """
 
 from __future__ import annotations
@@ -169,35 +170,31 @@ class OneDofParams:
     def interval(self, u_w, v_w, a_w, ca, cu, cv, t_w, load_w):
         """The stepper's timestepper.NewtonProblem on the weighted state
         u_w + cu*a, v_w + cv*a, a_w + ca*a: the crack force is the
-        contact and friction terms, with the point (u, v) of the
-        weighted state."""
+        contact and friction terms of the weighted state."""
         lin = ca * self.rho + cu * self.k
         const = self.rho * a_w + self.k * u_w - load_w
-
-        def linear(a):
-            return lin * a + const
 
         def force(a):
             u, v = u_w + cu * a, v_w + cv * a
             return (interface.beta_eps(self.gamma * u + v, self.epsilon)
-                    + self.g * interface.alpha_eps(v, self.epsilon)), (u, v)
+                    + self.g * interface.alpha_eps(v, self.epsilon))
 
-        def newton_matrix(point):
-            u, v = point
+        def newton_matrix(a):
+            u, v = u_w + cu * a, v_w + cv * a
             tangent = (interface.dbeta_eps(self.gamma * u + v, self.epsilon)
                        * (self.gamma * cu + cv)
                        + self.g * interface.dalpha_eps(v, self.epsilon)[0]
                        * cv)
             return DiagonalJacobian(lin, tangent)
 
-        return timestepper.NewtonProblem(np.arange(1), linear, force,
-                                         newton_matrix)
+        return newton_problem(1, lambda a: lin * a + const, force,
+                              newton_matrix)
 
     def initial_state(self, u0: float, v0: float) -> fem.State:
         u, v = np.full(1, float(u0)), np.full(1, float(v0))
         problem = self.interval(u, v, np.zeros(1), 1.0, 0.0, 0.0, 0.0,
                                 self.load(0.0))
-        r, _, _ = problem.evaluate(np.zeros(1))
+        r, _ = problem.evaluate(np.zeros(1))
         return fem.State(0.0, u, v, -r / self.rho)
 
 
@@ -215,8 +212,32 @@ class DiagonalJacobian:
     def diagonal(self):
         return self.lin + self.tangent
 
-    def tangent_product(self, z):
-        return self.tangent * z
+
+def newton_problem(n, linear, force, newton_matrix):
+    """The timestepper.NewtonProblem on n unknowns, all of them crack
+    unknowns, with residual linear(x) + force(x): its point is the
+    unknowns with the force there, newton_matrix(x) gives a
+    DiagonalJacobian at x, and each line-search trial evaluates force
+    afresh."""
+    def crack_force(x):
+        f = force(x)
+        return f, (x.copy(), f)
+
+    def line(at, jac, d):
+        x, f = at
+        td = jac.tangent * d
+
+        def trial(alpha):
+            moved = x + alpha * d
+            f_s = force(moved)
+            rest = f_s - f - alpha * td
+            return float(rest @ d), (rest, (moved, f_s))
+
+        return trial, lambda kept: kept
+
+    return timestepper.NewtonProblem(
+        np.arange(n), linear, crack_force, lambda at: newton_matrix(at[0]),
+        line)
 
 
 def one_dof_oracle(p: OneDofParams, sample_times, dt_fine: float):

@@ -581,7 +581,7 @@ def test_one_dof_newton_matrix_is_residual_derivative(gamma, g):
         problem, load_w, end = timestepper._interval(state, 0.05, p, params)
         assert load_w[0] == pytest.approx(np.sin(gn * 0.05))
         a = np.array([0.7])
-        _, _, point = problem.evaluate(a)
+        _, point = problem.evaluate(a)
         op = problem.newton_matrix(point)
         jac = op @ np.ones(1)
         assert jac.shape == (1,) and jac[0] > 0.0

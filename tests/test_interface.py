@@ -29,7 +29,7 @@ from crackdyn.interface import (
 )
 from crackdyn.meshing import generate_rect_crack
 from crackdyn.fem import DofMap
-from conftest import crack_block, reference_jumps, turned
+from conftest import crack_block, crack_forces, reference_jumps, turned
 
 
 def cracked_mesh(nx=16, ny=8):
@@ -60,21 +60,19 @@ def ramp_measures(quad):
 
 
 def forces(crack, params, quad):
-    """Crack vector of the crack's nodal forces at a crack_state, formed
-    as Operators.interval forms them: the tractions recovered once, each
-    pair's contact and friction forces summed, one scatter.  A
-    frictionless crack (g = 0) leaves exactly the contact forces, an
+    """Crack vector of the crack's nodal forces at a crack_state: the
+    tractions recovered once, weighted at the points and mapped by J^T.
+    A frictionless crack (g = 0) leaves exactly the contact forces, an
     opening one (s >= 0) exactly the friction forces."""
-    sigma_n, sigma_t = recover_tractions(crack, params)
-    return quad.scatter(contact_residual(sigma_n, quad)
-                        + friction_residual(sigma_t, quad))
+    return crack_forces(*recover_tractions(crack, params), quad)
 
 
 def tangent(crack, params, quad, coeff_u, coeff_v):
-    """Dense crack-dof block of the derivative of forces: the pairs'
-    summed tangents, as the Newton matrix sums them, in one block."""
-    return crack_block(contact_tangent(crack, params, quad, coeff_u, coeff_v)
-                       + friction_tangent(crack, params, quad, coeff_v), quad)
+    """Dense crack-dof block of the derivative of forces: J^T D J of the
+    pointwise contact and friction derivatives."""
+    return crack_block(
+        quad, contact_tangent(crack, params, quad, coeff_u, coeff_v),
+        friction_tangent(crack, params, quad, coeff_v))
 
 
 def frictionless(crack):
@@ -388,12 +386,14 @@ def test_frictionless_terms_are_exact_zeros():
     crack = crack_state(u, v, 0.0, params, quad)
     assert crack[1].any() and not crack[2].any()
     k = quad.crack_dofs.size
-    r = quad.scatter(friction_residual(recover_tractions(crack, params)[1],
-                                       quad))
-    tan = crack_block(friction_tangent(crack, params, quad, coeff_v=0.7),
-                      quad)
-    assert r.shape == (k,) and tan.shape == (k, k)
+    r = friction_residual(recover_tractions(crack, params)[1], quad)
+    tan = friction_tangent(crack, params, quad, coeff_v=0.7)
+    assert r.shape == crack[1].shape and tan.shape == crack[1].shape + (2,)
     assert not r.any() and not tan.any()
+    force = crack_forces(np.zeros_like(crack[0]), r, quad)
+    block = crack_block(quad, friction=tan)
+    assert force.shape == (k,) and block.shape == (k, k)
+    assert not force.any() and not block.any()
 
 
 def test_friction_residual_dissipative_and_bounded():
@@ -560,15 +560,17 @@ def test_contact_params():
 
 
 # The crack layer on the nx = 128 mesh (the benchmark's fine problem,
-# 256 crack dofs): every result's bytes, hashed.
+# 256 crack dofs): every result's bytes, hashed, from the laws at the
+# points to the products with B, B^T and S and one line-search trial.
 _CRACK_LAYER_DIGEST = """\
 import hashlib
 import numpy as np
-from crackdyn import exprlang, fem, interface
+from crackdyn import exprlang, fem, interface, timestepper
 from crackdyn.meshing import generate_rect_crack
 mesh = generate_rect_crack(2.0, 1.0, 128, 64, crack_span=(0.25, 0.75))
-quad = interface.CrackQuadrature(mesh, fem.DofMap(mesh))
 params = interface.ContactParams(1.0, 1e-2, exprlang.parse("0.05"))
+ops = timestepper.build_operators(mesh, fem.Material(1.0, 1.0, 1.0), params)
+quad, basis = ops.quad, ops.basis
 rng = np.random.default_rng(23)
 u, v = 0.05 * rng.standard_normal((2, quad.crack_dofs.size))
 crack = interface.crack_state(u, v, 0.0, params, quad)
@@ -577,9 +579,21 @@ residual = (interface.contact_residual(sigma_n, quad),
             interface.friction_residual(sigma_t, quad))
 tangent = (interface.contact_tangent(crack, params, quad, 0.3, 0.7),
            interface.friction_tangent(crack, params, quad, 0.7))
-out = [*crack, sigma_n, sigma_t, *residual, *tangent,
-       quad.scatter(residual[0] + residual[1])]
-assert (crack[0] < 0.0).any() and out[6].any()
+x, d = 0.05 * rng.standard_normal((2, basis.jumps.shape[1]))
+w = rng.standard_normal(basis.jumps.shape[0])
+u_w, v_w = np.zeros((2, ops.dofmap.ndof))
+u_w[quad.crack_dofs], v_w[quad.crack_dofs] = u, v
+problem = ops.interval(u_w, v_w, np.zeros_like(u_w), 0.5, 0.3, 0.7, 0.0,
+                       np.zeros_like(u_w))
+_, point = problem.force(x)
+jac = problem.newton_matrix(point)
+trial, keep = problem.line(point, jac, d)
+slope, at = trial(0.5)
+rest, kept = keep(at)
+out = [*crack, sigma_n, sigma_t, *residual, *tangent, basis.jumps @ x,
+       basis.jumps_t @ w, basis.tangent_map @ jac.derivatives.ravel(),
+       *point, np.array(slope), rest, *kept]
+assert (crack[0] < 0.0).any() and out[6].any() and slope != 0.0
 print(hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes()
                               for a in out)).hexdigest())
 """

@@ -6,9 +6,9 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from conftest import (crack_block, impact_config, reference_jumps, turned,
-                      unzip)
-from oracles import DiagonalJacobian
+from conftest import (crack_block, crack_forces, impact_config,
+                      reference_jumps, turned, unzip)
+from oracles import DiagonalJacobian, newton_problem
 
 from crackdyn import config as config_mod
 from crackdyn import exprlang as ex
@@ -360,8 +360,9 @@ def test_newton_operator_is_residual_derivative(tmp_path, gamma, g,
     # the Newton matrix applied to z equals the central difference of
     # the step residual along z, both in the crack basis; its diagonal
     # is the one of its CSR matrix, its crack terms carry a visible
-    # share of the product, and they are its tangent_product on the
-    # crack unknowns and zero off them
+    # share of the product, and they are B^T D B on the crack unknowns,
+    # with B = basis.jumps and D the derivatives it was built from, and
+    # zero off them
     if tip_on_dirichlet:
         mesh = _tip_on_dirichlet_mesh(tmp_path)
     else:
@@ -383,7 +384,7 @@ def test_newton_operator_is_residual_derivative(tmp_path, gamma, g,
             state, 0.05, ops, TimeParams(t_end=1.0, dt=0.05, newmark_b=b,
                                          newmark_g=gn))
         a = rng.standard_normal(free.size)
-        _, _, point = problem.evaluate(a)
+        _, point = problem.evaluate(a)
         op = problem.newton_matrix(point)
         h = 1e-5
         for _ in range(3):
@@ -397,9 +398,99 @@ def test_newton_operator_is_residual_derivative(tmp_path, gamma, g,
             assert (np.abs(fd - op.linear() @ z).max()
                     >= 1e-3 * np.abs(ref).max())
             tz = np.zeros_like(ref)
-            tz[problem.crack] = op.tangent_product(z[problem.crack])
+            tz[problem.crack] = crack_tangent_product(ops, op.derivatives,
+                                                      z[problem.crack])
             assert (np.abs(tz - crack_part).max()
                     <= 1e-13 * np.abs(ref).max())
+
+
+def crack_tangent_product(ops, derivatives, z):
+    """B^T D B z on the crack unknowns, B = ops.basis.jumps and D the
+    pointwise derivatives the Newton matrix was built from, each point's
+    (1 + dim) x (1 + dim) block on its rows of B."""
+    bz = (ops.basis.jumps @ z).reshape(derivatives.shape[:-1])
+    dz = np.einsum("pqab,pqb->pqa", derivatives, bz)
+    return ops.basis.jumps_t @ dz.ravel()
+
+
+@pytest.mark.parametrize("theta, swap", [(0.5, False), (2.0, True)])
+@pytest.mark.parametrize("tip_on_dirichlet", [False, True])
+def test_newton_operator_is_residual_derivative_on_turned_cracks(
+        tmp_path, tip_on_dirichlet, theta, swap):
+    # off the axes both tangential components of the jump are live, so
+    # every entry of each point's tangential block reaches the Newton
+    # matrix: it must still be the residual's derivative, and its crack
+    # part B^T D B
+    if tip_on_dirichlet:
+        mesh = _tip_on_dirichlet_mesh(tmp_path)
+    else:
+        mesh = generate_rect_crack(2.0, 1.0, 8, 4, crack_span=(0.25, 0.75))
+    mesh = turned(mesh, theta, swap)
+    ops = build_operators(mesh, Material(lam=1.0, mu=1.0, rho=1.0),
+                          ContactParams(gamma=1.0, epsilon=1e-2,
+                                        g=ex.parse("0.05")))
+    rng = np.random.default_rng(37)
+    plus = np.unique(mesh.crack_plus)
+    n = mesh.crack_normals[0]
+    u, v = 0.03 * rng.standard_normal((2, mesh.n_vertices, 2))
+    u[plus] -= 0.3 * n
+    v[plus] += 0.2 * np.array([-n[1], n[0]]) - 0.3 * n
+    zc = ops.dofmap.zero_constrained
+    state = State(0.0, zc(u.ravel()), zc(v.ravel()),
+                  zc(rng.standard_normal(u.size)))
+    problem, _, _ = timestepper._interval(
+        state, 0.05, ops, TimeParams(t_end=1.0, dt=0.05))
+    a = rng.standard_normal(ops.free.size)
+    _, point = problem.evaluate(a)
+    op = problem.newton_matrix(point)
+    blocks = op.derivatives[..., 1:, 1:]
+    assert (np.abs(blocks[..., 0, 1]).max()
+            >= 1e-3 * np.abs(blocks).max())     # off-diagonal entries live
+    h = 1e-5
+    for _ in range(3):
+        z = rng.standard_normal(a.size)
+        fd = (problem.evaluate(a + h * z)[0]
+              - problem.evaluate(a - h * z)[0]) / (2 * h)
+        ref = op @ z
+        assert np.abs(fd - ref).max() <= 1e-6 * np.abs(ref).max()
+        crack_part = ref - op.linear() @ z
+        tz = np.zeros_like(ref)
+        tz[problem.crack] = crack_tangent_product(ops, op.derivatives,
+                                                  z[problem.crack])
+        assert np.abs(tz - crack_part).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("theta, swap", [(0.0, False), (0.5, False),
+                                         (2.0, True)])
+@pytest.mark.parametrize("tip_on_dirichlet", [False, True])
+def test_crack_jumps_are_the_jumps_of_the_nodal_field(
+        tmp_path, tip_on_dirichlet, theta, swap):
+    # B x is the jumps interface.crack_state forms from the nodal field
+    # of the unknowns x, through the public path: at each point the
+    # normal jump, then the tangential one; a framed vertex's mean
+    # unknowns do not enter B
+    if tip_on_dirichlet:
+        mesh = _tip_on_dirichlet_mesh(tmp_path)
+    else:
+        mesh = generate_rect_crack(2.0, 1.0, 8, 4, crack_span=(0.25, 0.75))
+    mesh = turned(mesh, theta, swap)
+    ops = build_operators(mesh, Material(lam=1.0, mu=1.0, rho=1.0),
+                          ContactParams())
+    quad, basis = ops.quad, ops.basis
+    rng = np.random.default_rng(73)
+    x = rng.standard_normal(ops.free.size)
+    jumps = (basis.jumps @ x[quad.crack_free]).reshape(
+        quad.points.shape[:-1] + (3,))
+    w = ops.nodal(x)[quad.crack_dofs]
+    s, jt, _ = interface.crack_state(np.zeros_like(w), w, 0.0, ops.contact,
+                                     quad)
+    scale = np.abs(jumps).max()
+    assert np.abs(jumps[..., 0] - s).max() <= 1e-15 * scale
+    assert np.abs(jumps[..., 1:] - jt).max() <= 1e-15 * scale
+    mean = basis.free_at[:, :2]
+    assert not np.isin(np.searchsorted(quad.crack_free, mean),
+                       basis.jumps.indices).any()
+    assert np.array_equal(basis.jumps_t.toarray(), basis.jumps.toarray().T)
 
 
 @pytest.mark.parametrize("theta, swap", [(0.0, False), (0.5, False),
@@ -562,7 +653,7 @@ def test_step_residual_is_potential_gradient(gamma, g, newmark_b):
     problem, _, _ = timestepper._interval(state, dt, ops, params)
     free = ops.dofmap.free
     a = rng.standard_normal(free.size)
-    r, _, point = problem.evaluate(a)
+    r, point = problem.evaluate(a)
     d = fem.solve_spd(problem.newton_matrix(point), -r, tol=1e-12)
     slope = r @ d
     assert slope < 0.0
@@ -582,14 +673,49 @@ def test_loosely_solved_newton_direction_descends(tol):
     problem, _, _ = timestepper._interval(
         state, 0.05, ops, TimeParams(t_end=1.0, dt=0.05))
     a = rng.standard_normal(ops.dofmap.free.size)
-    r, f, point = problem.evaluate(a)
+    r, point = problem.evaluate(a)
     op = problem.newton_matrix(point)
     assert op.nonlinear
     d, r_cg, _ = fem.solve_spd(op, -r, tol=tol, full_output=True)
     assert np.linalg.norm(op @ d + r) <= tol * np.linalg.norm(r)
     assert r @ d < 0.0
-    out = timestepper._line_search(problem, op, a, d, r, r_cg, f)
+    out = timestepper._line_search(problem, op, a, d, r, r_cg, point)
     assert out is not None
+
+
+# Largest |trial slope - fresh slope| over the largest |slope| term, over
+# the steps below: 2.7e-16.  The bound leaves a factor of about 35.
+SLOPE_ROUNDING = 1e-14
+
+
+@pytest.mark.parametrize("g", [None, "0.05"])
+def test_line_trial_slope_is_the_fresh_slope(g):
+    # a trial's slope, from r.d and r_cg.d and the crack's e(s).d on
+    # the points, is the slope r(a + s*d).d of the residual evaluated
+    # afresh there, at steps short of and beyond the Newton step; the
+    # kept trial's remainder e(s) is the fresh residual's
+    ops = make_ops(gamma=1.0, g=g or "0")
+    rng = np.random.default_rng(57)
+    state = _penetrating_state(ops, rng)
+    problem, _, _ = timestepper._interval(
+        state, 0.05, ops, TimeParams(t_end=1.0, dt=0.05))
+    a = rng.standard_normal(ops.free.size)
+    r, point = problem.evaluate(a)
+    op = problem.newton_matrix(point)
+    d, r_cg, _ = fem.solve_spd(op, -r, tol=1e-3, full_output=True)
+    crack = problem.crack
+    trial, keep = problem.line(point, op, d[crack])
+    for s in (0.3, 1.0, 1.7):
+        rest, at = trial(s)
+        slope = (1.0 - s) * (r @ d) - s * (r_cg @ d) + rest
+        fresh, _ = problem.evaluate(a + s * d)
+        scale = max(abs(r @ d), abs(r_cg @ d), abs(fresh @ d))
+        assert abs(slope - fresh @ d) <= SLOPE_ROUNDING * scale
+        carried = (1.0 - s) * r - s * r_cg
+        carried[crack] += keep(at)[0]
+        assert (np.abs(carried - fresh).max()
+                <= CARRIED_ROUNDING * np.abs(fresh).max())
+    assert abs(trial(1.0)[0]) >= 1e-3 * abs(r @ d)   # the crack moves it
 
 
 def _spy_newton_solves(monkeypatch, ops, params, u0):
@@ -759,23 +885,20 @@ def test_impact_run_converges_with_inexact_solves(impact_runs):
 def _convex_gradient(eps, n):
     """The NewtonProblem of Pi(a) = |a - 1|^2/2 + sum psi_eps(a) on n
     unknowns, every one a crack unknown, with its crack force
-    psi_eps' = beta_eps, whose point is the unknowns."""
-    def force(x):
-        return interface.beta_eps(x, eps), x.copy()
-
-    def newton_matrix(x):
-        return DiagonalJacobian(1.0, interface.dbeta_eps(x, eps))
-    return timestepper.NewtonProblem(np.arange(n), lambda x: x - 1.0,
-                                     force, newton_matrix)
+    psi_eps' = beta_eps."""
+    return newton_problem(
+        n, lambda x: x - 1.0, lambda x: interface.beta_eps(x, eps),
+        lambda x: DiagonalJacobian(1.0, interface.dbeta_eps(x, eps)))
 
 
 def _line_search(problem, a, d):
     """timestepper._line_search from a along d, as the stepper calls it:
-    with the residual and crack force at a, and CG's residual -r - J d
-    for d, J the Newton matrix at a."""
-    r, f, point = problem.evaluate(a)
+    with the residual and point at a, and CG's residual -r - J d for d,
+    J the Newton matrix at a."""
+    r, point = problem.evaluate(a)
     jac = problem.newton_matrix(point)
-    return timestepper._line_search(problem, jac, a, d, r, -r - jac @ d, f)
+    return timestepper._line_search(problem, jac, a, d, r, -r - jac @ d,
+                                    point)
 
 
 # Largest |carried - fresh| residual entry over the largest fresh one,
@@ -805,8 +928,8 @@ def test_line_search_brackets_an_overshoot():
     slope0 = problem.evaluate(a)[0] @ d
     out, extra = _line_search(problem, a, d)
     assert 0 < extra < timestepper._LS_MAX_EVALS - 1
-    fresh, f, _ = problem.evaluate(a)
-    assert np.array_equal(out[1], f)
+    fresh, point = problem.evaluate(a)
+    assert np.array_equal(out[1][1], point[1])
     assert (np.abs(out[0] - fresh).max()
             <= CARRIED_RTOL * np.abs(fresh).max())
     assert abs(out[0] @ d) <= timestepper._LS_ETA * abs(slope0)
@@ -822,10 +945,9 @@ def test_line_search_keeps_trials_inside_the_bracket():
 
     def force(x):
         trials.append(float(x[0]))
-        return np.zeros(1), None
-    problem = timestepper.NewtonProblem(
-        np.arange(1), lambda x: 100.0 * x - 1.0, force,
-        lambda point: DiagonalJacobian(100.0, 0.0))
+        return np.zeros(1)
+    problem = newton_problem(1, lambda x: 100.0 * x - 1.0, force,
+                             lambda x: DiagonalJacobian(100.0, 0.0))
     a = np.zeros(1)
     out, extra = _line_search(problem, a, np.ones(1))
     assert trials[1:] == pytest.approx([1.0, 0.1, 0.01], rel=1e-12)
@@ -890,8 +1012,8 @@ def test_gamma_zero_contact_ignores_displacement():
     ub = rng.standard_normal(v.size)
     def contact_forces(u):
         crack = interface.crack_state(u, v, 0.0, ops.contact, ops.quad)
-        sigma_n, _ = interface.recover_tractions(crack, ops.contact)
-        return ops.quad.scatter(interface.contact_residual(sigma_n, ops.quad))
+        sigma_n, sigma_t = interface.recover_tractions(crack, ops.contact)
+        return crack_forces(sigma_n, np.zeros_like(sigma_t), ops.quad)
     ra = contact_forces(ua)
     rb = contact_forces(ub)
     assert np.array_equal(ra, rb)
@@ -916,13 +1038,13 @@ def test_newton_iteration_evaluates_the_crack_once(monkeypatch):
     # one impact step: the residual's linear part is evaluated twice, at
     # the start and on the accepted unknowns, and each evaluation and each
     # CG iteration makes one product with the step size's one CSR matrix;
-    # each crack force evaluation, one per line-search trial, forms the
-    # crack state once; M and K are applied only in the interval's
-    # constant, g is sampled once for the step's one t_w, and each Newton
-    # iteration builds one contact tangent from the crack state its last
-    # trial formed and writes the tangents into the matrix once; the
-    # tractions are recovered and the crack forces scattered once per
-    # crack force
+    # M and K are applied only in the interval's constant, the crack
+    # state of the weighted state is formed and g sampled once, for the
+    # step's one t_w, and each Newton iteration builds one contact
+    # tangent from its point and writes the derivatives into the matrix
+    # once; a crack force, one per residual evaluated afresh, makes one
+    # product with B and one with B^T (the line searches' products are
+    # counted on stiff below)
     problem = config_mod.build_problem(impact_config())
     ops, params = problem.ops, problem.config.time
     state = ops.initial_state(problem.u0, problem.v0)
@@ -932,11 +1054,12 @@ def test_newton_iteration_evaluates_the_crack_once(monkeypatch):
     for name in ("mass", "stiffness"):
         monkeypatch.setattr(ops, name, _Counted(getattr(ops, name), counts,
                                                 name))
+    for name in ("jumps", "jumps_t"):
+        monkeypatch.setattr(ops.basis, name, _Counted(
+            getattr(ops.basis, name), counts, name))
     for owner, name in ((interface, "crack_state"),
                         (interface, "friction_bound_values"),
                         (interface, "contact_tangent"),
-                        (interface, "recover_tractions"),
-                        (interface.CrackQuadrature, "scatter"),
                         (StepMatrix, "update")):
         def spy(*args, _f=getattr(owner, name), _name=name, **kwargs):
             counts[_name] += 1
@@ -961,16 +1084,51 @@ def test_newton_iteration_evaluates_the_crack_once(monkeypatch):
         _Counted(a, counts, "cg"), *args, **kw))
     _, info = step(state, params.dt, ops, params)
     assert info.iterations >= 2 and info.substeps == 1
-    assert counts["force"] == 1 + info.iterations + info.line_search
-    assert counts["linear"] == 2
+    assert counts["force"] == counts["linear"] == 2
     assert counts["lin"] == counts["linear"] + counts["cg"]
     assert counts["mass"] == counts["stiffness"] == 1
     assert counts["friction_bound_values"] == 1      # one t_w per interval
-    assert counts["crack_state"] == counts["force"]
+    assert counts["crack_state"] == 1
     assert counts["contact_tangent"] == info.iterations
-    assert counts["recover_tractions"] == counts["force"]
-    assert counts["scatter"] == counts["force"]
     assert counts["update"] == info.iterations
+    assert counts["jumps"] == counts["jumps_t"] == (
+        counts["force"] + info.iterations)
+
+
+def test_line_search_trial_evaluates_the_laws_alone(monkeypatch):
+    # on stiff (gamma 10, epsilon 1e-4) to t = 0.1, whose line searches
+    # take up to six trials: within each Newton iteration's line search
+    # every trial evaluates the laws once (recover_tractions) and makes
+    # no sparse product; the line makes one product with B, for B d, and
+    # the kept trial one with B^T, however many trials there are
+    problem = config_mod.build_problem(dataclasses.replace(
+        impact_config(gamma=10.0, epsilon=1e-4),
+        time=TimeParams(t_end=0.1, dt=2.5e-3)))
+    ops = problem.ops
+    counts = collections.Counter()
+    for name in ("jumps", "jumps_t"):
+        monkeypatch.setattr(ops.basis, name, _Counted(
+            getattr(ops.basis, name), counts, name))
+    recover = interface.recover_tractions
+
+    def law(*args):
+        counts["law"] += 1
+        return recover(*args)
+    monkeypatch.setattr(interface, "recover_tractions", law)
+    line_search = timestepper._line_search
+    searches = []
+
+    def spy(*args):
+        counts.clear()
+        out = line_search(*args)
+        searches.append((1 + out[1], dict(counts)))
+        return out
+    monkeypatch.setattr(timestepper, "_line_search", spy)
+    for _ in run(ops, problem.config.time, problem.u0, problem.v0):
+        pass
+    assert max(trials for trials, _ in searches) >= 3
+    for trials, made in searches:
+        assert made == {"law": trials, "jumps": 1, "jumps_t": 1}
 
 
 def _impact_case(gamma, g, t_end=0.5):
@@ -1009,38 +1167,52 @@ def _run_quietly(ops, params, u0, v0):
 
 # Largest |carried - fresh| residual entry over the largest entry of the
 # terms r sums (the constant, L a, the crack force and J d), measured
-# over the cases below: 1.0e-15 on the impacts and 1.3e-13 on the
-# bisected step, whose CG runs long on stiff tangents.  The bound
-# leaves a factor of about 8 above the largest.
+# over the cases below: 8.5e-16 on the impacts and 3.4e-13 on the
+# bisected step, whose CG runs long on stiff tangents.  The bound leaves
+# a factor of about 3 above the largest.
 CARRIED_ROUNDING = 1e-12
+# Largest |carried - fresh| jump over the largest jump, and weighted
+# traction over the largest traction, of the point the line search
+# carries, over the same cases: 3.4e-16 and 8.2e-16 on the impacts, and
+# 4.5e-14 and 5.1e-13 on the bisected step, where epsilon = 1e-3 makes
+# the contact traction amplify the jumps' rounding.  The bound leaves a
+# factor of about 8 above the largest.
+CARRIED_POINT_ROUNDING = 4e-12
 
 
 @pytest.mark.parametrize("case", list(_cases()))
 def test_carried_residual_is_the_fresh_residual(monkeypatch, case):
     # at every Newton iteration the residual the line search carries from
-    # CG's own residual and the crack force equals, to rounding, the
-    # residual evaluated afresh at the moved unknowns; the crack force it
-    # hands on is the fresh one bit for bit
+    # CG's own residual and the crack's remainder equals, to rounding,
+    # the residual evaluated afresh at the moved unknowns, and so do the
+    # jumps and tractions of the point it hands on, carried as
+    # j + s*c*(B d)
     ops, params, u0, v0 = _cases()[case]()
-    gaps = []
+    gaps, jumps, tractions = [], [], []
     line_search = timestepper._line_search
 
-    def spy(problem, jac, a, d, r, r_cg, f):
-        out = line_search(problem, jac, a, d, r, r_cg, f)
+    def spy(problem, jac, a, d, r, r_cg, point):
+        out = line_search(problem, jac, a, d, r, r_cg, point)
         if out is not None:
-            (carried, force, _), _ = out
-            fresh, fresh_force, _ = problem.evaluate(a)
-            assert np.array_equal(force, fresh_force)
+            (carried, (j, tau)), _ = out
+            fresh, (fresh_j, fresh_tau) = problem.evaluate(a)
             const = problem.linear(np.zeros_like(a))
-            terms = (const, problem.linear(a) - const, fresh_force, jac @ d)
+            terms = (const, problem.linear(a) - const,
+                     problem.force(a[problem.crack])[0], jac @ d)
             gaps.append(np.abs(carried - fresh).max()
                         / max(np.abs(x).max(initial=0.0) for x in terms))
+            jumps.append(np.abs(j - fresh_j).max(initial=0.0)
+                         / max(np.abs(fresh_j).max(initial=0.0), 1e-300))
+            tractions.append(np.abs(tau - fresh_tau).max(initial=0.0)
+                             / max(np.abs(fresh_tau).max(initial=0.0), 1e-300))
         return out
     monkeypatch.setattr(timestepper, "_line_search", spy)
     _, infos = _run_quietly(ops, params, u0, v0)
     # a failed substep's iterations are checked too
     assert len(gaps) >= sum(info.iterations for info in infos) > 0
     assert max(gaps) <= CARRIED_ROUNDING
+    assert max(jumps) <= CARRIED_POINT_ROUNDING
+    assert max(tractions) <= CARRIED_POINT_ROUNDING
 
 
 @pytest.mark.parametrize("case", ["impact-10-0.05", "bisected"])
@@ -1242,7 +1414,7 @@ def test_interval_residual_is_the_force_balance(gamma, g):
         problem, _, _ = timestepper._interval(state, dt, ops, params)
         for _ in range(3):
             a = rng.standard_normal(free.size)
-            r, _, _ = problem.evaluate(a)
+            r, _ = problem.evaluate(a)
             a_end = ops.nodal(a)
             u_end = state.u + dt * state.v + dt * dt * (
                 (0.5 - b) * state.a + b * a_end)
@@ -1254,9 +1426,7 @@ def test_interval_residual_is_the_force_balance(gamma, g):
                                           ops.quad)
             balance = ops.mass @ a_w + ops.stiffness @ u_w - ops.load(t_w)
             sigma_n, sigma_t = interface.recover_tractions(crack, ops.contact)
-            balance[cd] += ops.quad.scatter(
-                interface.contact_residual(sigma_n, ops.quad)
-                + interface.friction_residual(sigma_t, ops.quad))
+            balance[cd] += crack_forces(sigma_n, sigma_t, ops.quad)
             balance = ops.unknowns(balance)
             scale = np.abs(balance).max()
             assert np.abs(r - balance).max() <= BALANCE_RTOL * scale
@@ -1272,9 +1442,12 @@ def _friction_interval(seed):
     params = TimeParams(t_end=1.0, dt=0.05)
     problem, _, _ = timestepper._interval(state, params.dt, ops, params)
     a = rng.standard_normal(ops.free.size)
-    r, _, crack = problem.evaluate(a)
+    r, point = problem.evaluate(a)
+    g = interface.friction_bound_values(
+        ops.contact, ops.quad, state.t + params.newmark_g * params.dt)
+    crack = (point[0][..., 0], point[0][..., 1:], g)
     cv = params.newmark_g ** 2 * params.dt
-    return ops, problem, a, r, crack, cv
+    return ops, problem, a, r, (point, crack), cv
 
 
 def test_interval_residual_takes_friction_from_recover_tractions(
@@ -1282,12 +1455,12 @@ def test_interval_residual_takes_friction_from_recover_tractions(
     # the law is evaluated in one place: doubling the tangential traction
     # recover_tractions gives moves the residual by exactly one more set
     # of friction forces, to rounding
-    ops, problem, a, r, crack, _ = _friction_interval(61)
+    ops, problem, a, r, (_, crack), _ = _friction_interval(61)
     recover = interface.recover_tractions
-    _, sigma_t = recover(crack, ops.contact)
+    sigma_n, sigma_t = recover(crack, ops.contact)
     extra = np.zeros(ops.dofmap.ndof)
-    extra[ops.quad.crack_dofs] = ops.quad.scatter(
-        interface.friction_residual(sigma_t, ops.quad))
+    extra[ops.quad.crack_dofs] = crack_forces(np.zeros_like(sigma_n),
+                                              sigma_t, ops.quad)
     extra = ops.unknowns(extra)
     assert np.abs(extra).max() > 1e-3 * np.abs(r).max()
 
@@ -1295,7 +1468,7 @@ def test_interval_residual_takes_friction_from_recover_tractions(
         sigma_n, sigma_t = recover(*args)
         return sigma_n, 2.0 * sigma_t
     monkeypatch.setattr(interface, "recover_tractions", doubled)
-    moved, _, _ = problem.evaluate(a)
+    moved, _ = problem.evaluate(a)
     assert np.abs(moved - r - extra).max() <= BALANCE_RTOL * np.abs(r).max()
 
 
@@ -1305,21 +1478,22 @@ def test_newton_matrix_takes_friction_derivative_from_dalpha_eps(
     # the one Newton uses: dalpha_eps off by 1 % moves the Newton matrix
     # by 1 % of its friction part, R F R^T with F the friction tangent on
     # the crack dofs
-    ops, problem, _, _, crack, cv = _friction_interval(62)
+    ops, problem, _, _, (point, crack), cv = _friction_interval(62)
     eye = np.eye(ops.free.size)
-    op = problem.newton_matrix(crack)
+    op = problem.newton_matrix(point)
     crack_part = op @ eye - op.linear() @ eye
     cd = ops.quad.crack_dofs
     nodal = np.zeros((ops.dofmap.ndof, ops.dofmap.ndof))
-    nodal[np.ix_(cd, cd)] = crack_block(interface.friction_tangent(
-        crack, ops.contact, ops.quad, coeff_v=cv), ops.quad)
+    nodal[np.ix_(cd, cd)] = crack_block(ops.quad, friction=(
+        interface.friction_tangent(crack, ops.contact, ops.quad,
+                                   coeff_v=cv)))
     r = basis_matrix(ops)
     friction = r @ nodal @ r.T
     assert np.abs(friction).max() > 0.0
     dalpha = interface.dalpha_eps
     monkeypatch.setattr(interface, "dalpha_eps",
                         lambda x, eps: 1.01 * dalpha(x, eps))
-    moved = problem.newton_matrix(crack) @ eye - op.linear() @ eye
+    moved = problem.newton_matrix(point) @ eye - op.linear() @ eye
     assert (np.abs(moved - crack_part - 0.01 * friction).max()
             <= BALANCE_RTOL * np.abs(crack_part).max())
 
