@@ -14,14 +14,14 @@ The Newton unknowns are the end-of-step acceleration's free-dof
 components in the system's basis (for the mesh problem, the crack
 basis of basis.CrackBasis, in which Jacobi sees the crack terms'
 coupling of the two faces); Newton, CG and the line search run in that
-basis, and a step converts the state's acceleration into it once and
-the accepted one back once.  Each Newton system is solved by
-Jacobi-PCG, only as accurately as the step needs (an inexact Newton
-method).  When the crack terms make the system nonlinear, its relative
-tolerance is the forcing term eta_k of Eisenstat and Walker (choice 2
-of "Choosing the forcing terms in an inexact Newton method", SIAM J.
-Sci. Comput. 17(1), 1996), set from the measured contraction of the
-residual:
+basis, and a step converts the state's acceleration (and the predictor
+below) into it once and the accepted one back once.  Each Newton
+system is solved by Jacobi-PCG, only as accurately as the step needs
+(an inexact Newton method).  When the crack terms make the system
+nonlinear, its relative tolerance is the forcing term eta_k of
+Eisenstat and Walker (choice 2 of "Choosing the forcing terms in an
+inexact Newton method", SIAM J. Sci. Comput. 17(1), 1996), set from
+the measured contraction of the residual:
 
     eta_k = min(0.1, 0.9*(|r_k|/|r_(k-1)|)^2)             k >= 1
     eta_0 = min(0.1, max(_CG_FORCING, 0.1*rho))           k = 0
@@ -58,10 +58,26 @@ accepts the step; if it fails, Newton goes on from it.  Bisecting the
 interval is the last resort: newton_maxit ran out or a value was not
 finite.
 
-The stepper holds only the Newmark kinematics, Newton, the line search
-and bisection: step advances a state by one interval, and run is the
-one way through a run, a generator of each accepted state with its
-StepInfo.  The system it integrates has five members:
+The penalty makes the crack a very stiff dashpot, and the trapezoidal
+pair does not damp stiff modes (Hilber, Hughes and Taylor, Earthq. Eng.
+Struct. Dyn. 5, 1977), so the crack's accelerations flip sign from step
+to step and the previous acceleration a_n is about the worst start for
+Newton.  A full step of a run also evaluates the residual at the
+predictor a_n + (a_(n-1) - a_(n-2)), which repeats the increment of two
+steps back and is exact on an acceleration linear in t plus a constant
+period-2 alternation, and Newton starts there if that residual is
+smaller.  The tolerance is still set at a_n, so the predictor moves
+where Newton starts, never where it stops.  Like the forcing history,
+the acceleration history travels with the run: run keeps the
+accelerations of the two grid states before the current one and hands
+them to step as past.  It restarts after a bisected step, a partial
+last step is not predicted, and the halves of a bisected step start
+from their own state's acceleration.
+
+The stepper holds only the Newmark kinematics, Newton, its predictor,
+the line search and bisection: step advances a state by one interval,
+and run is the one way through a run, a generator of each accepted
+state with its StepInfo.  The system it integrates has five members:
 ``unknowns(w)``, the Newton unknowns of a state vector w, and
 ``nodal(x)``, the state vector of unknowns x, zero on the constrained
 dofs; ``load(t)``, the load vector at t, zero on the constrained dofs;
@@ -147,7 +163,8 @@ class TimeParams:
 
     newmark_b in [0, 1/2], newmark_g in [1/2, 1]; the defaults give the
     second-order non-dissipative scheme.  newton_tol is relative to the
-    larger of the load norm and the initial Newton residual of the step.
+    larger of the load norm and the step's residual at the previous
+    acceleration, wherever Newton starts.
     """
 
     t_end: float
@@ -181,9 +198,10 @@ class StepInfo:
     trials beyond one per Newton iteration, contraction, |r_1|/|r_0|
     of the first Newton iteration of the step's last interval (None if
     it took none), from which the next step sets its first forcing term,
-    and cg_iterations, the CG iterations of its Newton systems.  A
-    bisected step sums iterations, line_search and cg_iterations over
-    the substeps it accepted."""
+    cg_iterations, the CG iterations of its Newton systems, and
+    predicted, whether Newton started from the predictor.  A bisected
+    step sums iterations, line_search and cg_iterations over the
+    substeps it accepted, and is never predicted."""
 
     iterations: int
     residual: float
@@ -192,6 +210,7 @@ class StepInfo:
     line_search: int = 0
     contraction: float | None = None
     cg_iterations: int = 0
+    predicted: bool = False
 
 
 class NewtonProblem(NamedTuple):
@@ -512,19 +531,36 @@ def _line_search(problem, jac, a, d, r, r_cg, point):
         evals += 1
 
 
+def _predictor(a, past):
+    """The predicted start of a full step's Newton iteration from
+    a = a_n and past = (a_(n-1), a_(n-2)): a_n + (a_(n-1) - a_(n-2)),
+    exact on an acceleration linear in t plus a constant period-2
+    alternation (see the module docstring)."""
+    return a + (past[0] - past[1])
+
+
 def _solve_substep(state: State, dt: float, ops, params: TimeParams,
-                   rho: float | None, adaptive: bool):
+                   rho: float | None, adaptive: bool, guess=None):
     """One Newmark interval by Newton with a line search on the step's
     potential.  Its forcing terms are adaptive, the first set from rho,
     the previous accepted interval's contraction (None: there is none),
-    or, if not adaptive, all _CG_FORCING.  Returns (new_state,
-    StepInfo), with new_state None if Newton did not converge within
-    newton_maxit iterations or met a non-finite value."""
+    or, if not adaptive, all _CG_FORCING.  The tolerance is set at the
+    state's acceleration; Newton starts at guess, a nodal acceleration,
+    if its residual is smaller there.  Returns (new_state, StepInfo),
+    with new_state None if Newton did not converge within newton_maxit
+    iterations or met a non-finite value."""
     problem, load_w, end = _interval(state, dt, ops, params)
     a = ops.unknowns(state.a)
     r, point = problem.evaluate(a)
     norm_r = float(np.linalg.norm(r))
     tol_abs = params.newton_tol * max(float(np.linalg.norm(load_w)), norm_r)
+    predicted = False
+    if guess is not None:
+        x = ops.unknowns(guess)
+        r_x, point_x = problem.evaluate(x)
+        norm_x = float(np.linalg.norm(r_x))
+        if norm_x < norm_r:
+            a, r, point, norm_r, predicted = x, r_x, point_x, norm_x, True
     iterations = line_search = cg_iterations = 0
     contraction = None
     eta = (_CG_FORCING if rho is None or not adaptive
@@ -555,15 +591,18 @@ def _solve_substep(state: State, dt: float, ops, params: TimeParams,
     new = end(a) if norm_r <= tol_abs < np.inf else None
     return new, StepInfo(iterations=iterations, residual=norm_r,
                          tol_abs=tol_abs, line_search=line_search,
-                         contraction=contraction, cg_iterations=cg_iterations)
+                         contraction=contraction, cg_iterations=cg_iterations,
+                         predicted=predicted)
 
 
-def _advance(state: State, dt: float, ops, params, rho, depth: int):
+def _advance(state: State, dt: float, ops, params, rho, depth: int,
+             guess=None):
     """Solve the interval, or else its halves, recursively.  Newton
     failing is evidence that the contraction history does not describe
-    the interval, so the halves are solved with the fixed forcing term."""
+    the interval, so the halves are solved with the fixed forcing term,
+    each from its own state's acceleration."""
     new, info = _solve_substep(state, dt, ops, params, rho,
-                               adaptive=depth == 0)
+                               adaptive=depth == 0, guess=guess)
     if new is not None:
         return new, info
     if depth >= _MAX_HALVINGS:
@@ -591,19 +630,25 @@ def _advance(state: State, dt: float, ops, params, rho, depth: int):
 
 
 def step(state: State, t_next: float, ops, params: TimeParams,
-         prev: StepInfo | None = None):
+         prev: StepInfo | None = None, past: tuple = ()):
     """Advance to t_next; if Newton fails the interval is bisected up
     to five times before StepFailure is raised with diagnostics.  A
     load of non-finite norm raises StepFailure at once.  prev is the
     StepInfo of the run's previous step, whose contraction sets the
-    first forcing term; without it the step is solved as a run's first."""
+    first forcing term, and past the accelerations of the run's grid
+    states before state, latest first; a full step (dt = params.dt)
+    with two of them starts Newton from _predictor where its residual
+    is smaller.  Without them the step is solved as a run's first."""
     dt = t_next - state.t
     if dt <= 0:
         raise ValueError("t_next must exceed the state time")
     if abs(dt - params.dt) <= 1e-9 * params.dt:
         dt = params.dt      # k*dt - (k-1)*dt is dt only up to rounding
+    guess = (_predictor(state.a, past)
+             if len(past) == 2 and dt == params.dt else None)
     new, info = _advance(state, dt, ops, params,
-                         None if prev is None else prev.contraction, depth=0)
+                         None if prev is None else prev.contraction, depth=0,
+                         guess=guess)
     new.t = t_next
     return new, info
 
@@ -613,14 +658,19 @@ def run(ops, params: TimeParams, u0, v0):
     info): the initial state with info None, then each accepted state
     with its StepInfo.  Each pair is yielded before the next step is
     solved, so a consumer can write it out before a possible failure,
-    and nothing is kept.  As a generator, run starts only when iterated.
+    and nothing is kept but the accelerations of the two grid states
+    before the current one, step's past; a bisected step restarts that
+    history.  As a generator, run starts only when iterated.
     """
     state, info = ops.initial_state(u0, v0), None
     yield state, info
     n_steps = max(int(np.ceil(params.t_end / params.dt - 1e-12)), 0)
+    past = ()
     for k in range(1, n_steps + 1):
         t_next = min(k * params.dt, params.t_end)
-        state, info = step(state, t_next, ops, params, info)
+        new, info = step(state, t_next, ops, params, info, past)
+        past = (state.a,) + past[:1] if info.substeps == 1 else ()
+        state = new
         yield state, info
 
 

@@ -219,6 +219,15 @@ MUTANTS = [
     (BASIS, "self.jumps = (quad.jumps @ g).tocsr()",
      "self.jumps = quad.jumps",
      "B is J: the crack unknowns are read as nodal values"),
+    (TS, "point_x, norm_x, True\n",
+     "point_x, norm_x, True\n"
+     "            tol_abs = params.newton_tol * max(\n"
+     "                float(np.linalg.norm(load_w)), norm_x)\n",
+     "a step started from the predictor takes its tolerance there"),
+    (TS, "return a + (past[0] - past[1])", "return a - (past[0] - past[1])",
+     "the predictor flips the alternating term: a_n - a_(n-1) + a_(n-2)"),
+    (TS, "if norm_x < norm_r:", "if True:",
+     "Newton starts from the predictor whatever its residual"),
 ]
 
 
