@@ -12,10 +12,11 @@ quadrature point's normal jump and tangential jump.  crack_state is the
 single evaluation of the crack at a state (its jumps and g at every
 point; g = 0 without friction), recover_tractions the one evaluation of
 the laws there, dbeta_eps and dalpha_eps their only derivatives.  The
-rest is pointwise: contact_residual and friction_residual weight the
-tractions, W sigma, whose J^T is the crack force, and contact_tangent
-and friction_tangent the derivatives D, J^T D J the force's derivative
-(the stepper uses B = basis.CrackBasis.jumps, J in the crack basis).
+rest is pointwise and reads only the quadrature weights W:
+contact_residual and friction_residual weight the tractions, W sigma,
+whose J^T is the crack force, and contact_tangent and friction_tangent
+the derivatives D for a given chain-rule factor (formed by
+timestepper.NewtonProblem), J^T D J the force's derivative.
 """
 
 from __future__ import annotations
@@ -251,36 +252,34 @@ def recover_tractions(crack, params: ContactParams):
             g[..., None] * alpha_eps(jt, params.epsilon))
 
 
-def contact_residual(sigma_n, quad: CrackQuadrature):
+def contact_residual(sigma_n, weights):
     """W sigma_n, (npairs, nq), whose J^T is the contact force: tested
     against w, the crack integral of sigma_n * jump(w_n)."""
-    return sigma_n * quad.weights
+    return sigma_n * weights
 
 
-def friction_residual(sigma_t, quad: CrackQuadrature):
+def friction_residual(sigma_t, weights):
     """W sigma_t, (npairs, nq, dim), whose J^T is the friction force."""
-    return sigma_t * quad.weights[..., None]
+    return sigma_t * weights[..., None]
 
 
 # ---------------------------------------------------------------------------
 # tangents (derivatives with respect to the Newton unknown)
 # ---------------------------------------------------------------------------
 
-def contact_tangent(crack, params: ContactParams, quad: CrackQuadrature,
-                    coeff_u: float, coeff_v: float) -> np.ndarray:
-    """D = dbeta_eps*chain*weight, (npairs, nq), at the crack_state of
-    (u, v), for a direction z entering as u + coeff_u*z, v + coeff_v*z:
-    J^T D J, J the normal jump, is the contact force's derivative."""
-    chain = params.gamma * coeff_u + coeff_v
-    return dbeta_eps(crack[0], params.epsilon) * chain * quad.weights
+def contact_tangent(crack, params: ContactParams, weights, chain):
+    """D = dbeta_eps*chain*weight, (npairs, nq), at a crack_state, for a
+    direction z that moves its contact argument s by chain*z: J^T D J, J
+    the normal jump, is the contact force's derivative."""
+    return dbeta_eps(crack[0], params.epsilon) * chain * weights
 
 
-def friction_tangent(crack, params: ContactParams, quad: CrackQuadrature,
-                     coeff_v: float) -> np.ndarray:
-    """D = coeff_v*g*weight*dalpha_eps(jt), (npairs, nq, dim, dim),
-    symmetric PSD, at a crack_state along v + coeff_v*z: J^T D J, J the
-    tangential jump, is the friction force's derivative, at zero slip
-    coeff_v*g/eps times the tangential interface mass."""
+def friction_tangent(crack, params: ContactParams, weights, chain):
+    """D = chain*g*weight*dalpha_eps(jt), (npairs, nq, dim, dim),
+    symmetric PSD, at a crack_state, for a direction z that moves its
+    tangential jump jt by chain*z: J^T D J, J the tangential jump, is the
+    friction force's derivative, at zero slip chain*g/eps times the
+    tangential interface mass."""
     _, jt, g = crack
-    return ((coeff_v * g * quad.weights)[..., None, None]
+    return ((chain * g * weights)[..., None, None]
             * dalpha_eps(jt, params.epsilon))

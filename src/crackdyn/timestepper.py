@@ -86,18 +86,18 @@ dofs; ``load(t)``, the load vector at t, zero on the constrained dofs;
 imposed, incompatible data warned about and the consistent
 acceleration.  Once per Newmark interval the stepper hands ``interval``
 the g-weighted state at a+ = 0, its derivatives ca, cu and cv in a+
-(the stepper alone knows the Newmark scheme), t_w and load_w.  It
-returns a NewtonProblem on vectors of unknowns, the force balance r on
-the unknowns at the weighted state of the a+ whose unknowns are x,
-split as r(x) = L x + c + F(x) with F on the crack unknowns (see
-NewtonProblem).  The end-of-step State is built once, for the accepted
-a+.  The mesh problem's system is Operators, whose point is the jumps
-and weighted tractions at the crack's quadrature points, affine in the
-crack unknowns through one sparse operator (basis.CrackBasis.jumps);
-the test suite's scalar analog (tests/oracles.py), whose unknowns are
-its state vectors and whose one unknown is a crack unknown, is a
-second.  Both take their initial acceleration from their interval at
-ca = 1, cu = cv = 0.  weighted_points recovers from a run's states the
+(the stepper alone knows the Newmark scheme), t_w and load_w.  The
+system returns the force balance there, r(x) = L x + c + F(x) on the
+unknowns x of a+ with F on the crack unknowns, as data: a
+NewtonProblem, which forms the chain rule and evaluates the residual,
+the Newton matrix and a line-search trial for every system.  The
+end-of-step State is built once, for the accepted a+.  The mesh
+problem's system is Operators, whose crack is affine in the crack
+unknowns through one sparse operator (basis.CrackBasis.jumps); the test
+suite's scalar analog (tests/oracles.py), a crack of one point whose
+one unknown is a crack unknown, is a second.  Both take their initial
+acceleration from their interval at ca = 1, cu = cv = 0.
+weighted_points recovers from a run's states the
 points at which it enforced the force balance.
 """
 
@@ -106,9 +106,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -213,29 +211,49 @@ class StepInfo:
     predicted: bool = False
 
 
-class NewtonProblem(NamedTuple):
-    """One Newmark interval's Newton problem as a system poses it, on
-    vectors of unknowns.  Its residual is r(x) = L x + c + F(x): L x + c
-    is linear, and the crack force F acts on the crack unknowns alone.
+class NewtonProblem:
+    """One Newmark interval's Newton problem on vectors of unknowns x:
+    r(x) = L x + c + F(x), with the crack force F on the crack unknowns
+    x_c alone, F = B^T W sigma(j) at the jumps j = base + chain*(B x_c)
+    and its derivative T = B^T D B, sigma the laws of interface.
 
-    crack: the indices of the crack unknowns.
-    linear(x): L x + c, a new vector, with one product with L.
-    force(x_c): (F, point) at the crack unknowns x_c: F on the crack
-        unknowns, and the point, what the system evaluated there.
-    newton_matrix(point): J = L + T, the derivative of r there, valid
-        until the next call: ``@`` and diagonal() for fem.solve_spd, and
-        ``nonlinear`` (false if it may be solved as a linear system).
-    line(point, jac, d_c): (trial, keep) along the direction with crack
-        entries d_c, jac the Newton matrix at point: trial(s) returns
-        (e(s).d_c, the trial), e(s) = F(x + s*d) - F(x) - s*T d, and
-        keep(trial) returns (e(s), the point there).
+    crack: the crack unknowns' indices.  const: c.  jumps, jumps_t: B
+    and B^T.  step: step.linear() is L and step.update(D) L + T, valid
+    until the next update (basis.StepMatrix).  base: (npairs, nq, 1 +
+    dim), each point's normal jump (the contact argument), then its
+    tangential one, at x = 0.  weights, g: W and the friction bound at
+    the points.  cu, cv: the derivatives of the weighted displacement and
+    velocity in the unknowns, from which chain, the chain rule (gamma*cu
+    + cv normal, cv tangential), is formed once.  The point of x is (j,
+    W sigma(j)), on B's rows.
     """
 
-    crack: np.ndarray
-    linear: Callable
-    force: Callable
-    newton_matrix: Callable
-    line: Callable
+    def __init__(self, crack, step, const, jumps, jumps_t, base, weights,
+                 g, contact: ContactParams, cu: float, cv: float):
+        self.crack, self.step, self.const = crack, step, const
+        self.jumps, self.jumps_t, self.base = jumps, jumps_t, base
+        self.weights, self.g, self.contact = weights, g, contact
+        self.chain = np.array([contact.gamma * cu + cv]
+                              + [cv] * (base.shape[-1] - 1))
+
+    def linear(self, x):
+        """L x + c, a new vector, with one product with L."""
+        r = self.step.linear() @ x
+        r += self.const
+        return r
+
+    def _point(self, j):
+        sigma_n, sigma_t = interface.recover_tractions(
+            (j[..., 0], j[..., 1:], self.g), self.contact)
+        return j, np.concatenate([
+            interface.contact_residual(sigma_n, self.weights)[..., None],
+            interface.friction_residual(sigma_t, self.weights)], axis=-1)
+
+    def force(self, x_c):
+        """(F, point) at the crack unknowns x_c."""
+        point = self._point(self.base + self.chain * (
+            self.jumps @ x_c).reshape(self.base.shape))
+        return self.jumps_t @ point[1].ravel(), point
 
     def evaluate(self, x):
         """(r(x), point), with one product with L."""
@@ -243,6 +261,41 @@ class NewtonProblem(NamedTuple):
         r = self.linear(x)
         r[self.crack] += f
         return r, point
+
+    def newton_matrix(self, point):
+        """J = L + T, the derivative of r at point, from step.update:
+        ``@`` and diagonal() for fem.solve_spd, ``nonlinear`` (false if
+        it may be solved as a linear system) and ``derivatives``, D."""
+        j = point[0]
+        crack = (j[..., 0], j[..., 1:], self.g)
+        derivatives = np.zeros(j.shape + j.shape[-1:])
+        derivatives[..., 0, 0] = interface.contact_tangent(
+            crack, self.contact, self.weights, self.chain[0])
+        derivatives[..., 1:, 1:] = interface.friction_tangent(
+            crack, self.contact, self.weights, self.chain[1])
+        return self.step.update(derivatives)
+
+    def line(self, point, jac, d_c):
+        """(trial, keep) along the direction with crack entries d_c, jac
+        the Newton matrix at point: trial(s) returns (e(s).d, the trial),
+        e(s) = F(x + s*d) - F(x) - s*T d, on B's rows W sigma(s) - W sigma
+        - s*D (B d), sigma(s) the laws at j + s*chain*(B d), and
+        keep(trial) (e(s), the point there): one product with B per line,
+        one with B^T per keep."""
+        j, tau = point
+        bd = (self.jumps @ d_c).reshape(j.shape)
+        rise = self.chain * bd
+        td = np.einsum("pqab,pqb->pqa", jac.derivatives, bd)   # T d
+
+        def trial(alpha):       # e(s) on B's rows, and its slope
+            at = self._point(j + alpha * rise)
+            rest = at[1] - tau - alpha * td
+            return float(np.vdot(rest, bd)), (rest, at)
+
+        def keep(kept):
+            return self.jumps_t @ kept[0].ravel(), kept[1]
+
+        return trial, keep
 
 
 @dataclass
@@ -312,75 +365,20 @@ class Operators:
 
     def interval(self, u_w, v_w, a_w, ca, cu, cv, t_w, load_w):
         """The NewtonProblem whose weighted state is u_w + cu*a, v_w +
-        cv*a, a_w + ca*a at time t_w, a = nodal(x), in the crack basis;
-        its crack unknowns are those on quad.crack_free.
-
-        Its residual is the force balance M a_w + K u_w + contact +
-        friction - load_w: linear(x) is the cached ca*M + cu*K times x
-        plus a constant.  The laws' arguments at the points are
-        j = j_w + c*(B x_c), B = basis.jumps, j_w the crack_state at
-        a = 0 (g sampled at t_w), c the chain rule (gamma*cu + cv normal,
-        cv tangential); the point is (j, W sigma(j)), F = B^T W sigma,
-        and T = B^T D B (StepMatrix.update).  Along d a trial's jumps
-        are j + s*c*(B d): a line makes one product with B, a trial
-        evaluates the laws and its slope e(s).d = (W sigma(s) - W sigma
-        - s*T d).(B d) with T d = D (B d), and keep one product with B^T.
-        """
+        cv*a, a_w + ca*a at time t_w, a = nodal(x), in the crack basis:
+        the force balance M a_w + K u_w + contact + friction - load_w.
+        L is the cached ca*M + cu*K, B = basis.jumps on the crack unknowns
+        of quad.crack_free, and the base jumps the crack_state at a = 0,
+        with g sampled at t_w."""
         step = self.linear_jacobian(ca, cu)
-        contact, quad, basis = self.contact, self.quad, self.basis
         const = self.unknowns(self.mass @ a_w + self.stiffness @ u_w - load_w)
-        cd = quad.crack_dofs
-        s_w, jt_w, g = interface.crack_state(u_w[cd], v_w[cd], t_w, contact,
-                                             quad)
+        cd = self.quad.crack_dofs
+        s_w, jt_w, g = interface.crack_state(u_w[cd], v_w[cd], t_w,
+                                             self.contact, self.quad)
         base = np.concatenate([s_w[..., None], jt_w], axis=-1)
-        dim = jt_w.shape[-1]
-        chain = np.array([contact.gamma * cu + cv] + [cv] * dim)
-
-        def linear(x):
-            r = step.linear() @ x
-            r += const
-            return r
-
-        def point_of(j):            # j and W sigma(j), on B's rows
-            sigma_n, sigma_t = interface.recover_tractions(
-                (j[..., 0], j[..., 1:], g), contact)
-            return j, np.concatenate([
-                interface.contact_residual(sigma_n, quad)[..., None],
-                interface.friction_residual(sigma_t, quad)], axis=-1)
-
-        def force(x_c):
-            point = point_of(
-                base + chain * (basis.jumps @ x_c).reshape(base.shape))
-            return basis.jumps_t @ point[1].ravel(), point
-
-        def newton_matrix(point):
-            j = point[0]
-            crack = (j[..., 0], j[..., 1:], g)
-            derivatives = np.zeros(j.shape + (1 + dim,))
-            derivatives[..., 0, 0] = interface.contact_tangent(
-                crack, contact, quad, coeff_u=cu, coeff_v=cv)
-            derivatives[..., 1:, 1:] = interface.friction_tangent(
-                crack, contact, quad, coeff_v=cv)
-            return step.update(derivatives)
-
-        def line(point, jac, d_c):
-            j, tau = point
-            bd = (basis.jumps @ d_c).reshape(j.shape)
-            rise = chain * bd
-            td = np.einsum("pqab,pqb->pqa", jac.derivatives, bd)   # T d
-
-            def trial(alpha):       # e(s) on B's rows, and its slope
-                at = point_of(j + alpha * rise)
-                rest = at[1] - tau - alpha * td
-                return float(np.vdot(rest, bd)), (rest, at)
-
-            def keep(kept):
-                return basis.jumps_t @ kept[0].ravel(), kept[1]
-
-            return trial, keep
-
-        return NewtonProblem(quad.crack_free, linear, force, newton_matrix,
-                             line)
+        return NewtonProblem(self.quad.crack_free, step, const,
+                             self.basis.jumps, self.basis.jumps_t, base,
+                             self.quad.weights, g, self.contact, cu, cv)
 
     def initial_state(self, u0: np.ndarray, v0: np.ndarray) -> State:
         """State at t = 0: u0 and v0 zeroed on the constrained dofs and the
@@ -569,7 +567,7 @@ def _solve_substep(state: State, dt: float, ops, params: TimeParams,
            and iterations < params.newton_maxit):
         jac = problem.newton_matrix(point)
         # inexact Newton: a CG iterate from zero still descends (r.d < 0)
-        forcing = eta if getattr(jac, "nonlinear", True) else 0.0
+        forcing = eta if jac.nonlinear else 0.0
         cg_tol = max(_CG_TOL, forcing, _CG_FLOOR * tol_abs / norm_r)
         d, r_cg, cg = fem.solve_spd(jac, -r, tol=cg_tol, full_output=True)
         cg_iterations += cg

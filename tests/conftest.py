@@ -146,6 +146,21 @@ def turned(mesh, theta, swap=False):
                                plus, minus, normals @ rot.T)
 
 
+def bent(mesh, shape):
+    """mesh with its vertices moved by shape, a smooth map of the (nv,
+    dim) coordinates, and each crack pair's normal recomputed from its
+    moved minus facet: the unit perpendicular of that facet's edge, on
+    the side of the pair's old normal."""
+    xy = shape(mesh.vertices)
+    edge = xy[mesh.crack_minus[:, 1]] - xy[mesh.crack_minus[:, 0]]
+    perp = np.stack([edge[:, 1], -edge[:, 0]], axis=1)
+    perp /= np.linalg.norm(perp, axis=1)[:, None]
+    perp *= np.sign(np.einsum("pd,pd->p", perp, mesh.crack_normals))[:, None]
+    return meshing.CrackedMesh(2, xy, mesh.cells, mesh.cell_sides,
+                               mesh.dirichlet_facets, mesh.neumann_facets,
+                               mesh.crack_plus, mesh.crack_minus, perp)
+
+
 def python_calls(fn, *args):
     """How many Python and C function calls fn(*args) makes: equal at
     every mesh size for code that handles whole arrays, with no call
@@ -180,9 +195,9 @@ def crack_forces(sigma_n, sigma_t, quad):
     crack's nodal forces, from interface.contact_residual and
     friction_residual."""
     return (np.einsum("pqi,pq->i", crack_rows(quad)[..., 0, :],
-                      interface.contact_residual(sigma_n, quad))
+                      interface.contact_residual(sigma_n, quad.weights))
             + np.einsum("pqci,pqc->i", crack_rows(quad)[..., 1:, :],
-                        interface.friction_residual(sigma_t, quad)))
+                        interface.friction_residual(sigma_t, quad.weights)))
 
 
 def crack_block(quad, contact=None, friction=None):

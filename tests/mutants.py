@@ -4,8 +4,9 @@ Each MUTANTS entry is (file, old, new, why): ``old`` occurs exactly once
 in ``file`` (a path from the repository root), and the mutant replaces
 it by ``new``.  Mutant k (from 1) is named Mk.  tests/test_mutants.py,
 part of the tier-1 suite, checks only that every ``old`` text still
-occurs once and that the kill map names existing tests, so neither can
-rot; running the battery is this script's job:
+occurs once and that the kill map names an existing test for every
+mutant, so neither can rot and a mutant added without a battery run, or
+one that survived, fails it; running the battery is this script's job:
 
     python tests/mutants.py             # every mutant
     python tests/mutants.py M2 M5       # some of them
@@ -61,13 +62,13 @@ MUTANTS = [
     (TS, "tol_abs = params.newton_tol * max(",
      "tol_abs = 100 * params.newton_tol * max(",
      "the Newton tolerance is 100 times looser"),
-    (TS, "interface.crack_state(u_w[cd], v_w[cd], t_w, contact,",
-     "interface.crack_state(u_w[cd], v_w[cd], 0.0, contact,",
+    (TS, "interface.crack_state(u_w[cd], v_w[cd], t_w,",
+     "interface.crack_state(u_w[cd], v_w[cd], 0.0,",
      "Operators.interval samples g at t = 0, not at t_w"),
     (IF, '(eye - np.einsum("...c,...e->...ce", a, a))', "eye",
      "the friction tangent's pointwise coefficient I - a a^T is I"),
-    (IF, "chain = params.gamma * coeff_u + coeff_v", "chain = coeff_v",
-     "the contact tangent drops the gamma*coeff_u of its chain rule"),
+    (TS, "[contact.gamma * cu + cv]", "[cv]",
+     "NewtonProblem's chain rule drops the gamma*cu of the normal jump"),
     (TS, "newmark_g: float = 0.5", "newmark_g: float = 0.6",
      "the TimeParams default of newmark_g is 0.6"),
     (IF, "g: Expr = exprlang.Num(0.0)", "g: Expr = exprlang.Num(0.05)",
@@ -228,6 +229,11 @@ MUTANTS = [
      "the predictor flips the alternating term: a_n - a_(n-1) + a_(n-2)"),
     (TS, "if norm_x < norm_r:", "if True:",
      "Newton starts from the predictor whatever its residual"),
+    (TS, "rise = self.chain * bd", "rise = self.chain[0] * bd",
+     "a line-search trial moves the tangential jumps by the normal chain"),
+    (IF, "nrm = mesh.crack_normals",
+     "nrm = np.broadcast_to(mesh.crack_normals[:1], mesh.crack_normals.shape)",
+     "every crack pair takes the first pair's normal"),
 ]
 
 

@@ -14,9 +14,10 @@ instead of re-implementing them.
 - OneDofParams: a scalar analog of the model.  It is also a system for
   the production stepper, timestepper.run; one_dof_oracle integrates it
   by brute-force RK4, so the two can be compared without a second copy
-  of the implicit scheme (criterion 8).  DiagonalJacobian is its Newton
-  matrix, and newton_problem poses a crack force given as a function of
-  the crack unknowns as the stepper's NewtonProblem.
+  of the implicit scheme, the crack laws or their tangents (criterion
+  8).  crack_problem poses it, and any problem of a few unknowns that
+  are all crack unknowns, as the stepper's own NewtonProblem, with
+  DenseStep, basis.StepMatrix on dense arrays, as its step.
 """
 
 from __future__ import annotations
@@ -130,9 +131,9 @@ class OneDofParams:
     g*alpha_eps(u') = forcing(t).
 
     It is also a system for timestepper.run (a length-1 residual, whose
-    one unknown is a crack unknown and whose point is the weighted
-    (u, v), and a 1x1 Newton matrix), so the production stepper
-    integrates it:
+    one unknown is a crack unknown, posed by crack_problem as the crack
+    of one point), so the production stepper, laws, tangents and
+    line-search trial integrate it:
     ``for state, info in timestepper.run(p, TimeParams(t_end, dt), p.u0,
     p.v0)``.
     """
@@ -169,26 +170,14 @@ class OneDofParams:
 
     def interval(self, u_w, v_w, a_w, ca, cu, cv, t_w, load_w):
         """The stepper's timestepper.NewtonProblem on the weighted state
-        u_w + cu*a, v_w + cv*a, a_w + ca*a: the crack force is the
-        contact and friction terms of the weighted state."""
-        lin = ca * self.rho + cu * self.k
-        const = self.rho * a_w + self.k * u_w - load_w
-
-        def force(a):
-            u, v = u_w + cu * a, v_w + cv * a
-            return (interface.beta_eps(self.gamma * u + v, self.epsilon)
-                    + self.g * interface.alpha_eps(v, self.epsilon))
-
-        def newton_matrix(a):
-            u, v = u_w + cu * a, v_w + cv * a
-            tangent = (interface.dbeta_eps(self.gamma * u + v, self.epsilon)
-                       * (self.gamma * cu + cv)
-                       + self.g * interface.dalpha_eps(v, self.epsilon)[0]
-                       * cv)
-            return DiagonalJacobian(lin, tangent)
-
-        return newton_problem(1, lambda a: lin * a + const, force,
-                              newton_matrix)
+        u_w + cu*a, v_w + cv*a, a_w + ca*a: a crack of one point of unit
+        weight, whose normal jump is gamma*u + v and tangential jump v,
+        so B = ones(2, 1)."""
+        return crack_problem(
+            [[ca * self.rho + cu * self.k]],
+            self.rho * a_w + self.k * u_w - load_w, np.ones((2, 1)),
+            np.concatenate([self.gamma * u_w + v_w, v_w])[None], self.g,
+            interface.ContactParams(self.gamma, self.epsilon), cu, cv)
 
     def initial_state(self, u0: float, v0: float) -> fem.State:
         u, v = np.full(1, float(u0)), np.full(1, float(v0))
@@ -198,46 +187,46 @@ class OneDofParams:
         return fem.State(0.0, u, v, -r / self.rho)
 
 
-@dataclass(frozen=True)
-class DiagonalJacobian:
-    """A diagonal Newton matrix (OneDofParams's is 1x1) with lin +
-    tangent on its diagonal, tangent its crack part."""
+class DenseStep:
+    """The step of a system with few unknowns, as basis.StepMatrix on
+    dense arrays: linear() is L, and update(D) makes this object the
+    Newton matrix L + B^T D B, with each point's (1 + dim) x (1 + dim)
+    block of D on its rows of B."""
 
-    lin: float
-    tangent: np.ndarray
+    def __init__(self, lin, jumps):
+        self.lin = self.matrix = lin
+        self.jumps = jumps
 
-    def __matmul__(self, z):
-        return (self.lin + self.tangent) * z
+    def linear(self):
+        return self.lin
+
+    def update(self, derivatives):
+        k = derivatives.shape[-1]
+        rows = self.jumps.reshape(-1, k, self.jumps.shape[-1])
+        self.derivatives = derivatives
+        self.nonlinear = bool(derivatives.any())
+        self.matrix = self.lin + np.einsum(
+            "pai,pab,pbj->ij", rows, derivatives.reshape(-1, k, k), rows)
+        return self
 
     def diagonal(self):
-        return self.lin + self.tangent
+        return self.matrix.diagonal()
+
+    def __matmul__(self, x):
+        return self.matrix @ x
 
 
-def newton_problem(n, linear, force, newton_matrix):
-    """The timestepper.NewtonProblem on n unknowns, all of them crack
-    unknowns, with residual linear(x) + force(x): its point is the
-    unknowns with the force there, newton_matrix(x) gives a
-    DiagonalJacobian at x, and each line-search trial evaluates force
-    afresh."""
-    def crack_force(x):
-        f = force(x)
-        return f, (x.copy(), f)
-
-    def line(at, jac, d):
-        x, f = at
-        td = jac.tangent * d
-
-        def trial(alpha):
-            moved = x + alpha * d
-            f_s = force(moved)
-            rest = f_s - f - alpha * td
-            return float(rest @ d), (rest, (moved, f_s))
-
-        return trial, lambda kept: kept
-
+def crack_problem(lin, const, jumps, base, g, contact, cu, cv):
+    """The timestepper.NewtonProblem with dense L = lin, c = const and B
+    = jumps on unknowns that are all crack unknowns: its points, of unit
+    weight and friction bound g, have the rows of base, (points, 1 +
+    dim), as their jumps at x = 0."""
+    base = np.asarray(base, dtype=float)[:, None, :]
+    weights = np.ones(base.shape[:-1])
     return timestepper.NewtonProblem(
-        np.arange(n), linear, crack_force, lambda at: newton_matrix(at[0]),
-        line)
+        np.arange(len(const)), DenseStep(np.asarray(lin, dtype=float), jumps),
+        const, jumps, jumps.T, base, weights, np.full(weights.shape, g),
+        contact, cu, cv)
 
 
 def one_dof_oracle(p: OneDofParams, sample_times, dt_fine: float):

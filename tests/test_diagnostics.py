@@ -562,6 +562,33 @@ def test_one_dof_implicit_tracks_oracle():
     assert np.abs(us - uo).max() <= 3e-5
 
 
+@pytest.mark.parametrize("contact", [True, False], ids=["contact", "open"])
+@pytest.mark.parametrize("g", [0.0, 0.3])
+@pytest.mark.parametrize("gamma", [0.0, 1.0])
+def test_one_dof_interval_newton_matrix_is_its_derivative(gamma, g, contact):
+    # the analog's interval is posed by timestepper.NewtonProblem, with
+    # the production laws, chain rule and tangents: its Newton matrix is
+    # the central difference of its residual, at a weighted state with
+    # distinct cu and cv, in contact and open, with a slip v_w + cv*a of
+    # +-0.02, where the friction tangent is large; open and frictionless,
+    # it is the linear part and solved as linear
+    p = OneDofParams(gamma=gamma, epsilon=1e-2, g=g)
+    sign = -1.0 if contact else 1.0
+    u_w, v_w = np.full(1, 0.2 * sign), np.full(1, 0.02 * sign - 0.07)
+    problem = p.interval(u_w, v_w, np.full(1, 0.1), 0.5, 0.3, 0.7, 0.0,
+                         np.full(1, 0.6))
+    a = np.array([0.1])
+    _, point = problem.evaluate(a)
+    assert (point[0][..., 0] < 0.0).all() == contact
+    op = problem.newton_matrix(point)
+    jac = op @ np.ones(1)
+    h = 1e-6
+    fd = (problem.evaluate(a + h)[0] - problem.evaluate(a - h)[0]) / (2 * h)
+    assert fd[0] == pytest.approx(jac[0], rel=1e-7)
+    assert op.nonlinear == (contact or g > 0.0)
+    assert (jac[0] > op.linear()[0, 0]) == op.nonlinear
+
+
 @pytest.mark.parametrize("gamma, g", [(0.0, 0.0), (0.5, 0.3), (10.0, 0.3)])
 def test_one_dof_newton_matrix_is_residual_derivative(gamma, g):
     # the scalar analog is a stepper system: its 1x1 Newton matrix is the

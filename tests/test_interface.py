@@ -28,8 +28,10 @@ from crackdyn.interface import (
     recover_tractions,
 )
 from crackdyn.meshing import generate_rect_crack
+from crackdyn import fem
 from crackdyn.fem import DofMap
-from conftest import crack_block, crack_forces, reference_jumps, turned
+from conftest import (bent, crack_block, crack_forces, crack_rows,
+                      reference_jumps, turned)
 
 
 def cracked_mesh(nx=16, ny=8):
@@ -67,12 +69,14 @@ def forces(crack, params, quad):
     return crack_forces(*recover_tractions(crack, params), quad)
 
 
-def tangent(crack, params, quad, coeff_u, coeff_v):
-    """Dense crack-dof block of the derivative of forces: J^T D J of the
-    pointwise contact and friction derivatives."""
+def tangent(crack, params, quad, chain):
+    """Dense crack-dof block of the derivative of forces along a
+    direction that moves the contact argument by chain[0] and the
+    tangential jump by chain[1] times its jump: J^T D J of the pointwise
+    contact and friction derivatives."""
     return crack_block(
-        quad, contact_tangent(crack, params, quad, coeff_u, coeff_v),
-        friction_tangent(crack, params, quad, coeff_v))
+        quad, contact_tangent(crack, params, quad.weights, chain[0]),
+        friction_tangent(crack, params, quad.weights, chain[1]))
 
 
 def frictionless(crack):
@@ -212,8 +216,8 @@ def test_empty_crack_quadrature():
     for residual in (forces(frictionless(crack), params, quad),
                      forces(opening(crack), params, quad)):
         assert residual.shape == (0,) and residual.dtype == float
-    for block in (tangent(frictionless(crack), params, quad, 1.0, 1.0),
-                  tangent(opening(crack), params, quad, 0.0, 1.0)):
+    for block in (tangent(frictionless(crack), params, quad, (1.0, 1.0)),
+                  tangent(opening(crack), params, quad, (1.0, 1.0))):
         assert block.shape == (0, 0) and block.dtype == float
 
 
@@ -298,6 +302,40 @@ def test_jump_operators_match_the_pointwise_reference(span, theta, swap):
     work = forces(opening(crack), params, quad) @ w[cd]
     assert work == pytest.approx(np.sum(
         (quad.weights * g)[..., None] * alpha_eps(jt, 0.5) * wt), rel=1e-12)
+
+
+def test_jump_normals_are_each_facets_own_on_a_bent_crack():
+    # on the impact mesh bent by a smooth map every pair has its own
+    # normal: at each point J's normal row is the unit perpendicular of
+    # that facet's own edge, taken from the moved vertices alone (the
+    # minus cells lie below the crack), and its tangential rows the rest
+    # of the jump; a field that slides a facet along itself has no
+    # normal jump on it
+    mesh = bent(generate_rect_crack(2.0, 1.0, 16, 8, crack_span=(0.25, 0.75)),
+                lambda xy: xy + 0.15 * np.sin(0.5 * np.pi * xy[:, :1])
+                * [0.0, 1.0])
+    dofmap = DofMap(mesh)
+    quad = CrackQuadrature(mesh, dofmap)
+    xy, plus, minus = mesh.vertices, mesh.crack_plus, mesh.crack_minus
+    edge = xy[minus[:, 1]] - xy[minus[:, 0]]
+    perp = np.stack([-edge[:, 1], edge[:, 0]], axis=1)
+    perp *= (np.sign(perp[:, 1]) / np.linalg.norm(edge, axis=1))[:, None]
+    assert np.ptp(perp[:, 0]) > 0.2                 # the normals differ
+    rows = crack_rows(quad)
+    cd = quad.crack_dofs
+    w = np.random.default_rng(19).standard_normal((mesh.n_vertices, 2))
+    jump = np.einsum("qi,pid->pqd", fem.FACET_SHAPES, w[plus] - w[minus])
+    normal = np.einsum("pqd,pd->pq", jump, perp)
+    tangential = jump - normal[..., None] * perp[:, None, :]
+    jn, jt = rows[..., 0, :] @ w.ravel()[cd], rows[..., 1:, :] @ w.ravel()[cd]
+    assert np.abs(jn - normal).max() <= 1e-14 * np.abs(jump).max()
+    assert np.abs(jt - tangential).max() <= 1e-14 * np.abs(jump).max()
+    for p in range(mesh.n_pairs):
+        slide = np.zeros_like(w)
+        slide[plus[p]] = edge[p]
+        moved = rows[p] @ slide.ravel()[cd]
+        assert np.abs(moved[:, 0]).max() <= 1e-14
+        assert np.abs(moved[:, 1:]).max() >= 0.1 * np.abs(edge[p]).max()
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +424,8 @@ def test_frictionless_terms_are_exact_zeros():
     crack = crack_state(u, v, 0.0, params, quad)
     assert crack[1].any() and not crack[2].any()
     k = quad.crack_dofs.size
-    r = friction_residual(recover_tractions(crack, params)[1], quad)
-    tan = friction_tangent(crack, params, quad, coeff_v=0.7)
+    r = friction_residual(recover_tractions(crack, params)[1], quad.weights)
+    tan = friction_tangent(crack, params, quad.weights, 0.7)
     assert r.shape == crack[1].shape and tan.shape == crack[1].shape + (2,)
     assert not r.any() and not tan.any()
     force = crack_forces(np.zeros_like(crack[0]), r, quad)
@@ -479,20 +517,21 @@ def test_contact_tangent_directional_derivative():
     quad = CrackQuadrature(mesh, DofMap(mesh))
     params = ContactParams(gamma=1.2, epsilon=0.1)
     u, v = penetrating_pair(mesh, quad)
-    cu, cv = 0.4, 0.9
     def residual(u, v):
         return forces(crack_state(u, v, 0.0, params, quad), params, quad)
-    tan = tangent(crack_state(u, v, 0.0, params, quad), params,
-                  quad, coeff_u=cu, coeff_v=cv)
     rng = np.random.default_rng(13)
     z = rng.standard_normal(u.size)
     h = 1e-4
-    # beta is quadratic where the contact is active, so the centered
-    # difference is exact up to roundoff
-    fd = (residual(u + cu * h * z, v + cv * h * z)
-          - residual(u - cu * h * z, v - cv * h * z)) / (2 * h)
-    ref = tan @ z
-    assert np.abs(fd - ref).max() <= 1e-7 * max(np.abs(ref).max(), 1.0)
+    # a direction z entering u moves the contact argument by gamma*J z,
+    # one entering v by J z; beta is quadratic where the contact is
+    # active, so the centered difference is exact up to roundoff
+    for cu, cv, chain in ((1.0, 0.0, params.gamma), (0.0, 1.0, 1.0)):
+        tan = tangent(crack_state(u, v, 0.0, params, quad), params, quad,
+                      (chain, cv))
+        fd = (residual(u + cu * h * z, v + cv * h * z)
+              - residual(u - cu * h * z, v - cv * h * z)) / (2 * h)
+        ref = tan @ z
+        assert np.abs(fd - ref).max() <= 1e-7 * max(np.abs(ref).max(), 1.0)
 
 
 def test_friction_tangent_directional_derivative():
@@ -505,7 +544,7 @@ def test_friction_tangent_directional_derivative():
         return forces(opening(crack_state(v, v, 0.0, params, quad)),
                       params, quad)
     tan = tangent(opening(crack_state(v, v, 0.0, params, quad)), params,
-                  quad, coeff_u=0.0, coeff_v=cv)
+                  quad, (cv, cv))
     rng = np.random.default_rng(14)
     z = rng.standard_normal(v.size)
     errs = []
@@ -521,8 +560,8 @@ def test_tangents_symmetric_positive_semidefinite():
     params = ContactParams(gamma=1.0, epsilon=0.05, g=ex.parse("0.3"))
     u, v = penetrating_pair(mesh, quad, seed=15)
     crack = crack_state(u, v, 0.0, params, quad)
-    tc = tangent(frictionless(crack), params, quad, coeff_u=0.5, coeff_v=1.0)
-    tf = tangent(opening(crack), params, quad, coeff_u=0.5, coeff_v=1.0)
+    tc = tangent(frictionless(crack), params, quad, (1.5, 1.0))
+    tf = tangent(opening(crack), params, quad, (1.5, 1.0))
     for dense in (tc, tf):
         scale = max(np.abs(dense).max(), 1.0)
         assert np.abs(dense - dense.T).max() <= 1e-13 * scale
@@ -543,7 +582,7 @@ def test_friction_tangent_at_zero_slip():
     params = ContactParams(gamma=0.0, epsilon=eps, g=ex.parse(repr(g)))
     zero = np.zeros(quad.crack_dofs.size)
     tan = tangent(crack_state(zero, zero, 0.0, params, quad),
-                  params, quad, coeff_u=0.0, coeff_v=coeff)
+                  params, quad, (coeff, coeff))
     w = plus_side_field(mesh, quad, (tau, 0.0))
     ell, m, _, i2, _ = ramp_measures(quad)
     expected = coeff * g / eps * tau ** 2 * (m * ell + 2 * i2)
@@ -575,10 +614,10 @@ rng = np.random.default_rng(23)
 u, v = 0.05 * rng.standard_normal((2, quad.crack_dofs.size))
 crack = interface.crack_state(u, v, 0.0, params, quad)
 sigma_n, sigma_t = interface.recover_tractions(crack, params)
-residual = (interface.contact_residual(sigma_n, quad),
-            interface.friction_residual(sigma_t, quad))
-tangent = (interface.contact_tangent(crack, params, quad, 0.3, 0.7),
-           interface.friction_tangent(crack, params, quad, 0.7))
+residual = (interface.contact_residual(sigma_n, quad.weights),
+            interface.friction_residual(sigma_t, quad.weights))
+tangent = (interface.contact_tangent(crack, params, quad.weights, 1.0),
+           interface.friction_tangent(crack, params, quad.weights, 0.7))
 x, d = 0.05 * rng.standard_normal((2, basis.jumps.shape[1]))
 w = rng.standard_normal(basis.jumps.shape[0])
 u_w, v_w = np.zeros((2, ops.dofmap.ndof))

@@ -1,6 +1,7 @@
 """The mutant battery (tests/mutants.py) cannot rot: every mutant's old
-text occurs exactly once in its file, the kill map names only mutants
-and tests that exist, and the runner's exit status reports survivors.
+text occurs exactly once in its file, the kill map names a killer for every
+mutant and only tests that exist, and the runner's exit status reports
+survivors.
 Running the battery, one tier-1 test or suite per mutant, is left to
 ``python tests/mutants.py``."""
 
@@ -21,10 +22,11 @@ def test_mutant_old_text_occurs_once(mutant):
 
 
 def test_kill_map_names_existing_mutants_and_tests():
-    # each recorded killer is a test function of a tests/ module, and a
-    # parametrized one where the id names parameters
+    # every mutant has a recorded killer (the battery drops a survivor's
+    # entry and records one only when it runs), each a test function of a
+    # tests/ module, and a parametrized one where the id names parameters
     killers = json.loads(KILLERS.read_text())
-    assert set(killers) <= {f"M{k + 1}" for k in range(len(MUTANTS))}
+    assert set(killers) == {f"M{k + 1}" for k in range(len(MUTANTS))}
     for test_id in killers.values():
         path, name = test_id.split("::")
         assert path.startswith("tests/test_")

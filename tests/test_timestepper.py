@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse as sp
 from conftest import (crack_block, crack_forces, impact_config,
                       reference_jumps, turned, unzip)
-from oracles import DiagonalJacobian, newton_problem
+from oracles import crack_problem
 
 from crackdyn import config as config_mod
 from crackdyn import exprlang as ex
@@ -1010,11 +1010,13 @@ def test_impact_run_converges_with_inexact_solves(impact_runs):
 
 def _convex_gradient(eps, n):
     """The NewtonProblem of Pi(a) = |a - 1|^2/2 + sum psi_eps(a) on n
-    unknowns, every one a crack unknown, with its crack force
-    psi_eps' = beta_eps."""
-    return newton_problem(
-        n, lambda x: x - 1.0, lambda x: interface.beta_eps(x, eps),
-        lambda x: DiagonalJacobian(1.0, interface.dbeta_eps(x, eps)))
+    unknowns, every one a crack unknown: a crack of n frictionless points
+    whose normal jumps are the unknowns (cu = 0, cv = 1), with its crack
+    force psi_eps' = beta_eps."""
+    return crack_problem(np.eye(n), -np.ones(n),
+                         np.kron(np.eye(n), [[1.0], [0.0]]),
+                         np.zeros((n, 2)), 0.0, ContactParams(epsilon=eps),
+                         0.0, 1.0)
 
 
 def _line_search(problem, a, d):
@@ -1061,19 +1063,22 @@ def test_line_search_brackets_an_overshoot():
     assert abs(out[0] @ d) <= timestepper._LS_ETA * abs(slope0)
 
 
-def test_line_search_keeps_trials_inside_the_bracket():
+def test_line_search_keeps_trials_inside_the_bracket(monkeypatch):
     # phi'(s) = 100*s - 1: the unit step overshoots, and regula falsi's
     # next trial, 0.01, lies next to the bracket's end, so it moves a
     # tenth of the bracket inside it, to 0.1; from [0, 0.1] the Illinois
     # step (the kept end's slope halved) lands on 0.01 itself, where the
-    # slope is 0
+    # slope is 0; the crack's one point opens along d, its force zero,
+    # and each evaluation of the laws is at the jump s
     trials = []
+    recover = interface.recover_tractions
 
-    def force(x):
-        trials.append(float(x[0]))
-        return np.zeros(1)
-    problem = newton_problem(1, lambda x: 100.0 * x - 1.0, force,
-                             lambda x: DiagonalJacobian(100.0, 0.0))
+    def law(crack, params):
+        trials.append(float(crack[0][0, 0]))
+        return recover(crack, params)
+    monkeypatch.setattr(interface, "recover_tractions", law)
+    problem = crack_problem([[100.0]], -np.ones(1), np.ones((2, 1)),
+                            np.zeros((1, 2)), 0.0, ContactParams(), 0.0, 1.0)
     a = np.zeros(1)
     out, extra = _line_search(problem, a, np.ones(1))
     assert trials[1:] == pytest.approx([1.0, 0.1, 0.01], rel=1e-12)
@@ -1195,14 +1200,15 @@ def test_newton_iteration_evaluates_the_crack_once(monkeypatch):
     def interval(*args, _f=ops.interval):
         problem = _f(*args)
 
-        def force(x_c):
+        def force(x_c, _f=problem.force):
             counts["force"] += 1
-            return problem.force(x_c)
+            return _f(x_c)
 
-        def linear(x):
+        def linear(x, _f=problem.linear):
             counts["linear"] += 1
-            return problem.linear(x)
-        return problem._replace(force=force, linear=linear)
+            return _f(x)
+        problem.force, problem.linear = force, linear
+        return problem
 
     monkeypatch.setattr(ops, "interval", interval)
     solve = fem.solve_spd
@@ -1612,8 +1618,8 @@ def test_newton_matrix_takes_friction_derivative_from_dalpha_eps(
     cd = ops.quad.crack_dofs
     nodal = np.zeros((ops.dofmap.ndof, ops.dofmap.ndof))
     nodal[np.ix_(cd, cd)] = crack_block(ops.quad, friction=(
-        interface.friction_tangent(crack, ops.contact, ops.quad,
-                                   coeff_v=cv)))
+        interface.friction_tangent(crack, ops.contact, ops.quad.weights,
+                                   cv)))
     r = basis_matrix(ops)
     friction = r @ nodal @ r.T
     assert np.abs(friction).max() > 0.0
