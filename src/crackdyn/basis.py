@@ -45,14 +45,14 @@ class CrackBasis:
     q : (n, 4, 4) each vertex's orthogonal block, from those dofs to
         (mean_n, mean_t, jump_n, jump_t)
     jumps : B = J Q^T, CSR, the jump operator J = quad.jumps on the
-        crack unknowns (Q the basis on the crack dofs); it holds no mean
-        unknown.  jumps_t is B^T, CSR
-    tangent_map : S, CSR: the crack tangent B^T D B on its slots is
-        S @ D for the pointwise law derivatives D, each point's
-        (1 + dim) x (1 + dim) block on its rows of B (the normal
-        derivative, then the tangential block; the laws do not couple
-        them, and S has no entry there).  Its rows are the row-wise
-        Khatri-Rao product of each point's rows of B with themselves
+        crack unknowns (Q the basis on the crack dofs), with J's two rows
+        per point, (normal, tangential); it holds no mean unknown.
+        jumps_t is B^T, CSR
+    tangent_map : S, CSR: the crack tangent B^T diag(D) B on its slots is
+        S @ D for the pointwise law derivatives D, one per row of B
+        (each point's normal derivative, then its tangential one; the
+        laws do not couple them).  Its columns are the Khatri-Rao
+        products of each row of B with itself
     slots : sorted flat keys row*nfree + col of the entries the crack
         tangent adds to; diagonal indexes the diagonal keys in slots,
         and diagonal_rows are their rows
@@ -91,7 +91,7 @@ class CrackBasis:
         self.jumps = (quad.jumps @ g).tocsr()
         self.jumps_t = self.jumps.T.tocsr()
         self.slots, self.tangent_map = _tangent_map(
-            self.jumps, quad.crack_free, n, d)
+            self.jumps, quad.crack_free, n)
         rows, cols = np.divmod(self.slots, max(n, 1))
         self.diagonal = np.flatnonzero(rows == cols)
         self.diagonal_rows = rows[self.diagonal]
@@ -140,30 +140,24 @@ class CrackBasis:
         return a
 
 
-def _tangent_map(b, at, n, d):
+def _tangent_map(b, at, n):
     """(slots, S) of the jump operator b on the crack unknowns at free-dof
-    positions at (n free dofs): for each point and entry (r, c) of its
-    derivative block, every product of an entry of its row r of b with
-    one of its row c, on their columns' slot; straight into CSR arrays."""
-    k = 1 + d
-    blocks = [(0, 0)] + [(1 + c, 1 + e) for c in range(d) for e in range(d)]
-    first, second = np.array(blocks).T
-    base = np.arange(b.shape[0] // k)[:, None] * k
-    ra, rb = (base + first).ravel(), (base + second).ravel()
+    positions at (n free dofs): for each row of b, every product of two
+    of its entries, on their columns' slot and in that row's column of
+    S; straight into CSR arrays."""
     length = np.diff(b.indptr)
-    count = length[ra] * length[rb]
-    entry = np.repeat(np.arange(count.size), count)     # its (ra, rb) pair
+    count = length * length
+    row = np.repeat(np.arange(count.size), count)
     i, j = np.divmod(np.arange(count.sum()) - np.repeat(np.cumsum(count)
                                                         - count, count),
-                     length[rb][entry])
-    pa, pb = b.indptr[ra][entry] + i, b.indptr[rb][entry] + j
+                     length[row])
+    pa, pb = b.indptr[row] + i, b.indptr[row] + j
     slots, rank = unique_ranks(at[b.indices[pa]] * n + at[b.indices[pb]])
     order = np.argsort(rank, kind="stable")
     indptr = np.searchsorted(rank[order], np.arange(slots.size + 1))
-    column = (base * k + first * k + second).ravel()[entry[order]]
     return slots, sp.csr_matrix(
-        ((b.data[pa] * b.data[pb])[order], column, indptr),
-        shape=(slots.size, base.size * k * k))
+        ((b.data[pa] * b.data[pb])[order], row[order], indptr),
+        shape=(slots.size, b.shape[0]))
 
 
 def _turn_groups(x, at, q, transpose=False):
@@ -218,9 +212,9 @@ class StepMatrix:
         return self.matrix
 
     def update(self, derivatives: np.ndarray) -> StepMatrix:
-        """The Newton matrix of the pointwise law derivatives D (in
-        basis.tangent_map's columns): lin plus S @ D on the slots, until
-        the next update."""
+        """The Newton matrix of the pointwise law derivatives D, (npairs,
+        nq, 2), each point's (normal, tangential) pair on its rows of B:
+        lin plus S @ D on the slots, until the next update."""
         basis = self.basis
         if self._diag is None:
             self._diag = self.linear().diagonal()

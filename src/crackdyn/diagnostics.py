@@ -74,11 +74,8 @@ def record(state: fem.State, ops: Operators, newton_iters: int = 0) -> Diagnosti
     m = interface.neg_part(s)
     pen = float(np.sum(quad.weights * m ** 3)) ** (1.0 / 3.0)
     comp = float(np.sum(quad.weights * np.abs(sigma_n * s)))
-    st_norm = np.linalg.norm(sigma_t, axis=-1)
-    gap = float(np.maximum(st_norm - g, 0.0).max(initial=0.0))
-    slip = np.linalg.norm(jt, axis=-1)
-    ssr = float(np.sum(quad.weights * np.abs(
-        g * slip - np.einsum("pqd,pqd->pq", sigma_t, jt))))
+    gap = float(np.maximum(np.abs(sigma_t) - g, 0.0).max(initial=0.0))
+    ssr = float(np.sum(quad.weights * np.abs(g * np.abs(jt) - sigma_t * jt)))
     return DiagnosticsRecord(
         t=state.t, kinetic=kinetic, strain=strain, penetration_L3=pen,
         comp_residual=comp, friction_gap=gap, stick_slip_residual=ssr,
@@ -127,7 +124,7 @@ def vi_residual(u, v, a, t, trial, ops: Operators) -> float:
     u_c, v_c = u[quad.crack_dofs], v[quad.crack_dofs]
     s, jt, g = interface.crack_state(u_c, v_c, t, ops.contact, quad)
     s_trial, jt_trial, _ = interface.crack_state(
-        u_c, trial[quad.crack_dofs] - gamma * u_c, t, ops.contact, quad, g=g)
+        u_c, trial[quad.crack_dofs] - gamma * u_c, t, ops.contact, quad)
     val += float(np.sum(quad.weights * (
         interface.psi_eps(s_trial, eps) - interface.psi_eps(s, eps))))
     val += float(np.sum(quad.weights * g * (     # g = 0 without friction
@@ -155,12 +152,10 @@ def check_monotone(n_pairs: int, seed) -> Check:
     rng = np.random.default_rng(seed)
     worst = math.inf
     for eps in (1.0, 1e-2, 1e-4):
-        x, y = rng.uniform(-5.0, 5.0, (2, n_pairs))
-        worst = min(worst, float(np.min(
-            (interface.beta_eps(x, eps) - interface.beta_eps(y, eps)) * (x - y))))
-        a, b = rng.uniform(-5.0, 5.0, (2, n_pairs, 2))
-        da = interface.alpha_eps(a, eps) - interface.alpha_eps(b, eps)
-        worst = min(worst, float(np.min(np.einsum("nd,nd->n", da, a - b))))
+        for law in (interface.beta_eps, interface.alpha_eps):
+            x, y = rng.uniform(-5.0, 5.0, (2, n_pairs))
+            worst = min(worst, float(np.min(
+                (law(x, eps) - law(y, eps)) * (x - y))))
     return Check("regularization-monotone", worst >= -1e-12,
                  f"worst monotonicity product {worst:.3e}", worst)
 
@@ -188,17 +183,12 @@ def check_gradients(n_points: int, seed) -> Check:
             if err > allowed:
                 return Check(name, False, f"beta gradient error {err:.3e} "
                                           f"at eps={eps}, h={h}", worst)
-        r = rng.uniform(0.05, 2.0, n_points)
-        th = rng.uniform(0.0, 2.0 * np.pi, n_points)
-        pts = np.column_stack([r * np.cos(th), r * np.sin(th)])
-        d = rng.standard_normal((n_points, 2))
-        d /= np.linalg.norm(d, axis=1)[:, None]
         errs = []
         for h in (1e-3, 5e-4):
-            fd = (interface.alpha_eps(pts + h * d, eps)
-                  - interface.alpha_eps(pts - h * d, eps)) / (2 * h)
-            exact = np.einsum("nce,ne->nc", interface.dalpha_eps(pts, eps), d)
-            errs.append(float(np.max(np.abs(fd - exact))))
+            fd = (interface.alpha_eps(x + h, eps)
+                  - interface.alpha_eps(x - h, eps)) / (2 * h)
+            errs.append(float(np.max(np.abs(
+                fd - interface.dalpha_eps(x, eps)))))
         allowed = max(0.35 * errs[0], 1e-9)
         worst = max(worst, errs[1] / allowed)
         if errs[1] > allowed:

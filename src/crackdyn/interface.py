@@ -8,7 +8,9 @@ positive semidefinite derivatives, which keeps Newton systems SPD.
 
 The crack is discretized once, by the quadrature's sparse jump operator
 J from crack vectors (values on CrackQuadrature.crack_dofs) to each
-quadrature point's normal jump and tangential jump.  crack_state is the
+quadrature point's (normal, tangential) jump pair: the body is 2-D, so
+the tangential jump is one number, the jump's component along its
+facet's unit tangent t = (-n_y, n_x).  crack_state is the
 single evaluation of the crack at a state (its jumps and g at every
 point; g = 0 without friction), recover_tractions the one evaluation of
 the laws there, dbeta_eps and dalpha_eps their only derivatives.  The
@@ -56,7 +58,7 @@ class FrictionBoundError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# scalar / vector regularizations
+# regularizations
 # ---------------------------------------------------------------------------
 
 def neg_part(x):
@@ -80,25 +82,20 @@ def dbeta_eps(x, eps):
 
 
 def phi_eps(x, eps):
-    """Smoothed norm sqrt(|x|^2 + eps^2); x has its components on the
-    last axis."""
+    """Smoothed absolute value sqrt(x^2 + eps^2)."""
     x = np.asarray(x, dtype=float)
-    return np.sqrt(np.einsum("...d,...d->...", x, x) + eps * eps)
+    return np.sqrt(x * x + eps * eps)
 
 def alpha_eps(x, eps):
-    """Gradient of phi_eps: x / sqrt(|x|^2 + eps^2), magnitude < 1."""
+    """d(phi_eps)/dx: x / sqrt(x^2 + eps^2), magnitude < 1."""
     x = np.asarray(x, dtype=float)
-    return x / phi_eps(x, eps)[..., None]
+    return x / phi_eps(x, eps)
 
 def dalpha_eps(x, eps):
-    """Jacobian of alpha_eps: (I - a a^T)/phi, symmetric PSD; equals
-    I/eps at x = 0."""
-    x = np.asarray(x, dtype=float)
+    """d(alpha_eps)/dx: (1 - a*a)/phi, positive; equals 1/eps at x = 0."""
     phi = phi_eps(x, eps)
-    a = x / phi[..., None]
-    d = x.shape[-1]
-    eye = np.eye(d)
-    return (eye - np.einsum("...c,...e->...ce", a, a)) / phi[..., None, None]
+    a = np.asarray(x, dtype=float) / phi
+    return (1.0 - a * a) / phi
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +137,9 @@ class CrackQuadrature:
         a crack vector holds one value per entry (w[crack_dofs])
     crack_free : position of each crack_dofs entry in dofmap.free
     jumps : J, CSR, on first use: at each point the normal jump, then
-        the dim components of the tangential one, rows in the order
-        pair, point, component; a minus vertex's coefficients are its
-        plus vertex's negated
+        the tangential one along t = (-n_y, n_x), rows in the order pair,
+        point, (normal, tangential); a minus vertex's coefficients are
+        its plus vertex's negated
     """
 
     def __init__(self, mesh, dofmap: fem.DofMap):
@@ -164,14 +161,13 @@ class CrackQuadrature:
         # vertices first; a constrained dof's is 0, with zero coefficients
         self._slots = np.where(live, slots, 0).reshape(n, 4 * d)
         # the jump at point q is sum_i shp[q, i]*w_i over the four
-        # vertices, along the normal or a row of the tangent projection
+        # vertices, along the facet's normal or its tangent
         shp = np.concatenate([fem.FACET_SHAPES, -fem.FACET_SHAPES], axis=1)
         nrm = mesh.crack_normals
-        proj = np.eye(d) - nrm[:, :, None] * nrm[:, None, :]           # (n, d, d)
-        direction = np.concatenate([nrm[:, None, :], proj], axis=1)
+        direction = np.stack([nrm, nrm[:, ::-1] * (-1.0, 1.0)], axis=1)
         self._rows = (shp[None, :, None, :, None]
                       * direction[:, None, :, None, :] * live[:, None, None]
-                      ).reshape(n, len(shp) * (1 + d), 4 * d)
+                      ).reshape(n, len(shp) * 2, 4 * d)
 
     @functools.cached_property
     def jumps(self) -> sp.csr_matrix:
@@ -217,23 +213,18 @@ def friction_bound_values(params: ContactParams, quad: CrackQuadrature,
     return vals
 
 
-def crack_state(u, v, t, params: ContactParams, quad: CrackQuadrature,
-                g=None):
-    """(s, jt, g) at the quadrature points, from the crack vectors (on
-    quad.crack_dofs) of u and v, by quad.jumps: the contact argument, the
-    normal jump of gamma*u + v, shape (npairs, nq); the tangential jump
-    of v, (npairs, nq, dim); and the friction bound, zero without
-    friction.  A caller that already holds friction_bound_values at t
-    passes them as g, and they are used as given."""
+def crack_state(u, v, t, params: ContactParams, quad: CrackQuadrature):
+    """(s, jt, g) at the quadrature points, each (npairs, nq), from the
+    crack vectors (on quad.crack_dofs) of u and v, by quad.jumps: the
+    contact argument, the normal jump of gamma*u + v; the tangential jump
+    of v; and the friction bound, zero without friction."""
     if not np.shape(u) == np.shape(v) == quad.crack_dofs.shape:
         raise ValueError("u and v must be crack vectors, one value per "
                          "quad.crack_dofs entry")
-    shape = quad.points.shape[:-1] + (1 + quad.points.shape[-1],)
+    shape = quad.weights.shape + (2,)
     s = (quad.jumps @ (params.gamma * u + v)).reshape(shape)[..., 0]
-    jt = (quad.jumps @ v).reshape(shape)[..., 1:]
-    if g is None:
-        g = friction_bound_values(params, quad, t)
-    return s, jt, g
+    jt = (quad.jumps @ v).reshape(shape)[..., 1]
+    return s, jt, friction_bound_values(params, quad, t)
 
 
 # ---------------------------------------------------------------------------
@@ -243,13 +234,12 @@ def crack_state(u, v, t, params: ContactParams, quad: CrackQuadrature,
 def recover_tractions(crack, params: ContactParams):
     """Interface tractions at a crack_state's quadrature points.
 
-    Returns (sigma_n, sigma_t): the normal traction beta_eps(s) (always
-    <= 0) and the tangential traction vector g*alpha_eps(jt) (always
-    |sigma_t| <= g).
+    Returns (sigma_n, sigma_t), each (npairs, nq): the normal traction
+    beta_eps(s) (always <= 0) and the tangential traction
+    g*alpha_eps(jt) (always |sigma_t| <= g).
     """
     s, jt, g = crack
-    return (beta_eps(s, params.epsilon),
-            g[..., None] * alpha_eps(jt, params.epsilon))
+    return beta_eps(s, params.epsilon), g * alpha_eps(jt, params.epsilon)
 
 
 def contact_residual(sigma_n, weights):
@@ -259,8 +249,8 @@ def contact_residual(sigma_n, weights):
 
 
 def friction_residual(sigma_t, weights):
-    """W sigma_t, (npairs, nq, dim), whose J^T is the friction force."""
-    return sigma_t * weights[..., None]
+    """W sigma_t, (npairs, nq), whose J^T is the friction force."""
+    return sigma_t * weights
 
 
 # ---------------------------------------------------------------------------
@@ -275,11 +265,10 @@ def contact_tangent(crack, params: ContactParams, weights, chain):
 
 
 def friction_tangent(crack, params: ContactParams, weights, chain):
-    """D = chain*g*weight*dalpha_eps(jt), (npairs, nq, dim, dim),
-    symmetric PSD, at a crack_state, for a direction z that moves its
-    tangential jump jt by chain*z: J^T D J, J the tangential jump, is the
-    friction force's derivative, at zero slip chain*g/eps times the
-    tangential interface mass."""
+    """D = chain*g*weight*dalpha_eps(jt), (npairs, nq), nonnegative, at a
+    crack_state, for a direction z that moves its tangential jump jt by
+    chain*z: J^T D J, J the tangential jump, is the friction force's
+    derivative, at zero slip chain*g/eps times the tangential interface
+    mass."""
     _, jt, g = crack
-    return ((chain * g * weights)[..., None, None]
-            * dalpha_eps(jt, params.epsilon))
+    return chain * g * weights * dalpha_eps(jt, params.epsilon)

@@ -219,13 +219,13 @@ class NewtonProblem:
 
     crack: the crack unknowns' indices.  const: c.  jumps, jumps_t: B
     and B^T.  step: step.linear() is L and step.update(D) L + T, valid
-    until the next update (basis.StepMatrix).  base: (npairs, nq, 1 +
-    dim), each point's normal jump (the contact argument), then its
-    tangential one, at x = 0.  weights, g: W and the friction bound at
-    the points.  cu, cv: the derivatives of the weighted displacement and
+    until the next update (basis.StepMatrix).  base: (npairs, nq, 2),
+    each point's (normal, tangential) jump pair at x = 0, the normal one
+    the contact argument.  weights, g: W and the friction bound at the
+    points.  cu, cv: the derivatives of the weighted displacement and
     velocity in the unknowns, from which chain, the chain rule (gamma*cu
     + cv normal, cv tangential), is formed once.  The point of x is (j,
-    W sigma(j)), on B's rows.
+    W sigma(j)), each (npairs, nq, 2), on B's rows.
     """
 
     def __init__(self, crack, step, const, jumps, jumps_t, base, weights,
@@ -233,8 +233,7 @@ class NewtonProblem:
         self.crack, self.step, self.const = crack, step, const
         self.jumps, self.jumps_t, self.base = jumps, jumps_t, base
         self.weights, self.g, self.contact = weights, g, contact
-        self.chain = np.array([contact.gamma * cu + cv]
-                              + [cv] * (base.shape[-1] - 1))
+        self.chain = np.array([contact.gamma * cu + cv, cv])
 
     def linear(self, x):
         """L x + c, a new vector, with one product with L."""
@@ -244,9 +243,9 @@ class NewtonProblem:
 
     def _point(self, j):
         sigma_n, sigma_t = interface.recover_tractions(
-            (j[..., 0], j[..., 1:], self.g), self.contact)
-        return j, np.concatenate([
-            interface.contact_residual(sigma_n, self.weights)[..., None],
+            (j[..., 0], j[..., 1], self.g), self.contact)
+        return j, np.stack([
+            interface.contact_residual(sigma_n, self.weights),
             interface.friction_residual(sigma_t, self.weights)], axis=-1)
 
     def force(self, x_c):
@@ -267,13 +266,12 @@ class NewtonProblem:
         ``@`` and diagonal() for fem.solve_spd, ``nonlinear`` (false if
         it may be solved as a linear system) and ``derivatives``, D."""
         j = point[0]
-        crack = (j[..., 0], j[..., 1:], self.g)
-        derivatives = np.zeros(j.shape + j.shape[-1:])
-        derivatives[..., 0, 0] = interface.contact_tangent(
-            crack, self.contact, self.weights, self.chain[0])
-        derivatives[..., 1:, 1:] = interface.friction_tangent(
-            crack, self.contact, self.weights, self.chain[1])
-        return self.step.update(derivatives)
+        crack = (j[..., 0], j[..., 1], self.g)
+        return self.step.update(np.stack([
+            interface.contact_tangent(crack, self.contact, self.weights,
+                                      self.chain[0]),
+            interface.friction_tangent(crack, self.contact, self.weights,
+                                       self.chain[1])], axis=-1))
 
     def line(self, point, jac, d_c):
         """(trial, keep) along the direction with crack entries d_c, jac
@@ -285,7 +283,7 @@ class NewtonProblem:
         j, tau = point
         bd = (self.jumps @ d_c).reshape(j.shape)
         rise = self.chain * bd
-        td = np.einsum("pqab,pqb->pqa", jac.derivatives, bd)   # T d
+        td = jac.derivatives * bd       # D (B d), on B's rows
 
         def trial(alpha):       # e(s) on B's rows, and its slope
             at = self._point(j + alpha * rise)
@@ -375,7 +373,7 @@ class Operators:
         cd = self.quad.crack_dofs
         s_w, jt_w, g = interface.crack_state(u_w[cd], v_w[cd], t_w,
                                              self.contact, self.quad)
-        base = np.concatenate([s_w[..., None], jt_w], axis=-1)
+        base = np.stack([s_w, jt_w], axis=-1)
         return NewtonProblem(self.quad.crack_free, step, const,
                              self.basis.jumps, self.basis.jumps_t, base,
                              self.quad.weights, g, self.contact, cu, cv)
@@ -395,7 +393,7 @@ class Operators:
         problem = self.interval(u0, v0, np.zeros_like(u0), 1.0, 0.0, 0.0,
                                 0.0, self.load(0.0))
         r, (j, _) = problem.evaluate(np.zeros(self.basis.nfree))
-        self._check_compatibility(j[..., 0], j[..., 1:])
+        self._check_compatibility(j[..., 0], j[..., 1])
         mass = self._jac_cache.pop((1.0, 0.0)).linear()  # at t = 0 alone
         a0 = self.nodal(fem.solve_spd(mass, -r, tol=_CG_TOL))
         return State(0.0, u0, v0, a0)
@@ -407,7 +405,7 @@ class Operators:
                 f"initial data violates the normal compatibility condition "
                 f"on the crack (|gamma*u_n + v_n| jump up to {worst:.3e})",
                 CompatibilityWarning, stacklevel=3)
-        worst_t = float(np.linalg.norm(jt, axis=-1).max(initial=0.0))
+        worst_t = float(np.abs(jt).max(initial=0.0))
         if worst_t > _COMPAT_TOL:
             warnings.warn(
                 f"initial velocity has a tangential jump across the crack "

@@ -182,41 +182,34 @@ def python_calls(fn, *args):
 
 
 def crack_rows(quad):
-    """J, quad.jumps, as a dense (npairs, nq, 1 + dim, k) array, k =
+    """J, quad.jumps, as a dense (npairs, nq, 2, k) array, k =
     crack_dofs.size: each point's normal-jump row, then its tangential
-    rows."""
-    shape = quad.points.shape[:-1] + (1 + quad.points.shape[-1],
-                                      quad.crack_dofs.size)
-    return quad.jumps.toarray().reshape(shape)
+    one."""
+    return quad.jumps.toarray().reshape(quad.weights.shape + (2, -1))
 
 
 def crack_forces(sigma_n, sigma_t, quad):
     """The crack vector J^T W sigma of the tractions at the points, the
     crack's nodal forces, from interface.contact_residual and
     friction_residual."""
-    return (np.einsum("pqi,pq->i", crack_rows(quad)[..., 0, :],
-                      interface.contact_residual(sigma_n, quad.weights))
-            + np.einsum("pqci,pqc->i", crack_rows(quad)[..., 1:, :],
-                        interface.friction_residual(sigma_t, quad.weights)))
+    tractions = np.stack([interface.contact_residual(sigma_n, quad.weights),
+                          interface.friction_residual(sigma_t, quad.weights)],
+                         axis=-1)
+    return tractions.ravel() @ quad.jumps.toarray()
 
 
 def crack_block(quad, contact=None, friction=None):
-    """The dense (k, k) block J^T D J on quad.crack_dofs, k =
-    crack_dofs.size, of pointwise derivatives D: contact (npairs, nq) on
-    the normal rows and friction (npairs, nq, dim, dim) on the
-    tangential ones, as interface.contact_tangent and friction_tangent
-    give them; the crack terms' derivative on the crack dofs, for the
-    checks."""
-    rows = crack_rows(quad)
-    k = quad.crack_dofs.size
-    block = np.zeros((k, k))
-    if contact is not None:
-        block += np.einsum("pqi,pq,pqj->ij", rows[..., 0, :], contact,
-                           rows[..., 0, :])
-    if friction is not None:
-        block += np.einsum("pqci,pqce,pqej->ij", rows[..., 1:, :], friction,
-                           rows[..., 1:, :])
-    return block
+    """The dense (k, k) block J^T diag(D) J on quad.crack_dofs, k =
+    crack_dofs.size, of pointwise derivatives D, one per row of J:
+    contact (npairs, nq) on the normal rows and friction (npairs, nq) on
+    the tangential ones, as interface.contact_tangent and
+    friction_tangent give them, zero where None; the crack terms'
+    derivative on the crack dofs, for the checks."""
+    zero = np.zeros(quad.weights.shape)
+    derivatives = np.stack([zero if contact is None else contact,
+                            zero if friction is None else friction], axis=-1)
+    rows = quad.jumps.toarray()
+    return rows.T @ (derivatives.reshape(-1, 1) * rows)
 
 
 def reference_jumps(w, mesh):

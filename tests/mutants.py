@@ -65,9 +65,9 @@ MUTANTS = [
     (TS, "interface.crack_state(u_w[cd], v_w[cd], t_w,",
      "interface.crack_state(u_w[cd], v_w[cd], 0.0,",
      "Operators.interval samples g at t = 0, not at t_w"),
-    (IF, '(eye - np.einsum("...c,...e->...ce", a, a))', "eye",
-     "the friction tangent's pointwise coefficient I - a a^T is I"),
-    (TS, "[contact.gamma * cu + cv]", "[cv]",
+    (IF, "return (1.0 - a * a) / phi", "return 1.0 / phi",
+     "the friction tangent's pointwise coefficient 1 - a*a is 1"),
+    (TS, "[contact.gamma * cu + cv, cv]", "[cv, cv]",
      "NewtonProblem's chain rule drops the gamma*cu of the normal jump"),
     (TS, "newmark_g: float = 0.5", "newmark_g: float = 0.6",
      "the TimeParams default of newmark_g is 0.6"),
@@ -101,11 +101,10 @@ MUTANTS = [
     (DIAG, "comp = float(np.sum(quad.weights * np.abs(sigma_n * s)))",
      "comp = float(np.sum(np.abs(sigma_n * s)))",
      "the comp_residual column drops the quadrature weights"),
-    (DIAG, "gap = float(np.maximum(st_norm - g, 0.0).max(initial=0.0))",
-     "gap = float(np.maximum(st_norm - 0.5 * g, 0.0).max(initial=0.0))",
+    (DIAG, "gap = float(np.maximum(np.abs(sigma_t) - g, 0.0)",
+     "gap = float(np.maximum(np.abs(sigma_t) - 0.5 * g, 0.0)",
      "the friction_gap column holds |sigma_t| to g/2, not to g"),
-    (DIAG, "g * slip - np.einsum(\"pqd,pqd->pq\", sigma_t, jt))))",
-     "g * slip + np.einsum(\"pqd,pqd->pq\", sigma_t, jt))))",
+    (DIAG, "g * np.abs(jt) - sigma_t * jt", "g * np.abs(jt) + sigma_t * jt",
      "the stick_slip_residual column adds the traction's work"),
     (BASIS, "unique_ranks(at[b.indices[pa]] * n + at[b.indices[pb]])",
      "unique_ranks(at[b.indices[pa]] * n + at[b.indices[pa]])",
@@ -132,15 +131,13 @@ MUTANTS = [
      "+ np.arange(mass.shape[0]) % 1)",
      "the linear Jacobian adds every mass entry to the first component's "
      "column"),
-    (IF, "g[..., None] * alpha_eps(jt, params.epsilon))",
-     "alpha_eps(jt, params.epsilon))",
+    (IF, "g * alpha_eps(jt, params.epsilon)", "alpha_eps(jt, params.epsilon)",
      "the recovered tangential traction drops the friction bound g"),
     (FEM, "_GAUSS2 = 1.0 / np.sqrt(3.0)", "_GAUSS2 = 0.5",
      "the facet Gauss points sit at +-1/2, not +-1/sqrt(3)"),
     (IF, "return m * m * m / (3.0 * eps)", "return m * m * m / (2.0 * eps)",
      "psi_eps is not the antiderivative of beta_eps"),
-    (IF, 'np.einsum("...d,...d->...", x, x) + eps * eps)',
-     'np.einsum("...d,...d->...", x, x) + eps)',
+    (IF, "np.sqrt(x * x + eps * eps)", "np.sqrt(x * x + eps)",
      "phi_eps smooths with epsilon, not epsilon^2"),
     (TS, "eta = min(_CG_FORCING_MAX, 0.9 * ratio * ratio)",
      "eta = min(_CG_FORCING_MAX, 0.9 * ratio)",
@@ -210,10 +207,8 @@ MUTANTS = [
             norm_r = float(np.linalg.norm(r))
 """, "",
      "a step is accepted on the carried residual, without the true one"),
-    (BASIS, "[(1 + c, 1 + e) for c in range(d) for e in range(d)]",
-     "[(1 + c, 1 + c) for c in range(d) for e in range(d)]",
-     "S pairs each tangential row with itself: every tangential block "
-     "drops its other row"),
+    (BASIS, "row[order], indptr", "(row - row % 2)[order], indptr",
+     "S weights each point's tangential row with its normal derivative"),
     (TS, "return float(np.vdot(rest, bd)), (rest, at)",
      "return float(np.vdot(rest + alpha * td, bd)), (rest, at)",
      "a line-search trial's slope drops s*d^T T d"),
@@ -234,6 +229,11 @@ MUTANTS = [
     (IF, "nrm = mesh.crack_normals",
      "nrm = np.broadcast_to(mesh.crack_normals[:1], mesh.crack_normals.shape)",
      "every crack pair takes the first pair's normal"),
+    (IF, "direction = np.stack([nrm, nrm[:, ::-1] * (-1.0, 1.0)], axis=1)",
+     "direction = np.stack([nrm, np.broadcast_to(\n"
+     "            nrm[:1, ::-1] * (-1.0, 1.0), nrm.shape)], axis=1)",
+     "every crack pair keeps its own normal but takes the first pair's "
+     "tangent"),
 ]
 
 

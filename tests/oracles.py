@@ -190,8 +190,7 @@ class OneDofParams:
 class DenseStep:
     """The step of a system with few unknowns, as basis.StepMatrix on
     dense arrays: linear() is L, and update(D) makes this object the
-    Newton matrix L + B^T D B, with each point's (1 + dim) x (1 + dim)
-    block of D on its rows of B."""
+    Newton matrix L + B^T diag(D) B, one entry of D per row of B."""
 
     def __init__(self, lin, jumps):
         self.lin = self.matrix = lin
@@ -201,12 +200,10 @@ class DenseStep:
         return self.lin
 
     def update(self, derivatives):
-        k = derivatives.shape[-1]
-        rows = self.jumps.reshape(-1, k, self.jumps.shape[-1])
         self.derivatives = derivatives
         self.nonlinear = bool(derivatives.any())
-        self.matrix = self.lin + np.einsum(
-            "pai,pab,pbj->ij", rows, derivatives.reshape(-1, k, k), rows)
+        self.matrix = self.lin + self.jumps.T @ (
+            derivatives.reshape(-1, 1) * self.jumps)
         return self
 
     def diagonal(self):
@@ -219,8 +216,8 @@ class DenseStep:
 def crack_problem(lin, const, jumps, base, g, contact, cu, cv):
     """The timestepper.NewtonProblem with dense L = lin, c = const and B
     = jumps on unknowns that are all crack unknowns: its points, of unit
-    weight and friction bound g, have the rows of base, (points, 1 +
-    dim), as their jumps at x = 0."""
+    weight and friction bound g, have the rows of base, (points, 2), as
+    their (normal, tangential) jumps at x = 0."""
     base = np.asarray(base, dtype=float)[:, None, :]
     weights = np.ones(base.shape[:-1])
     return timestepper.NewtonProblem(

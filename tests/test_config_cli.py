@@ -733,7 +733,7 @@ def test_verify_reports_a_solver_failure(tmp_path, monkeypatch, capsys):
     assert cli.main(["verify", write_cfg(tmp_path, text)]) == 3
     assert capsys.readouterr().out.splitlines() == [
         "PASS regularization-monotone (worst monotonicity product 0.000e+00)",
-        "PASS regularization-gradients (alpha FD errors 1.30e-03 -> 3.24e-04)",
+        "PASS regularization-gradients (alpha FD errors 5.78e-08 -> 1.44e-08)",
         "PASS rigid-body-kernel (relative kernel residual 0.000e+00)",
         "FAIL trajectory (solver failure: load is not finite at t=0.925)"]
 
