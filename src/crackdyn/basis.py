@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from . import fem
 from .meshing import unique_ranks
 
 __all__ = ["CrackBasis", "StepMatrix"]
@@ -59,33 +60,33 @@ class CrackBasis:
     """
 
     def __init__(self, mesh, dofmap, quad):
-        d, nv = mesh.dim, mesh.n_vertices
+        nv = mesh.n_vertices
         self.ndof, self.free = dofmap.ndof, dofmap.free
         self.nfree = n = self.free.size
         copies = np.stack(mesh.crack_partners, axis=1)
-        dofs = (copies[:, :, None] * d + np.arange(d)).reshape(-1, 2 * d)
+        dofs = fem.vertex_dofs(copies).reshape(-1, 4)
         self.dofs = dofs = dofs[~dofmap.constrained[dofs].any(axis=1)]
         self.free_at = np.searchsorted(self.free, dofs)
-        plus = dofs[:, 0] // d
+        plus = dofs[:, 0] // 2
         normal = np.stack([np.bincount(
             mesh.crack_plus.ravel(), minlength=nv,
-            weights=np.repeat(mesh.crack_normals[:, c], d))[plus]
-            for c in range(d)], axis=1, dtype=float)   # float without pairs
+            weights=np.repeat(mesh.crack_normals[:, c], 2))[plus]
+            for c in range(2)], axis=1, dtype=float)   # float without pairs
         normal /= np.linalg.norm(normal, axis=1)[:, None]
         frame = np.stack([normal, normal[:, ::-1] * (-1.0, 1.0)], axis=1)
         # q[v, 2a + i, 2b + j] = sign[a, b]*frame[v, i, j]
         sign = np.sqrt(0.5) * np.array([[1.0, 1.0], [1.0, -1.0]])
         self.q = (sign[:, None, :, None] * frame[:, None, :, None, :]
-                  ).reshape(-1, 2 * d, 2 * d)
+                  ).reshape(-1, 4, 4)
         # B = J G.  J's coefficients on a framed vertex's copies are c and
         # -c, so in the basis they are c E on its jump unknowns, E the
         # difference of Q^T's rows on the copies (2 sqrt(1/2) frame^T; it
         # is 0 on the mean): G maps the plus copy's positions there
         k, at = quad.crack_dofs.size, np.searchsorted(quad.crack_dofs, dofs)
-        jump = (self.q[:, d:, :d] - self.q[:, d:, d:]).transpose(0, 2, 1)
+        jump = (self.q[:, 2:, :2] - self.q[:, 2:, 2:]).transpose(0, 2, 1)
         own = np.setdiff1d(np.arange(k), at)
-        rows = np.concatenate([own, np.repeat(at[:, :d], d, axis=1).ravel()])
-        cols = np.concatenate([own, np.tile(at[:, d:], d).ravel()])
+        rows = np.concatenate([own, np.repeat(at[:, :2], 2, axis=1).ravel()])
+        cols = np.concatenate([own, np.tile(at[:, 2:], 2).ravel()])
         g = sp.csr_matrix((np.concatenate([np.ones(own.size), jump.ravel()]),
                            (rows, cols)), shape=(k, k))
         self.jumps = (quad.jumps @ g).tocsr()

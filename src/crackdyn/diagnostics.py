@@ -346,8 +346,9 @@ def _configs(config: config_mod.Config, field: str, values):
 
 def _sweep(configs, field: str, run):
     """Run each configuration, which differ in the contact parameter
-    ``field`` alone (the mass and stiffness matrices stay), keeping each
-    final state; distances are to the last run and to the previous one."""
+    ``field`` alone, keeping each final state; each is built afresh by
+    config.build_problem, mesh, mass and stiffness matrices too.
+    Distances are to the last run and to the previous one."""
     runs = []
     for config in configs:
         problem = config_mod.build_problem(config)

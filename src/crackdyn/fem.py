@@ -23,6 +23,7 @@ __all__ = [
     "SolveError",
     "Material",
     "DofMap",
+    "vertex_dofs",
     "State",
     "assemble_mass",
     "assemble_stiffness",
@@ -70,21 +71,24 @@ class Material:
             raise ValueError("rho must be positive and finite")
 
 
-class DofMap:
-    """Vertex-blocked degrees of freedom: dof = vertex*dim + component.
+def vertex_dofs(vertices) -> np.ndarray:
+    """The dofs of the vertices' two components, x then y, on a new last
+    axis: a vertex's dofs are 2*vertex + component."""
+    return 2 * np.asarray(vertices)[..., None] + np.arange(2)
 
-    Dirichlet facet vertices contribute constrained dofs (all components);
-    ``constrained`` is their mask and ``free`` the sorted index of the
-    others, on which linear systems are posed.
+
+class DofMap:
+    """Vertex-blocked degrees of freedom, numbered by vertex_dofs.
+
+    Dirichlet facet vertices contribute constrained dofs (both
+    components); ``constrained`` is their mask and ``free`` the sorted
+    index of the others, on which linear systems are posed.
     """
 
     def __init__(self, mesh):
-        d = mesh.dim
-        self.ndof = mesh.n_vertices * d
-        constrained_vertices = np.unique(mesh.dirichlet_facets.ravel())
+        self.ndof = 2 * mesh.n_vertices
         mask = np.zeros(self.ndof, dtype=bool)
-        for c in range(d):
-            mask[constrained_vertices * d + c] = True
+        mask[vertex_dofs(np.unique(mesh.dirichlet_facets.ravel()))] = True
         self.constrained = mask
         self.free = np.flatnonzero(~mask)
 
@@ -174,31 +178,30 @@ def _on_graph(mesh, blocks) -> np.ndarray:
 
 
 def _dof_matrix(mesh, blocks) -> sp.csr_matrix:
-    """The CSR matrix on dofs vertex*d + component whose (c, e) component
+    """The CSR matrix on the dofs (vertex_dofs) whose (c, e) component
     block holds blocks[c][e], values at the pairs of mesh.vertex_graph,
     and has no entries where blocks[c][e] is None.  Every row component
     has the same number of blocks.  The data are written straight into
     place: row (i, c) lists, for each vertex j paired with i in
     increasing order, its components e in increasing order."""
     indptr, indices, _ = mesh.vertex_graph
-    d = mesh.dim
-    ndof = d * mesh.n_vertices
+    ndof = 2 * mesh.n_vertices
     width = sum(b is not None for b in blocks[0])
     count = np.diff(indptr)
     row_count = np.repeat(count, count)
-    base = (d - 1) * np.repeat(indptr[:-1], count) + np.arange(indices.size)
-    data = np.empty(d * width * indices.size)
+    base = np.repeat(indptr[:-1], count) + np.arange(indices.size)
+    data = np.empty(2 * width * indices.size)
     index_dtype = sp.get_index_dtype(maxval=max(data.size, ndof))
     cols = np.empty(data.size, dtype=index_dtype)
-    for c in range(d):
+    for c in range(2):
         slot = width * (base + c * row_count)
-        for e in range(d):
+        for e in range(2):
             if blocks[c][e] is not None:
                 data[slot] = blocks[c][e]
-                cols[slot] = indices * d + e
+                cols[slot] = indices * 2 + e
                 slot += 1
     dof_ptr = np.zeros(ndof + 1, dtype=index_dtype)
-    np.cumsum(np.repeat(width * count, d), out=dof_ptr[1:])
+    np.cumsum(np.repeat(width * count, 2), out=dof_ptr[1:])
     return sp.csr_matrix((data, cols, dof_ptr), shape=(ndof, ndof))
 
 
@@ -207,9 +210,7 @@ def assemble_mass(mesh, material: Material) -> sp.csr_matrix:
     equal components only, and stores no other entry."""
     m = _on_graph(mesh, (material.rho * _cell_areas(mesh))
                   * _MASS_BLOCK[:, :, None])
-    d = mesh.dim
-    return _dof_matrix(mesh, [[m if e == c else None for e in range(d)]
-                              for c in range(d)])
+    return _dof_matrix(mesh, [[m, None], [None, m]])
 
 
 def assemble_stiffness(mesh, material: Material) -> sp.csr_matrix:
@@ -225,13 +226,12 @@ def combine(mass, stiffness, ca: float, cu: float) -> sp.csr_matrix:
     one combination of their data; at cu = 0 too, so that every free-dof
     system has the pattern the crack basis turns in place.  It relies on
     the layout _dof_matrix writes: row r of both lists the same vertices
-    in the same order, the stiffness with all d components of each and
+    in the same order, the stiffness with both components of each and
     the mass with r's component alone."""
-    d = stiffness.nnz // mass.nnz
-    start = (stiffness.indptr[:-1] - d * mass.indptr[:-1]
-             + np.arange(mass.shape[0]) % d)
+    start = (stiffness.indptr[:-1] - 2 * mass.indptr[:-1]
+             + np.arange(mass.shape[0]) % 2)
     slots = (np.repeat(start, np.diff(mass.indptr))
-             + d * np.arange(mass.nnz))
+             + 2 * np.arange(mass.nnz))
     data = cu * stiffness.data
     data[slots] += ca * mass.data
     return sp.csr_matrix((data, stiffness.indices, stiffness.indptr),
@@ -243,14 +243,13 @@ def _stiffness_blocks(mesh, material: Material):
     function of its own, so that the cell arrays are freed before the
     matrix is laid out."""
     area, grads = _cell_geometry(mesh)
-    d = mesh.dim
     lam, mu = material.lam, material.mu
     weighted = area * grads
     gdot = (grads[:, None, 0] * grads[None, :, 0]
             + grads[:, None, 1] * grads[None, :, 1])
-    blocks = [[None] * d for _ in range(d)]
-    for c in range(d):
-        for e in range(d):
+    blocks = [[None, None], [None, None]]
+    for c in range(2):
+        for e in range(2):
             ke = (lam * (weighted[:, None, c] * grads[None, :, e])
                   + mu * (weighted[:, None, e] * grads[None, :, c]))
             if e == c:
@@ -275,13 +274,12 @@ class _LoadPart:
 
     def __init__(self, exprs, points, weighted_shapes, vertices, ndof,
                  scale=1.0):
-        d = points.shape[-1]
         xy = (points[..., 0].ravel(), points[..., 1].ravel())
         self.components = [exprlang.bind(e, xy) for e in exprs]
         self.shape = points.shape[:2]
         self.weighted_shapes = weighted_shapes
         self.scale = scale
-        self.dofs = (vertices.ravel() * d + np.arange(d)[:, None]).ravel()
+        self.dofs = vertex_dofs(vertices.ravel()).T.ravel()
         self.ndof = ndof
 
     def __call__(self, t) -> np.ndarray:
@@ -309,7 +307,7 @@ class LoadForm:
     """
 
     def __init__(self, mesh, material: Material, f=None, trac=None):
-        self.ndof = mesh.n_vertices * mesh.dim
+        self.ndof = 2 * mesh.n_vertices
         self.body = self.traction = None
         if f is not None:
             coords, area = mesh.vertices[mesh.cells], _cell_areas(mesh)
@@ -335,11 +333,10 @@ def assemble_load(form: LoadForm, t=0.0) -> np.ndarray:
 
 def interpolate(mesh, exprs, t=0.0) -> np.ndarray:
     """Nodal interpolation of a tuple of component expressions."""
-    d = mesh.dim
     xs = mesh.vertices[:, 0]
     ys = mesh.vertices[:, 1]
-    out = np.zeros((mesh.n_vertices, d))
-    for c in range(d):
+    out = np.zeros((mesh.n_vertices, 2))
+    for c in range(2):
         if exprs is not None and exprs[c] is not None:
             out[:, c] = exprlang.bind(exprs[c], (xs, ys))(t)
     return out.ravel()

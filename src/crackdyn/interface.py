@@ -132,7 +132,7 @@ class CrackQuadrature:
     ``crack_minus``, ``crack_normals``) and fem.FACET_SHAPES, and keeps no
     copy of them.  Attributes (npairs = number of pairs, nq = 2 points
     per facet):
-    points : (npairs, nq, dim), weights : (npairs, nq)
+    points : (npairs, nq, 2), weights : (npairs, nq)
     crack_dofs : sorted unconstrained dofs of the crack-face vertices;
         a crack vector holds one value per entry (w[crack_dofs])
     crack_free : position of each crack_dofs entry in dofmap.free
@@ -143,7 +143,6 @@ class CrackQuadrature:
     """
 
     def __init__(self, mesh, dofmap: fem.DofMap):
-        d = mesh.dim
         n = mesh.n_pairs
         self.n_pairs = n
         self.points, self.weights = fem.facet_quadrature(
@@ -151,7 +150,7 @@ class CrackQuadrature:
         self._bound_g = (None, None)
 
         verts = np.concatenate([mesh.crack_plus, mesh.crack_minus], axis=1)
-        dofs = verts[:, :, None] * d + np.arange(d)                    # (n, 4, d)
+        dofs = fem.vertex_dofs(verts)                       # (n, 4, 2)
         constrained = dofmap.constrained[dofs]
         self.crack_dofs = np.unique(dofs[~constrained])
         self.crack_free = np.searchsorted(dofmap.free, self.crack_dofs)
@@ -159,7 +158,7 @@ class CrackQuadrature:
         live = ~constrained
         # each pair's facet vertex dofs' crack-vector positions, plus
         # vertices first; a constrained dof's is 0, with zero coefficients
-        self._slots = np.where(live, slots, 0).reshape(n, 4 * d)
+        self._slots = np.where(live, slots, 0).reshape(n, 8)
         # the jump at point q is sum_i shp[q, i]*w_i over the four
         # vertices, along the facet's normal or its tangent
         shp = np.concatenate([fem.FACET_SHAPES, -fem.FACET_SHAPES], axis=1)
@@ -167,7 +166,7 @@ class CrackQuadrature:
         direction = np.stack([nrm, nrm[:, ::-1] * (-1.0, 1.0)], axis=1)
         self._rows = (shp[None, :, None, :, None]
                       * direction[:, None, :, None, :] * live[:, None, None]
-                      ).reshape(n, len(shp) * 2, 4 * d)
+                      ).reshape(n, len(shp) * 2, 8)
 
     @functools.cached_property
     def jumps(self) -> sp.csr_matrix:

@@ -52,33 +52,31 @@ class MeshFormatError(MeshError):
 class CrackedMesh:
     """Simplicial mesh of a cracked domain.
 
+    The domain is 2-D: vertices have two coordinates, cells are
+    triangles and facets are edges.
+
     Parameters
     ----------
-    dim : int
-        Spatial dimension.  Only 2 is supported.
-    vertices : (nv, dim) array
-    cells : (nc, dim+1) int array
+    vertices : (nv, 2) array
+    cells : (nc, 3) int array
     cell_sides : (nc,) int array of SIDE_PLUS / SIDE_MINUS
-    dirichlet_facets, neumann_facets : (nf, dim) int arrays
-    crack_plus, crack_minus : (npairs, dim) int arrays, each pair's two
-        facets with coincident vertices aligned; empty input is (0, dim)
-    crack_normals : (npairs, dim) unit outward normals of the minus facets
+    dirichlet_facets, neumann_facets : (nf, 2) int arrays
+    crack_plus, crack_minus : (npairs, 2) int arrays, each pair's two
+        facets with coincident vertices aligned; empty input is (0, 2)
+    crack_normals : (npairs, 2) unit outward normals of the minus facets
     """
 
-    def __init__(self, dim, vertices, cells, cell_sides, dirichlet_facets,
+    def __init__(self, vertices, cells, cell_sides, dirichlet_facets,
                  neumann_facets, crack_plus, crack_minus, crack_normals):
-        if dim != 2:
-            raise MeshError(f"dim must be 2, got {dim}")
-        self.dim = int(dim)
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.cells = np.ascontiguousarray(cells, dtype=np.int64)
         self.cell_sides = np.ascontiguousarray(cell_sides, dtype=np.int8)
         self.dirichlet_facets = np.ascontiguousarray(
-            dirichlet_facets, dtype=np.int64).reshape(-1, dim)
+            dirichlet_facets, dtype=np.int64).reshape(-1, 2)
         self.neumann_facets = np.ascontiguousarray(
-            neumann_facets, dtype=np.int64).reshape(-1, dim)
+            neumann_facets, dtype=np.int64).reshape(-1, 2)
         self.crack_plus, self.crack_minus, self.crack_normals = (
-            a.reshape(0, dim) if a.size == 0 else a
+            a.reshape(0, 2) if a.size == 0 else a
             for a in (np.ascontiguousarray(crack_plus, dtype=np.int64),
                       np.ascontiguousarray(crack_minus, dtype=np.int64),
                       np.ascontiguousarray(crack_normals, dtype=float)))
@@ -107,7 +105,7 @@ class CrackedMesh:
         terms couple a crack pair's four vertices, and the crack basis
         turns each partner's rows and columns with the other's.  Row i
         of the CSR arrays (indptr, indices) lists the vertices paired
-        with i in increasing order, and slots (dim+1, dim+1, nc) holds
+        with i in increasing order, and slots (3, 3, nc) holds
         the position in indices of each cell's pair (cells[c, a],
         cells[c, b]) at [a, b, c].  One sort of the pair keys ranks them
         (unique_ranks)."""
@@ -170,12 +168,12 @@ class CrackedMesh:
         once; where several items fail it, the first is named.
         """
         nv = self.n_vertices
-        if self.vertices.ndim != 2 or self.vertices.shape[1] != self.dim:
-            raise MeshError("vertices must have shape (nv, dim)")
+        if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
+            raise MeshError("vertices must have shape (nv, 2)")
         if not np.isfinite(self.vertices).all():
             raise MeshError("vertex coordinates must be finite")
-        if self.cells.ndim != 2 or self.cells.shape[1] != self.dim + 1:
-            raise MeshError("cells must have shape (nc, dim+1)")
+        if self.cells.ndim != 2 or self.cells.shape[1] != 3:
+            raise MeshError("cells must have shape (nc, 3)")
         if self.cell_sides.shape != (self.n_cells,):
             raise MeshError("every cell needs a side tag")
         if not np.all(np.isin(self.cell_sides, (SIDE_PLUS, SIDE_MINUS))):
@@ -190,9 +188,9 @@ class CrackedMesh:
 
         plus, minus, normals = crack = (
             self.crack_plus, self.crack_minus, self.crack_normals)
-        if any(a.shape != (self.n_pairs, self.dim) for a in crack):
-            raise MeshError(f"crack plus, minus and normal arrays must all "
-                            f"have shape (npairs, {self.dim})")
+        if any(a.shape != (self.n_pairs, 2) for a in crack):
+            raise MeshError("crack plus, minus and normal arrays must all "
+                            "have shape (npairs, 2)")
         verts = self.vertices
         _first_bad_pair(((plus < 0) | (plus >= nv)
                          | (minus < 0) | (minus >= nv)).any(axis=1),
@@ -270,7 +268,7 @@ class CrackedMesh:
         clash = moved[ident[vm[moved]] != vp[moved]]
         if clash.size:
             j = int(clash[0])
-            raise MeshError(f"crack pair {j // self.dim}: vertex {vm[j]} "
+            raise MeshError(f"crack pair {j // 2}: vertex {vm[j]} "
                             f"pairs with several plus vertices")
         return ident
 
@@ -416,7 +414,6 @@ def generate_rect_crack(width, height, nx, ny, crack_span=None) -> CrackedMesh:
                        axis=-1).reshape(-1, 2)
 
     return CrackedMesh(
-        dim=2,
         vertices=verts,
         cells=cells,
         cell_sides=sides,
@@ -432,19 +429,18 @@ def generate_rect_crack(width, height, nx, ny, crack_span=None) -> CrackedMesh:
 # text format
 # ---------------------------------------------------------------------------
 #
-# crackmesh 1 <dim>
-# vertices <n>        followed by n coordinate lines
-# cells <n>           lines: v0 .. vd side
-# dirichlet <n>       lines: d vertex indices
+# crackmesh 1 <dim>   the dimension <dim> must be 2
+# vertices <n>        followed by n lines of 2 coordinates
+# cells <n>           lines: v0 v1 v2 side
+# dirichlet <n>       lines: 2 vertex indices
 # neumann <n>
-# crackpairs <n>      lines: d plus indices, d minus indices, d normal comps
+# crackpairs <n>      lines: 2 plus indices, 2 minus indices, 2 normal comps
 #
 # '#' starts a comment; blank lines are ignored.
 
 def save_mesh(mesh: CrackedMesh, path) -> None:
-    d = mesh.dim
     with open(path, "w") as f:
-        f.write(f"crackmesh 1 {d}\n")
+        f.write("crackmesh 1 2\n")
         f.write(f"vertices {mesh.n_vertices}\n")
         for p in mesh.vertices:
             f.write(" ".join(repr(float(c)) for c in p) + "\n")
@@ -532,39 +528,39 @@ def load_mesh(path) -> CrackedMesh:
             r.error(f"bad integer in {toks!r}")
 
     nv = section("vertices")
-    vertices = np.array([floats(r.next_tokens(), dim) for _ in range(nv)],
-                        dtype=float).reshape(nv, dim)
+    vertices = np.array([floats(r.next_tokens(), 2) for _ in range(nv)],
+                        dtype=float).reshape(nv, 2)
 
     nc = section("cells")
-    cells = np.zeros((nc, dim + 1), dtype=np.int64)
+    cells = np.zeros((nc, 3), dtype=np.int64)
     sides = np.zeros(nc, dtype=np.int8)
     for k in range(nc):
         toks = r.next_tokens()
-        if len(toks) != dim + 2:
-            r.error(f"cell line needs {dim + 1} vertices and a side tag")
-        cells[k] = ints(toks[:-1], dim + 1)
+        if len(toks) != 4:
+            r.error("cell line needs 3 vertices and a side tag")
+        cells[k] = ints(toks[:-1], 3)
         if toks[-1] not in _SIDE_VALUES:
             r.error(f"unknown side tag {toks[-1]!r}")
         sides[k] = _SIDE_VALUES[toks[-1]]
 
     nd = section("dirichlet")
-    dirichlet = np.array([ints(r.next_tokens(), dim) for _ in range(nd)],
-                         dtype=np.int64).reshape(nd, dim)
+    dirichlet = np.array([ints(r.next_tokens(), 2) for _ in range(nd)],
+                         dtype=np.int64).reshape(nd, 2)
     nn = section("neumann")
-    neumann = np.array([ints(r.next_tokens(), dim) for _ in range(nn)],
-                       dtype=np.int64).reshape(nn, dim)
+    neumann = np.array([ints(r.next_tokens(), 2) for _ in range(nn)],
+                       dtype=np.int64).reshape(nn, 2)
 
     crack = ([], [], [])
     for _ in range(section("crackpairs")):
         toks = r.next_tokens()
-        if len(toks) != 3 * dim:
-            r.error(f"crack pair line needs {3 * dim} entries")
-        crack[0].append(ints(toks[:dim], dim))
-        crack[1].append(ints(toks[dim:2 * dim], dim))
-        crack[2].append(floats(toks[2 * dim:], dim))
+        if len(toks) != 6:
+            r.error("crack pair line needs 6 entries")
+        crack[0].append(ints(toks[:2], 2))
+        crack[1].append(ints(toks[2:4], 2))
+        crack[2].append(floats(toks[4:], 2))
 
     try:
-        return CrackedMesh(dim, vertices, cells, sides, dirichlet, neumann,
+        return CrackedMesh(vertices, cells, sides, dirichlet, neumann,
                            *crack)
     except MeshError as exc:
         raise MeshError(f"{path}: {exc}") from exc

@@ -433,10 +433,11 @@ def build_operators(mesh, material: Material, contact: ContactParams,
 
 def _interval(state: State, dt: float, ops, params: TimeParams):
     """Newton problem of one Newmark interval in the unknowns of the
-    end-of-step acceleration a+: (problem, load_w, end).  problem is
+    end-of-step acceleration a+: (problem, load_norm, end).  problem is
     the system's NewtonProblem, set up from the g-weighted state at
-    a+ = 0 and its derivatives in a+; end(x) is the end-of-step State,
-    built once, for the accepted unknowns x."""
+    a+ = 0 and its derivatives in a+; load_norm is the norm of its load
+    load_w, checked finite; end(x) is the end-of-step State, built
+    once, for the accepted unknowns x."""
     b = params.newmark_b
     g = params.newmark_g
 
@@ -449,8 +450,8 @@ def _interval(state: State, dt: float, ops, params: TimeParams):
     t_w = state.t + g * dt
     load_w = ops.load(t_w)
     with np.errstate(over="ignore"):
-        finite = np.isfinite(np.linalg.norm(load_w))
-    if not finite:
+        load_norm = float(np.linalg.norm(load_w))
+    if not math.isfinite(load_norm):
         what = "load norm" if np.isfinite(load_w).all() else "load"
         raise StepFailure(f"{what} is not finite at t={t_w:.6g}", t=state.t,
                           dt=dt, residual=np.nan, iterations=0)
@@ -463,7 +464,7 @@ def _interval(state: State, dt: float, ops, params: TimeParams):
         return State(state.t + dt, u_pred + du * a_plus, v_pred + dv * a_plus,
                      a_plus)
 
-    return problem, load_w, end
+    return problem, load_norm, end
 
 
 def _line_search(problem, jac, a, d, r, r_cg, point):
@@ -545,11 +546,11 @@ def _solve_substep(state: State, dt: float, ops, params: TimeParams,
     if its residual is smaller there.  Returns (new_state, StepInfo),
     with new_state None if Newton did not converge within newton_maxit
     iterations or met a non-finite value."""
-    problem, load_w, end = _interval(state, dt, ops, params)
+    problem, load_norm, end = _interval(state, dt, ops, params)
     a = ops.unknowns(state.a)
     r, point = problem.evaluate(a)
     norm_r = float(np.linalg.norm(r))
-    tol_abs = params.newton_tol * max(float(np.linalg.norm(load_w)), norm_r)
+    tol_abs = params.newton_tol * max(load_norm, norm_r)
     predicted = False
     if guess is not None:
         x = ops.unknowns(guess)

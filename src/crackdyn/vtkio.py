@@ -56,8 +56,8 @@ def write_fields(path, mesh, u, v, title: str = "crackdyn fields") -> None:
     format requires.  Cell type 5 is the linear triangle.
     """
     n = len(mesh.vertices)
-    un = u.reshape(n, mesh.dim)
-    vn = v.reshape(n, mesh.dim)
+    un = u.reshape(n, 2)
+    vn = v.reshape(n, 2)
     data = b"".join((
         b"# vtk DataFile Version 3.0\n",
         (title[:255] or "fields").encode("ascii") + b"\n",

@@ -141,22 +141,35 @@ def turned(mesh, theta, swap=False):
     if swap:
         plus, minus, normals = minus, plus, -normals
         sides = meshing.SIDE_PLUS + meshing.SIDE_MINUS - sides
-    return meshing.CrackedMesh(2, mesh.vertices @ rot.T, mesh.cells, sides,
+    return meshing.CrackedMesh(mesh.vertices @ rot.T, mesh.cells, sides,
                                mesh.dirichlet_facets, mesh.neumann_facets,
                                plus, minus, normals @ rot.T)
 
 
+def BEND(xy):
+    """y += 0.15*sin(pi*x/2): the impact crack bent smoothly, a map of
+    the (nv, 2) coordinates for bent()."""
+    return xy + 0.15 * np.sin(0.5 * np.pi * xy[:, :1]) * [0.0, 1.0]
+
+
+def KINK(xy):
+    """y += 0.15*|x - 1|: the impact crack turned into two straight
+    segments that meet at its vertex x = 1, a map for bent()."""
+    return xy + 0.15 * np.abs(xy[:, :1] - 1.0) * [0.0, 1.0]
+
+
 def bent(mesh, shape):
-    """mesh with its vertices moved by shape, a smooth map of the (nv,
-    dim) coordinates, and each crack pair's normal recomputed from its
-    moved minus facet: the unit perpendicular of that facet's edge, on
-    the side of the pair's old normal."""
+    """mesh with its vertices moved by shape, a map of the (nv, 2)
+    coordinates that keeps every cell's orientation (BEND and KINK, like
+    any y += f(x), keep its area too), and each crack pair's normal
+    recomputed from its moved minus facet: the unit perpendicular of
+    that facet's edge, on the side of the pair's old normal."""
     xy = shape(mesh.vertices)
     edge = xy[mesh.crack_minus[:, 1]] - xy[mesh.crack_minus[:, 0]]
     perp = np.stack([edge[:, 1], -edge[:, 0]], axis=1)
     perp /= np.linalg.norm(perp, axis=1)[:, None]
     perp *= np.sign(np.einsum("pd,pd->p", perp, mesh.crack_normals))[:, None]
-    return meshing.CrackedMesh(2, xy, mesh.cells, mesh.cell_sides,
+    return meshing.CrackedMesh(xy, mesh.cells, mesh.cell_sides,
                                mesh.dirichlet_facets, mesh.neumann_facets,
                                mesh.crack_plus, mesh.crack_minus, perp)
 
@@ -217,8 +230,8 @@ def reference_jumps(w, mesh):
     quadrature points, formed point by point from the two face traces of
     the mesh's crack arrays: the reference for the crack quadrature's
     jump operators."""
-    wn = w.reshape(mesh.n_vertices, mesh.dim)
-    diff = wn[mesh.crack_plus] - wn[mesh.crack_minus]           # (n, 2, d)
+    wn = w.reshape(mesh.n_vertices, 2)
+    diff = wn[mesh.crack_plus] - wn[mesh.crack_minus]           # (n, 2, 2)
     jump = np.einsum("qi,pid->pqd", fem.FACET_SHAPES, diff)
     jn = np.einsum("pqd,pd->pq", jump, mesh.crack_normals)
     return jn, jump - jn[:, :, None] * mesh.crack_normals[:, None, :]

@@ -124,10 +124,10 @@ MUTANTS = [
      "acc = max(0.0, math.sqrt(",
      "max_acc_h is the last acceleration's H-norm, not the largest"),
     (FEM, "slot = width * (base + c * row_count)",
-     "slot = width * (base + (d - 1 - c) * row_count)",
+     "slot = width * (base + (1 - c) * row_count)",
      "the assembly writes each row component's blocks into the rows of "
      "the other component"),
-    (FEM, "+ np.arange(mass.shape[0]) % d)",
+    (FEM, "+ np.arange(mass.shape[0]) % 2)",
      "+ np.arange(mass.shape[0]) % 1)",
      "the linear Jacobian adds every mass entry to the first component's "
      "column"),
@@ -217,8 +217,7 @@ MUTANTS = [
      "B is J: the crack unknowns are read as nodal values"),
     (TS, "point_x, norm_x, True\n",
      "point_x, norm_x, True\n"
-     "            tol_abs = params.newton_tol * max(\n"
-     "                float(np.linalg.norm(load_w)), norm_x)\n",
+     "            tol_abs = params.newton_tol * max(load_norm, norm_x)\n",
      "a step started from the predictor takes its tolerance there"),
     (TS, "return a + (past[0] - past[1])", "return a - (past[0] - past[1])",
      "the predictor flips the alternating term: a_n - a_(n-1) + a_(n-2)"),
@@ -234,6 +233,9 @@ MUTANTS = [
      "            nrm[:1, ::-1] * (-1.0, 1.0), nrm.shape)], axis=1)",
      "every crack pair keeps its own normal but takes the first pair's "
      "tangent"),
+    (FEM, "return 2 * np.asarray(vertices)[..., None] + np.arange(2)",
+     "return 2 * np.asarray(vertices)[..., None] + np.arange(2)[::-1]",
+     "vertex_dofs swaps the x and y dofs of every vertex"),
 ]
 
 

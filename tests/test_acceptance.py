@@ -181,7 +181,7 @@ def _manufactured_forcing(lam, mu, rho, c, om):
 def _all_dirichlet(mesh):
     both = np.vstack([mesh.dirichlet_facets, mesh.neumann_facets])
     return meshing.CrackedMesh(
-        mesh.dim, mesh.vertices, mesh.cells, mesh.cell_sides,
+        mesh.vertices, mesh.cells, mesh.cell_sides,
         both, np.zeros((0, 2), dtype=np.int64), (), (), ())
 
 

@@ -604,8 +604,9 @@ def test_one_dof_newton_matrix_is_residual_derivative(gamma, g):
     # the default Newmark pair and a dissipative one
     for b, gn in ((0.25, 0.5), (0.3025, 0.6)):
         params = TimeParams(t_end=1.0, dt=0.05, newmark_b=b, newmark_g=gn)
-        problem, load_w, end = timestepper._interval(state, 0.05, p, params)
-        assert load_w[0] == pytest.approx(np.sin(gn * 0.05))
+        problem, load_norm, end = timestepper._interval(state, 0.05, p,
+                                                        params)
+        assert load_norm == pytest.approx(np.sin(gn * 0.05))
         a = np.array([0.7])
         _, point = problem.evaluate(a)
         op = problem.newton_matrix(point)

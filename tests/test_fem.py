@@ -15,7 +15,7 @@ from oracles import dense_mass_stiffness, patch_forces
 
 
 def single_triangle():
-    return CrackedMesh(2, [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 1, 2)],
+    return CrackedMesh([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 1, 2)],
                        [SIDE_PLUS], [(0, 1)], np.zeros((0, 2), dtype=np.int64),
                        (), (), ())
 
@@ -25,7 +25,7 @@ def retag_top_neumann(mesh, height):
     facets = np.vstack([mesh.dirichlet_facets, mesh.neumann_facets])
     ys = mesh.vertices[:, 1]
     on_top = np.all(np.isclose(ys[facets], height), axis=1)
-    return CrackedMesh(2, mesh.vertices, mesh.cells, mesh.cell_sides,
+    return CrackedMesh(mesh.vertices, mesh.cells, mesh.cell_sides,
                        facets[~on_top], facets[on_top], mesh.crack_plus,
                        mesh.crack_minus, mesh.crack_normals)
 
@@ -421,7 +421,7 @@ def test_assembly_is_deterministic():
 
 
 def test_inverted_cell_rejected():
-    mesh = CrackedMesh(2, [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 2, 1)],
+    mesh = CrackedMesh([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 2, 1)],
                        [SIDE_PLUS], [(0, 1)], np.zeros((0, 2), dtype=np.int64),
                        (), (), ())
     with pytest.raises(fem.AssemblyError, match="area"):

@@ -30,7 +30,7 @@ from crackdyn.interface import (
 from crackdyn.meshing import generate_rect_crack
 from crackdyn import fem
 from crackdyn.fem import DofMap
-from conftest import (bent, crack_block, crack_forces, crack_rows,
+from conftest import (BEND, bent, crack_block, crack_forces, crack_rows,
                       reference_jumps, turned)
 
 
@@ -307,8 +307,7 @@ def test_jump_normals_are_each_facets_own_on_a_bent_crack():
     # own tangent; a field that slides a facet along itself has no
     # normal jump on it
     mesh = bent(generate_rect_crack(2.0, 1.0, 16, 8, crack_span=(0.25, 0.75)),
-                lambda xy: xy + 0.15 * np.sin(0.5 * np.pi * xy[:, :1])
-                * [0.0, 1.0])
+                BEND)
     dofmap = DofMap(mesh)
     quad = CrackQuadrature(mesh, dofmap)
     xy, plus, minus = mesh.vertices, mesh.crack_plus, mesh.crack_minus

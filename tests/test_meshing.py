@@ -102,14 +102,14 @@ def test_validate_rejects_moved_duplicate():
     verts = m.vertices.copy()
     verts[-1] += [1e-3, 0.0]
     with pytest.raises(MeshError, match="coincident"):
-        CrackedMesh(2, verts, m.cells, m.cell_sides,
+        CrackedMesh(verts, m.cells, m.cell_sides,
                     m.dirichlet_facets, m.neumann_facets, *_crack(m))
 
 
 def test_validate_rejects_flipped_normal():
     m = generate_rect_crack(2.0, 1.0, 2, 2, crack_span=(0.25, 0.75))
     with pytest.raises(MeshError, match="outward normal"):
-        CrackedMesh(2, m.vertices, m.cells, m.cell_sides,
+        CrackedMesh(m.vertices, m.cells, m.cell_sides,
                     m.dirichlet_facets, m.neumann_facets,
                     m.crack_plus, m.crack_minus, -m.crack_normals)
 
@@ -125,7 +125,7 @@ def test_validate_rejects_shared_interior_vertex():
     assert (dup, orig) == (9, 4) and cells[0].tolist() == [0, 1, dup]
     cells[0, 2] = orig
     with pytest.raises(MeshError) as exc:
-        CrackedMesh(2, m.vertices, cells, m.cell_sides,
+        CrackedMesh(m.vertices, cells, m.cell_sides,
                     m.dirichlet_facets, m.neumann_facets, *_crack(m))
     assert str(exc.value) == ("vertices [4] lie strictly inside the crack "
                               "but are shared between plus and minus cells")
@@ -134,7 +134,7 @@ def test_validate_rejects_shared_interior_vertex():
 def test_validate_rejects_empty_dirichlet():
     m = generate_rect_crack(1.0, 1.0, 2, 2)
     with pytest.raises(MeshError, match="nonempty"):
-        CrackedMesh(2, m.vertices, m.cells, m.cell_sides,
+        CrackedMesh(m.vertices, m.cells, m.cell_sides,
                     np.zeros((0, 2), dtype=np.int64), m.neumann_facets,
                     *_crack(m))
 
@@ -143,7 +143,7 @@ def test_validate_rejects_double_tagged_facet():
     m = generate_rect_crack(1.0, 1.0, 2, 2)
     neumann = np.vstack([m.neumann_facets, m.dirichlet_facets[:1]])
     with pytest.raises(MeshError, match="both"):
-        CrackedMesh(2, m.vertices, m.cells, m.cell_sides,
+        CrackedMesh(m.vertices, m.cells, m.cell_sides,
                     m.dirichlet_facets, neumann, *_crack(m))
 
 
@@ -161,7 +161,7 @@ def test_validate_rejects_interior_tagged_facet():
             break
     neumann = np.vstack([m.neumann_facets, [interior]])
     with pytest.raises(MeshError, match="boundary"):
-        CrackedMesh(2, m.vertices, m.cells, m.cell_sides,
+        CrackedMesh(m.vertices, m.cells, m.cell_sides,
                     m.dirichlet_facets, neumann, *_crack(m))
 
 
@@ -170,7 +170,7 @@ def test_validate_rejects_minus_facet_without_minus_cell():
     sides = np.full(m.n_cells, SIDE_PLUS, dtype=np.int8)
     with pytest.raises(MeshError,
                        match="crack pair 0: minus facet borders no minus cell"):
-        CrackedMesh(2, m.vertices, m.cells, sides,
+        CrackedMesh(m.vertices, m.cells, sides,
                     m.dirichlet_facets, m.neumann_facets, *_crack(m))
 
 
@@ -191,13 +191,6 @@ def test_facet_cells_match_a_scan_of_every_cell():
               for f in ((a, b), (b, a))]
     found = m._minus_cells(np.array(facets))
     assert found.tolist() == [scan(f) for f in facets]
-
-
-def test_dim3_unsupported():
-    with pytest.raises(MeshError, match="dim must be 2"):
-        CrackedMesh(3, np.zeros((4, 3)), np.zeros((1, 4), dtype=np.int64),
-                    np.array([SIDE_PLUS]), np.zeros((1, 3), dtype=np.int64),
-                    np.zeros((0, 3), dtype=np.int64), (), (), ())
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -362,7 +355,7 @@ def _message(m, **changes):
                 crack_minus=m.crack_minus, crack_normals=m.crack_normals)
     args.update(changes)
     with pytest.raises(MeshError) as exc:
-        CrackedMesh(2, **args)
+        CrackedMesh(**args)
     return str(exc.value)
 
 
@@ -495,7 +488,7 @@ def test_crack_arrays_must_all_be_npairs_by_2():
     # empty input of any shape is no pairs
     empty = np.zeros((0, 3))
     glued = generate_rect_crack(2.0, 1.0, 2, 2)
-    mesh = CrackedMesh(2, glued.vertices, glued.cells, glued.cell_sides,
+    mesh = CrackedMesh(glued.vertices, glued.cells, glued.cell_sides,
                        glued.dirichlet_facets, glued.neumann_facets,
                        [], empty, ())
     assert mesh.crack_plus.shape == mesh.crack_normals.shape == (0, 2)

@@ -912,16 +912,16 @@ def test_bisection_restarts_the_predictor_history(monkeypatch):
 
 def test_tolerance_is_set_at_the_previous_acceleration():
     # tol_abs = newton_tol*max(|load_w|, |r(unknowns(a_n))|) on every
-    # step, wherever Newton starts
+    # step, wherever Newton starts; _interval gives |load_w|
     ops, params, u0, v0 = _impact_case(10.0, "0.05", t_end=0.1)
     states, infos = _run_quietly(ops, params, u0, v0)
     assert sum(info.predicted for info in infos) >= 10
     for state, info in zip(states, infos):
-        problem, load_w, _ = timestepper._interval(state, params.dt, ops,
-                                                   params)
+        problem, load_norm, _ = timestepper._interval(state, params.dt, ops,
+                                                      params)
         r, _ = problem.evaluate(ops.unknowns(state.a))
         assert info.tol_abs == params.newton_tol * max(
-            float(np.linalg.norm(load_w)), float(np.linalg.norm(r)))
+            load_norm, float(np.linalg.norm(r)))
 
 
 def test_a_predictor_with_a_larger_residual_is_not_taken():
@@ -1356,12 +1356,12 @@ def test_accepted_residual_is_fresh(monkeypatch, case):
     interval, step_ = timestepper._interval, timestepper.step
 
     def spy_interval(*args):
-        problem, load_w, end = interval(*args)
+        problem, load_norm, end = interval(*args)
 
         def checked(x):
             accepted[-1].append(float(np.linalg.norm(problem.evaluate(x)[0])))
             return end(x)
-        return problem, load_w, checked
+        return problem, load_norm, checked
 
     def spy_step(*args):
         accepted.append([])
