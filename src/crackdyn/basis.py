@@ -192,7 +192,10 @@ class StepMatrix:
     slots, whichever was asked for last.  linear() returns lin, and this
     object is the Newton matrix, with ``@`` and diagonal() for
     fem.solve_spd, ``nonlinear``, false if it may be solved as a linear
-    system, and ``derivatives``, the D it was built from."""
+    system, and ``derivatives``, the D it was built from.  Its ``@``, each
+    CG iteration's product, and update's S @ D are fem.matvec, scipy's
+    compiled CSR kernel without the Python dispatch of ``@``, which on
+    the small systems is a large share of each product."""
 
     def __init__(self, lin: sp.csr_matrix, basis: CrackBasis):
         self.matrix, self.basis = lin, basis
@@ -221,7 +224,8 @@ class StepMatrix:
             self._diag = self.linear().diagonal()
         self.derivatives = derivatives
         self.nonlinear = bool(derivatives.any())    # crack terms are active
-        self.newton_at = self.lin_at + basis.tangent_map @ derivatives.ravel()
+        self.newton_at = self.lin_at + fem.matvec(basis.tangent_map,
+                                                  derivatives.ravel())
         self._diag[basis.diagonal_rows] = self.newton_at[basis.diagonal]
         self._hold(self.newton_at)
         return self
@@ -231,4 +235,4 @@ class StepMatrix:
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         self._hold(self.newton_at)
-        return self.matrix @ x
+        return fem.matvec(self.matrix, x)

@@ -118,7 +118,8 @@ def vi_residual(u, v, a, t, trial, ops: Operators) -> float:
     gamma = ops.contact.gamma
     eps = ops.contact.epsilon
     dz = trial - (gamma * u + v)
-    val = float(a @ (ops.mass @ dz)) + float(u @ (ops.stiffness @ dz))
+    val = (float(a @ fem.matvec(ops.mass, dz))
+           + float(u @ fem.matvec(ops.stiffness, dz)))
     val -= float(ops.load(t) @ dz)
     quad = ops.quad
     u_c, v_c = u[quad.crack_dofs], v[quad.crack_dofs]
@@ -205,7 +206,7 @@ def check_kernel(mesh, stiffness) -> Check:
              np.tile([0.0, 1.0], mesh.n_vertices),
              np.column_stack([-xy[:, 1], xy[:, 0]]).ravel())
     knorm = float(np.abs(stiffness).max())
-    worst = max(float(np.abs(stiffness @ m).max())
+    worst = max(float(np.abs(fem.matvec(stiffness, m)).max())
                 / (knorm * max(np.abs(m).max(), 1.0)) for m in modes)
     return Check("rigid-body-kernel", worst <= 1e-12,
                  f"relative kernel residual {worst:.3e}", worst)

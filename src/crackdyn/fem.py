@@ -5,6 +5,12 @@ with stress sigma(u) = lam*div(u)*I + 2*mu*sym(grad u).  The bilinear
 form is a(u, v) = lam*(div u, div v) + 2*mu*(E(u), E(v)); the V-norm is
 induced by the stiffness matrix and the H-norm by the mass matrix
 divided by the density.
+
+The package's products of a CSR matrix with a vector go through matvec,
+which calls scipy's compiled CSR kernel, the one ``@`` itself ends in,
+without the Python dispatch around it: the stepper's systems are small,
+and on them that dispatch is a large share of each product.  solve_spd
+keeps ``a @ p``, which on the stepper's Newton matrices is matvec too.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from . import exprlang
 
@@ -28,6 +35,7 @@ __all__ = [
     "assemble_mass",
     "assemble_stiffness",
     "combine",
+    "matvec",
     "LoadForm",
     "assemble_load",
     "solve_spd",
@@ -238,6 +246,25 @@ def combine(mass, stiffness, ca: float, cu: float) -> sp.csr_matrix:
                          shape=stiffness.shape)
 
 
+def matvec(a, x):
+    """a @ x, bit for bit.  For a float64 CSR matrix and a 1-D float64
+    x it calls scipy's csr_matvec, the kernel ``@`` ends in, directly
+    into a zeroed output; that kernel does no bounds check, so the shape
+    check scipy makes comes first (ValueError).  Anything else, dense
+    operators, 2-D operands, other dtypes and wrappers of a matrix, is
+    a @ x."""
+    if (isinstance(a, sp.csr_matrix) and isinstance(x, np.ndarray)
+            and x.ndim == 1 and a.dtype == float and x.dtype == float):
+        m, n = a.shape
+        if x.shape != (n,):
+            raise ValueError(f"matvec: x has shape {x.shape}, "
+                             f"expected ({n},)")
+        y = np.zeros(m)
+        _sparsetools.csr_matvec(m, n, a.indptr, a.indices, a.data, x, y)
+        return y
+    return a @ x
+
+
 def _stiffness_blocks(mesh, material: Material):
     """The stiffness's (c, e) component blocks on mesh.vertex_graph; a
     function of its own, so that the cell arrays are freed before the
@@ -359,7 +386,10 @@ class CGSolution(NamedTuple):
 def solve_spd(a, rhs, tol=1e-12, maxit=None, full_output=False):
     """Conjugate gradients with Jacobi preconditioning.
 
-    ``a`` needs only ``a @ x`` and ``a.diagonal()``.  Deterministic:
+    ``a`` needs only ``a @ x`` and ``a.diagonal()``.  CG calls ``a @ p``
+    itself, not matvec, so that any operator, or a wrapper that counts
+    its products, may stand in for a; the stepper's Newton matrices are
+    basis.StepMatrix objects, whose ``@`` is matvec.  Deterministic:
     fixed zero initial guess, no randomized components.  Returns x with
     ||a x - rhs|| <= tol * ||rhs||, or with full_output the CGSolution
     (x, residual, iterations); raises SolveError with the achieved
@@ -414,4 +444,4 @@ def solve_spd(a, rhs, tol=1e-12, maxit=None, full_output=False):
 
 def h_norm_sq(mass: sp.csr_matrix, rho: float, w: np.ndarray) -> float:
     """Squared L2 norm: the mass matrix carries rho, so divide it out."""
-    return float(w @ (mass @ w)) / rho
+    return float(w @ matvec(mass, w)) / rho

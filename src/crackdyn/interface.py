@@ -221,8 +221,8 @@ def crack_state(u, v, t, params: ContactParams, quad: CrackQuadrature):
         raise ValueError("u and v must be crack vectors, one value per "
                          "quad.crack_dofs entry")
     shape = quad.weights.shape + (2,)
-    s = (quad.jumps @ (params.gamma * u + v)).reshape(shape)[..., 0]
-    jt = (quad.jumps @ v).reshape(shape)[..., 1]
+    s = fem.matvec(quad.jumps, params.gamma * u + v).reshape(shape)[..., 0]
+    jt = fem.matvec(quad.jumps, v).reshape(shape)[..., 1]
     return s, jt, friction_bound_values(params, quad, t)
 
 

@@ -60,7 +60,8 @@ class CrackedMesh:
     vertices : (nv, 2) array
     cells : (nc, 3) int array
     cell_sides : (nc,) int array of SIDE_PLUS / SIDE_MINUS
-    dirichlet_facets, neumann_facets : (nf, 2) int arrays
+    dirichlet_facets, neumann_facets : (nf, 2) int arrays; empty input
+        is (0, 2)
     crack_plus, crack_minus : (npairs, 2) int arrays, each pair's two
         facets with coincident vertices aligned; empty input is (0, 2)
     crack_normals : (npairs, 2) unit outward normals of the minus facets
@@ -71,13 +72,12 @@ class CrackedMesh:
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.cells = np.ascontiguousarray(cells, dtype=np.int64)
         self.cell_sides = np.ascontiguousarray(cell_sides, dtype=np.int8)
-        self.dirichlet_facets = np.ascontiguousarray(
-            dirichlet_facets, dtype=np.int64).reshape(-1, 2)
-        self.neumann_facets = np.ascontiguousarray(
-            neumann_facets, dtype=np.int64).reshape(-1, 2)
-        self.crack_plus, self.crack_minus, self.crack_normals = (
+        (self.dirichlet_facets, self.neumann_facets, self.crack_plus,
+         self.crack_minus, self.crack_normals) = (
             a.reshape(0, 2) if a.size == 0 else a
-            for a in (np.ascontiguousarray(crack_plus, dtype=np.int64),
+            for a in (np.ascontiguousarray(dirichlet_facets, dtype=np.int64),
+                      np.ascontiguousarray(neumann_facets, dtype=np.int64),
+                      np.ascontiguousarray(crack_plus, dtype=np.int64),
                       np.ascontiguousarray(crack_minus, dtype=np.int64),
                       np.ascontiguousarray(crack_normals, dtype=float)))
         self.validate()
@@ -178,6 +178,10 @@ class CrackedMesh:
             raise MeshError("every cell needs a side tag")
         if not np.all(np.isin(self.cell_sides, (SIDE_PLUS, SIDE_MINUS))):
             raise MeshError("cell side tags must be plus or minus")
+        for name, arr in (("dirichlet", self.dirichlet_facets),
+                          ("neumann", self.neumann_facets)):
+            if arr.ndim != 2 or arr.shape[1] != 2:
+                raise MeshError(f"{name} facets must have shape (nf, 2)")
         for name, arr in (("cells", self.cells),
                           ("dirichlet", self.dirichlet_facets),
                           ("neumann", self.neumann_facets)):

@@ -237,7 +237,7 @@ class NewtonProblem:
 
     def linear(self, x):
         """L x + c, a new vector, with one product with L."""
-        r = self.step.linear() @ x
+        r = fem.matvec(self.step.linear(), x)
         r += self.const
         return r
 
@@ -250,9 +250,9 @@ class NewtonProblem:
 
     def force(self, x_c):
         """(F, point) at the crack unknowns x_c."""
-        point = self._point(self.base + self.chain * (
-            self.jumps @ x_c).reshape(self.base.shape))
-        return self.jumps_t @ point[1].ravel(), point
+        point = self._point(self.base + self.chain * fem.matvec(
+            self.jumps, x_c).reshape(self.base.shape))
+        return fem.matvec(self.jumps_t, point[1].ravel()), point
 
     def evaluate(self, x):
         """(r(x), point), with one product with L."""
@@ -281,7 +281,7 @@ class NewtonProblem:
         keep(trial) (e(s), the point there): one product with B per line,
         one with B^T per keep."""
         j, tau = point
-        bd = (self.jumps @ d_c).reshape(j.shape)
+        bd = fem.matvec(self.jumps, d_c).reshape(j.shape)
         rise = self.chain * bd
         td = jac.derivatives * bd       # D (B d), on B's rows
 
@@ -291,7 +291,7 @@ class NewtonProblem:
             return float(np.vdot(rest, bd)), (rest, at)
 
         def keep(kept):
-            return self.jumps_t @ kept[0].ravel(), kept[1]
+            return fem.matvec(self.jumps_t, kept[0].ravel()), kept[1]
 
         return trial, keep
 
@@ -337,8 +337,8 @@ class Operators:
     def energy(self, u: np.ndarray, v: np.ndarray) -> tuple[float, float]:
         """(kinetic, strain) energy of the nodal fields (u, v):
         v.M.v/2 and u.K.u/2."""
-        return (0.5 * float(v @ (self.mass @ v)),
-                0.5 * float(u @ (self.stiffness @ u)))
+        return (0.5 * float(v @ fem.matvec(self.mass, v)),
+                0.5 * float(u @ fem.matvec(self.stiffness, u)))
 
     def pin(self, a: sp.csr_matrix) -> sp.csr_matrix:
         """Impose the Dirichlet constraints and pose a nodal matrix in the
@@ -369,7 +369,8 @@ class Operators:
         of quad.crack_free, and the base jumps the crack_state at a = 0,
         with g sampled at t_w."""
         step = self.linear_jacobian(ca, cu)
-        const = self.unknowns(self.mass @ a_w + self.stiffness @ u_w - load_w)
+        const = self.unknowns(fem.matvec(self.mass, a_w)
+                              + fem.matvec(self.stiffness, u_w) - load_w)
         cd = self.quad.crack_dofs
         s_w, jt_w, g = interface.crack_state(u_w[cd], v_w[cd], t_w,
                                              self.contact, self.quad)

@@ -84,8 +84,8 @@ MUTANTS = [
     (FEM, "weights = np.repeat(np.linalg.norm(half, axis=1)[:, None], 2,",
      "weights = np.repeat(np.linalg.norm(b - a, axis=1)[:, None], 2,",
      "each facet quadrature weight is the facet length, not half of it"),
-    (TS, "return (0.5 * float(v @ (self.mass @ v)),",
-     "return (float(v @ (self.mass @ v)),",
+    (TS, "return (0.5 * float(v @ fem.matvec(self.mass, v)),",
+     "return (float(v @ fem.matvec(self.mass, v)),",
      "the kinetic energy drops its 1/2"),
     (TS, "cu, cv = g * du, g * dv", "cu, cv = du, g * dv",
      "the weighted displacement's derivative in a+ drops the Newmark g"),
@@ -236,6 +236,8 @@ MUTANTS = [
     (FEM, "return 2 * np.asarray(vertices)[..., None] + np.arange(2)",
      "return 2 * np.asarray(vertices)[..., None] + np.arange(2)[::-1]",
      "vertex_dofs swaps the x and y dofs of every vertex"),
+    (FEM, "y = np.zeros(m)", "y = np.ones(m)",
+     "fem.matvec starts its output at 1: the kernel adds onto it"),
 ]
 
 

@@ -3,8 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from conftest import python_calls, turned
+from conftest import BEND, bent, impact_config, python_calls, turned
 
+from crackdyn import config as config_mod
 from crackdyn import exprlang as ex
 from crackdyn import diagnostics, fem, timestepper
 from crackdyn.fem import DofMap, Material
@@ -271,6 +272,53 @@ def test_solve_spd_rejects_nonfinite_rhs_before_any_product(bad):
         with np.errstate(over="ignore"):
             fem.solve_spd(a, rhs)
     assert a.products == 0
+
+
+@pytest.mark.parametrize("shape", [None, BEND], ids=["straight", "bent"])
+def test_matvec_is_the_csr_product_bit_for_bit(shape):
+    # fem.matvec calls scipy's CSR kernel itself: on impact's M, K, B,
+    # B^T and S, and on a step size's matrix holding its linear data and
+    # then a Newton matrix's, it is a @ x bit for bit, on a strided x too
+    problem = config_mod.build_problem(impact_config())
+    ops, cfg = problem.ops, problem.config
+    if shape is not None:
+        ops = timestepper.build_operators(bent(ops.mesh, shape),
+                                          cfg.material, cfg.contact)
+    basis = ops.basis
+    step = ops.linear_jacobian(4.0, 0.5)
+    rng = np.random.default_rng(8)
+
+    def same(a):
+        for x in (rng.standard_normal(a.shape[1]),
+                  rng.standard_normal(3 * a.shape[1])[1::3]):
+            assert np.array_equal(fem.matvec(a, x), a @ x)
+    for a in (ops.mass, ops.stiffness, basis.jumps, basis.jumps_t,
+              basis.tangent_map, step.linear()):
+        same(a)
+    lin = step.matrix.data.copy()
+    step.update(rng.uniform(0.0, 5.0, ops.quad.weights.shape + (2,)))
+    x = rng.standard_normal(basis.nfree)
+    assert np.array_equal(step @ x, step.matrix @ x)
+    assert not np.array_equal(step.matrix.data, lin)    # Newton data held
+    same(step.matrix)
+
+
+def test_matvec_checks_the_shape_and_defers_other_operands():
+    # the kernel reads x without a bounds check, so a wrong length must
+    # raise first; dense operators, 2-D operands and other dtypes are
+    # a @ x
+    mass = config_mod.build_problem(impact_config()).ops.mass
+    n = mass.shape[1]
+    for bad in (np.ones(n - 1), np.ones(n + 1)):
+        with pytest.raises(ValueError, match="shape"):
+            fem.matvec(mass, bad)
+    x = np.random.default_rng(9).standard_normal(n)
+    dense = mass.toarray()
+    for a, w in ((dense, x), (mass, np.eye(n)[:, :3]), (mass, x[:, None]),
+                 (dense, np.eye(n)), (mass, x.astype(np.float32))):
+        got, want = fem.matvec(a, w), a @ w
+        assert type(got) is type(want) and got.dtype == want.dtype
+        assert got.shape == want.shape and np.array_equal(got, want)
 
 
 def _assembly_mesh(case, tmp_path):

@@ -494,6 +494,23 @@ def test_crack_arrays_must_all_be_npairs_by_2():
     assert mesh.crack_plus.shape == mesh.crack_normals.shape == (0, 2)
 
 
+def test_facet_arrays_must_be_nf_by_2():
+    # six vertex indices meant as two 3-vertex facets are not reread as
+    # the three edges [[0, 5], [4, 9], [5, 10]], which are boundary facets;
+    # empty input of any shape is no facets
+    m = generate_rect_crack(2.0, 1.0, 4, 2, crack_span=(0.25, 0.75))
+    bad = np.array([[0, 5, 4], [9, 5, 10]])
+    assert _message(m, dirichlet_facets=bad) == \
+        "dirichlet facets must have shape (nf, 2)"
+    for change in (dict(neumann_facets=m.neumann_facets.ravel()),
+                   dict(neumann_facets=m.neumann_facets[:, :, None])):
+        assert _message(m, **change) == \
+            "neumann facets must have shape (nf, 2)"
+    mesh = CrackedMesh(m.vertices, m.cells, m.cell_sides, m.dirichlet_facets,
+                       np.zeros((0, 3)), *_crack(m))
+    assert mesh.neumann_facets.shape == (0, 2)
+
+
 def test_each_pair_check_names_its_lowest_bad_pair():
     # pair 0's normal is not unit length and pair 1 holds an index out of
     # range: the range check runs first over every pair, so pair 1 is named

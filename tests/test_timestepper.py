@@ -10,6 +10,7 @@ import scipy.sparse as sp
 from conftest import (crack_block, crack_forces, impact_config,
                       reference_jumps, turned, unzip)
 from oracles import crack_problem
+from scipy.sparse._compressed import _cs_matrix
 
 from crackdyn import config as config_mod
 from crackdyn import exprlang as ex
@@ -1415,6 +1416,32 @@ def test_products_outside_cg_are_constant_per_step(monkeypatch):
     assert len({info.iterations for info in infos}) >= 3
     assert sum(info.line_search for info in infos) > 0
     assert per_step == [4, 4] + [5] * (len(infos) - 2)
+
+
+def test_no_csr_product_goes_through_scipys_dispatch(monkeypatch):
+    # every CSR product of a run's steps and records is fem.matvec, which
+    # calls scipy's kernel without the Python dispatch of ``@``; the t = 0
+    # mass solve, fem.solve_spd on a CSR matrix, is the one that still
+    # passes through it, and shows that the count is live
+    problem = config_mod.build_problem(dataclasses.replace(
+        impact_config(), time=TimeParams(t_end=0.05, dt=2.5e-3)))
+    calls = collections.Counter()
+
+    def counted(self, other, _f=_cs_matrix._matmul_vector):
+        calls["dispatch"] += 1
+        return _f(self, other)
+    monkeypatch.setattr(_cs_matrix, "_matmul_vector", counted)
+    infos = []
+
+    def on_record(state, rec, info):
+        if info is None:
+            assert calls["dispatch"] > 0
+            calls.clear()
+        else:
+            infos.append(info)
+    diagnostics.run_with_records(problem, on_record)
+    assert len(infos) == 20
+    assert calls["dispatch"] == 0
 
 
 @pytest.mark.parametrize("case", ["impact-0-0.05", "bisected"])
