@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import fem
-from .meshing import unique_ranks
+from .meshing import frames, unique_ranks
 
 __all__ = ["CrackBasis", "StepMatrix"]
 
@@ -33,10 +33,10 @@ class CrackBasis:
     positions hold the mean's normal and tangent components, the minus
     copy's the jump's.  The pairs are mesh.crack_partners.  The
     frame's normal n is the normalized sum of the normals of the
-    vertex's crack pairs and its tangent (-n_y, n_x), so the basis turns
-    with the mesh.  Crack tips and copies on the Dirichlet boundary keep
-    their nodal dofs.  The basis, B and S are built when a run first
-    needs them, not with the problem.
+    vertex's crack pairs and its tangent (-n_y, n_x) (meshing.frames),
+    so the basis turns with the mesh.  Crack tips and copies on the
+    Dirichlet boundary keep their nodal dofs.  The basis, B and S are
+    built when a run first needs them, not with the problem.
 
     Attributes (nfree = dofmap.free.size; the crack unknowns are those
     on quad.crack_free, in the order of quad.crack_dofs):
@@ -73,7 +73,7 @@ class CrackBasis:
             weights=np.repeat(mesh.crack_normals[:, c], 2))[plus]
             for c in range(2)], axis=1, dtype=float)   # float without pairs
         normal /= np.linalg.norm(normal, axis=1)[:, None]
-        frame = np.stack([normal, normal[:, ::-1] * (-1.0, 1.0)], axis=1)
+        frame = frames(normal)
         # q[v, 2a + i, 2b + j] = sign[a, b]*frame[v, i, j]
         sign = np.sqrt(0.5) * np.array([[1.0, 1.0], [1.0, -1.0]])
         self.q = (sign[:, None, :, None] * frame[:, None, :, None, :]

@@ -31,6 +31,7 @@ import scipy.sparse as sp
 
 from . import exprlang, fem
 from .exprlang import Expr
+from .meshing import frames
 
 __all__ = [
     "neg_part",
@@ -129,9 +130,9 @@ class CrackQuadrature:
     operator J on the crack dofs.
 
     It is built from the mesh's crack arrays (``crack_plus``,
-    ``crack_minus``, ``crack_normals``) and fem.FACET_SHAPES, and keeps no
-    copy of them.  Attributes (npairs = number of pairs, nq = 2 points
-    per facet):
+    ``crack_minus``, the derived ``crack_normals``) and fem.FACET_SHAPES,
+    and keeps no copy of them.  Attributes (npairs = number of pairs,
+    nq = 2 points per facet):
     points : (npairs, nq, 2), weights : (npairs, nq)
     crack_dofs : sorted unconstrained dofs of the crack-face vertices;
         a crack vector holds one value per entry (w[crack_dofs])
@@ -162,8 +163,7 @@ class CrackQuadrature:
         # the jump at point q is sum_i shp[q, i]*w_i over the four
         # vertices, along the facet's normal or its tangent
         shp = np.concatenate([fem.FACET_SHAPES, -fem.FACET_SHAPES], axis=1)
-        nrm = mesh.crack_normals
-        direction = np.stack([nrm, nrm[:, ::-1] * (-1.0, 1.0)], axis=1)
+        direction = frames(mesh.crack_normals)
         self._rows = (shp[None, :, None, :, None]
                       * direction[:, None, :, None, :] * live[:, None, None]
                       ).reshape(n, len(shp) * 2, 8)

@@ -2,9 +2,9 @@
 
 A crack is represented by duplicated vertices: cells on the two sides of
 the crack reference distinct vertex indices at geometrically coincident
-positions.  The crack facet pairs are three aligned arrays: the plus-side
-facets, the minus-side facets (vertices aligned position by position)
-and the unit normals pointing from the minus side into the plus side.
+positions.  The crack facet pairs are two aligned arrays, the plus-side
+and the minus-side facets with vertices aligned; validate derives each
+pair's unit normal, into the plus side, from its minus facet and cell.
 
 Generation and validation work on whole arrays of cells, facets and
 crack pairs, so the number of Python calls does not grow with the mesh.
@@ -26,6 +26,7 @@ __all__ = [
     "save_mesh",
     "load_mesh",
     "unique_ranks",
+    "frames",
 ]
 
 SIDE_PLUS = 1
@@ -53,7 +54,7 @@ class CrackedMesh:
     """Simplicial mesh of a cracked domain.
 
     The domain is 2-D: vertices have two coordinates, cells are
-    triangles and facets are edges.
+    triangles and facets are edges.  validate sets crack_normals.
 
     Parameters
     ----------
@@ -64,22 +65,18 @@ class CrackedMesh:
         is (0, 2)
     crack_plus, crack_minus : (npairs, 2) int arrays, each pair's two
         facets with coincident vertices aligned; empty input is (0, 2)
-    crack_normals : (npairs, 2) unit outward normals of the minus facets
     """
 
     def __init__(self, vertices, cells, cell_sides, dirichlet_facets,
-                 neumann_facets, crack_plus, crack_minus, crack_normals):
+                 neumann_facets, crack_plus, crack_minus):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.cells = np.ascontiguousarray(cells, dtype=np.int64)
         self.cell_sides = np.ascontiguousarray(cell_sides, dtype=np.int8)
         (self.dirichlet_facets, self.neumann_facets, self.crack_plus,
-         self.crack_minus, self.crack_normals) = (
+         self.crack_minus) = (
             a.reshape(0, 2) if a.size == 0 else a
-            for a in (np.ascontiguousarray(dirichlet_facets, dtype=np.int64),
-                      np.ascontiguousarray(neumann_facets, dtype=np.int64),
-                      np.ascontiguousarray(crack_plus, dtype=np.int64),
-                      np.ascontiguousarray(crack_minus, dtype=np.int64),
-                      np.ascontiguousarray(crack_normals, dtype=float)))
+            for a in (np.ascontiguousarray(f, dtype=np.int64) for f in (
+                dirichlet_facets, neumann_facets, crack_plus, crack_minus)))
         self.validate()
 
     @property
@@ -157,13 +154,14 @@ class CrackedMesh:
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> None:
-        """Check all structural invariants, raising MeshError on failure.
+        """Check all structural invariants, raising MeshError on failure,
+        and set crack_normals, each minus facet's unit outward normal.
 
         Beyond shapes and index ranges: each crack pair is coincident and
-        carries the outward normal of its minus facet, the crack
-        separates its interior vertices (``_check_crack_separation``), and
-        gluing the crack shut leaves a conforming mesh on which tagged
-        facets are boundary facets and crack pairs interior ones
+        its minus facet has length and a minus cell, the crack separates
+        its interior vertices (``_check_crack_separation``), and gluing the
+        crack shut leaves a conforming mesh on which tagged facets are
+        boundary facets and crack pairs interior ones
         (``_check_merged_conforming``).  Each check covers every item at
         once; where several items fail it, the first is named.
         """
@@ -190,11 +188,10 @@ class CrackedMesh:
         if self.dirichlet_facets.shape[0] == 0:
             raise MeshError("Γ_D must be nonempty")
 
-        plus, minus, normals = crack = (
-            self.crack_plus, self.crack_minus, self.crack_normals)
-        if any(a.shape != (self.n_pairs, 2) for a in crack):
-            raise MeshError("crack plus, minus and normal arrays must all "
-                            "have shape (npairs, 2)")
+        plus, minus = self.crack_plus, self.crack_minus
+        if any(a.shape != (self.n_pairs, 2) for a in (plus, minus)):
+            raise MeshError("crack plus and minus arrays must both have "
+                            "shape (npairs, 2)")
         verts = self.vertices
         _first_bad_pair(((plus < 0) | (plus >= nv)
                          | (minus < 0) | (minus >= nv)).any(axis=1),
@@ -203,8 +200,6 @@ class CrackedMesh:
         _first_bad_pair(np.abs(verts[plus] - verts[minus]).max(axis=(1, 2))
                         > COINCIDENCE_RTOL * scale,
                         "plus and minus facets are not coincident")
-        _first_bad_pair(~(np.abs(np.linalg.norm(normals, axis=1) - 1.0)
-                          <= 1e-12), "normal is not unit length")
         a, b = verts[minus[:, 0]], verts[minus[:, 1]]
         edge = b - a
         length = np.linalg.norm(edge, axis=1)
@@ -215,9 +210,8 @@ class CrackedMesh:
         perp = np.stack([edge[:, 1], -edge[:, 0]], axis=1) / length[:, None]
         outward = 0.5 * (a + b) - verts[self.cells[cell]].mean(axis=1)
         perp[np.einsum("pd,pd->p", perp, outward) < 0] *= -1.0
-        _first_bad_pair(np.linalg.norm(normals - perp, axis=1) > 1e-10,
-                        "normal does not match the outward normal of the "
-                        "minus facet")
+        # + 0.0 turns -0.0 into 0.0, which save_mesh writes
+        self.crack_normals = perp + 0.0
 
         self._check_crack_separation()
         self._check_merged_conforming()
@@ -228,12 +222,7 @@ class CrackedMesh:
         minus = np.flatnonzero(self.cell_sides == SIDE_MINUS)
         edges = self.cells[minus][:, [[0, 1], [1, 2], [0, 2]]]
         keys, first = np.unique(_facet_keys(edges, nv), return_index=True)
-        # nv*nv exceeds every key, so a lookup past the end finds no cell
-        keys = np.append(keys, nv * nv)
-        cells = np.append(minus[first // 3], -1)
-        want = _facet_keys(facets, nv)
-        i = np.searchsorted(keys, want)
-        return np.where(keys[i] == want, cells[i], -1)
+        return _facet_lookup(keys, minus[first // 3], facets, nv, -1)
 
     def _check_crack_separation(self) -> None:
         # A vertex strictly inside the crack (incident to >= 2 crack facets
@@ -288,8 +277,7 @@ class CrackedMesh:
         if degenerate.any():
             c = int(np.argmax(degenerate))
             raise MeshError(f"cell {c} degenerates when the crack is glued")
-        ends = glued[:, [1, 0, 0]], glued[:, [2, 2, 1]]  # drop vertex 0, 1, 2
-        keys = (np.minimum(*ends) * nv + np.maximum(*ends)).ravel()
+        keys = _facet_keys(glued[:, [[1, 2], [0, 2], [0, 1]]], nv).ravel()
         uniq, ranks = unique_ranks(keys)
         counts = np.bincount(ranks)
         over = counts > 2
@@ -299,19 +287,9 @@ class CrackedMesh:
             raise MeshError(
                 f"glued mesh is not conforming: facet {[lo, hi]} is "
                 f"shared by {int(counts[i])} cells")
-        # nv*nv exceeds every key, so a lookup past the end finds count 0
-        uniq = np.append(uniq, nv * nv)
-        counts = np.append(counts, 0)
-
-        def glued_counts(facets):
-            """How many glued cells hold each (n, 2) facet once glued."""
-            key = _facet_keys(ident[facets], nv)
-            i = np.searchsorted(uniq, key)
-            return np.where(uniq[i] == key, counts[i], 0)
-
         for name, facets in (("dirichlet", self.dirichlet_facets),
                              ("neumann", self.neumann_facets)):
-            bad = glued_counts(facets) != 1
+            bad = _facet_lookup(uniq, counts, ident[facets], nv, 0) != 1
             if bad.any():
                 f = facets[np.argmax(bad)]
                 raise MeshError(
@@ -319,7 +297,7 @@ class CrackedMesh:
         if np.intersect1d(_facet_keys(self.dirichlet_facets, nv),
                           _facet_keys(self.neumann_facets, nv)).size:
             raise MeshError("a facet is tagged both Dirichlet and Neumann")
-        bad = glued_counts(self.crack_plus) != 2
+        bad = _facet_lookup(uniq, counts, ident[self.crack_plus], nv, 0) != 2
         if bad.any():
             raise MeshError(
                 f"crack pair {int(np.argmax(bad))} is not an interior facet "
@@ -343,6 +321,22 @@ def unique_ranks(keys):
 def _facet_keys(facets, nv):
     """Orientation-free key lo*nv + hi of each facet along the last axis."""
     return facets.min(axis=-1) * nv + facets.max(axis=-1)
+
+
+def _facet_lookup(keys, values, facets, nv, missing):
+    """values[i] for each (n, 2) facet whose key (_facet_keys) is keys[i],
+    missing where its key is not in keys; keys sorted increasing."""
+    want = _facet_keys(facets, nv)
+    i = np.searchsorted(keys, want)
+    # nv*nv exceeds every key, so a lookup past the end finds missing
+    keys, values = np.append(keys, nv * nv), np.append(values, missing)
+    return np.where(keys[i] == want, values[i], missing)
+
+
+def frames(normals):
+    """(n, 2, 2) frame of each of the (n, 2) unit normals: rows the normal
+    and its tangent t = (-n_y, n_x), a quarter turn counterclockwise."""
+    return np.stack([normals, normals[:, ::-1] * (-1.0, 1.0)], axis=1)
 
 
 def _first_bad_pair(bad, message):
@@ -425,7 +419,6 @@ def generate_rect_crack(width, height, nx, ny, crack_span=None) -> CrackedMesh:
         neumann_facets=neumann,
         crack_plus=plus,
         crack_minus=remap[plus],
-        crack_normals=np.tile([0.0, 1.0], (plus.shape[0], 1)),
     )
 
 
@@ -439,6 +432,7 @@ def generate_rect_crack(width, height, nx, ny, crack_span=None) -> CrackedMesh:
 # dirichlet <n>       lines: 2 vertex indices
 # neumann <n>
 # crackpairs <n>      lines: 2 plus indices, 2 minus indices, 2 normal comps
+#                     (checked against the normals the facets give)
 #
 # '#' starts a comment; blank lines are ignored.
 
@@ -468,8 +462,6 @@ def save_mesh(mesh: CrackedMesh, path) -> None:
 
 class _LineReader:
     def __init__(self, path):
-        self.path = path
-        self.lineno = 0
         with open(path) as f:
             self.raw = f.readlines()
         self.pos = 0
@@ -478,14 +470,13 @@ class _LineReader:
         while self.pos < len(self.raw):
             line = self.raw[self.pos]
             self.pos += 1
-            self.lineno = self.pos
             text = line.split("#", 1)[0].strip()
             if text:
                 return text.split()
         raise MeshFormatError("unexpected end of file", len(self.raw))
 
     def error(self, message):
-        raise MeshFormatError(message, self.lineno)
+        raise MeshFormatError(message, self.pos)
 
 
 def load_mesh(path) -> CrackedMesh:
@@ -536,16 +527,16 @@ def load_mesh(path) -> CrackedMesh:
                         dtype=float).reshape(nv, 2)
 
     nc = section("cells")
-    cells = np.zeros((nc, 3), dtype=np.int64)
-    sides = np.zeros(nc, dtype=np.int8)
-    for k in range(nc):
+    cells, sides = [], []
+    for _ in range(nc):
         toks = r.next_tokens()
         if len(toks) != 4:
             r.error("cell line needs 3 vertices and a side tag")
-        cells[k] = ints(toks[:-1], 3)
+        cells.append(ints(toks[:-1], 3))
         if toks[-1] not in _SIDE_VALUES:
             r.error(f"unknown side tag {toks[-1]!r}")
-        sides[k] = _SIDE_VALUES[toks[-1]]
+        sides.append(_SIDE_VALUES[toks[-1]])
+    cells = np.array(cells, dtype=np.int64).reshape(nc, 3)
 
     nd = section("dirichlet")
     dirichlet = np.array([ints(r.next_tokens(), 2) for _ in range(nd)],
@@ -564,7 +555,15 @@ def load_mesh(path) -> CrackedMesh:
         crack[2].append(floats(toks[4:], 2))
 
     try:
-        return CrackedMesh(vertices, cells, sides, dirichlet, neumann,
-                           *crack)
+        mesh = CrackedMesh(vertices, cells, sides, dirichlet, neumann,
+                           *crack[:2])
+        # the file's normals are input too: NaN fails both checks
+        normals = np.array(crack[2], dtype=float).reshape(-1, 2)
+        _first_bad_pair(~(np.abs(np.linalg.norm(normals, axis=1) - 1.0)
+                          <= 1e-12), "normal is not unit length")
+        _first_bad_pair(~(np.linalg.norm(normals - mesh.crack_normals, axis=1)
+                          <= 1e-10), "normal does not match the outward "
+                        "normal of the minus facet")
     except MeshError as exc:
         raise MeshError(f"{path}: {exc}") from exc
+    return mesh

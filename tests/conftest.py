@@ -133,17 +133,16 @@ def impact_runs():
 
 def turned(mesh, theta, swap=False):
     """mesh rotated by theta about the origin; with swap, its crack
-    faces relabelled (plus for minus) and the normals flipped."""
+    faces relabelled (plus for minus)."""
     c, s = math.cos(theta), math.sin(theta)
     rot = np.array([[c, -s], [s, c]])
-    plus, minus, normals = mesh.crack_plus, mesh.crack_minus, mesh.crack_normals
-    sides = mesh.cell_sides
+    plus, minus, sides = mesh.crack_plus, mesh.crack_minus, mesh.cell_sides
     if swap:
-        plus, minus, normals = minus, plus, -normals
+        plus, minus = minus, plus
         sides = meshing.SIDE_PLUS + meshing.SIDE_MINUS - sides
     return meshing.CrackedMesh(mesh.vertices @ rot.T, mesh.cells, sides,
                                mesh.dirichlet_facets, mesh.neumann_facets,
-                               plus, minus, normals @ rot.T)
+                               plus, minus)
 
 
 def BEND(xy):
@@ -161,17 +160,11 @@ def KINK(xy):
 def bent(mesh, shape):
     """mesh with its vertices moved by shape, a map of the (nv, 2)
     coordinates that keeps every cell's orientation (BEND and KINK, like
-    any y += f(x), keep its area too), and each crack pair's normal
-    recomputed from its moved minus facet: the unit perpendicular of
-    that facet's edge, on the side of the pair's old normal."""
-    xy = shape(mesh.vertices)
-    edge = xy[mesh.crack_minus[:, 1]] - xy[mesh.crack_minus[:, 0]]
-    perp = np.stack([edge[:, 1], -edge[:, 0]], axis=1)
-    perp /= np.linalg.norm(perp, axis=1)[:, None]
-    perp *= np.sign(np.einsum("pd,pd->p", perp, mesh.crack_normals))[:, None]
-    return meshing.CrackedMesh(xy, mesh.cells, mesh.cell_sides,
-                               mesh.dirichlet_facets, mesh.neumann_facets,
-                               mesh.crack_plus, mesh.crack_minus, perp)
+    any y += f(x), keep its area too)."""
+    return meshing.CrackedMesh(shape(mesh.vertices), mesh.cells,
+                               mesh.cell_sides, mesh.dirichlet_facets,
+                               mesh.neumann_facets, mesh.crack_plus,
+                               mesh.crack_minus)
 
 
 def python_calls(fn, *args):

@@ -196,7 +196,7 @@ MUTANTS = [
                                     transpose=True)""",
      "        w[self.dofs] = x[self.free_at]",
      "the basis is applied on the way in but not on the way out"),
-    (BASIS, "frame = np.stack([normal, normal[:, ::-1] * (-1.0, 1.0)], axis=1)",
+    (BASIS, "frame = frames(normal)",
      "frame = np.tile(np.eye(2), (len(normal), 1, 1))",
      "the mean and the jump are taken in (x, y), not in the crack's frame"),
     (TS, "rest = at[1] - tau - alpha * td", "rest = at[1] - tau",
@@ -225,12 +225,13 @@ MUTANTS = [
      "Newton starts from the predictor whatever its residual"),
     (TS, "rise = self.chain * bd", "rise = self.chain[0] * bd",
      "a line-search trial moves the tangential jumps by the normal chain"),
-    (IF, "nrm = mesh.crack_normals",
-     "nrm = np.broadcast_to(mesh.crack_normals[:1], mesh.crack_normals.shape)",
+    (IF, "direction = frames(mesh.crack_normals)",
+     "direction = frames(np.broadcast_to(mesh.crack_normals[:1],\n"
+     "                                       mesh.crack_normals.shape))",
      "every crack pair takes the first pair's normal"),
-    (IF, "direction = np.stack([nrm, nrm[:, ::-1] * (-1.0, 1.0)], axis=1)",
-     "direction = np.stack([nrm, np.broadcast_to(\n"
-     "            nrm[:1, ::-1] * (-1.0, 1.0), nrm.shape)], axis=1)",
+    (IF, "direction = frames(mesh.crack_normals)",
+     "direction = frames(mesh.crack_normals)\n"
+     "        direction[:, 1] = direction[:1, 1]",
      "every crack pair keeps its own normal but takes the first pair's "
      "tangent"),
     (FEM, "return 2 * np.asarray(vertices)[..., None] + np.arange(2)",
@@ -238,6 +239,8 @@ MUTANTS = [
      "vertex_dofs swaps the x and y dofs of every vertex"),
     (FEM, "y = np.zeros(m)", "y = np.ones(m)",
      "fem.matvec starts its output at 1: the kernel adds onto it"),
+    (MESH, '        perp[np.einsum("pd,pd->p", perp, outward) < 0] *= -1.0\n',
+     "", "the derived crack normals are not turned away from the minus cell"),
 ]
 
 

@@ -518,6 +518,38 @@ def test_run_nonfinite_mesh_data_exits_2(tmp_path, monkeypatch, capsys,
     assert err.startswith("config error: ") and needle in err
 
 
+def _flip_last_normal(lines):
+    return lines[:-1] + [" ".join(lines[-1].split()[:-2] + ["0.0", "-1.0"])]
+
+
+def _declare_huge_cell_count(lines):
+    # one cell line after a count no array of cells could hold
+    at = next(k for k, x in enumerate(lines) if x.startswith("cells "))
+    return lines[:at] + ["cells 1000000000000", lines[at + 1]]
+
+
+@pytest.mark.parametrize("edit,needle", [
+    (_flip_last_normal, "crack pair 3: normal does not match the outward "
+                        "normal of the minus facet"),
+    (_declare_huge_cell_count, "unexpected end of file"),
+], ids=["flipped-normal", "huge-cell-count"])
+def test_run_bad_mesh_file_exits_2(tmp_path, monkeypatch, capsys, edit,
+                                   needle):
+    monkeypatch.chdir(tmp_path)
+    mesh_path = tmp_path / "m.txt"
+    save_mesh(generate_rect_crack(2.0, 1.0, 8, 4, crack_span=(0.25, 0.75)),
+              mesh_path)
+    lines = edit(mesh_path.read_text().splitlines())
+    mesh_path.write_text("\n".join(lines) + "\n")
+    cfg = write_cfg(tmp_path, file_mesh(run_cfg_text(tmp_path / "out"),
+                                        mesh_path))
+    assert cli.main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and needle in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("key", ["u0", "v0"])
 def test_run_nonfinite_initial_data_exits_2(tmp_path, monkeypatch, capsys,
                                             key):

@@ -18,7 +18,7 @@ from oracles import dense_mass_stiffness, patch_forces
 def single_triangle():
     return CrackedMesh([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 1, 2)],
                        [SIDE_PLUS], [(0, 1)], np.zeros((0, 2), dtype=np.int64),
-                       (), (), ())
+                       (), ())
 
 
 def retag_top_neumann(mesh, height):
@@ -28,7 +28,7 @@ def retag_top_neumann(mesh, height):
     on_top = np.all(np.isclose(ys[facets], height), axis=1)
     return CrackedMesh(mesh.vertices, mesh.cells, mesh.cell_sides,
                        facets[~on_top], facets[on_top], mesh.crack_plus,
-                       mesh.crack_minus, mesh.crack_normals)
+                       mesh.crack_minus)
 
 
 def test_material_validation():
@@ -471,7 +471,7 @@ def test_assembly_is_deterministic():
 def test_inverted_cell_rejected():
     mesh = CrackedMesh([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 2, 1)],
                        [SIDE_PLUS], [(0, 1)], np.zeros((0, 2), dtype=np.int64),
-                       (), (), ())
+                       (), ())
     with pytest.raises(fem.AssemblyError, match="area"):
         fem.assemble_mass(mesh, Material(lam=1.0, mu=1.0, rho=1.0))
 

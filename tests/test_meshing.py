@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from conftest import python_calls
+from conftest import BEND, KINK, bent, python_calls, turned
 
 from crackdyn import meshing
 from crackdyn.meshing import (
@@ -94,7 +94,7 @@ def test_trace_maps_coincide():
 
 
 def _crack(m):
-    return m.crack_plus, m.crack_minus, m.crack_normals
+    return m.crack_plus, m.crack_minus
 
 
 def test_validate_rejects_moved_duplicate():
@@ -104,14 +104,6 @@ def test_validate_rejects_moved_duplicate():
     with pytest.raises(MeshError, match="coincident"):
         CrackedMesh(verts, m.cells, m.cell_sides,
                     m.dirichlet_facets, m.neumann_facets, *_crack(m))
-
-
-def test_validate_rejects_flipped_normal():
-    m = generate_rect_crack(2.0, 1.0, 2, 2, crack_span=(0.25, 0.75))
-    with pytest.raises(MeshError, match="outward normal"):
-        CrackedMesh(m.vertices, m.cells, m.cell_sides,
-                    m.dirichlet_facets, m.neumann_facets,
-                    m.crack_plus, m.crack_minus, -m.crack_normals)
 
 
 def test_validate_rejects_shared_interior_vertex():
@@ -252,16 +244,18 @@ def test_load_validates_invariants(tmp_path):
         load_mesh(path)
 
 
-def _load_error(tmp_path, lineno, text):
+def _load_error(tmp_path, edits):
     """The full error text of loading the 2 x 2 cracked mesh's file with
-    line ``lineno`` (1-based) replaced by ``text``."""
+    each line ``lineno`` (1-based) of the dict ``edits`` replaced by its
+    text."""
     path = tmp_path / "edited.txt"
     save_mesh(generate_rect_crack(2.0, 1.0, 2, 2, crack_span=(0.25, 0.75)),
               path)
     lines = path.read_text().splitlines()
     assert lines[31:] == ["crackpairs 2", "3 4 3 9 0.0 1.0",
                           "4 5 9 5 0.0 1.0"]
-    lines[lineno - 1] = text
+    for lineno, text in edits.items():
+        lines[lineno - 1] = text
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(MeshError) as exc:
         load_mesh(path)
@@ -288,7 +282,8 @@ def _load_error(tmp_path, lineno, text):
     (34, "4 5 9 5 0.0", "crack pair line needs 6 entries"),
 ])
 def test_load_names_the_bad_line(tmp_path, lineno, text, message):
-    assert _load_error(tmp_path, lineno, text) == f"line {lineno}: {message}"
+    assert _load_error(tmp_path, {lineno: text}) == \
+        f"line {lineno}: {message}"
 
 
 @pytest.mark.parametrize("text,message", [
@@ -298,7 +293,7 @@ def test_load_names_the_bad_line(tmp_path, lineno, text, message):
     ("4 4 9 9 0.0 1.0", "degenerate minus facet"),
 ])
 def test_load_names_the_bad_crack_pair(tmp_path, text, message):
-    assert _load_error(tmp_path, 34, text) == \
+    assert _load_error(tmp_path, {34: text}) == \
         f"{tmp_path / 'edited.txt'}: crack pair 1: {message}"
 
 
@@ -352,7 +347,7 @@ def _message(m, **changes):
     args = dict(vertices=m.vertices, cells=m.cells, cell_sides=m.cell_sides,
                 dirichlet_facets=m.dirichlet_facets,
                 neumann_facets=m.neumann_facets, crack_plus=m.crack_plus,
-                crack_minus=m.crack_minus, crack_normals=m.crack_normals)
+                crack_minus=m.crack_minus)
     args.update(changes)
     with pytest.raises(MeshError) as exc:
         CrackedMesh(**args)
@@ -360,19 +355,15 @@ def _message(m, **changes):
 
 
 def _pairs(*pairs):
-    """Constructor arguments for crack pairs given as (plus, minus, normal)."""
-    plus, minus, normals = zip(*pairs)
-    return dict(crack_plus=plus, crack_minus=minus, crack_normals=normals)
-
-
-UP = np.array([0.0, 1.0])
-DOWN = np.array([0.0, -1.0])
+    """Constructor arguments for crack pairs given as (plus, minus)."""
+    plus, minus = zip(*pairs)
+    return dict(crack_plus=plus, crack_minus=minus)
 
 
 def test_separation_rejects_vertex_interior_on_both_sides():
     # uncracked 2 x 2: midline 3-4-5 listed as a crack with plus == minus
     m = generate_rect_crack(2.0, 1.0, 2, 2)
-    pairs = _pairs(((3, 4), (3, 4), UP), ((4, 5), (4, 5), UP))
+    pairs = _pairs(((3, 4), (3, 4)), ((4, 5), (4, 5)))
     assert _message(m, **pairs) == \
         "crack interior vertex is shared between the sides"
 
@@ -398,8 +389,7 @@ def test_separation_names_minus_interior_vertices_in_plus_cells():
     cells[2, 2] = 7
     cells[0, 2] = 6
     assert _message(m, cells=cells, cell_sides=-m.cell_sides,
-                    crack_plus=m.crack_minus, crack_minus=m.crack_plus,
-                    crack_normals=-m.crack_normals) == (
+                    crack_plus=m.crack_minus, crack_minus=m.crack_plus) == (
         "vertices [6, 7] lie strictly inside the crack but are shared "
         "between plus and minus cells")
 
@@ -412,8 +402,7 @@ def test_glued_check_names_lowest_degenerate_cell():
     cells[6] = [4, 9, 8]
     cells[3] = [4, 5, 9]
     assert _message(m, cells=cells, crack_plus=m.crack_plus[:1],
-                    crack_minus=m.crack_minus[:1],
-                    crack_normals=m.crack_normals[:1]) == \
+                    crack_minus=m.crack_minus[:1]) == \
         "cell 3 degenerates when the crack is glued"
 
 
@@ -433,7 +422,7 @@ def test_glue_rejects_minus_vertex_with_two_plus_partners():
     # vertex 10 sits on 4 and 9; pair 0 glues 9 onto 4, pair 1 onto 10
     m = generate_rect_crack(2.0, 1.0, 2, 2, crack_span=(0.25, 0.75))
     verts = np.vstack([m.vertices, [[1.0, 0.5]]])
-    pairs = _pairs(((3, 4), (3, 9), UP), ((10, 5), (9, 5), UP))
+    pairs = _pairs(((3, 4), (3, 9)), ((10, 5), (9, 5)))
     assert _message(m, vertices=verts, **pairs) == \
         "crack pair 1: vertex 9 pairs with several plus vertices"
 
@@ -459,8 +448,7 @@ def test_crack_pair_must_be_interior_once_glued():
     # uncracked 3 x 2: pair 0 is the interior facet (4, 5); pairs 1 and 2
     # are the bottom boundary facets (2, 3) and (0, 1)
     m = generate_rect_crack(3.0, 1.0, 3, 2)
-    pairs = _pairs(((4, 5), (4, 5), UP), ((2, 3), (2, 3), DOWN),
-                   ((0, 1), (0, 1), DOWN))
+    pairs = _pairs(((4, 5), (4, 5)), ((2, 3), (2, 3)), ((0, 1), (0, 1)))
     assert _message(m, **pairs) == \
         "crack pair 1 is not an interior facet of the glued mesh"
 
@@ -475,22 +463,19 @@ def test_facet_tagged_twice_in_either_orientation():
 
 def test_crack_arrays_must_all_be_npairs_by_2():
     m = generate_rect_crack(2.0, 1.0, 2, 2, crack_span=(0.25, 0.75))
-    message = "crack plus, minus and normal arrays must all have shape " \
-        "(npairs, 2)"
+    message = "crack plus and minus arrays must both have shape (npairs, 2)"
     for change in (dict(crack_plus=np.hstack([m.crack_plus, [[3], [4]]])),
                    dict(crack_minus=m.crack_minus[:1]),
-                   dict(crack_normals=[0.0, 1.0]),
-                   dict(crack_normals=[[0.0, 1.0, 0.0]] * 2),
                    # a flat list of four indices is not read as two pairs
                    dict(crack_plus=m.crack_plus.ravel()),
-                   dict(crack_plus=(), crack_minus=(), crack_normals=UP)):
+                   dict(crack_plus=())):
         assert _message(m, **change) == message
     # empty input of any shape is no pairs
     empty = np.zeros((0, 3))
     glued = generate_rect_crack(2.0, 1.0, 2, 2)
     mesh = CrackedMesh(glued.vertices, glued.cells, glued.cell_sides,
                        glued.dirichlet_facets, glued.neumann_facets,
-                       [], empty, ())
+                       [], empty)
     assert mesh.crack_plus.shape == mesh.crack_normals.shape == (0, 2)
 
 
@@ -511,17 +496,50 @@ def test_facet_arrays_must_be_nf_by_2():
     assert mesh.neumann_facets.shape == (0, 2)
 
 
-def test_each_pair_check_names_its_lowest_bad_pair():
-    # pair 0's normal is not unit length and pair 1 holds an index out of
-    # range: the range check runs first over every pair, so pair 1 is named
-    m = generate_rect_crack(2.0, 1.0, 2, 2, crack_span=(0.25, 0.75))
-    pairs = _pairs(((3, 4), (3, 9), 2 * UP), ((4, 5), (9, 10), UP))
-    assert _message(m, **pairs) == "crack pair 1: vertex index out of range"
-    pairs = _pairs(((3, 4), (3, 9), 2 * UP), ((4, 5), (9, 5), DOWN))
-    assert _message(m, **pairs) == "crack pair 0: normal is not unit length"
-    pairs = _pairs(((3, 4), (3, 9), UP), ((4, 5), (9, 5), DOWN))
-    assert _message(m, **pairs) == ("crack pair 1: normal does not match "
-                                    "the outward normal of the minus facet")
+def test_each_pair_check_names_its_lowest_bad_pair(tmp_path):
+    # in a file, pair 0's normal is not unit length and pair 1 holds an
+    # index out of range: the mesh is checked before the file's normals,
+    # so pair 1 is named; the unit-length check runs over every pair
+    # before the match with the normals the facets give
+    prefix = f"{tmp_path / 'edited.txt'}: crack pair"
+    assert _load_error(tmp_path, {33: "3 4 3 9 0.0 2.0",
+                                  34: "4 5 9 10 0.0 1.0"}) == \
+        f"{prefix} 1: vertex index out of range"
+    assert _load_error(tmp_path, {33: "3 4 3 9 0.0 2.0",
+                                  34: "4 5 9 5 0.0 -1.0"}) == \
+        f"{prefix} 0: normal is not unit length"
+    assert _load_error(tmp_path, {34: "4 5 9 5 0.0 -1.0"}) == (
+        f"{prefix} 1: normal does not match the outward normal of the minus "
+        f"facet")
+
+
+def test_kinked_crack_segments_get_their_own_normals():
+    # y += 0.15*|x - 1| turns the impact crack, x in [0.5, 1.5], into two
+    # segments of slope -0.15 and 0.15 that meet at x = 1: each pair's
+    # derived normal is its segment's, (+-0.15, 1)/sqrt(1 + 0.15^2)
+    m = bent(generate_rect_crack(2.0, 1.0, 16, 8, crack_span=(0.25, 0.75)),
+             KINK)
+    left = m.vertices[m.crack_minus].mean(axis=1)[:, 0] < 1.0
+    assert np.count_nonzero(left) == np.count_nonzero(~left) == 4
+    want = np.stack([np.where(left, 0.15, -0.15), np.ones(8)], axis=1)
+    assert np.abs(m.crack_normals - want / np.hypot(0.15, 1.0)).max() \
+        <= 1e-15
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.7, 2.5])
+def test_face_swap_negates_the_turned_normals(theta):
+    # relabelling the faces makes the old plus facets the minus ones: on
+    # a bent crack the derived normals are the turned original's,
+    # negated, and those are the original's turned, but for the rounding
+    # of edges 0.125 long between coordinates up to 2.2 in size
+    m = bent(generate_rect_crack(2.0, 1.0, 16, 8, crack_span=(0.25, 0.75)),
+             BEND)
+    normals = turned(m, theta).crack_normals
+    assert np.abs(turned(m, theta, swap=True).crack_normals + normals).max() \
+        <= 1e-15
+    c, s = np.cos(theta), np.sin(theta)
+    rotated = m.crack_normals @ np.array([[c, -s], [s, c]]).T
+    assert np.abs(normals - rotated).max() <= 1e-14
 
 
 # sha256 of the save_mesh text of generate_rect_crack(2.0, 1.0, nx, ny, span),

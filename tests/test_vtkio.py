@@ -37,7 +37,7 @@ GOLDEN = b"".join((
 def two_triangles():
     return CrackedMesh([(0.0, 0.0), (2.0, 0.0), (2.0, 1 / 3), (0.1, 1.0)],
                        [(0, 1, 2), (0, 2, 3)], [SIDE_PLUS, SIDE_PLUS],
-                       [(0, 3)], [(0, 1), (1, 2), (2, 3)], [], [], [])
+                       [(0, 3)], [(0, 1), (1, 2), (2, 3)], [], [])
 
 
 def test_golden_text(tmp_path):
